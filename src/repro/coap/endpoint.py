@@ -382,8 +382,11 @@ class CoapServer:
         self.params = params
         self._resources: Dict[str, ResourceHandler] = {}
         self.default_handler: Optional[ResourceHandler] = None
-        #: (peer, mid) -> encoded reply, for deduplication.
-        self._dedup: Dict[Tuple[str, int, int], bytes] = {}
+        #: (peer, mid, token) -> encoded reply, for deduplication. The
+        #: token is part of the key because the 16-bit MID wraps inside
+        #: EXCHANGE_LIFETIME on a busy connection: a new exchange that
+        #: reuses a MID carries a new token and is not a duplicate.
+        self._dedup: Dict[Tuple[str, int, int, bytes], bytes] = {}
         #: Block2 continuation state: full responses by cache key-ish token.
         self._block2_store: Dict[Tuple, CoapMessage] = {}
         self._block1_assembly: Dict[Tuple[str, int], BlockAssembler] = {}
@@ -409,7 +412,7 @@ class CoapServer:
             return
 
         self._current_peer = (src_addr, src_port)
-        dedup_key = (src_addr, src_port, message.mid)
+        dedup_key = (src_addr, src_port, message.mid, message.token)
         cached_reply = self._dedup.get(dedup_key)
         if cached_reply is not None:
             self.socket.sendto(cached_reply, src_addr, src_port, {"kind": "dup-reply"})

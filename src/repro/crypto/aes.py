@@ -1,14 +1,40 @@
-"""AES-128 block cipher (FIPS 197), pure Python.
+"""AES-128 block cipher (FIPS 197), pure Python, on a 128-bit integer state.
 
 Only the forward cipher is implemented: every mode used in this
-repository (CCM = CTR + CBC-MAC) needs encryption only. Tables are
-precomputed at import time; per-block work is table lookups and XORs,
-which is fast enough for simulated traffic volumes.
+repository (CCM = CTR + CBC-MAC) needs encryption only.
+
+State and table layout
+----------------------
+The 16-byte state is one Python ``int``; byte *i* of the block (FIPS 197
+``in[i]``, state row ``i % 4``, column ``i // 4``) sits at bits
+``8 * (15 - i)``, i.e. the int is the block read big-endian, and column
+*c* is the 32-bit word at bits ``32 * (3 - c)``. One int instead of four
+32-bit words means a round has no per-word shift, mask and repack:
+``value.to_bytes(16, "big")`` splits the state into its bytes in one C
+call, and everything else is table lookups and XORs of whole states.
+
+A round (SubBytes, ShiftRows, MixColumns, AddRoundKey) is sixteen
+lookups, one table per byte position. ShiftRows moves row *r* left by
+*r* columns, so byte *i* lands in column ``(i // 4 - i % 4) % 4``;
+MixColumns then spreads its S-box output *s* over the four bytes of that
+column as ``(2s, s, s, 3s)`` rotated down by *r* rows. ``_ROUND_TABLES[i][x]``
+is that 32-bit contribution already shifted into the destination column,
+so XOR-ing the sixteen entries and the 128-bit round key yields the next
+state. The final round has no MixColumns: ``_FINAL_TABLES[i][x]`` is
+``S[x]`` shifted to output byte ``4 * column + r``.
+
+The 32 tables hold 8192 ints of up to 128 bits — about 0.4 MiB, the
+price of never shifting at run time — and are built at import in under
+a millisecond.
+
+Table-lookup AES is **not constant-time**: which cache lines a block
+touches depends on key and data, exactly as with the four 32-bit
+T-tables this layout replaces. It protects simulated credentials.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Tuple
 
 _SBOX = [0] * 256
 
@@ -51,25 +77,29 @@ def _xtime(value: int) -> int:
     return value & 0xFF
 
 
-# T-tables: combined SubBytes + MixColumns per FIPS 197 §5.1.3 (the
-# standard software optimisation used by embedded AES implementations).
-_T0 = []
-for x in range(256):
-    s = _SBOX[x]
-    s2 = _xtime(s)
-    s3 = s2 ^ s
-    _T0.append((s2 << 24) | (s << 16) | (s << 8) | s3)
-def _rotr32(value: int, bits: int) -> int:
-    return ((value >> bits) | (value << (32 - bits))) & 0xFFFFFFFF
+def _build_tables() -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+    """The sixteen round and sixteen final-round tables (module docstring)."""
+    # Column contribution of a row-r byte: (2s, s, s, 3s) rotated down r rows.
+    columns: List[List[int]] = [[], [], [], []]
+    for s in _SBOX:
+        s2 = _xtime(s)
+        word = (s2 << 24) | (s << 16) | (s << 8) | (s2 ^ s)
+        for row in range(4):
+            columns[row].append(word)
+            word = (word >> 8) | ((word & 0xFF) << 24)
+    round_tables = []
+    final_tables = []
+    for i in range(16):
+        row = i % 4
+        column = (i // 4 - row) % 4
+        shift = 32 * (3 - column)
+        round_tables.append(tuple([word << shift for word in columns[row]]))
+        shift = 8 * (15 - (4 * column + row))
+        final_tables.append(tuple([s << shift for s in _SBOX]))
+    return tuple(round_tables), tuple(final_tables)
 
 
-# Tuples index marginally faster than lists on the hot path; the S-box
-# additionally collapses to a bytes object (C-level int lookups).
-_T0 = tuple(_T0)
-_T1 = tuple(_rotr32(t, 8) for t in _T0)
-_T2 = tuple(_rotr32(t, 16) for t in _T0)
-_T3 = tuple(_rotr32(t, 24) for t in _T0)
-_SBOX_BYTES = bytes(_SBOX)
+_ROUND_TABLES, _FINAL_TABLES = _build_tables()
 
 _RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36]
 
@@ -87,10 +117,14 @@ class AES128:
     def __init__(self, key: bytes) -> None:
         if len(key) != 16:
             raise ValueError("AES-128 requires a 16-byte key")
-        self._round_keys = self._expand_key(key)
+        round_keys = self._expand_key(key)
+        self._first_key = round_keys[0]
+        self._middle_keys = round_keys[1:10]
+        self._last_key = round_keys[10]
 
     @staticmethod
     def _expand_key(key: bytes) -> Tuple[int, ...]:
+        """The eleven round keys, each one 128-bit int in state layout."""
         words = [int.from_bytes(key[i : i + 4], "big") for i in range(0, 16, 4)]  # noqa: E501
         for i in range(4, 44):
             temp = words[i - 1]
@@ -104,78 +138,57 @@ class AES128:
                 )
                 temp ^= _RCON[i // 4 - 1] << 24
             words.append(words[i - 4] ^ temp)
-        return tuple(words)
+        return tuple(
+            (words[i] << 96) | (words[i + 1] << 64) | (words[i + 2] << 32) | words[i + 3]
+            for i in range(0, 44, 4)
+        )
+
+    def encrypt_int(self, value: int) -> int:
+        """Encrypt one block given, and returned, as a 128-bit int.
+
+        *value* is the block read big-endian and must lie in
+        ``0 .. 2**128 - 1``; anything else raises ``OverflowError``.
+        CCM works on this form directly; :meth:`encrypt_block` is the
+        same cipher for callers that hold bytes.
+        """
+        # Hot path — this function is most of the OSCORE/DTLS transports'
+        # CPU profile. Unpacking the sixteen state bytes into locals
+        # measured faster than sixteen ``state[i]`` subscripts.
+        (
+            t0, t1, t2, t3, t4, t5, t6, t7,
+            t8, t9, t10, t11, t12, t13, t14, t15,
+        ) = _ROUND_TABLES  # fmt: skip
+        value ^= self._first_key
+        for round_key in self._middle_keys:
+            (
+                b0, b1, b2, b3, b4, b5, b6, b7,
+                b8, b9, b10, b11, b12, b13, b14, b15,
+            ) = value.to_bytes(16, "big")  # fmt: skip
+            value = (
+                t0[b0] ^ t1[b1] ^ t2[b2] ^ t3[b3]
+                ^ t4[b4] ^ t5[b5] ^ t6[b6] ^ t7[b7]
+                ^ t8[b8] ^ t9[b9] ^ t10[b10] ^ t11[b11]
+                ^ t12[b12] ^ t13[b13] ^ t14[b14] ^ t15[b15]
+                ^ round_key
+            )  # fmt: skip
+        # Final round: SubBytes + ShiftRows + AddRoundKey (no MixColumns).
+        (
+            t0, t1, t2, t3, t4, t5, t6, t7,
+            t8, t9, t10, t11, t12, t13, t14, t15,
+        ) = _FINAL_TABLES  # fmt: skip
+        (
+            b0, b1, b2, b3, b4, b5, b6, b7,
+            b8, b9, b10, b11, b12, b13, b14, b15,
+        ) = value.to_bytes(16, "big")  # fmt: skip
+        return (
+            t0[b0] ^ t1[b1] ^ t2[b2] ^ t3[b3]
+            ^ t4[b4] ^ t5[b5] ^ t6[b6] ^ t7[b7]
+            ^ t8[b8] ^ t9[b9] ^ t10[b10] ^ t11[b11]
+            ^ t12[b12] ^ t13[b13] ^ t14[b14] ^ t15[b15]
+            ^ self._last_key
+        )  # fmt: skip
 
     def encrypt_block(self, block: bytes) -> bytes:
         if len(block) != 16:
             raise ValueError("AES block must be 16 bytes")
-        # Hot path: locals for every table, single 128-bit load/store,
-        # and the final round inlined — this function dominates the
-        # OSCORE/DTLS transports' CPU profile.
-        rk = self._round_keys
-        T0, T1, T2, T3, S = _T0, _T1, _T2, _T3, _SBOX_BYTES
-        value = int.from_bytes(block, "big")
-        s0 = (value >> 96) ^ rk[0]
-        s1 = ((value >> 64) & 0xFFFFFFFF) ^ rk[1]
-        s2 = ((value >> 32) & 0xFFFFFFFF) ^ rk[2]
-        s3 = (value & 0xFFFFFFFF) ^ rk[3]
-
-        for base in range(4, 40, 4):
-            t0 = (
-                T0[(s0 >> 24) & 0xFF]
-                ^ T1[(s1 >> 16) & 0xFF]
-                ^ T2[(s2 >> 8) & 0xFF]
-                ^ T3[s3 & 0xFF]
-                ^ rk[base]
-            )
-            t1 = (
-                T0[(s1 >> 24) & 0xFF]
-                ^ T1[(s2 >> 16) & 0xFF]
-                ^ T2[(s3 >> 8) & 0xFF]
-                ^ T3[s0 & 0xFF]
-                ^ rk[base + 1]
-            )
-            t2 = (
-                T0[(s2 >> 24) & 0xFF]
-                ^ T1[(s3 >> 16) & 0xFF]
-                ^ T2[(s0 >> 8) & 0xFF]
-                ^ T3[s1 & 0xFF]
-                ^ rk[base + 2]
-            )
-            t3 = (
-                T0[(s3 >> 24) & 0xFF]
-                ^ T1[(s0 >> 16) & 0xFF]
-                ^ T2[(s1 >> 8) & 0xFF]
-                ^ T3[s2 & 0xFF]
-                ^ rk[base + 3]
-            )
-            s0, s1, s2, s3 = t0, t1, t2, t3
-
-        # Final round: SubBytes + ShiftRows + AddRoundKey (no MixColumns).
-        out0 = (
-            (S[(s0 >> 24) & 0xFF] << 24)
-            | (S[(s1 >> 16) & 0xFF] << 16)
-            | (S[(s2 >> 8) & 0xFF] << 8)
-            | S[s3 & 0xFF]
-        ) ^ rk[40]
-        out1 = (
-            (S[(s1 >> 24) & 0xFF] << 24)
-            | (S[(s2 >> 16) & 0xFF] << 16)
-            | (S[(s3 >> 8) & 0xFF] << 8)
-            | S[s0 & 0xFF]
-        ) ^ rk[41]
-        out2 = (
-            (S[(s2 >> 24) & 0xFF] << 24)
-            | (S[(s3 >> 16) & 0xFF] << 16)
-            | (S[(s0 >> 8) & 0xFF] << 8)
-            | S[s1 & 0xFF]
-        ) ^ rk[42]
-        out3 = (
-            (S[(s3 >> 24) & 0xFF] << 24)
-            | (S[(s0 >> 16) & 0xFF] << 16)
-            | (S[(s1 >> 8) & 0xFF] << 8)
-            | S[s2 & 0xFF]
-        ) ^ rk[43]
-        return (
-            (out0 << 96) | (out1 << 64) | (out2 << 32) | out3
-        ).to_bytes(16, "big")
+        return self.encrypt_int(int.from_bytes(block, "big")).to_bytes(16, "big")

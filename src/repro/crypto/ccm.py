@@ -51,9 +51,8 @@ def _accelerated_ccm(key: bytes, tag_length: int):
 def _expanded_key(key: bytes) -> AES128:
     """Shared AES-128 key schedules.
 
-    OSCORE constructs a fresh AEAD for every protected message
-    exchange, always from the same handful of derived keys — expanding
-    the key schedule each time was pure waste. :class:`AES128` is
+    Every :class:`AESCCM` built from one key — whatever its nonce and
+    tag length — shares one expanded schedule. :class:`AES128` is
     immutable after construction, so instances are safe to share. The
     cache is bounded (LRU, 256 keys); note that cached keys stay
     referenced for the cache's lifetime, which is fine for simulated
@@ -62,8 +61,29 @@ def _expanded_key(key: bytes) -> AES128:
     return AES128(key)
 
 
+_BLOCK_MASK = (1 << 128) - 1
+_ADATA_FLAG = 0x40 << 120
+
+
+def _cbc_absorb(encrypt, mac: int, stream: int, bits: int) -> int:
+    """Chain the *bits* // 128 blocks of *stream* into the CBC-MAC *mac*."""
+    for shift in range(bits - 128, -1, -128):
+        mac = encrypt(mac ^ ((stream >> shift) & _BLOCK_MASK))
+    return mac
+
+
 class AESCCM:
     """AES-128 in CCM mode with configurable nonce and tag length.
+
+    CBC-MAC and CTR run in the integer domain on
+    :meth:`AES128.encrypt_int`: the nonce, the associated data and the
+    text are each loaded into an int once, blocks are taken from them by
+    128-bit shifts, and the keystream is accumulated as one int and
+    XOR-ed once — no block goes through ``bytes`` on its way to or from
+    the cipher. Taking a block out of an n-byte int costs O(n), so the
+    walk has a quadratic term; it passes the cost of the AES blocks only
+    near 64 KiB, the most a datagram carries, and is noise at the sizes
+    DNS messages have. An instance is immutable after construction.
 
     Parameters
     ----------
@@ -98,7 +118,16 @@ class AESCCM:
         self._fast = _accelerated_ccm(key, tag_length) if backend == "auto" else None
         self.tag_length = tag_length
         self.nonce_length = nonce_length
-        self._length_field = 15 - nonce_length
+        length_field = 15 - nonce_length
+        # A block is flags(1) ‖ nonce ‖ length-or-counter(length_field),
+        # held as a 128-bit int: the flag octets of the counter blocks
+        # (RFC 3610 §2.3) and of B0 (§2.2) are kept shifted into byte 0.
+        self._length_bits = 8 * length_field
+        self._counter_flags = (length_field - 1) << 120
+        self._mac_flags = (
+            (((tag_length - 2) // 2) << 3) | (length_field - 1)
+        ) << 120
+        self._tag_bits = 8 * tag_length
 
     # -- internals -------------------------------------------------------
 
@@ -108,86 +137,70 @@ class AESCCM:
                 f"nonce must be {self.nonce_length} bytes, got {len(nonce)}"
             )
 
-    def _ctr_block(self, nonce: bytes, counter: int) -> bytes:
-        block = (
-            bytes([self._length_field - 1])
-            + nonce
-            + counter.to_bytes(self._length_field, "big")
-        )
-        return self._aes.encrypt_block(block)
-
-    def _ctr_crypt(self, nonce: bytes, data: bytes) -> bytes:
-        length = len(data)
-        if not length:
-            return b""
-        # Generate the whole keystream, then XOR in one big-int
-        # operation — byte-wise generator XOR was a top profile entry.
-        encrypt = self._aes.encrypt_block
-        prefix = bytes([self._length_field - 1]) + nonce
-        length_field = self._length_field
-        keystream = b"".join(
-            encrypt(prefix + counter.to_bytes(length_field, "big"))
-            for counter in range(1, (length + 15) // 16 + 1)
-        )
-        return (
-            int.from_bytes(data, "big")
-            ^ int.from_bytes(keystream[:length], "big")
-        ).to_bytes(length, "big")
-
-    def _cbc_mac(self, nonce: bytes, aad: bytes, plaintext: bytes) -> bytes:
-        flags = 0
-        if aad:
-            flags |= 0x40
-        flags |= ((self.tag_length - 2) // 2) << 3
-        flags |= self._length_field - 1
-        if len(plaintext) >= 1 << (8 * self._length_field):
+    def _check_length(self, length: int) -> None:
+        if length >> self._length_bits:
             raise ValueError("plaintext too long for nonce length")
-        b0 = (
-            bytes([flags])
-            + nonce
-            + len(plaintext).to_bytes(self._length_field, "big")
-        )
 
-        blocks = bytearray(b0)
+    # In both helpers *nonce_bits* is the nonce as an int, shifted left
+    # past the length/counter field to where it sits in every block.
+
+    def _keystream(self, nonce_bits: int, length: int) -> int:
+        """The first *length* bytes of S1 ‖ S2 ‖ … as one int."""
+        encrypt = self._aes.encrypt_int
+        counter_zero = self._counter_flags | nonce_bits
+        stream = 0
+        for counter in range(1, (length + 15) // 16 + 1):
+            stream = (stream << 128) | encrypt(counter_zero + counter)
+        return stream >> (-length % 16 * 8)
+
+    def _tag(self, nonce_bits: int, aad: bytes, text: int, length: int) -> int:
+        """CBC-MAC over B0 ‖ AAD ‖ text, encrypted with S0, truncated.
+
+        *text* is the *length*-byte plaintext as an int; the zero
+        padding of the AAD and of the text to whole blocks is a shift.
+        """
+        encrypt = self._aes.encrypt_int
+        b0 = self._mac_flags | nonce_bits | length
         if aad:
-            if len(aad) < 0xFF00:
-                blocks += len(aad).to_bytes(2, "big")
+            size = len(aad)
+            if size < 0xFF00:
+                header, encoded = size, size + 2
+            elif size >> 32:
+                raise ValueError("associated data too long")
             else:
-                blocks += b"\xff\xfe" + len(aad).to_bytes(4, "big")
-            blocks += aad
-            if len(blocks) % 16:
-                blocks += bytes(16 - len(blocks) % 16)
-        blocks += plaintext
-        if len(blocks) % 16:
-            blocks += bytes(16 - len(blocks) % 16)
-
-        # CBC-MAC chain with integer XOR (no per-byte generators).
-        encrypt = self._aes.encrypt_block
-        from_bytes = int.from_bytes
-        mac = 0
-        for index in range(0, len(blocks), 16):
-            mac = from_bytes(
-                encrypt(
-                    (mac ^ from_bytes(blocks[index : index + 16], "big"))
-                    .to_bytes(16, "big")
-                ),
-                "big",
+                header, encoded = (0xFFFE << 32) | size, size + 6
+            padding = -encoded % 16
+            mac = _cbc_absorb(
+                encrypt,
+                encrypt(b0 | _ADATA_FLAG),
+                ((header << (8 * size)) | int.from_bytes(aad, "big"))
+                << (8 * padding),
+                8 * (encoded + padding),
             )
-        # Encrypt the MAC with counter block 0.
-        mac ^= from_bytes(self._ctr_block(nonce, 0), "big")
-        return mac.to_bytes(16, "big")[: self.tag_length]
+        else:
+            mac = encrypt(b0)
+        padding = -length % 16
+        mac = _cbc_absorb(encrypt, mac, text << (8 * padding), 8 * (length + padding))
+        return (mac ^ encrypt(self._counter_flags | nonce_bits)) >> (
+            128 - self._tag_bits
+        )
 
     # -- public API ------------------------------------------------------
 
     def encrypt(self, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
         """Return ciphertext || tag."""
         self._check_nonce(nonce)
+        length = len(plaintext)
+        self._check_length(length)
         if self._fast is not None:
-            if len(plaintext) >= 1 << (8 * self._length_field):
-                raise ValueError("plaintext too long for nonce length")
             return self._fast.encrypt(nonce, plaintext, aad or None)
-        tag = self._cbc_mac(nonce, aad, plaintext)
-        return self._ctr_crypt(nonce, plaintext) + tag
+        nonce_bits = int.from_bytes(nonce, "big") << self._length_bits
+        text = int.from_bytes(plaintext, "big")
+        tag = self._tag(nonce_bits, aad, text, length)
+        body = text ^ self._keystream(nonce_bits, length)
+        return ((body << self._tag_bits) | tag).to_bytes(
+            length + self.tag_length, "big"
+        )
 
     def decrypt(self, nonce: bytes, ciphertext: bytes, aad: bytes = b"") -> bytes:
         """Verify the tag and return the plaintext.
@@ -198,19 +211,24 @@ class AESCCM:
             If the ciphertext is too short or the tag does not verify.
         """
         self._check_nonce(nonce)
-        if len(ciphertext) < self.tag_length:
+        length = len(ciphertext) - self.tag_length
+        if length < 0:
             raise AEADError("ciphertext shorter than authentication tag")
         if self._fast is not None:
             try:
                 return self._fast.decrypt(nonce, ciphertext, aad or None)
             except Exception as exc:
                 raise AEADError("CCM tag verification failed") from exc
-        body, tag = ciphertext[: -self.tag_length], ciphertext[-self.tag_length :]
-        plaintext = self._ctr_crypt(nonce, body)
-        expected = self._cbc_mac(nonce, aad, plaintext)
-        if not hmac.compare_digest(tag, expected):
+        self._check_length(length)
+        nonce_bits = int.from_bytes(nonce, "big") << self._length_bits
+        body = int.from_bytes(ciphertext, "big") >> self._tag_bits
+        text = body ^ self._keystream(nonce_bits, length)
+        expected = self._tag(nonce_bits, aad, text, length)
+        if not hmac.compare_digest(
+            ciphertext[length:], expected.to_bytes(self.tag_length, "big")
+        ):
             raise AEADError("CCM tag verification failed")
-        return plaintext
+        return text.to_bytes(length, "big")
 
     @property
     def overhead(self) -> int:
@@ -218,11 +236,19 @@ class AESCCM:
         return self.tag_length
 
 
+# The suite factories are memoised: an AESCCM is immutable, and OSCORE,
+# group OSCORE and the DTLS record layer ask for the AEAD of the same few
+# keys once per message. Like ``_expanded_key`` the caches keep their
+# keys referenced; *key* must be hashable, i.e. ``bytes``.
+
+
+@lru_cache(maxsize=256)
 def AES_128_CCM_8(key: bytes) -> AESCCM:
     """The TLS_PSK_WITH_AES_128_CCM_8 AEAD (RFC 6655): N=12, M=8."""
     return AESCCM(key, tag_length=8, nonce_length=12)
 
 
+@lru_cache(maxsize=256)
 def AES_CCM_16_64_128(key: bytes) -> AESCCM:
     """The COSE AES-CCM-16-64-128 AEAD (RFC 8152 §10.2): N=13, M=8."""
     return AESCCM(key, tag_length=8, nonce_length=13)

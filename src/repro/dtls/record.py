@@ -73,17 +73,25 @@ class _ReplayWindow:
         self._highest = -1
         self._bitmap = 0
 
-    def check_and_accept(self, sequence: int) -> bool:
+    def check(self, sequence: int) -> bool:
+        """Whether *sequence* is neither too old nor already accepted.
+
+        Cheap and side-effect free: called before the record is
+        decrypted, so a replay is discarded without paying for the AEAD.
+        """
+        offset = self._highest - sequence
+        if offset < 0:
+            return True
+        return offset < self._size and not (self._bitmap >> offset) & 1
+
+    def accept(self, sequence: int) -> None:
+        """Mark *sequence* received — only after its record authenticated."""
         if sequence > self._highest:
             shift = sequence - self._highest
             self._bitmap = ((self._bitmap << shift) | 1) & ((1 << self._size) - 1)
             self._highest = sequence
-            return True
-        offset = self._highest - sequence
-        if offset >= self._size or (self._bitmap >> offset) & 1:
-            return False
-        self._bitmap |= 1 << offset
-        return True
+        else:
+            self._bitmap |= 1 << (self._highest - sequence)
 
 
 @dataclass
@@ -181,6 +189,8 @@ class RecordLayer:
             raise DtlsError(f"no read keys for epoch {epoch}")
         if len(body) < EXPLICIT_NONCE_LEN + CCM8_TAG_LEN:
             raise DtlsError("protected record too short")
+        if not self._replay.check(sequence):
+            raise DtlsError(f"replayed record sequence {sequence}")
         explicit = bytes(body[:EXPLICIT_NONCE_LEN])
         ciphertext = body[EXPLICIT_NONCE_LEN:]
         nonce = self._read_state.iv + explicit
@@ -196,8 +206,7 @@ class RecordLayer:
             )
         except AEADError as exc:
             raise DtlsError("record authentication failed") from exc
-        if not self._replay.check_and_accept(sequence):
-            raise DtlsError(f"replayed record sequence {sequence}")
+        self._replay.accept(sequence)
         return DtlsPlaintext(content_type, epoch, sequence, fragment)
 
 

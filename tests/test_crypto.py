@@ -1,8 +1,11 @@
 """Crypto tests: official vectors plus property-based round trips."""
 
-import pytest
-from hypothesis import given, strategies as st
+import hashlib
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import fips197_reference
 from repro.crypto import (
     AEADError,
     AES128,
@@ -39,6 +42,44 @@ class TestAes:
             AES128(key).encrypt_block(block).hex()
             == "3ad77bb40d7a3660a89ecaf32466ef97"
         )
+
+    # NIST SP 800-38A F.1.1 ECB-AES128.Encrypt, blocks #2-#4.
+    @pytest.mark.parametrize(
+        "block_hex,expected_hex",
+        [
+            ("ae2d8a571e03ac9c9eb76fac45af8e51", "f5d3d58503b9699de785895a96fdbaaf"),
+            ("30c81c46a35ce411e5fbc1191a0a52ef", "43b1cd7f598ece23881b00e3ed030688"),
+            ("f69f2445df4f9b17ad2b417be66c3710", "7b0c785e27e8ad3f8223207104725dd4"),
+        ],
+    )
+    def test_nist_ecb_remaining_blocks(self, block_hex, expected_hex):
+        key = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
+        block = bytes.fromhex(block_hex)
+        assert AES128(key).encrypt_block(block).hex() == expected_hex
+        assert fips197_reference.encrypt_block(key, block).hex() == expected_hex
+
+    def test_reference_reproduces_fips197_appendix_c1(self):
+        # The oracle has to be right before it may judge the kernel.
+        key = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
+        plaintext = bytes.fromhex("00112233445566778899aabbccddeeff")
+        assert (
+            fips197_reference.encrypt_block(key, plaintext).hex()
+            == "69c4e0d86a7b0430d8cdb78070b4c55a"
+        )
+
+    @given(st.binary(min_size=16, max_size=16), st.binary(min_size=16, max_size=16))
+    def test_matches_textbook_reference(self, key, block):
+        expected = fips197_reference.encrypt_block(key, block)
+        cipher = AES128(key)
+        assert cipher.encrypt_block(block) == expected
+        assert cipher.encrypt_int(int.from_bytes(block, "big")) == int.from_bytes(
+            expected, "big"
+        )
+
+    @pytest.mark.parametrize("value", [-1, 1 << 128])
+    def test_encrypt_int_rejects_values_outside_one_block(self, value):
+        with pytest.raises(OverflowError):
+            AES128(bytes(16)).encrypt_int(value)
 
     def test_key_length_validation(self):
         with pytest.raises(ValueError):
@@ -163,10 +204,29 @@ class TestCcm:
         assert ccm.nonce_length == 13
         assert ccm.tag_length == 8
 
+    def test_suite_factories_are_memoised(self):
+        # OSCORE and the DTLS record layer ask for the AEAD of the same
+        # key once per message; an AESCCM is immutable, so they share it.
+        key = bytes(range(16))
+        assert AES_CCM_16_64_128(key) is AES_CCM_16_64_128(bytes(range(16)))
+        assert AES_128_CCM_8(key) is AES_128_CCM_8(bytes(range(16)))
+        assert AES_CCM_16_64_128(key) is not AES_CCM_16_64_128(bytes(16))
+        assert AES_CCM_16_64_128(key) is not AES_128_CCM_8(key)
+
     def test_nonce_length_validated(self):
         ccm = AES_128_CCM_8(bytes(16))
         with pytest.raises(ValueError):
             ccm.encrypt(bytes(13), b"x")
+
+    @pytest.mark.parametrize("backend", ["auto", "pure"])
+    def test_nonce_length_validated_on_seal_and_open(self, backend):
+        ccm = AESCCM(bytes(16), nonce_length=12, backend=backend)
+        sealed = ccm.encrypt(bytes(12), b"x")
+        for wrong in (bytes(11), bytes(13)):
+            with pytest.raises(ValueError):
+                ccm.encrypt(wrong, b"x")
+            with pytest.raises(ValueError):
+                ccm.decrypt(wrong, sealed)
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -189,6 +249,206 @@ class TestCcm:
     def test_round_trip_property(self, key, nonce, plaintext, aad):
         ccm = AES_CCM_16_64_128(key)
         assert ccm.decrypt(nonce, ccm.encrypt(nonce, plaintext, aad), aad) == plaintext
+
+
+# The lengths at which the int-domain padding arithmetic changes shape:
+# plaintext empty / one byte / one short of, exactly, one past a block /
+# several blocks; AAD absent / filling the first block exactly with its
+# two-byte length header (14) / spilling one byte into the next (15) /
+# the last length with a two-byte header and the first with six bytes.
+_PLAINTEXT_LENGTHS = [0, 1, 15, 16, 17, 100]
+_SHORT_AAD_LENGTHS = [0, 14, 15]
+_LONG_AAD_LENGTHS = [0xFEFF, 0xFF00]
+_ccm_shapes = dict(
+    nonce_length=st.integers(min_value=7, max_value=13),
+    tag_length=st.sampled_from([4, 6, 8, 10, 12, 14, 16]),
+    plaintext_length=st.sampled_from(_PLAINTEXT_LENGTHS),
+    data=st.data(),
+)
+
+
+def _draw_ccm_case(data, nonce_length, plaintext_length, aad_length):
+    def exactly(size):
+        return st.binary(min_size=size, max_size=size)
+
+    # hypothesis cannot draw 64 KiB in one example: a long AAD is a drawn
+    # 251-byte chunk repeated (251 is prime, so blocks do not repeat).
+    chunk = data.draw(exactly(min(aad_length, 251)), label="aad chunk")
+    aad = (chunk * (aad_length // 251 + 1))[:aad_length] if chunk else b""
+    return (
+        data.draw(exactly(16), label="key"),
+        data.draw(exactly(nonce_length), label="nonce"),
+        data.draw(exactly(plaintext_length), label="plaintext"),
+        aad,
+    )
+
+
+def _flip(data: bytes, index: int) -> bytes:
+    flipped = bytearray(data)
+    flipped[index] ^= 0x01
+    return bytes(flipped)
+
+
+class TestCcmBoundaries:
+    """The pure implementation at every padding and length-field boundary."""
+
+    @staticmethod
+    def _assert_pure_matches_cryptography(
+        aad_length, nonce_length, tag_length, plaintext_length, data
+    ):
+        aead = pytest.importorskip("cryptography.hazmat.primitives.ciphers.aead")
+        key, nonce, plaintext, aad = _draw_ccm_case(
+            data, nonce_length, plaintext_length, aad_length
+        )
+        pure = AESCCM(key, tag_length, nonce_length, backend="pure")
+        sealed = aead.AESCCM(key, tag_length=tag_length).encrypt(
+            nonce, plaintext, aad or None
+        )
+        assert pure.encrypt(nonce, plaintext, aad) == sealed
+        assert pure.decrypt(nonce, sealed, aad) == plaintext
+
+    @pytest.mark.parametrize("aad_length", _SHORT_AAD_LENGTHS)
+    @settings(max_examples=60, deadline=None)
+    @given(**_ccm_shapes)
+    def test_pure_matches_cryptography(self, aad_length, **shape):
+        self._assert_pure_matches_cryptography(aad_length, **shape)
+
+    # 4 081 blocks per call in pure Python: fewer examples.
+    @pytest.mark.parametrize("aad_length", _LONG_AAD_LENGTHS)
+    @settings(max_examples=8, deadline=None)
+    @given(**_ccm_shapes)
+    def test_pure_matches_cryptography_long_aad(self, aad_length, **shape):
+        self._assert_pure_matches_cryptography(aad_length, **shape)
+
+    @settings(max_examples=150, deadline=None)
+    @given(aad_length=st.sampled_from(_SHORT_AAD_LENGTHS), **_ccm_shapes)
+    def test_pure_round_trip_and_tamper(
+        self, aad_length, nonce_length, tag_length, plaintext_length, data
+    ):
+        key, nonce, plaintext, aad = _draw_ccm_case(
+            data, nonce_length, plaintext_length, aad_length
+        )
+        ccm = AESCCM(key, tag_length, nonce_length, backend="pure")
+        sealed = ccm.encrypt(nonce, plaintext, aad)
+        assert len(sealed) == plaintext_length + tag_length
+        assert ccm.decrypt(nonce, sealed, aad) == plaintext
+        assert ccm.decrypt(nonce, memoryview(sealed), aad) == plaintext
+
+        position = data.draw(st.integers(min_value=0, max_value=1 << 16))
+        forgeries = [
+            (nonce, _flip(sealed, plaintext_length + position % tag_length), aad),
+            (_flip(nonce, position % nonce_length), sealed, aad),
+            (nonce, sealed[:-1], aad),
+        ]
+        if plaintext_length:
+            forgeries.append((nonce, _flip(sealed, position % plaintext_length), aad))
+        if aad_length:
+            forgeries.append((nonce, sealed, _flip(aad, position % aad_length)))
+            forgeries.append((nonce, sealed, b""))
+        else:
+            forgeries.append((nonce, sealed, b"\x00"))
+        for forged_nonce, forged_sealed, forged_aad in forgeries:
+            with pytest.raises(AEADError):
+                ccm.decrypt(forged_nonce, forged_sealed, forged_aad)
+
+    @staticmethod
+    def _grid_digest(seal) -> str:
+        """SHA-256 over ``seal(key, tag_length, nonce, plaintext, aad)`` at
+        every nonce length × tag length × boundary length, fixed inputs."""
+        digest = hashlib.sha256()
+        material = hashlib.shake_128(b"ccm grid").digest(0x10000)
+        for nonce_length in range(7, 14):
+            for tag_length in range(4, 17, 2):
+                for plaintext_length in _PLAINTEXT_LENGTHS:
+                    for aad_length in _SHORT_AAD_LENGTHS + _LONG_AAD_LENGTHS[-1:]:
+                        if aad_length > 15 and (nonce_length, tag_length) != (13, 8):
+                            continue  # the long AAD once per plaintext length
+                        offset = nonce_length + tag_length + plaintext_length
+                        digest.update(
+                            seal(
+                                material[offset : offset + 16],
+                                tag_length,
+                                material[offset + 16 : offset + 16 + nonce_length],
+                                material[offset + 32 : offset + 32 + plaintext_length],
+                                material[:aad_length],
+                            )
+                        )
+        return digest.hexdigest()
+
+    # Banked from ``cryptography`` (and equal on the four-word kernel this
+    # one replaced): pins the keystream and tag bytes where no second
+    # implementation is installed — a round trip alone would not notice
+    # an error that seal and open share.
+    _GRID_DIGEST = "83f190a05bf7ccdba10069aef81427164e5d043a8ff6403c516c133fe9372be2"
+
+    def test_pure_grid_matches_banked_digest(self):
+        def seal(key, tag_length, nonce, plaintext, aad):
+            return AESCCM(key, tag_length, len(nonce), backend="pure").encrypt(
+                nonce, plaintext, aad
+            )
+
+        assert self._grid_digest(seal) == self._GRID_DIGEST
+
+    def test_banked_digest_is_what_cryptography_computes(self):
+        aead = pytest.importorskip("cryptography.hazmat.primitives.ciphers.aead")
+
+        def seal(key, tag_length, nonce, plaintext, aad):
+            return aead.AESCCM(key, tag_length=tag_length).encrypt(
+                nonce, plaintext, aad or None
+            )
+
+        assert self._grid_digest(seal) == self._GRID_DIGEST
+
+    @pytest.mark.parametrize("aad_length", _LONG_AAD_LENGTHS)
+    def test_pure_long_aad_round_trip_and_tamper(self, aad_length):
+        ccm = AESCCM(bytes(range(16)), backend="pure")
+        nonce = bytes(range(13))
+        aad = (bytes(range(251)) * 261)[:aad_length]
+        sealed = ccm.encrypt(nonce, b"seventeen bytes!!", aad)
+        assert ccm.decrypt(nonce, sealed, aad) == b"seventeen bytes!!"
+        for forged_aad in (_flip(aad, 0), _flip(aad, aad_length - 1), aad[:-1]):
+            with pytest.raises(AEADError):
+                ccm.decrypt(nonce, sealed, forged_aad)
+
+    @pytest.mark.parametrize("backend", ["auto", "pure"])
+    def test_plaintext_too_long_for_nonce_length(self, backend):
+        # A 13-byte nonce leaves a two-byte length field: 65 535 bytes max.
+        ccm = AESCCM(bytes(16), nonce_length=13, backend=backend)
+        nonce = bytes(13)
+        longest = bytes(0xFFFF)
+        assert ccm.decrypt(nonce, ccm.encrypt(nonce, longest)) == longest
+        with pytest.raises(ValueError, match="plaintext too long for nonce length"):
+            ccm.encrypt(nonce, bytes(0x10000))
+
+    def test_pure_ciphertext_too_long_for_nonce_length(self):
+        ccm = AESCCM(bytes(16), nonce_length=13, backend="pure")
+        with pytest.raises(ValueError, match="plaintext too long for nonce length"):
+            ccm.decrypt(bytes(13), bytes(0x10000 + 8))
+
+    def test_pure_rejects_aad_beyond_the_six_byte_length_encoding(self):
+        class Huge(bytes):
+            def __len__(self):
+                return 1 << 32
+
+        ccm = AESCCM(bytes(16), backend="pure")
+        with pytest.raises(ValueError, match="associated data too long"):
+            ccm.encrypt(bytes(13), b"x", Huge(b"aad"))
+
+    def test_tag_is_checked_before_plaintext_is_returned(self, monkeypatch):
+        import repro.crypto.ccm as ccm_module
+
+        seen = []
+
+        def recording_compare(left, right):
+            seen.append((bytes(left), bytes(right)))
+            return False
+
+        monkeypatch.setattr(ccm_module.hmac, "compare_digest", recording_compare)
+        ccm = AESCCM(bytes(16), backend="pure")
+        sealed = ccm.encrypt(bytes(13), b"hello", b"aad")
+        with pytest.raises(AEADError):
+            ccm.decrypt(bytes(13), sealed, b"aad")
+        assert seen == [(sealed[-8:], sealed[-8:])]
 
 
 class TestKdf:

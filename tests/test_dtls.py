@@ -21,6 +21,7 @@ from repro.dtls.handshake import (
     decode_client_hello,
     make_premaster_secret,
 )
+from repro.dtls import record as record_module
 from repro.dtls.record import split_records
 
 
@@ -73,6 +74,59 @@ class TestRecordLayer:
         receiver.open(record)
         with pytest.raises(DtlsError):
             receiver.open(record)
+
+    def test_replay_rejected_before_the_aead_runs(self, monkeypatch):
+        sender, receiver = RecordLayer(), RecordLayer()
+        sender.set_write_keys(bytes(16), bytes(4))
+        receiver.set_read_keys(bytes(16), bytes(4))
+        record = sender.seal(ContentType.APPLICATION_DATA, b"data")
+        fresh = sender.seal(ContentType.APPLICATION_DATA, b"more")
+        receiver.open(record)
+        aead_calls = []
+        suite = record_module.AES_128_CCM_8
+
+        def counting_suite(key):
+            aead_calls.append(key)
+            return suite(key)
+
+        monkeypatch.setattr(record_module, "AES_128_CCM_8", counting_suite)
+        with pytest.raises(DtlsError, match="replayed"):
+            receiver.open(record)
+        assert aead_calls == []
+        # A fresh record does reach the AEAD through the same hook.
+        assert receiver.open(fresh).fragment == b"more"
+        assert len(aead_calls) == 1
+
+    def test_forged_record_does_not_advance_replay_window(self):
+        sender, receiver = RecordLayer(), RecordLayer()
+        sender.set_write_keys(bytes(16), bytes(4))
+        receiver.set_read_keys(bytes(16), bytes(4))
+        receiver.open(sender.seal(ContentType.APPLICATION_DATA, b"zero"))
+        genuine = sender.seal(ContentType.APPLICATION_DATA, b"one")
+        # Sequence 1 rewritten to 100 in the header and the explicit
+        # nonce: fresh for the window, but the tag no longer verifies.
+        forged = bytearray(genuine)
+        forged[5:11] = forged[15:21] = (100).to_bytes(6, "big")
+        with pytest.raises(DtlsError, match="authentication"):
+            receiver.open(bytes(forged))
+        # Had the window moved to 100, sequence 1 would now be too old.
+        assert receiver.open(genuine).fragment == b"one"
+        with pytest.raises(DtlsError, match="replayed"):
+            receiver.open(genuine)
+
+    def test_replay_window_accepts_reordering_within_64(self):
+        sender, receiver = RecordLayer(), RecordLayer()
+        sender.set_write_keys(bytes(16), bytes(4))
+        receiver.set_read_keys(bytes(16), bytes(4))
+        records = [
+            sender.seal(ContentType.APPLICATION_DATA, bytes([i])) for i in range(70)
+        ]
+        receiver.open(records[69])
+        assert receiver.open(records[6]).fragment == bytes([6])  # offset 63
+        with pytest.raises(DtlsError, match="replayed"):
+            receiver.open(records[5])  # offset 64: older than the window
+        with pytest.raises(DtlsError, match="replayed"):
+            receiver.open(records[6])
 
     def test_unknown_epoch_rejected(self):
         sender = RecordLayer()

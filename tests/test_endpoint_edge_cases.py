@@ -91,6 +91,39 @@ class TestDuplicateSuppression:
         sim.run(until=10)
         assert calls["n"] == 2
 
+    def test_wrapped_mid_with_new_token_is_a_new_exchange(self):
+        """After 65 536 exchanges the MID wraps inside EXCHANGE_LIFETIME;
+        the new exchange must not be answered with the old one's bytes."""
+        payloads = []
+
+        def handler(request, respond, metadata):
+            payloads.append(request.payload)
+            respond(request.make_response(Code.CONTENT, payload=request.payload))
+
+        sim, topo, client, server = _setup(handler=handler)
+        raw = topo.clients[0].bind()
+        replies = []
+        raw.on_datagram = lambda src, sport, data, md: replies.append(data)
+
+        def message(token, payload):
+            return CoapMessage.request(
+                Code.FETCH, "/echo", mid=0x0101, token=token, payload=payload
+            ).encode()
+
+        for wire in (
+            message(b"\x0A", b"old"),
+            message(b"\x0B", b"new"),  # same peer, same MID, new token
+            message(b"\x0A", b"old"),  # a true duplicate of the first
+        ):
+            raw.sendto(wire, topo.resolver_host.address, 5683)
+        sim.run(until=10)
+        assert payloads == [b"old", b"new"]
+        decoded = [CoapMessage.decode(data) for data in replies]
+        assert [(m.token, m.payload) for m in decoded] == [
+            (b"\x0A", b"old"), (b"\x0B", b"new"), (b"\x0A", b"old"),
+        ]
+        assert replies[2] == replies[0]
+
 
 class TestRobustness:
     def test_garbage_datagram_ignored(self):
