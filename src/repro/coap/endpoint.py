@@ -13,11 +13,20 @@ DTLS session adapter):
 The client can be given a :class:`repro.coap.cache.CoapCache` to act as
 the paper's "CoAP client cache" configuration, including ETag
 revalidation of stale entries.
+
+Server state expires by position, not by timer. The deduplication table
+and the block-wise state of both directions keep every entry for the
+same :data:`EXCHANGE_LIFETIME`, so insertion order *is* expiry order:
+storing an entry first drops the expired ones from the front of its
+table, and no per-reply timer is armed on either substrate. An expired
+entry may therefore sit in its table until the next one is stored, and
+is never served: every lookup compares its time against the clock.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.sim.clock import Clock, Timer
@@ -29,8 +38,31 @@ from .message import CoapMessage, CoapMessageError, MessageType
 from .options import OptionNumber
 from .reliability import ReliabilityParams, TransmissionState
 
-#: How long (peer, MID) pairs are remembered for deduplication.
+#: How long the server remembers an exchange: the reply kept for
+#: deduplication and the block-wise state of both directions.
 EXCHANGE_LIFETIME = 247.0
+
+
+def _remember(table: OrderedDict, key, value, now: float) -> None:
+    """Store *value* under *key* for :data:`EXCHANGE_LIFETIME`.
+
+    Every entry lives equally long and a stored key always moves to the
+    end, so insertion order is expiry order: what has expired sits at
+    the front and is dropped here, before the next entry goes in.
+    """
+    while table and next(iter(table.values()))[0] <= now:
+        table.popitem(last=False)
+    table.pop(key, None)
+    table[key] = (now + EXCHANGE_LIFETIME, value)
+
+
+def _recall(table: OrderedDict, key, now: float):
+    """The value :func:`_remember` stored under *key*, or ``None`` when
+    there is none or its time has passed (it may still sit in *table*)."""
+    entry = table.get(key)
+    if entry is None or entry[0] <= now:
+        return None
+    return entry[1]
 
 
 class CoapTimeoutError(Exception):
@@ -103,7 +135,9 @@ class CoapClient:
         self.params = params
         self.cache = cache
         self.block_size = block_size
-        self.events: List[ClientEvent] = []
+        #: The transmission/cache timeline; ``None`` switches recording
+        #: off where nothing reads it (the live wiring does).
+        self.events: Optional[List[ClientEvent]] = []
         self._exchanges: Dict[bytes, _Exchange] = {}
         self._next_mid = sim.rng.randrange(0x10000)
         self._next_token = sim.rng.randrange(1 << 32)
@@ -155,9 +189,7 @@ class CoapClient:
         assert self.cache is not None
         fresh, entry = self.cache.lookup(message, self.sim.now)
         if fresh is not None:
-            self.events.append(
-                ClientEvent(self.sim.now, "cache_hit", message.token, message.mid)
-            )
+            self._record("cache_hit", message)
             self.sim.schedule(0.0, on_response, fresh, None)
             return True
         if entry is not None and entry.etag is not None:
@@ -171,11 +203,7 @@ class CoapClient:
                         message.without_option(OptionNumber.ETAG), response, self.sim.now
                     )
                     if revived is not None:
-                        self.events.append(
-                            ClientEvent(
-                                self.sim.now, "validation", message.token, message.mid
-                            )
-                        )
+                        self._record("validation", message)
                         original(revived, None)
                         return
                 original(response, error)
@@ -188,6 +216,12 @@ class CoapClient:
 
     # -- internals ----------------------------------------------------------------
 
+    def _record(self, kind: str, message: CoapMessage) -> None:
+        if self.events is not None:
+            self.events.append(
+                ClientEvent(self.sim.now, kind, message.token, message.mid)
+            )
+
     def _claim_token(self) -> bytes:
         token = self._next_token.to_bytes(4, "big")
         self._next_token = (self._next_token + 1) & 0xFFFFFFFF
@@ -199,22 +233,20 @@ class CoapClient:
         return mid
 
     def _prepare(self, message: CoapMessage, token: bytes) -> CoapMessage:
-        from dataclasses import replace
-
-        message = replace(message, token=token, mid=self._claim_mid())
-        if (
-            self.block_size is not None
-            and OptionNumber.BLOCK2 not in [n for n, _ in message.options]
+        options = message.options
+        if self.block_size is not None and not any(
+            number == OptionNumber.BLOCK2 for number, _ in options
         ):
             # Ask the server to use our block size for the response.
-            message = message.with_option(
-                OptionNumber.BLOCK2, Block(0, False, self.block_size).encode()
+            options += (
+                (OptionNumber.BLOCK2, Block(0, False, self.block_size).encode()),
             )
-        return message
+        return CoapMessage(
+            message.mtype, message.code, self._claim_mid(), token,
+            options, message.payload,
+        )
 
     def _block1_request(self, exchange: _Exchange, number: int) -> CoapMessage:
-        from dataclasses import replace
-
         assert exchange.block1_body is not None
         block, chunk = block_for(exchange.block1_body, number, self.block_size)
         message = replace(
@@ -227,14 +259,7 @@ class CoapClient:
 
     def _transmit(self, exchange: _Exchange, first: bool) -> None:
         message = exchange.request
-        self.events.append(
-            ClientEvent(
-                self.sim.now,
-                "transmission" if first else "retransmission",
-                message.token,
-                message.mid,
-            )
-        )
+        self._record("transmission" if first else "retransmission", message)
         self.socket.sendto(
             message.encode(), exchange.dst[0], exchange.dst[1], exchange.metadata
         )
@@ -320,8 +345,6 @@ class CoapClient:
                 exchange.first_block_response = response
             exchange.block2_assembler.add(block, response.payload)
             if block.more:
-                from dataclasses import replace
-
                 # Continuation: same token, no body (RFC 7959 §3.3).
                 next_request = replace(
                     exchange.request, mid=self._claim_mid(), payload=b""
@@ -337,8 +360,6 @@ class CoapClient:
                 self._transmit(exchange, first=True)
                 return
             # Complete: synthesise the full response.
-            from dataclasses import replace
-
             first = exchange.first_block_response
             assert first is not None
             response = replace(
@@ -382,14 +403,17 @@ class CoapServer:
         self.params = params
         self._resources: Dict[str, ResourceHandler] = {}
         self.default_handler: Optional[ResourceHandler] = None
+        # The three tables below are written by _remember and read by
+        # _recall: an entry is (expires_at, value).
         #: (peer, mid, token) -> encoded reply, for deduplication. The
         #: token is part of the key because the 16-bit MID wraps inside
         #: EXCHANGE_LIFETIME on a busy connection: a new exchange that
         #: reuses a MID carries a new token and is not a duplicate.
-        self._dedup: Dict[Tuple[str, int, int, bytes], bytes] = {}
-        #: Block2 continuation state: full responses by cache key-ish token.
-        self._block2_store: Dict[Tuple, CoapMessage] = {}
-        self._block1_assembly: Dict[Tuple[str, int], BlockAssembler] = {}
+        self._dedup: OrderedDict = OrderedDict()
+        #: Block2 continuation state: full responses by (peer, token).
+        self._block2_store: OrderedDict = OrderedDict()
+        #: Block1 uploads in progress: assemblers by token.
+        self._block1_assembly: OrderedDict = OrderedDict()
         self._separate_pending: Dict[int, Callable[[], None]] = {}
         self._current_peer: Tuple[str, int] = ("", 0)
         self._next_mid = sim.rng.randrange(0x10000)
@@ -413,7 +437,7 @@ class CoapServer:
 
         self._current_peer = (src_addr, src_port)
         dedup_key = (src_addr, src_port, message.mid, message.token)
-        cached_reply = self._dedup.get(dedup_key)
+        cached_reply = _recall(self._dedup, dedup_key, self.sim.now)
         if cached_reply is not None:
             self.socket.sendto(cached_reply, src_addr, src_port, {"kind": "dup-reply"})
             return
@@ -466,10 +490,10 @@ class CoapServer:
             return message, None
         block = Block.decode(block1_data)
         key = (message.token.hex(), 1)
-        assembler = self._block1_assembly.get(key)
+        assembler = _recall(self._block1_assembly, key, self.sim.now)
         if assembler is None or block.number == 0:
             assembler = BlockAssembler()
-            self._block1_assembly[key] = assembler
+            _remember(self._block1_assembly, key, assembler, self.sim.now)
         try:
             complete = assembler.add(block, message.payload)
         except Exception:
@@ -480,8 +504,6 @@ class CoapServer:
             )
             return None, reply
         del self._block1_assembly[key]
-        from dataclasses import replace
-
         full = replace(message, payload=assembler.body()).without_option(
             OptionNumber.BLOCK1
         )
@@ -502,7 +524,7 @@ class CoapServer:
         if block.number == 0:
             return False
         key = self._block2_key(message, src_addr, src_port)
-        full = self._block2_store.get(key)
+        full = _recall(self._block2_store, key, self.sim.now)
         if full is None:
             self._reply(
                 message, src_addr, src_port,
@@ -510,8 +532,6 @@ class CoapServer:
                 dedup_key, metadata,
             )
             return True
-        from dataclasses import replace
-
         try:
             blk, chunk = block_for(full.payload, block.number, block.size)
         except Exception:
@@ -542,9 +562,7 @@ class CoapServer:
         # Store the full response for continuations, send block 0.
         src_addr, src_port = self._current_peer
         key = self._block2_key(request, src_addr, src_port)
-        self._block2_store[key] = response
-        from dataclasses import replace
-
+        _remember(self._block2_store, key, response, self.sim.now)
         blk, chunk = block_for(response.payload, 0, preferred.size)
         return replace(response, payload=chunk).with_option(
             OptionNumber.BLOCK2, blk.encode()
@@ -561,22 +579,23 @@ class CoapServer:
         dedup_key,
         metadata: dict,
     ) -> None:
-        from dataclasses import replace
-
         self._current_peer = (src_addr, src_port)
-        if request.mtype == MessageType.CON:
-            response = replace(
-                response, mtype=MessageType.ACK, mid=request.mid, token=request.token
-            )
-        else:
-            response = replace(
-                response, mtype=MessageType.NON, mid=request.mid, token=request.token
+        mtype = (
+            MessageType.ACK if request.mtype == MessageType.CON
+            else MessageType.NON
+        )
+        if (
+            response.mtype != mtype
+            or response.mid != request.mid
+            or response.token != request.token
+        ):
+            # Not what make_response already set (the piggybacked case).
+            response = CoapMessage(
+                mtype, response.code, request.mid, request.token,
+                response.options, response.payload,
             )
         encoded = response.encode()
-        self._dedup[dedup_key] = encoded
-        self.sim.schedule(
-            EXCHANGE_LIFETIME, self._dedup.pop, dedup_key, None
-        )
+        _remember(self._dedup, dedup_key, encoded, self.sim.now)
         out_metadata = dict(metadata)
         out_metadata["kind"] = out_metadata.get("response_kind", "response")
         self.socket.sendto(encoded, src_addr, src_port, out_metadata)
@@ -589,12 +608,11 @@ class CoapServer:
         response: CoapMessage,
         metadata: dict,
     ) -> None:
-        from dataclasses import replace
-
         mid = self._next_mid
         self._next_mid = (self._next_mid + 1) & 0xFFFF
-        response = replace(
-            response, mtype=MessageType.CON, mid=mid, token=request.token
+        response = CoapMessage(
+            MessageType.CON, response.code, mid, request.token,
+            response.options, response.payload,
         )
         out_metadata = dict(metadata)
         out_metadata["kind"] = out_metadata.get("response_kind", "response")

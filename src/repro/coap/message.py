@@ -60,10 +60,10 @@ class CoapMessage:
         return [value for num, value in self.options if num == number]
 
     def option(self, number: int) -> Optional[bytes]:
-        values = self.option_values(number)
-        if not values:
-            return None
-        return values[0]
+        for num, value in self.options:
+            if num == number:
+                return value
+        return None
 
     def uint_option(self, number: int) -> Optional[int]:
         value = self.option(number)

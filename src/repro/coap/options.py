@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, List, Tuple
 
 
@@ -149,16 +150,18 @@ def encode_options_into(
     Appending into the caller's buffer avoids the intermediate
     per-message allocation on the encode hot path; small deltas and
     lengths (< 13, the overwhelmingly common case) take the no-extension
-    fast branch.
+    fast branch. The order is checked in one pass and only options out
+    of wire order are sorted (into a copy).
     """
+    options = tuple(options)  # the tuple a CoapMessage holds is not copied
     previous = 0
-    ordered = list(options)
-    if any(
-        ordered[index][0] > ordered[index + 1][0]
-        for index in range(len(ordered) - 1)
-    ):
-        ordered.sort(key=lambda item: item[0])
-    for number, value in ordered:
+    for number, _ in options:
+        if number < previous:
+            options = sorted(options, key=itemgetter(0))
+            break
+        previous = number
+    previous = 0
+    for number, value in options:
         delta = number - previous
         length = len(value)
         if delta < 13 and length < 13:

@@ -21,8 +21,8 @@ from typing import Callable, List, Optional, Tuple
 from repro.coap.cache import CoapCache
 from repro.coap.codes import Code
 from repro.coap.endpoint import CoapClient
-from repro.coap.message import CoapMessage
-from repro.coap.options import ContentFormat, OptionNumber
+from repro.coap.message import CoapMessage, MessageType
+from repro.coap.options import ContentFormat, OptionNumber, encode_uint
 from repro.coap.reliability import ReliabilityParams
 from repro.coap.uri import UriTemplate, base64url_encode
 from repro.dns import DNSCache, Message, Question, RecordType, make_query
@@ -97,6 +97,17 @@ class DocClient:
         if cacheable_oscore and oscore_context is None:
             raise DocError("cacheable_oscore requires an OSCORE context")
         self.template = UriTemplate(uri_template)
+        #: The options every FETCH/POST request carries: the template's
+        #: path (GET expands it per query), Content-Format and Accept.
+        self._request_options = (
+            *(
+                (OptionNumber.URI_PATH, segment.encode())
+                for segment in uri_template.partition("{")[0].split("/")
+                if segment
+            ),
+            (OptionNumber.CONTENT_FORMAT, encode_uint(int(content_format))),
+            (OptionNumber.ACCEPT, encode_uint(int(content_format))),
+        )
         self.stub = StubResolver(dns_cache)
         self.coap = CoapClient(
             sim, socket, params=params, cache=coap_cache, block_size=block_size
@@ -153,20 +164,10 @@ class DocClient:
                 )
             return message
 
-        payload = self._encode_query(question)
-        message = CoapMessage.request(self.method, payload=payload)
-        for segment in self.template.template.partition("{")[0].strip("/").split("/"):
-            if segment:
-                message = message.with_option(
-                    OptionNumber.URI_PATH, segment.encode()
-                )
-        message = message.with_uint_option(
-            OptionNumber.CONTENT_FORMAT, int(self.content_format)
+        return CoapMessage(
+            MessageType.CON, self.method, 0, b"", self._request_options,
+            self._encode_query(question),
         )
-        message = message.with_uint_option(
-            OptionNumber.ACCEPT, int(self.content_format)
-        )
-        return message
 
     # -- exchange ------------------------------------------------------------------
 

@@ -237,12 +237,16 @@ class LiveResolver:
             from repro.coap.cache import CoapCache
 
             coap_cache = CoapCache(64)
-        return DocClient(
+        client = DocClient(
             self.clock, socket, self.server,
             method=self.method, scheme=self.scheme,
             coap_cache=coap_cache, dns_cache=self._dns_cache(),
             block_size=self.block_size, oscore_context=oscore_context,
         )
+        # Nothing on the live path reads the transmission timeline, and
+        # a resolver that runs for days must not grow by a record a query.
+        client.coap.events = None
+        return client
 
     # -- resolution -------------------------------------------------------
 
@@ -270,13 +274,19 @@ class LiveResolver:
                 future.set_result(result)
 
         self._client.resolve(name, rtype, on_result)
+        # The backstop: one timer handle that fails the future, disarmed
+        # as soon as the stack has answered (or the caller gave up).
+        deadline = loop.call_later(
+            timeout if timeout is not None else self.timeout,
+            on_result, None, asyncio.TimeoutError(),
+        )
         try:
-            result = await asyncio.wait_for(
-                future, timeout if timeout is not None else self.timeout
-            )
+            result = await future
         except asyncio.TimeoutError:
             self.timeouts += 1
             raise
+        finally:
+            deadline.cancel()
         rtt = loop.time() - started
         addresses = list(getattr(result, "addresses", ()) or ())
         from_cache = bool(getattr(result, "from_cache", False))

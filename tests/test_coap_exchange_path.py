@@ -1,0 +1,540 @@
+"""What the answered CoAP exchange path must keep while it gets cheaper.
+
+* Byte identity: the request :class:`DocClient` sends and every reply
+  :class:`CoapServer` sends equal what the ``with_option`` /
+  ``dataclasses.replace`` copy chains build, encoded by an independent
+  reference encoder.
+* Deduplication and block-wise state live exactly
+  :data:`EXCHANGE_LIFETIME` and cost no clock event.
+* The live backstop deadline: one handle, same exception, same counter.
+"""
+
+from __future__ import annotations
+
+import asyncio
+from dataclasses import replace
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.coap import CoapMessage, Code, ContentFormat, MessageType, OptionNumber
+from repro.coap.blockwise import Block, block_for
+from repro.coap.endpoint import EXCHANGE_LIFETIME, CoapServer
+from repro.coap.uri import base64url_encode
+from repro.dns import Question, RecordType, RecursiveResolver, Zone
+from repro.doc import DocClient, DocServer
+from repro.live import DocLiveServer, LiveResolver
+from repro.oscore import SecurityContext, protect_request
+from repro.sim import Simulator
+
+CLIENT = ("fe80::c", 40000)
+SERVER = ("fe80::5", 5683)
+
+
+class _End:
+    """One end of an in-memory datagram pipe on a Simulator."""
+
+    def __init__(self, sim, address):
+        self.sim = sim
+        self.address = address
+        self.peer = None
+        self.on_datagram = None
+        self.sent = []
+
+    def sendto(self, payload, dst_addr, dst_port, metadata=None):
+        self.sent.append(bytes(payload))
+        if self.peer.on_datagram is not None:  # else: nobody listens there
+            self.sim.schedule(0.001, self.peer.deliver, bytes(payload))
+
+    def deliver(self, payload):
+        self.on_datagram(self.peer.address[0], self.peer.address[1], payload, {})
+
+
+def _pipe(sim):
+    client, server = _End(sim, CLIENT), _End(sim, SERVER)
+    client.peer, server.peer = server, client
+    return client, server
+
+
+def _nibble(value):
+    if value < 13:
+        return value, b""
+    if value < 269:
+        return 13, bytes([value - 13])
+    return 14, (value - 269).to_bytes(2, "big")
+
+
+def _reference_encode(message: CoapMessage) -> bytes:
+    """RFC 7252 §3 written out plainly: the oracle's encoder."""
+    out = bytes([
+        (1 << 6) | (int(message.mtype) << 4) | len(message.token),
+        int(message.code), message.mid >> 8, message.mid & 0xFF,
+    ]) + message.token
+    previous = 0
+    for number, value in sorted(message.options, key=lambda item: item[0]):
+        delta, delta_ext = _nibble(number - previous)
+        length, length_ext = _nibble(len(value))
+        out += bytes([(delta << 4) | length]) + delta_ext + length_ext + value
+        previous = number
+    if message.payload:
+        out += b"\xff" + message.payload
+    return out
+
+
+# -- (a) byte identity -------------------------------------------------------
+
+
+def _chain_request(client: DocClient, question, mid, token, oscore_context):
+    """The first datagram of a resolution, built the parent's way."""
+    wire = client._encode_query(question)
+    if client.method == Code.GET:
+        segments, queries = client.template.split_expanded(
+            dns=base64url_encode(wire)
+        )
+        message = CoapMessage.request(Code.GET)
+        for segment in segments:
+            message = message.with_option(OptionNumber.URI_PATH, segment.encode())
+        for item in queries:
+            message = message.with_option(OptionNumber.URI_QUERY, item.encode())
+    else:
+        message = CoapMessage.request(client.method, payload=wire)
+        message = message.with_option(OptionNumber.URI_PATH, b"dns")
+        message = message.with_uint_option(
+            OptionNumber.CONTENT_FORMAT, int(client.content_format)
+        )
+        message = message.with_uint_option(
+            OptionNumber.ACCEPT, int(client.content_format)
+        )
+    if oscore_context is not None:
+        message, _ = protect_request(oscore_context, message)
+    message = replace(message, token=token, mid=mid)
+    block_size = client.coap.block_size
+    if block_size is not None:
+        message = message.with_option(
+            OptionNumber.BLOCK2, Block(0, False, block_size).encode()
+        )
+        if len(message.payload) > block_size:
+            block, chunk = block_for(message.payload, 0, block_size)
+            message = replace(
+                message, payload=chunk, mid=(mid + 1) & 0xFFFF
+            ).without_option(OptionNumber.BLOCK1).with_option(
+                OptionNumber.BLOCK1, block.encode()
+            )
+    return message
+
+
+def _chain_reply(request: CoapMessage, response: CoapMessage) -> CoapMessage:
+    mtype = (
+        MessageType.ACK if request.mtype == MessageType.CON else MessageType.NON
+    )
+    return replace(response, mtype=mtype, mid=request.mid, token=request.token)
+
+
+def _spy_on_replies(coap_server: CoapServer):
+    """Record the (request, response) pairs handed to ``_reply``."""
+    seen = []
+    original = coap_server._reply
+
+    def spy(request, src_addr, src_port, response, dedup_key, metadata):
+        seen.append((request, response))
+        original(request, src_addr, src_port, response, dedup_key, metadata)
+
+    coap_server._reply = spy
+    return seen
+
+
+_LABEL = st.text("abcdefghijklmnopqrstuvwxyz0123456789", min_size=1, max_size=12)
+_MATRIX = [
+    (method, content_format, block_size, secured)
+    for method in (Code.FETCH, Code.POST, Code.GET)
+    for content_format in (ContentFormat.DNS_MESSAGE, ContentFormat.DNS_CBOR)
+    for block_size in (None, 32)
+    for secured in (False, True)
+    if not (method == Code.GET and secured)  # DocClient refuses GET + OSCORE
+]
+
+
+@pytest.mark.parametrize("method,content_format,block_size,secured", _MATRIX)
+@settings(
+    max_examples=8, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    labels=st.lists(_LABEL, min_size=1, max_size=3),
+    mid=st.integers(0, 0xFFFF),
+    token=st.integers(0, 0xFFFFFFFF),
+)
+def test_wire_bytes_equal_the_copy_chain(
+    method, content_format, block_size, secured, labels, mid, token
+):
+    name = ".".join(labels) + ".example.org"
+    sim = Simulator(seed=5)
+    client_end, server_end = _pipe(sim)
+    zone = Zone()
+    zone.add_address(name, "2001:db8::1", ttl=120)
+    client_context = server_context = oracle_context = None
+    if secured:
+        client_context, server_context = SecurityContext.pair(b"s" * 16, b"salt")
+        oracle_context, _ = SecurityContext.pair(b"s" * 16, b"salt")
+    server = DocServer(
+        sim, server_end, RecursiveResolver(zone), oscore_context=server_context
+    )
+    client = DocClient(
+        sim, client_end, SERVER, method=method, content_format=content_format,
+        block_size=block_size, oscore_context=client_context,
+    )
+    client.coap._next_mid, client.coap._next_token = mid, token
+    replies = _spy_on_replies(server.coap)
+    outcomes = []
+    question = Question(name, RecordType.AAAA)
+
+    client.resolve(name, RecordType.AAAA, lambda r, e: outcomes.append((r, e)))
+    sim.run(until=30)
+
+    expected = _chain_request(
+        client, question, mid, token.to_bytes(4, "big"), oracle_context
+    )
+    assert client_end.sent[0] == _reference_encode(expected)
+    assert replies
+    assert server_end.sent == [
+        _reference_encode(_chain_reply(request, response))
+        for request, response in replies
+    ]
+    assert len(outcomes) == 1
+    if not (method == Code.GET and content_format == ContentFormat.DNS_CBOR):
+        # (the server reads a GET's dns variable as a DNS message only)
+        result, error = outcomes[0]
+        assert error is None and result.addresses == ["2001:db8::1"]
+
+
+_OPTIONS = st.lists(
+    st.tuples(
+        st.sampled_from([4, 11, 12, 14, 17, 23, 60, 300]),
+        st.binary(max_size=14),
+    ),
+    max_size=5,
+).map(tuple)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    confirmable=st.booleans(),
+    piggybacked=st.booleans(),
+    mid=st.integers(0, 0xFFFF),
+    token=st.binary(max_size=8),
+    options=_OPTIONS,
+    payload=st.binary(max_size=20),
+)
+def test_reply_bytes_whether_or_not_the_handler_set_the_header(
+    confirmable, piggybacked, mid, token, options, payload
+):
+    """``_reply`` skips its copy for a ``make_response`` reply and makes
+    it for any other; both put the request's type, MID and token on the
+    wire, with unsorted options sorted stably."""
+    sim = Simulator(seed=6)
+    _, server_end = _pipe(sim)
+    server = CoapServer(sim, server_end)
+
+    def handler(request, respond, metadata):
+        if piggybacked:
+            base = request.make_response(Code.CONTENT, payload=payload)
+        else:
+            base = CoapMessage(code=Code.CONTENT, mid=0x1234, payload=payload)
+        respond(replace(base, options=options))
+
+    server.add_resource("/r", handler)
+    request = CoapMessage.request(
+        Code.FETCH, "/r", mid=mid, token=token, confirmable=confirmable
+    )
+    server_end.deliver(request.encode())
+    expected = CoapMessage(
+        MessageType.ACK if confirmable else MessageType.NON,
+        Code.CONTENT, mid, token, options, payload,
+    )
+    assert server_end.sent == [_reference_encode(expected)]
+    assert CoapMessage.decode(server_end.sent[0]).options == tuple(
+        sorted(options, key=lambda item: item[0])
+    )
+
+
+# -- (b) deduplication and block-wise state ----------------------------------
+
+
+def _counting_server(sim, payload=b"x"):
+    _, server_end = _pipe(sim)
+    server = CoapServer(sim, server_end)
+    calls = []
+
+    def handler(request, respond, metadata):
+        calls.append(request)
+        respond(request.make_response(Code.CONTENT, payload=payload))
+
+    server.add_resource("/r", handler)
+    return server, server_end, calls
+
+
+def test_duplicate_inside_the_lifetime_gets_the_cached_bytes():
+    sim = Simulator(seed=7)
+    server, end, calls = _counting_server(sim)
+    wire = CoapMessage.request(Code.FETCH, "/r", mid=7, token=b"\x01").encode()
+    end.deliver(wire)
+    sim.run(until=EXCHANGE_LIFETIME - 0.001)
+    end.deliver(wire)
+    assert len(calls) == 1
+    assert len(end.sent) == 2 and end.sent[0] == end.sent[1]
+
+
+def test_same_peer_mid_and_token_after_the_lifetime_is_a_new_exchange():
+    sim = Simulator(seed=7)
+    server, end, calls = _counting_server(sim)
+    wire = CoapMessage.request(Code.FETCH, "/r", mid=7, token=b"\x01").encode()
+    end.deliver(wire)
+    sim.run(until=EXCHANGE_LIFETIME)
+    end.deliver(wire)
+    assert len(calls) == 2
+    assert len(server._dedup) == 1  # the expired entry made way for the new one
+
+
+def test_dedup_is_keyed_by_peer_mid_and_token():
+    sim = Simulator(seed=7)
+    server, end, calls = _counting_server(sim)
+    for mid, token in ((7, b"\x01"), (8, b"\x01"), (7, b"\x02")):
+        end.deliver(
+            CoapMessage.request(Code.FETCH, "/r", mid=mid, token=token).encode()
+        )
+    assert len(calls) == 3
+    end.peer.address = ("fe80::d", 40000)
+    end.deliver(CoapMessage.request(Code.FETCH, "/r", mid=7, token=b"\x01").encode())
+    assert len(calls) == 4
+
+
+def test_expired_replies_are_dropped_when_the_next_one_is_stored():
+    sim = Simulator(seed=7)
+    server, end, _ = _counting_server(sim)
+    for mid in range(50):
+        end.deliver(CoapMessage.request(Code.FETCH, "/r", mid=mid).encode())
+        sim.run(until=sim.now + 1.0)
+    assert len(server._dedup) == 50
+    sim.run(until=20.0 + EXCHANGE_LIFETIME)  # replies 0..20 are past their time
+    end.deliver(CoapMessage.request(Code.FETCH, "/r", mid=1000).encode())
+    assert len(server._dedup) == 50 - 21 + 1
+    expiries = [expires_at for expires_at, _ in server._dedup.values()]
+    assert expiries == sorted(expiries) and expiries[0] > sim.now
+
+
+def test_a_reply_schedules_no_clock_event():
+    sim = Simulator(seed=7)
+    server, end, _ = _counting_server(sim)
+    before = sim.pending()
+    for mid in range(20):
+        end.deliver(CoapMessage.request(Code.FETCH, "/r", mid=mid).encode())
+    assert len(end.sent) == 20
+    assert sim.pending() == before
+
+
+def _block1_piece(number, more, token):
+    return CoapMessage.request(
+        Code.FETCH, "/r", mid=100 + number, token=token, payload=b"a" * 16
+    ).with_option(OptionNumber.BLOCK1, Block(number, more, 16).encode())
+
+
+def test_abandoned_block1_upload_is_dropped_after_the_lifetime():
+    sim = Simulator(seed=8)
+    server, end, calls = _counting_server(sim)
+    end.deliver(_block1_piece(0, True, b"\x0a").encode())
+    assert len(server._block1_assembly) == 1
+    sim.run(until=EXCHANGE_LIFETIME)
+    # The next upload takes its place in the table ...
+    end.deliver(_block1_piece(0, True, b"\x0b").encode())
+    assert [key[0] for key in server._block1_assembly] == ["0b"]
+    # ... and its own continuation finds nothing to continue.
+    end.deliver(_block1_piece(1, False, b"\x0a").encode())
+    assert CoapMessage.decode(end.sent[-1]).code == Code.REQUEST_ENTITY_INCOMPLETE
+    assert not calls
+
+
+def test_block1_upload_inside_the_lifetime_completes():
+    sim = Simulator(seed=8)
+    server, end, calls = _counting_server(sim)
+    end.deliver(_block1_piece(0, True, b"\x0a").encode())
+    sim.run(until=EXCHANGE_LIFETIME - 1)
+    end.deliver(_block1_piece(1, False, b"\x0a").encode())
+    assert [request.payload for request in calls] == [b"a" * 32]
+    assert not server._block1_assembly
+
+
+def _block2_request(number, token, mid):
+    return CoapMessage.request(
+        Code.FETCH, "/r", mid=mid, token=token
+    ).with_option(OptionNumber.BLOCK2, Block(number, False, 16).encode())
+
+
+def test_block2_continuation_inside_the_lifetime_is_served():
+    sim = Simulator(seed=9)
+    server, end, _ = _counting_server(sim, payload=bytes(range(40)))
+    end.deliver(_block2_request(0, b"\x0a", 1).encode())
+    sim.run(until=EXCHANGE_LIFETIME - 1)
+    end.deliver(_block2_request(1, b"\x0a", 2).encode())
+    piece = CoapMessage.decode(end.sent[-1])
+    assert piece.code == Code.CONTENT and piece.payload == bytes(range(16, 32))
+
+
+def test_unfetched_block2_body_is_dropped_after_the_lifetime():
+    sim = Simulator(seed=9)
+    server, end, _ = _counting_server(sim, payload=bytes(range(40)))
+    end.deliver(_block2_request(0, b"\x0a", 1).encode())
+    assert len(server._block2_store) == 1
+    sim.run(until=EXCHANGE_LIFETIME)
+    end.deliver(_block2_request(0, b"\x0b", 3).encode())
+    assert [key[2] for key in server._block2_store] == [b"\x0b"]
+    end.deliver(_block2_request(1, b"\x0a", 2).encode())
+    assert CoapMessage.decode(end.sent[-1]).code == Code.REQUEST_ENTITY_INCOMPLETE
+
+
+def test_respond_called_twice_still_raises():
+    sim = Simulator(seed=9)
+    _, end = _pipe(sim)
+    server = CoapServer(sim, end)
+
+    def handler(request, respond, metadata):
+        respond(request.make_response(Code.CONTENT))
+        with pytest.raises(RuntimeError):
+            respond(request.make_response(Code.CONTENT))
+
+    server.add_resource("/r", handler)
+    end.deliver(CoapMessage.request(Code.FETCH, "/r", mid=1).encode())
+    assert len(end.sent) == 1
+
+
+# -- the live path: timers, timeline, backstop -------------------------------
+
+
+class _CountingClock:
+    """A Clock that hands every timer it arms to the test."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.rng = inner.rng
+        self.timers = []
+
+    @property
+    def now(self):
+        return self.inner.now
+
+    def schedule(self, delay, callback, *args):
+        timer = self.inner.schedule(delay, callback, *args)
+        self.timers.append(timer)
+        return timer
+
+    def schedule_at(self, time, callback, *args):
+        return self.schedule(time - self.now, callback, *args)
+
+
+def _run(coro):
+    async def bounded():
+        return await asyncio.wait_for(coro, timeout=30.0)
+
+    return asyncio.run(bounded())
+
+
+def _armed_timers(loop) -> int:
+    """Live timer handles on *loop*, not counting ``_run``'s own deadline."""
+    return sum(not handle.cancelled() for handle in loop._scheduled) - 1
+
+
+def test_an_answered_live_query_arms_one_clock_timer_and_keeps_no_record():
+    queries = 2000
+
+    async def body():
+        server = DocLiveServer(transport="coap", port=0, num_names=8)
+        server.clock = _CountingClock(server.clock)
+        async with server:
+            resolver = LiveResolver(server.endpoint, transport="coap", timeout=5.0)
+            resolver.clock = _CountingClock(resolver.clock)
+            async with resolver:
+                for index in range(queries):
+                    await resolver.resolve(server.names[index % 8])
+                coap = resolver._client.coap
+                assert coap.events is None
+                assert not coap._exchanges
+                # The retransmission timer, cancelled on the answer ...
+                assert len(resolver.clock.timers) == queries
+                assert all(timer.cancelled() for timer in resolver.clock.timers)
+                # ... and nothing per reply on the server, nor a deadline
+                # left behind on the loop.
+                assert server.clock.timers == []
+                assert _armed_timers(asyncio.get_running_loop()) == 0
+                assert resolver.timeouts == 0
+
+    _run(body())
+
+
+class _SilentStack:
+    """Stands in for the protocol stack: keeps the callback, never answers."""
+
+    def __init__(self):
+        self.callbacks = []
+
+    def resolve(self, name, rtype, on_result):
+        self.callbacks.append(on_result)
+
+
+def _unconnected_resolver(timeout):
+    resolver = LiveResolver(transport="coap", timeout=timeout)
+    resolver._client = _SilentStack()
+    resolver._socket = object()
+    return resolver
+
+
+def test_unanswered_resolve_raises_timeout_at_the_deadline():
+    async def body():
+        resolver = _unconnected_resolver(timeout=0.05)
+        loop = asyncio.get_running_loop()
+        started = loop.time()
+        with pytest.raises(asyncio.TimeoutError):
+            await resolver.resolve("a.example.org")
+        assert 0.05 <= loop.time() - started < 1.0
+        assert resolver.timeouts == 1
+        # The per-call timeout overrides the resolver's.
+        resolver.timeout = 60.0
+        with pytest.raises(asyncio.TimeoutError):
+            await resolver.resolve("a.example.org", timeout=0.01)
+        assert resolver.timeouts == 2
+        # An answer (or an error) after the deadline is ignored.
+        for late in resolver._client.callbacks:
+            late(None, RuntimeError("late"))
+            late(object(), None)
+        assert _armed_timers(loop) == 0
+
+    _run(body())
+
+
+def test_a_stack_error_is_raised_as_it_is_and_is_not_a_timeout():
+    async def body():
+        resolver = _unconnected_resolver(timeout=5.0)
+        task = asyncio.ensure_future(resolver.resolve("a.example.org"))
+        await asyncio.sleep(0)
+        resolver._client.callbacks[0](None, ValueError("refused"))
+        with pytest.raises(ValueError):
+            await task
+        assert resolver.timeouts == 0
+        assert _armed_timers(asyncio.get_running_loop()) == 0
+
+    _run(body())
+
+
+def test_cancelling_the_awaiting_task_disarms_the_deadline():
+    async def body():
+        resolver = _unconnected_resolver(timeout=5.0)
+        loop = asyncio.get_running_loop()
+        task = asyncio.ensure_future(resolver.resolve("a.example.org"))
+        await asyncio.sleep(0)
+        assert _armed_timers(loop) == 1  # the backstop deadline
+        task.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await task
+        assert _armed_timers(loop) == 0
+        resolver._client.callbacks[0](object(), None)  # late answer: ignored
+        assert resolver.timeouts == 0
+
+    _run(body())

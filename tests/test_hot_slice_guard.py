@@ -1,13 +1,17 @@
 """The codec hot-slice ratchet (tools/check_hot_slices.py) stays green.
 
-The guard counts ``data[a:b]`` slice subscripts per function across the
-codec hot modules and compares them with the checked-in allowlist; CI
-runs the script directly, this test keeps it honest under pytest too.
+The guard counts, per function, ``data[a:b]`` slice subscripts across
+the codec hot modules and message-copy calls (``replace``,
+``with_option``, ...) across the CoAP exchange modules, and compares
+them with the checked-in allowlist; CI runs the script directly, this
+test keeps it honest under pytest too.
 """
 
 import importlib.util
-import sys
+import json
 from pathlib import Path
+
+SECTIONS = ("slices", "copies")
 
 _TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -29,37 +33,71 @@ def test_guard_passes(capsys):
 
 def test_guard_trips_on_new_slice(monkeypatch, capsys):
     guard = _load_guard()
-    bloated = guard.inventory()
-    module = next(iter(bloated))
-    scopes = bloated[module]
-    scopes["freshly_written_decode"] = scopes.get(
-        "freshly_written_decode", 0
-    ) + 1
-    monkeypatch.setattr(guard, "inventory", lambda: bloated)
-    assert guard.main([]) == 1
-    assert "freshly_written_decode" in capsys.readouterr().err
+    inventory = guard.inventory
+    for section in SECTIONS:  # a new slice, and a new message copy
+        bloated = inventory()
+        module = next(iter(bloated[section]))
+        scopes = bloated[section][module]
+        scopes["freshly_written_decode"] = scopes.get(
+            "freshly_written_decode", 0
+        ) + 1
+        monkeypatch.setattr(guard, "inventory", lambda: bloated)
+        assert guard.main([]) == 1
+        assert "freshly_written_decode" in capsys.readouterr().err
 
 
 def test_guard_reports_ratchet_opportunity(monkeypatch, capsys):
     guard = _load_guard()
-    shrunk = guard.inventory()
-    for module, scopes in shrunk.items():
-        for scope in list(scopes):
-            del scopes[scope]
-            break
-        else:
-            continue
-        break
-    monkeypatch.setattr(guard, "inventory", lambda: shrunk)
-    assert guard.main([]) == 0
-    assert "ratchet" in capsys.readouterr().out
+    inventory = guard.inventory
+    for section in SECTIONS:
+        shrunk = inventory()
+        scopes = next(
+            scopes for scopes in shrunk[section].values() if scopes
+        )
+        del scopes[next(iter(scopes))]
+        monkeypatch.setattr(guard, "inventory", lambda: shrunk)
+        assert guard.main([]) == 0
+        assert f"{section}: " in capsys.readouterr().out
 
 
 def test_allowlist_covers_all_hot_modules():
     guard = _load_guard()
-    import json
-
     allowed = json.loads(guard.ALLOWLIST.read_text())
-    assert set(allowed) == {
+    assert set(allowed) == set(SECTIONS)
+    assert set(allowed["slices"]) == {
         m for m in guard.HOT_MODULES if (guard.SRC / m).exists()
     }
+    assert set(allowed["copies"]) == set(guard.EXCHANGE_MODULES)
+
+
+def test_answered_exchange_path_makes_no_message_copies():
+    """The functions every answered FETCH/POST runs build each message
+    in one constructor call; only the GET, Echo-retry, block-wise,
+    validation and 4.01 branches still copy."""
+    copies = _load_guard().inventory()["copies"]
+    endpoint = copies["repro/coap/endpoint.py"]
+    for scope in (
+        "CoapClient.request", "CoapClient._prepare", "CoapClient._transmit",
+        "CoapServer._on_datagram", "CoapServer._reply",
+    ):
+        assert endpoint.get(scope, 0) == 0, scope
+    assert copies["repro/doc/server.py"].get("DocServer._process", 0) == 0
+    client = copies["repro/doc/client.py"]
+    assert client["DocClient._build_request"] == 2  # the GET branch
+    assert client["DocClient._send"] == 1  # the Echo retry
+
+
+def test_copy_counter_sees_bare_and_method_calls(tmp_path):
+    guard = _load_guard()
+    source = tmp_path / "sample.py"
+    source.write_text(
+        "def build(message):\n"
+        "    copy = replace(message, mid=1).with_option(4, b'x')\n"
+        "    def inner():\n"
+        "        return copy.without_option(4).with_uint_option(14, 1)\n"
+        "    return CoapMessage(0, 0, 1, b'', (), b'')[1:2]\n"
+    )
+    assert guard._counts(source, guard._is_copy_call) == {
+        "build": 2, "build.inner": 2,
+    }
+    assert guard._counts(source, guard._is_slice) == {"build": 1}

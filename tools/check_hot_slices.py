@@ -1,17 +1,24 @@
 #!/usr/bin/env python3
-"""Lint guard: no new byte-slicing in the wire codecs' hot modules.
+"""Lint guard: no new byte-slicing in the wire codecs' hot modules, and
+no new message copies on the CoAP exchange path.
 
 The decode hot paths parse with ``struct.unpack_from``, index
 arithmetic, and :class:`repro.net.buffers.BufReader` cursors; every
 ``data[a:b]`` slice of a bytes-like object allocates a copy, and PR 6
-removed most of them. This guard ratchets that state: it counts slice
-subscripts (``x[a:b]``) per function across the codec modules and
-compares the counts against the checked-in allowlist
-(``tools/hot_slice_allowlist.json``).
+removed most of them. The answered CoAP exchange builds each message
+once; every ``dataclasses.replace`` / ``with_option`` /
+``with_uint_option`` / ``without_option`` call constructs another
+:class:`~repro.coap.message.CoapMessage`, and PR 13 took them off that
+path. This guard ratchets both states: it counts, per function, slice
+subscripts (``x[a:b]``) across the codec modules and calls to the four
+copying helpers across the exchange modules, and compares the counts
+against the checked-in allowlist (``tools/hot_slice_allowlist.json``,
+one section each).
 
 * a function exceeding its allowance fails the build — rewrite the new
   slice (cursor, ``unpack_from``, or a deliberate single ``bytes(...)``
-  boundary materialisation that you then record here);
+  boundary materialisation) or build the message in one constructor
+  call, or record the deliberate exception here;
 * a function now below its allowance is reported so the allowlist can
   be ratcheted down.
 
@@ -26,7 +33,7 @@ import ast
 import json
 import sys
 from pathlib import Path
-from typing import Dict
+from typing import Callable, Dict
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -51,8 +58,41 @@ HOT_MODULES = [
 ]
 
 
-def _slice_counts(path: Path) -> Dict[str, int]:
-    """``{qualified function name: slice-subscript count}`` for *path*."""
+#: The endpoint modules whose message-copy counts are ratcheted.
+EXCHANGE_MODULES = [
+    "repro/coap/endpoint.py",
+    "repro/doc/client.py",
+    "repro/doc/server.py",
+]
+
+#: Calls that construct one more CoapMessage from an existing one
+#: (matched by name, so a ``str.replace`` in these modules counts too).
+COPY_CALLS = frozenset(
+    {"replace", "with_option", "with_uint_option", "without_option"}
+)
+
+
+def _is_slice(node: ast.AST) -> bool:
+    return isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Slice)
+
+
+def _is_copy_call(node: ast.AST) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    return name in COPY_CALLS
+
+
+#: section of the allowlist -> (modules, node predicate, what is counted)
+SECTIONS = {
+    "slices": (HOT_MODULES, _is_slice, "byte-slice(s)"),
+    "copies": (EXCHANGE_MODULES, _is_copy_call, "message copy call(s)"),
+}
+
+
+def _counts(path: Path, counted: Callable[[ast.AST], bool]) -> Dict[str, int]:
+    """``{qualified function name: nodes *counted* accepts}`` for *path*."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     counts: Dict[str, int] = {}
     stack: list = []
@@ -67,21 +107,24 @@ def _slice_counts(path: Path) -> Dict[str, int]:
         visit_AsyncFunctionDef = _scoped
         visit_ClassDef = _scoped
 
-        def visit_Subscript(self, node) -> None:
-            if isinstance(node.slice, ast.Slice):
+        def generic_visit(self, node) -> None:
+            if counted(node):
                 scope = ".".join(stack) or "<module>"
                 counts[scope] = counts.get(scope, 0) + 1
-            self.generic_visit(node)
+            super().generic_visit(node)
 
     Visitor().visit(tree)
     return counts
 
 
-def inventory() -> Dict[str, Dict[str, int]]:
+def inventory() -> Dict[str, Dict[str, Dict[str, int]]]:
     return {
-        module: _slice_counts(SRC / module)
-        for module in HOT_MODULES
-        if (SRC / module).exists()
+        section: {
+            module: _counts(SRC / module, counted)
+            for module in modules
+            if (SRC / module).exists()
+        }
+        for section, (modules, counted, _what) in SECTIONS.items()
     }
 
 
@@ -103,34 +146,42 @@ def main(argv=None) -> int:
 
     failures = []
     improvements = []
-    for module, scopes in current.items():
-        module_allowed = allowed.get(module, {})
-        for scope, count in scopes.items():
-            budget = module_allowed.get(scope, 0)
-            if count > budget:
-                failures.append(
-                    f"{module}:{scope}: {count} byte-slice(s), "
-                    f"allowlisted {budget}"
-                )
-            elif count < budget:
-                improvements.append(f"{module}:{scope}: {count} < {budget}")
-        for scope, budget in module_allowed.items():
-            if budget and scope not in scopes:
-                improvements.append(f"{module}:{scope}: 0 < {budget}")
+    for section, modules in current.items():
+        what = SECTIONS[section][2]
+        for module, scopes in modules.items():
+            module_allowed = allowed.get(section, {}).get(module, {})
+            for scope, count in scopes.items():
+                budget = module_allowed.get(scope, 0)
+                if count > budget:
+                    failures.append(
+                        f"{module}:{scope}: {count} {what}, "
+                        f"allowlisted {budget}"
+                    )
+                elif count < budget:
+                    improvements.append(
+                        f"{section}: {module}:{scope}: {count} < {budget}"
+                    )
+            for scope, budget in module_allowed.items():
+                if budget and scope not in scopes:
+                    improvements.append(
+                        f"{section}: {module}:{scope}: 0 < {budget}"
+                    )
 
     for line in improvements:
-        print(f"note: slice count dropped ({line}); ratchet with --update")
+        print(f"note: count dropped ({line}); ratchet with --update")
     if failures:
         print(
-            "new byte-slicing in codec hot modules — parse via "
-            "BufReader/struct.unpack_from, or record a deliberate "
-            "boundary copy with --update:",
+            "new byte-slicing in codec hot modules or new message copies "
+            "on the CoAP exchange path — parse via BufReader/"
+            "struct.unpack_from, build the message in one constructor "
+            "call, or record a deliberate exception with --update:",
             file=sys.stderr,
         )
         for line in failures:
             print(f"  {line}", file=sys.stderr)
         return 1
-    print(f"hot-slice guard passed ({len(current)} modules)")
+    modules = sum(len(section) for section in current.values())
+    print(f"hot-slice guard passed ({modules} modules)")
     return 0
 
 
