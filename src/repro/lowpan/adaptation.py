@@ -12,7 +12,7 @@ from typing import List, Optional
 from repro.net.ipv6 import Ipv6Packet
 
 from .fragmentation import Fragmenter, Reassembler
-from .ieee802154 import MacFrame
+from .ieee802154 import FCS_LEN, MacFrame, mac_header_length
 from .iphc import compress, decompress
 
 
@@ -29,18 +29,12 @@ class LowpanAdaptation:
         """Compress and (if needed) fragment *packet* for one hop."""
         compressed = compress(packet, self.mac, next_hop_mac)
         payloads = self._fragmenter.fragment(compressed, packet.total_length)
-        frames = []
-        for payload in payloads:
-            frames.append(
-                MacFrame(
-                    src=self.mac,
-                    dst=next_hop_mac,
-                    seq=self._seq & 0xFF,
-                    payload=payload,
-                )
-            )
-            self._seq += 1
-        return frames
+        mac, first_seq = self.mac, self._seq
+        self._seq = first_seq + len(payloads)
+        return [
+            MacFrame(mac, next_hop_mac, (first_seq + index) & 0xFF, payload)
+            for index, payload in enumerate(payloads)
+        ]
 
     def frame_to_packet(self, frame: MacFrame, now: float) -> Optional[Ipv6Packet]:
         """Feed a received frame; returns the packet when complete."""
@@ -53,14 +47,11 @@ class LowpanAdaptation:
         """PDU sizes (including MAC header + FCS) this packet produces.
 
         Analytical helper for the packet-size figures; does not consume
-        sequence numbers.
+        sequence numbers or fragment tags.
         """
         compressed = compress(packet, self.mac, next_hop_mac)
         payloads = Fragmenter(MacFrame.max_payload()).fragment(
             compressed, packet.total_length
         )
-        from .ieee802154 import FCS_LEN, mac_header_length
-
-        return [
-            mac_header_length() + len(payload) + FCS_LEN for payload in payloads
-        ]
+        overhead = mac_header_length() + FCS_LEN
+        return [overhead + len(payload) for payload in payloads]

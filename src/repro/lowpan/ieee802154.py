@@ -9,16 +9,14 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
 
-_ADDR_FIELDS = struct.Struct("<HQQ")  # PAN ID, destination, source
+#: FCF, sequence number, PAN ID, destination, source
+_HEADER = struct.Struct("<HBHQQ")
 
 #: Maximum PHY payload (PDU) of IEEE 802.15.4 (Table 2b).
 FRAME_MAX_PDU = 127
 #: Frame check sequence appended to every frame.
 FCS_LEN = 2
-
-_FCF_DATA_PANID_COMPRESSED = 0x8841  # data frame, 16-bit... see below
 
 
 def mac_header_length(extended: bool = True) -> int:
@@ -31,23 +29,13 @@ def mac_header_length(extended: bool = True) -> int:
     return 2 + 1 + 2 + 2 * address_len
 
 
-_MAC_HEADER_LEN = 2 + 1 + 2 + 8 + 8
+_MAC_HEADER_LEN = _HEADER.size
 _MAX_PAYLOAD = FRAME_MAX_PDU - _MAC_HEADER_LEN - FCS_LEN
 
 # FCF: frame type data (0b001), PAN ID compression, dst/src addressing
 # mode 'extended' (0b11 each), frame version 2006.
 _FCF = 0b001 | (1 << 6) | (0b11 << 10) | (0b01 << 12) | (0b11 << 14)
-_FCF_BYTES = _FCF.to_bytes(2, "little")
-
-
-@lru_cache(maxsize=1024)
-def _address_fields(pan_id: int, dst: int, src: int) -> bytes:
-    """PAN + destination + source header bytes, constant per link."""
-    return (
-        pan_id.to_bytes(2, "little")
-        + dst.to_bytes(8, "little")
-        + src.to_bytes(8, "little")
-    )
+_FCS_PLACEHOLDER = b"\x00\x00"  # computed by hardware
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,35 +59,20 @@ class MacFrame:
         """Per-frame 6LoWPAN capacity: 127 - header(21) - FCS(2) = 104."""
         return _MAX_PAYLOAD
 
-    def encode_into(self, out: bytearray) -> None:
-        """Append the PDU bytes (header, payload, FCS placeholder) to *out*.
-
-        The FCS trailer is a placeholder (computed by hardware); the
-        per-link address fields come from a cache — only the sequence
-        number changes frame to frame.
-        """
-        out += _FCF_BYTES
-        out.append(self.seq & 0xFF)
-        out += _address_fields(self.pan_id, self.dst, self.src)
-        out += self.payload
-        out += b"\x00\x00"
-
     def encode(self) -> bytes:
         """Wire format including the FCS placeholder (PDU bytes)."""
-        out = bytearray()
-        self.encode_into(out)
-        return bytes(out)
+        return b"".join(
+            (
+                _HEADER.pack(_FCF, self.seq & 0xFF, self.pan_id, self.dst, self.src),
+                self.payload,
+                _FCS_PLACEHOLDER,
+            )
+        )
 
     @classmethod
     def decode(cls, data) -> "MacFrame":
         """Parse a frame from ``bytes | memoryview`` (input never mutated)."""
         if len(data) < _MAC_HEADER_LEN + FCS_LEN:
             raise ValueError("frame shorter than MAC header")
-        pan_id, dst, src = _ADDR_FIELDS.unpack_from(data, 3)
-        return cls(
-            src=src,
-            dst=dst,
-            seq=data[2],
-            payload=bytes(data[_MAC_HEADER_LEN : len(data) - FCS_LEN]),
-            pan_id=pan_id,
-        )
+        _fcf, seq, pan_id, dst, src = _HEADER.unpack_from(data)
+        return cls(src, dst, seq, bytes(data[_MAC_HEADER_LEN:-FCS_LEN]), pan_id)

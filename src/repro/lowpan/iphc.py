@@ -14,11 +14,31 @@ Compression modes implemented:
   link-layer address, 16-bit when the IID matches ``::ff:fe00:xxxx``,
   64-bit for other link-local, full 128-bit otherwise; multicast
   destinations use the 8/32/48-bit ff00::/8 encodings.
+
+The IPHC header is worked out once per flow, not once per packet per
+hop. Two bounded memos (1 024 entries each, the idiom of
+:mod:`repro.net.ipv6`: a simulation uses a small, fixed set of
+addresses) hold it:
+
+* :func:`_header`, on the way out, is keyed on everything the base
+  header and its inline fields depend on: ``(src, dst, next_header,
+  hop_limit, traffic_class, flow_label, src_mac, dst_mac)``;
+* :func:`_parse_header`, on the way in, is keyed on ``(header bytes,
+  src_mac, dst_mac)``. The MACs are part of the key because an elided
+  IID (SAM/DAM 11) is taken from them: the same header bytes on another
+  link name other addresses.
+
+:func:`_walk` validates every input on every call, before either memo
+is consulted: dispatch, context flags, TF mode and every bound. What is
+memoised is only the decoding of header bytes that passed it; an input
+that raises is never cached, so it raises again.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import struct
+from functools import lru_cache
+from typing import Tuple
 
 from repro.net.ipv6 import (
     NEXT_HEADER_UDP,
@@ -26,22 +46,28 @@ from repro.net.ipv6 import (
     address_from_int,
     address_from_packed,
     address_int,
-    is_multicast,
     packed_address,
 )
-from repro.net.udp import UdpDatagram
 
 _DISPATCH = 0b011
+_LINK_LOCAL_PREFIX = 0xFE80 << 48
+_HLIM_MODES = {1: 0b01, 64: 0b10, 255: 0b11}
+_HLIM_VALUES = (None, 1, 64, 255)
+#: Inline address bytes per SAM/DAM mode 0-3.
+_UNICAST_INLINE = (16, 8, 2, 0)
+_MULTICAST_INLINE = (16, 6, 5, 1)
+_NHC_UDP = 0b11110000
+#: Inline port bytes per NHC port mode 0-3.
+_NHC_PORT_BYTES = (4, 3, 3, 1)
+
+_PORTS = struct.Struct("!HH")
+_PORT = struct.Struct("!H")
+_TF_INLINE = struct.Struct("!I")
+_UDP_PORTS_LENGTH = struct.Struct("!HHH")
 
 
 class IphcError(ValueError):
     """Raised when a header cannot be compressed or parsed."""
-
-
-def _need(data: bytes, offset: int, count: int) -> None:
-    """Bounds check: *count* bytes must be available at *offset*."""
-    if offset + count > len(data):
-        raise IphcError("truncated IPHC input")
 
 
 def _iid_from_mac(mac: int) -> int:
@@ -49,17 +75,10 @@ def _iid_from_mac(mac: int) -> int:
     return mac ^ (1 << 57)
 
 
-def _address_parts(address: str) -> Tuple[int, int]:
-    value = address_int(address)
-    return value >> 64, value & ((1 << 64) - 1)
-
-
-_LINK_LOCAL_PREFIX = 0xFE80 << 48
-
-
 def _compress_unicast(address: str, mac: int) -> Tuple[int, bytes]:
     """Return (mode, inline_bytes) for a stateless unicast address."""
-    prefix, iid = _address_parts(address)
+    value = address_int(address)
+    prefix, iid = value >> 64, value & ((1 << 64) - 1)
     if prefix == _LINK_LOCAL_PREFIX:
         if iid == _iid_from_mac(mac):
             return 3, b""
@@ -69,24 +88,16 @@ def _compress_unicast(address: str, mac: int) -> Tuple[int, bytes]:
     return 0, packed_address(address)
 
 
-def _decompress_unicast(mode: int, data: bytes, offset: int, mac: int) -> Tuple[str, int]:
+def _decompress_unicast(mode: int, inline: bytes, mac: int) -> str:
     if mode == 0:
-        _need(data, offset, 16)
-        packed = bytes(data[offset : offset + 16])
-        return address_from_packed(packed), offset + 16
+        return address_from_packed(inline)
     if mode == 1:
-        _need(data, offset, 8)
-        iid = int.from_bytes(data[offset : offset + 8], "big")
-        offset += 8
+        iid = int.from_bytes(inline, "big")
     elif mode == 2:
-        _need(data, offset, 2)
-        low = int.from_bytes(data[offset : offset + 2], "big")
-        iid = (0x000000FFFE00 << 16) | low
-        offset += 2
+        iid = (0x000000FFFE00 << 16) | int.from_bytes(inline, "big")
     else:
         iid = _iid_from_mac(mac)
-    value = (_LINK_LOCAL_PREFIX << 64) | iid
-    return address_from_int(value), offset
+    return address_from_int((_LINK_LOCAL_PREFIX << 64) | iid)
 
 
 def _compress_multicast(address: str) -> Tuple[int, bytes]:
@@ -99,141 +110,171 @@ def _compress_multicast(address: str) -> Tuple[int, bytes]:
         # ff02::00XX
         return 3, bytes([group])
     if group >> 32 == 0:
-        return 2, bytes([scope]) + (group & 0xFFFFFFFF).to_bytes(4, "big")
+        return 2, bytes([scope]) + group.to_bytes(4, "big")
     if group >> 40 == 0:
-        return 1, bytes([scope]) + (group & 0xFFFFFFFFFF).to_bytes(5, "big")
+        return 1, bytes([scope]) + group.to_bytes(5, "big")
     return 0, packed_address(address)
 
 
-def _decompress_multicast(mode: int, data: bytes, offset: int) -> Tuple[str, int]:
+def _decompress_multicast(mode: int, inline: bytes) -> str:
     if mode == 0:
-        _need(data, offset, 16)
-        packed = bytes(data[offset : offset + 16])
-        return address_from_packed(packed), offset + 16
+        return address_from_packed(inline)
     if mode == 3:
-        _need(data, offset, 1)
-        value = (0xFF02 << 112) | data[offset]
-        return address_from_int(value), offset + 1
-    if mode == 2:
-        _need(data, offset, 5)
-        scope = data[offset]
-        group = int.from_bytes(data[offset + 1 : offset + 5], "big")
-        value = (0xFF << 120) | (scope << 112) | group
-        return address_from_int(value), offset + 5
-    _need(data, offset, 6)
-    scope = data[offset]
-    group = int.from_bytes(data[offset + 1 : offset + 6], "big")
-    value = (0xFF << 120) | (scope << 112) | group
-    return address_from_int(value), offset + 6
+        return address_from_int((0xFF02 << 112) | inline[0])
+    # Modes 1 and 2: the scope byte, then a 40- or 32-bit group.
+    group = int.from_bytes(inline[1:], "big")
+    return address_from_int((0xFF << 120) | (inline[0] << 112) | group)
 
 
-def _compress_udp(datagram_bytes: bytes) -> bytes:
-    """LOWPAN_NHC for UDP: ports per §4.3.3, checksum inline."""
-    src_port = int.from_bytes(datagram_bytes[0:2], "big")
-    dst_port = int.from_bytes(datagram_bytes[2:4], "big")
-    checksum = datagram_bytes[6:8]
-    payload = datagram_bytes[8:]
+@lru_cache(maxsize=1024)
+def _header(
+    src: str,
+    dst: str,
+    next_header: int,
+    hop_limit: int,
+    traffic_class: int,
+    flow_label: int,
+    src_mac: int,
+    dst_mac: int,
+) -> bytes:
+    """The two IPHC bytes and their inline fields for one flow on one hop."""
+    tf_elided = traffic_class == 0 and flow_label == 0
+    udp_nhc = next_header == NEXT_HEADER_UDP
+    hlim_mode = _HLIM_MODES.get(hop_limit, 0b00)
+    multicast = address_int(dst) >> 120 == 0xFF
+    sam, src_inline = _compress_unicast(src, src_mac)
+    if multicast:
+        dam, dst_inline = _compress_multicast(dst)
+    else:
+        dam, dst_inline = _compress_unicast(dst, dst_mac)
+
+    out = bytearray(
+        (
+            (_DISPATCH << 5) | (0b11000 if tf_elided else 0) | (udp_nhc << 2) | hlim_mode,
+            (sam << 4) | (multicast << 3) | dam,
+        )
+    )
+    if not tf_elided:
+        # ECN/DSCP + flow label inline (TF=00)
+        out += (traffic_class << 20 | flow_label).to_bytes(4, "big")
+    if not udp_nhc:
+        out.append(next_header)
+    if hlim_mode == 0b00:
+        out.append(hop_limit)
+    out += src_inline
+    out += dst_inline
+    return bytes(out)
+
+
+@lru_cache(maxsize=1024)
+def _nhc_ports(src_port: int, dst_port: int) -> bytes:
+    """LOWPAN_NHC for UDP: the NHC byte and the ports per §4.3.3."""
     if src_port >> 4 == 0xF0B and dst_port >> 4 == 0xF0B:
-        head = bytes(
-            [0b11110011, ((src_port & 0xF) << 4) | (dst_port & 0xF)]
-        )
-    elif dst_port >> 8 == 0xF0:
-        head = (
-            bytes([0b11110001])
-            + src_port.to_bytes(2, "big")
-            + bytes([dst_port & 0xFF])
-        )
-    elif src_port >> 8 == 0xF0:
-        head = (
-            bytes([0b11110010, src_port & 0xFF])
-            + dst_port.to_bytes(2, "big")
-        )
-    else:
-        head = (
-            bytes([0b11110000])
-            + src_port.to_bytes(2, "big")
-            + dst_port.to_bytes(2, "big")
-        )
-    return head + checksum + payload
-
-
-def _decompress_udp(data: bytes, offset: int) -> Tuple[UdpDatagram, bytes]:
-    _need(data, offset, 1)
-    head = data[offset]
-    if head >> 3 != 0b11110:
-        raise IphcError("not a UDP NHC header")
-    if head & 0x04:
-        raise IphcError("elided UDP checksum unsupported")
-    ports_mode = head & 0x03
-    offset += 1
-    if ports_mode == 0b11:
-        _need(data, offset, 1)
-        byte = data[offset]
-        src_port = 0xF0B0 | (byte >> 4)
-        dst_port = 0xF0B0 | (byte & 0xF)
-        offset += 1
-    elif ports_mode == 0b01:
-        _need(data, offset, 3)
-        src_port = int.from_bytes(data[offset : offset + 2], "big")
-        dst_port = 0xF000 | data[offset + 2]
-        offset += 3
-    elif ports_mode == 0b10:
-        _need(data, offset, 3)
-        src_port = 0xF000 | data[offset]
-        dst_port = int.from_bytes(data[offset + 1 : offset + 3], "big")
-        offset += 3
-    else:
-        _need(data, offset, 4)
-        src_port = int.from_bytes(data[offset : offset + 2], "big")
-        dst_port = int.from_bytes(data[offset + 2 : offset + 4], "big")
-        offset += 4
-    _need(data, offset, 2)
-    checksum = data[offset : offset + 2]
-    offset += 2
-    payload = bytes(data[offset:])
-    datagram = UdpDatagram(src_port, dst_port, payload)
-    return datagram, checksum
+        return bytes((_NHC_UDP | 0b11, ((src_port & 0xF) << 4) | (dst_port & 0xF)))
+    if dst_port >> 8 == 0xF0:
+        return struct.pack("!BHB", _NHC_UDP | 0b01, src_port, dst_port & 0xFF)
+    if src_port >> 8 == 0xF0:
+        return struct.pack("!BBH", _NHC_UDP | 0b10, src_port & 0xFF, dst_port)
+    return struct.pack("!BHH", _NHC_UDP, src_port, dst_port)
 
 
 def compress(packet: Ipv6Packet, src_mac: int, dst_mac: int) -> bytes:
     """Compress *packet* into IPHC form for one 802.15.4 hop."""
-    tf_elided = packet.traffic_class == 0 and packet.flow_label == 0
-    udp_nhc = packet.next_header == NEXT_HEADER_UDP
-
-    hlim_map = {1: 0b01, 64: 0b10, 255: 0b11}
-    hlim_mode = hlim_map.get(packet.hop_limit, 0b00)
-
-    dst_is_multicast = is_multicast(packet.dst)
-    sam, src_inline = _compress_unicast(packet.src, src_mac)
-    if dst_is_multicast:
-        dam, dst_inline = _compress_multicast(packet.dst)
-    else:
-        dam, dst_inline = _compress_unicast(packet.dst, dst_mac)
-
-    byte1 = (
-        (_DISPATCH << 5)
-        | ((0b11 if tf_elided else 0b00) << 3)
-        | ((1 if udp_nhc else 0) << 2)
-        | hlim_mode
+    header = _header(
+        packet.src,
+        packet.dst,
+        packet.next_header,
+        packet.hop_limit,
+        packet.traffic_class,
+        packet.flow_label,
+        src_mac,
+        dst_mac,
     )
-    byte2 = (sam << 4) | (int(dst_is_multicast) << 3) | dam
+    datagram = packet.payload
+    if packet.next_header != NEXT_HEADER_UDP:
+        return header + datagram
+    if len(datagram) < 8:
+        raise IphcError("truncated UDP header")
+    # The length field is elided (it follows from the frame); the
+    # checksum always travels inline, in front of the payload.
+    return header + _nhc_ports(*_PORTS.unpack_from(datagram)) + datagram[6:]
 
-    out = bytearray([byte1, byte2])
-    if not tf_elided:
-        out += (
-            (packet.traffic_class << 20 | packet.flow_label)
-        ).to_bytes(4, "big")  # ECN/DSCP + flow label inline (TF=00)
-    if not udp_nhc:
-        out.append(packet.next_header)
-    if hlim_mode == 0b00:
-        out.append(packet.hop_limit)
-    out += src_inline
-    out += dst_inline
-    if udp_nhc:
-        out += _compress_udp(packet.payload)
+
+def _walk(data: bytes) -> Tuple[int, int]:
+    """The one header walk: ``(iphc_end, nhc_end)`` of a datagram.
+
+    ``iphc_end`` is the length of the two IPHC bytes and their inline
+    fields, ``nhc_end`` additionally covers the UDP NHC byte and its
+    inline ports (equal to ``iphc_end`` without NHC); the inline
+    checksum, when there is one, is the two bytes at ``nhc_end``.
+    Raises :class:`IphcError` for everything this codec does not
+    implement and for every field the input is too short to hold.
+    """
+    size = len(data)
+    if size < 2 or data[0] >> 5 != _DISPATCH:
+        raise IphcError("not an IPHC header")
+    byte1, byte2 = data[0], data[1]
+    if byte2 & 0xC4:  # CID, SAC, DAC
+        raise IphcError("context-based compression unsupported")
+    tf_mode = (byte1 >> 3) & 0b11
+    if tf_mode == 0b11:
+        end = 2
+    elif tf_mode == 0b00:
+        end = 6
     else:
-        out += packet.payload
-    return bytes(out)
+        raise IphcError(f"TF mode {tf_mode} unsupported")
+    if not byte1 & 0b11:
+        end += 1  # hop limit inline
+    end += _UNICAST_INLINE[byte2 >> 4 & 0b11]
+    end += (_MULTICAST_INLINE if byte2 & 0b1000 else _UNICAST_INLINE)[byte2 & 0b11]
+    if not byte1 & 0b100:
+        end += 1  # next header inline, no NHC
+        if size < end:
+            raise IphcError("truncated IPHC input")
+        return end, end
+    if size <= end:
+        raise IphcError("truncated IPHC input")
+    nhc = data[end]
+    if nhc >> 3 != _NHC_UDP >> 3:
+        raise IphcError("not a UDP NHC header")
+    if nhc & 0x04:
+        raise IphcError("elided UDP checksum unsupported")
+    nhc_end = end + 1 + _NHC_PORT_BYTES[nhc & 0b11]
+    if size < nhc_end + 2:
+        raise IphcError("truncated IPHC input")
+    return end, nhc_end
+
+
+@lru_cache(maxsize=1024)
+def _parse_header(
+    header: bytes, src_mac: int, dst_mac: int
+) -> Tuple[str, str, int, int, int, int]:
+    """``(src, dst, next_header, hop_limit, traffic_class, flow_label)``
+    of header bytes :func:`_walk` accepted and measured."""
+    byte1, byte2 = header[0], header[1]
+    offset = 2
+    traffic_class = flow_label = 0
+    if not byte1 & 0b11000:
+        (combined,) = _TF_INLINE.unpack_from(header, 2)
+        traffic_class = (combined >> 20) & 0xFF
+        flow_label = combined & 0xFFFFF
+        offset = 6
+    next_header = NEXT_HEADER_UDP
+    if not byte1 & 0b100:
+        next_header = header[offset]
+        offset += 1
+    hop_limit = _HLIM_VALUES[byte1 & 0b11]
+    if hop_limit is None:
+        hop_limit = header[offset]
+        offset += 1
+    sam, dam = byte2 >> 4 & 0b11, byte2 & 0b11
+    dst_at = offset + _UNICAST_INLINE[sam]
+    src = _decompress_unicast(sam, header[offset:dst_at], src_mac)
+    if byte2 & 0b1000:
+        dst = _decompress_multicast(dam, header[dst_at:])
+    else:
+        dst = _decompress_unicast(dam, header[dst_at:], dst_mac)
+    return src, dst, next_header, hop_limit, traffic_class, flow_label
 
 
 def header_extents(data: bytes) -> Tuple[int, int]:
@@ -242,98 +283,42 @@ def header_extents(data: bytes) -> Tuple[int, int]:
     Parses only the header fields (no payload needed), which lets the
     reassembler compute how many *uncompressed* bytes the FRAG1
     fragment covers: ``len(frag1_chunk) + (uncompressed - compressed)``.
+    Rejects exactly what :func:`decompress` rejects.
     """
-    if len(data) < 2 or data[0] >> 5 != _DISPATCH:
-        raise IphcError("not an IPHC header")
-    byte1, byte2 = data[0], data[1]
-    tf_mode = (byte1 >> 3) & 0b11
-    udp_nhc = bool(byte1 & 0b100)
-    hlim_mode = byte1 & 0b11
-    sam = (byte2 >> 4) & 0b11
-    multicast = bool(byte2 & 0b1000)
-    dam = byte2 & 0b11
-
-    offset = 2
-    if tf_mode == 0b00:
-        offset += 4
-    if not udp_nhc:
-        offset += 1
-    if hlim_mode == 0b00:
-        offset += 1
-    unicast_lengths = {0: 16, 1: 8, 2: 2, 3: 0}
-    offset += unicast_lengths[sam]
-    if multicast:
-        multicast_lengths = {0: 16, 1: 6, 2: 5, 3: 1}
-        offset += multicast_lengths[dam]
-    else:
-        offset += unicast_lengths[dam]
-    uncompressed = 40
-    if udp_nhc:
-        _need(data, offset, 1)
-        head = data[offset]
-        ports_mode = head & 0x03
-        offset += 1 + {0b00: 4, 0b01: 3, 0b10: 3, 0b11: 1}[ports_mode]
-        offset += 2  # checksum inline
-        uncompressed += 8
-    return offset, uncompressed
+    iphc_end, nhc_end = _walk(data)
+    if nhc_end == iphc_end:
+        return iphc_end, 40
+    return nhc_end + 2, 48  # checksum inline
 
 
 def decompress(data: bytes, src_mac: int, dst_mac: int) -> Ipv6Packet:
     """Inverse of :func:`compress` for one hop."""
-    if len(data) < 2 or data[0] >> 5 != _DISPATCH:
-        raise IphcError("not an IPHC header")
-    byte1, byte2 = data[0], data[1]
-    tf_mode = (byte1 >> 3) & 0b11
-    udp_nhc = bool(byte1 & 0b100)
-    hlim_mode = byte1 & 0b11
-    sam = (byte2 >> 4) & 0b11
-    multicast = bool(byte2 & 0b1000)
-    dam = byte2 & 0b11
-    if byte2 & 0x80 or byte2 & 0x40 or byte2 & 0x04:
-        raise IphcError("context-based compression unsupported")
-
-    offset = 2
-    traffic_class = flow_label = 0
-    if tf_mode == 0b00:
-        _need(data, offset, 4)
-        combined = int.from_bytes(data[offset : offset + 4], "big")
-        traffic_class = (combined >> 20) & 0xFF
-        flow_label = combined & 0xFFFFF
-        offset += 4
-    elif tf_mode != 0b11:
-        raise IphcError(f"TF mode {tf_mode} unsupported")
-
-    next_header = NEXT_HEADER_UDP
-    if not udp_nhc:
-        _need(data, offset, 1)
-        next_header = data[offset]
-        offset += 1
-
-    hlim_values = {0b01: 1, 0b10: 64, 0b11: 255}
-    if hlim_mode == 0b00:
-        _need(data, offset, 1)
-        hop_limit = data[offset]
-        offset += 1
+    iphc_end, nhc_end = _walk(data)
+    src, dst, next_header, hop_limit, traffic_class, flow_label = _parse_header(
+        bytes(data[:iphc_end]), src_mac, dst_mac
+    )
+    if nhc_end == iphc_end:
+        payload = bytes(data[iphc_end:])
     else:
-        hop_limit = hlim_values[hlim_mode]
-
-    src, offset = _decompress_unicast(sam, data, offset, src_mac)
-    if multicast:
-        dst, offset = _decompress_multicast(dam, data, offset)
-    else:
-        dst, offset = _decompress_unicast(dam, data, offset, dst_mac)
-
-    if udp_nhc:
-        datagram, checksum = _decompress_udp(data, offset)
-        payload = datagram.encode_with_checksum(bytes(checksum))
-    else:
-        payload = bytes(data[offset:])
+        ports_mode = data[iphc_end] & 0b11
+        at = iphc_end + 1
+        if ports_mode == 0b00:
+            src_port, dst_port = _PORTS.unpack_from(data, at)
+        elif ports_mode == 0b01:
+            (src_port,) = _PORT.unpack_from(data, at)
+            dst_port = 0xF000 | data[at + 2]
+        elif ports_mode == 0b10:
+            src_port = 0xF000 | data[at]
+            (dst_port,) = _PORT.unpack_from(data, at + 1)
+        else:
+            src_port = 0xF0B0 | (data[at] >> 4)
+            dst_port = 0xF0B0 | (data[at] & 0xF)
+        length = 6 + len(data) - nhc_end  # 8 header bytes, 2 of them inline
+        if length > 0xFFFF:
+            raise IphcError("UDP datagram too long")
+        # The checksum carried inline is spliced back in, not recomputed:
+        # the pseudo-header inputs did not change on the hop.
+        payload = _UDP_PORTS_LENGTH.pack(src_port, dst_port, length) + data[nhc_end:]
     return Ipv6Packet(
-        src=src,
-        dst=dst,
-        payload=payload,
-        next_header=next_header,
-        hop_limit=hop_limit,
-        traffic_class=traffic_class,
-        flow_label=flow_label,
+        src, dst, payload, next_header, hop_limit, traffic_class, flow_label
     )

@@ -43,13 +43,15 @@ class RadioLink:
             raise ValueError(f"loss must be in [0,1), got {self.loss}")
 
 
-@dataclass
+@dataclass(slots=True)
 class _Transmission:
     src: str
     dst: str
     frame: bytes
     metadata: dict
     attempts_left: int
+    #: Channel time of one attempt, the same for every retry.
+    airtime: float
 
 
 class RadioMedium:
@@ -177,14 +179,14 @@ class RadioMedium:
         if link is None:
             raise ValueError(f"no radio link {src!r} -> {dst!r}")
         transmission = _Transmission(
-            src, dst, frame, metadata, attempts_left=self.l2_retries + 1
+            src, dst, frame, metadata, self.l2_retries + 1,
+            self.airtime(len(frame)),
         )
         self._schedule_attempt(transmission, link)
 
     def _schedule_attempt(self, transmission: _Transmission, link: RadioLink) -> None:
         start = max(self.sim.now, self._busy_until)
-        duration = self.airtime(len(transmission.frame))
-        self._busy_until = start + duration
+        self._busy_until = start + transmission.airtime
         self.sim.schedule_at(
             self._busy_until, self._complete_attempt, transmission, link
         )

@@ -60,7 +60,6 @@ class Network:
             mac=0x0200_0000_0000_1000 | iid,
             medium=self.medium if wireless else None,
         )
-        node._neighbour_names = {}
         self.nodes[name] = node
         return node
 

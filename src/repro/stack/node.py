@@ -5,16 +5,16 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.lowpan import LowpanAdaptation, MacFrame
+from repro.net.ipv6 import Ipv6Packet, canonical_address, is_multicast
+from repro.net.udp import UdpDatagram
+from repro.sim.core import Simulator
+from repro.sim.medium import RadioMedium
 
 #: IEEE 802.15.4 broadcast address (16-bit 0xFFFF, widened here).
 BROADCAST_MAC = 0xFFFF
 
 #: IANA dynamic/private port range used for ephemeral allocation.
 EPHEMERAL_PORT_RANGE = (49152, 65535)
-from repro.net.ipv6 import Ipv6Packet, canonical_address, is_multicast
-from repro.net.udp import UdpDatagram
-from repro.sim.core import Simulator
-from repro.sim.medium import RadioMedium
 
 
 class StackError(Exception):
@@ -54,7 +54,7 @@ class UdpSocket:
             dst_addr,
             datagram.encode(self.node.address, dst_addr),
         )
-        self.node.send_packet(packet, dict(metadata or {}))
+        self.node.send_packet(packet, metadata or {})
 
     def close(self) -> None:
         self.node._sockets.pop(self.port, None)
@@ -83,6 +83,9 @@ class Node:
         self.default_route: Optional[str] = None
         #: neighbour address -> (is_wireless, mac or peer node)
         self._neighbours: Dict[str, Tuple[bool, object]] = {}
+        #: neighbour address -> the name its radio interface is
+        #: registered under (filled in by the network object).
+        self._neighbour_names: Dict[str, str] = {}
         self._ephemeral_port = EPHEMERAL_PORT_RANGE[0]
         #: Multicast groups this node has joined (ff02::/16 link scope).
         self.multicast_groups: set = set()
@@ -142,6 +145,10 @@ class Node:
 
     def send_packet(self, packet: Ipv6Packet, metadata: dict) -> None:
         """Route *packet* out of this node (also used when forwarding)."""
+        # The one defensive copy per packet per hop: the caller's dict
+        # (a socket user's, or the one the previous hop put on the air)
+        # is never handed on. The fragments of a packet share the copy.
+        metadata = dict(metadata)
         if packet.dst == self.address:
             self._deliver(packet, metadata)
             return
@@ -156,16 +163,13 @@ class Node:
             next_mac = info
             frames = self.lowpan.packet_to_frames(packet, next_mac)
             neighbour_name = self._neighbour_name(next_hop)
-            # One defensive copy per packet per hop; the fragments of a
-            # packet share it (nothing downstream mutates metadata).
-            frame_metadata = dict(metadata)
             for frame in frames:
                 self.medium.transmit(
-                    self.name, neighbour_name, frame.encode(), frame_metadata
+                    self.name, neighbour_name, frame.encode(), metadata
                 )
         else:
             peer, latency = info
-            self.sim.schedule(latency, peer._receive_packet, packet, dict(metadata))
+            self.sim.schedule(latency, peer._receive_packet, packet, metadata)
 
     def _send_multicast(self, packet: Ipv6Packet, metadata: dict) -> None:
         """Broadcast a link-scope multicast packet to all neighbours."""
@@ -180,17 +184,13 @@ class Node:
             raise StackError(f"{self.name} has no radio for multicast")
         frames = self.lowpan.packet_to_frames(packet, BROADCAST_MAC)
         for frame in frames:
-            self.medium.broadcast(self.name, frame.encode(), dict(metadata))
+            self.medium.broadcast(self.name, frame.encode(), metadata)
 
     def _neighbour_name(self, address: str) -> str:
-        # Radio interfaces are registered under node names; the network
-        # object fills this mapping in.
         name = self._neighbour_names.get(address)
         if name is None:
             raise StackError(f"{self.name}: unknown neighbour {address}")
         return name
-
-    _neighbour_names: Dict[str, str]
 
     # -- receiving ------------------------------------------------------------
 

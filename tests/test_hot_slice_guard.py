@@ -87,6 +87,24 @@ def test_answered_exchange_path_makes_no_message_copies():
     assert client["DocClient._send"] == 1  # the Echo retry
 
 
+def test_hop_path_keeps_only_its_deliberate_slices():
+    """6LoWPAN and UDP parse their fixed headers with one ``Struct``;
+    what is still sliced is the header that keys the parse memo, the
+    payload tails, the fragment chunks and (on a memo miss only) the
+    inline addresses."""
+    slices = _load_guard().inventory()["slices"]
+    assert slices["repro/lowpan/adaptation.py"] == {}
+    assert slices["repro/lowpan/fragmentation.py"] == {
+        "Fragmenter.fragment": 2,  # the FRAG1 chunk, the FRAGN chunks
+        "Reassembler.push": 2,  # the chunk behind either header
+    }
+    assert slices["repro/net/udp.py"] == {"UdpDatagram.decode": 1}
+    iphc = slices["repro/lowpan/iphc.py"]
+    assert iphc["compress"] == 1  # checksum and payload behind the NHC
+    assert iphc["decompress"] == 3  # header (memo key), two payload tails
+    assert sum(iphc.values()) <= 8  # 18 before the hop-path rewrite
+
+
 def test_copy_counter_sees_bare_and_method_calls(tmp_path):
     guard = _load_guard()
     source = tmp_path / "sample.py"

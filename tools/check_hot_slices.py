@@ -5,7 +5,8 @@ no new message copies on the CoAP exchange path.
 The decode hot paths parse with ``struct.unpack_from``, index
 arithmetic, and :class:`repro.net.buffers.BufReader` cursors; every
 ``data[a:b]`` slice of a bytes-like object allocates a copy, and PR 6
-removed most of them. The answered CoAP exchange builds each message
+removed most of them; PR 14 did the same for the 6LoWPAN hop path
+(IPHC, fragmentation, the adaptation layer, UDP). The answered CoAP exchange builds each message
 once; every ``dataclasses.replace`` / ``with_option`` /
 ``with_uint_option`` / ``without_option`` call constructs another
 :class:`~repro.coap.message.CoapMessage`, and PR 13 took them off that
@@ -39,7 +40,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 ALLOWLIST = Path(__file__).with_name("hot_slice_allowlist.json")
 
-#: The codec and AES-CCM modules whose slice counts are ratcheted.
+#: The codec, AES-CCM and 6LoWPAN hop-path modules whose slice counts
+#: are ratcheted.
 HOT_MODULES = [
     "repro/cborlib/decoder.py",
     "repro/coap/message.py",
@@ -50,9 +52,12 @@ HOT_MODULES = [
     "repro/dns/name.py",
     "repro/dns/rdata.py",
     "repro/dtls/record.py",
+    "repro/lowpan/adaptation.py",
+    "repro/lowpan/fragmentation.py",
     "repro/lowpan/ieee802154.py",
     "repro/lowpan/iphc.py",
     "repro/net/buffers.py",
+    "repro/net/udp.py",
     "repro/oscore/option.py",
     "repro/oscore/protect.py",
 ]
