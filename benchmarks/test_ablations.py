@@ -19,9 +19,9 @@ from repro.coap import CoapCache, CoapMessage, Code, cache_key_for
 from repro.coap.proxy import ForwardProxy
 from repro.dns import RecordType, RecursiveResolver, Zone, make_query
 from repro.doc import CachingScheme, DocClient, DocServer
-from repro.experiments import ExperimentConfig, run_resolution_experiment
 from repro.oscore import SecurityContext
 from repro.oscore.cacheable import derive_deterministic_context
+from repro.scenarios import Scenario, ScenarioRunner, WorkloadSpec
 from repro.sim import Simulator
 from repro.stack import build_figure2_topology
 
@@ -61,11 +61,15 @@ def test_ablation_method_choice(benchmark):
     """FETCH allows proxy caching; POST forces every query upstream."""
 
     def run(method: Code):
-        config = ExperimentConfig(
-            transport="coap", method=method, num_queries=40, num_names=8,
-            records_per_name=4, ttl=(30, 30), use_proxy=True, seed=13,
-        )
-        return run_resolution_experiment(config)
+        return ScenarioRunner().run(Scenario(
+            transport="coap",
+            method=method,
+            workload=WorkloadSpec(
+                num_queries=40, num_names=8, records_per_name=4, ttl=(30, 30)
+            ),
+            use_proxy=True,
+            seed=13,
+        ))
 
     fetch = benchmark(run, Code.FETCH)
     post = run(Code.POST)
@@ -139,12 +143,16 @@ def test_ablation_caching_scheme_revalidation(benchmark):
     """EOL TTLs revalidations succeed under TTL churn; DoH-like fail."""
 
     def run(scheme: CachingScheme):
-        config = ExperimentConfig(
-            transport="coap", num_queries=50, num_names=8,
-            records_per_name=4, ttl=(2, 8), use_proxy=True,
-            client_coap_cache=True, scheme=scheme, seed=9,
-        )
-        result = run_resolution_experiment(config)
+        result = ScenarioRunner().run(Scenario(
+            transport="coap",
+            workload=WorkloadSpec(
+                num_queries=50, num_names=8, records_per_name=4, ttl=(2, 8)
+            ),
+            use_proxy=True,
+            client_coap_cache=True,
+            scheme=scheme,
+            seed=9,
+        ))
         validations = sum(
             1 for e in result.client_events if e.kind == "validation"
         )

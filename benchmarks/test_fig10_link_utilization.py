@@ -5,18 +5,17 @@ from dataclasses import replace
 import pytest
 
 from repro.doc import CachingScheme
-from repro.experiments import ExperimentConfig, run_resolution_experiment
+from repro.scenarios import Scenario, ScenarioRunner, TopologySpec, WorkloadSpec
 
 from conftest import print_rows
 
-BASE = ExperimentConfig(
+BASE = Scenario(
     transport="coap",
-    num_queries=50,
-    num_names=8,
-    records_per_name=4,
-    ttl=(2, 8),
+    topology=TopologySpec(loss=0.05),
+    workload=WorkloadSpec(
+        num_queries=50, num_names=8, records_per_name=4, ttl=(2, 8)
+    ),
     seed=10,
-    loss=0.05,
 )
 
 
@@ -27,7 +26,7 @@ def _grid():
         for client_coap in (False, True):
             for client_dns in (False, True):
                 for scheme in (CachingScheme.DOH_LIKE, CachingScheme.EOL_TTLS):
-                    config = replace(
+                    scenario = replace(
                         BASE,
                         use_proxy=use_proxy,
                         client_coap_cache=client_coap,
@@ -35,7 +34,7 @@ def _grid():
                         scheme=scheme,
                     )
                     key = (use_proxy, client_coap, client_dns, scheme.value)
-                    results[key] = run_resolution_experiment(config)
+                    results[key] = ScenarioRunner().run(scenario)
     return results
 
 
@@ -46,7 +45,7 @@ def grid():
 
 def test_fig10_link_utilization(grid, benchmark):
     benchmark(
-        run_resolution_experiment,
+        ScenarioRunner().run,
         replace(BASE, use_proxy=True, scheme=CachingScheme.EOL_TTLS),
     )
 

@@ -7,19 +7,17 @@ import pytest
 from repro.coap.codes import Code
 from repro.coap.reliability import ReliabilityParams
 from repro.doc import CachingScheme
-from repro.experiments import ExperimentConfig, run_resolution_experiment
+from repro.scenarios import Scenario, ScenarioRunner, TopologySpec, WorkloadSpec
 
 from conftest import print_rows
 
-BASE = ExperimentConfig(
+BASE = Scenario(
     transport="coap",
-    num_queries=50,
-    num_names=8,
-    records_per_name=4,
-    ttl=(2, 8),
+    topology=TopologySpec(loss=0.3, l2_retries=1),
+    workload=WorkloadSpec(
+        num_queries=50, num_names=8, records_per_name=4, ttl=(2, 8)
+    ),
     seed=11,
-    loss=0.3,
-    l2_retries=1,
     client_coap_cache=True,
 )
 
@@ -36,7 +34,7 @@ def _run(scenario: str, method: Code):
     if method == Code.POST:
         # POST responses are not cacheable; client CoAP caches are moot.
         config = replace(config, client_coap_cache=False)
-    return run_resolution_experiment(config)
+    return ScenarioRunner().run(config)
 
 
 @pytest.fixture(scope="module")

@@ -4,24 +4,21 @@ from dataclasses import replace
 
 import pytest
 
-from repro.experiments import ExperimentConfig, run_resolution_experiment
 from repro.experiments.metrics import percentile
+from repro.scenarios import Scenario, ScenarioRunner, TopologySpec
 
 from conftest import print_rows
 
-BASE = ExperimentConfig(
+BASE = Scenario(
     transport="coap",
-    num_queries=50,
-    num_names=50,
+    topology=TopologySpec(loss=0.2, l2_retries=1),
     seed=12,
-    loss=0.2,
-    l2_retries=1,
     run_duration=400.0,
 )
 
 
 def _run(block_size):
-    return run_resolution_experiment(replace(BASE, block_size=block_size))
+    return ScenarioRunner().run(replace(BASE, block_size=block_size))
 
 
 @pytest.fixture(scope="module")

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.experiments import ExperimentConfig, run_resolution_experiment
+from repro.api import RunSpec, run
 from repro.experiments.metrics import fraction_below, percentile
+from repro.scenarios import Scenario, TopologySpec, WorkloadSpec
 
 from conftest import print_rows
 
@@ -19,19 +20,20 @@ L2_RETRIES = 1
 REPETITIONS = 3
 
 
-def _run(transport, rtype_name, seed=1):
+def _run(transport, rtype_name, seed=1, repeats=1):
+    """The raw result of one run — or, with *repeats*, the list of the
+    repetitions' results (seeds spaced ``seed + 1000·k``)."""
     from repro.dns import RecordType
 
-    config = ExperimentConfig(
+    rtype = RecordType.AAAA if rtype_name == "AAAA" else RecordType.A
+    scenario = Scenario(
         transport=transport,
-        rtype=RecordType.AAAA if rtype_name == "AAAA" else RecordType.A,
-        num_queries=50,
-        loss=LOSS,
-        l2_retries=L2_RETRIES,
+        topology=TopologySpec(loss=LOSS, l2_retries=L2_RETRIES),
+        workload=WorkloadSpec(num_queries=50, rtype_mix=((int(rtype), 1.0),)),
         seed=seed,
         run_duration=300.0,
     )
-    return run_resolution_experiment(config)
+    return run(RunSpec.from_scenario(scenario, repeats=repeats)).raw
 
 
 class _Pooled:
@@ -55,10 +57,7 @@ def results():
     for rtype in ("A", "AAAA"):
         for transport in ("udp", "dtls", "coap", "coaps", "oscore"):
             out[(transport, rtype)] = _Pooled(
-                [
-                    _run(transport, rtype, seed=1 + 1000 * rep)
-                    for rep in range(REPETITIONS)
-                ]
+                _run(transport, rtype, repeats=REPETITIONS)
             )
     return out
 

@@ -8,12 +8,8 @@ times, link-layer footprints, and the Figure 6 packet dissection.
 Run:  python examples/secure_transports.py
 """
 
-from repro.experiments import (
-    ExperimentConfig,
-    dissect_all,
-    percentile,
-    run_resolution_experiment,
-)
+from repro.api import run
+from repro.experiments import dissect_all
 
 
 def main() -> None:
@@ -34,16 +30,14 @@ def main() -> None:
     print("\n=== Resolution times, 50 queries at lambda=5/s (Figure 7) ===")
     print(f"{'transport':8s} {'success':>8s} {'median':>9s} {'p95':>9s} {'max':>9s}")
     for transport in ("udp", "dtls", "coap", "coaps", "oscore"):
-        config = ExperimentConfig(
-            transport=transport, num_queries=50, loss=0.15, l2_retries=1, seed=1
-        )
-        result = run_resolution_experiment(config)
-        times = result.resolution_times
+        metrics = run(
+            f"transport={transport},queries=50,loss=0.15,retries=1,seed=1"
+        ).metrics
         print(
-            f"{transport:8s} {result.success_rate:8.2f} "
-            f"{percentile(times, 50) * 1000:8.1f}m "
-            f"{percentile(times, 95) * 1000:8.1f}m "
-            f"{max(times):8.2f}s"
+            f"{transport:8s} {metrics['queries.success_rate']:8.2f} "
+            f"{metrics['latency.p50_ms']:8.1f}m "
+            f"{metrics['latency.p95_ms']:8.1f}m "
+            f"{metrics['latency.max_ms'] / 1000:8.2f}s"
         )
 
 

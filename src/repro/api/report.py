@@ -2,9 +2,11 @@
 
 One :class:`Report` describes the outcome of one run regardless of the
 substrate that produced it: a discrete-event simulation
-(:class:`~repro.scenarios.ScenarioRunner`), or a wall-clock
-serve+loadtest pairing (:mod:`repro.live`). Metric names are **stable
-dotted identifiers** shared by both substrates:
+(:class:`~repro.scenarios.ScenarioRunner`), a wall-clock serve+load
+pairing (:mod:`repro.live`), or an aggregate fleet pass
+(:mod:`repro.fleet`). Metric names are **stable dotted identifiers**
+shared by every substrate, and emitted for all of them by one
+function, :func:`common_vocabulary`:
 
 ``queries.*``
     ``issued``, ``succeeded``, ``failed``, ``timeouts``,
@@ -45,8 +47,8 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence
 
 #: Schema version shared by every JSON document the toolkit emits
-#: (unified Reports, the loadgen report, ``experiment --sweep --json``,
-#: and ``repro.perf`` reports). Bump on breaking changes. Version 2
+#: (unified Reports, the loadgen report, ``sweep --json``, and
+#: ``repro.perf`` reports). Bump on breaking changes. Version 2
 #: introduced the unified Report; version 1 was the loadgen-only report.
 REPORT_VERSION = 2
 
@@ -127,16 +129,129 @@ def latency_metrics(latencies_s: Sequence[float]) -> Dict[str, Optional[float]]:
     }
 
 
-def _cache_location_metrics(prefix: str, stats) -> Dict[str, object]:
-    """One location's :data:`CACHE_METRICS` from a ``CacheStats``-like
-    object (attribute access) or a plain mapping."""
-    values: Dict[str, object] = {}
-    for key in CACHE_METRICS:
-        if isinstance(stats, dict):
-            values[f"{prefix}.{key}"] = stats.get(key, 0)
-        else:
-            values[f"{prefix}.{key}"] = getattr(stats, key)
-    return values
+def pooled_cache_stats(blocks):
+    """Cache counters from many sources pooled into one
+    :class:`~repro.cache.CacheStats` via its ``merge``.
+
+    A block is a ``CacheStats`` or a plain counter mapping (the loadgen
+    and fleet vocabularies; ratio entries in a mapping are ignored —
+    ratios are only ever read back off the pooled object's properties).
+    """
+    from dataclasses import fields
+
+    from repro.cache import CacheStats
+
+    pooled = CacheStats()
+    for block in blocks:
+        if not isinstance(block, CacheStats):
+            block = CacheStats(**{
+                spec.name: block.get(spec.name, 0)
+                for spec in fields(CacheStats)
+            })
+        pooled.merge(block)
+    return pooled
+
+
+def pooled_caches(runs) -> Dict[str, object]:
+    """The ``{location: block}`` cache mappings of many runs pooled
+    per location (:func:`pooled_cache_stats`), location names
+    normalized (``client-dns`` → ``client_dns``)."""
+    by_location: Dict[str, list] = {}
+    for caches in runs:
+        for location, block in caches.items():
+            by_location.setdefault(
+                location.replace("-", "_"), []
+            ).append(block)
+    return {
+        location: pooled_cache_stats(blocks)
+        for location, blocks in by_location.items()
+    }
+
+
+def cache_metrics(stats, prefix: str = "") -> Dict[str, object]:
+    """One location's :data:`CACHE_METRICS` read off a ``CacheStats``:
+    its counters, and the ratios as its properties define them."""
+    return {f"{prefix}{key}": getattr(stats, key) for key in CACHE_METRICS}
+
+
+def tally_outcomes(outcomes):
+    """Walk one run's query outcomes (``issued_at`` /
+    ``resolution_time`` / ``error`` rows, the sim and fleet vocabulary).
+
+    Returns ``(succeeded, timeouts, rcode_failures, qps)``. Every run
+    restarts its clock, so throughput is derived per run — successes
+    over the span from the first issue to the last success — and
+    averaged across repeats by :func:`common_vocabulary`, the same
+    aggregation the live substrate applies to its per-repeat achieved
+    qps.
+    """
+    succeeded = timeouts = rcode_failures = 0
+    first_issue: Optional[float] = None
+    last_done: Optional[float] = None
+    for outcome in outcomes:
+        if outcome.resolution_time is not None:
+            succeeded += 1
+            done = outcome.issued_at + outcome.resolution_time
+            last_done = done if last_done is None else max(last_done, done)
+        elif outcome.error:
+            kind = _classify_error(outcome.error)
+            if kind == "timeout":
+                timeouts += 1
+            elif kind == "rcode":
+                rcode_failures += 1
+        if first_issue is None or outcome.issued_at < first_issue:
+            first_issue = outcome.issued_at
+    span = (
+        last_done - first_issue
+        if last_done is not None and first_issue is not None
+        else 0.0
+    )
+    return (
+        succeeded, timeouts, rcode_failures,
+        succeeded / span if span > 0 else 0.0,
+    )
+
+
+def common_vocabulary(
+    *,
+    issued: int,
+    succeeded: int,
+    failed: int,
+    timeouts: int,
+    rcode_failures: int,
+    latency: Dict[str, Optional[float]],
+    qps_values: Sequence[float],
+    caches: Dict[str, object],
+) -> Dict[str, object]:
+    """The substrate-agnostic vocabulary, emitted in one place.
+
+    ``queries.*`` from the pooled counters (the success rate is over
+    completed queries), ``latency.*`` as given (see
+    :func:`latency_metrics`), ``throughput.qps`` as the mean of the
+    per-repeat rates, and ``cache.<location>.*`` for the client-side
+    locations among the pooled ``CacheStats`` in *caches* (keyed by
+    normalized location) — what only one substrate can see (the
+    simulator's resolver and proxy) is that substrate's to namespace.
+    """
+    completed = succeeded + failed
+    metrics: Dict[str, object] = {
+        "queries.issued": issued,
+        "queries.succeeded": succeeded,
+        "queries.failed": failed,
+        "queries.timeouts": timeouts,
+        "queries.rcode_failures": rcode_failures,
+        "queries.success_rate": succeeded / completed if completed else 0.0,
+    }
+    metrics.update(latency)
+    metrics["throughput.qps"] = (
+        round(sum(qps_values) / len(qps_values), 3) if qps_values else 0.0
+    )
+    for location in sorted(caches):
+        if location in CLIENT_CACHE_LOCATIONS:
+            metrics.update(
+                cache_metrics(caches[location], f"cache.{location}.")
+            )
+    return metrics
 
 
 @dataclass
@@ -147,9 +262,10 @@ class Report:
     :class:`~repro.api.spec.RunSpec` that produced the run; ``metrics``
     maps the stable dotted names documented in the module docstring to
     scalars. ``raw`` keeps the substrate-native result object (an
-    :class:`~repro.experiments.resolution.ExperimentResult`, a list of
-    them, or the loadgen dict) for Python callers — it is never
-    serialised and does not participate in equality.
+    :class:`~repro.scenarios.runner.ExperimentResult` or
+    :class:`~repro.fleet.engine.FleetResult`, a list of them, or the
+    loadgen dict) for Python callers — it is never serialised and does
+    not participate in equality.
     """
 
     substrate: str
@@ -251,12 +367,10 @@ def report_from_experiment_result(
 ) -> Report:
     """Build the unified Report from simulation output.
 
-    *results* is one :class:`~repro.experiments.resolution.ExperimentResult`
+    *results* is one :class:`~repro.scenarios.runner.ExperimentResult`
     or a list of them (repeated runs pool their samples: latencies and
     counters aggregate, cache stats merge per location).
     """
-    from repro.cache import CacheStats
-
     single = not isinstance(results, (list, tuple))
     pooled = [results] if single else list(results)
     if not pooled:
@@ -270,68 +384,32 @@ def report_from_experiment_result(
         "bytes_1hop": 0, "bytes_2hop": 0,
         "queries_frames": 0, "responses_frames": 0,
     }
-    cache_pool: Dict[str, CacheStats] = {}
     for result in pooled:
+        run_ok, run_timeouts, run_rcode, qps = tally_outcomes(result.outcomes)
         issued += len(result.outcomes)
-        run_succeeded = 0
-        # Every repetition restarts the simulated clock, so throughput
-        # must be derived per run (first arrival -> last success) and
-        # averaged — the same aggregation the live substrate applies to
-        # its per-repeat achieved qps.
-        first_issue: Optional[float] = None
-        last_done: Optional[float] = None
-        for outcome in result.outcomes:
-            if outcome.resolution_time is not None:
-                run_succeeded += 1
-                latencies.append(outcome.resolution_time)
-                done = outcome.issued_at + outcome.resolution_time
-                last_done = done if last_done is None else max(last_done, done)
-            elif outcome.error:
-                kind = _classify_error(outcome.error)
-                if kind == "timeout":
-                    timeouts += 1
-                elif kind == "rcode":
-                    rcode_failures += 1
-            if first_issue is None or outcome.issued_at < first_issue:
-                first_issue = outcome.issued_at
-        succeeded += run_succeeded
-        span = (
-            last_done - first_issue
-            if last_done is not None and first_issue is not None
-            else 0.0
-        )
-        qps_values.append(run_succeeded / span if span > 0 else 0.0)
+        succeeded += run_ok
+        timeouts += run_timeouts
+        rcode_failures += run_rcode
+        latencies.extend(result.resolution_times)
+        qps_values.append(qps)
         for key in link_totals:
             link_totals[key] += getattr(result.link, key)
-        for location, stats in result.cache_stats.items():
-            cache_pool.setdefault(
-                location, CacheStats()
-            ).merge(stats)
+    caches = pooled_caches(result.cache_stats for result in pooled)
 
-    metrics: Dict[str, object] = {
-        "queries.issued": issued,
-        "queries.succeeded": succeeded,
-        "queries.failed": issued - succeeded,
-        "queries.timeouts": timeouts,
-        "queries.rcode_failures": rcode_failures,
-        "queries.success_rate": succeeded / issued if issued else 0.0,
-    }
-    metrics.update(latency_metrics(latencies))
-    metrics["throughput.qps"] = round(
-        sum(qps_values) / len(qps_values), 3
+    metrics = common_vocabulary(
+        issued=issued,
+        succeeded=succeeded,
+        failed=issued - succeeded,
+        timeouts=timeouts,
+        rcode_failures=rcode_failures,
+        latency=latency_metrics(latencies),
+        qps_values=qps_values,
+        caches=caches,
     )
-    # Client-side cache locations are the common vocabulary; everything
-    # only the simulator can see (resolver, proxy) is sim-namespaced.
-    for location in sorted(cache_pool):
-        stats = cache_pool[location]
-        normalized = location.replace("-", "_")
-        if normalized in CLIENT_CACHE_LOCATIONS:
+    for location in sorted(caches):
+        if location not in CLIENT_CACHE_LOCATIONS:
             metrics.update(
-                _cache_location_metrics(f"cache.{normalized}", stats)
-            )
-        else:
-            metrics.update(
-                _cache_location_metrics(f"sim.cache.{normalized}", stats)
+                cache_metrics(caches[location], f"sim.cache.{location}.")
             )
     for key, value in link_totals.items():
         metrics[f"sim.link.{key}"] = value
@@ -461,7 +539,6 @@ def report_from_loadgen(
     have_samples = all("latencies_ms" in report for report in pooled)
     elapsed = 0.0
     qps_values: List[float] = []
-    cache_pool: Dict[str, Dict[str, float]] = {}
     for report in pooled:
         for key in counters:
             counters[key] += report[key]
@@ -469,46 +546,25 @@ def report_from_loadgen(
         qps_values.append(report["achieved_qps"])
         if have_samples:
             latencies_ms.extend(report["latencies_ms"])
-        for location, stats in report.get("cache", {}).items():
-            pool = cache_pool.setdefault(location, {})
-            for key in ("hits", "misses", "stale_hits", "validations",
-                        "validation_failures"):
-                pool[key] = pool.get(key, 0) + stats.get(key, 0)
 
-    completed = counters["succeeded"] + counters["failed"]
-    metrics: Dict[str, object] = {
-        "queries.issued": counters["queries"],
-        "queries.succeeded": counters["succeeded"],
-        "queries.failed": counters["failed"],
-        "queries.timeouts": counters["timeouts"],
-        "queries.rcode_failures": counters["rcode_failures"],
-        "queries.success_rate": (
-            counters["succeeded"] / completed if completed else 0.0
-        ),
-    }
     if have_samples:
-        metrics.update(latency_metrics([ms / 1000 for ms in latencies_ms]))
+        latency = latency_metrics([ms / 1000 for ms in latencies_ms])
     else:
         summary = pooled[0]["latency_ms"]
-        for key in LATENCY_METRICS:
-            metrics[f"latency.{key}"] = summary[key.replace("_ms", "")]
-    metrics["throughput.qps"] = (
-        round(sum(qps_values) / len(qps_values), 3) if qps_values else 0.0
+        latency = {
+            f"latency.{key}": summary[key.replace("_ms", "")]
+            for key in LATENCY_METRICS
+        }
+    metrics = common_vocabulary(
+        issued=counters["queries"],
+        succeeded=counters["succeeded"],
+        failed=counters["failed"],
+        timeouts=counters["timeouts"],
+        rcode_failures=counters["rcode_failures"],
+        latency=latency,
+        qps_values=qps_values,
+        caches=pooled_caches(report.get("cache", {}) for report in pooled),
     )
-    for location in sorted(cache_pool):
-        pool = cache_pool[location]
-        hits, misses = pool.get("hits", 0), pool.get("misses", 0)
-        stale = pool.get("stale_hits", 0)
-        validations = pool.get("validations", 0)
-        lookups = hits + misses + stale
-        # Recompute the derived ratios from the pooled counters with
-        # the exact repro.cache.CacheStats definitions (in particular,
-        # validation_ratio is validations *per stale hit*) so sim and
-        # live values of the same metric mean the same thing.
-        pool["hit_ratio"] = hits / lookups if lookups else 0.0
-        pool["stale_ratio"] = stale / lookups if lookups else 0.0
-        pool["validation_ratio"] = validations / stale if stale else 0.0
-        metrics.update(_cache_location_metrics(f"cache.{location}", pool))
 
     first = pooled[0]
     metrics["live.mode"] = first["mode"]

@@ -1,39 +1,32 @@
 """``repro.api.run``: one RunSpec in, one Report out, any substrate.
 
 The sim path compiles the spec to a
-:class:`~repro.scenarios.ScenarioRunner` execution (repeats fan out
-over the :mod:`~repro.scenarios.executors` backends); the live path
-compiles it to a serve+loadtest pairing — a loopback
-:class:`~repro.live.server.DocLiveServer` (or an externally provided
-endpoint) driven by :func:`~repro.live.loadgen.generate_load` through a
-:class:`~repro.live.client.LiveResolver`; the fleet path compiles it to
-a :func:`~repro.fleet.run_fleet` aggregate pass (repeats fan out over
-the same executor backends). All paths emit the same versioned
-:class:`~repro.api.report.Report`.
+:class:`~repro.scenarios.ScenarioRunner` execution; the live path to a
+serve+load pairing (:func:`_live_once` — the only one), a loopback
+server side driven by a load side through
+:class:`~repro.live.client.LiveResolver`, or the load side alone
+against an externally provided endpoint; the fleet path to a
+:func:`~repro.fleet.run_fleet` aggregate pass. Repeats of the sim and
+fleet paths fan out over
+:func:`~repro.scenarios.executors.ordered_map`. All paths emit the
+same versioned :class:`~repro.api.report.Report`.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 from repro.obs.log import get_logger
 
 from .report import Report, report_from_experiment_result, report_from_loadgen
-from .spec import ApiError, RunSpec
+from .spec import RunSpec
 
 _log = get_logger("repro.api.runner")
 
 
-def run(spec: Union[RunSpec, str], *, _config=None) -> Report:
+def run(spec: Union[RunSpec, str]) -> Report:
     """Execute *spec* (a :class:`RunSpec` or a spec string) and return
-    its :class:`~repro.api.report.Report`.
-
-    ``_config`` is the legacy-adapter hook: when
-    :func:`~repro.experiments.resolution.run_resolution_experiment`
-    delegates here it passes its :class:`ExperimentConfig` through so
-    the underlying :class:`ExperimentResult` (``report.raw``) stays
-    bit-identical to the pre-façade output.
-    """
+    its :class:`~repro.api.report.Report`."""
     if isinstance(spec, str):
         spec = RunSpec.from_spec(spec)
     log = _log.bind(
@@ -43,14 +36,10 @@ def run(spec: Union[RunSpec, str], *, _config=None) -> Report:
     )
     log.info("run starting")
     if spec.substrate == "sim":
-        report = _run_sim(spec, _config=_config)
+        report = _run_sim(spec)
     elif spec.substrate == "fleet":
-        if _config is not None:
-            raise ApiError("_config applies to the sim substrate only")
         report = _run_fleet(spec)
     else:
-        if _config is not None:
-            raise ApiError("_config applies to the sim substrate only")
         report = _run_live(spec)
     log.info(
         "run finished",
@@ -63,45 +52,38 @@ def run(spec: Union[RunSpec, str], *, _config=None) -> Report:
     return report
 
 
-def _run_sim(spec: RunSpec, _config=None) -> Report:
-    from repro.scenarios.executors import get_executor
-    from repro.scenarios.runner import ScenarioRunner
+def _run_sim(spec: RunSpec) -> Report:
+    from repro.scenarios.executors import ordered_map
 
-    if spec.repeats == 1:
-        result = ScenarioRunner().run(
-            spec.to_scenario(), _config, frame_capture="records"
-        )
-        return report_from_experiment_result(result, spec=spec.to_dict())
     scenarios = [spec.to_scenario(seed) for seed in spec.repeat_seeds()]
-    results = get_executor(None, spec.workers).map(
-        _run_one_scenario, scenarios
+    results = ordered_map(_run_one_scenario, scenarios, spec.workers)
+    return report_from_experiment_result(
+        results if spec.repeats > 1 else results[0], spec=spec.to_dict()
     )
-    return report_from_experiment_result(results, spec=spec.to_dict())
 
 
 def _run_one_scenario(scenario):
-    """Module-level so the process executor can pickle it."""
+    """Module-level so worker processes can unpickle it."""
     from repro.scenarios.runner import ScenarioRunner
 
-    return ScenarioRunner().run(scenario, frame_capture="counts")
+    return ScenarioRunner().run(scenario)
 
 
 def _run_fleet(spec: RunSpec) -> Report:
-    from repro.fleet import report_from_fleet, run_fleet
-    from repro.scenarios.executors import get_executor
+    from repro.fleet import report_from_fleet
+    from repro.scenarios.executors import ordered_map
 
-    if spec.repeats == 1:
-        result = run_fleet(spec.to_scenario(), spec.fleet)
-        return report_from_fleet(result, spec=spec.to_dict())
     jobs = [
         (spec.to_scenario(seed), spec.fleet) for seed in spec.repeat_seeds()
     ]
-    results = get_executor(None, spec.workers).map(_run_one_fleet, jobs)
-    return report_from_fleet(results, spec=spec.to_dict())
+    results = ordered_map(_run_one_fleet, jobs, spec.workers)
+    return report_from_fleet(
+        results if spec.repeats > 1 else results[0], spec=spec.to_dict()
+    )
 
 
 def _run_one_fleet(job):
-    """Module-level so the process executor can pickle it."""
+    """Module-level so worker processes can unpickle it."""
     from repro.fleet import run_fleet
 
     scenario, options = job
@@ -109,120 +91,106 @@ def _run_one_fleet(job):
 
 
 def _run_live(spec: RunSpec) -> Report:
-    import asyncio
+    """One serve+load pairing per repeat, pooled into one Report.
 
-    if spec.live.serve_workers > 1 or spec.live.load_workers > 1:
-        # The sharded pairing forks worker processes and must own the
-        # process (no surrounding event loop), so it branches before
-        # asyncio.run rather than inside it.
-        from repro.live.workers import run_sharded_spec
-
-        return run_sharded_spec(spec)
-    return asyncio.run(_run_live_async(spec))
-
-
-async def _run_live_async(spec: RunSpec) -> Report:
-    """The serve+loadtest pairing, one pass per repeat.
-
-    Self-serving runs restart the server per repetition so each repeat
-    is an independent measurement (and OSCORE sender sequences restart
-    cleanly, see :class:`~repro.live.client.LiveResolver`).
+    Self-serving runs restart the server side per repetition so each
+    repeat is an independent measurement (and OSCORE sender sequences
+    restart cleanly, see :class:`~repro.live.client.LiveResolver`).
     """
-    reports = []
-    server_stats = None
+    from repro.live.workers import merge_server_stats
+
+    reports, server_blocks = [], []
     for seed in spec.repeat_seeds():
-        report, stats = await _live_once(spec, seed)
+        report, stats = _live_once(spec, seed)
         reports.append(report)
-        server_stats = _merge_server_stats(server_stats, stats)
-    unified = report_from_loadgen(
+        if stats is not None:
+            server_blocks.append(stats)
+    return report_from_loadgen(
         reports if spec.repeats > 1 else reports[0],
         spec=spec.to_dict(),
-        server_stats=server_stats,
+        server_stats=(
+            merge_server_stats(server_blocks) if server_blocks else None
+        ),
     )
-    return unified
 
 
-def _merge_server_stats(merged, stats):
-    """Accumulate per-repeat server counters (each repeat runs a fresh
-    loopback server, so `live.server.*` must sum across them)."""
-    if stats is None:
-        return merged
-    if merged is None:
-        return dict(stats)
-    for key in ("queries_handled", "validations_sent",
-                "datagrams_received", "datagrams_sent"):
-        if key in stats:
-            merged[key] = merged.get(key, 0) + stats[key]
-    cache = stats.get("resolver_cache")
-    if isinstance(cache, dict):
-        pooled = merged.setdefault("resolver_cache", {"hits": 0, "misses": 0})
-        for key in ("hits", "misses"):
-            pooled[key] = pooled.get(key, 0) + cache.get(key, 0)
-        lookups = pooled["hits"] + pooled["misses"]
-        pooled["hit_ratio"] = pooled["hits"] / lookups if lookups else 0.0
-    return merged
+def _live_once(spec: RunSpec, seed: int):
+    """Start the server side, run the load side, collect stats, stop.
 
+    The shape of each side follows from the spec. Server side: none
+    when the spec names an external ``live-host``; one
+    :class:`~repro.live.server.DocLiveServer` on the load's own event
+    loop when both worker counts are 1; else a
+    :class:`~repro.live.workers.ServePool`, which forks and therefore
+    runs outside any event loop. Load side:
+    :func:`~repro.live.workers.load_once` in this process, or
+    :func:`~repro.live.workers.run_distributed_load` over
+    ``load_workers`` processes.
+    """
+    import asyncio
 
-async def _live_once(spec: RunSpec, seed: int):
-    from repro.live.client import LiveResolver
-    from repro.live.loadgen import generate_load
-    from repro.live.server import DocLiveServer
-    from repro.live.wiring import build_names
+    from repro.live.workers import ServePool, load_once, run_distributed_load
 
     scenario = spec.to_scenario(seed)
     workload = scenario.workload
     options = spec.live
-    rate = workload.query_rate
-    duration = workload.num_queries / rate
+    # The zone derives from the run's seed on every serve worker: any
+    # worker must answer any query identically, so the per-worker
+    # decorrelation lives in the load side only.
+    serve = dict(
+        transport=scenario.transport,
+        host="127.0.0.1",
+        port=options.port,
+        num_names=workload.num_names,
+        dataset=options.dataset,
+        name_seed=options.name_seed,
+        ttl=workload.ttl,
+        scheme=scenario.scheme,
+        seed=seed,
+    )
+    load = dict(
+        transport=scenario.transport,
+        scheme=scenario.scheme,
+        cache_placement=spec.client_cache_placement(),
+        block_size=scenario.block_size,
+        timeout=options.timeout,
+        num_names=workload.num_names,
+        dataset=options.dataset,
+        name_seed=options.name_seed,
+        rate=workload.query_rate,
+        duration=workload.num_queries / workload.query_rate,
+        mode=options.mode,
+        concurrency=options.concurrency,
+        seed=seed,
+        workload=workload,
+    )
 
-    server: Optional[DocLiveServer] = None
-    if options.host is None:
-        server = DocLiveServer(
-            transport=scenario.transport,
-            host="127.0.0.1",
-            port=options.port,
-            num_names=workload.num_names,
-            dataset=options.dataset,
-            name_seed=options.name_seed,
-            ttl=workload.ttl,
-            scheme=scenario.scheme,
-            seed=seed,
-        )
-        await server.start()
-        endpoint = server.endpoint
-        names = server.names
-    else:
-        endpoint = (options.host, options.port)
-        names = build_names(
-            workload.num_names,
-            dataset=options.dataset,
-            name_seed=options.name_seed,
-        )
-    try:
-        resolver = LiveResolver(
-            endpoint,
-            transport=scenario.transport,
-            scheme=scenario.scheme,
-            cache_placement=spec.client_cache_placement(),
-            block_size=scenario.block_size,
-            seed=seed + 1,
-            timeout=options.timeout,
-        )
-        async with resolver:
-            report = await generate_load(
-                resolver,
-                names,
-                rate=rate,
-                duration=duration,
-                mode=options.mode,
-                concurrency=options.concurrency,
-                timeout=options.timeout,
-                seed=seed,
-                workload=workload,
-                include_latencies=True,
+    def run_load(endpoint):
+        if options.load_workers > 1:
+            return run_distributed_load(
+                endpoint, workers=options.load_workers, **load
             )
-        stats = server.stats() if server is not None else None
+        return asyncio.run(load_once(dict(load, endpoint=endpoint)))
+
+    if options.host is not None:
+        return run_load((options.host, options.port)), None
+    if options.serve_workers == 1 and options.load_workers == 1:
+        return asyncio.run(_serve_in_loop(serve, load))
+    pool = ServePool(workers=options.serve_workers, **serve)
+    endpoint = pool.start()
+    try:
+        report = run_load(endpoint)
+        return report, pool.drain()
     finally:
-        if server is not None:
-            await server.stop()
-    return report, stats
+        # No-op after a drain; on any error nothing is left running.
+        pool.terminate()
+
+
+async def _serve_in_loop(serve: dict, load: dict):
+    """The single-process pairing: server and load share this loop."""
+    from repro.live.server import DocLiveServer
+    from repro.live.workers import load_once
+
+    async with DocLiveServer(**serve) as server:
+        report = await load_once(dict(load, endpoint=server.endpoint))
+        return report, server.stats()

@@ -94,9 +94,9 @@ class RunSpec:
     """One run, ready for either substrate.
 
     ``seed=None`` defers to the scenario's own seed; an explicit value
-    overrides it (``repeats`` > 1 derives per-repetition seeds the same
-    way :func:`~repro.experiments.resolution.run_repeated` does).
-    ``workers`` fans repeated simulations out over a process pool.
+    overrides it (``repeats`` > 1 derives per-repetition seeds, see
+    :meth:`repeat_seeds`). ``workers`` fans repeated simulations out
+    over a process pool.
     """
 
     scenario: Scenario = field(default_factory=Scenario)
@@ -155,7 +155,8 @@ class RunSpec:
         return self.scenario.with_seed(use)
 
     def repeat_seeds(self) -> list:
-        """Per-repetition seeds (the ``run_repeated`` spacing)."""
+        """Per-repetition seeds, ``seed + 1000·k``: far enough apart
+        that repeats of neighbouring base seeds never share a seed."""
         base = self.effective_seed
         return [base + repetition * 1000 for repetition in range(self.repeats)]
 

@@ -14,15 +14,11 @@ Subcommands
 ``resolve``
     Run a demo resolution over a chosen transport/scenario and print
     timings.
-``experiment``
-    Run a full Figure 7-style experiment — on the default Figure 2
-    setup, on a named/inline scenario (``--scenario``), or as a
-    (transport × topology × loss × cache-placement × scheme) sweep
-    (``--sweep``). ``--cache-placement``/``--cache-scheme`` pick the
-    Section 6.1 caching configuration; with ``--sweep`` they accept
-    comma-separated lists and become grid axes. ``--json`` emits the
-    same unified Report JSON as ``run`` and ``loadtest`` (a sweep
-    emits per-cell Reports keyed by string grid coordinates).
+``sweep``
+    Run a (transport × topology × loss × cache-placement × scheme)
+    grid of simulations over one base scenario spec and print a
+    per-cell table; ``--json`` emits per-cell unified Reports keyed by
+    string grid coordinates. A single Figure 7-style run is ``run``.
 ``memory``
     Print the Figure 5 / Figure 8 build-size tables.
 ``compress``
@@ -56,14 +52,14 @@ Examples
     python -m repro.cli dissect --sweep
     python -m repro.cli resolve --transport coaps --names 5
     python -m repro.cli resolve --scenario three-hop,loss=0.1
-    python -m repro.cli experiment --transport coap --queries 50 --loss 0.2
-    python -m repro.cli experiment --scenario figure7,transport=oscore
-    python -m repro.cli experiment --cache-placement client-coap+proxy \
-        --cache-scheme doh-like
-    python -m repro.cli experiment --sweep --transports udp,coap,oscore \
-        --topologies figure2,one-hop --losses 0.05,0.25 --queries 20
-    python -m repro.cli experiment --sweep --transports coap \
-        --cache-placement none,client-coap,all --cache-scheme doh-like,eol-ttls
+    python -m repro.cli run transport=coap,queries=50,loss=0.2,retries=1
+    python -m repro.cli run figure7,transport=oscore
+    python -m repro.cli run cache=client-coap+proxy,scheme=doh-like
+    python -m repro.cli sweep queries=20,retries=1 \
+        --transports udp,coap,oscore --topologies figure2,one-hop \
+        --losses 0.05,0.25
+    python -m repro.cli sweep queries=20 --transports coap \
+        --cache-placements none,client-coap,all --schemes doh-like,eol-ttls
     python -m repro.cli memory
     python -m repro.cli compress --name device.example.org
 """
@@ -74,33 +70,13 @@ import argparse
 import sys
 from typing import List, Optional
 
-#: Fallbacks for ``experiment`` flags when no ``--scenario`` is given
-#: (flags default to ``None`` so explicit values can override a
-#: scenario's own settings).
-_EXPERIMENT_DEFAULTS = {
-    "transport": "coap",
-    "queries": 50,
-    "loss": 0.15,
-    "l2_retries": 1,
-    "seed": 1,
-}
-
-#: CLI flag → scenario-spec key, shared by ``resolve`` and ``experiment``.
-_FLAG_SPEC_KEYS = {
-    "transport": "transport",
-    "queries": "queries",
-    "loss": "loss",
-    "l2_retries": "retries",
-    "seed": "seed",
-}
-
 
 def _merged_scenario(args: argparse.Namespace, flags, defaults):
     """Scenario from ``--scenario`` (or defaults) with flag overrides.
 
-    *flags* names the argparse attributes to consider; explicit flag
-    values always win, *defaults* fill in only when no ``--scenario``
-    was given.
+    *flags* names the argparse attributes to consider (each is also
+    its scenario-spec key); explicit flag values always win, *defaults*
+    fill in only when no ``--scenario`` was given.
     """
     from repro.scenarios import Scenario, scenario_from_spec
 
@@ -115,7 +91,7 @@ def _merged_scenario(args: argparse.Namespace, flags, defaults):
         if value is None:
             value = defaults.get(flag)
         if value is not None:
-            overrides.append(f"{_FLAG_SPEC_KEYS[flag]}={value}")
+            overrides.append(f"{flag}={value}")
     if overrides:
         scenario = scenario_from_spec(",".join(overrides), base=scenario)
     return scenario
@@ -135,8 +111,7 @@ def _emit_json(payload: dict, dest: str) -> None:
 
 
 def _print_report(report) -> None:
-    """Human summary of a unified Report (shared by ``run`` and
-    ``experiment``)."""
+    """Human summary of a unified Report."""
     metrics = report.metrics
     spec = report.spec
     print(f"substrate:        {report.substrate}")
@@ -263,147 +238,81 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_experiment(args: argparse.Namespace) -> int:
+#: Base-spec keys the grid sets per cell, and the axis flag to use.
+_SWEEP_AXIS_KEYS = {"loss": "--losses", "transport": "--transports"}
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
-    from repro.experiments.metrics import fraction_below, percentile
-    from repro.scenarios import ScenarioRunner, get_topology
+    from repro.api.report import pooled_cache_stats
+    from repro.scenarios import ScenarioRunner, get_topology, scenario_from_spec
 
-    runner = ScenarioRunner()
-    scenario = _merged_scenario(
-        args,
-        flags=("transport", "queries", "loss", "l2_retries", "seed"),
-        defaults=_EXPERIMENT_DEFAULTS,
+    if args.workers is not None and args.workers < 1:
+        print("error: --workers must be >= 1", file=sys.stderr)
+        return 2
+    for part in args.spec.split(","):
+        flag = _SWEEP_AXIS_KEYS.get(part.partition("=")[0].strip())
+        if flag is not None and "=" in part:
+            # The grid overrides it in every cell; a silently ignored
+            # key would read as if it had applied.
+            print(f"error: use {flag} (not {part.strip()!r}) with sweep",
+                  file=sys.stderr)
+            return 2
+    base = scenario_from_spec(args.spec)
+    # Keep sweep cells comparable with single runs: the base's MAC
+    # retry setting applies to every topology preset.
+    topologies = [
+        replace(get_topology(name), l2_retries=base.topology.l2_retries)
+        for name in args.topologies.split(",")
+    ]
+    placements = (
+        args.cache_placements.split(",") if args.cache_placements else None
     )
-
-    if not args.sweep:
-        for flag in ("transports", "topologies", "losses", "workers"):
-            if getattr(args, flag) is not None:
-                print(f"error: --{flag} requires --sweep", file=sys.stderr)
-                return 2
-        for flag in ("cache_placement", "cache_scheme"):
-            value = getattr(args, flag)
-            if value is not None and "," in value:
-                name = flag.replace("_", "-")
-                print(f"error: a comma-separated --{name} list requires "
-                      f"--sweep", file=sys.stderr)
-                return 2
-        overrides = []
-        if args.cache_placement is not None:
-            overrides.append(f"cache={args.cache_placement}")
-        if args.cache_scheme is not None:
-            overrides.append(f"scheme={args.cache_scheme}")
-        if overrides:
-            from repro.scenarios import scenario_from_spec
-
-            scenario = scenario_from_spec(",".join(overrides), base=scenario)
-
-    if args.sweep:
-        if args.loss is not None:
-            print("error: use --losses (not --loss) with --sweep",
-                  file=sys.stderr)
-            return 2
-        if args.transport is not None:
-            print("error: use --transports (not --transport) with --sweep",
-                  file=sys.stderr)
-            return 2
-        transports = (args.transports or "udp,coap,oscore").split(",")
-        losses = [
-            float(value) for value in (args.losses or "0.05,0.25").split(",")
-        ]
-        # Keep sweep cells comparable with single runs: the run's MAC
-        # retry setting applies to every topology preset.
-        topologies = [
-            replace(get_topology(name), l2_retries=scenario.topology.l2_retries)
-            for name in (args.topologies or "figure2,one-hop").split(",")
-        ]
-        placements = (
-            args.cache_placement.split(",") if args.cache_placement else None
-        )
-        schemes = (
-            args.cache_scheme.split(",") if args.cache_scheme else None
-        )
-        sweep = runner.sweep(
-            base=scenario,
-            transports=transports,
-            topologies=topologies,
-            losses=losses,
-            cache_placements=placements,
-            schemes=schemes,
-            workers=args.workers,
-        )
-        if args.json is not None:
-            _emit_json(sweep.to_json(), args.json)
-            return 0
-        cache_axes = placements is not None or schemes is not None
-        header = (f"{'transport':10s} {'topology':14s} {'loss':>5s} "
-                  f"{'success':>8s} {'median':>9s} {'p95':>9s} "
-                  f"{'frames@1hop':>12s}")
-        if cache_axes:
-            header += (f" {'cache':>28s} {'scheme':>9s} "
-                       f"{'hit%':>6s} {'valid':>6s}")
-        print(header)
-        for cell in sweep:
-            metrics = cell.metrics()
-            row = (
-                f"{cell.transport:10s} {cell.topology:14s} {cell.loss:5.2f} "
-                f"{metrics['success_rate']:8.2%} "
-                f"{metrics['median_s'] * 1000:7.1f} ms "
-                f"{metrics['p95_s']:7.2f} s "
-                f"{metrics['frames_1hop']:12d}"
-            )
-            if cache_axes:
-                # Hit ratio over every lookup the clients' caches saw
-                # (client DNS + client CoAP + proxy), and the total
-                # successful revalidations — the Figure 11 events.
-                locations = ("client_dns", "client_coap", "proxy")
-                hits = sum(
-                    metrics.get(f"{loc}_hits", 0) for loc in locations
-                )
-                lookups = hits + sum(
-                    metrics.get(f"{loc}_{kind}", 0)
-                    for loc in locations
-                    for kind in ("stale_hits", "misses")
-                )
-                hit_pct = hits / lookups if lookups else 0.0
-                validations = sum(
-                    metrics.get(f"{loc}_validations", 0) for loc in locations
-                )
-                row += (
-                    f" {cell.placement or '-':>28s} {cell.scheme or '-':>9s} "
-                    f"{hit_pct:6.1%} {validations:6d}"
-                )
-            print(row)
-        return 0
-
-    # The single run flows through the unified façade: the Report is
-    # what --json emits, its raw ExperimentResult what the legacy
-    # human-readable summary is printed from.
-    from repro.api import RunSpec
-    from repro.api import run as api_run
-
-    report = api_run(RunSpec.from_scenario(scenario))
+    schemes = args.schemes.split(",") if args.schemes else None
+    sweep = ScenarioRunner().sweep(
+        base=base,
+        transports=args.transports.split(","),
+        topologies=topologies,
+        losses=[float(value) for value in args.losses.split(",")],
+        cache_placements=placements,
+        schemes=schemes,
+        workers=args.workers,
+    )
     if args.json is not None:
-        _emit_json(report.to_json(), args.json)
+        _emit_json(sweep.to_json(), args.json)
         return 0
-    result = report.raw
-    times = result.resolution_times
-    print(f"transport:        {scenario.transport}")
-    print(f"queries:          {len(result.outcomes)}")
-    print(f"success rate:     {result.success_rate:.2%}")
-    if times:
-        print(f"< 250 ms:         {fraction_below(times, 0.25):.0%}")
-        print(f"median:           {percentile(times, 50) * 1000:.1f} ms")
-        print(f"p95:              {percentile(times, 95):.2f} s")
-        print(f"max:              {max(times):.2f} s")
-    print(f"frames @1hop:     {result.link.frames_1hop}")
-    print(f"frames @2hop:     {result.link.frames_2hop}")
-    for location, stats in sorted(result.cache_stats.items()):
-        print(
-            f"cache {location:12s} hits {stats.hits:4d}  "
-            f"stale {stats.stale_hits:4d}  valid {stats.validations:4d}  "
-            f"hit-ratio {stats.hit_ratio:.0%}"
+    cache_axes = placements is not None or schemes is not None
+    header = (f"{'transport':10s} {'topology':14s} {'loss':>5s} "
+              f"{'success':>8s} {'p50':>10s} {'p95':>10s} "
+              f"{'frames@1hop':>12s}")
+    if cache_axes:
+        header += (f" {'cache':>28s} {'scheme':>9s} "
+                   f"{'hit%':>6s} {'valid':>6s}")
+    print(header)
+    for cell in sweep:
+        metrics = cell.report().metrics
+        p50, p95 = metrics["latency.p50_ms"], metrics["latency.p95_ms"]
+        row = (
+            f"{cell.transport:10s} {cell.topology:14s} {cell.loss:5.2f} "
+            f"{metrics['queries.success_rate']:8.2%} "
+            + (f"{p50:7.1f} ms {p95:7.1f} ms " if p50 is not None
+               else f"{'-':>10s} {'-':>10s} ")
+            + f"{metrics['sim.link.frames_1hop']:12d}"
         )
+        if cache_axes:
+            # Hit ratio over every lookup the clients' caches saw
+            # (client DNS + client CoAP + proxy), and the total
+            # successful revalidations — the Figure 11 events.
+            seen = pooled_cache_stats(
+                stats for location, stats in cell.result.cache_stats.items()
+                if location != "resolver"
+            )
+            row += (
+                f" {cell.placement or '-':>28s} {cell.scheme or '-':>9s} "
+                f"{seen.hit_ratio:6.1%} {seen.validations:6d}"
+            )
+        print(row)
     return 0
 
 
@@ -771,8 +680,8 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
                 stream_close()
     if args.json is not None:
         # The machine-readable output is the unified Report — the same
-        # document `repro run` and `experiment --json` emit — with the
-        # flat loadgen dict available as its raw form.
+        # document `repro run` emits — with the flat loadgen dict
+        # available as its raw form.
         _emit_json(_loadtest_report(args, workload, report).to_json(),
                    args.json)
     else:
@@ -959,59 +868,49 @@ def build_parser() -> argparse.ArgumentParser:
     resolve.add_argument("--seed", type=int, default=None)
     resolve.set_defaults(func=_cmd_resolve)
 
-    experiment = subparsers.add_parser("experiment", help="Figure 7-style run")
-    experiment.add_argument(
-        "--transport", default=None,
-        choices=transport_names(simulatable_only=True),
+    sweep = subparsers.add_parser(
+        "sweep",
+        help="transport × topology × loss × cache grid of simulations",
     )
-    experiment.add_argument(
-        "--scenario", default=None, metavar="SPEC",
-        help="scenario preset/spec, e.g. figure7,transport=oscore",
+    sweep.add_argument(
+        "spec", metavar="SPEC",
+        help="base scenario preset/spec every cell derives from, e.g. "
+             "'queries=20,retries=1' (transport and loss are grid axes)",
     )
-    experiment.add_argument(
-        "--sweep", action="store_true",
-        help="run a transport × topology × loss sweep",
+    sweep.add_argument(
+        "--transports", default="udp,coap,oscore", metavar="LIST",
+        help="comma-separated transports (default udp,coap,oscore)",
     )
-    experiment.add_argument(
-        "--transports", default=None, metavar="LIST",
-        help="sweep: comma-separated transports (default udp,coap,oscore)",
+    sweep.add_argument(
+        "--topologies", default="figure2,one-hop", metavar="LIST",
+        help="comma-separated topology presets (default figure2,one-hop)",
     )
-    experiment.add_argument(
-        "--topologies", default=None, metavar="LIST",
-        help="sweep: comma-separated topology presets "
-             "(default figure2,one-hop)",
+    sweep.add_argument(
+        "--losses", default="0.05,0.25", metavar="LIST",
+        help="comma-separated loss rates (default 0.05,0.25)",
     )
-    experiment.add_argument(
-        "--losses", default=None, metavar="LIST",
-        help="sweep: comma-separated loss rates (default 0.05,0.25)",
+    sweep.add_argument(
+        "--cache-placements", default=None, metavar="LIST",
+        help="comma-separated cache placements to add as a grid axis: "
+             "+-joined locations among client-dns, client-coap, proxy "
+             "(or all/none)",
     )
-    experiment.add_argument(
-        "--cache-placement", default=None, metavar="SPEC",
-        help="cache placement: +-joined locations among client-dns, "
-             "client-coap, proxy (or all/none); with --sweep a "
-             "comma-separated list becomes a grid axis",
+    sweep.add_argument(
+        "--schemes", default=None, metavar="LIST",
+        help="comma-separated TTL handling schemes (doh-like, eol-ttls) "
+             "to add as a grid axis",
     )
-    experiment.add_argument(
-        "--cache-scheme", default=None, metavar="SCHEME",
-        help="TTL handling scheme (doh-like or eol-ttls); with --sweep "
-             "a comma-separated list becomes a grid axis",
-    )
-    experiment.add_argument("--queries", type=int, default=None)
-    experiment.add_argument("--loss", type=float, default=None)
-    experiment.add_argument("--l2-retries", type=int, default=None)
-    experiment.add_argument("--seed", type=int, default=None)
-    experiment.add_argument(
+    sweep.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="sweep: run grid cells on N worker processes "
-             "(default 1 = in-process serial; results are identical)",
+        help="run grid cells on N worker processes "
+             "(default in-process; results are identical)",
     )
-    experiment.add_argument(
+    sweep.add_argument(
         "--json", nargs="?", const="-", default=None, metavar="PATH",
-        help="emit the unified Report JSON instead of the table "
-             "(a sweep emits per-cell Reports keyed by grid "
-             "coordinates; to stdout, or to PATH)",
+        help="emit per-cell unified Report JSON keyed by grid "
+             "coordinates instead of the table (to stdout, or to PATH)",
     )
-    experiment.set_defaults(func=_cmd_experiment)
+    sweep.set_defaults(func=_cmd_sweep)
 
     from repro.live.wiring import DEFAULT_LIVE_PORT, LIVE_TRANSPORTS
 

@@ -2,9 +2,13 @@
 
 * :mod:`repro.experiments.packet_sizes` — byte-exact construction and
   per-layer dissection of the canonical messages (Figures 6, 14);
-* :mod:`repro.experiments.resolution` — the Figure 2 testbed runs
-  behind Figures 7, 10, 11, 15;
-* :mod:`repro.experiments.metrics` — CDFs, quartiles, histograms.
+* :mod:`repro.experiments.metrics` — CDFs, quartiles, histograms;
+* :mod:`repro.experiments.timelines` — the Figure 11 event series.
+
+The testbed runs behind Figures 7, 10, 11, 15 are described by a
+:class:`repro.api.RunSpec` (or a :class:`repro.scenarios.Scenario`)
+and executed by :func:`repro.api.run` /
+:class:`repro.scenarios.ScenarioRunner`.
 """
 
 from .packet_sizes import (
@@ -15,33 +19,17 @@ from .packet_sizes import (
     FRAGMENTATION_LIMIT,
 )
 from .metrics import cdf, percentile, quantiles, summary_stats
-from .resolution import (
-    ExperimentConfig,
-    ExperimentResult,
-    LinkUtilization,
-    QueryOutcome,
-    pooled_resolution_times,
-    run_repeated,
-    run_resolution_experiment,
-)
 from .timelines import TimelinePoint, event_timeline, offsets_in_windows
 
 __all__ = [
-    "ExperimentConfig",
-    "ExperimentResult",
     "FRAGMENTATION_LIMIT",
-    "LinkUtilization",
     "PacketDissection",
-    "QueryOutcome",
     "canonical_messages",
     "cdf",
     "dissect_all",
     "dissect_transport",
     "percentile",
     "quantiles",
-    "run_repeated",
-    "pooled_resolution_times",
-    "run_resolution_experiment",
     "TimelinePoint",
     "event_timeline",
     "offsets_in_windows",

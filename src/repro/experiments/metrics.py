@@ -5,6 +5,23 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 
+def interpolate_sorted(ordered: Sequence[float], position: float) -> float:
+    """The value at fractional index *position* of an already-sorted,
+    non-empty sequence, linearly interpolated between its neighbours.
+
+    The one exact quantile of the toolkit: every caller turns its
+    quantile into a position (``(n - 1) * q / 100`` for a percentile,
+    ``u * (n - 1)`` for an inverse-CDF draw) and sorts at most once.
+    """
+    last = len(ordered) - 1
+    if not last:
+        return ordered[0]
+    lower = int(position)
+    upper = lower + 1 if lower < last else last
+    fraction = position - lower
+    return ordered[lower] * (1 - fraction) + ordered[upper] * fraction
+
+
 def percentile(values: Sequence[float], q: float) -> float:
     """Linear-interpolated percentile, ``q`` in [0, 100]."""
     if not values:
@@ -12,13 +29,7 @@ def percentile(values: Sequence[float], q: float) -> float:
     if not 0 <= q <= 100:
         raise ValueError("q must be in [0, 100]")
     ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    position = (len(ordered) - 1) * q / 100.0
-    lower = int(position)
-    upper = min(lower + 1, len(ordered) - 1)
-    fraction = position - lower
-    return ordered[lower] * (1 - fraction) + ordered[upper] * fraction
+    return interpolate_sorted(ordered, (len(ordered) - 1) * q / 100.0)
 
 
 def quantiles(values: Sequence[float]) -> Tuple[float, float, float]:

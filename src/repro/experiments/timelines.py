@@ -14,7 +14,7 @@ from typing import Dict, List, Tuple
 
 from repro.coap.reliability import ReliabilityParams
 
-from .resolution import ExperimentResult
+from repro.scenarios.runner import ExperimentResult
 
 
 @dataclass(frozen=True)

@@ -131,22 +131,14 @@ class FleetCacheModel:
         """
         scaled: Dict[str, Dict[str, float]] = {}
         for location, stats in self.stats.items():
-            counters = {
+            counters = CacheStats(**{
                 key: int(round(value * scale))
                 for key, value in stats.as_dict().items()
-            }
-            lookups = (
-                counters["hits"] + counters["misses"] + counters["stale_hits"]
+            })
+            scaled[location] = dict(
+                counters.as_dict(),
+                hit_ratio=counters.hit_ratio,
+                stale_ratio=counters.stale_ratio,
+                validation_ratio=counters.validation_ratio,
             )
-            counters["hit_ratio"] = (
-                counters["hits"] / lookups if lookups else 0.0
-            )
-            counters["stale_ratio"] = (
-                counters["stale_hits"] / lookups if lookups else 0.0
-            )
-            counters["validation_ratio"] = (
-                counters["validations"] / counters["stale_hits"]
-                if counters["stale_hits"] else 0.0
-            )
-            scaled[location] = counters
         return scaled

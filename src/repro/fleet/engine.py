@@ -33,9 +33,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.cache import LookupState
-from repro.experiments.resolution import QueryOutcome
 from repro.live.reservoir import LatencyReservoir
-from repro.scenarios.runner import NAME_TEMPLATE
+from repro.scenarios.runner import NAME_TEMPLATE, QueryOutcome
 from repro.scenarios.scenario import Scenario
 from repro.transports.registry import registry
 

@@ -18,8 +18,10 @@ from typing import Dict, List, Optional
 from repro.api.report import (
     Report,
     ReportError,
-    _cache_location_metrics,
+    common_vocabulary,
     latency_metrics,
+    pooled_caches,
+    tally_outcomes,
 )
 
 from .engine import FleetResult
@@ -75,26 +77,14 @@ def report_from_fleet(
     issued = succeeded = timeouts = rcode_failures = 0
     latencies: List[float] = []
     qps_values: List[float] = []
-    cache_totals: Dict[str, Dict[str, float]] = {}
     active_clients = 0
     saturated = False
     for result in pooled:
         plan = result.plan
         scale = plan.query_scale
-        run_succeeded = run_timeouts = run_rcode = 0
-        first_issue: Optional[float] = None
-        last_done: Optional[float] = None
-        for outcome in result.outcomes:
-            if outcome.resolution_time is not None:
-                run_succeeded += 1
-                done = outcome.issued_at + outcome.resolution_time
-                last_done = done if last_done is None else max(last_done, done)
-            elif outcome.error == "TimeoutError":
-                run_timeouts += 1
-            elif outcome.error == "RcodeError":
-                run_rcode += 1
-            if first_issue is None or outcome.issued_at < first_issue:
-                first_issue = outcome.issued_at
+        run_succeeded, run_timeouts, run_rcode, qps = tally_outcomes(
+            result.outcomes
+        )
         run_issued = int(round(len(result.outcomes) * scale))
         run_ok = int(round(run_succeeded * scale))
         run_failed = run_issued - run_ok
@@ -107,56 +97,24 @@ def report_from_fleet(
         timeouts += run_to
         rcode_failures += run_rc
         latencies.extend(result.reservoir.samples)
-        span = (
-            last_done - first_issue
-            if last_done is not None and first_issue is not None
-            else 0.0
-        )
         # The sampled sub-fleet ran at rate × clients/fleet_clients, so
         # its achieved qps scales back up by the client scale.
-        qps_values.append(
-            (run_succeeded / span) * plan.client_scale if span > 0 else 0.0
-        )
-        for location, counters in result.cache_stats.items():
-            totals = cache_totals.setdefault(location, {})
-            for key, value in counters.items():
-                totals[key] = totals.get(key, 0) + value
+        qps_values.append(qps * plan.client_scale)
         active_clients += result.active_clients
         saturated = saturated or result.reservoir.saturated
 
-    metrics: Dict[str, object] = {
-        "queries.issued": issued,
-        "queries.succeeded": succeeded,
-        "queries.failed": issued - succeeded,
-        "queries.timeouts": timeouts,
-        "queries.rcode_failures": rcode_failures,
-        "queries.success_rate": succeeded / issued if issued else 0.0,
-    }
-    metrics.update(latency_metrics(latencies))
-    metrics["throughput.qps"] = round(sum(qps_values) / len(qps_values), 3)
-    for location in sorted(cache_totals):
-        counters = dict(cache_totals[location])
-        # Counters summed across repeats; re-derive the ratios so they
-        # describe the pooled counters, not an average of averages.
-        lookups = (
-            counters.get("hits", 0)
-            + counters.get("misses", 0)
-            + counters.get("stale_hits", 0)
-        )
-        counters["hit_ratio"] = (
-            counters.get("hits", 0) / lookups if lookups else 0.0
-        )
-        counters["stale_ratio"] = (
-            counters.get("stale_hits", 0) / lookups if lookups else 0.0
-        )
-        counters["validation_ratio"] = (
-            counters.get("validations", 0) / counters["stale_hits"]
-            if counters.get("stale_hits") else 0.0
-        )
-        normalized = location.replace("-", "_")
-        metrics.update(
-            _cache_location_metrics(f"cache.{normalized}", counters)
-        )
+    # Counters sum across repeats, so the ratios describe the pooled
+    # counters, not an average of averages.
+    metrics = common_vocabulary(
+        issued=issued,
+        succeeded=succeeded,
+        failed=issued - succeeded,
+        timeouts=timeouts,
+        rcode_failures=rcode_failures,
+        latency=latency_metrics(latencies),
+        qps_values=qps_values,
+        caches=pooled_caches(result.cache_stats for result in pooled),
+    )
 
     head = pooled[0]
     plan = head.plan

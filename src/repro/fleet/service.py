@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
+from repro.experiments.metrics import interpolate_sorted
 from repro.scenarios.scenario import CachingSpec, Scenario
 
 from .options import FleetOptions
@@ -180,7 +181,7 @@ def calibrate(scenario: Scenario, options: FleetOptions) -> Calibration:
     if cached is not None:
         return cached
 
-    result = ScenarioRunner().run(probe, frame_capture="counts")
+    result = ScenarioRunner().run(probe)
     timeouts = rcode = 0
     first: List[float] = []
     rest: List[float] = []
@@ -219,18 +220,6 @@ def _van_der_corput(index: int) -> float:
         value += (n & 1) / denominator
         n >>= 1
     return value
-
-
-def _quantile(sorted_samples: Tuple[float, ...], u: float) -> float:
-    """Linear-interpolated inverse empirical CDF at ``u`` in (0, 1)."""
-    count = len(sorted_samples)
-    if count == 1:
-        return sorted_samples[0]
-    position = u * (count - 1)
-    low = int(position)
-    high = min(low + 1, count - 1)
-    fraction = position - low
-    return sorted_samples[low] * (1 - fraction) + sorted_samples[high] * fraction
 
 
 class ServiceModel:
@@ -290,4 +279,6 @@ class ServiceModel:
         else:
             u = _van_der_corput(self._rest_index)
             self._rest_index += 1
-        return self.OK, _quantile(samples, u)
+        # The inverse empirical CDF at u: the calibration holds its
+        # samples as sorted tuples, so a draw never sorts.
+        return self.OK, interpolate_sorted(samples, u * (len(samples) - 1))

@@ -48,12 +48,12 @@ __all__ = [
     "WorkerPool",
     "WorkerPoolError",
     "derive_worker_seed",
+    "load_once",
     "maybe_install_uvloop",
     "merge_loadgen_reports",
     "merge_server_stats",
     "reuseport_supported",
     "run_distributed_load",
-    "run_sharded_spec",
     "uvloop_available",
 ]
 
@@ -522,8 +522,8 @@ class ServePool(WorkerPool):
         self._final_stats = merge_server_stats(
             stats,
             requested=self.requested_workers,
-            failed_indices=self.failed_workers,
             warning=self.warning,
+            failed_indices=self.failed_workers,
         )
         return self._final_stats
 
@@ -598,82 +598,128 @@ class ServePool(WorkerPool):
         }
 
 
-def merge_server_stats(
-    per_worker: Sequence[Dict[str, object]],
-    requested: int = 1,
-    failed: int = 0,
-    warning: Optional[str] = None,
-    failed_indices: Optional[Sequence[int]] = None,
-) -> Dict[str, object]:
-    """One stats block from N per-worker server stats blocks.
+#: Per-server counters a stats block may carry (DNS-only transports
+#: have no fastpath or validations); present ones sum.
+_SERVER_COUNTERS = (
+    "queries_handled", "validations_sent", "fastpath_hits",
+    "fastpath_misses", "datagrams_received", "datagrams_sent",
+)
 
-    Counters sum, ``io.largest_burst`` takes the max, the resolver
-    cache pools with recomputed hit ratio, and the full per-worker
-    blocks ride along under ``workers`` for drill-down. ``runtime``
-    records the sharding facts the Report surfaces as
-    ``live.workers.*``: requested vs actual worker count, reuseport
-    activity, uvloop, and the fallback warning (or ``None``).
 
-    *failed_indices* names the crashed workers; ``failed_workers``
-    always appears in the merged block (empty on a clean run) so
-    consumers need no existence check, and ``workers_failed`` stays
-    the count for backward compatibility.
-    """
-    failed_list = (
-        [int(i) for i in failed_indices] if failed_indices is not None else []
-    )
-    merged: Dict[str, object] = {
-        "workers_requested": requested,
-        "workers_failed": (
-            len(failed_list) if failed_indices is not None else failed
-        ),
-        "failed_workers": failed_list,
-    }
-    io_merged = {
+def _pooled_block(leaves: Sequence[Dict[str, object]]) -> Dict[str, object]:
+    """The counters of *leaves* (single-server stats blocks) as one."""
+    from repro.api.report import pooled_cache_stats
+
+    pooled: Dict[str, object] = {}
+    io_pooled = {
         "batched": True, "recv_bursts": 0, "largest_burst": 0,
         "recv_errors": 0, "send_buffer_drops": 0, "reuse_port": False,
     }
-    cache = {"hits": 0, "misses": 0}
-    have_cache = False
-    for stats in per_worker:
-        for key in ("queries_handled", "validations_sent",
-                    "fastpath_hits", "fastpath_misses",
-                    "datagrams_received", "datagrams_sent"):
-            if key in stats:
-                merged[key] = merged.get(key, 0) + stats[key]
+    caches = []
+    for stats in leaves:
         for key in ("transport", "endpoint", "names"):
-            if key in stats and key not in merged:
-                merged[key] = stats[key]
+            if key in stats:
+                pooled.setdefault(key, stats[key])
+        for key in _SERVER_COUNTERS:
+            if key in stats:
+                pooled[key] = pooled.get(key, 0) + stats[key]
         io = stats.get("io")
         if isinstance(io, dict):
-            io_merged["batched"] = (
-                io_merged["batched"] and bool(io.get("batched"))
+            io_pooled["batched"] &= bool(io.get("batched"))
+            io_pooled["reuse_port"] |= bool(io.get("reuse_port"))
+            io_pooled["largest_burst"] = max(
+                io_pooled["largest_burst"], io.get("largest_burst", 0)
             )
             for key in ("recv_bursts", "recv_errors", "send_buffer_drops"):
-                io_merged[key] += io.get(key, 0)
-            io_merged["largest_burst"] = max(
-                io_merged["largest_burst"], io.get("largest_burst", 0)
-            )
-            io_merged["reuse_port"] = (
-                io_merged["reuse_port"] or bool(io.get("reuse_port"))
-            )
-            io_merged.setdefault("mmsg", io.get("mmsg"))
-        resolver_cache = stats.get("resolver_cache")
-        if isinstance(resolver_cache, dict):
-            have_cache = True
-            for key in ("hits", "misses"):
-                cache[key] += resolver_cache.get(key, 0)
-    merged["io"] = io_merged
-    if have_cache:
-        lookups = cache["hits"] + cache["misses"]
-        cache["hit_ratio"] = cache["hits"] / lookups if lookups else 0.0
-        merged["resolver_cache"] = cache
-    merged["workers"] = [dict(stats) for stats in per_worker]
+                io_pooled[key] += io.get(key, 0)
+            io_pooled.setdefault("mmsg", io.get("mmsg"))
+        if isinstance(stats.get("resolver_cache"), dict):
+            caches.append(stats["resolver_cache"])
+    pooled["io"] = io_pooled
+    if caches:
+        cache = pooled_cache_stats(caches)
+        pooled["resolver_cache"] = {
+            "hits": cache.hits,
+            "misses": cache.misses,
+            "hit_ratio": cache.hit_ratio,
+        }
+    return pooled
+
+
+def merge_server_stats(
+    blocks: Sequence[Dict[str, object]],
+    requested: Optional[int] = None,
+    warning: Optional[str] = None,
+    failed_indices: Optional[Sequence[int]] = None,
+) -> Dict[str, object]:
+    """One server stats block from many: the only merge, for both axes.
+
+    A block is what one server reports
+    (:meth:`~repro.live.server.DocLiveServer.stats`; a pool worker's
+    carries its ``worker`` index) or the output of an earlier call, so
+    the same function merges across a pool's workers
+    (:meth:`ServePool.drain`) and across the repeats of a run
+    (``repro.api.runner``), and merging ``[a, b]`` then ``c`` equals
+    merging ``[a, b, c]``. Merged blocks are taken apart into their
+    per-worker entries again; every total is recomputed from those.
+
+    Counters sum and the resolver cache pools through
+    ``CacheStats.merge`` (its hit ratio is the pooled object's
+    property). Three kinds of field cannot ride a summed registry
+    snapshot (:func:`repro.obs.merge_snapshots`), which is why the
+    merge works on the stats blocks the pipe and the in-loop server
+    already deliver: ``io.largest_burst`` is a maximum where snapshot
+    gauges sum; ``transport``/``endpoint``/``names``/``io.mmsg`` are
+    facts, kept from the first block that states them; and the
+    ``runtime`` block (``serve_workers`` = distinct worker indices,
+    ``reuseport``, ``uvloop``, ``warning``) describes the pool.
+
+    Pool facts — ``workers_requested``, ``workers_failed`` (sums),
+    ``failed_workers`` (union; always present so consumers need no
+    existence check), the per-worker ``workers`` list (entries of one
+    index sum across repeats) and ``runtime``, the source of the
+    Report's ``live.workers.serve.*`` — appear only when a pool is
+    involved: *requested* given, or any block from a pool or a worker.
+    Repeats of the single in-loop server merge to a plain block.
+    """
+    leaves = [
+        leaf for block in blocks for leaf in block.get("workers", (block,))
+    ]
+    merged = _pooled_block(leaves)
+    by_index: Dict[int, List[Dict[str, object]]] = {}
+    for leaf in leaves:
+        if "worker" in leaf:
+            by_index.setdefault(leaf["worker"], []).append(leaf)
+    if (
+        requested is None and not by_index
+        and not any("runtime" in block for block in blocks)
+    ):
+        return merged
+    failed = {int(index) for index in failed_indices or ()}
+    merged["workers_requested"] = (
+        requested if requested is not None
+        else max(block.get("workers_requested", 0) for block in blocks)
+    )
+    merged["workers_failed"] = len(failed) + sum(
+        block.get("workers_failed", 0) for block in blocks
+    )
+    merged["failed_workers"] = sorted(failed.union(
+        *(block.get("failed_workers", ()) for block in blocks)
+    ))
+    merged["workers"] = [
+        dict(
+            _pooled_block(group), worker=index,
+            uvloop=any(leaf.get("uvloop") for leaf in group),
+        )
+        for index, group in sorted(by_index.items())
+    ]
     merged["runtime"] = {
-        "serve_workers": len(per_worker),
-        "reuseport": bool(io_merged["reuse_port"]),
-        "uvloop": any(s.get("uvloop") for s in per_worker),
-        "warning": warning,
+        "serve_workers": len(by_index),
+        "reuseport": merged["io"]["reuse_port"],
+        "uvloop": any(leaf.get("uvloop") for leaf in leaves),
+        "warning": next(filter(None, [warning] + [
+            block.get("runtime", {}).get("warning") for block in blocks
+        ]), None),
     }
     return merged
 
@@ -687,17 +733,27 @@ def _load_worker_main(index: int, config: dict, conn) -> None:
     _child_setup()
     maybe_install_uvloop()
     try:
-        report = asyncio.run(_load_worker(index, config))
+        report = asyncio.run(load_once(config))
     except Exception as exc:  # noqa: BLE001 - reported over the pipe
         try:
             conn.send(("error", f"{type(exc).__name__}: {exc}"))
         except (BrokenPipeError, OSError):
             pass
         raise SystemExit(1) from exc
+    report["worker"] = index
     conn.send(("report", report))
 
 
-async def _load_worker(index: int, config: dict) -> Dict[str, object]:
+async def load_once(config: dict) -> Dict[str, object]:
+    """One load-generation pass described by *config*: connect a
+    :class:`~repro.live.client.LiveResolver` to ``config["endpoint"]``
+    and drive :func:`~repro.live.loadgen.generate_load` through it.
+
+    *config* carries the keyword set of :func:`run_distributed_load`
+    (minus ``workers``) plus ``endpoint``. Every load worker runs this,
+    and so does the single-process load side of ``repro.api.run`` — one
+    definition of "the load side" for every worker count.
+    """
     from .client import LiveResolver
     from .loadgen import generate_load
     from .wiring import build_names
@@ -719,7 +775,7 @@ async def _load_worker(index: int, config: dict) -> Dict[str, object]:
         timeout=config["timeout"],
     )
     async with resolver:
-        report = await generate_load(
+        return await generate_load(
             resolver,
             names,
             rate=config["rate"],
@@ -732,8 +788,6 @@ async def _load_worker(index: int, config: dict) -> Dict[str, object]:
             include_latencies=True,
             reservoir_capacity=config.get("reservoir_capacity", 4096),
         )
-    report["worker"] = index
-    return report
 
 
 class LoadPool(WorkerPool):
@@ -850,12 +904,14 @@ def merge_loadgen_reports(
     so aggregate throughput is the sum of per-worker throughputs);
     percentiles recompute over the pooled latency samples while the
     mean pools exactly from the per-worker exact means; cache counters
-    sum per location with ratios recomputed. The per-worker summaries
+    pool per location through ``CacheStats.merge``, the ratios read off
+    the pooled object. The per-worker summaries
     land under ``workers`` — the block
     :func:`repro.api.report.report_from_loadgen` turns into
     ``live.workers.load.*`` metrics.
     """
     from repro.api.report import REPORT_VERSION as _VERSION
+    from repro.api.report import cache_metrics, pooled_caches
     from repro.api.report import provenance as _provenance
     from repro.experiments.metrics import percentile
 
@@ -871,7 +927,6 @@ def merge_loadgen_reports(
     minimum = maximum = None
     elapsed = 0.0
     aggregate_qps = 0.0
-    cache_pool: Dict[str, Dict[str, float]] = {}
     per_worker: List[Dict[str, object]] = []
     for report in reports:
         for key in counters:
@@ -890,11 +945,6 @@ def merge_loadgen_reports(
                 latency["max"] if maximum is None
                 else max(maximum, latency["max"])
             )
-        for location, stats in report.get("cache", {}).items():
-            pool = cache_pool.setdefault(location, {})
-            for key in ("hits", "misses", "stale_hits", "validations",
-                        "validation_failures"):
-                pool[key] = pool.get(key, 0) + stats.get(key, 0)
         per_worker.append({
             "worker": report.get("worker", len(per_worker)),
             "seed": report["seed"],
@@ -906,15 +956,6 @@ def merge_loadgen_reports(
             "achieved_qps": report["achieved_qps"],
             "elapsed_s": report["elapsed_s"],
         })
-    for location, pool in cache_pool.items():
-        hits, misses = pool.get("hits", 0), pool.get("misses", 0)
-        stale = pool.get("stale_hits", 0)
-        lookups = hits + misses + stale
-        pool["hit_ratio"] = hits / lookups if lookups else 0.0
-        pool["stale_ratio"] = stale / lookups if lookups else 0.0
-        pool["validation_ratio"] = (
-            pool.get("validations", 0) / stale if stale else 0.0
-        )
     completed = counters["succeeded"] + counters["failed"]
     if counters["succeeded"]:
         latency_ms = {
@@ -956,7 +997,12 @@ def merge_loadgen_reports(
         ),
         "achieved_qps": round(aggregate_qps, 3),
         "latency_ms": latency_ms,
-        "cache": cache_pool,
+        "cache": {
+            location: cache_metrics(stats)
+            for location, stats in pooled_caches(
+                report.get("cache", {}) for report in reports
+            ).items()
+        },
         "workload": dict(first["workload"]),
         "seed": seed if seed is not None else first["seed"],
         "telemetry": _merged_timeline(reports),
@@ -975,169 +1021,3 @@ def _merged_timeline(reports: Sequence[Dict[str, object]]):
     return merge_timelines(
         [report.get("telemetry") or [] for report in reports]
     )
-
-
-# -- the sharded serve+loadtest pairing (repro.api façade) -----------------
-
-
-def run_sharded_spec(spec) -> "Report":
-    """Execute a live :class:`~repro.api.RunSpec` with worker pools.
-
-    The sharded counterpart of ``repro.api.runner._run_live``: per
-    repeat, a fresh :class:`ServePool` (unless the spec targets an
-    external host) and a distributed (or inline, when
-    ``load_workers == 1``) load-generation pass; per-repeat reports
-    and pool stats merge exactly like the single-worker path, with the
-    worker detail riding along into ``live.workers.*``.
-    """
-    from repro.api.report import report_from_loadgen
-
-    reports = []
-    server_stats: Optional[Dict[str, object]] = None
-    for seed in spec.repeat_seeds():
-        report, stats = _sharded_once(spec, seed)
-        reports.append(report)
-        server_stats = _merge_repeat_pool_stats(server_stats, stats)
-    return report_from_loadgen(
-        reports if spec.repeats > 1 else reports[0],
-        spec=spec.to_dict(),
-        server_stats=server_stats,
-    )
-
-
-def _sharded_once(spec, seed: int):
-    scenario = spec.to_scenario(seed)
-    workload = scenario.workload
-    options = spec.live
-    rate = workload.query_rate
-    duration = workload.num_queries / rate
-
-    pool: Optional[ServePool] = None
-    if options.host is None:
-        # The zone derives from the *base* seed on every worker: any
-        # worker must answer any query identically, so the per-worker
-        # decorrelation lives in the load side only.
-        pool = ServePool(
-            workers=options.serve_workers,
-            transport=scenario.transport,
-            host="127.0.0.1",
-            port=options.port,
-            num_names=workload.num_names,
-            dataset=options.dataset,
-            name_seed=options.name_seed,
-            ttl=workload.ttl,
-            scheme=scenario.scheme,
-            seed=seed,
-        )
-        endpoint = pool.start()
-    else:
-        endpoint = (options.host, options.port)
-    try:
-        if options.load_workers > 1:
-            report = run_distributed_load(
-                endpoint,
-                transport=scenario.transport,
-                scheme=scenario.scheme,
-                cache_placement=spec.client_cache_placement(),
-                block_size=scenario.block_size,
-                timeout=options.timeout,
-                num_names=workload.num_names,
-                dataset=options.dataset,
-                name_seed=options.name_seed,
-                rate=rate,
-                duration=duration,
-                mode=options.mode,
-                concurrency=options.concurrency,
-                seed=seed,
-                workload=workload,
-                workers=options.load_workers,
-            )
-        else:
-            report = asyncio.run(_inline_load(
-                endpoint, scenario, spec, seed, rate, duration,
-                num_names=workload.num_names,
-            ))
-        stats = pool.drain() if pool is not None else None
-    finally:
-        if pool is not None:
-            if pool._final_stats is None:
-                pool.terminate()
-    return report, stats
-
-
-async def _inline_load(
-    endpoint, scenario, spec, seed, rate, duration, num_names
-):
-    from .client import LiveResolver
-    from .loadgen import generate_load
-    from .wiring import build_names
-
-    options = spec.live
-    names = build_names(
-        num_names, dataset=options.dataset, name_seed=options.name_seed
-    )
-    resolver = LiveResolver(
-        endpoint,
-        transport=scenario.transport,
-        scheme=scenario.scheme,
-        cache_placement=spec.client_cache_placement(),
-        block_size=scenario.block_size,
-        seed=seed + 1,
-        timeout=options.timeout,
-    )
-    async with resolver:
-        return await generate_load(
-            resolver,
-            names,
-            rate=rate,
-            duration=duration,
-            mode=options.mode,
-            concurrency=options.concurrency,
-            timeout=options.timeout,
-            seed=seed,
-            workload=scenario.workload,
-            include_latencies=True,
-        )
-
-
-def _merge_repeat_pool_stats(merged, stats):
-    """Accumulate merged pool stats across repeats: scalar counters
-    sum, per-worker blocks sum index-by-index, runtime facts keep the
-    first repeat's values (they cannot change between repeats)."""
-    if stats is None:
-        return merged
-    if merged is None:
-        return dict(stats)
-    for key in ("queries_handled", "validations_sent", "fastpath_hits",
-                "fastpath_misses", "datagrams_received", "datagrams_sent",
-                "workers_failed"):
-        if key in stats:
-            merged[key] = merged.get(key, 0) + stats[key]
-    if "failed_workers" in stats:
-        union = set(merged.get("failed_workers", []))
-        union.update(stats["failed_workers"])
-        merged["failed_workers"] = sorted(union)
-    cache = stats.get("resolver_cache")
-    if isinstance(cache, dict):
-        pooled = merged.setdefault(
-            "resolver_cache", {"hits": 0, "misses": 0}
-        )
-        for key in ("hits", "misses"):
-            pooled[key] = pooled.get(key, 0) + cache.get(key, 0)
-        lookups = pooled["hits"] + pooled["misses"]
-        pooled["hit_ratio"] = pooled["hits"] / lookups if lookups else 0.0
-    by_index = {
-        entry.get("worker"): entry
-        for entry in merged.get("workers", [])
-    }
-    for entry in stats.get("workers", []):
-        target = by_index.get(entry.get("worker"))
-        if target is None:
-            merged.setdefault("workers", []).append(dict(entry))
-            continue
-        for key in ("queries_handled", "validations_sent",
-                    "fastpath_hits", "fastpath_misses",
-                    "datagrams_received", "datagrams_sent"):
-            if key in entry:
-                target[key] = target.get(key, 0) + entry[key]
-    return merged

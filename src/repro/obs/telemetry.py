@@ -355,12 +355,14 @@ def timeline_from_outcomes(
 ) -> List[Dict[str, Any]]:
     """Build the telemetry timeline for a finished simulation run.
 
-    *outcomes* are :class:`repro.experiments.resolution.QueryOutcome`
+    *outcomes* are :class:`repro.scenarios.runner.QueryOutcome`
     rows (anything with ``issued_at``/``resolution_time``/``error``).
     Queries bucket by issue time; a bucket's latency stats are exact
     percentiles over the successes completing there — the sim has the
     full sample set, so no histogram estimation is needed.
     """
+    from repro.experiments.metrics import interpolate_sorted
+
     buckets: Dict[int, Dict[str, Any]] = {}
     for outcome in outcomes:
         issued = getattr(outcome, "issued_at", 0.0) or 0.0
@@ -395,9 +397,14 @@ def timeline_from_outcomes(
             "p50": None, "p99": None, "mean": None,
         }
         if samples:
+            last = len(samples) - 1
             latency = {
-                "p50": round(_exact_quantile(samples, 0.50) * 1000, 3),
-                "p99": round(_exact_quantile(samples, 0.99) * 1000, 3),
+                "p50": round(
+                    interpolate_sorted(samples, 0.50 * last) * 1000, 3
+                ),
+                "p99": round(
+                    interpolate_sorted(samples, 0.99 * last) * 1000, 3
+                ),
                 "mean": round(sum(samples) / len(samples) * 1000, 3),
             }
         timeline.append({
@@ -413,18 +420,6 @@ def timeline_from_outcomes(
         if len(timeline) >= MAX_TIMELINE_SNAPSHOTS:
             break
     return timeline
-
-
-def _exact_quantile(sorted_samples: Sequence[float], q: float) -> float:
-    if len(sorted_samples) == 1:
-        return sorted_samples[0]
-    position = q * (len(sorted_samples) - 1)
-    low = int(position)
-    high = min(low + 1, len(sorted_samples) - 1)
-    fraction = position - low
-    return (
-        sorted_samples[low] * (1 - fraction) + sorted_samples[high] * fraction
-    )
 
 
 def format_snapshot(record: Dict[str, Any]) -> str:

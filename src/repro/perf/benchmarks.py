@@ -72,7 +72,7 @@ def single_resolution(quick: bool) -> int:
 
     queries = 15 if quick else 50
     scenario = Scenario(workload=WorkloadSpec(num_queries=queries))
-    result = ScenarioRunner().run(scenario, frame_capture="counts")
+    result = ScenarioRunner().run(scenario)
     return len(result.outcomes)
 
 

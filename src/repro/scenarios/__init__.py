@@ -5,20 +5,13 @@
   what to run;
 * :mod:`repro.scenarios.runner` — :class:`ScenarioRunner`: how to run
   it (including ``sweep`` over transport × topology × loss ×
-  cache-placement × scheme grids);
+  cache-placement × scheme grids) and the raw
+  :class:`ExperimentResult` a run returns;
 * :mod:`repro.scenarios.presets` — named topologies/scenarios and the
   ``key=value`` spec parser behind the CLI's ``--scenario`` flag.
 """
 
-from .executors import (
-    ExecutorError,
-    ProcessExecutor,
-    SerialExecutor,
-    SweepExecutor,
-    executor_names,
-    get_executor,
-    register_executor,
-)
+from .executors import ExecutorError, ordered_map
 from .scenario import (
     CachingSpec,
     Scenario,
@@ -28,6 +21,9 @@ from .scenario import (
 )
 from .runner import (
     NAME_TEMPLATE,
+    ExperimentResult,
+    LinkUtilization,
+    QueryOutcome,
     ScenarioRunner,
     SweepCell,
     SweepResult,
@@ -44,23 +40,21 @@ from .presets import (
 __all__ = [
     "CachingSpec",
     "ExecutorError",
+    "ExperimentResult",
+    "LinkUtilization",
     "NAME_TEMPLATE",
-    "ProcessExecutor",
+    "QueryOutcome",
     "SCENARIOS",
     "Scenario",
     "ScenarioError",
     "ScenarioRunner",
-    "SerialExecutor",
     "SweepCell",
-    "SweepExecutor",
     "SweepResult",
     "TOPOLOGIES",
     "TopologySpec",
     "WorkloadSpec",
     "build_workload_zone",
-    "executor_names",
-    "get_executor",
     "get_topology",
-    "register_executor",
+    "ordered_map",
     "scenario_from_spec",
 ]

@@ -1,131 +1,43 @@
-"""Pluggable executors for scenario sweeps.
+"""The one way sweeps and repeats fan out: an ordered map.
 
 A sweep is an embarrassingly parallel grid: every cell is a pure
 function of its :class:`~repro.scenarios.scenario.Scenario` (each cell
 builds its own :class:`~repro.sim.Simulator` with its own seeded RNG),
 so cells can run in any order — or concurrently — without affecting
-each other's results. An executor maps a cell-running function over the
-cell specs and returns the results **in input order**, which is what
-keeps :class:`~repro.scenarios.runner.SweepResult` bit-identical across
-executors.
-
-Two executors ship by default:
-
-* ``serial`` — plain in-process iteration (no overhead, the default);
-* ``process`` — a :class:`concurrent.futures.ProcessPoolExecutor` fan
-  out over ``workers`` processes. Cell specs and results cross process
-  boundaries, so both must be picklable (scenarios and result structs
-  are plain dataclasses, so they are).
-
-Register additional executors (e.g. a cluster dispatcher) with
-:func:`register_executor`.
+each other's results. The same holds for the seeded repeats of one
+:class:`repro.api.RunSpec`.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, TypeVar
+from typing import Callable, List, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 
 class ExecutorError(ValueError):
-    """An unknown executor name or invalid executor configuration."""
+    """An invalid worker count."""
 
 
-class SweepExecutor:
-    """Interface: map *fn* over *items*, results in input order."""
+def ordered_map(
+    fn: Callable[[T], R], items: Sequence[T], workers: Optional[int] = None
+) -> List[R]:
+    """``[fn(item) for item in items]``, on *workers* processes.
 
-    name = "abstract"
-
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        raise NotImplementedError
-
-
-class SerialExecutor(SweepExecutor):
-    """Run every cell in-process, one after the other."""
-
-    name = "serial"
-
-    def __init__(self, workers: int = 1) -> None:
-        # *workers* is accepted (and ignored) so every executor shares
-        # one construction signature.
-        self.workers = 1
-
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
+    Results come back **in input order** whatever the completion order
+    (``Executor.map`` yields in submission order), which is what keeps
+    a sweep bit-identical for any worker count. ``workers`` of ``None``
+    or 1, or a single item, runs in-process — no point paying process
+    start-up for it. Otherwise *fn*, the items and the results cross
+    process boundaries, so all three must be picklable (*fn* by import
+    path; scenarios and result structs are plain dataclasses).
+    """
+    if workers is not None and workers < 1:
+        raise ExecutorError(f"workers must be >= 1, got {workers}")
+    if workers is None or workers == 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
 
-
-class ProcessExecutor(SweepExecutor):
-    """Fan cells out over a :class:`ProcessPoolExecutor`.
-
-    ``Executor.map`` yields results in submission order regardless of
-    completion order, so the merged sweep is deterministic.
-    """
-
-    name = "process"
-
-    def __init__(self, workers: Optional[int] = None) -> None:
-        if workers is None:
-            workers = os.cpu_count() or 1
-        if workers < 1:
-            raise ExecutorError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
-
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        # A pool of one (or one item) degrades to the serial path — no
-        # point paying process startup for it.
-        if self.workers == 1 or len(items) <= 1:
-            return [fn(item) for item in items]
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(self.workers, len(items))) as pool:
-            return list(pool.map(fn, items))
-
-
-_EXECUTORS: Dict[str, Callable[[Optional[int]], SweepExecutor]] = {}
-
-
-def register_executor(
-    name: str, factory: Callable[[Optional[int]], SweepExecutor]
-) -> None:
-    """Register an executor *factory* (called as ``factory(workers)``)."""
-    if name in _EXECUTORS:
-        raise ExecutorError(f"executor {name!r} already registered")
-    _EXECUTORS[name] = factory
-
-
-register_executor("serial", lambda workers: SerialExecutor())
-register_executor("process", lambda workers: ProcessExecutor(workers))
-
-
-def executor_names() -> List[str]:
-    return sorted(_EXECUTORS)
-
-
-def get_executor(
-    executor: "str | SweepExecutor | None" = None,
-    workers: Optional[int] = None,
-) -> SweepExecutor:
-    """Resolve an executor selection.
-
-    *executor* may be an executor instance (returned as-is), a
-    registered name, or ``None`` — in which case ``workers`` picks:
-    ``workers`` in (``None``, 0, 1) selects ``serial``, anything larger
-    selects ``process`` with that many workers.
-    """
-    if isinstance(executor, SweepExecutor):
-        return executor
-    if executor is None:
-        if workers is None or workers <= 1:
-            return SerialExecutor()
-        return ProcessExecutor(workers)
-    try:
-        factory = _EXECUTORS[executor]
-    except KeyError:
-        raise ExecutorError(
-            f"unknown executor {executor!r} "
-            f"(known: {', '.join(executor_names())})"
-        ) from None
-    return factory(workers)
+    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
+        return list(pool.map(fn, items))

@@ -1,28 +1,35 @@
 """The scenario engine: one runner for every transport and topology.
 
-:class:`ScenarioRunner` replaces the bespoke Figure 2 harness: it
-builds the scenario's topology, provisions and installs the transport
-through the plugin registry, drives the declarative workload, and emits
-the same :class:`~repro.experiments.resolution.ExperimentResult`
-metrics structs the Figure 7/10/11/15 benchmarks consume.
+:class:`ScenarioRunner` builds the scenario's topology, provisions and
+installs the transport through the plugin registry, drives the
+declarative workload, and returns one :class:`ExperimentResult` — the
+raw measurements (:class:`QueryOutcome` per query, the
+:class:`LinkUtilization` tally, client CoAP events, per-location
+:class:`~repro.cache.CacheStats`) the Figure 7/10/11/15 benchmarks and
+the unified :class:`repro.api.Report` are computed from.
 :meth:`ScenarioRunner.sweep` enumerates a
 (transport × topology × loss × cache-placement × caching-scheme) grid
-in one call and returns per-cell metrics, including the per-location
-cache hit/stale/validation ratios of Figure 11.
+in one call; each :class:`SweepCell` carries its raw result and
+renders it as a Report on demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from bisect import bisect_right
+from dataclasses import dataclass, field, replace
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.cache import CacheStats
+from repro.coap.endpoint import ClientEvent
 from repro.doc import CachingScheme
+from repro.obs.log import get_logger
 from repro.sim import Simulator
 from repro.transports.registry import TransportEnv, registry
 
-from .executors import SweepExecutor, get_executor
+from .executors import ordered_map
 from .scenario import CachingSpec, Scenario, ScenarioError, TopologySpec, WorkloadSpec
+
+_log = get_logger("repro.scenarios.runner")
 
 #: Name template producing the paper's median 24-character names.
 NAME_TEMPLATE = "name{index:04d}.example-iot.org"
@@ -83,11 +90,78 @@ def build_workload_zone(workload: WorkloadSpec, rng, names=None):
     return zone
 
 
-# Module-level so SweepCell.metrics() stops re-importing per call —
-# but placed *below* the symbols `repro.experiments.resolution` pulls
-# from this module: the two modules import each other, and only this
-# ordering keeps both import directions cycle-safe.
-from repro.experiments.metrics import percentile  # noqa: E402
+@dataclass
+class QueryOutcome:
+    """One query's fate."""
+
+    name: str
+    client: str
+    issued_at: float
+    resolution_time: Optional[float]   # None on failure
+    error: Optional[str] = None
+    rtype: Optional[int] = None
+
+
+@dataclass
+class LinkUtilization:
+    """Frames/bytes split by link distance to the sink (Figure 10).
+
+    ``frames_1hop``/``bytes_1hop`` cover the bottleneck link into the
+    border router; ``frames_2hop``/``bytes_2hop`` the outermost client
+    links. For topologies deeper than two hops, ``per_hop_frames`` maps
+    every hop distance to its frame count.
+    """
+
+    frames_1hop: int
+    frames_2hop: int
+    bytes_1hop: int
+    bytes_2hop: int
+    queries_frames: int
+    responses_frames: int
+    per_hop_frames: Dict[int, int] = field(default_factory=dict)
+
+
+@dataclass
+class ExperimentResult:
+    """Everything one run produced."""
+
+    #: The declarative scenario the run executed.
+    scenario: Scenario
+    outcomes: List[QueryOutcome]
+    link: LinkUtilization
+    #: Client CoAP (re-)transmission and cache events (Figure 11).
+    client_events: List[ClientEvent]
+    proxy_cache_hits: int = 0
+    proxy_revalidations: int = 0
+    #: Aggregated :class:`repro.cache.CacheStats` per cache location
+    #: ("client-dns", "client-coap", "proxy", "resolver") — client
+    #: caches pooled across all clients. The Figure 11 event counts.
+    cache_stats: Dict[str, CacheStats] = field(default_factory=dict)
+
+    @property
+    def resolution_times(self) -> List[float]:
+        return [
+            outcome.resolution_time
+            for outcome in self.outcomes
+            if outcome.resolution_time is not None
+        ]
+
+    @property
+    def success_rate(self) -> float:
+        if not self.outcomes:
+            return 0.0
+        return len(self.resolution_times) / len(self.outcomes)
+
+    def cache_ratios(self) -> Dict[str, Dict[str, float]]:
+        """Per-location hit/stale/validation ratios (Figure 11 shape)."""
+        return {
+            location: {
+                "hit_ratio": stats.hit_ratio,
+                "stale_ratio": stats.stale_ratio,
+                "validation_ratio": stats.validation_ratio,
+            }
+            for location, stats in sorted(self.cache_stats.items())
+        }
 
 
 @dataclass
@@ -105,7 +179,7 @@ class SweepCell:
     scenario: Scenario
     #: ``None`` while the cell is an enumerated-but-unrun spec (see
     #: :meth:`ScenarioRunner.enumerate_cells`).
-    result: Optional["ExperimentResult"]
+    result: Optional[ExperimentResult]
     placement: Optional[str] = None
     scheme: Optional[str] = None
 
@@ -127,41 +201,6 @@ class SweepCell:
         if self.scheme is not None:
             parts.append(self.scheme)
         return "/".join(parts)
-
-    def metrics(self) -> Dict[str, float]:
-        """The per-cell summary a sweep table reports.
-
-        Besides the timing/link metrics, every cache location that was
-        active in the run contributes its Figure 11 event counters and
-        ratios under ``<location>_...`` keys (locations: ``client_dns``,
-        ``client_coap``, ``proxy``, ``resolver``).
-        """
-        result = self.result
-        times = result.resolution_times
-        metrics = {
-            "queries": len(result.outcomes),
-            "success_rate": result.success_rate,
-            "median_s": percentile(times, 50) if times else float("nan"),
-            "p95_s": percentile(times, 95) if times else float("nan"),
-            "p99_s": percentile(times, 99) if times else float("nan"),
-            "mean_s": sum(times) / len(times) if times else float("nan"),
-            "max_s": max(times) if times else float("nan"),
-            "frames_1hop": result.link.frames_1hop,
-            "frames_2hop": result.link.frames_2hop,
-            "bytes_1hop": result.link.bytes_1hop,
-            "bytes_2hop": result.link.bytes_2hop,
-        }
-        for location, stats in sorted(result.cache_stats.items()):
-            prefix = location.replace("-", "_")
-            metrics[f"{prefix}_hits"] = stats.hits
-            metrics[f"{prefix}_misses"] = stats.misses
-            metrics[f"{prefix}_stale_hits"] = stats.stale_hits
-            metrics[f"{prefix}_validations"] = stats.validations
-            metrics[f"{prefix}_validation_failures"] = stats.validation_failures
-            metrics[f"{prefix}_hit_ratio"] = stats.hit_ratio
-            metrics[f"{prefix}_stale_ratio"] = stats.stale_ratio
-            metrics[f"{prefix}_validation_ratio"] = stats.validation_ratio
-        return metrics
 
     def report(self) -> "Report":
         """This cell's result as a unified :class:`repro.api.Report`.
@@ -216,14 +255,6 @@ class SweepResult:
                 f"no sweep cell {key!r}; have {sorted(self._by_key)}"
             ) from None
 
-    def metrics(self) -> Dict[Tuple, Dict[str, float]]:
-        """Per-cell metric dictionaries keyed by grid coordinates.
-
-        Tuple keys are the Python-side accessor; they cannot serialise
-        to JSON — use :meth:`to_json` for that.
-        """
-        return {cell.key: cell.metrics() for cell in self.cells}
-
     def reports(self) -> Dict[str, "Report"]:
         """Per-cell unified Reports keyed by string grid coordinates."""
         return {cell.key_string: cell.report() for cell in self.cells}
@@ -251,31 +282,10 @@ class SweepResult:
 class ScenarioRunner:
     """Executes scenarios and scenario sweeps via the transport registry."""
 
-    def run(
-        self,
-        scenario: Scenario,
-        _config=None,
-        *,
-        frame_capture: str = "records",
-    ) -> "ExperimentResult":
-        """Execute one scenario and gather its measurements.
-
-        ``_config`` optionally stamps the result with the legacy
-        ``ExperimentConfig`` that produced the scenario so existing
-        consumers keep seeing the configuration type they passed in.
-
-        ``frame_capture`` selects the frame observer: ``"records"``
-        keeps a full :class:`~repro.sim.trace.Sniffer` record list,
-        ``"counts"`` attaches the cheaper counting tally — enough for
-        every metric a sweep reports, and what :meth:`sweep` uses.
-        """
+    def run(self, scenario: Scenario) -> ExperimentResult:
+        """Execute one scenario and gather its measurements."""
         from repro.coap.proxy import ForwardProxy
         from repro.dns import RecursiveResolver
-        from repro.experiments.resolution import (
-            ExperimentResult,
-            LinkUtilization,
-            QueryOutcome,
-        )
 
         profile = registry.get(scenario.transport)
         if not profile.simulatable:
@@ -284,7 +294,9 @@ class ScenarioRunner:
             )
         workload = scenario.workload
         sim = Simulator(seed=scenario.seed)
-        topo = scenario.topology.build(sim, capture=frame_capture)
+        # Every metric reads aggregate frame tallies, never individual
+        # frame records, so the run attaches the counting observer.
+        topo = scenario.topology.build(sim, capture="counts")
         zone = build_workload_zone(workload, sim.rng)
         # A TTL *range* reproduces the paper's mocked-resolver behaviour:
         # every cache renewal at the resolver draws a fresh TTL, the churn
@@ -326,6 +338,19 @@ class ScenarioRunner:
         # -- workload ------------------------------------------------------
         outcomes: List[QueryOutcome] = []
         arrivals = workload.arrival_times(sim.rng)
+        # sim.run stops at run_duration: arrivals past it are never
+        # issued, and without this the Report reads as a clean run.
+        issued = bisect_right(arrivals, scenario.run_duration)
+        if issued < len(arrivals):
+            _log.warning(
+                "run_duration ends before the last arrival; "
+                "the tail is never issued",
+                scenario=scenario.name,
+                requested=len(arrivals),
+                issued=issued,
+                run_duration=scenario.run_duration,
+                first_late_arrival=arrivals[issued],
+            )
 
         def issue(index: int) -> None:
             client_index = index % len(clients)
@@ -396,7 +421,7 @@ class ScenarioRunner:
         pool("resolver", resolver.cache)
 
         return ExperimentResult(
-            config=_config if _config is not None else scenario,
+            scenario=scenario,
             outcomes=outcomes,
             link=link,
             client_events=client_events,
@@ -406,26 +431,7 @@ class ScenarioRunner:
             proxy_revalidations=(
                 proxy.requests_revalidated if proxy is not None else 0
             ),
-            scenario=scenario,
             cache_stats=cache_stats,
-        )
-
-    def run_report(
-        self,
-        scenario: Scenario,
-        *,
-        frame_capture: str = "records",
-    ) -> "Report":
-        """Execute one scenario and return the unified
-        :class:`repro.api.Report` (the native result vocabulary of the
-        façade; :meth:`run` keeps returning the raw
-        :class:`ExperimentResult` for metric-level consumers)."""
-        from repro.api.report import report_from_experiment_result
-        from repro.api.spec import RunSpec
-
-        result = self.run(scenario, frame_capture=frame_capture)
-        return report_from_experiment_result(
-            result, spec=RunSpec.from_scenario(scenario).to_dict()
         )
 
     def sweep(
@@ -436,7 +442,6 @@ class ScenarioRunner:
         losses: Sequence[float] = (0.05, 0.25),
         cache_placements: Optional[Sequence[Union[str, CachingSpec]]] = None,
         schemes: Optional[Sequence[Union[str, CachingScheme]]] = None,
-        executor: Union[str, SweepExecutor, None] = None,
         workers: Optional[int] = None,
     ) -> SweepResult:
         """Run every grid cell of the requested dimensions.
@@ -444,7 +449,7 @@ class ScenarioRunner:
         *topologies* accepts :class:`TopologySpec` instances or preset
         names (see :mod:`repro.scenarios.presets`); each cell derives
         its scenario from *base* (topology loss overridden per cell)
-        and returns per-cell metrics via :class:`SweepResult`.
+        and lands in the returned :class:`SweepResult`.
 
         *cache_placements* and *schemes* are optional extra axes (the
         Section 6.1 caching study). A placement is a
@@ -459,19 +464,15 @@ class ScenarioRunner:
         cell keys keep their legacy three-tuple shape.
 
         Cells are independent simulations, so the grid can fan out:
-        *executor* selects a registered
-        :mod:`~repro.scenarios.executors` backend (``"serial"`` or
-        ``"process"``) or passes an executor instance; leaving it
-        ``None`` picks ``process`` when ``workers`` > 1 and ``serial``
-        otherwise. Results are merged in grid-enumeration order and the
-        per-cell metrics are bit-identical across executors — every
-        cell seeds its own simulator.
+        ``workers`` > 1 runs them on that many processes
+        (:func:`~repro.scenarios.executors.ordered_map`). Results come
+        back in grid-enumeration order and are bit-identical for any
+        worker count — every cell seeds its own simulator.
         """
         cells = self.enumerate_cells(
             base, transports, topologies, losses, cache_placements, schemes
         )
-        runner = get_executor(executor, workers)
-        return SweepResult(runner.map(_execute_cell, cells))
+        return SweepResult(ordered_map(_execute_cell, cells, workers))
 
     def enumerate_cells(
         self,
@@ -486,7 +487,7 @@ class ScenarioRunner:
 
         Each cell carries its fully-derived scenario but has not run
         yet (``result=None``); the cells are pure, picklable values in
-        deterministic grid order, ready for any executor. Colliding
+        deterministic grid order, ready for any worker process. Colliding
         grid coordinates are rejected before any runtime is spent.
         """
         from .presets import get_topology
@@ -611,10 +612,7 @@ class ScenarioRunner:
 
 
 def _execute_cell(cell: SweepCell) -> SweepCell:
-    """Run one enumerated cell (module-level so executors can pickle it).
-
-    Sweep metrics read only aggregated frame tallies, never individual
-    frame records, so cells run with the cheap counting observer.
-    """
-    cell.result = ScenarioRunner().run(cell.scenario, frame_capture="counts")
+    """Run one enumerated cell (module-level so worker processes can
+    unpickle it)."""
+    cell.result = ScenarioRunner().run(cell.scenario)
     return cell

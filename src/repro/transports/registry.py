@@ -46,11 +46,9 @@ class ServerHandle:
 class TransportEnv:
     """Everything a profile's factories need to stand up one run.
 
-    ``scenario`` is any object exposing the scenario knobs the
-    factories read (``method``, ``scheme``, ``client_coap_cache``,
-    ``client_dns_cache``, ``block_size``); both
-    :class:`repro.scenarios.Scenario` and the legacy
-    ``ExperimentConfig`` qualify.
+    ``scenario`` is the :class:`repro.scenarios.Scenario` being run;
+    the factories read its ``method``, ``scheme``, ``block_size`` and
+    cache placement.
     """
 
     sim: object

@@ -1,10 +1,10 @@
 """The unified ``repro.api`` façade: RunSpec, Report, schema, parity.
 
 Covers the acceptance criteria of the API-redesign PR: one RunSpec
-executes on both substrates with identical non-namespaced metric key
+executes on every substrate with identical non-namespaced metric key
 sets, every emitted JSON document validates against the checked-in
-``tests/report_schema.json``, and the legacy ``ExperimentConfig`` path
-stays bit-identical to a direct ScenarioRunner execution.
+``tests/report_schema.json``, and the façade's raw result is the
+direct ScenarioRunner execution, bit for bit.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ class TestRunSpec:
             scenario=Scenario(transport="coap"), substrate="live"
         ).client_cache_placement() == "none"
 
-    def test_repeat_seeds_match_run_repeated_spacing(self):
+    def test_repeat_seeds_are_spaced_by_1000(self):
         spec = RunSpec.from_spec("seed=7,repeats=3")
         assert spec.repeat_seeds() == [7, 1007, 2007]
 
@@ -158,7 +158,7 @@ class TestReport:
         validate(report.to_json(), SCHEMA)
 
     def test_raw_keeps_native_result_and_skips_equality(self):
-        from repro.experiments.resolution import ExperimentResult
+        from repro.scenarios import ExperimentResult
 
         report = run_sim()
         assert isinstance(report.raw, ExperimentResult)
@@ -274,6 +274,33 @@ class TestSubstrateParity:
             >= metrics["queries.succeeded"]
         )
 
+    def test_live_repeats_pool_every_server_counter(self, monkeypatch):
+        # The Report shows four server counters; the block behind them
+        # must pool the rest across repeats too — every query the
+        # pooled block counts went through one fastpath lookup, which
+        # only adds up when fastpath_* sum like queries_handled does.
+        import repro.api.runner as runner
+
+        seen = {}
+        real = runner.report_from_loadgen
+
+        def spy(reports, spec=None, server_stats=None):
+            seen["server_stats"] = server_stats
+            return real(reports, spec=spec, server_stats=server_stats)
+
+        monkeypatch.setattr(runner, "report_from_loadgen", spy)
+        run(RunSpec.from_spec(
+            "transport=coap,queries=20,rate=200,names=4,substrate=live,"
+            "timeout=5,repeats=2"
+        ))
+        stats = seen["server_stats"]
+        assert stats["queries_handled"] > 20
+        assert (
+            stats["fastpath_hits"] + stats["fastpath_misses"]
+            == stats["queries_handled"]
+        )
+        assert stats["io"]["recv_bursts"] >= stats["queries_handled"] / 64
+
     def test_live_report_namespaces_server_counters(self):
         live_report = run(
             RunSpec.from_spec(
@@ -285,33 +312,24 @@ class TestSubstrateParity:
         validate(live_report.to_json(), SCHEMA)
 
 
-# -- legacy adapter stays bit-identical ------------------------------------
+# -- the façade adds nothing to the run -------------------------------------
 
 
-class TestLegacyAdapter:
-    def test_run_resolution_experiment_bit_identical(self):
-        from repro.experiments import ExperimentConfig, run_resolution_experiment
-        from repro.scenarios import ScenarioRunner
+class TestFacadeRawResult:
+    def test_raw_is_the_direct_runner_result(self):
+        from repro.scenarios import ScenarioRunner, scenario_from_spec
 
-        config = ExperimentConfig(
-            transport="coap", num_queries=10, loss=0.1, seed=5
+        scenario = scenario_from_spec(
+            "transport=coap,queries=10,loss=0.1,seed=5"
         )
-        via_api = run_resolution_experiment(config)
-        direct = ScenarioRunner().run(config.to_scenario(), _config=config)
-        assert via_api.config is config
+        via_api = run(RunSpec.from_scenario(scenario)).raw
+        direct = ScenarioRunner().run(scenario)
+        assert via_api.scenario is scenario
         assert via_api.outcomes == direct.outcomes
         assert via_api.link == direct.link
         assert via_api.client_events == direct.client_events
         assert via_api.cache_stats == direct.cache_stats
         assert via_api.proxy_cache_hits == direct.proxy_cache_hits
-
-    def test_to_run_spec_round_trips_scenario(self):
-        from repro.experiments import ExperimentConfig
-
-        config = ExperimentConfig(transport="oscore", num_queries=3)
-        spec = config.to_run_spec()
-        assert spec.substrate == "sim"
-        assert spec.scenario == config.to_scenario()
 
 
 # -- sweeps ----------------------------------------------------------------
@@ -328,18 +346,17 @@ class TestSweepJson:
             topologies=("one-hop",), losses=(0.0,),
         )
 
-    def test_metrics_keeps_tuple_accessor(self, sweep):
-        metrics = sweep.metrics()
-        assert ("udp", "one-hop", 0.0) in metrics
-        with pytest.raises(TypeError):
-            json.dumps(metrics)  # tuple keys are Python-only, by design
-
     def test_cell_metrics_gain_p99_and_mean(self, sweep):
         for cell in sweep:
-            metrics = cell.metrics()
-            assert metrics["median_s"] <= metrics["p95_s"] <= metrics["p99_s"]
-            assert metrics["p99_s"] <= metrics["max_s"]
-            assert metrics["median_s"] <= metrics["mean_s"] <= metrics["max_s"]
+            metrics = cell.report().metrics
+            assert (
+                metrics["latency.p50_ms"] <= metrics["latency.p95_ms"]
+                <= metrics["latency.p99_ms"] <= metrics["latency.max_ms"]
+            )
+            assert (
+                metrics["latency.p50_ms"] <= metrics["latency.mean_ms"]
+                <= metrics["latency.max_ms"]
+            )
 
     def test_to_json_uses_string_grid_keys(self, sweep):
         payload = sweep.to_json()

@@ -213,27 +213,32 @@ class TestCachePlacementSweep:
         assert cell.scenario.use_proxy   # placement turned the proxy on
 
     def test_metrics_carry_per_location_ratios(self, sweep):
-        metrics = sweep.cell("coap", "figure2", 0.0, ALL, "eol-ttls").metrics()
-        for key in ("client_dns_hit_ratio", "client_coap_validations",
-                    "proxy_hits", "resolver_hits"):
+        metrics = sweep.cell(
+            "coap", "figure2", 0.0, ALL, "eol-ttls"
+        ).report().metrics
+        for key in ("cache.client_dns.hit_ratio",
+                    "cache.client_coap.validations",
+                    "sim.cache.proxy.hits", "sim.cache.resolver.hits"):
             assert key in metrics
         none_metrics = sweep.cell(
             "coap", "figure2", 0.0, "none", "eol-ttls"
-        ).metrics()
-        assert "client_dns_hit_ratio" not in none_metrics
+        ).report().metrics
+        assert "cache.client_dns.hit_ratio" not in none_metrics
 
     def test_caching_reduces_bottleneck_traffic(self, sweep):
         cached = sweep.cell("coap", "figure2", 0.0, ALL, "eol-ttls")
         uncached = sweep.cell("coap", "figure2", 0.0, "none", "eol-ttls")
         assert (
-            cached.metrics()["frames_1hop"]
-            < uncached.metrics()["frames_1hop"]
+            cached.result.link.frames_1hop < uncached.result.link.frames_1hop
         )
 
     def test_scheme_axis_changes_validation_behaviour(self, sweep):
-        eol = sweep.cell("coap", "figure2", 0.0, ALL, "eol-ttls").metrics()
-        doh = sweep.cell("coap", "figure2", 0.0, ALL, "doh-like").metrics()
-        assert eol["client_coap_validations"] > doh["client_coap_validations"]
+        eol = sweep.cell("coap", "figure2", 0.0, ALL, "eol-ttls").result
+        doh = sweep.cell("coap", "figure2", 0.0, ALL, "doh-like").result
+        assert (
+            eol.cache_stats["client-coap"].validations
+            > doh.cache_stats["client-coap"].validations
+        )
 
     def test_scheme_axis_overrides_explicit_spec_scheme(self):
         """A base whose CachingSpec pins a scheme must not shadow the
@@ -331,24 +336,22 @@ class TestCliCacheFlags:
         from repro.cli import main
 
         code = main([
-            "experiment", "--scenario",
-            "one-hop,queries=6,names=2,loss=0",
-            "--cache-placement", "client-dns",
-            "--cache-scheme", "doh-like",
+            "run",
+            "one-hop,queries=6,names=2,loss=0,"
+            "cache=client-dns,scheme=doh-like",
         ])
         out = capsys.readouterr().out
         assert code == 0
-        assert "cache client-dns" in out
+        assert "cache client_dns" in out
 
     def test_sweep_with_cache_axes(self, capsys):
         from repro.cli import main
 
         code = main([
-            "experiment", "--sweep", "--transports", "coap",
+            "sweep", "queries=6", "--transports", "coap",
             "--topologies", "one-hop", "--losses", "0",
-            "--cache-placement", "none,client-coap",
-            "--cache-scheme", "eol-ttls",
-            "--queries", "6",
+            "--cache-placements", "none,client-coap",
+            "--schemes", "eol-ttls",
         ])
         out = capsys.readouterr().out
         assert code == 0
@@ -358,16 +361,14 @@ class TestCliCacheFlags:
     def test_comma_list_requires_sweep(self, capsys):
         from repro.cli import main
 
-        code = main([
-            "experiment", "--cache-placement", "none,all",
-        ])
+        # A list of placements is a sweep axis; in a single run's spec
+        # the second item reads as a stray token.
+        code = main(["run", "cache=none,all"])
         assert code == 2
-        assert "--sweep" in capsys.readouterr().err
+        assert "expected key=value" in capsys.readouterr().err
 
     def test_bad_placement_is_cli_error(self, capsys):
         from repro.cli import main
 
-        code = main([
-            "experiment", "--cache-placement", "client-quic",
-        ])
+        code = main(["run", "cache=client-quic"])
         assert code == 2

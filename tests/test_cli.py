@@ -25,13 +25,11 @@ def test_resolve(capsys):
 
 
 def test_experiment(capsys):
-    assert main([
-        "experiment", "--transport", "udp", "--queries", "10",
-        "--loss", "0.05",
-    ]) == 0
+    # A Figure 7-style run is one spec string.
+    assert main(["run", "transport=udp,queries=10,loss=0.05"]) == 0
     out = capsys.readouterr().out
     assert "success rate:     100.00%" in out
-    assert "median" in out
+    assert "latency p50:" in out
 
 
 def test_memory(capsys):
@@ -47,17 +45,16 @@ def test_compress(capsys):
 
 
 def test_experiment_scenario_flag(capsys):
-    assert main([
-        "experiment", "--scenario", "one-hop,queries=8,loss=0.0",
-    ]) == 0
+    # Preset name first, overrides after.
+    assert main(["run", "one-hop,queries=8,loss=0.0"]) == 0
     out = capsys.readouterr().out
     assert "success rate:     100.00%" in out
 
 
 def test_experiment_sweep(capsys):
     assert main([
-        "experiment", "--sweep", "--transports", "udp,coap",
-        "--topologies", "one-hop", "--losses", "0.0", "--queries", "4",
+        "sweep", "queries=4", "--transports", "udp,coap",
+        "--topologies", "one-hop", "--losses", "0.0",
     ]) == 0
     out = capsys.readouterr().out
     assert out.count("one-hop") == 2
@@ -66,38 +63,47 @@ def test_experiment_sweep(capsys):
 
 def test_experiment_sweep_workers(capsys):
     assert main([
-        "experiment", "--sweep", "--transports", "udp,coap",
-        "--topologies", "one-hop", "--losses", "0.0", "--queries", "4",
-        "--workers", "2",
+        "sweep", "queries=4", "--transports", "udp,coap",
+        "--topologies", "one-hop", "--losses", "0.0", "--workers", "2",
     ]) == 0
     out = capsys.readouterr().out
     assert out.count("one-hop") == 2
 
 
 def test_workers_requires_sweep(capsys):
-    assert main(["experiment", "--workers", "4"]) == 2
-    assert "--workers requires --sweep" in capsys.readouterr().err
+    # `run` takes its worker count in the spec (workers=N); the flag
+    # exists on `sweep` only, where it must be a real count.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "queries=4", "--workers", "4"])
+    assert exit_info.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert main(["sweep", "queries=4", "--workers", "0"]) == 2
+    assert "--workers must be >= 1" in capsys.readouterr().err
 
 
 def test_sweep_rejects_single_loss_flag(capsys):
-    assert main(["experiment", "--sweep", "--loss", "0.1"]) == 2
+    assert main(["sweep", "queries=4,loss=0.1"]) == 2
     assert "--losses" in capsys.readouterr().err
 
 
 def test_sweep_rejects_single_transport_flag(capsys):
-    assert main(["experiment", "--sweep", "--transport", "oscore"]) == 2
+    assert main(["sweep", "transport=oscore"]) == 2
     assert "--transports" in capsys.readouterr().err
 
 
 def test_sweep_flags_require_sweep(capsys):
-    assert main(["experiment", "--transports", "udp,oscore"]) == 2
-    assert "--transports requires --sweep" in capsys.readouterr().err
-    assert main(["experiment", "--losses", "0.1"]) == 2
-    assert "--losses requires --sweep" in capsys.readouterr().err
+    for flags in (["--transports", "udp,oscore"], ["--losses", "0.1"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "queries=4", *flags])
+        assert exit_info.value.code == 2
+        assert flags[0] in capsys.readouterr().err
 
 
 def test_scenario_errors_are_clean(capsys):
-    assert main(["experiment", "--scenario", "transport=tcp"]) == 2
+    for command in ("run", "sweep"):
+        assert main([command, "hops=0"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+    assert main(["run", "transport=tcp"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "udp" in err  # lists the known transports
@@ -217,22 +223,20 @@ def test_run_bad_spec_is_cli_error(capsys):
 def test_experiment_json_emits_report(capsys):
     import json
 
-    assert main([
-        "experiment", "--transport", "udp", "--queries", "6",
-        "--loss", "0.0", "--json",
-    ]) == 0
+    # The default Figure 2 topology (no preset named).
+    assert main(["run", "transport=udp,queries=6,loss=0.0", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["substrate"] == "sim"
     assert report["metrics"]["queries.issued"] == 6
+    assert report["spec"]["topology"]["name"] == "figure2"
 
 
 def test_experiment_sweep_json_uses_string_grid_keys(capsys):
     import json
 
     assert main([
-        "experiment", "--sweep", "--transports", "udp,coap",
-        "--topologies", "one-hop", "--losses", "0.0", "--queries", "4",
-        "--json",
+        "sweep", "queries=4", "--transports", "udp,coap",
+        "--topologies", "one-hop", "--losses", "0.0", "--json",
     ]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["kind"] == "sweep"

@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.api import RunSpec, run
 from repro.coap.codes import Code
 from repro.experiments import (
-    ExperimentConfig,
     FRAGMENTATION_LIMIT,
     canonical_messages,
     cdf,
@@ -12,7 +12,6 @@ from repro.experiments import (
     dissect_transport,
     percentile,
     quantiles,
-    run_resolution_experiment,
     summary_stats,
 )
 from repro.experiments.metrics import fraction_below
@@ -133,57 +132,62 @@ class TestDissections:
             dissect_transport("tcp")
 
 
+def _run(spec: str):
+    """The raw ExperimentResult of one Figure 2 run described by *spec*."""
+    return run(RunSpec.from_spec(spec)).raw
+
+
 class TestResolutionHarness:
     def test_config_validation(self):
+        from repro.scenarios import Scenario
+
         with pytest.raises(ValueError):
-            ExperimentConfig(transport="smtp")
+            Scenario(transport="smtp")
         with pytest.raises(ValueError):
-            ExperimentConfig(transport="udp", use_proxy=True)
+            Scenario(transport="udp", use_proxy=True)
+        with pytest.raises(ValueError):
+            RunSpec.from_spec("transport=udp,proxy=true")
 
     @pytest.mark.parametrize("transport", ["udp", "dtls", "coap", "coaps", "oscore"])
     def test_all_transports_resolve(self, transport):
-        config = ExperimentConfig(
-            transport=transport, num_queries=10, loss=0.05, seed=2
-        )
-        result = run_resolution_experiment(config)
+        result = _run(f"transport={transport},queries=10,loss=0.05,seed=2")
         assert result.success_rate == 1.0
         assert len(result.resolution_times) == 10
 
     def test_queries_split_across_clients(self):
-        config = ExperimentConfig(transport="coap", num_queries=10, seed=3)
-        result = run_resolution_experiment(config)
+        result = _run("transport=coap,queries=10,seed=3")
         clients = {outcome.client for outcome in result.outcomes}
         assert clients == {"c1", "c2"}
 
     def test_proxy_reduces_bottleneck_frames(self):
-        base = ExperimentConfig(
-            transport="coap", num_queries=40, num_names=8,
-            records_per_name=4, ttl=(2, 8), seed=4,
-        )
-        without = run_resolution_experiment(base)
         from dataclasses import replace
 
-        with_proxy = run_resolution_experiment(replace(base, use_proxy=True))
+        from repro.scenarios import Scenario, ScenarioRunner, WorkloadSpec
+
+        base = Scenario(
+            transport="coap",
+            workload=WorkloadSpec(
+                num_queries=40, num_names=8, records_per_name=4, ttl=(2, 8)
+            ),
+            seed=4,
+        )
+        without = ScenarioRunner().run(base)
+        with_proxy = ScenarioRunner().run(replace(base, use_proxy=True))
         assert with_proxy.link.frames_1hop < without.link.frames_1hop
 
     def test_client_events_collected(self):
-        config = ExperimentConfig(transport="coap", num_queries=5, seed=5)
-        result = run_resolution_experiment(config)
+        result = _run("transport=coap,queries=5,seed=5")
         transmissions = [e for e in result.client_events if e.kind == "transmission"]
         assert len(transmissions) == 5
 
     def test_deterministic_runs(self):
-        config = ExperimentConfig(transport="coap", num_queries=8, loss=0.1, seed=6)
-        a = run_resolution_experiment(config)
-        b = run_resolution_experiment(config)
+        a = _run("transport=coap,queries=8,loss=0.1,seed=6")
+        b = _run("transport=coap,queries=8,loss=0.1,seed=6")
         assert a.resolution_times == b.resolution_times
         assert a.link.bytes_1hop == b.link.bytes_1hop
 
     def test_losses_produce_retransmissions(self):
-        config = ExperimentConfig(
-            transport="coap", num_queries=30, loss=0.35, l2_retries=0, seed=7,
-        )
-        result = run_resolution_experiment(config)
+        result = _run("transport=coap,queries=30,loss=0.35,retries=0,seed=7")
         retransmissions = [
             e for e in result.client_events if e.kind == "retransmission"
         ]

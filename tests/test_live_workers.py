@@ -286,6 +286,62 @@ def test_merge_server_stats_sums_counters_and_keeps_workers():
     assert merged["runtime"]["warning"] is None
 
 
+def _unlabelled(stats):
+    """The block as the in-loop server of a single-process run gives
+    it: no ``worker`` index."""
+    return {key: value for key, value in stats.items() if key != "worker"}
+
+
+def test_merge_server_stats_is_associative_over_workers_then_repeats():
+    # Two repeats of a two-worker pool: merging each pool and then the
+    # repeats must equal merging all four worker blocks at once.
+    first = [_fake_server_stats(0, 10), _fake_server_stats(1, 30)]
+    second = [_fake_server_stats(0, 5), _fake_server_stats(1, 7)]
+    second[1]["io"]["largest_burst"] = 9
+    stepwise = merge_server_stats([
+        merge_server_stats(first, requested=2),
+        merge_server_stats(second, requested=2),
+    ])
+    at_once = merge_server_stats(first + second, requested=2)
+    assert stepwise == at_once
+    assert stepwise["queries_handled"] == 52
+    assert stepwise["io"]["recv_bursts"] == 52
+    assert stepwise["io"]["largest_burst"] == 9  # a maximum, not a sum
+    assert stepwise["resolver_cache"]["hit_ratio"] == pytest.approx(48 / 52)
+    # Per-worker entries sum index by index across the repeats.
+    assert [w["worker"] for w in stepwise["workers"]] == [0, 1]
+    assert [w["queries_handled"] for w in stepwise["workers"]] == [15, 37]
+    assert stepwise["runtime"]["serve_workers"] == 2
+    # Merging one merged block changes nothing.
+    assert merge_server_stats([at_once]) == at_once
+
+
+def test_merge_server_stats_single_process_repeats_sum_every_counter():
+    # The single-process pairing restarts one in-loop server per
+    # repeat; the pooled block must sum *every* counter (fastpath and
+    # io included, not only the four the Report shows) and stay a plain
+    # server block: no pool facts, so no live.workers.* metrics.
+    blocks = []
+    for handled in (10, 30):
+        block = _unlabelled(_fake_server_stats(0, handled))
+        block["fastpath_hits"] = handled - 2
+        block["fastpath_misses"] = 2
+        blocks.append(block)
+    merged = merge_server_stats(blocks)
+    assert merged["queries_handled"] == 40
+    assert merged["fastpath_hits"] == 36
+    assert merged["fastpath_misses"] == 4
+    assert merged["io"]["recv_bursts"] == 40
+    assert merged["resolver_cache"] == {
+        "hits": 38, "misses": 2, "hit_ratio": pytest.approx(38 / 40),
+    }
+    for pool_fact in ("runtime", "workers", "workers_requested",
+                      "workers_failed", "failed_workers"):
+        assert pool_fact not in merged
+    assert merge_server_stats([merge_server_stats(blocks[:1]), blocks[1]]) \
+        == merged
+
+
 def _fake_loadgen_report(worker, seed, queries, rtt_ms):
     return {
         "report_version": 2,
@@ -494,6 +550,74 @@ def test_sharded_api_run_emits_worker_metrics_that_sum():
         and key.endswith(".queries_handled")
     )
     assert serve_sum == metrics["live.server.queries_handled"]
+
+
+#: ``sorted(report.metrics)`` of a live run, banked on the parent of the
+#: PR that folded the two serve+load pairings into one: the
+#: single-process key set, and what each sharded side adds to it.
+_SINGLE_PROCESS_KEYS = [
+    "cache.client_coap.hit_ratio", "cache.client_coap.hits",
+    "cache.client_coap.misses", "cache.client_coap.stale_hits",
+    "cache.client_coap.stale_ratio", "cache.client_coap.validation_failures",
+    "cache.client_coap.validation_ratio", "cache.client_coap.validations",
+    "latency.max_ms", "latency.mean_ms", "latency.p50_ms", "latency.p95_ms",
+    "latency.p99_ms", "live.cache.resolver.hit_ratio",
+    "live.cache.resolver.hits", "live.cache.resolver.misses",
+    "live.concurrency", "live.elapsed_s", "live.mode",
+    "live.offered_rate_qps", "live.repeats",
+    "live.server.datagrams_received", "live.server.datagrams_sent",
+    "live.server.queries_handled", "live.server.validations_sent",
+    "queries.failed", "queries.issued", "queries.rcode_failures",
+    "queries.succeeded", "queries.success_rate", "queries.timeouts",
+    "throughput.qps",
+]
+_POOL_KEYS = [
+    "live.workers.reuseport", "live.workers.serve.count",
+    "live.workers.serve.failed", "live.workers.serve.failed_workers",
+    "live.workers.uvloop", "live.workers.warning",
+]
+_PER_SERVE_WORKER = ("datagrams_received", "datagrams_sent", "queries_handled")
+_PER_LOAD_WORKER = ("achieved_qps", "failed", "queries", "rcode_failures",
+                    "succeeded", "timeouts")
+
+
+def _banked_live_keys(serve_workers, load_workers):
+    keys = list(_SINGLE_PROCESS_KEYS)
+    if (serve_workers, load_workers) != (1, 1):
+        # Any sharded side puts the serve side in a pool.
+        keys += _POOL_KEYS
+        keys += [
+            f"live.workers.serve.{index}.{name}"
+            for index in range(serve_workers) for name in _PER_SERVE_WORKER
+        ]
+    if load_workers > 1:
+        keys += ["live.workers.load.count", "live.workers.load.failed"]
+        keys += [
+            f"live.workers.load.{index}.{name}"
+            for index in range(load_workers) for name in _PER_LOAD_WORKER
+        ]
+    return sorted(keys)
+
+
+@needs_reuseport
+@pytest.mark.parametrize(
+    "serve_workers,load_workers", [(1, 1), (2, 1), (1, 2), (2, 2)]
+)
+def test_live_report_key_set_is_stable_per_worker_combination(
+    serve_workers, load_workers
+):
+    from repro.api import run
+
+    for repeats in (1, 2):
+        report = run(
+            f"substrate=live,transport=coap,cache=client-coap,"
+            f"serve_workers={serve_workers},load_workers={load_workers},"
+            f"queries=40,rate=200,names=8,repeats={repeats}"
+        )
+        assert sorted(report.metrics) == _banked_live_keys(
+            serve_workers, load_workers
+        )
+        assert report.metrics["queries.succeeded"] > 0
 
 
 def test_single_worker_api_run_has_no_worker_metrics():

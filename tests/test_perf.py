@@ -3,7 +3,7 @@
 Covers the harness mechanics (registration, measurement, JSON reports,
 baseline comparison), the golden codec vectors — including the
 checked-in ``tests/golden_codec_vectors.json`` copy staying in sync —
-and the sweep executors the macro benchmarks rely on.
+and the ordered map the macro benchmarks' sweeps fan out over.
 """
 
 import json
@@ -279,55 +279,45 @@ class TestAllocationBudget:
 
 
 class TestExecutors:
-    def test_get_executor_default_serial(self):
-        from repro.scenarios import SerialExecutor, get_executor
+    def test_workers_at_most_one_run_in_process(self):
+        from repro.scenarios import ordered_map
 
-        assert isinstance(get_executor(None, None), SerialExecutor)
-        assert isinstance(get_executor(None, 1), SerialExecutor)
+        # A lambda cannot cross a process boundary, so these only pass
+        # when the map stays in this process.
+        assert ordered_map(lambda n: n + 1, [1, 2, 3]) == [2, 3, 4]
+        assert ordered_map(lambda n: n + 1, [1, 2, 3], workers=1) == [2, 3, 4]
+        assert ordered_map(lambda n: n + 1, [5], workers=4) == [6]
 
-    def test_get_executor_workers_pick_process(self):
-        from repro.scenarios import ProcessExecutor, get_executor
+    def test_more_workers_run_in_other_processes(self):
+        import os
 
-        executor = get_executor(None, 3)
-        assert isinstance(executor, ProcessExecutor)
-        assert executor.workers == 3
+        from repro.scenarios import ordered_map
 
-    def test_get_executor_by_name_and_instance(self):
-        from repro.scenarios import SerialExecutor, get_executor
-
-        assert get_executor("serial").name == "serial"
-        assert get_executor("process", 2).name == "process"
-        instance = SerialExecutor()
-        assert get_executor(instance) is instance
-
-    def test_unknown_executor_rejected(self):
-        from repro.scenarios import ExecutorError, get_executor
-
-        with pytest.raises(ExecutorError):
-            get_executor("cluster")
+        pids = ordered_map(_pid, list(range(6)), workers=3)
+        assert os.getpid() not in pids
 
     def test_invalid_worker_count_rejected(self):
-        from repro.scenarios import ExecutorError, ProcessExecutor
+        from repro.scenarios import ExecutorError, ordered_map
 
         with pytest.raises(ExecutorError):
-            ProcessExecutor(0)
-
-    def test_register_executor_conflict(self):
-        from repro.scenarios import ExecutorError, register_executor
-
-        with pytest.raises(ExecutorError):
-            register_executor("serial", lambda workers: None)
+            ordered_map(_square, [1, 2], workers=0)
 
     def test_process_map_preserves_order(self):
-        from repro.scenarios import ProcessExecutor
+        from repro.scenarios import ordered_map
 
-        result = ProcessExecutor(4).map(_square, list(range(12)))
+        result = ordered_map(_square, list(range(12)), workers=4)
         assert result == [n * n for n in range(12)]
 
     def test_serial_map(self):
-        from repro.scenarios import SerialExecutor
+        from repro.scenarios import ordered_map
 
-        assert SerialExecutor().map(_square, [1, 2, 3]) == [1, 4, 9]
+        assert ordered_map(_square, [1, 2, 3]) == [1, 4, 9]
+
+
+def _pid(_item: int) -> int:
+    import os
+
+    return os.getpid()
 
 
 def _square(n: int) -> int:

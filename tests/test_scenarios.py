@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.dns import RecordType
-from repro.experiments import ExperimentConfig, run_resolution_experiment
 from repro.experiments.metrics import fraction_below, percentile
 from repro.scenarios import (
     Scenario,
@@ -247,15 +246,33 @@ class TestRunner:
         issued = sorted({o.issued_at for o in result.outcomes})
         assert len(issued) == 3  # three bursts of four
 
-    def test_legacy_config_path_equivalent(self):
-        config = ExperimentConfig(
-            transport="coap", num_queries=8, loss=0.1, seed=6
-        )
-        legacy = run_resolution_experiment(config)
-        native = ScenarioRunner().run(config.to_scenario())
-        assert legacy.resolution_times == native.resolution_times
-        assert legacy.config is config
-        assert legacy.scenario is not None
+
+    def test_truncated_run_is_logged_once(self, capsys):
+        import json
+
+        from repro.api import run
+
+        # 50 arrivals at 5/s need ~10 s; a 2 s run never issues the tail.
+        report = run("queries=50,rate=5,duration=2")
+        records = [
+            json.loads(line)
+            for line in capsys.readouterr().err.splitlines()
+        ]
+        assert len(records) == 1
+        record = records[0]
+        assert record["level"] == "warning"
+        assert record["requested"] == 50
+        assert record["run_duration"] == 2.0
+        assert record["first_late_arrival"] > 2.0
+        assert 0 < record["issued"] < 50
+        assert report.metrics["queries.issued"] == record["issued"]
+
+    def test_run_that_fits_logs_nothing(self, capsys):
+        from repro.api import run
+
+        report = run("queries=10,rate=5,duration=60")
+        assert report.metrics["queries.issued"] == 10
+        assert capsys.readouterr().err == ""
 
 
 class TestSweep:
@@ -276,13 +293,14 @@ class TestSweep:
         assert ("oscore", "one-hop", 0.25) in keys
 
     def test_per_cell_metrics(self, sweep):
-        metrics = sweep.metrics()
-        assert len(metrics) == 12
-        for key, cell_metrics in metrics.items():
-            assert cell_metrics["queries"] == 8, key
-            assert cell_metrics["success_rate"] > 0.0, key
-            assert cell_metrics["median_s"] > 0.0, key
-            assert cell_metrics["frames_1hop"] > 0, key
+        reports = sweep.reports()
+        assert len(reports) == 12
+        for key, report in reports.items():
+            metrics = report.metrics
+            assert metrics["queries.issued"] == 8, key
+            assert metrics["queries.success_rate"] > 0.0, key
+            assert metrics["latency.p50_ms"] > 0.0, key
+            assert metrics["sim.link.frames_1hop"] > 0, key
 
     def test_cell_lookup(self, sweep):
         cell = sweep.cell("coap", "one-hop", 0.05)

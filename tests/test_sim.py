@@ -544,5 +544,6 @@ class TestScheduleManyBitIdentity:
         assert len(cells_batched) == 8
         for cell_b, cell_l in zip(cells_batched, cells_looped):
             assert cell_b.result.outcomes == cell_l.result.outcomes
+            assert cell_b.result.link == cell_l.result.link
             assert cell_b.result.cache_stats == cell_l.result.cache_stats
-            assert cell_b.metrics() == cell_l.metrics()
+            assert cell_b.report().metrics == cell_l.report().metrics

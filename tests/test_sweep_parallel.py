@@ -1,13 +1,13 @@
 """Parallel sweep execution: determinism and plumbing.
 
-The acceptance bar for the parallel executor is bit-identical results:
-``sweep(workers=4)`` must produce exactly the metrics of
-``sweep(workers=1)`` for a grid that exercises the cache-placement and
-scheme axes, because every cell seeds its own simulator and no state
-crosses cells.
+The acceptance bar for parallel execution is bit-identical results:
+``sweep(workers=4)`` must produce exactly the raw results (and so the
+Reports) of ``sweep(workers=1)`` for a grid that exercises the
+cache-placement and scheme axes, because every cell seeds its own
+simulator and no state crosses cells.
 """
 
-from repro.experiments import ExperimentConfig, run_repeated
+from repro.api import RunSpec, run
 from repro.scenarios import Scenario, ScenarioRunner, WorkloadSpec
 
 
@@ -16,6 +16,18 @@ def _small_base() -> Scenario:
         workload=WorkloadSpec(num_queries=8, num_names=8),
         run_duration=120.0,
     )
+
+
+def _assert_cells_identical(one, other):
+    """Same cells in the same grid order, and bit-identical results:
+    exact floats in the raw outcomes, link tallies and cache counters
+    (the simulations are deterministic), hence equal Reports."""
+    assert [cell.key for cell in one] == [cell.key for cell in other]
+    for a, b in zip(one, other):
+        assert a.result.outcomes == b.result.outcomes
+        assert a.result.link == b.result.link
+        assert a.result.cache_stats == b.result.cache_stats
+        assert a.report().metrics == b.report().metrics
 
 
 class TestParallelSweepDeterminism:
@@ -32,12 +44,7 @@ class TestParallelSweepDeterminism:
         serial = runner.sweep(**grid, workers=1)
         parallel = runner.sweep(**grid, workers=4)
         assert len(serial) == len(parallel) == 4
-        serial_metrics = serial.metrics()
-        parallel_metrics = parallel.metrics()
-        # Same cells in the same grid order, and bit-identical metric
-        # values (floats included — the simulations are deterministic).
-        assert list(serial_metrics) == list(parallel_metrics)
-        assert serial_metrics == parallel_metrics
+        _assert_cells_identical(serial, parallel)
 
     def test_explicit_process_executor_name(self):
         runner = ScenarioRunner()
@@ -47,9 +54,9 @@ class TestParallelSweepDeterminism:
             topologies=("one-hop",),
             losses=(0.05,),
         )
-        serial = runner.sweep(**grid, executor="serial")
-        process = runner.sweep(**grid, executor="process", workers=2)
-        assert serial.metrics() == process.metrics()
+        serial = runner.sweep(**grid, workers=1)
+        process = runner.sweep(**grid, workers=2)
+        _assert_cells_identical(serial, process)
 
     def test_enumerate_cells_is_pure(self):
         runner = ScenarioRunner()
@@ -72,17 +79,18 @@ class TestParallelSweepDeterminism:
             topologies=("figure2",),
             losses=(0.0,),
         )
-        metrics = sweep.cell("coap", "figure2", 0.0).metrics()
-        assert metrics["frames_1hop"] > 0
-        assert metrics["bytes_2hop"] > 0
-        assert metrics["success_rate"] == 1.0
+        metrics = sweep.cell("coap", "figure2", 0.0).report().metrics
+        assert metrics["sim.link.frames_1hop"] > 0
+        assert metrics["sim.link.bytes_2hop"] > 0
+        assert metrics["queries.success_rate"] == 1.0
 
 
 class TestRepeatedRunsParallel:
-    def test_run_repeated_workers_match_serial(self):
-        config = ExperimentConfig(num_queries=6, num_names=6)
-        serial = run_repeated(config, runs=3)
-        parallel = run_repeated(config, runs=3, workers=3)
+    def test_repeats_workers_match_serial(self):
+        spec = RunSpec.from_spec("queries=6,names=6,repeats=3")
+        serial = run(spec).raw
+        parallel = run(RunSpec.from_spec("workers=3", base=spec)).raw
+        assert [r.scenario.seed for r in serial] == [1, 1001, 2001]
         assert [r.resolution_times for r in serial] == [
             r.resolution_times for r in parallel
         ]

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.api import RunSpec, run
 from repro.config import TABLE6, paper_defaults
-from repro.experiments import ExperimentConfig, run_resolution_experiment
 from repro.experiments.timelines import (
     TimelinePoint,
     event_timeline,
@@ -15,12 +15,9 @@ from repro.experiments.timelines import (
 class TestTimelines:
     @pytest.fixture(scope="class")
     def lossy_result(self):
-        return run_resolution_experiment(
-            ExperimentConfig(
-                transport="coap", num_queries=30, loss=0.35,
-                l2_retries=0, seed=21,
-            )
-        )
+        return run(RunSpec.from_spec(
+            "transport=coap,queries=30,loss=0.35,retries=0,seed=21"
+        )).raw
 
     def test_points_extracted(self, lossy_result):
         points = event_timeline(lossy_result)
@@ -49,12 +46,9 @@ class TestTimelines:
         assert bands == [(2.0, 3.0), (6.0, 9.0), (14.0, 21.0), (30.0, 45.0)]
 
     def test_cache_hits_at_query_time(self):
-        result = run_resolution_experiment(
-            ExperimentConfig(
-                transport="coap", num_queries=20, num_names=2,
-                ttl=(300, 300), client_coap_cache=True, seed=22,
-            )
-        )
+        result = run(RunSpec.from_spec(
+            "transport=coap,queries=20,names=2,cache=client-coap,seed=22"
+        )).raw
         points = event_timeline(result)
         hits = [p for p in points if p.kind == "cache_hit"]
         assert hits
@@ -106,11 +100,10 @@ class TestTable6:
         )
 
     def test_defaults_match_experiment_harness(self):
-        from repro.experiments import ExperimentConfig
-        from repro.experiments.resolution import NAME_TEMPLATE
+        from repro.scenarios import NAME_TEMPLATE, WorkloadSpec
 
         defaults = paper_defaults()
-        config = ExperimentConfig()
-        assert config.query_rate == defaults["query_rate"]
-        assert config.num_queries == defaults["queries_per_run"]
+        workload = WorkloadSpec()
+        assert workload.query_rate == defaults["query_rate"]
+        assert workload.num_queries == defaults["queries_per_run"]
         assert len(NAME_TEMPLATE.format(index=0)) == defaults["name_length"]
