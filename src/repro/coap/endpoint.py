@@ -491,12 +491,18 @@ class CoapServer:
         block = Block.decode(block1_data)
         key = (message.token.hex(), 1)
         assembler = _recall(self._block1_assembly, key, self.sim.now)
-        if assembler is None or block.number == 0:
+        fresh = assembler is None or block.number == 0
+        if fresh:
             assembler = BlockAssembler()
             _remember(self._block1_assembly, key, assembler, self.sim.now)
         try:
             complete = assembler.add(block, message.payload)
         except Exception:
+            if fresh:
+                # Nothing was assembled — typically a continuation of
+                # an upload that has expired. The assembler can accept
+                # no later block, so it must not hold a slot either.
+                del self._block1_assembly[key]
             return None, message.make_response(Code.REQUEST_ENTITY_INCOMPLETE)
         if not complete:
             reply = message.make_response(Code.CONTINUE).with_option(

@@ -1,7 +1,7 @@
 """Aggregate client-cache model for the fleet engine.
 
 The exact simulator builds a full protocol stack per client; the fleet
-keeps *only* the cache state — per active client, the same bounded
+keeps *only* the cache state — per client, the same bounded
 :class:`~repro.cache.KeyedCache` stores the per-node stacks use, with
 the same policies (client DNS: expired-first, stale entries dropped;
 client CoAP: expired-first, stale entries kept for ETag revalidation)
@@ -11,9 +11,14 @@ the ``CacheStats`` vocabulary (hits/misses/stale/validations/
 evictions) is reproduced exactly for the simulated sample and in
 expectation for the scaled fleet.
 
-Caches materialise lazily on a client's first query: a million-client
-run with fifty queries holds fifty clients' worth of cache state, and a
-sampled run at most the sample cap's worth.
+A client's ``(dns, coap)`` pair materialises when the engine first has
+something to store that a later query of that client can read. Until
+then its caches are empty, and an empty cache can only miss — so a
+lookup counts its miss on the pooled counters without any cache being
+built, and an empty cache cannot evict, so a store nobody will read is
+dropped without a counter noticing. A run where every client asks once
+holds no cache state at all; every counter is what it would be with
+every cache built on the client's first query.
 
 Client churn is applied here: with churn rate λ, a client alive since
 its last query survives the gap ``dt`` with probability ``exp(-λ·dt)``
@@ -26,14 +31,18 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.cache import CacheStats, EvictionPolicy, KeyedCache
 from repro.scenarios.scenario import CachingSpec
 
 
+#: One client's ``(dns, coap)`` caches; ``None`` where a location is off.
+CachePair = Tuple[Optional[KeyedCache], Optional[KeyedCache]]
+
+
 class FleetCacheModel:
-    """Per-client cache columns with pooled per-location statistics."""
+    """Per-client cache pairs with pooled per-location statistics."""
 
     def __init__(
         self,
@@ -57,67 +66,81 @@ class FleetCacheModel:
         self._coap_capacity = caching.client_coap_capacity
         self._churn = churn
         self._model_rng = model_rng if model_rng is not None else random.Random(0)
-        self._dns: Dict[int, KeyedCache] = {}
-        self._coap: Dict[int, KeyedCache] = {}
+        self._pairs: Dict[int, CachePair] = {}
+        self._asked: Dict[int, int] = {}
         self._last_seen: Dict[int, float] = {}
         #: Pooled counters, keyed with the exact runner's location labels.
         self.stats: Dict[str, CacheStats] = {}
+        #: The counters of the locations queries look up and store into:
+        #: what a query of a client without caches misses on.
+        self.consulted: List[CacheStats] = []
         if self._dns_enabled:
             self.stats["client-dns"] = CacheStats()
+            self.consulted.append(self.stats["client-dns"])
         if self._coap_enabled:
             self.stats["client-coap"] = CacheStats()
+            if self._coap_consulted:
+                self.consulted.append(self.stats["client-coap"])
 
     @property
     def active_clients(self) -> int:
-        """Clients whose cache state has materialised."""
-        return len(self._last_seen)
+        """Clients that issued at least one query."""
+        return len(self._asked)
 
-    def touch(self, client: int, now: float) -> None:
-        """Account for client lifetime between queries (churn model)."""
+    def touch(self, client: int, now: float) -> int:
+        """Count *client*'s query at *now* and apply the churn model
+        to the time since its previous one; returns how many queries
+        the client has now issued."""
+        asked = self._asked[client] = self._asked.get(client, 0) + 1
+        if self._churn <= 0.0:
+            return asked
         last = self._last_seen.get(client)
         self._last_seen[client] = now
-        if last is None or self._churn <= 0.0:
-            return
-        gap = max(0.0, now - last)
-        if gap == 0.0:
-            return
-        if self._model_rng.random() >= math.exp(-self._churn * gap):
+        if last is None:
+            return asked
+        gap = now - last
+        if gap > 0.0 and (
+            self._model_rng.random() >= math.exp(-self._churn * gap)
+        ):
             # The original client left the fleet; its replacement
             # starts cold.
-            cache = self._dns.get(client)
-            if cache is not None:
-                cache.clear()
-            cache = self._coap.get(client)
-            if cache is not None:
-                cache.clear()
+            for cache in self._pairs.get(client, ()):
+                if cache is not None:
+                    cache.clear()
+        return asked
 
-    # -- per-location access ----------------------------------------------
+    # -- per-client access --------------------------------------------------
 
-    def dns(self, client: int) -> Optional[KeyedCache]:
-        if not self._dns_enabled:
-            return None
-        cache = self._dns.get(client)
-        if cache is None:
-            cache = self._dns[client] = KeyedCache(
+    def caches(self, client: int) -> Optional[CachePair]:
+        """*client*'s ``(dns, coap)`` caches (``None`` in the place of
+        a location that is off or never consulted) — or ``None`` while
+        nothing has been stored for the client, in which case each
+        consulted location has counted the miss its empty cache would
+        have.
+        """
+        pair = self._pairs.get(client)
+        if pair is None:
+            for stats in self.consulted:
+                stats.misses += 1
+        return pair
+
+    def materialise(self, client: int) -> CachePair:
+        """Build *client*'s (empty) caches, ahead of its first store."""
+        pair = self._pairs[client] = (
+            KeyedCache(
                 self._dns_capacity,
                 policy=EvictionPolicy.EXPIRED_FIRST,
                 keep_stale=False,
                 stats=self.stats["client-dns"],
-            )
-        return cache
-
-    def coap(self, client: int) -> Optional[KeyedCache]:
-        if not self._coap_consulted:
-            return None
-        cache = self._coap.get(client)
-        if cache is None:
-            cache = self._coap[client] = KeyedCache(
+            ) if self._dns_enabled else None,
+            KeyedCache(
                 self._coap_capacity,
                 policy=EvictionPolicy.EXPIRED_FIRST,
                 keep_stale=True,
                 stats=self.stats["client-coap"],
-            )
-        return cache
+            ) if self._coap_consulted else None,
+        )
+        return pair
 
     # -- scaling -----------------------------------------------------------
 

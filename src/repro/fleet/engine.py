@@ -8,7 +8,11 @@ them once in issue order, consulting the aggregate cache model
 (:mod:`repro.fleet.cache`) and the calibrated service-time model
 (:mod:`repro.fleet.service`) per query. Engine work is
 ``O(min(num_queries, sample_cap))`` regardless of the fleet size, so a
-million-client run costs the same as a sixty-four-thousand-query one.
+million-client run costs the same as a sixty-four-thousand-query one —
+and the walk keeps state only where a later query can read it: how
+often each client asks is known from the columns, so a client's caches
+are built at its first store that one of its own later queries can
+see (:mod:`repro.fleet.cache`), never for a client that asks once.
 
 Semantics mirror the exact per-node stack query-for-query:
 
@@ -103,15 +107,22 @@ def run_fleet(
         )
     # The exact runner assigns query i to client i % clients; the fleet
     # does the same over the sampled sub-fleet.
-    clients = [index % plan.clients for index in range(plan.queries)]
-    issue_times = defer_to_wake(
-        arrivals, clients, options.duty_cycle, options.duty_period
-    )
+    num_clients = plan.clients
     if options.duty_cycle < 1.0:
+        issue_times = defer_to_wake(
+            arrivals,
+            [index % num_clients for index in range(plan.queries)],
+            options.duty_cycle,
+            options.duty_period,
+        )
         # Deferral can reorder queries; caches must see issue order.
         order = sorted(range(plan.queries), key=issue_times.__getitem__)
     else:
-        order = list(range(plan.queries))
+        issue_times, order = arrivals, range(plan.queries)
+    # How often each client asks is known before the walk: the first
+    # `extra` clients once more than `rounds`. A client's last query
+    # cannot leave anything behind that a lookup will see.
+    rounds, extra = divmod(plan.queries, num_clients)
 
     # Model-internal draws (churn survival) come from a separate seeded
     # stream so fleet-only dimensions never shift the workload streams.
@@ -126,59 +137,64 @@ def run_fleet(
         churn=options.churn,
         model_rng=model_rng,
     )
-    service = ServiceModel(calibration)
     reservoir = LatencyReservoir(seed=scenario.seed)
     outcomes: List[QueryOutcome] = []
     wired_clients = set()
     run_duration = scenario.run_duration
+    labels = [NAME_TEMPLATE.format(index=i) for i in range(workload.num_names)]
+    # What the walk calls once per sampled query, bound once.
+    draw_rtype = workload.draw_rtype
+    draw_service = ServiceModel(calibration).draw
+    touch, caches = cache_model.touch, cache_model.caches
+    caching = bool(cache_model.consulted)
+    record, observe = outcomes.append, reservoir.add
+    HIT, STALE, OK = LookupState.HIT, LookupState.STALE, ServiceModel.OK
 
     for index in order:
         issued_at = issue_times[index]
         if issued_at > run_duration:
             continue
-        client = clients[index]
+        client = index % num_clients
         name_index = names[index]
-        rtype = workload.draw_rtype(rng)
+        rtype = draw_rtype(rng)
         outcome = QueryOutcome(
-            name=NAME_TEMPLATE.format(index=name_index),
-            client=f"fleet{client}",
-            issued_at=issued_at,
-            resolution_time=None,
-            rtype=rtype,
+            labels[name_index], f"fleet{client}", issued_at, None, None, rtype
         )
-        outcomes.append(outcome)
-        cache_model.touch(client, issued_at)
+        record(outcome)
+        asked = touch(client, issued_at)
         key = (name_index, rtype)
 
-        dns = cache_model.dns(client)
-        if dns is not None:
-            entry, state = dns.lookup(key, issued_at)
-            if state is LookupState.HIT:
-                outcome.resolution_time = 0.0
-                reservoir.add(0.0)
-                continue
-
-        coap = cache_model.coap(client)
+        # No pair yet: the client's caches are empty, the lookups have
+        # missed (and are counted), and nothing can be stale.
+        pair = caches(client)
         stale = False
-        if coap is not None:
-            entry, state = coap.lookup(key, issued_at)
-            if state is LookupState.HIT:
-                outcome.resolution_time = 0.0
-                reservoir.add(0.0)
-                if dns is not None:
-                    remaining = entry.expires_at - issued_at
-                    if remaining > 0:
-                        # The replayed response carries aged TTLs, so
-                        # the DNS entry expires with the CoAP one.
-                        dns.store(key, True, lifetime=remaining,
-                                  now=issued_at)
-                continue
-            stale = state is LookupState.STALE
+        if pair is not None:
+            dns, coap = pair
+            if dns is not None:
+                entry, state = dns.lookup(key, issued_at)
+                if state is HIT:
+                    outcome.resolution_time = 0.0
+                    observe(0.0)
+                    continue
+            if coap is not None:
+                entry, state = coap.lookup(key, issued_at)
+                if state is HIT:
+                    outcome.resolution_time = 0.0
+                    observe(0.0)
+                    if dns is not None:
+                        remaining = entry.expires_at - issued_at
+                        if remaining > 0:
+                            # The replayed response carries aged TTLs,
+                            # so the DNS entry expires with the CoAP one.
+                            dns.store(key, True, lifetime=remaining,
+                                      now=issued_at)
+                    continue
+                stale = state is STALE
 
         first_exchange = client not in wired_clients
         wired_clients.add(client)
-        kind, latency = service.draw(first_exchange)
-        if kind != ServiceModel.OK:
+        kind, latency = draw_service(first_exchange)
+        if kind != OK:
             outcome.error = (
                 "TimeoutError" if kind == ServiceModel.TIMEOUT
                 else "RcodeError"
@@ -190,14 +206,23 @@ def run_fleet(
             # the same fate the event-loop cutoff hands such queries.
             continue
         outcome.resolution_time = latency
-        reservoir.add(latency)
+        observe(latency)
         ttl = ttls[name_index]
-        if coap is not None and ttl > 0:
+        if ttl <= 0 or not caching:
+            continue
+        if pair is None:
+            if asked == rounds + (client < extra):
+                # Nobody will read this store, and an empty cache has
+                # nothing to evict: no counter can tell it was skipped.
+                continue
+            pair = cache_model.materialise(client)
+        dns, coap = pair
+        if coap is not None:
             if stale:
                 coap.refresh(key, done, ttl)
             else:
                 coap.store(key, True, lifetime=ttl, now=done)
-        if dns is not None and ttl > 0:
+        if dns is not None:
             dns.store(key, True, lifetime=ttl, now=done)
 
     return FleetResult(

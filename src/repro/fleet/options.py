@@ -18,8 +18,8 @@ class FleetOptionsError(ValueError):
 #: Hard ceiling on the number of queries the engine simulates exactly;
 #: anything above is represented by a client-sampled sub-fleet whose
 #: counters scale up (see :mod:`repro.fleet.arrivals`). 64k sampled
-#: queries keep a million-client run comfortably inside one CI core's
-#: 60-second budget while leaving percentile estimates tight.
+#: queries walk in a fraction of a second on one core (README, "Fleet
+#: substrate") while leaving percentile estimates tight.
 DEFAULT_SAMPLE_CAP = 65536
 
 #: Clients on the exact-simulator probe topology the service-time model

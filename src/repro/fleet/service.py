@@ -212,14 +212,15 @@ def calibrate(scenario: Scenario, options: FleetOptions) -> Calibration:
 
 
 def _van_der_corput(index: int) -> float:
-    """Base-2 radical inverse of ``index + 1`` — a (0, 1) sequence."""
+    """Base-2 radical inverse of ``index + 1`` — a (0, 1) sequence.
+
+    The bits of ``n`` mirrored about the binary point: reversed as a
+    string, over ``2**bit_length``. Every partial sum of the textbook
+    bit loop is a dyadic rational a float holds exactly, so this is the
+    same float for any index a run can reach (below 2**53).
+    """
     n = index + 1
-    value, denominator = 0.0, 1.0
-    while n:
-        denominator *= 2.0
-        value += (n & 1) / denominator
-        n >>= 1
-    return value
+    return int(bin(n)[:1:-1], 2) / (1 << n.bit_length())
 
 
 class ServiceModel:
@@ -236,7 +237,14 @@ class ServiceModel:
     OK, TIMEOUT, RCODE = "ok", "timeout", "rcode"
 
     def __init__(self, calibration: Calibration) -> None:
-        self._calibration = calibration
+        # Read once: the probabilities are properties that divide, and
+        # a stream the probe left empty falls back to the other one —
+        # a probe whose every exchange failed models a fleet that
+        # times out.
+        self._p_timeout = calibration.p_timeout
+        self._p_rcode = calibration.p_rcode
+        self._first = calibration.first_latencies or calibration.rest_latencies
+        self._rest = calibration.rest_latencies or calibration.first_latencies
         self._timeout_acc = 0.0
         self._rcode_acc = 0.0
         self._first_index = 0
@@ -249,36 +257,24 @@ class ServiceModel:
         wire (handshake-bearing transports pay more there). Latency is
         ``None`` for failed exchanges.
         """
-        calibration = self._calibration
-        self._timeout_acc += calibration.p_timeout
+        self._timeout_acc += self._p_timeout
         if self._timeout_acc >= 1.0:
             self._timeout_acc -= 1.0
             return self.TIMEOUT, None
-        self._rcode_acc += calibration.p_rcode
+        self._rcode_acc += self._p_rcode
         if self._rcode_acc >= 1.0:
             self._rcode_acc -= 1.0
             return self.RCODE, None
-        samples = (
-            calibration.first_latencies
-            if first_exchange
-            else calibration.rest_latencies
-        )
-        if not samples:
-            # Fall back to the other stream before giving up: a probe
-            # whose every exchange failed models a fleet that times out.
-            samples = (
-                calibration.rest_latencies
-                if first_exchange
-                else calibration.first_latencies
-            )
-        if not samples:
-            return self.TIMEOUT, None
         if first_exchange:
+            samples = self._first
             u = _van_der_corput(self._first_index)
             self._first_index += 1
         else:
+            samples = self._rest
             u = _van_der_corput(self._rest_index)
             self._rest_index += 1
+        if not samples:
+            return self.TIMEOUT, None
         # The inverse empirical CDF at u: the calibration holds its
         # samples as sorted tuples, so a draw never sorts.
         return self.OK, interpolate_sorted(samples, u * (len(samples) - 1))

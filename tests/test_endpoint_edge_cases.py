@@ -5,7 +5,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.coap import CoapMessage, Code, MessageType, OptionNumber
-from repro.coap.endpoint import CoapClient, CoapServer
+from repro.coap.blockwise import Block
+from repro.coap.endpoint import EXCHANGE_LIFETIME, CoapClient, CoapServer
 from repro.sim import Simulator
 from repro.stack import build_figure2_topology
 
@@ -165,6 +166,48 @@ class TestRobustness:
         client._on_datagram(topo.resolver_host.address, 5683,
                             stray.encode(), {})
         sim.run(until=1)  # nothing blows up
+
+    def test_expired_block1_continuation_leaves_no_assembler(self):
+        """A Block1 continuation whose upload has expired is answered
+        4.08 and must not park a fresh, useless assembler in the table
+        for another EXCHANGE_LIFETIME."""
+        sim, topo, client, server = _setup()
+        raw = topo.clients[0].bind()
+        replies = []
+        raw.on_datagram = lambda src, sport, data, md: replies.append(
+            CoapMessage.decode(data)
+        )
+
+        def upload(number, more, mid):
+            block = Block(number=number, more=more, size=16)
+            request = CoapMessage.request(
+                Code.POST, "/echo", mid=mid, token=b"\x0B", payload=b"x" * 16
+            ).with_option(OptionNumber.BLOCK1, block.encode())
+            raw.sendto(request.encode(), topo.resolver_host.address, 5683)
+
+        upload(0, True, mid=1)
+        sim.run(until=5)
+        assert replies[-1].code == Code.CONTINUE
+        assert len(server._block1_assembly) == 1
+
+        # The upload expires; only then does its second block arrive.
+        sim.run(until=5 + EXCHANGE_LIFETIME)
+        upload(1, False, mid=2)
+        sim.run(until=sim.now + 5)
+        assert replies[-1].code == Code.REQUEST_ENTITY_INCOMPLETE
+        assert len(server._block1_assembly) == 0
+
+        # An out-of-order block of a live upload is refused as well,
+        # but that upload goes on: its assembler stays.
+        upload(0, True, mid=3)
+        upload(2, True, mid=4)
+        upload(1, False, mid=5)
+        sim.run(until=sim.now + 5)
+        assert [reply.code for reply in replies[-3:]] == [
+            Code.CONTINUE, Code.REQUEST_ENTITY_INCOMPLETE, Code.CONTENT,
+        ]
+        assert replies[-1].payload == b"x" * 32
+        assert len(server._block1_assembly) == 0
 
     def test_unknown_critical_option_is_preserved(self):
         """The endpoint does not strip options it does not understand —

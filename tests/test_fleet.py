@@ -12,11 +12,16 @@ bound.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pathlib
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import fleet_reference as reference
+import repro.fleet.cache
 from repro.api import ApiError, RunSpec, run
 from repro.api.schema import load_schema, validate
 from repro.fleet import (
@@ -29,6 +34,7 @@ from repro.fleet import (
     run_fleet,
     wake_time,
 )
+from repro.fleet.service import Calibration, ServiceModel, _van_der_corput
 from repro.scenarios import CachingSpec, scenario_from_spec
 
 SCHEMA = load_schema(
@@ -204,23 +210,23 @@ class TestChurn:
 
     def test_replacement_restarts_cold(self):
         model = self.make_model(churn=10.0, rng_value=0.999)
-        cache = model.dns(0)
+        cache, _ = model.materialise(0)
         cache.store("key", True, lifetime=300.0, now=0.0)
         model.touch(0, 0.0)
         # Survival probability exp(-10 * 5) is far below 0.999: the
         # client is replaced and its cache cleared.
         model.touch(0, 5.0)
-        entry, state = model.dns(0).lookup("key", 5.0)
+        entry, state = cache.lookup("key", 5.0)
         assert entry is None
 
     def test_survivor_keeps_cache(self):
         model = self.make_model(churn=0.001, rng_value=0.5)
-        cache = model.dns(0)
+        cache, _ = model.materialise(0)
         cache.store("key", True, lifetime=300.0, now=0.0)
         model.touch(0, 0.0)
         # Survival probability exp(-0.001 * 5) ~ 0.995 > 0.5: survives.
         model.touch(0, 5.0)
-        entry, state = model.dns(0).lookup("key", 5.0)
+        entry, state = cache.lookup("key", 5.0)
         assert entry is not None
 
     def test_churn_lowers_hit_ratio_end_to_end(self):
@@ -406,3 +412,226 @@ class TestEngineSemantics:
         second = run_fleet(scenario)
         assert first.outcomes == second.outcomes
         assert first.cache_stats == second.cache_stats
+
+
+# -- the engine against the always-materialise reference walk ---------------
+
+
+@st.composite
+def fleet_runs(draw):
+    """A (scenario, options) pair from every dimension the walk reads."""
+    transport = draw(st.sampled_from(("coap", "oscore", "udp")))
+    lossy = draw(st.booleans())
+    scenario = scenario_from_spec(
+        f"{draw(st.sampled_from(('one-hop', 'figure2')))},"
+        f"transport={transport},"
+        f"clients={draw(st.sampled_from((1, 2, 3, 5, 16, 64)))},"
+        f"queries={draw(st.sampled_from((1, 16, 64, 90, 150, 200)))},"
+        f"names={draw(st.sampled_from((1, 3, 6, 20)))},"
+        f"rate={draw(st.sampled_from((5, 20, 50)))},"
+        f"rtype={draw(st.sampled_from(('a', 'mixed')))},"
+        f"seed={draw(st.integers(0, 3))},"
+        # Frame loss without link-layer retries: the probe sees timeouts,
+        # so the walk draws failures as well as latencies.
+        + ("loss=0.35,retries=0" if lossy else "loss=0")
+    )
+    workload = replace(
+        scenario.workload,
+        zipf_alpha=draw(st.sampled_from((None, 0.8, 1.3))),
+        # Short TTLs expire inside the run (stale hits, revalidation,
+        # expired-first eviction); a zero TTL is uncacheable.
+        ttl=draw(st.sampled_from(((300, 300), (300, 300), (1, 3), (0, 1)))),
+    )
+    placement = draw(st.sampled_from((
+        "client-dns", "client-coap", "client-dns+client-coap", "none",
+    )))
+    caching = CachingSpec(
+        client_dns="dns" in placement,
+        client_coap="coap" in placement,
+        proxy=False,
+        client_dns_capacity=draw(st.sampled_from((1, 3, 8))),
+        client_coap_capacity=draw(st.sampled_from((1, 3, 8))),
+    )
+    if draw(st.integers(0, 3)) == 0:
+        # End the run early: late arrivals never issue, late answers
+        # never land.
+        nominal = workload.num_queries / workload.query_rate
+        scenario = replace(scenario, run_duration=workload.start + nominal / 2)
+    scenario = replace(scenario, workload=workload, caching=caching)
+    options = FleetOptions(
+        churn=draw(st.sampled_from((0.0, 0.3))),
+        duty_cycle=draw(st.sampled_from((1.0, 0.3))),
+        duty_period=4.0,
+        flash_crowd=draw(st.sampled_from((1.0, 4.0))),
+        sample_cap=draw(st.sampled_from((65536, 48))),
+        probe_queries=12,
+    )
+    return scenario, options
+
+
+def report_digest(report) -> str:
+    text = json.dumps(
+        {"metrics": report.metrics, "telemetry": report.telemetry},
+        sort_keys=True, separators=(",", ":"),
+    )
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+_CACHED = "transport=coap,names=12,rate=20,cache=client-dns+client-coap"
+
+#: Specs whose whole Report (metrics and telemetry) was digested with
+#: the always-materialise engine, before the walk learnt to elide.
+REGRESSION_SPECS = {
+    "churn": (
+        f"one-hop,{_CACHED},clients=24,queries=600,churn=0.05",
+        "a61632a7cee05e458d840cb79e67b93ae49bd5fedb586da442dce69199358e0a",
+    ),
+    "duty_cycle": (
+        f"one-hop,{_CACHED},clients=32,queries=500,duty_cycle=0.2,"
+        "duty_period=8",
+        "e8cc594d68d54a9b4afcdb630b9c02a74b3b0383c90cc49abffce0d973bf18a4",
+    ),
+    "flash_crowd": (
+        f"one-hop,{_CACHED},clients=16,queries=500,flash_crowd=5",
+        "8e79ccd0873096bd4c6f6f86bf5df083e3fe70b2e21fcb572157812a2027cee3",
+    ),
+    "zipf": (
+        f"one-hop,{_CACHED},clients=8,queries=600,names=40,zipf=1.1,"
+        "rtype=mixed",
+        "4862d4468a62f534746a312f5618db3337d20514c5c7c4be797b47a3b4a45506",
+    ),
+    "oscore": (
+        f"one-hop,{_CACHED},clients=6,queries=300,transport=oscore",
+        "300a626004a9ff8dc659747ba5d8fb74f262f9132f0c4ea0e6a7e3ee88d75042",
+    ),
+    "udp": (
+        "one-hop,transport=udp,clients=6,queries=300,names=12,rate=20,"
+        "loss=0.1,cache=client-dns",
+        "3d456a3b112fac573849fb42d549c1e3aa1bd996d5666700ff0e719adfd4b39b",
+    ),
+    "figure2": (
+        f"figure2,{_CACHED},clients=10,queries=400,loss=0.1,scheme=eol-ttls",
+        "3b96ce6a1e970ce9875ba85879ec15dac683b6c000e8a2a798043a11f8203a20",
+    ),
+    "clients_gt_queries": (
+        f"one-hop,{_CACHED},clients=5000,queries=300",
+        "a2f053510c25a665fefb551d62a3cdce3e5aa13a83b555620cd817937adb6f2f",
+    ),
+    "sampled": (
+        f"one-hop,{_CACHED},clients=1000,queries=200000,rate=2000,"
+        "fleet-sample-cap=3000,seed=4711",
+        "475241f59d8f28e47d12d4354040115b4153c061ee5dae4455a1a95c256b950e",
+    ),
+}
+
+
+class TestAgainstReferenceWalk:
+    @settings(max_examples=150, deadline=None)
+    @given(fleet_runs())
+    def test_walk_equals_reference(self, case):
+        scenario, options = case
+        expected = reference.reference_run_fleet(scenario, options)
+        result = run_fleet(scenario, options)
+        assert result.outcomes == expected.outcomes
+        assert result.cache_stats == expected.cache_stats
+        assert result.active_clients == expected.active_clients
+        assert result.reservoir.samples == expected.reservoir.samples
+        assert result.reservoir.count == expected.reservoir.count
+
+    @pytest.mark.parametrize("name", sorted(REGRESSION_SPECS))
+    def test_banked_report_digests(self, name):
+        spec, digest = REGRESSION_SPECS[name]
+        report = run(RunSpec.from_spec(spec + ",substrate=fleet"))
+        assert report_digest(report) == digest
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 6), st.integers(0, 6),
+        st.lists(st.floats(0.001, 5.0), max_size=6),
+        st.lists(st.floats(0.001, 5.0), max_size=6),
+        st.lists(st.booleans(), max_size=60),
+    )
+    def test_service_model_equals_reference(
+        self, timeouts, rcodes, first, rest, exchanges
+    ):
+        calibration = Calibration(
+            probe_clients=4, probe_queries=20, issued=20,
+            succeeded=len(first) + len(rest), timeouts=timeouts,
+            rcode_failures=rcodes,
+            first_latencies=tuple(sorted(first)),
+            rest_latencies=tuple(sorted(rest)),
+        )
+        model = ServiceModel(calibration)
+        oracle = reference.ReferenceServiceModel(calibration)
+        for first_exchange in exchanges:
+            assert model.draw(first_exchange) == oracle.draw(first_exchange)
+
+    def test_van_der_corput_is_the_bit_loop(self):
+        indices = list(range(2 ** 17 + 1)) + [
+            2 ** 40 + 1, 2 ** 41 - 2, 3 * 2 ** 40 + 12345, 2 ** 52 + 7,
+        ]
+        for index in indices:
+            assert _van_der_corput(index) == (
+                reference.van_der_corput_loop(index)
+            ), index
+
+
+# -- no cache state for a client nobody asks again --------------------------
+
+
+@pytest.fixture
+def caches_built(monkeypatch):
+    """How many ``KeyedCache`` objects the cache model has constructed."""
+    built = []
+
+    class CountingCache(repro.fleet.cache.KeyedCache):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(repro.fleet.cache, "KeyedCache", CountingCache)
+    return built
+
+
+class TestMaterialisation:
+    def test_clients_that_ask_once_build_no_cache(self, caches_built):
+        result = run_fleet(scenario_from_spec(
+            "one-hop,transport=coap,clients=300,queries=300,rate=50,"
+            "cache=client-dns+client-coap"
+        ))
+        assert caches_built == []
+        assert result.active_clients == 300
+        for location in ("client-dns", "client-coap"):
+            assert result.cache_stats[location]["misses"] == 300
+
+    def test_clients_that_ask_again_build_one_pair_each(self, caches_built):
+        result = run_fleet(scenario_from_spec(
+            "one-hop,transport=coap,clients=4,queries=200,names=6,rate=20,"
+            "cache=client-dns+client-coap"
+        ))
+        assert len(caches_built) == 4 * 2
+        assert result.cache_stats["client-dns"]["hits"] > 0
+
+    def test_only_consulted_locations_are_built(self, caches_built):
+        # Plain OSCORE never consults its client CoAP cache.
+        run_fleet(scenario_from_spec(
+            "one-hop,transport=oscore,clients=4,queries=200,names=6,rate=20,"
+            "cache=client-dns+client-coap"
+        ))
+        assert len(caches_built) == 4
+
+    def test_final_miss_on_a_full_cache_still_evicts(self):
+        # One client, three names into a two-entry cache: its last query
+        # misses, stores, and displaces a live entry — a store nobody
+        # reads, but one the eviction counter sees.
+        scenario = scenario_from_spec(
+            "one-hop,transport=udp,clients=1,queries=3,names=3,rate=10"
+        )
+        scenario = replace(scenario, caching=CachingSpec(
+            client_dns=True, proxy=False, client_dns_capacity=2
+        ))
+        result = run_fleet(scenario)
+        assert result.cache_stats["client-dns"]["evictions"] == 1
+        assert result.cache_stats == (
+            reference.reference_run_fleet(scenario).cache_stats
+        )
