@@ -3,8 +3,8 @@
 Every benchmark regenerates one table or figure of the paper: it prints
 the rows/series the paper reports (via ``print_rows``) and times a
 representative computation with pytest-benchmark. Absolute numbers
-differ from the testbed; EXPERIMENTS.md records the paper-vs-measured
-comparison for each.
+differ from the testbed; each file asserts the relation the paper
+reports (an ordering, a ratio, a size), not the testbed's value.
 """
 
 from typing import Iterable, Sequence

@@ -32,9 +32,9 @@ calibration — see :mod:`repro.fleet`). Reports produced from the same
 carry identical non-namespaced key sets and diff directly.
 
 This module is import-light on purpose (stdlib only at module level):
-:mod:`repro.live.loadgen` and :mod:`repro.perf` both import the shared
-:data:`REPORT_VERSION` / :func:`provenance` stamp from here without
-pulling in the scenario engine.
+:mod:`repro.live.loadgen` imports the shared :data:`REPORT_VERSION` /
+:func:`provenance` stamp from here without pulling in the scenario
+engine.
 """
 
 from __future__ import annotations
@@ -47,9 +47,9 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence
 
 #: Schema version shared by every JSON document the toolkit emits
-#: (unified Reports, the loadgen report, ``sweep --json``, and
-#: ``repro.perf`` reports). Bump on breaking changes. Version 2
-#: introduced the unified Report; version 1 was the loadgen-only report.
+#: (unified Reports, the loadgen report, ``sweep --json``). Bump on
+#: breaking changes. Version 2 introduced the unified Report; version 1
+#: was the loadgen-only report.
 REPORT_VERSION = 2
 
 #: Every substrate a RunSpec can execute on. Single-sourced: RunSpec
@@ -102,7 +102,7 @@ def provenance() -> Dict[str, str]:
     """The shared provenance stamp: interpreter, platform, git commit.
 
     One function for every JSON artifact so reports from different
-    subsystems (api, loadgen, sweep, perf) stay attributable to the
+    subsystems (api, loadgen, sweep) stay attributable to the
     same build the same way.
     """
     return {

@@ -1,7 +1,7 @@
 """A dependency-free JSON Schema validator (draft-07 subset).
 
 CI validates every JSON artifact the toolkit emits (unified Reports,
-sweep reports, ``repro.perf`` reports) against the checked-in
+sweep reports, telemetry snapshots) against the checked-in
 ``tests/report_schema.json``, and the CI image deliberately installs
 nothing beyond pytest — so the validator ships with the package.
 Supported keywords are the subset that schema uses: ``type`` (scalar or

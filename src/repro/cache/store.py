@@ -239,12 +239,6 @@ class KeyedCache:
         """Revalidation hook: the upstream validator did not match."""
         self.stats.validation_failures += 1
 
-    def remove(self, key: Hashable) -> bool:
-        if key in self._entries:
-            del self._entries[key]
-            return True
-        return False
-
     def expire(self, now: float) -> int:
         """Drop every stale entry in O(k log n); returns the count."""
         removed = 0

@@ -592,7 +592,7 @@ def _loadtest_report(args: argparse.Namespace, workload, report):
 def _cmd_loadtest(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.live import LiveResolver, build_names, generate_load
+    from repro.live.workers import load_once, run_distributed_load
     from repro.scenarios import WorkloadSpec
 
     if args.workers < 1:
@@ -604,77 +604,47 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         burst_off=args.burst_off,
         zipf_alpha=args.zipf,
     )
-    names = build_names(
-        args.names, dataset=args.dataset, name_seed=args.name_seed
-    )
-    resolver = LiveResolver(
-        (args.host, args.port),
+    endpoint = (args.host, args.port)
+    load = dict(
         transport=args.transport,
         scheme=_parse_scheme(args.cache_scheme),
         cache_placement=args.client_cache,
-        seed=args.seed + 1,
         secret=args.secret.encode(),
         timeout=args.timeout,
+        num_names=args.names,
+        dataset=args.dataset,
+        name_seed=args.name_seed,
+        rate=args.rate,
+        duration=args.duration,
+        mode=args.mode,
+        concurrency=args.concurrency,
+        seed=args.seed,
+        workload=workload,
     )
-
-    # Per-second telemetry sinks: a progress line on stderr by default
-    # (silenced by --json, which owns the machine-readable contract),
-    # plus the optional --stream NDJSON destination.
-    sinks = []
-    stream_close = None
-    if args.json is None:
-        sinks.append(_progress_sink)
-    if args.stream:
-        if args.workers > 1:
+    if args.workers > 1:
+        if args.stream:
             print(
                 "warning: --stream applies to the single-process path; "
                 "distributed runs carry their merged telemetry in the "
                 "final report only",
                 file=sys.stderr, flush=True,
             )
-        else:
+        report = run_distributed_load(endpoint, workers=args.workers, **load)
+    else:
+        # Per-second telemetry sinks: a progress line on stderr by
+        # default (silenced by --json, which owns the machine-readable
+        # contract), plus the optional --stream NDJSON destination.
+        sinks = []
+        stream_close = None
+        if args.json is None:
+            sinks.append(_progress_sink)
+        if args.stream:
             stream_sink, stream_close = _open_stream_sink(args.stream)
             sinks.append(stream_sink)
-
-    async def run() -> dict:
-        async with resolver:
-            return await generate_load(
-                resolver,
-                names,
-                rate=args.rate,
-                duration=args.duration,
-                mode=args.mode,
-                concurrency=args.concurrency,
-                timeout=args.timeout,
-                seed=args.seed,
-                workload=workload,
-                snapshot_sinks=sinks,
-            )
-
-    if args.workers > 1:
-        from repro.live import run_distributed_load
-
-        report = run_distributed_load(
-            (args.host, args.port),
-            transport=args.transport,
-            scheme=_parse_scheme(args.cache_scheme),
-            cache_placement=args.client_cache,
-            secret=args.secret.encode(),
-            timeout=args.timeout,
-            num_names=args.names,
-            dataset=args.dataset,
-            name_seed=args.name_seed,
-            rate=args.rate,
-            duration=args.duration,
-            mode=args.mode,
-            concurrency=args.concurrency,
-            seed=args.seed,
-            workload=workload,
-            workers=args.workers,
-        )
-    else:
         try:
-            report = asyncio.run(run())
+            report = asyncio.run(load_once(
+                dict(load, endpoint=endpoint, snapshot_sinks=sinks)
+            ))
         finally:
             if stream_close is not None:
                 stream_close()

@@ -6,10 +6,19 @@ cipher in CCM mode with different nonce/tag parameters. We implement
 AES-128 from scratch (the standard library offers no block cipher) and
 parameterised CCM on top, plus HKDF-SHA256 (OSCORE key derivation,
 RFC 8613 §3.2) and the TLS 1.2 PRF (DTLS key derivation, RFC 5246 §5).
+:class:`ReplayWindow` is the anti-replay window both record layers keep
+beside their AEAD.
 """
 
 from .aes import AES128
-from .ccm import AESCCM, AEADError, AES_128_CCM_8, AES_CCM_16_64_128
+from .ccm import (
+    AESCCM,
+    AEADError,
+    AES_128_CCM_8,
+    AES_CCM_16_64_128,
+    ReplayError,
+    ReplayWindow,
+)
 from .kdf import hkdf_expand, hkdf_extract, hkdf_sha256, tls12_prf
 
 __all__ = [
@@ -18,6 +27,8 @@ __all__ = [
     "AESCCM",
     "AES_128_CCM_8",
     "AES_CCM_16_64_128",
+    "ReplayError",
+    "ReplayWindow",
     "hkdf_expand",
     "hkdf_extract",
     "hkdf_sha256",

@@ -22,6 +22,64 @@ class AEADError(Exception):
     """Raised when authenticated decryption fails."""
 
 
+class ReplayError(Exception):
+    """Raised when a sequence number is accepted twice or too late."""
+
+
+class ReplayWindow:
+    """Sliding anti-replay window: highest sequence seen plus a bitmap
+    of the *size* sequences up to it.
+
+    The receive half of "a nonce is used once": the DTLS record layer
+    (RFC 6347 §4.1.2.6, 64 entries) and OSCORE (RFC 8613 §7.4, over
+    Partial IVs; the paper enlarges the window for its long runs, hence
+    the configurable *size*) both :meth:`check` a sequence before they
+    pay for the AEAD and :meth:`accept` it only after the tag verified,
+    so a forged message cannot move the window.
+    """
+
+    def __init__(self, size: int = 32) -> None:
+        if size < 1:
+            raise ValueError("window size must be positive")
+        self.size = size
+        self._mask = (1 << size) - 1
+        self._highest = -1
+        self._bitmap = 0
+
+    def check(self, sequence: int) -> bool:
+        """Whether *sequence* is non-negative, not too old and not yet
+        accepted. No state change."""
+        offset = self._highest - sequence
+        if offset < 0:
+            return True  # newer than anything seen, so also >= 0
+        return (
+            sequence >= 0
+            and offset < self.size
+            and not (self._bitmap >> offset) & 1
+        )
+
+    def accept(self, sequence: int) -> None:
+        """Mark *sequence* seen — only after its message authenticated.
+
+        Raises
+        ------
+        ReplayError
+            If :meth:`check` refuses the sequence.
+        """
+        shift = sequence - self._highest
+        if shift > 0:
+            self._bitmap = ((self._bitmap << shift) | 1) & self._mask
+            self._highest = sequence
+        elif self.check(sequence):
+            self._bitmap |= 1 << -shift
+        else:
+            raise ReplayError(f"replayed or stale sequence {sequence}")
+
+    @property
+    def highest_seen(self) -> int:
+        return self._highest
+
+
 # Optional hardware-accelerated backend: when the ``cryptography``
 # package happens to be installed (it is NOT a dependency of this
 # repository), AES-CCM can run at C speed. The pure-Python

@@ -31,10 +31,6 @@ class CacheEntry(_BaseEntry):
         return self.value
 
     @property
-    def inserted_at(self) -> float:
-        return self.stored_at
-
-    @property
     def ttl(self) -> int:
         return int(self.lifetime)
 

@@ -17,7 +17,7 @@ import struct
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.crypto import AEADError, AES_128_CCM_8
+from repro.crypto import AEADError, AES_128_CCM_8, ReplayWindow
 
 # type(1) version(2) epoch(2) seq_hi(4) seq_lo(2) length(2); the 6-byte
 # sequence number is reassembled from the 4+2 split.
@@ -30,6 +30,9 @@ DTLS_1_2 = (254, 253)
 RECORD_HEADER_LEN = 13
 EXPLICIT_NONCE_LEN = 8
 CCM8_TAG_LEN = 8
+
+#: RFC 6347 §4.1.2.6: the anti-replay window covers 64 records.
+REPLAY_WINDOW_SIZE = 64
 
 
 class DtlsError(Exception):
@@ -65,35 +68,6 @@ class DtlsPlaintext:
         )
 
 
-class _ReplayWindow:
-    """RFC 6347 §4.1.2.6 sliding window (64 entries)."""
-
-    def __init__(self, size: int = 64) -> None:
-        self._size = size
-        self._highest = -1
-        self._bitmap = 0
-
-    def check(self, sequence: int) -> bool:
-        """Whether *sequence* is neither too old nor already accepted.
-
-        Cheap and side-effect free: called before the record is
-        decrypted, so a replay is discarded without paying for the AEAD.
-        """
-        offset = self._highest - sequence
-        if offset < 0:
-            return True
-        return offset < self._size and not (self._bitmap >> offset) & 1
-
-    def accept(self, sequence: int) -> None:
-        """Mark *sequence* received — only after its record authenticated."""
-        if sequence > self._highest:
-            shift = sequence - self._highest
-            self._bitmap = ((self._bitmap << shift) | 1) & ((1 << self._size) - 1)
-            self._highest = sequence
-        else:
-            self._bitmap |= 1 << (self._highest - sequence)
-
-
 @dataclass
 class _WriteState:
     key: bytes
@@ -114,7 +88,7 @@ class RecordLayer:
         self._read_epoch = 0
         self._write_state: Optional[_WriteState] = None
         self._read_state: Optional[_WriteState] = None
-        self._replay = _ReplayWindow()
+        self._replay = ReplayWindow(REPLAY_WINDOW_SIZE)
 
     # -- key management ----------------------------------------------------
 
@@ -127,11 +101,7 @@ class RecordLayer:
     def set_read_keys(self, key: bytes, iv: bytes) -> None:
         self._read_state = _WriteState(key, iv)
         self._read_epoch += 1
-        self._replay = _ReplayWindow()
-
-    @property
-    def write_epoch(self) -> int:
-        return self._write_epoch
+        self._replay = ReplayWindow(REPLAY_WINDOW_SIZE)
 
     def _next_sequence(self) -> int:
         seq = self._write_sequences[self._write_epoch]

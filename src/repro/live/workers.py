@@ -744,18 +744,10 @@ def _load_worker_main(index: int, config: dict, conn) -> None:
     conn.send(("report", report))
 
 
-async def load_once(config: dict) -> Dict[str, object]:
-    """One load-generation pass described by *config*: connect a
-    :class:`~repro.live.client.LiveResolver` to ``config["endpoint"]``
-    and drive :func:`~repro.live.loadgen.generate_load` through it.
-
-    *config* carries the keyword set of :func:`run_distributed_load`
-    (minus ``workers``) plus ``endpoint``. Every load worker runs this,
-    and so does the single-process load side of ``repro.api.run`` — one
-    definition of "the load side" for every worker count.
-    """
+def _load_side(config: dict):
+    """The name universe and the (unconnected) resolver of *config*;
+    raises on an unknown dataset, transport or cache placement."""
     from .client import LiveResolver
-    from .loadgen import generate_load
     from .wiring import build_names
 
     names = build_names(
@@ -763,17 +755,35 @@ async def load_once(config: dict) -> Dict[str, object]:
         dataset=config.get("dataset"),
         name_seed=config.get("name_seed", 7),
     )
-    seed = config["seed"]
     resolver = LiveResolver(
         tuple(config["endpoint"]),
         transport=config["transport"],
         scheme=config["scheme"],
         cache_placement=config.get("cache_placement", "none"),
         block_size=config.get("block_size"),
-        seed=seed + 1,
+        seed=config["seed"] + 1,
         secret=config.get("secret", DEFAULT_SECRET),
         timeout=config["timeout"],
     )
+    return names, resolver
+
+
+async def load_once(config: dict) -> Dict[str, object]:
+    """One load-generation pass described by *config*: connect a
+    :class:`~repro.live.client.LiveResolver` to ``config["endpoint"]``
+    and drive :func:`~repro.live.loadgen.generate_load` through it.
+
+    *config* carries the keyword set of :func:`run_distributed_load`
+    (minus ``workers``) plus ``endpoint`` and, for a caller in this
+    process, ``snapshot_sinks`` (``generate_load``'s per-second sinks).
+    Every load worker runs this, and so do the single-process load
+    sides of ``repro.api.run`` and ``repro loadtest`` — one definition
+    of "the load side" for every worker count.
+    """
+    from .loadgen import generate_load
+
+    names, resolver = _load_side(config)
+    seed = config["seed"]
     async with resolver:
         return await generate_load(
             resolver,
@@ -787,6 +797,7 @@ async def load_once(config: dict) -> Dict[str, object]:
             workload=config.get("workload"),
             include_latencies=True,
             reservoir_capacity=config.get("reservoir_capacity", 4096),
+            snapshot_sinks=config.get("snapshot_sinks", ()),
         )
 
 
@@ -880,6 +891,9 @@ def run_distributed_load(
             "reservoir_capacity": reservoir_capacity,
         })
     pool = LoadPool(_load_worker_main, configs)
+    # A misconfiguration fails here, once and under its own name, not
+    # in every worker as "every load worker failed".
+    _load_side(configs[0])
     reports = pool.run()
     return merge_loadgen_reports(
         reports,
@@ -914,6 +928,7 @@ def merge_loadgen_reports(
     from repro.api.report import cache_metrics, pooled_caches
     from repro.api.report import provenance as _provenance
     from repro.experiments.metrics import percentile
+    from repro.obs.telemetry import merge_timelines
 
     if not reports:
         raise WorkerPoolError("cannot merge zero loadgen reports")
@@ -1005,7 +1020,9 @@ def merge_loadgen_reports(
         },
         "workload": dict(first["workload"]),
         "seed": seed if seed is not None else first["seed"],
-        "telemetry": _merged_timeline(reports),
+        "telemetry": merge_timelines(
+            [report.get("telemetry") or [] for report in reports]
+        ),
         "latencies_ms": samples_ms,
         "workers": {
             "load": per_worker,
@@ -1013,11 +1030,3 @@ def merge_loadgen_reports(
         },
     }
     return merged
-
-
-def _merged_timeline(reports: Sequence[Dict[str, object]]):
-    from repro.obs.telemetry import merge_timelines
-
-    return merge_timelines(
-        [report.get("telemetry") or [] for report in reports]
-    )

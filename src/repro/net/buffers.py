@@ -22,29 +22,16 @@ from this module without cycles.
 from __future__ import annotations
 
 import struct
-from typing import Dict, Tuple, Type, Union
+from typing import Dict, Type, Union
 
 Buffer = Union[bytes, bytearray, memoryview]
 
 _U16 = struct.Struct("!H")
 _U32 = struct.Struct("!I")
-_U48 = struct.Struct("!IH")
 _U64 = struct.Struct("!Q")
 
 unpack_u16 = _U16.unpack_from
 unpack_u32 = _U32.unpack_from
-
-
-def as_view(data: Buffer) -> memoryview:
-    """A flat ``uint8`` :class:`memoryview` over *data*, without copying.
-
-    Accepts ``bytes``, ``bytearray``, ``memoryview`` (re-cast to a flat
-    byte view if needed), or anything else exposing the buffer protocol.
-    """
-    view = data if type(data) is memoryview else memoryview(data)
-    if view.ndim != 1 or view.itemsize != 1:
-        view = view.cast("B")
-    return view
 
 
 def materialize(data: Buffer) -> bytes:
@@ -102,11 +89,6 @@ class BufReader:
         self.pos += 1
         return value
 
-    def peek_u8(self) -> int:
-        if self.pos >= self.end:
-            raise self.error(f"need 1 byte at offset {self.pos}, have 0")
-        return self.data[self.pos]
-
     def u16(self) -> int:
         self.need(2)
         (value,) = _U16.unpack_from(self.data, self.pos)
@@ -118,12 +100,6 @@ class BufReader:
         (value,) = _U32.unpack_from(self.data, self.pos)
         self.pos += 4
         return value
-
-    def u48(self) -> int:
-        self.need(6)
-        high, low = _U48.unpack_from(self.data, self.pos)
-        self.pos += 6
-        return (high << 16) | low
 
     def u64(self) -> int:
         self.need(8)
@@ -162,10 +138,6 @@ class BufReader:
         self.pos = self.end
         return chunk
 
-    def rest_bytes(self) -> bytes:
-        """Everything from the cursor to the end, materialised."""
-        return materialize(self.rest())
-
 
 # -- reusable encode buffers ----------------------------------------------
 
@@ -188,8 +160,3 @@ def scratch(tag: str) -> bytearray:
     else:
         del buf[:]
     return buf
-
-
-def scratch_tags() -> Tuple[str, ...]:
-    """The tags with live scratch buffers (introspection/tests)."""
-    return tuple(_SCRATCH)

@@ -248,9 +248,6 @@ class TelemetrySampler:
         self._prev: Optional[Dict[str, object]] = None
         self._prev_at = 0.0
 
-    def add_sink(self, sink: Callable[[Dict[str, Any]], None]) -> None:
-        self._sinks.append(sink)
-
     def tick(self) -> Optional[Dict[str, Any]]:
         """Sample now; return the interval record (None on priming)."""
         now = self._time_fn()

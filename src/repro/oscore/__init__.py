@@ -18,7 +18,9 @@ option exchange (RFC 9175) the paper shows as "session setup" in
 Figure 6.
 """
 
-from .context import OscoreError, ReplayError, ReplayWindow, SecurityContext
+from repro.crypto import ReplayError, ReplayWindow
+
+from .context import OscoreError, SecurityContext
 from .option import OscoreOptionValue
 from .protect import protect_request, protect_response, unprotect_request, unprotect_response
 from .cacheable import (

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.cborlib import dumps
-from repro.crypto import AES_CCM_16_64_128, hkdf_sha256
+from repro.crypto import AES_CCM_16_64_128, ReplayWindow, hkdf_sha256
 
 #: COSE algorithm identifier for AES-CCM-16-64-128 (RFC 8152 §10.2).
 AES_CCM_16_64_128_ALG = 10
@@ -17,10 +17,6 @@ _NONCE_LENGTH = 13
 
 class OscoreError(Exception):
     """Raised on OSCORE processing failures."""
-
-
-class ReplayError(OscoreError):
-    """Raised when an incoming Partial IV fails replay validation."""
 
 
 def _derive(
@@ -42,53 +38,6 @@ def _derive(
         ]
     )
     return hkdf_sha256(master_salt, master_secret, info, length)
-
-
-class ReplayWindow:
-    """Sliding anti-replay window over Partial IVs (RFC 8613 §7.4).
-
-    The paper enlarges this window for its long runs to avoid mid-run
-    re-initialisations; ``size`` is therefore configurable.
-    """
-
-    def __init__(self, size: int = 32) -> None:
-        if size < 1:
-            raise ValueError("window size must be positive")
-        self.size = size
-        self._highest = -1
-        self._bitmap = 0
-
-    def check(self, sequence: int) -> bool:
-        """True if *sequence* would be accepted (no state change)."""
-        if sequence < 0:
-            return False
-        if sequence > self._highest:
-            return True
-        offset = self._highest - sequence
-        if offset >= self.size:
-            return False
-        return not (self._bitmap >> offset) & 1
-
-    def accept(self, sequence: int) -> None:
-        """Record *sequence* as seen.
-
-        Raises
-        ------
-        ReplayError
-            If the sequence number is a replay or too old.
-        """
-        if not self.check(sequence):
-            raise ReplayError(f"replayed or stale Partial IV {sequence}")
-        if sequence > self._highest:
-            shift = sequence - self._highest
-            self._bitmap = ((self._bitmap << shift) | 1) & ((1 << self.size) - 1)
-            self._highest = sequence
-        else:
-            self._bitmap |= 1 << (self._highest - sequence)
-
-    @property
-    def highest_seen(self) -> int:
-        return self._highest
 
 
 @dataclass

@@ -30,12 +30,11 @@ from typing import Dict, Optional, Tuple
 from repro.cborlib import dumps
 from repro.coap.codes import Code
 from repro.coap.message import CoapMessage
-from repro.crypto import AEADError, AES_CCM_16_64_128, hkdf_sha256
+from repro.crypto import AEADError, AES_CCM_16_64_128, ReplayWindow, hkdf_sha256
 
 from .context import (
     AES_CCM_16_64_128_ALG,
     OscoreError,
-    ReplayWindow,
     encode_partial_iv,
     decode_partial_iv,
 )

@@ -152,17 +152,6 @@ class ExperimentResult:
             return 0.0
         return len(self.resolution_times) / len(self.outcomes)
 
-    def cache_ratios(self) -> Dict[str, Dict[str, float]]:
-        """Per-location hit/stale/validation ratios (Figure 11 shape)."""
-        return {
-            location: {
-                "hit_ratio": stats.hit_ratio,
-                "stale_ratio": stats.stale_ratio,
-                "validation_ratio": stats.validation_ratio,
-            }
-            for location, stats in sorted(self.cache_stats.items())
-        }
-
 
 @dataclass
 class SweepCell:

@@ -360,10 +360,3 @@ class Scenario:
 
     def with_seed(self, seed: int) -> "Scenario":
         return replace(self, seed=seed)
-
-    def cell_label(self) -> str:
-        """Compact identity used in sweep tables."""
-        return (
-            f"{self.transport}/{self.topology.name}"
-            f"/loss={self.topology.loss:g}"
-        )

@@ -92,9 +92,6 @@ class RadioMedium:
             raise ValueError("observer already attached")
         self._observers.append(observer)
 
-    def remove_observer(self, observer: Callable) -> None:
-        self._observers.remove(observer)
-
     @property
     def observer(self) -> Optional[Callable]:
         """Legacy single-observer view: the first attached observer."""

@@ -373,20 +373,7 @@ class TestSweepJson:
         assert report.metrics["queries.issued"] == 4
 
 
-# -- perf harness stamp ----------------------------------------------------
-
-
-def test_perf_report_carries_shared_stamp_and_validates():
-    from repro.perf.harness import BenchResult, build_report
-
-    result = BenchResult(
-        name="noop", description="noop", unit="ops", repeats=1, warmup=0,
-        times_s=[0.001], units=10,
-    )
-    report = build_report([result], quick=True)
-    assert report["report_version"] == REPORT_VERSION
-    assert report["provenance"] == provenance()
-    validate(report, SCHEMA)
+# -- loadgen stamp ---------------------------------------------------------
 
 
 def test_loadgen_shares_the_report_version():

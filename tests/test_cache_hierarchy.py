@@ -94,12 +94,12 @@ class TestCacheHierarchy:
         assert stats["proxy"].validations == 0
 
     def test_cache_ratios_shape(self, results):
-        ratios = results[CachingScheme.EOL_TTLS].cache_ratios()
-        assert set(ratios) == {
+        stats = results[CachingScheme.EOL_TTLS].cache_stats
+        assert set(stats) == {
             "client-dns", "client-coap", "proxy", "resolver"
         }
-        for location in ratios.values():
-            assert 0.0 <= location["hit_ratio"] <= 1.0
+        for location in stats.values():
+            assert 0.0 <= location.hit_ratio <= 1.0
 
 
 class TestPlacementOff:

@@ -1,5 +1,7 @@
 """CLI smoke tests: every subcommand runs and prints sensible output."""
 
+import contextlib
+
 import pytest
 
 from repro.cli import main
@@ -138,11 +140,11 @@ def test_serve_bounded_duration(capsys):
     assert "served 0 queries" in out
 
 
-def test_loadtest_against_inline_server(capsys):
-    # Serve and load in one process: the server runs in a background
-    # thread with its own event loop, the loadtest CLI in this one.
+@contextlib.contextmanager
+def _inline_server():
+    """A CoAP server in a background thread with its own event loop
+    (the loadtest CLI runs in the caller's); yields its port."""
     import asyncio
-    import json
     import threading
 
     from repro.live import DocLiveServer
@@ -166,21 +168,70 @@ def test_loadtest_against_inline_server(capsys):
     thread.start()
     assert ready.wait(timeout=10)
     try:
-        assert main([
-            "loadtest", "--transport", "coap",
-            "--port", str(endpoint["port"]),
-            "--names", "8", "--rate", "80", "--duration", "0.4",
-            "--timeout", "5", "--json",
-        ]) == 0
+        yield endpoint["port"]
     finally:
         done.set()
         thread.join(timeout=10)
-    report = json.loads(capsys.readouterr().out)
+        assert not thread.is_alive()
+
+
+def _loadtest_json(capsys, *extra) -> dict:
+    """The `loadtest --json` Report of a short run against an inline
+    server."""
+    import json
+
+    with _inline_server() as port:
+        assert main([
+            "loadtest", "--transport", "coap", "--port", str(port),
+            "--names", "8", "--rate", "80", "--duration", "0.4",
+            "--timeout", "5", *extra, "--json",
+        ]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_loadtest_against_inline_server(capsys):
+    report = _loadtest_json(capsys)
     # --json now emits the unified Report document.
     assert report["substrate"] == "live"
     assert report["metrics"]["queries.success_rate"] >= 0.95
     assert report["metrics"]["latency.p50_ms"] is not None
     assert report["spec"]["transport"] == "coap"
+
+
+#: The metric keys of a `loadtest --json` Report, banked at PR 16 (where
+#: the CLI wired resolver and load generator by hand): going through
+#: `live.workers.load_once` may not add or drop one.
+LOADTEST_METRIC_KEYS = [
+    "latency.max_ms", "latency.mean_ms", "latency.p50_ms", "latency.p95_ms",
+    "latency.p99_ms", "live.concurrency", "live.elapsed_s", "live.mode",
+    "live.offered_rate_qps", "live.repeats", "queries.failed",
+    "queries.issued", "queries.rcode_failures", "queries.succeeded",
+    "queries.success_rate", "queries.timeouts", "throughput.qps",
+]
+LOADTEST_TWO_WORKER_METRIC_KEYS = sorted(
+    LOADTEST_METRIC_KEYS
+    + ["live.workers.load.count", "live.workers.load.failed"]
+    + [
+        f"live.workers.load.{worker}.{counter}"
+        for worker in (0, 1)
+        for counter in ("achieved_qps", "failed", "queries",
+                        "rcode_failures", "succeeded", "timeouts")
+    ]
+)
+
+
+@pytest.mark.parametrize("workers, expected", [
+    (1, LOADTEST_METRIC_KEYS), (2, LOADTEST_TWO_WORKER_METRIC_KEYS),
+])
+def test_loadtest_report_metric_keys(capsys, workers, expected):
+    report = _loadtest_json(capsys, "--workers", str(workers))
+    assert sorted(report) == [
+        "metrics", "provenance", "report_version", "spec", "substrate",
+        "telemetry",
+    ]
+    assert sorted(report["metrics"]) == expected
+    assert report["metrics"]["queries.success_rate"] >= 0.95
+    assert report["spec"]["live"]["load_workers"] == workers
 
 
 def test_run_sim_human_summary(capsys):

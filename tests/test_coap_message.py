@@ -219,3 +219,55 @@ class TestMessageCodec:
             decoded = CoapMessage.decode(message.encode())
             assert decoded.payload == payload
         assert decoded.token == token
+
+
+class TestAllocationBudget:
+    """tracemalloc micro-asserts pinning the zero-copy decode contract."""
+
+    def test_coap_decode_materialises_payload_once(self):
+        import gc
+        import tracemalloc
+
+        from repro.coap import CoapMessage, Code
+
+        payload = bytes(range(256)) * 16  # 4 KiB
+        wire = CoapMessage.request(
+            Code.POST, "/dns", payload=payload, token=b"\x01"
+        ).encode()
+        rounds = 50
+        CoapMessage.decode(wire)  # warm enum/option caches
+        gc.collect()
+        tracemalloc.start()
+        before, _ = tracemalloc.get_traced_memory()
+        decoded = [CoapMessage.decode(wire) for _ in range(rounds)]
+        after, _ = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert decoded[-1].payload == payload
+        # One boundary copy of the payload plus small fixed overhead
+        # (message object, token, options); a second hidden copy of the
+        # wire or payload would blow well past 1.5x.
+        per_decode = (after - before) / rounds
+        assert per_decode < len(payload) * 1.5, per_decode
+
+    def test_memoryview_decode_allocates_no_extra(self):
+        import gc
+        import tracemalloc
+
+        from repro.coap import CoapMessage, Code
+
+        payload = bytes(range(256)) * 16
+        wire = CoapMessage.request(
+            Code.POST, "/dns", payload=payload, token=b"\x01"
+        ).encode()
+        view = memoryview(wire)
+        rounds = 50
+        CoapMessage.decode(view)
+        gc.collect()
+        tracemalloc.start()
+        before, _ = tracemalloc.get_traced_memory()
+        decoded = [CoapMessage.decode(view) for _ in range(rounds)]
+        after, _ = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert decoded[-1].payload == payload
+        per_decode = (after - before) / rounds
+        assert per_decode < len(payload) * 1.5, per_decode

@@ -102,6 +102,37 @@ class TestReplayWindow:
     def test_negative_rejected(self):
         assert not ReplayWindow().check(-1)
 
+    def test_accept_refuses_what_check_refuses(self):
+        window = ReplayWindow()
+        with pytest.raises(ReplayError):
+            window.accept(-1)
+        assert window.highest_seen == -1
+        with pytest.raises(ValueError):
+            ReplayWindow(size=0)
+
+    def test_dtls_sized_window_edge(self):
+        # The record layer's 64 entries (RFC 6347 §4.1.2.6).
+        window = ReplayWindow(size=64)
+        window.accept(69)
+        window.accept(6)  # offset 63: the oldest sequence still inside
+        with pytest.raises(ReplayError):
+            window.accept(6)
+        assert not window.check(5)  # offset 64: one older
+        with pytest.raises(ReplayError):
+            window.accept(5)
+        assert window.highest_seen == 69
+
+    def test_both_layers_use_this_class(self):
+        import repro.crypto
+        from repro.dtls.record import RecordLayer
+
+        assert ReplayWindow is repro.crypto.ReplayWindow
+        dtls_window = RecordLayer()._replay
+        assert type(dtls_window) is ReplayWindow and dtls_window.size == 64
+        client, _ = _pair()
+        assert type(client.replay_window) is ReplayWindow
+        assert client.replay_window.size == 32
+
     @given(st.lists(st.integers(0, 200), max_size=60, unique=True))
     def test_unique_sequences_accepted_in_window(self, sequences):
         window = ReplayWindow(size=256)

@@ -7,6 +7,8 @@ cache-placement and scheme axes, because every cell seeds its own
 simulator and no state crosses cells.
 """
 
+import pytest
+
 from repro.api import RunSpec, run
 from repro.scenarios import Scenario, ScenarioRunner, WorkloadSpec
 
@@ -97,3 +99,49 @@ class TestRepeatedRunsParallel:
         assert [r.link.frames_1hop for r in serial] == [
             r.link.frames_1hop for r in parallel
         ]
+
+
+class TestExecutors:
+    def test_workers_at_most_one_run_in_process(self):
+        from repro.scenarios import ordered_map
+
+        # A lambda cannot cross a process boundary, so these only pass
+        # when the map stays in this process.
+        assert ordered_map(lambda n: n + 1, [1, 2, 3]) == [2, 3, 4]
+        assert ordered_map(lambda n: n + 1, [1, 2, 3], workers=1) == [2, 3, 4]
+        assert ordered_map(lambda n: n + 1, [5], workers=4) == [6]
+
+    def test_more_workers_run_in_other_processes(self):
+        import os
+
+        from repro.scenarios import ordered_map
+
+        pids = ordered_map(_pid, list(range(6)), workers=3)
+        assert os.getpid() not in pids
+
+    def test_invalid_worker_count_rejected(self):
+        from repro.scenarios import ExecutorError, ordered_map
+
+        with pytest.raises(ExecutorError):
+            ordered_map(_square, [1, 2], workers=0)
+
+    def test_process_map_preserves_order(self):
+        from repro.scenarios import ordered_map
+
+        result = ordered_map(_square, list(range(12)), workers=4)
+        assert result == [n * n for n in range(12)]
+
+    def test_serial_map(self):
+        from repro.scenarios import ordered_map
+
+        assert ordered_map(_square, [1, 2, 3]) == [1, 4, 9]
+
+
+def _pid(_item: int) -> int:
+    import os
+
+    return os.getpid()
+
+
+def _square(n: int) -> int:
+    return n * n
