@@ -226,19 +226,19 @@ class CoapMessage:
         *,
         payload: bytes = b"",
         piggybacked: bool = True,
+        options: Tuple[Tuple[int, bytes], ...] = (),
     ) -> "CoapMessage":
         """Build a response matching this request's token.
 
         Piggybacked responses ride on the ACK (same MID); separate
-        responses get a fresh CON/NON exchange.
+        responses get a fresh CON/NON exchange. *options* given in
+        option-number order spare the encoder its sort.
         """
         if piggybacked and self.mtype == MessageType.CON:
-            mtype, mid = MessageType.ACK, self.mid
+            mtype = MessageType.ACK
         else:
-            mtype, mid = MessageType.NON, self.mid
-        return CoapMessage(
-            mtype=mtype, code=code, mid=mid, token=self.token, payload=payload
-        )
+            mtype = MessageType.NON
+        return CoapMessage(mtype, code, self.mid, self.token, options, payload)
 
     def make_ack(self) -> "CoapMessage":
         """An empty ACK for this CON message."""

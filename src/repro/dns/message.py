@@ -30,6 +30,15 @@ class MessageError(ValueError):
     """Raised on malformed DNS messages."""
 
 
+def _out_of_range(fields: Dict[str, int]) -> MessageError:
+    """Name the 16-bit field(s) ``struct`` refused to pack."""
+    bad = [
+        name for name, value in fields.items()
+        if not (isinstance(value, int) and 0 <= value <= 0xFFFF)
+    ]
+    return MessageError(f"{' and '.join(bad)} out of 16-bit range")
+
+
 @dataclass(frozen=True, slots=True)
 class Flags:
     """The 16 header flag bits following the transaction ID."""
@@ -45,17 +54,11 @@ class Flags:
     rcode: int = Rcode.NOERROR
 
     def encode(self) -> int:
-        value = 0
-        value |= int(self.qr) << 15
-        value |= (self.opcode & 0xF) << 11
-        value |= int(self.aa) << 10
-        value |= int(self.tc) << 9
-        value |= int(self.rd) << 8
-        value |= int(self.ra) << 7
-        value |= int(self.ad) << 5
-        value |= int(self.cd) << 4
-        value |= self.rcode & 0xF
-        return value
+        return (
+            self.qr << 15 | (self.opcode & 0xF) << 11 | self.aa << 10
+            | self.tc << 9 | self.rd << 8 | self.ra << 7
+            | self.ad << 5 | self.cd << 4 | self.rcode & 0xF
+        )
 
     @classmethod
     def decode(cls, value: int) -> "Flags":
@@ -87,27 +90,18 @@ class Question:
     rtype: int = RecordType.AAAA
     rclass: int = DNSClass.IN
 
-    def encode(self, compress: Dict[str, int] | None, offset: int) -> bytes:
-        out = bytearray()
-        self.encode_into(out, compress, offset)
-        return bytes(out)
-
     def encode_into(
-        self,
-        out: bytearray,
-        compress: Dict[str, int] | None,
-        offset: Optional[int] = None,
+        self, out: bytearray, compress: Dict[str, int] | None
     ) -> None:
-        """Append this question's wire form to *out*.
-
-        *offset* is the wire offset of ``out``'s start; it defaults to
-        0-based appending (``len(out)`` positions are the message
-        offsets when *out* is the whole message being built).
-        """
-        base = 0 if offset is None else offset - len(out)
-        out += encode_name(self.name, compress, base + len(out))
-        out += int(self.rtype).to_bytes(2, "big")
-        out += int(self.rclass).to_bytes(2, "big")
+        """Append this question's wire form to *out*, the message being
+        built: ``len(out)`` is the wire offset compression registers."""
+        out += encode_name(self.name, compress, len(out))
+        try:
+            out += _QUESTION_FIXED.pack(self.rtype, self.rclass)
+        except struct.error:
+            raise _out_of_range(
+                {"type": self.rtype, "class": self.rclass}
+            ) from None
 
     def cache_key(self) -> Tuple[str, int, int]:
         """Key identifying this question for DNS caches."""
@@ -124,25 +118,27 @@ class ResourceRecord:
     ttl: int
     rdata: object
 
-    def encode(self, compress: Dict[str, int] | None, offset: int) -> bytes:
-        out = bytearray()
-        self.encode_into(out, compress, offset)
-        return bytes(out)
-
     def encode_into(
         self,
         out: bytearray,
         compress: Dict[str, int] | None,
-        offset: Optional[int] = None,
+        ttl: Optional[int] = None,
     ) -> None:
-        """Append this record's wire form to *out* (see Question)."""
-        base = 0 if offset is None else offset - len(out)
-        out += encode_name(self.name, compress, base + len(out))
-        out += int(self.rtype).to_bytes(2, "big")
-        out += int(self.rclass).to_bytes(2, "big")
-        out += (self.ttl & 0xFFFFFFFF).to_bytes(4, "big")
-        rdata = self.rdata.encode(compress, base + len(out) + 2)
-        out += len(rdata).to_bytes(2, "big")
+        """Append this record's wire form to *out* (see Question),
+        with *ttl* in place of its own unless it is an OPT record."""
+        out += encode_name(self.name, compress, len(out))
+        if ttl is None or self.rtype == RecordType.OPT:
+            ttl = self.ttl
+        rdata = self.rdata.encode(compress, len(out) + 10)
+        try:
+            out += _RECORD_FIXED.pack(
+                self.rtype, self.rclass, ttl & 0xFFFFFFFF, len(rdata)
+            )
+        except struct.error:
+            raise _out_of_range({
+                "type": self.rtype, "class": self.rclass,
+                "rdata length": len(rdata),
+            }) from None
         out += rdata
 
 
@@ -175,7 +171,7 @@ class Message:
 
         With ``ttl=0`` this is the server-side EOL-TTLs rewrite.
         """
-        return self._map_ttl(lambda _old: ttl)
+        return self._map_ttl(ttl, None)
 
     def adjust_ttls(self, delta: int) -> "Message":
         """Return a copy with *delta* added to every TTL (floored at 0).
@@ -183,63 +179,60 @@ class Message:
         Used by clients to restore TTLs from the CoAP Max-Age option and
         by DNS caches to age records.
         """
-        return self._map_ttl(lambda old: max(0, old + delta))
+        return self._map_ttl(None, delta)
 
-    def _map_ttl(self, fn) -> "Message":
-        def map_section(records: Tuple[ResourceRecord, ...]):
-            return tuple(
-                ResourceRecord(r.name, r.rtype, r.rclass, fn(r.ttl), r.rdata)
-                if r.rtype != RecordType.OPT
-                else r
-                for r in records
-            )
-
-        return Message(
-            self.id,
-            self.flags,
-            self.questions,
-            map_section(self.answers),
-            map_section(self.authorities),
-            map_section(self.additionals),
-        )
-
-    def all_records(self) -> Tuple[ResourceRecord, ...]:
-        """All records across answer, authority, and additional sections."""
-        return self.answers + self.authorities + self.additionals
+    def _map_ttl(self, ttl: Optional[int], delta: Optional[int]) -> "Message":
+        """Every non-OPT record with TTL *ttl*, or its own plus *delta*."""
+        sections = []
+        for section in (self.answers, self.authorities, self.additionals):
+            records = []
+            for r in section:
+                if r.rtype != RecordType.OPT:
+                    new = ttl if delta is None else max(0, r.ttl + delta)
+                    r = ResourceRecord(r.name, r.rtype, r.rclass, new, r.rdata)
+                records.append(r)
+            sections.append(tuple(records))
+        return Message(self.id, self.flags, self.questions, *sections)
 
     def min_ttl(self) -> Optional[int]:
         """Minimum TTL over all non-OPT records, or ``None`` if empty."""
-        ttls = [r.ttl for r in self.all_records() if r.rtype != RecordType.OPT]
-        return min(ttls) if ttls else None
+        lowest = None
+        for section in (self.answers, self.authorities, self.additionals):
+            for record in section:
+                if record.rtype != RecordType.OPT and (
+                    lowest is None or record.ttl < lowest
+                ):
+                    lowest = record.ttl
+        return lowest
 
     # -- wire format -----------------------------------------------------
 
-    def encode(self, compress: bool = True) -> bytes:
+    def encode(self, compress: bool = True, ttl: Optional[int] = None) -> bytes:
         """Serialise to DNS wire format.
 
         Name compression is on by default, matching common resolver
-        behaviour and the sizes reported in the paper.
+        behaviour and the sizes reported in the paper. With *ttl*, every
+        non-OPT record is written with that TTL — the bytes of
+        ``with_ttls(ttl).encode()`` without building that message (the
+        server-side EOL-TTLs rewrite is ``encode(ttl=0)``).
         """
+        sections = (self.answers, self.authorities, self.additionals)
+        try:
+            out = bytearray(_HEADER.pack(
+                self.id & 0xFFFF, self.flags.encode(), len(self.questions),
+                len(sections[0]), len(sections[1]), len(sections[2]),
+            ))
+        except struct.error:
+            raise MessageError("section count exceeds 16 bits") from None
         table: Dict[str, int] | None = {} if compress else None
-        out = bytearray()
-        out += (self.id & 0xFFFF).to_bytes(2, "big")
-        out += self.flags.encode().to_bytes(2, "big")
-        for count in (
-            len(self.questions),
-            len(self.answers),
-            len(self.authorities),
-            len(self.additionals),
-        ):
-            if count > 0xFFFF:
-                raise MessageError("section count exceeds 16 bits")
-            out += count.to_bytes(2, "big")
         # Sections append into the one message buffer; ``len(out)`` is
         # each element's wire offset, so compression sees true offsets
         # without any per-question/per-record intermediate bytes.
         for question in self.questions:
             question.encode_into(out, table)
-        for record in self.answers + self.authorities + self.additionals:
-            record.encode_into(out, table)
+        for section in sections:
+            for record in section:
+                record.encode_into(out, table, ttl)
         return bytes(out)
 
     @classmethod
@@ -267,47 +260,57 @@ class Message:
         offset = 12
 
         rtype_of = _RECORD_TYPE_BY_VALUE.get
+        #: offset -> the name written out in full there (no pointer in
+        #: it), so a two-byte pointer to it costs one lookup.
+        names: Dict[int, str] = {}
         questions: List[Question] = []
         for _ in range(qdcount):
+            start = offset
             name, offset = decode_name(data, offset)
+            if offset - start == len(name) + 2:
+                names[start] = name
             if offset + 4 > size:
                 raise MessageError("truncated question")
             rtype, rclass = _QUESTION_FIXED.unpack_from(data, offset)
             offset += 4
             questions.append(Question(name, rtype_of(rtype, rtype), rclass))
+        if not (ancount or nscount or arcount):
+            return cls(msg_id, flags, tuple(questions))
 
-        decode_record = cls._decode_record
-        sections: List[List[ResourceRecord]] = [[], [], []]
-        for section, count in zip(sections, (ancount, nscount, arcount)):
-            record_append = section.append
+        sections: List[Tuple[ResourceRecord, ...]] = []
+        for count in (ancount, nscount, arcount):
+            records: List[ResourceRecord] = []
             for _ in range(count):
-                record, offset = decode_record(data, offset)
-                record_append(record)
-
-        return cls(
-            id=msg_id,
-            flags=flags,
-            questions=tuple(questions),
-            answers=tuple(sections[0]),
-            authorities=tuple(sections[1]),
-            additionals=tuple(sections[2]),
-        )
-
-    @staticmethod
-    def _decode_record(data: bytes, offset: int) -> Tuple[ResourceRecord, int]:
-        name, offset = decode_name(data, offset)
-        if offset + 10 > len(data):
-            raise MessageError("truncated resource record")
-        rtype, rclass, ttl, rdlength = _RECORD_FIXED.unpack_from(data, offset)
-        offset += 10
-        if offset + rdlength > len(data):
-            raise MessageError("truncated rdata")
-        rdata = decode_rdata(rtype, data, offset, rdlength)
-        offset += rdlength
-        record = ResourceRecord(
-            name, RecordType.from_value(rtype), rclass, ttl, rdata
-        )
-        return record, offset
+                start = offset
+                # An owner that is nothing but a pointer to such a name
+                # is what ``decode_name`` would make of it in one jump;
+                # every other shape (and every truncation) is its to judge.
+                name = (
+                    names.get(((data[start] & 0x3F) << 8) | data[start + 1])
+                    if start + 1 < size and data[start] >= 0xC0
+                    else None
+                )
+                if name is not None:
+                    offset += 2
+                else:
+                    name, offset = decode_name(data, offset)
+                    if offset - start == len(name) + 2:
+                        names[start] = name
+                if offset + 10 > size:
+                    raise MessageError("truncated resource record")
+                rtype, rclass, ttl, rdlength = _RECORD_FIXED.unpack_from(
+                    data, offset
+                )
+                offset += 10
+                if offset + rdlength > size:
+                    raise MessageError("truncated rdata")
+                rdata = decode_rdata(rtype, data, offset, rdlength)
+                offset += rdlength
+                records.append(ResourceRecord(
+                    name, rtype_of(rtype, rtype), rclass, ttl, rdata
+                ))
+            sections.append(tuple(records))
+        return cls(msg_id, flags, tuple(questions), *sections)
 
 
 @lru_cache(maxsize=2048)

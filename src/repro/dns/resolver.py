@@ -19,6 +19,16 @@ from .rdata import AData, AAAAData
 from .zone import Zone
 
 
+#: ``Flags`` is immutable, so the few flag words queries and answers
+#: carry are built once and shared, as ``Message.decode`` shares them.
+RD_QUERY_FLAGS = Flags(qr=False, rd=True)
+_ANSWER_FLAGS = {
+    (rd, rcode): Flags(qr=True, rd=rd, ra=True, rcode=rcode)
+    for rd in (False, True)
+    for rcode in (Rcode.NOERROR, Rcode.FORMERR, Rcode.NXDOMAIN)
+}
+
+
 def make_query(
     name: str,
     rtype: int = RecordType.AAAA,
@@ -31,11 +41,8 @@ def make_query(
     The transaction ID defaults to 0 per the DoC cache-key rule
     (Section 4.2); plain UDP/DTLS transports pass a real ID.
     """
-    return Message(
-        id=txid,
-        flags=Flags(qr=False, rd=recursion_desired),
-        questions=(Question(name, rtype, rclass),),
-    )
+    flags = RD_QUERY_FLAGS if recursion_desired else Flags(qr=False, rd=False)
+    return Message(txid, flags, (Question(name, rtype, rclass),))
 
 
 def min_ttl(message: Message) -> Optional[int]:
@@ -179,23 +186,21 @@ class RecursiveResolver:
             self.stats.nxdomain += 1
             return self._error(query, Rcode.NXDOMAIN)
 
+        ttl = None
         if self.upstream_ttl_range is not None:
             low, high = self.upstream_ttl_range
             ttl = self._rng.randint(low, high)
-            answers = tuple(
-                ResourceRecord(r.name, r.rtype, r.rclass, ttl, r.rdata)
-                for r in records
-            )
-        else:
-            answers = tuple(
-                ResourceRecord(r.name, r.rtype, r.rclass, r.ttl, r.rdata)
-                for r in records
-            )
         response = Message(
-            id=query.id,
-            flags=Flags(qr=True, rd=query.flags.rd, ra=True),
-            questions=(question,),
-            answers=answers,
+            query.id,
+            _ANSWER_FLAGS[query.flags.rd, Rcode.NOERROR],
+            (question,),
+            tuple([
+                ResourceRecord(
+                    r.name, r.rtype, r.rclass, r.ttl if ttl is None else ttl,
+                    r.rdata,
+                )
+                for r in records
+            ]),
         )
         self.cache.store(question, response, now)
         return response
@@ -203,7 +208,5 @@ class RecursiveResolver:
     @staticmethod
     def _error(query: Message, rcode: int) -> Message:
         return Message(
-            id=query.id,
-            flags=Flags(qr=True, rd=query.flags.rd, ra=True, rcode=rcode),
-            questions=query.questions,
+            query.id, _ANSWER_FLAGS[query.flags.rd, rcode], query.questions
         )

@@ -58,9 +58,9 @@ def prepare_response(
     """Apply *scheme* to a resolver response (DoC server side)."""
     min_ttl = response.min_ttl()
     max_age = min_ttl if min_ttl is not None else NEGATIVE_MAX_AGE
-    if scheme is CachingScheme.EOL_TTLS:
-        response = response.with_ttls(0)
-    payload = response.encode()
+    payload = response.encode(
+        ttl=0 if scheme is CachingScheme.EOL_TTLS else None
+    )
     return PreparedResponse(payload, max_age, compute_etag(payload))
 
 

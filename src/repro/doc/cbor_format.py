@@ -64,32 +64,41 @@ def decode_query(data: bytes) -> Question:
     return Question(name, RecordType.from_value(rtype), rclass)
 
 
-def _encode_answer(record: ResourceRecord, question: Question) -> list:
+def _encode_answer(
+    record: ResourceRecord, question: Question, ttl: Optional[int]
+) -> list:
     rdata = record.rdata.encode(None, 0)
+    if ttl is None or record.rtype == RecordType.OPT:
+        ttl = record.ttl
     same_name = record.name.lower() == question.name.lower()
     same_type = int(record.rtype) == int(question.rtype)
     if same_name and same_type:
-        return [record.ttl, rdata]
+        return [ttl, rdata]
     if same_name:
-        return [record.ttl, rdata, int(record.rtype)]
-    return [record.name, record.ttl, rdata, int(record.rtype)]
+        return [ttl, rdata, int(record.rtype)]
+    return [record.name, ttl, rdata, int(record.rtype)]
 
 
 def encode_response(
     response: Message,
     question: Optional[Question] = None,
     include_question: bool = False,
+    ttl: Optional[int] = None,
 ) -> bytes:
     """Encode the answer section of *response* as CBOR.
 
     The question defaults to the response's own question section; pass
     ``include_question=True`` for the self-contained two-array form.
+    With *ttl*, answers carry it in place of their own, as
+    ``Message.encode(ttl=...)`` writes them (the EOL-TTLs rewrite).
     """
     if question is None:
         if not response.questions:
             raise CborFormatError("no question to elide against")
         question = response.questions[0]
-    answers = [_encode_answer(record, question) for record in response.answers]
+    answers = [
+        _encode_answer(record, question, ttl) for record in response.answers
+    ]
     if include_question:
         query_items = loads(encode_query(question))
         return dumps([query_items, answers])

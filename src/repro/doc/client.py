@@ -25,8 +25,8 @@ from repro.coap.message import CoapMessage, MessageType
 from repro.coap.options import ContentFormat, OptionNumber, encode_uint
 from repro.coap.reliability import ReliabilityParams
 from repro.coap.uri import UriTemplate, base64url_encode
-from repro.dns import DNSCache, Message, Question, RecordType, make_query
-from repro.dns.resolver import ResolutionResult, StubResolver
+from repro.dns import DNSCache, Message, Question, RecordType
+from repro.dns.resolver import RD_QUERY_FLAGS, ResolutionResult, StubResolver
 from repro.oscore import (
     OscoreError,
     SecurityContext,
@@ -145,7 +145,7 @@ class DocClient:
         if self.content_format == ContentFormat.DNS_CBOR:
             return cbor_format.encode_query(question)
         # DNS ID 0 for a deterministic cache key (Section 4.2).
-        return make_query(question.name, question.rtype, txid=0).encode()
+        return Message(0, RD_QUERY_FLAGS, (question,)).encode()
 
     def _build_request(self, question: Question) -> CoapMessage:
         if self.method == Code.GET:
@@ -226,18 +226,20 @@ class DocClient:
                     DocError(f"DoC error response {coap_response.code.dotted}"),
                 )
                 return
-            max_age = coap_response.max_age
-            if max_age is None:
-                max_age = outer_max_age
-            elif self.cacheable_oscore and outer_max_age is not None:
-                # Cacheable OSCORE: proxies legitimately age the outer
-                # Max-Age; the inner one is the (protected) original.
-                # Never trust the outer value to *extend* lifetimes.
-                max_age = min(outer_max_age, max_age)
+            max_age = outer_max_age
+            if binding is not None:
+                inner_max_age = coap_response.max_age
+                if inner_max_age is not None:
+                    max_age = inner_max_age
+                    if self.cacheable_oscore and outer_max_age is not None:
+                        # Cacheable OSCORE: proxies legitimately age the
+                        # outer Max-Age; the inner one is the (protected)
+                        # original. Never trust the outer value to
+                        # *extend* lifetimes.
+                        max_age = min(outer_max_age, inner_max_age)
             if self.verify_max_age and binding is not None:
                 from .integrity import MaxAgeIntegrityError, check_max_age_consistency
 
-                inner_max_age = coap_response.max_age
                 try:
                     if self.scheme is CachingScheme.EOL_TTLS:
                         max_age = check_max_age_consistency(

@@ -27,7 +27,8 @@ from repro.coap.message import CoapMessage
 from repro.coap.options import ContentFormat, OptionNumber, encode_uint
 from repro.coap.reliability import ReliabilityParams
 from repro.coap.uri import base64url_decode
-from repro.dns import Message, Question, RecursiveResolver
+from repro.dns import Message, RecursiveResolver
+from repro.dns.resolver import RD_QUERY_FLAGS
 from repro.oscore import (
     OscoreError,
     SecurityContext,
@@ -41,7 +42,8 @@ from repro.oscore.cacheable import (
 from repro.sim.clock import Clock
 
 from . import cbor_format
-from .caching import CachingScheme, prepare_response
+from .caching import CachingScheme, compute_etag, prepare_response
+from .loadbalance import sort_answers
 
 DOC_RESOURCE = "/dns"
 
@@ -181,11 +183,7 @@ class DocServer:
         content_format = request.content_format
         if content_format == ContentFormat.DNS_CBOR:
             question = cbor_format.decode_query(request.payload)
-            from repro.dns.message import Flags
-
-            query = Message(
-                id=0, flags=Flags(rd=True), questions=(question,)
-            )
+            query = Message(0, RD_QUERY_FLAGS, (question,))
             return query, int(ContentFormat.DNS_CBOR)
         return Message.decode(request.payload), int(ContentFormat.DNS_MESSAGE)
 
@@ -210,15 +208,10 @@ class DocServer:
             code, options, payload = entry.value
             if code is Code.VALID:
                 self.validations_sent += 1
-            base = request.make_response(code, payload=payload)
-            remaining = encode_uint(entry.remaining(now))
-            max_age_number = int(OptionNumber.MAX_AGE)
-            patched = tuple(
-                (number, remaining if number == max_age_number else value)
-                for number, value in options
-            )
-            return CoapMessage(
-                base.mtype, code, base.mid, base.token, patched, payload
+            # Max-Age is the last option of every reply ``_resolve`` builds.
+            max_age = (OptionNumber.MAX_AGE, encode_uint(entry.remaining(now)))
+            return request.make_response(
+                code, payload=payload, options=(*options[:-1], max_age)
             )
         self.fastpath_misses += 1
         response = self._resolve(request)
@@ -243,39 +236,39 @@ class DocServer:
         self.queries_handled += 1
         dns_response = self.resolver.resolve(query, self.sim.now)
         if self.sort_records:
-            from .loadbalance import sort_answers
-
             dns_response = sort_answers(dns_response)
 
         if response_format == int(ContentFormat.DNS_CBOR):
-            payload = cbor_format.encode_response(dns_response)
-            from .caching import compute_etag
-
             min_ttl = dns_response.min_ttl()
             max_age = min_ttl if min_ttl is not None else 0
-            if self.scheme is CachingScheme.EOL_TTLS:
-                payload = cbor_format.encode_response(dns_response.with_ttls(0))
+            payload = cbor_format.encode_response(
+                dns_response,
+                ttl=0 if self.scheme is CachingScheme.EOL_TTLS else None,
+            )
             etag = compute_etag(payload)
-            prepared_payload, prepared_max_age, prepared_etag = payload, max_age, etag
         else:
             prepared = prepare_response(dns_response, self.scheme)
-            prepared_payload = prepared.payload
-            prepared_max_age = prepared.max_age
-            prepared_etag = prepared.etag
-
-        # Cache validation: if the client (or proxy) presented the ETag
-        # of the current representation, confirm with 2.03 Valid.
-        if prepared_etag in request.etags:
-            self.validations_sent += 1
-            return (
-                request.make_response(Code.VALID)
-                .with_option(OptionNumber.ETAG, prepared_etag)
-                .with_uint_option(OptionNumber.MAX_AGE, prepared_max_age)
+            payload, max_age, etag = (
+                prepared.payload, prepared.max_age, prepared.etag
             )
 
-        return (
-            request.make_response(Code.CONTENT, payload=prepared_payload)
-            .with_uint_option(OptionNumber.CONTENT_FORMAT, response_format)
-            .with_option(OptionNumber.ETAG, prepared_etag)
-            .with_uint_option(OptionNumber.MAX_AGE, prepared_max_age)
+        # Replies are built in one call with their options in number
+        # order (ETag 4, Content-Format 12, Max-Age 14, the last).
+        etag_option = (OptionNumber.ETAG, etag)
+        max_age_option = (OptionNumber.MAX_AGE, encode_uint(max_age))
+        # Cache validation: if the client (or proxy) presented the ETag
+        # of the current representation, confirm with 2.03 Valid.
+        if etag in request.etags:
+            self.validations_sent += 1
+            return request.make_response(
+                Code.VALID, options=(etag_option, max_age_option)
+            )
+        return request.make_response(
+            Code.CONTENT,
+            payload=payload,
+            options=(
+                etag_option,
+                (OptionNumber.CONTENT_FORMAT, encode_uint(response_format)),
+                max_age_option,
+            ),
         )

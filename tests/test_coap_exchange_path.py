@@ -3,7 +3,9 @@
 * Byte identity: the request :class:`DocClient` sends and every reply
   :class:`CoapServer` sends equal what the ``with_option`` /
   ``dataclasses.replace`` copy chains build, encoded by an independent
-  reference encoder.
+  reference encoder; :class:`DocServer`'s replies equal a chain the test
+  builds itself over a payload from the reference DNS encoder, and each
+  is one ``CoapMessage``.
 * Deduplication and block-wise state live exactly
   :data:`EXCHANGE_LIFETIME` and cost no clock event.
 * The live backstop deadline: one handle, same exception, same counter.
@@ -12,16 +14,19 @@
 from __future__ import annotations
 
 import asyncio
+import hashlib
+import ipaddress
 from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import rfc1035_reference
 from repro.coap import CoapMessage, Code, ContentFormat, MessageType, OptionNumber
 from repro.coap.blockwise import Block, block_for
 from repro.coap.endpoint import EXCHANGE_LIFETIME, CoapServer
 from repro.coap.uri import base64url_encode
-from repro.dns import Question, RecordType, RecursiveResolver, Zone
+from repro.dns import Flags, Message, Question, RecordType, RecursiveResolver, Zone
 from repro.doc import DocClient, DocServer
 from repro.live import DocLiveServer, LiveResolver
 from repro.oscore import SecurityContext, protect_request
@@ -205,6 +210,130 @@ def test_wire_bytes_equal_the_copy_chain(
         # (the server reads a GET's dns variable as a DNS message only)
         result, error = outcomes[0]
         assert error is None and result.addresses == ["2001:db8::1"]
+
+
+def _doc_pair(sim, names=("a.example.org",)):
+    client_end, server_end = _pipe(sim)
+    zone = Zone()
+    for name in names:
+        zone.add_address(name, "2001:db8::1", ttl=120)
+    server = DocServer(
+        sim, server_end, RecursiveResolver(zone), fastpath_capacity=8
+    )
+    return DocClient(sim, client_end, SERVER), server, server_end
+
+
+def _doc_request(mid, etag=None):
+    query = rfc1035_reference.encode_message({
+        "id": 0, "flags": 0x0100,
+        "questions": [("a.example.org", 28, 1)],
+    })
+    request = CoapMessage.request(
+        Code.FETCH, "/dns", mid=mid, token=bytes([mid]), payload=query
+    ).with_uint_option(OptionNumber.CONTENT_FORMAT, ContentFormat.DNS_MESSAGE)
+    if etag is not None:
+        request = request.with_option(OptionNumber.ETAG, etag)
+    return request
+
+
+def _chain_doc_reply(request, max_age, valid=False):
+    """What the parent's copy chain makes of the answer to *request*:
+    TTLs rewritten to 0 (EOL TTLs), the ETag over that payload."""
+    payload = rfc1035_reference.encode_message({
+        "id": 0, "flags": 0x8180,
+        "questions": [("a.example.org", 28, 1)],
+        "answers": [(
+            "a.example.org", 28, 1, 0,
+            [ipaddress.IPv6Address("2001:db8::1").packed],
+        )],
+    })
+    etag = hashlib.sha256(payload).digest()[:8]
+    if valid:
+        return (
+            request.make_response(Code.VALID)
+            .with_option(OptionNumber.ETAG, etag)
+            .with_uint_option(OptionNumber.MAX_AGE, max_age)
+        )
+    return (
+        request.make_response(Code.CONTENT, payload=payload)
+        .with_uint_option(OptionNumber.CONTENT_FORMAT, ContentFormat.DNS_MESSAGE)
+        .with_option(OptionNumber.ETAG, etag)
+        .with_uint_option(OptionNumber.MAX_AGE, max_age)
+    )
+
+
+def test_doc_replies_equal_a_chain_the_server_did_not_build():
+    sim = Simulator(seed=5)
+    _, server, end = _doc_pair(sim)
+    etag = _chain_doc_reply(_doc_request(0), 120).etag
+    exchanges = [  # (at, request, the reply the parent's chain builds)
+        (0.0, _doc_request(1), dict(max_age=120)),  # miss
+        (7.0, _doc_request(2), dict(max_age=113)),  # fast-path hit, aged
+        (7.0, _doc_request(3, etag), dict(max_age=113, valid=True)),
+        (9.0, _doc_request(4, etag), dict(max_age=111, valid=True)),  # hit
+        (9.0, _doc_request(5), dict(max_age=111)),
+    ]
+    for at, request, reply in exchanges:
+        sim.run(until=at)
+        end.deliver(_reference_encode(request))
+        assert end.sent[-1] == _reference_encode(
+            _chain_doc_reply(request, **reply)
+        )
+    assert len(end.sent) == len(exchanges)
+    assert (server.fastpath_misses, server.fastpath_hits) == (2, 3)
+    assert server.validations_sent == 2
+    # ... and in wire order as built: the encoder has nothing to sort.
+    for wire in end.sent:
+        numbers = [number for number, _ in CoapMessage.decode(wire).options]
+        assert numbers in ([4, 12, 14], [4, 14])
+
+
+def _count_built(monkeypatch, cls):
+    """Count ``cls(...)`` calls from here on; the count is ``[0]``."""
+    built = [0]
+    init = cls.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counting_init)
+    return built
+
+
+def test_a_doc_query_builds_each_message_once(monkeypatch):
+    sim = Simulator(seed=5)
+    # Names no other test resolves: ``Message.decode`` memoises by wire.
+    warm_up, name = "warm-up.example.org", "built-once.example.org"
+    client, server, _ = _doc_pair(sim, names=(warm_up, name))
+    outcomes = []
+
+    def resolve(name):
+        client.resolve(name, RecordType.AAAA, lambda r, e: outcomes.append(e))
+        sim.run(until=sim.now + 1.0)
+
+    resolve(warm_up)  # the decoder's flag words are memoised now
+    coap_built = _count_built(monkeypatch, CoapMessage)
+    flags_built = _count_built(monkeypatch, Flags)
+    dns_built = _count_built(monkeypatch, Message)
+    in_process = []
+    process = server._process
+
+    def counting_process(request):
+        before = coap_built[0]
+        response = process(request)
+        in_process.append(coap_built[0] - before)
+        return response
+
+    server._process = counting_process
+    resolve(name)  # a miss at the fast path and the resolver
+    # The query, its decoding, the answer, its decoding, the TTL restore
+    # (the server's TTL rewrite happens while encoding).
+    assert dns_built[0] == 5
+    resolve(name)  # a fast-path hit
+    assert in_process == [1, 1]
+    assert flags_built[0] == 0
+    assert outcomes == [None, None, None]
 
 
 _OPTIONS = st.lists(

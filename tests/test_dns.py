@@ -1,8 +1,11 @@
 """DNS substrate tests: names, rdata, messages, cache, zone, resolver."""
 
-import pytest
-from hypothesis import given, strategies as st
+import ipaddress
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import rfc1035_reference as reference
 from repro.dns import (
     AData,
     AAAAData,
@@ -33,6 +36,7 @@ from repro.dns import (
     make_query,
     split_name,
 )
+from repro.dns.message import MessageError
 from repro.dns.resolver import extract_addresses
 
 
@@ -233,6 +237,37 @@ class TestMessage:
         with pytest.raises(ValueError):
             Message.decode(bytes(11))
 
+    @pytest.mark.parametrize("message,field", [
+        (Message(questions=(Question("a.org", 0x10000),)), "type"),
+        (Message(questions=(Question("a.org", RecordType.A, 0x10000),)), "class"),
+        (Message(answers=(
+            ResourceRecord("a.org", 0x10000, DNSClass.IN, 0, RawData(b"")),
+        )), "type"),
+        (Message(answers=(
+            ResourceRecord("a.org", RecordType.A, -1, 0, AData("192.0.2.1")),
+        )), "class"),
+        (Message(answers=(
+            ResourceRecord("a.org", 99, DNSClass.IN, 0, RawData(bytes(0x10000))),
+        )), "rdata length"),
+    ])
+    def test_field_that_does_not_fit_is_a_message_error(self, message, field):
+        """Not the bare OverflowError ``int.to_bytes`` (struct.error once
+        packed) let escape."""
+        with pytest.raises(MessageError, match=f"^{field} out of"):
+            message.encode()
+
+    def test_section_of_65536_entries_is_a_message_error(self):
+        for section in ("questions", "answers", "authorities", "additionals"):
+            message = Message(**{section: (Question("a.org"),) * 0x10000})
+            with pytest.raises(MessageError, match="section count"):
+                message.encode()
+
+    def test_largest_fields_still_encode(self):
+        record = ResourceRecord("a.org", 0xFFFF, 0xFFFF, 0, RawData(bytes(0xFFFF)))
+        message = Message(questions=(Question("a.org", 0xFFFF, 0xFFFF),),
+                          answers=(record,))
+        assert Message.decode(message.encode()).answers == (record,)
+
     def test_question_cache_key_case_insensitive(self):
         a = Question("Example.ORG", RecordType.A).cache_key()
         b = Question("example.org", RecordType.A).cache_key()
@@ -403,3 +438,219 @@ class TestZoneAndResolver:
         result = stub.handle_response(q, response, 0.0)
         assert result.addresses == ["2001:db8::1"]
         assert stub.cached_response(q, 1.0) is not None
+
+
+# -- the codec against a plain RFC 1035 encoder/decoder -----------------------
+
+
+def _flag_word(flags: Flags) -> int:
+    word = 0
+    for bit, value in (
+        (15, flags.qr), (10, flags.aa), (9, flags.tc), (8, flags.rd),
+        (7, flags.ra), (5, flags.ad), (4, flags.cd),
+    ):
+        if value:
+            word += 1 << bit
+    return word + (int(flags.opcode) << 11) + int(flags.rcode)
+
+
+def _u16(value):
+    return value.to_bytes(2, "big")
+
+
+def _rdata_parts(rdata) -> list:
+    """*rdata* as the reference's wire-order parts (see its docstring)."""
+    if isinstance(rdata, (NSData, CNAMEData, PTRData)):
+        return [("name", rdata.target)]
+    if isinstance(rdata, SOAData):
+        numbers = (rdata.serial, rdata.refresh, rdata.retry, rdata.expire,
+                   rdata.minimum)
+        return [("name", rdata.mname), ("name", rdata.rname),
+                b"".join(n.to_bytes(4, "big") for n in numbers)]
+    if isinstance(rdata, SRVData):
+        return [_u16(rdata.priority) + _u16(rdata.weight) + _u16(rdata.port),
+                ("plain-name", rdata.target)]
+    if isinstance(rdata, HTTPSData):
+        return [_u16(rdata.priority), ("plain-name", rdata.target)] + [
+            _u16(key) + _u16(len(value)) + value
+            for key, value in sorted(rdata.params)
+        ]
+    if isinstance(rdata, TXTData):
+        return [bytes([len(chunk)]) + chunk for chunk in rdata.strings]
+    if isinstance(rdata, OPTData):
+        return [_u16(code) + _u16(len(value)) + value
+                for code, value in rdata.options]
+    if isinstance(rdata, AData):
+        return [bytes(int(part) for part in rdata.address.split("."))]
+    if isinstance(rdata, AAAAData):
+        return [ipaddress.IPv6Address(rdata.address).packed]
+    return [rdata.data]
+
+
+def _plain(message: Message, rdata=_rdata_parts) -> dict:
+    """*message* as the reference describes one."""
+    def records(section):
+        return [
+            (r.name, int(r.rtype), int(r.rclass), r.ttl, rdata(r.rdata))
+            for r in section
+        ]
+
+    return {
+        "id": message.id,
+        "flags": _flag_word(message.flags),
+        "questions": [
+            (q.name, int(q.rtype), int(q.rclass)) for q in message.questions
+        ],
+        "answers": records(message.answers),
+        "authorities": records(message.authorities),
+        "additionals": records(message.additionals),
+    }
+
+
+def _decoded_plain(message: Message) -> dict:
+    """What the reference decoder returns for *message*'s wire form."""
+    return _plain(message, rdata=lambda rdata: rdata.encode(None, 0))
+
+
+# Few labels, in both cases, so names share suffixes and compression
+# has something to point at.
+_LABELS = st.sampled_from(["a", "A", "b", "example", "Example", "org", "ORG", "x1"])
+_NAMES = st.lists(_LABELS, min_size=1, max_size=4).map(".".join)
+_U16 = st.integers(0, 0xFFFF)
+_U32 = st.integers(0, 0xFFFFFFFF)
+_PAIRS = st.lists(st.tuples(_U16, st.binary(max_size=6)), max_size=3).map(tuple)
+_TYPED_RDATA = st.one_of(
+    st.tuples(st.just(RecordType.A), st.integers(0, 2**32 - 1).map(
+        lambda n: AData(".".join(str(b) for b in n.to_bytes(4, "big"))))),
+    st.tuples(st.just(RecordType.AAAA), st.integers(1, 0xFFFF).map(
+        lambda n: AAAAData(f"2001:db8::{n:x}"))),
+    st.tuples(st.just(RecordType.NS), _NAMES.map(NSData)),
+    st.tuples(st.just(RecordType.CNAME), _NAMES.map(CNAMEData)),
+    st.tuples(st.just(RecordType.PTR), _NAMES.map(PTRData)),
+    st.tuples(st.just(RecordType.SOA), st.builds(
+        SOAData, _NAMES, _NAMES, _U32, _U32, _U32, _U32, _U32)),
+    st.tuples(st.just(RecordType.TXT), st.lists(
+        st.binary(max_size=9), max_size=3).map(lambda c: TXTData(tuple(c)))),
+    st.tuples(st.just(RecordType.SRV), st.builds(
+        SRVData, _U16, _U16, _U16, _NAMES)),
+    st.tuples(st.just(RecordType.HTTPS), st.builds(
+        HTTPSData, _U16, _NAMES, _PAIRS.map(lambda p: tuple(sorted(p))))),
+    # No dedicated codec: MX and two unassigned types travel as RawData;
+    # 16 KiB of it pushes what follows past the reach of a pointer.
+    st.tuples(st.sampled_from([RecordType.MX, 99, 65280]), st.one_of(
+        st.binary(max_size=12), st.just(bytes(0x4000))).map(RawData)),
+)
+_RECORDS = st.one_of(
+    st.builds(
+        lambda name, typed, rclass, ttl: ResourceRecord(
+            name, typed[0], rclass, ttl, typed[1]),
+        _NAMES, _TYPED_RDATA, st.sampled_from([DNSClass.IN, DNSClass.CH, 4096]),
+        _U32,
+    ),
+    # EDNS(0): root owner, class = payload size, TTL = flags (RFC 6891).
+    st.builds(
+        lambda size, ttl, options: ResourceRecord(
+            "", RecordType.OPT, size, ttl, OPTData(options)),
+        _U16, _U32, _PAIRS,
+    ),
+)
+_SECTIONS = st.lists(_RECORDS, max_size=4).map(tuple)
+_MESSAGES = st.builds(
+    Message,
+    _U16,
+    st.builds(
+        Flags, st.booleans(), st.sampled_from([0, 1, 2, 4, 5]), st.booleans(),
+        st.booleans(), st.booleans(), st.booleans(), st.booleans(),
+        st.booleans(), st.integers(0, 5),
+    ),
+    st.lists(st.builds(
+        Question, _NAMES, st.sampled_from([RecordType.A, RecordType.AAAA, 99]),
+        st.sampled_from([DNSClass.IN, DNSClass.ANY]),
+    ), max_size=3).map(tuple),
+    _SECTIONS, _SECTIONS, _SECTIONS,
+)
+
+
+# Hand-built wires: header, the question ``www.example.org AAAA IN`` at
+# offset 12 (``example`` at 16, ``org`` at 24), then one record per entry
+# of ``owners``, which spells its owner name; the first starts at 33.
+_QUESTION = b"\x03www\x07example\x03org\x00" + b"\x00\x1c\x00\x01"
+_A_RECORD = b"\x00\x01\x00\x01\x00\x00\x00\x3c\x00\x04\xc0\x00\x02\x01"
+
+
+def _wire(owners, tail=_A_RECORD):
+    header = b"\x12\x34\x81\x80\x00\x01" + _u16(len(owners)) + bytes(4)
+    return header + _QUESTION + b"".join(owner + tail for owner in owners)
+
+
+class TestAgainstRfc1035Reference:
+    @settings(max_examples=150, deadline=None)
+    @given(message=_MESSAGES, compress=st.booleans())
+    def test_encode_equals_the_reference(self, message, compress):
+        assert message.encode(compress) == reference.encode_message(
+            _plain(message), compress
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(message=_MESSAGES, ttl=_U32)
+    def test_encode_with_ttl_equals_encoding_the_rewritten_copy(self, message, ttl):
+        rewritten = message.with_ttls(ttl)
+        assert message.encode(ttl=ttl) == rewritten.encode()
+        for before, after in zip(message.additionals, rewritten.additionals):
+            assert after.ttl == (
+                before.ttl if before.rtype == RecordType.OPT else ttl
+            )
+
+    @settings(max_examples=150, deadline=None)
+    @given(message=_MESSAGES)
+    def test_decode_of_its_own_output_equals_the_reference(self, message):
+        wire = message.encode()
+        decoded = Message._decode(wire)
+        assert _decoded_plain(decoded) == reference.decode_message(wire)
+        assert decoded.encode() == wire
+
+    @pytest.mark.parametrize("owners,names", [
+        ([b"\xc0\x0c"], ["www.example.org"]),  # the question name
+        ([b"\xc0\x0c", b"\xc0\x0c"], ["www.example.org"] * 2),
+        ([b"\x04mail\xc0\x10", b"\xc0\x21"],  # an earlier owner (at 33)
+         ["mail.example.org"] * 2),
+        ([b"\xc0\x10", b"\xc0\x18"], ["example.org", "org"]),  # mid-name
+        ([b"\x01a\xc0\x10", b"\x01b\xc0\x21", b"\xc0\x33", b"\xc0\x45"],
+         ["a.example.org", "b.a.example.org"] + ["b.a.example.org"] * 2),
+        ([b"\x02ns\x03ORG\x00", b"\xc0\x21", b"\xc0\x24"],  # in full
+         ["ns.ORG", "ns.ORG", "ORG"]),
+        ([b"\x00", b"\xc0\x21"], ["", ""]),  # the root, and a pointer to it
+    ])
+    def test_pointers_resolve_as_the_reference_resolves_them(self, owners, names):
+        wire = _wire(owners)
+        decoded = Message._decode(wire)
+        assert [record.name for record in decoded.answers] == names
+        assert _decoded_plain(decoded) == reference.decode_message(wire)
+
+    @pytest.mark.parametrize("wire,error", [
+        # forward pointer, pointer to itself, two pointers at each other
+        (_wire([b"\xc0\x40"]), NameError_),
+        (_wire([b"\xc0\x21"]), NameError_),
+        (_wire([b"\xc0\x23\xc0\x21"], tail=b""), NameError_),
+        # reserved label types
+        (_wire([b"\x40"]), NameError_),
+        (_wire([b"\x80\x0c"]), NameError_),
+        # truncated pointer, label, fixed fields, rdata
+        (_wire([b"\xc0"], tail=b""), NameError_),
+        (_wire([b"\x05ab"], tail=b""), NameError_),
+        (_wire([b"\xc0\x0c"], tail=_A_RECORD[:9]), MessageError),
+        (_wire([b"\xc0\x0c"], tail=_A_RECORD[:-1]), MessageError),
+        (_wire([b"\xc0\x0c"], tail=b""), MessageError),
+        # a bare header that promises a question / an answer
+        (b"\x00\x00\x01\x00\x00\x01" + bytes(6), NameError_),
+        (b"\x00\x00\x81\x80\x00\x00\x00\x01" + bytes(4), NameError_),
+        (_wire([])[:-2], MessageError),  # truncated question
+        (bytes(11), MessageError),
+    ])
+    def test_malformed_wires_fail_as_they_always_did(self, wire, error):
+        """The exception types are the parent commit's (PR 17)."""
+        with pytest.raises(error) as caught:
+            Message._decode(wire)
+        assert type(caught.value) is error
+        with pytest.raises(ValueError):
+            reference.decode_message(wire)

@@ -126,6 +126,26 @@ class TestResponseEncoding:
         )
         assert decoded.answers[0].name == "canonical.example.org"
 
+    def test_ttl_rewrite_while_encoding_equals_encoding_the_rewritten_copy(self):
+        """All three answer shapes: bare, typed, fully explicit."""
+        response = Message(
+            flags=Flags(qr=True),
+            questions=(self._question(),),
+            answers=(
+                ResourceRecord(MEDIAN_NAME, RecordType.AAAA, DNSClass.IN, 300,
+                               AAAAData("2001:db8::1")),
+                ResourceRecord(MEDIAN_NAME, RecordType.A, DNSClass.IN, 60,
+                               AData("192.0.2.1")),
+                ResourceRecord("other.example.org", RecordType.A, DNSClass.IN,
+                               90, AData("192.0.2.2")),
+            ),
+        )
+        for ttl in (0, 41):
+            assert encode_response(response, ttl=ttl) == encode_response(
+                response.with_ttls(ttl)
+            )
+        assert encode_response(response, ttl=None) == encode_response(response)
+
     def test_self_contained_two_array_form(self):
         data = encode_response(self._response(), include_question=True)
         decoded = decode_response(data)   # no external question needed

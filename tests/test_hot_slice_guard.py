@@ -3,8 +3,9 @@
 The guard counts, per function, ``data[a:b]`` slice subscripts across
 the codec hot modules and message-copy calls (``replace``,
 ``with_option``, ...) across the CoAP exchange modules, and compares
-them with the checked-in allowlist; CI runs the script directly, this
-test keeps it honest under pytest too.
+them with the checked-in allowlist; a DNS message copy (``with_ttls``,
+``adjust_ttls``) counts like a CoAP one. CI runs the script directly,
+this test keeps it honest under pytest too.
 """
 
 import importlib.util
@@ -73,7 +74,8 @@ def test_allowlist_covers_all_hot_modules():
 def test_answered_exchange_path_makes_no_message_copies():
     """The functions every answered FETCH/POST runs build each message
     in one constructor call; only the GET, Echo-retry, block-wise,
-    validation and 4.01 branches still copy."""
+    validation and 4.01 branches still copy, and of the DNS messages
+    only the client's TTL restore."""
     copies = _load_guard().inventory()["copies"]
     endpoint = copies["repro/coap/endpoint.py"]
     for scope in (
@@ -81,7 +83,12 @@ def test_answered_exchange_path_makes_no_message_copies():
         "CoapServer._on_datagram", "CoapServer._reply",
     ):
         assert endpoint.get(scope, 0) == 0, scope
-    assert copies["repro/doc/server.py"].get("DocServer._process", 0) == 0
+    server = copies["repro/doc/server.py"]
+    assert server.get("DocServer._process", 0) == 0
+    assert server.get("DocServer._resolve", 0) == 0
+    caching = copies["repro/doc/caching.py"]
+    assert caching.get("prepare_response", 0) == 0  # rewrites while encoding
+    assert caching["restore_ttls"] == 2  # EOL restore, DoH-like cap
     client = copies["repro/doc/client.py"]
     assert client["DocClient._build_request"] == 2  # the GET branch
     assert client["DocClient._send"] == 1  # the Echo retry
@@ -114,8 +121,11 @@ def test_copy_counter_sees_bare_and_method_calls(tmp_path):
         "    def inner():\n"
         "        return copy.without_option(4).with_uint_option(14, 1)\n"
         "    return CoapMessage(0, 0, 1, b'', (), b'')[1:2]\n"
+        "def rewrite(response):\n"
+        "    aged = response.adjust_ttls(-3)\n"
+        "    return aged.with_ttls(0).encode(ttl=0)\n"
     )
     assert guard._counts(source, guard._is_copy_call) == {
-        "build": 2, "build.inner": 2,
+        "build": 2, "build.inner": 2, "rewrite": 2,
     }
     assert guard._counts(source, guard._is_slice) == {"build": 1}

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Lint guard: no new byte-slicing in the wire codecs' hot modules, and
-no new message copies on the CoAP exchange path.
+no new message copies (CoAP or DNS) on the CoAP exchange path.
 
 The decode hot paths parse with ``struct.unpack_from``, index
 arithmetic, and :class:`repro.net.buffers.BufReader` cursors; every
@@ -10,11 +10,14 @@ removed most of them; PR 14 did the same for the 6LoWPAN hop path
 once; every ``dataclasses.replace`` / ``with_option`` /
 ``with_uint_option`` / ``without_option`` call constructs another
 :class:`~repro.coap.message.CoapMessage`, and PR 13 took them off that
-path. This guard ratchets both states: it counts, per function, slice
-subscripts (``x[a:b]``) across the codec modules and calls to the four
-copying helpers across the exchange modules, and compares the counts
-against the checked-in allowlist (``tools/hot_slice_allowlist.json``,
-one section each).
+path; every ``with_ttls`` / ``adjust_ttls`` call constructs another
+:class:`~repro.dns.message.Message`, and PR 18 took the server's off it
+(the EOL-TTLs rewrite happens while encoding; the client's restore is
+the one DNS copy a query still makes). This guard ratchets both states:
+it counts, per function, slice subscripts (``x[a:b]``) across the codec
+modules and calls to the copying helpers across the exchange modules,
+and compares the counts against the checked-in allowlist
+(``tools/hot_slice_allowlist.json``, one section each).
 
 * a function exceeding its allowance fails the build — rewrite the new
   slice (cursor, ``unpack_from``, or a deliberate single ``bytes(...)``
@@ -66,15 +69,18 @@ HOT_MODULES = [
 #: The endpoint modules whose message-copy counts are ratcheted.
 EXCHANGE_MODULES = [
     "repro/coap/endpoint.py",
+    "repro/doc/caching.py",
     "repro/doc/client.py",
     "repro/doc/server.py",
 ]
 
-#: Calls that construct one more CoapMessage from an existing one
-#: (matched by name, so a ``str.replace`` in these modules counts too).
-COPY_CALLS = frozenset(
-    {"replace", "with_option", "with_uint_option", "without_option"}
-)
+#: Calls that construct one more CoapMessage, or one more DNS Message,
+#: from an existing one (matched by name, so a ``str.replace`` in these
+#: modules counts too).
+COPY_CALLS = frozenset({
+    "replace", "with_option", "with_uint_option", "without_option",
+    "with_ttls", "adjust_ttls",
+})
 
 
 def _is_slice(node: ast.AST) -> bool:
