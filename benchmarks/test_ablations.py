@@ -21,7 +21,7 @@ from repro.dns import RecordType, RecursiveResolver, Zone, make_query
 from repro.doc import CachingScheme, DocClient, DocServer
 from repro.oscore import SecurityContext
 from repro.oscore.cacheable import derive_deterministic_context
-from repro.scenarios import Scenario, ScenarioRunner, WorkloadSpec
+from repro.scenarios import CachingSpec, Scenario, ScenarioRunner, WorkloadSpec
 from repro.sim import Simulator
 from repro.stack import build_figure2_topology
 
@@ -149,7 +149,7 @@ def test_ablation_caching_scheme_revalidation(benchmark):
                 num_queries=50, num_names=8, records_per_name=4, ttl=(2, 8)
             ),
             use_proxy=True,
-            client_coap_cache=True,
+            caching=CachingSpec(client_coap=True),
             scheme=scheme,
             seed=9,
         ))

@@ -5,7 +5,9 @@ from dataclasses import replace
 import pytest
 
 from repro.doc import CachingScheme
-from repro.scenarios import Scenario, ScenarioRunner, TopologySpec, WorkloadSpec
+from repro.scenarios import (
+    CachingSpec, Scenario, ScenarioRunner, TopologySpec, WorkloadSpec,
+)
 
 from conftest import print_rows
 
@@ -29,8 +31,9 @@ def _grid():
                     scenario = replace(
                         BASE,
                         use_proxy=use_proxy,
-                        client_coap_cache=client_coap,
-                        client_dns_cache=client_dns,
+                        caching=CachingSpec(
+                            client_coap=client_coap, client_dns=client_dns
+                        ),
                         scheme=scheme,
                     )
                     key = (use_proxy, client_coap, client_dns, scheme.value)

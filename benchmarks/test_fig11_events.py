@@ -7,7 +7,9 @@ import pytest
 from repro.coap.codes import Code
 from repro.coap.reliability import ReliabilityParams
 from repro.doc import CachingScheme
-from repro.scenarios import Scenario, ScenarioRunner, TopologySpec, WorkloadSpec
+from repro.scenarios import (
+    CachingSpec, Scenario, ScenarioRunner, TopologySpec, WorkloadSpec,
+)
 
 from conftest import print_rows
 
@@ -18,7 +20,7 @@ BASE = Scenario(
         num_queries=50, num_names=8, records_per_name=4, ttl=(2, 8)
     ),
     seed=11,
-    client_coap_cache=True,
+    caching=CachingSpec(client_coap=True),
 )
 
 #: The blue scenarios of Figure 10, by method (Figure 11's grid).
@@ -33,7 +35,7 @@ def _run(scenario: str, method: Code):
     config = replace(BASE, method=method, **SCENARIOS[scenario])
     if method == Code.POST:
         # POST responses are not cacheable; client CoAP caches are moot.
-        config = replace(config, client_coap_cache=False)
+        config = replace(config, caching=CachingSpec())
     return ScenarioRunner().run(config)
 
 

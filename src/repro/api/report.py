@@ -452,9 +452,12 @@ def _worker_metrics(pooled, server_stats) -> Dict[str, object]:
     (:func:`repro.live.workers.merge_server_stats`). Per-worker counters
     sum index-by-index across pooled repeats — summing any
     ``live.workers.load.<i>.queries`` column therefore reproduces the
-    top-level ``queries.issued``. Single-process runs carry none of
-    these blocks and emit nothing, keeping their metric key set
-    identical to previous releases.
+    top-level ``queries.issued``. A load side that ran in the caller's
+    process has no ``workers`` block and adds no ``live.workers.load.*``;
+    every self-served run has a serve pool, of one worker or more, and
+    reports it. A plain :meth:`~repro.live.server.DocLiveServer.stats`
+    block (a library caller's own in-loop server) has neither pool
+    block and adds nothing here.
     """
     metrics: Dict[str, object] = {}
     load_totals: Dict[int, Dict[str, float]] = {}

@@ -3,7 +3,7 @@
 The sim path compiles the spec to a
 :class:`~repro.scenarios.ScenarioRunner` execution; the live path to a
 serve+load pairing (:func:`_live_once` — the only one), a loopback
-server side driven by a load side through
+:class:`~repro.live.workers.ServePool` driven by a load side through
 :class:`~repro.live.client.LiveResolver`, or the load side alone
 against an externally provided endpoint; the fleet path to a
 :func:`~repro.fleet.run_fleet` aggregate pass. Repeats of the sim and
@@ -118,13 +118,11 @@ def _live_once(spec: RunSpec, seed: int):
     """Start the server side, run the load side, collect stats, stop.
 
     The shape of each side follows from the spec. Server side: none
-    when the spec names an external ``live-host``; one
-    :class:`~repro.live.server.DocLiveServer` on the load's own event
-    loop when both worker counts are 1; else a
-    :class:`~repro.live.workers.ServePool`, which forks and therefore
-    runs outside any event loop. Load side:
-    :func:`~repro.live.workers.load_once` in this process, or
-    :func:`~repro.live.workers.run_distributed_load` over
+    when the spec names an external ``live-host``, else a
+    :class:`~repro.live.workers.ServePool` of ``serve_workers``
+    processes (it forks, and therefore starts outside any event loop).
+    Load side: :func:`~repro.live.workers.load_once` in this process,
+    or :func:`~repro.live.workers.run_distributed_load` over
     ``load_workers`` processes.
     """
     import asyncio
@@ -174,8 +172,6 @@ def _live_once(spec: RunSpec, seed: int):
 
     if options.host is not None:
         return run_load((options.host, options.port)), None
-    if options.serve_workers == 1 and options.load_workers == 1:
-        return asyncio.run(_serve_in_loop(serve, load))
     pool = ServePool(workers=options.serve_workers, **serve)
     endpoint = pool.start()
     try:
@@ -184,13 +180,3 @@ def _live_once(spec: RunSpec, seed: int):
     finally:
         # No-op after a drain; on any error nothing is left running.
         pool.terminate()
-
-
-async def _serve_in_loop(serve: dict, load: dict):
-    """The single-process pairing: server and load share this loop."""
-    from repro.live.server import DocLiveServer
-    from repro.live.workers import load_once
-
-    async with DocLiveServer(**serve) as server:
-        report = await load_once(dict(load, endpoint=server.endpoint))
-        return report, server.stats()

@@ -35,17 +35,18 @@ class LiveOptions:
     """Knobs only the live substrate consumes.
 
     ``host=None`` (the default) self-serves: ``run()`` stands up a
-    loopback :class:`~repro.live.server.DocLiveServer` on an ephemeral
+    loopback :class:`~repro.live.workers.ServePool` on an ephemeral
     port (``port=0``) and drives the load against it — the zero-config
     serve+loadtest pairing. Point ``host``/``port`` at an already
     running server to measure it instead (the server must share the
     spec's name universe).
 
-    ``serve_workers`` / ``load_workers`` above 1 shard the pairing
-    across processes (:mod:`repro.live.workers`): N SO_REUSEPORT
-    server workers, M distributed load generators, one merged Report
-    with per-worker detail under ``live.workers.*``. Both default to 1
-    — the single-process path of previous releases, bit-identical.
+    ``serve_workers`` is the pool's size (N server processes, sharing
+    the port through SO_REUSEPORT when N > 1), and every self-served
+    Report carries its per-worker detail under ``live.workers.serve.*``.
+    ``load_workers`` above 1 forks M distributed load generators
+    (``live.workers.load.*``); one load worker runs in this process,
+    where its progress and stream sinks are. Both default to 1.
     """
 
     host: Optional[str] = None
@@ -118,19 +119,14 @@ class RunSpec:
         if self.workers is not None and self.workers < 1:
             raise ApiError("workers must be >= 1")
         if self.substrate == "live":
-            from repro.live.wiring import LIVE_TRANSPORTS
-
-            if self.scenario.transport not in LIVE_TRANSPORTS:
-                raise ApiError(
-                    f"transport {self.scenario.transport!r} cannot run on "
-                    f"the live substrate "
-                    f"(supported: {', '.join(LIVE_TRANSPORTS)})"
-                )
-            # An *explicit* caching spec naming the proxy, or the proxy
-            # forwarder itself, cannot run live. (When `caching` is
-            # None the resolved caching_spec defaults `proxy=True`, but
-            # without `use_proxy` no proxy exists — that default must
-            # not reject a plain live run.)
+            # Every transport a Scenario accepts runs live (the runnable
+            # profiles are one set for both substrates); the proxy is
+            # what only the simulator has. An *explicit* caching spec
+            # naming the proxy, or the proxy forwarder itself, cannot
+            # run live. (When `caching` is None the resolved
+            # caching_spec defaults `proxy=True`, but without
+            # `use_proxy` no proxy exists — that default must not
+            # reject a plain live run.)
             explicit_proxy_cache = (
                 self.scenario.caching is not None
                 and self.scenario.caching.proxy

@@ -25,7 +25,9 @@ Subcommands
     Show the Section 7 CBOR compression for a given name.
 ``serve``
     Run the live DoC server on a real UDP socket (any live transport
-    profile: udp, dtls, coap, coaps, oscore).
+    profile: udp, dtls, coap, coaps, oscore) as a pool of ``--workers``
+    processes; ``--metrics-port`` and ``--stream`` observe it while it
+    runs, SIGTERM and Ctrl-C drain it and print the shutdown report.
 ``loadtest``
     Drive open- or closed-loop load against a live server and report
     qps, latency percentiles, timeouts, and cache ratios (``--json``
@@ -380,92 +382,18 @@ def _progress_sink(record: dict) -> None:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from repro.live import DocLiveServer
-
-    if args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
-    if args.workers > 1:
-        return _cmd_serve_pool(args)
-    server = DocLiveServer(
-        transport=args.transport,
-        host=args.host,
-        port=args.port,
-        num_names=args.names,
-        dataset=args.dataset,
-        name_seed=args.name_seed,
-        scheme=_parse_scheme(args.cache_scheme),
-        seed=args.seed,
-        secret=args.secret.encode(),
-        metrics_port=args.metrics_port,
-    )
-    stream_close = None
-    sinks = []
-    if args.stream:
-        stream_sink, stream_close = _open_stream_sink(args.stream)
-        sinks.append(stream_sink)
-
-    async def run() -> None:
-        from repro.obs.telemetry import TelemetrySampler, run_sampler
-
-        async with server:
-            host, port = server.endpoint
-            print(
-                f"serving DNS over {args.transport} on {host}:{port} "
-                f"({len(server.names)} names, scheme {args.cache_scheme})",
-                flush=True,
-            )
-            if server.metrics_endpoint:
-                print(
-                    f"metrics on {server.metrics_endpoint}/metrics "
-                    f"(health: {server.metrics_endpoint}/healthz)",
-                    flush=True,
-                )
-            sampler_task = None
-            sampler_stop = asyncio.Event()
-            if sinks:
-                sampler = TelemetrySampler(server.registry, sinks=sinks)
-                sampler_task = asyncio.ensure_future(
-                    run_sampler(sampler, sampler_stop)
-                )
-            try:
-                if args.duration > 0:
-                    await asyncio.sleep(args.duration)
-                else:
-                    await asyncio.Event().wait()
-            finally:
-                if sampler_task is not None:
-                    sampler_stop.set()
-                    await sampler_task
-
-    try:
-        asyncio.run(run())
-    except KeyboardInterrupt:
-        pass
-    finally:
-        if stream_close is not None:
-            stream_close()
-    stats = server.stats()
-    print(f"served {stats.get('queries_handled', 0)} queries "
-          f"({stats['datagrams_received']} datagrams in, "
-          f"{stats['datagrams_sent']} out)")
-    return 0
-
-
-def _cmd_serve_pool(args: argparse.Namespace) -> int:
-    """``serve --workers N``: an SO_REUSEPORT-sharded worker pool.
-
-    The single-worker command path above stays untouched — ``--workers
-    1`` (the default) never constructs a pool, so existing serve runs
-    behave bit-identically.
-    """
-    import sys
+    """``serve``: ``--workers`` server processes sharing one port under
+    this supervising parent, which owns Ctrl-C and SIGTERM, the
+    ``/metrics`` + ``/healthz`` listener, the ``--stream`` sampler and
+    the shutdown report."""
+    import signal
     import time
 
     from repro.live import ServePool
 
+    if args.workers < 1:
+        print("error: --workers must be >= 1", file=sys.stderr)
+        return 2
     pool = ServePool(
         workers=args.workers,
         transport=args.transport,
@@ -480,63 +408,70 @@ def _cmd_serve_pool(args: argparse.Namespace) -> int:
     )
     if pool.warning:
         print(f"warning: {pool.warning}", file=sys.stderr, flush=True)
+    # Fork first: the scrape thread below must not exist in a child.
     host, port = pool.start()
-    print(
-        f"serving DNS over {args.transport} on {host}:{port} "
-        f"({args.names} names, scheme {args.cache_scheme}, "
-        f"{pool.workers} workers)",
-        flush=True,
-    )
-    obs_http = None
-    if args.metrics_port is not None:
-        from repro.obs.http import ObsHttpThread
-
-        # The pool parent is synchronous, so the scrape endpoint runs
-        # on its own daemon thread; pipe access inside render/health is
-        # lock-guarded by the pool.
-        obs_http = ObsHttpThread(
-            pool.render_metrics, pool.health,
-            host=args.host, port=args.metrics_port,
-        )
-        obs_http.start()
-        print(
-            f"metrics on {obs_http.endpoint}/metrics "
-            f"(health: {obs_http.endpoint}/healthz)",
-            flush=True,
-        )
-    sampler = None
-    stream_close = None
-    if args.stream:
-        from repro.obs.metrics import merge_snapshots
-        from repro.obs.telemetry import TelemetrySampler
-
-        stream_sink, stream_close = _open_stream_sink(args.stream)
-        sampler = TelemetrySampler(
-            lambda: merge_snapshots(
-                snap for _index, snap in pool.sample()
-            ),
-            sinks=[stream_sink],
-        )
-        sampler.tick()  # prime
+    # `kill` drains like Ctrl-C. Installed after the fork, so a worker
+    # still dies of the SIGTERM that `pool.terminate()` sends it.
+    sigterm = signal.signal(signal.SIGTERM, signal.default_int_handler)
+    obs_http = stream_close = None
     try:
-        deadline = (
-            time.monotonic() + args.duration if args.duration > 0 else None
-        )
-        while deadline is None or time.monotonic() < deadline:
-            step = 1.0 if sampler is not None else 3600.0
-            if deadline is not None:
-                step = min(step, max(deadline - time.monotonic(), 0.0))
-            time.sleep(step)
-            if sampler is not None:
-                sampler.tick()
-    except KeyboardInterrupt:
-        pass
+        try:
+            print(
+                f"serving DNS over {args.transport} on {host}:{port} "
+                f"({args.names} names, scheme {args.cache_scheme}, "
+                f"{pool.workers} workers)",
+                flush=True,
+            )
+            if args.metrics_port is not None:
+                from repro.obs.http import ObsHttpThread
+
+                # Pipe access inside render/health is lock-guarded by
+                # the pool.
+                obs_http = ObsHttpThread(
+                    pool.render_metrics, pool.health,
+                    host=args.host, port=args.metrics_port,
+                )
+                obs_http.start()
+                print(
+                    f"metrics on {obs_http.endpoint}/metrics "
+                    f"(health: {obs_http.endpoint}/healthz)",
+                    flush=True,
+                )
+            sampler = None
+            if args.stream:
+                from repro.obs.metrics import merge_snapshots
+                from repro.obs.telemetry import TelemetrySampler
+
+                stream_sink, stream_close = _open_stream_sink(args.stream)
+                sampler = TelemetrySampler(
+                    lambda: merge_snapshots(
+                        snap for _index, snap in pool.sample()
+                    ),
+                    sinks=[stream_sink],
+                )
+                sampler.tick()  # prime
+            deadline = (
+                time.monotonic() + args.duration
+                if args.duration > 0 else None
+            )
+            while deadline is None or time.monotonic() < deadline:
+                step = 1.0 if sampler is not None else 3600.0
+                if deadline is not None:
+                    step = min(step, max(deadline - time.monotonic(), 0.0))
+                time.sleep(step)
+                if sampler is not None:
+                    sampler.tick()
+        except KeyboardInterrupt:
+            pass
+        stats = pool.drain()
     finally:
+        signal.signal(signal.SIGTERM, sigterm)
         if stream_close is not None:
             stream_close()
-    stats = pool.drain()
-    if obs_http is not None:
-        obs_http.stop()
+        if obs_http is not None:
+            obs_http.stop()
+        # No-op after a drain; on any error nothing is left running.
+        pool.terminate()
     per_worker = " + ".join(
         str(worker.get("queries_handled", 0))
         for worker in stats.get("workers", [])
@@ -624,9 +559,9 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
     if args.workers > 1:
         if args.stream:
             print(
-                "warning: --stream applies to the single-process path; "
-                "distributed runs carry their merged telemetry in the "
-                "final report only",
+                "warning: --stream applies to --workers 1 (its sink "
+                "cannot cross a fork); distributed runs carry their "
+                "merged telemetry in the final report only",
                 file=sys.stderr, flush=True,
             )
         report = run_distributed_load(endpoint, workers=args.workers, **load)
@@ -882,13 +817,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.set_defaults(func=_cmd_sweep)
 
-    from repro.live.wiring import DEFAULT_LIVE_PORT, LIVE_TRANSPORTS
+    from repro.live.wiring import DEFAULT_LIVE_PORT
 
     def add_live_common(sub) -> None:
         # One shared default so a bare `serve` and a bare `loadtest`
         # always speak the same protocol.
         sub.add_argument(
-            "--transport", default="udp", choices=list(LIVE_TRANSPORTS),
+            "--transport", default="udp",
+            choices=transport_names(simulatable_only=True),
         )
         sub.add_argument("--host", default="127.0.0.1")
         sub.add_argument("--port", type=int, default=DEFAULT_LIVE_PORT)
@@ -919,7 +855,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers", type=int, default=1,
             help="worker processes: serve shards one port via "
                  "SO_REUSEPORT, loadtest forks distributed generators "
-                 "(default 1 = the single-process path)",
+                 "(default 1: one serve worker under the supervising "
+                 "parent, loadtest in this process)",
         )
 
     serve = subparsers.add_parser(
@@ -933,8 +870,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--metrics-port", type=int, default=None, metavar="PORT",
         help="serve /metrics (Prometheus text) and /healthz on this "
-             "TCP port (0 = ephemeral; sharded pools serve merged "
-             "per-worker + pool-total series)",
+             "TCP port (0 = ephemeral): per-worker series plus "
+             "repro_pool_* totals",
     )
     serve.add_argument(
         "--stream", default=None, metavar="DEST",

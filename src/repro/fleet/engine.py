@@ -133,7 +133,7 @@ def run_fleet(
         # Plain OSCORE protects requests end-to-end; the outer message
         # the CoAP layer sees is not cacheable, so the per-node stack
         # never consults its client CoAP cache (counters stay zero).
-        coap_active=scenario.transport != "oscore",
+        coap_active=not profile.object_security,
         churn=options.churn,
         model_rng=model_rng,
     )

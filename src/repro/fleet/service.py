@@ -132,8 +132,6 @@ def probe_scenario(scenario: Scenario, options: FleetOptions) -> Scenario:
             proxy_capacity=caching.proxy_capacity,
             scheme=caching.scheme,
         ),
-        client_dns_cache=False,
-        client_coap_cache=False,
     )
 
 

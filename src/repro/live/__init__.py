@@ -56,7 +56,6 @@ _EXPORTS = {
     "reuseport_supported": ".workers",
     "run_distributed_load": ".workers",
     "DEFAULT_LIVE_PORT": ".wiring",
-    "LIVE_TRANSPORTS": ".wiring",
     "LiveWiringError": ".wiring",
     "build_names": ".wiring",
     "build_zone": ".wiring",

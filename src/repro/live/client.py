@@ -3,7 +3,8 @@
 :class:`LiveResolver` wraps the sans-IO client stack —
 :class:`~repro.doc.DocClient` for the CoAP-based transports,
 :class:`~repro.transports.dns_over_udp.DnsOverUdpClient` for the
-datagram baselines — behind ``await resolver.resolve(name)``: the
+datagram baselines, wired by the registry profile's ``client_builder``
+as in the simulator — behind ``await resolver.resolve(name)``: the
 stack's one-shot callbacks are bridged onto asyncio futures, and the
 retransmission/back-off machinery runs on the wall clock exactly as it
 runs on simulated time.
@@ -18,6 +19,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.coap.codes import Code
 from repro.dns.enums import RecordType
 from repro.doc.caching import CachingScheme
+from repro.transports.registry import get_profile
 
 from .clock import AsyncioClock
 from .transport import LiveUdpTransport
@@ -132,7 +134,7 @@ class LiveResolver:
             self._bind_host(self.server[0], family), 0,
             allowed_peer=self.server,
         )
-        self._client = self._build_stack()
+        self._client = self._build_client()
         return self
 
     async def _resolve_server(self):
@@ -194,58 +196,33 @@ class LiveResolver:
 
     # -- wiring -----------------------------------------------------------
 
-    def _dns_cache(self):
-        if not self._placement["client-dns"]:
-            return None
-        from repro.dns import DNSCache
+    def _build_client(self):
+        profile = get_profile(self.transport_name)
+        dns_cache = coap_cache = None
+        if self._placement["client-dns"]:
+            from repro.dns import DNSCache
 
-        return DNSCache(64)
-
-    def _build_stack(self):
-        name = self.transport_name
-        if name == "udp":
-            from repro.transports.dns_over_udp import DnsOverUdpClient
-
-            return DnsOverUdpClient(
-                self.clock, self._socket, self.server,
-                dns_cache=self._dns_cache(),
-            )
-        if name == "dtls":
-            from repro.transports.dns_over_dtls import DnsOverDtlsClient
-
-            return DnsOverDtlsClient(
-                self.clock, self._socket, self.server,
-                psk=self._psk, psk_identity=self._psk_identity,
-                dns_cache=self._dns_cache(),
-            )
-
-        from repro.doc import DocClient
-
-        socket = self._socket
-        oscore_context = None
-        if name == "coaps":
-            from repro.transports.dtls_adapter import DtlsClientAdapter
-
-            socket = DtlsClientAdapter(
-                self.clock, socket, self.server,
-                psk=self._psk, psk_identity=self._psk_identity,
-            )
-        elif name == "oscore":
-            oscore_context = derive_oscore_pair(self._secret)[0]
-        coap_cache = None
-        if self._placement["client-coap"]:
+            dns_cache = DNSCache(64)
+        if self._placement["client-coap"] and profile.coap_based:
             from repro.coap.cache import CoapCache
 
             coap_cache = CoapCache(64)
-        client = DocClient(
-            self.clock, socket, self.server,
+        client = profile.client_builder(
+            self.clock, self._socket, self.server,
             method=self.method, scheme=self.scheme,
-            coap_cache=coap_cache, dns_cache=self._dns_cache(),
-            block_size=self.block_size, oscore_context=oscore_context,
+            block_size=self.block_size,
+            dns_cache=dns_cache, coap_cache=coap_cache,
+            psk=self._psk, psk_identity=self._psk_identity,
+            oscore_context=(
+                derive_oscore_pair(self._secret)[0]
+                if profile.object_security else None
+            ),
         )
-        # Nothing on the live path reads the transmission timeline, and
-        # a resolver that runs for days must not grow by a record a query.
-        client.coap.events = None
+        if profile.coap_based:
+            # Nothing on the live path reads the transmission timeline,
+            # and a resolver that runs for days must not grow by a
+            # record a query.
+            client.coap.events = None
         return client
 
     # -- resolution -------------------------------------------------------

@@ -7,7 +7,9 @@ the simulator drives — :class:`~repro.doc.DocServer`,
 server adapter — scheduled by an
 :class:`~repro.live.clock.AsyncioClock` and bound to a
 :class:`~repro.live.transport.LiveUdpTransport` instead of a simulated
-socket. Transport profiles map onto the registry's vocabulary:
+socket, and wired by the registry profile's ``server_builder``, the
+one the simulator calls. Transport profiles map onto the registry's
+vocabulary:
 
 ========== =====================================================
 ``udp``    plain DNS over UDP (the unencrypted baseline)
@@ -23,6 +25,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.doc.caching import CachingScheme
+from repro.transports.registry import get_profile
 
 from .clock import AsyncioClock
 from .transport import LiveUdpTransport, mmsg_support
@@ -61,11 +64,10 @@ class DocLiveServer:
     secret / psk / psk_identity:
         Security material; the client derives matching state from the
         same values.
-    metrics_port:
-        When not ``None``, serve ``/metrics`` (Prometheus text
-        exposition) and ``/healthz`` on this TCP port alongside the
-        DNS socket (0 picks an ephemeral port; see
-        :attr:`metrics_endpoint` after :meth:`start`).
+
+    ``/metrics`` and ``/healthz`` are not served from here: the
+    :class:`~repro.live.workers.ServePool` parent scrapes every worker's
+    :meth:`metrics_snapshot` over its pipe and is the one listener.
     """
 
     def __init__(
@@ -85,7 +87,6 @@ class DocLiveServer:
         cache_capacity: int = 256,
         fastpath_capacity: int = 512,
         reuse_port: bool = False,
-        metrics_port: Optional[int] = None,
     ) -> None:
         self.transport_name = check_live_transport(transport)
         self.host = host
@@ -108,8 +109,6 @@ class DocLiveServer:
         self._server = None
         self.resolver = None
         self._final_stats: Optional[Dict[str, object]] = None
-        self._metrics_port = metrics_port
-        self._obs_http = None
         self.registry = self._build_registry()
 
     # -- lifecycle --------------------------------------------------------
@@ -128,21 +127,20 @@ class DocLiveServer:
             self.host, self.port, reuse_port=self._reuse_port
         )
         self.host, self.port = self._socket.local_address
-        self._server = self._build_stack()
-        if self._metrics_port is not None:
-            from repro.obs.http import ObsHttpServer
-
-            self._obs_http = ObsHttpServer(
-                self.render_metrics, self.health,
-                host=self.host, port=self._metrics_port,
-            )
-            await self._obs_http.start()
+        profile = get_profile(self.transport_name)
+        self._server = profile.server_builder(
+            self.clock, self._socket, self.resolver,
+            scheme=self.scheme,
+            psk_store=dict(self._psk_store),
+            oscore_context=(
+                derive_oscore_pair(self._secret)[1]
+                if profile.object_security else None
+            ),
+            fastpath_capacity=self._fastpath_capacity,
+        )
         return (self.host, self.port)
 
     async def stop(self) -> None:
-        if self._obs_http is not None:
-            await self._obs_http.stop()
-            self._obs_http = None
         if self._socket is not None:
             # Snapshot the counters while the stack is still wired so
             # post-shutdown reports see the final numbers.
@@ -161,45 +159,6 @@ class DocLiveServer:
     @property
     def endpoint(self) -> Tuple[str, int]:
         return (self.host, self.port)
-
-    @property
-    def metrics_endpoint(self) -> Optional[str]:
-        """``http://host:port`` of the scrape listener (None when off)."""
-        return self._obs_http.endpoint if self._obs_http else None
-
-    # -- wiring -----------------------------------------------------------
-
-    def _build_stack(self):
-        name = self.transport_name
-        if name == "udp":
-            from repro.transports.dns_over_udp import DnsOverUdpServer
-
-            return DnsOverUdpServer(self.clock, self._socket, self.resolver)
-        if name == "dtls":
-            from repro.transports.dns_over_dtls import DnsOverDtlsServer
-
-            return DnsOverDtlsServer(
-                self.clock, self._socket, self.resolver,
-                psk_store=dict(self._psk_store),
-            )
-
-        from repro.doc import DocServer
-
-        socket = self._socket
-        oscore_context = None
-        if name == "coaps":
-            from repro.transports.dtls_adapter import DtlsServerAdapter
-
-            socket = DtlsServerAdapter(
-                self.clock, socket, psk_store=dict(self._psk_store)
-            )
-        elif name == "oscore":
-            oscore_context = derive_oscore_pair(self._secret)[1]
-        return DocServer(
-            self.clock, socket, self.resolver,
-            scheme=self.scheme, oscore_context=oscore_context,
-            fastpath_capacity=self._fastpath_capacity,
-        )
 
     # -- observability ----------------------------------------------------
 
@@ -282,19 +241,6 @@ class DocLiveServer:
     def metrics_snapshot(self) -> Dict[str, object]:
         """Mergeable registry snapshot (what pool workers pipe back)."""
         return self.registry.snapshot()
-
-    def render_metrics(self) -> str:
-        """Prometheus text exposition for ``GET /metrics``."""
-        return self.registry.render()
-
-    def health(self) -> Tuple[bool, Dict[str, object]]:
-        """``/healthz`` payload: healthy while the socket is open."""
-        healthy = self._socket is not None
-        return healthy, {
-            "transport": self.transport_name,
-            "endpoint": list(self.endpoint),
-            "names": len(self.names),
-        }
 
     def stats(self) -> Dict[str, object]:
         """Counters for the CLI's shutdown report (JSON-serialisable)."""

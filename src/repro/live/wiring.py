@@ -26,9 +26,6 @@ from repro.transports.registry import registry
 #: ``loadtest`` so the two halves meet without flags.
 DEFAULT_LIVE_PORT = 5853
 
-#: Transports the live runtime can wire end-to-end.
-LIVE_TRANSPORTS = ("udp", "dtls", "coap", "coaps", "oscore")
-
 #: Default shared secret for OSCORE context derivation (override with
 #: ``--secret`` for anything beyond loopback experiments).
 DEFAULT_SECRET = b"repro-live-master-secret"
@@ -43,12 +40,13 @@ class LiveWiringError(ValueError):
 
 
 def check_live_transport(name: str) -> str:
-    """Validate *name* against the registry and the live capability."""
+    """Validate *name* against the registry and the live capability:
+    the runnable profiles are the ones the simulator drives too."""
     profile = registry.get(name)  # raises UnknownTransportError
-    if not profile.simulatable or name not in LIVE_TRANSPORTS:
+    if not profile.simulatable:
         raise LiveWiringError(
-            f"transport {name!r} cannot be served live "
-            f"(supported: {', '.join(LIVE_TRANSPORTS)})"
+            f"transport {name!r} cannot be served live (supported: "
+            f"{', '.join(registry.names(simulatable_only=True))})"
         )
     return name
 

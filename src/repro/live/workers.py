@@ -1,9 +1,11 @@
-"""Sharded multi-worker serving and distributed load generation.
+"""The serving pool and distributed load generation.
 
 One :class:`~repro.live.server.DocLiveServer` is one event loop on one
-socket — per-core wins cannot multiply across cores. This module
-scales the live runtime the way production DNS resolvers do: **kernel
-socket sharding**. A :class:`ServePool` forks N worker processes, each
+socket — per-core wins cannot multiply across cores. This module is
+the one way ``repro serve`` and ``repro.api.run`` start a server, for
+any worker count, and scales it the way production DNS resolvers do:
+**kernel socket sharding**. A :class:`ServePool` forks N worker
+processes (N = 1 is one worker under the supervising parent), each
 running its own asyncio loop (optionally `uvloop`, see
 :func:`maybe_install_uvloop`) with its own server stack — per-worker
 resolver/fastpath/DNS/CoAP caches, per-worker RNG — all bound to the
@@ -21,6 +23,9 @@ to drain gracefully, and each worker answers with its final stats
 block before exiting. A worker that crashes mid-run is detected by
 process liveness, surfaces in the pool's nonzero :attr:`exit_code`,
 and the surviving workers' stats still merge (partial-stats contract).
+A parent that dies without saying ``stop`` hangs up every pipe — each
+child closes the parent-side ends it inherited — so no worker outlives
+it.
 
 Platforms without ``SO_REUSEPORT`` (detected by actually double-
 binding a probe port, not by attribute sniffing) fall back to a
@@ -187,6 +192,8 @@ class WorkerPool:
         self._procs: List[multiprocessing.Process] = []
         self._conns: List = []
         self._failed: List[int] = []
+        #: worker index -> the ``("error", text)`` it reported.
+        self._errors: Dict[int, str] = {}
         self._started = False
         # Serializes pipe use between the owning thread and the
         # metrics HTTP thread's mid-run ``sample()`` scrapes.
@@ -233,8 +240,11 @@ class WorkerPool:
         ctx = multiprocessing.get_context()
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         proc = ctx.Process(
-            target=self._target,
-            args=(index, config, child_conn),
+            target=_worker_entry,
+            args=(
+                self._target, index, config, child_conn,
+                [parent_conn, *self._conns],
+            ),
             name=f"repro-{self.role}-{index}",
             daemon=True,
         )
@@ -244,33 +254,36 @@ class WorkerPool:
         self._conns.append(parent_conn)
 
     def _recv(self, index: int, kind: str, timeout: float):
-        """One worker's next *kind* message, or ``None`` on crash/timeout."""
+        """One worker's next *kind* message, or ``None`` on crash,
+        timeout or an ``("error", text)`` report (the text is kept for
+        :meth:`_reason`)."""
         conn, proc = self._conns[index], self._procs[index]
         deadline = time.monotonic() + timeout
         while True:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 return None
+            # What a worker flushed before it exited still counts: a
+            # dead worker's pipe is read out without waiting.
+            alive = proc.is_alive()
             try:
-                if conn.poll(min(remaining, 0.1)):
+                if conn.poll(min(remaining, 0.1) if alive else 0):
                     message = conn.recv()
                     if message[0] == kind:
                         return message[1]
                     if message[0] == "error":
+                        self._errors[index] = message[1]
                         return None
                     continue  # unrelated message kind: keep waiting
             except (EOFError, OSError):
                 return None
-            if not proc.is_alive():
-                # Drain anything flushed before the exit, then give up.
-                try:
-                    while conn.poll(0):
-                        message = conn.recv()
-                        if message[0] == kind:
-                            return message[1]
-                except (EOFError, OSError):
-                    pass
+            if not alive:
                 return None
+
+    def _reason(self, index: int) -> str:
+        """``": <text>"`` when worker *index* said why it failed."""
+        text = self._errors.get(index)
+        return f": {text}" if text else ""
 
     def broadcast(self, command: str) -> None:
         for conn in self._conns:
@@ -333,16 +346,33 @@ class WorkerPool:
         self.join()
 
 
-# -- serve pool ------------------------------------------------------------
-
-
-def _child_setup() -> None:
+def _worker_entry(target, index: int, config: dict, conn, parent_ends) -> None:
+    """What every pool child runs: the set-up and the failure report
+    the serve and load workers share, around ``target(index, config,
+    conn)``."""
+    # Close the parent-side pipe ends the fork copied into this child —
+    # its own and the earlier workers'. While a child holds one, a
+    # parent that dies never hangs up on that pipe and `_await_stop`
+    # waits for ever.
+    for end in parent_ends:
+        end.close()
     # The parent owns Ctrl-C: it drains the pool and collects stats;
     # letting SIGINT reach the children would kill them mid-snapshot.
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - exotic runtimes
         pass
+    try:
+        target(index, config, conn)
+    except Exception as exc:  # noqa: BLE001 - reported over the pipe
+        try:
+            conn.send(("error", f"{type(exc).__name__}: {exc}"))
+        except (BrokenPipeError, OSError):
+            pass
+        raise SystemExit(1) from exc
+
+
+# -- serve pool ------------------------------------------------------------
 
 
 async def _await_stop(conn, on_sample=None) -> None:
@@ -393,16 +423,8 @@ async def _await_stop(conn, on_sample=None) -> None:
 def _serve_worker_main(index: int, config: dict, conn) -> None:
     """One serving worker: bind (SO_REUSEPORT), serve until ``stop``,
     answer with the final stats block."""
-    _child_setup()
     uvloop_active = maybe_install_uvloop()
-    try:
-        asyncio.run(_serve_worker(index, config, conn, uvloop_active))
-    except Exception as exc:  # noqa: BLE001 - reported over the pipe
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        except (BrokenPipeError, OSError):
-            pass
-        raise SystemExit(1) from exc
+    asyncio.run(_serve_worker(index, config, conn, uvloop_active))
 
 
 async def _serve_worker(
@@ -426,7 +448,10 @@ async def _serve_worker(
 
 
 class ServePool(WorkerPool):
-    """N ``DocLiveServer`` processes sharing one port via SO_REUSEPORT.
+    """N ``DocLiveServer`` processes sharing one port via SO_REUSEPORT
+    under one supervising parent — the server ``repro serve`` and
+    ``repro.api.run`` start, for N = 1 as for any other N (a lone
+    worker binds without SO_REUSEPORT).
 
     Every worker serves the *same* zone (the name universe and zone
     derivation stay on the shared base seed, so any worker answers any
@@ -472,31 +497,27 @@ class ServePool(WorkerPool):
         if self._started:
             raise WorkerPoolError("pool already started")
         self._started = True
-        port = self._server_kwargs.get("port", 0)
-        two_phase = self.workers > 1 and port == 0
         try:
-            # Worker 0 elects the shared port: it binds ``port=0`` with
-            # SO_REUSEPORT set and reports the bound endpoint, then the
-            # remaining workers join its group on that concrete port.
+            # Worker 0 elects the shared port: it binds what it was
+            # given (``port=0`` too) with SO_REUSEPORT set and reports
+            # the bound endpoint, then the remaining workers join its
+            # group on that concrete port.
             # (A parent-held reservation socket would leak into every
             # forked child as an unread reuseport-group member and
             # blackhole the flows hashed to it — the port must be owned
             # by a socket that is actually served.)
-            self._spawn(0, self._configs[0])
-            first = self._recv(0, "ready", READY_TIMEOUT)
-            if first is None:
-                raise WorkerPoolError("serve worker 0 failed to start")
-            endpoint = tuple(first)
-            if two_phase:
-                for config in self._configs[1:]:
+            endpoint = None
+            for index, config in enumerate(self._configs):
+                if endpoint is not None:
                     config["server"]["port"] = endpoint[1]
-            for index in range(1, self.workers):
-                self._spawn(index, self._configs[index])
+                self._spawn(index, config)
                 ready = self._recv(index, "ready", READY_TIMEOUT)
                 if ready is None:
                     raise WorkerPoolError(
                         f"serve worker {index} failed to start"
+                        + self._reason(index)
                     )
+                endpoint = endpoint or tuple(ready)
         except BaseException:
             self.terminate()
             raise
@@ -654,33 +675,31 @@ def merge_server_stats(
 ) -> Dict[str, object]:
     """One server stats block from many: the only merge, for both axes.
 
-    A block is what one server reports
-    (:meth:`~repro.live.server.DocLiveServer.stats`; a pool worker's
-    carries its ``worker`` index) or the output of an earlier call, so
-    the same function merges across a pool's workers
-    (:meth:`ServePool.drain`) and across the repeats of a run
-    (``repro.api.runner``), and merging ``[a, b]`` then ``c`` equals
-    merging ``[a, b, c]``. Merged blocks are taken apart into their
-    per-worker entries again; every total is recomputed from those.
+    A block is what one pool worker reports
+    (:meth:`~repro.live.server.DocLiveServer.stats` plus its ``worker``
+    index) or the output of an earlier call, so the same function
+    merges across a pool's workers (:meth:`ServePool.drain`) and across
+    the repeats of a run (``repro.api.runner``), and merging ``[a, b]``
+    then ``c`` equals merging ``[a, b, c]``. Merged blocks are taken
+    apart into their per-worker entries again; every total is
+    recomputed from those.
 
     Counters sum and the resolver cache pools through
     ``CacheStats.merge`` (its hit ratio is the pooled object's
     property). Three kinds of field cannot ride a summed registry
     snapshot (:func:`repro.obs.merge_snapshots`), which is why the
-    merge works on the stats blocks the pipe and the in-loop server
-    already deliver: ``io.largest_burst`` is a maximum where snapshot
-    gauges sum; ``transport``/``endpoint``/``names``/``io.mmsg`` are
-    facts, kept from the first block that states them; and the
-    ``runtime`` block (``serve_workers`` = distinct worker indices,
-    ``reuseport``, ``uvloop``, ``warning``) describes the pool.
+    merge works on the stats blocks the pipe already delivers:
+    ``io.largest_burst`` is a maximum where snapshot gauges sum;
+    ``transport``/``endpoint``/``names``/``io.mmsg`` are facts, kept
+    from the first block that states them; and the ``runtime`` block
+    (``serve_workers`` = distinct worker indices, ``reuseport``,
+    ``uvloop``, ``warning``) describes the pool.
 
-    Pool facts — ``workers_requested``, ``workers_failed`` (sums),
-    ``failed_workers`` (union; always present so consumers need no
-    existence check), the per-worker ``workers`` list (entries of one
-    index sum across repeats) and ``runtime``, the source of the
-    Report's ``live.workers.serve.*`` — appear only when a pool is
-    involved: *requested* given, or any block from a pool or a worker.
-    Repeats of the single in-loop server merge to a plain block.
+    Every result carries the pool facts: ``workers_requested``,
+    ``workers_failed`` (sums), ``failed_workers`` (union; always
+    present so consumers need no existence check), the per-worker
+    ``workers`` list (entries of one index sum across repeats) and
+    ``runtime``, the source of the Report's ``live.workers.serve.*``.
     """
     leaves = [
         leaf for block in blocks for leaf in block.get("workers", (block,))
@@ -690,11 +709,6 @@ def merge_server_stats(
     for leaf in leaves:
         if "worker" in leaf:
             by_index.setdefault(leaf["worker"], []).append(leaf)
-    if (
-        requested is None and not by_index
-        and not any("runtime" in block for block in blocks)
-    ):
-        return merged
     failed = {int(index) for index in failed_indices or ()}
     merged["workers_requested"] = (
         requested if requested is not None
@@ -730,16 +744,8 @@ def merge_server_stats(
 def _load_worker_main(index: int, config: dict, conn) -> None:
     """One load-generation worker: drive its share of the offered load
     and answer with its loadgen report."""
-    _child_setup()
     maybe_install_uvloop()
-    try:
-        report = asyncio.run(load_once(config))
-    except Exception as exc:  # noqa: BLE001 - reported over the pipe
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        except (BrokenPipeError, OSError):
-            pass
-        raise SystemExit(1) from exc
+    report = asyncio.run(load_once(config))
     report["worker"] = index
     conn.send(("report", report))
 
@@ -776,9 +782,10 @@ async def load_once(config: dict) -> Dict[str, object]:
     *config* carries the keyword set of :func:`run_distributed_load`
     (minus ``workers``) plus ``endpoint`` and, for a caller in this
     process, ``snapshot_sinks`` (``generate_load``'s per-second sinks).
-    Every load worker runs this, and so do the single-process load
-    sides of ``repro.api.run`` and ``repro loadtest`` — one definition
-    of "the load side" for every worker count.
+    Every load worker runs this, and ``repro.api.run`` and ``repro
+    loadtest`` run it in their own process for one load worker (the
+    sinks are callables of that process and cannot cross a fork) — one
+    definition of "the load side" for every worker count.
     """
     from .loadgen import generate_load
 
@@ -813,7 +820,9 @@ class LoadPool(WorkerPool):
         self.start()
         reports = self.collect("report", timeout=LOAD_COLLECT_TIMEOUT)
         if not reports:
-            raise WorkerPoolError("every load worker failed")
+            raise WorkerPoolError(
+                "every load worker failed" + self._reason(0)
+            )
         return reports
 
 

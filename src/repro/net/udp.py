@@ -64,20 +64,6 @@ class UdpDatagram:
         )
         return ports_length + checksum.to_bytes(2, "big") + self.payload
 
-    def encode_with_checksum(self, checksum: bytes) -> bytes:
-        """Wire format with a checksum carried from the wire.
-
-        6LoWPAN NHC always transports the UDP checksum inline, so a
-        decompressor can splice the received value back in instead of
-        recomputing it over the pseudo-header — the bytes are identical
-        because the pseudo-header inputs did not change on the hop.
-        """
-        return (
-            _PORTS_LENGTH.pack(self.src_port, self.dst_port, self.length)
-            + checksum
-            + self.payload
-        )
-
     @classmethod
     def decode(cls, data: bytes) -> "UdpDatagram":
         if len(data) < UDP_HEADER_LEN:

@@ -12,8 +12,9 @@ Dependency-free instrumentation shared by every serving layer:
   diffing registry snapshots into the NDJSON time series streamed by
   ``loadtest --stream``, rendered by ``repro watch``, and embedded in
   Reports as the ``telemetry`` block;
-* :mod:`repro.obs.http` — the minimal asyncio listener behind
-  ``--metrics-port`` serving ``/metrics`` and ``/healthz``.
+* :mod:`repro.obs.http` — the minimal listener thread behind
+  ``serve --metrics-port``: the pool parent's ``/metrics`` and
+  ``/healthz``.
 
 Attribute access is lazy (PEP 562), matching :mod:`repro.live`.
 """
@@ -46,7 +47,6 @@ _EXPORTS = {
     "timeline_from_outcomes": ".telemetry",
     "format_snapshot": ".telemetry",
     "validate_snapshot": ".telemetry",
-    "ObsHttpServer": ".http",
     "ObsHttpThread": ".http",
 }
 

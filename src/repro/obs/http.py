@@ -1,27 +1,26 @@
-"""Minimal asyncio HTTP listener for /metrics and /healthz.
+"""Minimal HTTP listener for /metrics and /healthz.
 
 Just enough HTTP/1.0 for a Prometheus scrape or a ``curl`` during a
 run — GET only, ``Connection: close``, no keep-alive, no TLS, no
-dependency beyond asyncio. Two mounting modes:
+dependency beyond asyncio. :class:`ObsHttpThread` is the one listener:
+a daemon thread with its own event loop, because the process that
+serves the scrape — the :class:`~repro.live.workers.ServePool` parent —
+is synchronous and has no loop of its own.
 
-* :class:`ObsHttpServer` — lives on the caller's running event loop
-  (the single-process ``DocLiveServer`` path);
-* :class:`ObsHttpThread` — a daemon thread with its own loop, for
-  the synchronous pool parent that otherwise has no loop at all.
-
-Handlers are plain callables so the pool parent can serve *merged*
-worker metrics through the same two routes.
+Handlers are plain callables, so the pool parent serves *merged*
+worker metrics through the two routes.
 """
 
 from __future__ import annotations
 
 import asyncio
+import json
 import threading
 from typing import Callable, Dict, Optional, Tuple
 
 from .log import get_logger
 
-__all__ = ["ObsHttpServer", "ObsHttpThread"]
+__all__ = ["ObsHttpThread"]
 
 _MAX_REQUEST_BYTES = 8192
 
@@ -29,12 +28,16 @@ _MAX_REQUEST_BYTES = 8192
 HealthFn = Callable[[], Tuple[bool, Dict[str, object]]]
 
 
-class ObsHttpServer:
-    """Serve ``/metrics`` (text exposition) and ``/healthz`` (JSON).
+class ObsHttpThread:
+    """Serve ``/metrics`` (text exposition) and ``/healthz`` (JSON) on
+    a dedicated daemon thread.
 
     *metrics_fn* returns the exposition text; *health_fn* returns
     ``(healthy, details)`` — healthy maps to 200, otherwise 503 with
-    the details in the JSON body either way.
+    the details in the JSON body either way. ``start()`` blocks until
+    the listener is bound and returns the resolved port; the handler
+    callables run on the thread's loop, so anything they touch must be
+    guarded by the caller (the pools guard their pipes with a lock).
     """
 
     def __init__(
@@ -49,24 +52,63 @@ class ObsHttpServer:
         self.host = host
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._thread: Optional[threading.Thread] = None
+        self._ready = threading.Event()
+        self._error: Optional[BaseException] = None
         self._log = get_logger("repro.obs.http")
 
-    async def start(self) -> None:
+    @property
+    def endpoint(self) -> str:
+        return f"http://{self.host}:{self.port}"
+
+    def start(self, timeout: float = 5.0) -> int:
+        self._thread = threading.Thread(
+            target=self._run, name="repro-obs-http", daemon=True
+        )
+        self._thread.start()
+        if not self._ready.wait(timeout):
+            raise RuntimeError("metrics listener failed to start in time")
+        if self._error is not None:
+            raise RuntimeError(
+                f"metrics listener failed to bind: {self._error!r}"
+            )
+        return self.port
+
+    def _run(self) -> None:
+        loop = asyncio.new_event_loop()
+        self._loop = loop
+        asyncio.set_event_loop(loop)
+        try:
+            loop.run_until_complete(self._listen())
+        except BaseException as exc:
+            self._error = exc
+            self._ready.set()
+            loop.close()
+            return
+        self._ready.set()
+        try:
+            loop.run_forever()
+        finally:
+            self._server.close()
+            loop.run_until_complete(self._server.wait_closed())
+            loop.close()
+
+    async def _listen(self) -> None:
         self._server = await asyncio.start_server(
             self._handle, self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._log.info("metrics listener up", host=self.host, port=self.port)
 
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-
-    @property
-    def endpoint(self) -> str:
-        return f"http://{self.host}:{self.port}"
+    def stop(self, timeout: float = 5.0) -> None:
+        loop = self._loop
+        if loop is not None and loop.is_running():
+            loop.call_soon_threadsafe(loop.stop)
+        if self._thread is not None:
+            self._thread.join(timeout)
+        self._loop = None
+        self._thread = None
 
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -101,8 +143,6 @@ class ObsHttpServer:
                 )
             elif path == "/healthz":
                 healthy, details = self.health_fn()
-                import json
-
                 payload = dict(details)
                 payload.setdefault("status", "ok" if healthy else "unhealthy")
                 await self._respond(
@@ -148,77 +188,3 @@ class ObsHttpServer:
         )
         writer.write(head.encode("latin-1") + payload)
         await writer.drain()
-
-
-class ObsHttpThread:
-    """Run an :class:`ObsHttpServer` on a dedicated daemon thread.
-
-    The multi-worker pool parent is synchronous (it sleeps in a
-    ``time.sleep`` watch loop), so the scrape endpoint gets its own
-    event loop on a background thread. ``start()`` blocks until the
-    listener is bound and returns the resolved port; handler
-    callables run on the thread's loop, so anything they touch must
-    be guarded by the caller (the pools guard their pipes with a
-    lock).
-    """
-
-    def __init__(
-        self,
-        metrics_fn: Callable[[], str],
-        health_fn: HealthFn,
-        host: str = "127.0.0.1",
-        port: int = 0,
-    ):
-        self.server = ObsHttpServer(metrics_fn, health_fn, host, port)
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._ready = threading.Event()
-        self._error: Optional[BaseException] = None
-
-    @property
-    def port(self) -> int:
-        return self.server.port
-
-    @property
-    def endpoint(self) -> str:
-        return self.server.endpoint
-
-    def start(self, timeout: float = 5.0) -> int:
-        self._thread = threading.Thread(
-            target=self._run, name="repro-obs-http", daemon=True
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout):
-            raise RuntimeError("metrics listener failed to start in time")
-        if self._error is not None:
-            raise RuntimeError(
-                f"metrics listener failed to bind: {self._error!r}"
-            )
-        return self.server.port
-
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        self._loop = loop
-        asyncio.set_event_loop(loop)
-        try:
-            loop.run_until_complete(self.server.start())
-        except BaseException as exc:
-            self._error = exc
-            self._ready.set()
-            loop.close()
-            return
-        self._ready.set()
-        try:
-            loop.run_forever()
-        finally:
-            loop.run_until_complete(self.server.stop())
-            loop.close()
-
-    def stop(self, timeout: float = 5.0) -> None:
-        loop = self._loop
-        if loop is not None and loop.is_running():
-            loop.call_soon_threadsafe(loop.stop)
-        if self._thread is not None:
-            self._thread.join(timeout)
-        self._loop = None
-        self._thread = None

@@ -290,12 +290,11 @@ class WorkloadSpec:
 class Scenario:
     """One fully-specified run: transport × topology × workload.
 
-    Cache placement is configured either through the legacy boolean
-    fields (``client_coap_cache``/``client_dns_cache``, the proxy cache
-    implied by ``use_proxy``) or, preferably, through an explicit
-    ``caching`` :class:`CachingSpec`. When ``caching`` is given it is
-    authoritative for placement and capacities; read the resolved view
-    via :attr:`caching_spec` (never the raw fields).
+    Cache placement and capacities are the ``caching``
+    :class:`CachingSpec`; without one the defaults apply (no client
+    caches, and the proxy that ``use_proxy`` puts in the path caches).
+    Read the resolved view via :attr:`caching_spec`, never the raw
+    field.
     """
 
     name: str = "default"
@@ -305,8 +304,6 @@ class Scenario:
     method: Code = Code.FETCH
     scheme: CachingScheme = CachingScheme.EOL_TTLS
     use_proxy: bool = False
-    client_coap_cache: bool = False
-    client_dns_cache: bool = False
     caching: Optional[CachingSpec] = None
     block_size: Optional[int] = None
     seed: int = 1
@@ -318,7 +315,8 @@ class Scenario:
         profile = registry.get(self.transport)
         if not profile.simulatable:
             raise ScenarioError(
-                f"transport {self.transport!r} is model-only and cannot run"
+                f"transport {self.transport!r} is model-only and cannot run "
+                f"(runnable: {', '.join(registry.names(simulatable_only=True))})"
             )
         if self.use_proxy and not profile.coap_based:
             raise ScenarioError("the CoAP proxy requires a CoAP transport")
@@ -344,16 +342,11 @@ class Scenario:
     def caching_spec(self) -> CachingSpec:
         """The effective cache configuration of this run.
 
-        Resolves the legacy boolean fields into a :class:`CachingSpec`
-        when no explicit ``caching`` was given, and fills an unset
-        ``scheme`` from the scenario's own.
+        The default :class:`CachingSpec` when no explicit ``caching``
+        was given, with an unset ``scheme`` filled from the scenario's
+        own.
         """
-        spec = self.caching
-        if spec is None:
-            spec = CachingSpec(
-                client_dns=self.client_dns_cache,
-                client_coap=self.client_coap_cache,
-            )
+        spec = self.caching or CachingSpec()
         if spec.scheme is None:
             spec = replace(spec, scheme=self.scheme)
         return spec

@@ -2,20 +2,22 @@
 
 Registers the paper's five runnable DNS transports (UDP, DTLS, CoAP,
 CoAPS, OSCORE) plus the analytically-modeled QUIC with the
-:mod:`repro.transports.registry`. Each registration bundles the
-client/server factories, security provisioning, and the Figure 6
+:mod:`repro.transports.registry`. Each registration bundles the two
+stack builders the simulator and the live runtime both wire their
+sockets through, security provisioning, and the Figure 6
 packet-dissection hook; nothing outside this module branches on
-transport names.
+transport names (``tests/test_transport_registry.py::
+test_no_transport_name_comparison_outside_profiles`` reads the source
+tree to keep it so).
 
 Imports of the heavier layers (``repro.doc``, the dissection code)
-happen inside the factories so the registry stays import-light and free
+happen inside the builders so the registry stays import-light and free
 of cycles.
 """
 
 from __future__ import annotations
 
 from repro.transports.registry import (
-    ServerHandle,
     TransportEnv,
     TransportProfile,
     registry,
@@ -27,70 +29,56 @@ COAP_PORT = 5683
 COAPS_PORT = 5684
 DNS_OVER_QUIC_PORT = 853
 
-#: Client-side source port for session-oriented transports, matching
-#: the testbed configuration (one DTLS/CoAP session per client).
-CLIENT_PORT = 6000
+
+def _credentials(wiring: dict) -> dict:
+    """The DTLS client credentials the caller set; what it left out
+    stays the adapters' own default."""
+    return {key: wiring[key] for key in ("psk", "psk_identity") if key in wiring}
 
 
-def _dns_cache(env: TransportEnv):
-    from repro.dns import DNSCache
+def _preestablish(adapter, preestablished_with) -> None:
+    """Adopt an out-of-band session pair when the caller names the
+    ``(server adapter, client endpoint)`` to establish it with; without
+    one the adapter handshakes on the wire at its first send."""
+    if preestablished_with is not None:
+        from repro.transports.dtls_adapter import preestablish
 
-    caching = env.scenario.caching_spec
-    return DNSCache(caching.client_dns_capacity) if caching.client_dns else None
+        preestablish(adapter, *preestablished_with)
 
 
 # -- DNS over UDP -----------------------------------------------------------
 
 
-def _udp_server(env: TransportEnv) -> ServerHandle:
+def _udp_server(clock, socket, resolver, **_wiring):
     from repro.transports.dns_over_udp import DnsOverUdpServer
 
-    host = env.topology.resolver_host
-    server = DnsOverUdpServer(env.sim, host.bind(DNS_PORT), env.resolver)
-    return ServerHandle(
-        port=DNS_PORT, endpoint=(host.address, DNS_PORT), server=server
-    )
+    return DnsOverUdpServer(clock, socket, resolver)
 
 
-def _udp_client(env: TransportEnv, node, index: int):
+def _udp_client(clock, socket, server, *, dns_cache=None, **_wiring):
     from repro.transports.dns_over_udp import DnsOverUdpClient
 
-    return DnsOverUdpClient(
-        env.sim, node.bind(), env.server.endpoint, dns_cache=_dns_cache(env)
-    )
+    return DnsOverUdpClient(clock, socket, server, dns_cache=dns_cache)
 
 
 # -- DNS over DTLS ----------------------------------------------------------
 
 
-def _dtls_server(env: TransportEnv) -> ServerHandle:
+def _dtls_server(clock, socket, resolver, *, psk_store=None, **_wiring):
     from repro.transports.dns_over_dtls import DnsOverDtlsServer
 
-    host = env.topology.resolver_host
-    server = DnsOverDtlsServer(
-        env.sim, host.bind(DNS_OVER_DTLS_PORT), env.resolver
-    )
-    return ServerHandle(
-        port=DNS_OVER_DTLS_PORT,
-        endpoint=(host.address, DNS_OVER_DTLS_PORT),
-        server=server,
-        adapter=server.adapter,
-    )
+    return DnsOverDtlsServer(clock, socket, resolver, psk_store=psk_store)
 
 
-def _dtls_client(env: TransportEnv, node, index: int):
+def _dtls_client(
+    clock, socket, server, *, dns_cache=None, preestablished_with=None, **wiring
+):
     from repro.transports.dns_over_dtls import DnsOverDtlsClient
-    from repro.transports.dtls_adapter import preestablish
 
     client = DnsOverDtlsClient(
-        env.sim,
-        node.bind(CLIENT_PORT),
-        env.server.endpoint,
-        dns_cache=_dns_cache(env),
+        clock, socket, server, dns_cache=dns_cache, **_credentials(wiring)
     )
-    preestablish(
-        client.adapter, env.server.adapter, (node.address, CLIENT_PORT)
-    )
+    _preestablish(client.adapter, preestablished_with)
     return client
 
 
@@ -106,83 +94,56 @@ def _provision_oscore(env: TransportEnv) -> None:
     )
 
 
-def _coaps_server(env: TransportEnv) -> ServerHandle:
+def _coap_server(
+    clock, socket, resolver, *, scheme, oscore_context=None,
+    fastpath_capacity=0, **_wiring,
+):
+    # Plain CoAP and OSCORE are one stack: the context is the difference.
     from repro.doc import DocServer
+
+    return DocServer(
+        clock,
+        socket,
+        resolver,
+        scheme=scheme,
+        oscore_context=oscore_context,
+        fastpath_capacity=fastpath_capacity,
+    )
+
+
+def _coaps_server(clock, socket, resolver, *, psk_store=None, **wiring):
     from repro.transports.dtls_adapter import DtlsServerAdapter
 
-    host = env.topology.resolver_host
-    adapter = DtlsServerAdapter(env.sim, host.bind(COAPS_PORT))
-    server = DocServer(
-        env.sim, adapter, env.resolver, scheme=env.scenario.caching_spec.scheme
-    )
-    return ServerHandle(
-        port=COAPS_PORT,
-        endpoint=(host.address, COAPS_PORT),
-        server=server,
-        adapter=adapter,
-    )
+    adapter = DtlsServerAdapter(clock, socket, psk_store=psk_store)
+    return _coap_server(clock, adapter, resolver, **wiring)
 
 
-def _coap_server(env: TransportEnv) -> ServerHandle:
-    from repro.doc import DocServer
-
-    host = env.topology.resolver_host
-    # The server handles a single client context at a time; derive one
-    # shared pair and multiplex by kid if ever needed.
-    oscore_context = env.oscore_pairs[0][1] if env.oscore_pairs else None
-    server = DocServer(
-        env.sim,
-        host.bind(COAP_PORT),
-        env.resolver,
-        scheme=env.scenario.caching_spec.scheme,
-        oscore_context=oscore_context,
-    )
-    return ServerHandle(
-        port=COAP_PORT, endpoint=(host.address, COAP_PORT), server=server
-    )
-
-
-def _doc_client(env: TransportEnv, node, index: int, secure: bool, oscore: bool):
-    from repro.coap.cache import CoapCache
+def _coap_client(
+    clock, socket, server, *, method, scheme, target=None, block_size=None,
+    dns_cache=None, coap_cache=None, oscore_context=None, **_wiring,
+):
     from repro.doc import DocClient
-    from repro.transports.dtls_adapter import DtlsClientAdapter, preestablish
 
-    scenario = env.scenario
-    caching = scenario.caching_spec
-    socket = node.bind(CLIENT_PORT)
-    if secure:
-        socket = DtlsClientAdapter(env.sim, socket, env.server.endpoint)
-        preestablish(
-            socket, env.server.adapter, (node.address, CLIENT_PORT)
-        )
-    oscore_context = env.oscore_pairs[0][0] if oscore else None
     return DocClient(
-        env.sim,
+        clock,
         socket,
-        env.target,
-        method=scenario.method,
-        scheme=caching.scheme,
-        coap_cache=(
-            CoapCache(caching.client_coap_capacity)
-            if caching.client_coap
-            else None
-        ),
-        dns_cache=_dns_cache(env),
-        block_size=scenario.block_size,
+        target or server,
+        method=method,
+        scheme=scheme,
+        coap_cache=coap_cache,
+        dns_cache=dns_cache,
+        block_size=block_size,
         oscore_context=oscore_context,
     )
 
 
-def _coap_client(env, node, index):
-    return _doc_client(env, node, index, secure=False, oscore=False)
+def _coaps_client(clock, socket, server, *, preestablished_with=None, **wiring):
+    from repro.transports.dtls_adapter import DtlsClientAdapter
 
-
-def _coaps_client(env, node, index):
-    return _doc_client(env, node, index, secure=True, oscore=False)
-
-
-def _oscore_client(env, node, index):
-    return _doc_client(env, node, index, secure=False, oscore=True)
+    # The session runs to the server even when requests go to a proxy.
+    adapter = DtlsClientAdapter(clock, socket, server, **_credentials(wiring))
+    _preestablish(adapter, preestablished_with)
+    return _coap_client(clock, adapter, server, **wiring)
 
 
 # -- dissection hooks -------------------------------------------------------
@@ -222,8 +183,8 @@ registry.register(
         name="udp",
         display_name="UDP",
         default_port=DNS_PORT,
-        server_factory=_udp_server,
-        client_factory=_udp_client,
+        server_builder=_udp_server,
+        client_builder=_udp_client,
         dissector=_dissect_plain_dns,
     ),
     replace=True,
@@ -236,8 +197,8 @@ registry.register(
         default_port=DNS_OVER_DTLS_PORT,
         secure=True,
         has_handshake=True,
-        server_factory=_dtls_server,
-        client_factory=_dtls_client,
+        server_builder=_dtls_server,
+        client_builder=_dtls_client,
         dissector=_dissect_plain_dns,
     ),
     replace=True,
@@ -249,8 +210,8 @@ registry.register(
         display_name="CoAP",
         default_port=COAP_PORT,
         coap_based=True,
-        server_factory=_coap_server,
-        client_factory=_coap_client,
+        server_builder=_coap_server,
+        client_builder=_coap_client,
         dissector=_dissect_coap,
     ),
     replace=True,
@@ -264,8 +225,8 @@ registry.register(
         secure=True,
         coap_based=True,
         has_handshake=True,
-        server_factory=_coaps_server,
-        client_factory=_coaps_client,
+        server_builder=_coaps_server,
+        client_builder=_coaps_client,
         dissector=_dissect_coap,
     ),
     replace=True,
@@ -280,8 +241,8 @@ registry.register(
         coap_based=True,
         echo_variant=True,
         provisioner=_provision_oscore,
-        server_factory=_coap_server,
-        client_factory=_oscore_client,
+        server_builder=_coap_server,
+        client_builder=_coap_client,
         dissector=_dissect_oscore,
     ),
     replace=True,

@@ -2,11 +2,11 @@
 
 Every DNS transport the reproduction compares — UDP, DTLS, CoAP,
 CoAPS, OSCORE, and the modeled QUIC — is described by one
-:class:`TransportProfile`: its name, default port, client/server
-factories, security provisioning (DTLS pre-establishment, OSCORE
-context wiring), and packet-dissection hooks. The experiment harness,
-the scenario engine, and the CLI all dispatch through the registry, so
-adding a transport variant is a registration, not a refactor:
+:class:`TransportProfile`: its name, default port, the two builders
+that wire its sans-IO server and client stack, security provisioning
+and packet-dissection hooks. The simulator, the live runtime, the fleet
+engine and the CLI all dispatch through the registry, so adding a
+transport variant is a registration, not a refactor:
 
     from repro.transports.registry import TransportProfile, registry
 
@@ -33,7 +33,7 @@ class TransportCapabilityError(ValueError):
 
 @dataclass
 class ServerHandle:
-    """What a server factory returns: where the server listens plus any
+    """The simulator's view of a built server: where it listens plus any
     secure-socket adapter clients must pre-establish against."""
 
     port: int
@@ -44,11 +44,13 @@ class ServerHandle:
 
 @dataclass
 class TransportEnv:
-    """Everything a profile's factories need to stand up one run.
+    """What :meth:`TransportProfile.build_server` and
+    :meth:`~TransportProfile.build_client` stand one simulated run up
+    from.
 
     ``scenario`` is the :class:`repro.scenarios.Scenario` being run;
-    the factories read its ``method``, ``scheme``, ``block_size`` and
-    cache placement.
+    its ``method``, ``scheme``, ``block_size`` and cache placement
+    become the builders' keyword wiring.
     """
 
     sim: object
@@ -62,13 +64,30 @@ class TransportEnv:
     target: Optional[Tuple[str, int]] = None
 
 
+#: Client-side source port for session-oriented transports, matching
+#: the testbed configuration (one DTLS/CoAP session per client).
+CLIENT_PORT = 6000
+
+
 @dataclass(frozen=True)
 class TransportProfile:
     """One DNS transport, declared rather than special-cased.
 
-    Factories receive a :class:`TransportEnv`; dissectors receive the
-    profile itself plus the message parameters, so closely related
-    transports (CoAP/CoAPS) can share one parameterized implementation.
+    The two stack builders take what every substrate has — a clock, a
+    bound socket, and the resolver (server side) or the server's
+    endpoint (client side) — plus keyword wiring. The simulator
+    (:meth:`build_server`/:meth:`build_client`) and the live runtime
+    (:class:`~repro.live.server.DocLiveServer`,
+    :class:`~repro.live.client.LiveResolver`) pass the same keywords
+    with their own values, and a builder reads the ones its stack has a
+    use for: ``scheme``, ``oscore_context``, ``psk_store`` and
+    ``fastpath_capacity`` on the server; ``target`` (where requests go
+    when that is a proxy, not the server), ``method``, ``scheme``,
+    ``block_size``, ``dns_cache``, ``coap_cache``, ``oscore_context``,
+    ``psk``/``psk_identity`` and ``preestablished_with`` on the client.
+    Dissectors receive the profile itself plus the message parameters,
+    so closely related transports (CoAP/CoAPS) can share one
+    parameterized implementation.
     """
 
     name: str
@@ -78,7 +97,8 @@ class TransportProfile:
     secure: bool = False
     #: Runs DNS inside CoAP (and can therefore sit behind a CoAP proxy).
     coap_based: bool = False
-    #: Can be driven end-to-end in the simulator (QUIC is model-only).
+    #: Can be driven end-to-end, in the simulator and on real sockets
+    #: (QUIC is model-only).
     simulatable: bool = True
     #: Appears in the Figure 6 dissection grid.
     in_figure6: bool = True
@@ -86,34 +106,102 @@ class TransportProfile:
     has_handshake: bool = False
     #: Adds the replay-window Echo variant in the Figure 6 grid.
     echo_variant: bool = False
-    #: ``provisioner(env)`` runs once per run before any factory (e.g.
-    #: derive OSCORE contexts).
+    #: ``provisioner(env)`` runs once per simulated run before any
+    #: builder (e.g. derive OSCORE contexts).
     provisioner: Optional[Callable[[TransportEnv], None]] = None
-    #: ``server_factory(env) -> ServerHandle``
-    server_factory: Optional[Callable[[TransportEnv], ServerHandle]] = None
-    #: ``client_factory(env, node, index) -> client`` where the client
-    #: exposes ``resolve(name, rtype, on_result)``.
-    client_factory: Optional[Callable[..., object]] = None
+    #: ``server_builder(clock, socket, resolver, **wiring) -> server``
+    server_builder: Optional[Callable[..., object]] = None
+    #: ``client_builder(clock, socket, server, **wiring) -> client``
+    #: where *server* is the server's endpoint and the client exposes
+    #: ``resolve(name, rtype, on_result)``.
+    client_builder: Optional[Callable[..., object]] = None
     #: ``dissector(profile, method, name, with_echo) -> [PacketDissection]``
     dissector: Optional[Callable[..., list]] = None
+
+    @property
+    def object_security(self) -> bool:
+        """Protects each CoAP message end to end under a pre-shared
+        context (OSCORE) instead of securing the hop with a session:
+        both ends need their context before the first message, and
+        whatever handles the outer message — a proxy, the endpoint's
+        own CoAP cache — sees nothing it could cache."""
+        return self.secure and self.coap_based and not self.has_handshake
 
     def provision(self, env: TransportEnv) -> None:
         if self.provisioner is not None:
             self.provisioner(env)
 
-    def build_server(self, env: TransportEnv) -> ServerHandle:
-        if self.server_factory is None:
+    def _builder(self, builder: Optional[Callable[..., object]]):
+        if builder is None:
             raise TransportCapabilityError(
                 f"transport {self.name!r} cannot be simulated"
             )
-        return self.server_factory(env)
+        return builder
+
+    def build_server(self, env: TransportEnv) -> ServerHandle:
+        """The simulator's server side: the stack on ``default_port``
+        of the topology's resolver host."""
+        builder = self._builder(self.server_builder)
+        host = env.topology.resolver_host
+        server = builder(
+            env.sim,
+            host.bind(self.default_port),
+            env.resolver,
+            scheme=env.scenario.caching_spec.scheme,
+            # The server handles a single client context at a time;
+            # derive one shared pair and multiplex by kid if ever needed.
+            oscore_context=env.oscore_pairs[0][1] if env.oscore_pairs else None,
+        )
+        adapter = None
+        if self.has_handshake:
+            # The secure socket is the one the stack was built on; a
+            # DoC server's sits under its CoAP endpoint.
+            adapter = (server.coap if self.coap_based else server).socket
+        return ServerHandle(
+            port=self.default_port,
+            endpoint=(host.address, self.default_port),
+            server=server,
+            adapter=adapter,
+        )
 
     def build_client(self, env: TransportEnv, node, index: int):
-        if self.client_factory is None:
-            raise TransportCapabilityError(
-                f"transport {self.name!r} cannot be simulated"
-            )
-        return self.client_factory(env, node, index)
+        """The simulator's client side: the stack on *node*, with the
+        scenario's caches and the run's provisioned security state."""
+        builder = self._builder(self.client_builder)
+        scenario = env.scenario
+        caching = scenario.caching_spec
+        # Plain DNS over UDP keeps no session and takes an ephemeral port.
+        session = self.secure or self.coap_based
+        dns_cache = coap_cache = None
+        if caching.client_dns:
+            from repro.dns import DNSCache
+
+            dns_cache = DNSCache(caching.client_dns_capacity)
+        if caching.client_coap and self.coap_based:
+            from repro.coap.cache import CoapCache
+
+            coap_cache = CoapCache(caching.client_coap_capacity)
+        return builder(
+            env.sim,
+            node.bind(CLIENT_PORT) if session else node.bind(),
+            env.server.endpoint,
+            target=env.target,
+            method=scenario.method,
+            scheme=caching.scheme,
+            block_size=scenario.block_size,
+            dns_cache=dns_cache,
+            coap_cache=coap_cache,
+            oscore_context=env.oscore_pairs[0][0] if env.oscore_pairs else None,
+            # The paper's pre-initialised DTLS sessions: no handshake on
+            # the air. The builder establishes the pair where it creates
+            # its adapter, because the draws this takes from the run's
+            # RNG are part of every banked digest.
+            preestablished_with=(
+                (env.server.adapter, (node.address, CLIENT_PORT))
+                if self.has_handshake
+                else None
+            ),
+        )
 
     def dissect(self, method=None, name=None, with_echo: bool = False) -> list:
         if self.dissector is None:

@@ -121,18 +121,6 @@ class TestPlacementOff:
         result = ScenarioRunner().run(scenario)
         assert result.success_rate == 1.0
 
-    def test_legacy_flags_still_place_caches(self):
-        scenario = _hierarchy_scenario(
-            CachingScheme.EOL_TTLS,
-            caching=None,
-            client_dns_cache=True,
-            client_coap_cache=False,
-        )
-        result = ScenarioRunner().run(scenario)
-        assert "client-dns" in result.cache_stats
-        assert "client-coap" not in result.cache_stats
-        assert "proxy" in result.cache_stats   # use_proxy implies caching
-
 
 class TestCachingSpec:
     def test_placement_round_trip(self):

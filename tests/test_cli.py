@@ -1,10 +1,20 @@
 """CLI smoke tests: every subcommand runs and prints sensible output."""
 
 import contextlib
+import os
+import re
+import signal
+import socket
+import subprocess
+import sys
+import time
 
 import pytest
 
 from repro.cli import main
+from repro.live.workers import reuseport_supported
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_dissect(capsys):
@@ -138,6 +148,182 @@ def test_serve_bounded_duration(capsys):
     out = capsys.readouterr().out
     assert "serving DNS over udp" in out
     assert "served 0 queries" in out
+
+
+# -- `serve` as the process CI and operators run ---------------------------
+
+
+def _spawn_serve(*flags):
+    """``repro serve --port 0 --duration 30 FLAGS`` as a subprocess, read
+    up to its banner: ``(process, port)``. The banner is printed once
+    the pool is up and the signal handling is in place."""
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+         "--duration", "30", *flags],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        cwd=REPO, env=dict(os.environ, PYTHONPATH=os.path.join(REPO, "src")),
+    )
+    banner = process.stdout.readline()
+    match = re.search(r"serving DNS over \w+ on 127\.0\.0\.1:(\d+)", banner)
+    if match is None:
+        process.kill()
+        pytest.fail(f"no serve banner: {banner!r} {process.stderr.read()!r}")
+    return process, int(match.group(1))
+
+
+def _proc_stat(pid):
+    """``(state, ppid)`` of *pid* from /proc, or ``None`` once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as stat:
+            state, ppid = stat.read().rsplit(")", 1)[1].split()[:2]
+    except OSError:
+        return None
+    return state, int(ppid)
+
+
+def _children(pid):
+    return [
+        int(entry) for entry in os.listdir("/proc")
+        if entry.isdigit() and (_proc_stat(entry) or ("", 0))[1] == pid
+    ]
+
+
+def _gone_within(pids, seconds):
+    """Whether every one of *pids* has exited (a zombie waiting for its
+    reaper has) before *seconds* are up."""
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        if all((_proc_stat(pid) or ("Z",))[0] == "Z" for pid in pids):
+            return True
+        time.sleep(0.02)
+    return False
+
+
+needs_pool_of_two = pytest.mark.skipif(
+    not (os.path.isdir("/proc/self") and reuseport_supported()),
+    reason="needs /proc and SO_REUSEPORT",
+)
+
+
+@needs_pool_of_two
+def test_serve_sigterm_drains_reports_and_leaves_no_worker():
+    process, port = _spawn_serve("--workers", "2")
+    workers = _children(process.pid)
+    assert len(workers) == 2
+    process.send_signal(signal.SIGTERM)
+    out, err = process.communicate(timeout=20)
+    assert process.returncode == 0, err
+    assert "served 0 queries across 2 workers (0 + 0;" in out
+    assert _gone_within(workers, 2.0)
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as again:
+        again.bind(("127.0.0.1", port))  # free at once
+
+
+@needs_pool_of_two
+def test_serve_workers_do_not_outlive_a_killed_parent():
+    process, _port = _spawn_serve("--workers", "2")
+    workers = _children(process.pid)
+    assert len(workers) == 2
+    process.kill()  # no handler runs: only the pipes hanging up is left
+    process.communicate(timeout=20)
+    assert process.returncode == -signal.SIGKILL
+    assert _gone_within(workers, 2.0)
+
+
+def _http_get(port, path):
+    import http.client
+
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=5)
+    try:
+        connection.request("GET", path)
+        response = connection.getresponse()
+        return response.status, response.read().decode()
+    finally:
+        connection.close()
+
+
+@pytest.mark.parametrize("workers", [
+    1, pytest.param(2, marks=needs_pool_of_two),
+])
+def test_serve_scrapes_streams_and_reports(workers, tmp_path, capsys):
+    import json
+
+    from repro.obs.metrics import parse_exposition
+    from repro.obs.telemetry import validate_snapshot
+
+    stream = tmp_path / "serve.ndjson"
+    process, port = _spawn_serve(
+        "--workers", str(workers), "--names", "8",
+        "--metrics-port", "0", "--stream", str(stream),
+    )
+    try:
+        metrics_port = int(re.search(
+            r"metrics on http://127\.0\.0\.1:(\d+)/metrics",
+            process.stdout.readline(),
+        ).group(1))
+        assert main([
+            "loadtest", "--port", str(port), "--names", "8",
+            "--rate", "80", "--duration", "0.6", "--timeout", "5", "--json",
+        ]) == 0
+        issued = json.loads(capsys.readouterr().out)["metrics"][
+            "queries.issued"
+        ]
+
+        status, body = _http_get(metrics_port, "/metrics")
+        assert status == 200
+        families = parse_exposition(body)
+        per_worker = families["repro_queries_total"]
+        assert sorted(dict(labels)["worker"] for labels in per_worker) == [
+            str(index) for index in range(workers)
+        ]
+        pool_total = sum(families["repro_pool_queries_total"].values())
+        assert sum(per_worker.values()) == pool_total
+        assert pool_total == issued > 0
+
+        status, body = _http_get(metrics_port, "/healthz")
+        assert status == 200
+        health = json.loads(body)
+        assert health["status"] == "ok"
+        assert health["workers"] == health["alive"] == workers
+
+        def snapshots():
+            return [
+                json.loads(line) for line in stream.read_text().splitlines()
+            ]
+
+        # The sampler ticks once a second: the tick after the load
+        # ended has counted all of it.
+        deadline = time.monotonic() + 3.0
+        while (
+            sum(snapshot["queries"] for snapshot in snapshots()) < issued
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.05)
+    finally:
+        process.send_signal(signal.SIGTERM)
+        out, err = process.communicate(timeout=20)
+    assert process.returncode == 0, err
+    report = re.search(
+        r"served (\d+) queries across (\d+) workers \(([\d+ ]+);", out
+    )
+    assert int(report.group(1)) == issued
+    assert int(report.group(2)) == workers
+    assert sum(map(int, report.group(3).split(" + "))) == issued
+    for snapshot in snapshots():
+        validate_snapshot(snapshot)
+    assert sum(snapshot["queries"] for snapshot in snapshots()) == issued
+
+
+def test_serve_on_a_busy_port_is_a_cli_error(capsys):
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as holder:
+        holder.bind(("127.0.0.1", 0))
+        assert main([
+            "serve", "--port", str(holder.getsockname()[1]),
+            "--duration", "0.1",
+        ]) == 2
+    err = capsys.readouterr().err
+    assert "error: serve worker 0 failed to start: OSError" in err
+    assert "in use" in err
 
 
 @contextlib.contextmanager

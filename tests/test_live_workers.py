@@ -22,6 +22,7 @@ from repro.live.reservoir import DEFAULT_RESERVOIR_CAPACITY, LatencyReservoir
 from repro.live.transport import LiveUdpTransport
 from repro.live.workers import (
     REUSEPORT_WARNING,
+    LoadPool,
     ServePool,
     WorkerPoolError,
     derive_worker_seed,
@@ -286,12 +287,6 @@ def test_merge_server_stats_sums_counters_and_keeps_workers():
     assert merged["runtime"]["warning"] is None
 
 
-def _unlabelled(stats):
-    """The block as the in-loop server of a single-process run gives
-    it: no ``worker`` index."""
-    return {key: value for key, value in stats.items() if key != "worker"}
-
-
 def test_merge_server_stats_is_associative_over_workers_then_repeats():
     # Two repeats of a two-worker pool: merging each pool and then the
     # repeats must equal merging all four worker blocks at once.
@@ -316,28 +311,32 @@ def test_merge_server_stats_is_associative_over_workers_then_repeats():
     assert merge_server_stats([at_once]) == at_once
 
 
-def test_merge_server_stats_single_process_repeats_sum_every_counter():
-    # The single-process pairing restarts one in-loop server per
-    # repeat; the pooled block must sum *every* counter (fastpath and
-    # io included, not only the four the Report shows) and stay a plain
-    # server block: no pool facts, so no live.workers.* metrics.
+def test_merge_server_stats_one_worker_repeats_sum_every_counter():
+    # A self-served run restarts its one-worker pool per repeat; the
+    # pooled block must sum *every* counter (fastpath and io included,
+    # not only the four the Report shows — the first repeat's used to
+    # be kept) and is a pool block like any other: one worker entry
+    # that carries the same sums.
     blocks = []
     for handled in (10, 30):
-        block = _unlabelled(_fake_server_stats(0, handled))
+        block = _fake_server_stats(0, handled)
         block["fastpath_hits"] = handled - 2
         block["fastpath_misses"] = 2
-        blocks.append(block)
+        blocks.append(merge_server_stats([block], requested=1))
     merged = merge_server_stats(blocks)
-    assert merged["queries_handled"] == 40
-    assert merged["fastpath_hits"] == 36
-    assert merged["fastpath_misses"] == 4
-    assert merged["io"]["recv_bursts"] == 40
-    assert merged["resolver_cache"] == {
-        "hits": 38, "misses": 2, "hit_ratio": pytest.approx(38 / 40),
-    }
-    for pool_fact in ("runtime", "workers", "workers_requested",
-                      "workers_failed", "failed_workers"):
-        assert pool_fact not in merged
+    for view in (merged, merged["workers"][0]):
+        assert view["queries_handled"] == 40
+        assert view["fastpath_hits"] == 36
+        assert view["fastpath_misses"] == 4
+        assert view["io"]["recv_bursts"] == 40
+        assert view["resolver_cache"] == {
+            "hits": 38, "misses": 2, "hit_ratio": pytest.approx(38 / 40),
+        }
+    assert [w["worker"] for w in merged["workers"]] == [0]
+    assert merged["runtime"]["serve_workers"] == 1
+    assert merged["workers_requested"] == 1
+    assert merged["workers_failed"] == 0
+    assert merged["failed_workers"] == []
     assert merge_server_stats([merge_server_stats(blocks[:1]), blocks[1]]) \
         == merged
 
@@ -483,6 +482,39 @@ def test_worker_crash_surfaces_in_exit_code_and_partial_stats():
     assert stats["workers"][0]["worker"] == 0
 
 
+def test_serve_pool_start_failure_carries_the_workers_reason():
+    import socket
+
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as holder:
+        holder.bind(("127.0.0.1", 0))
+        pool = ServePool(
+            workers=1, transport="udp", port=holder.getsockname()[1],
+            num_names=8,
+        )
+        with pytest.raises(
+            WorkerPoolError,
+            match=r"serve worker 0 failed to start: OSError: .*in use",
+        ):
+            pool.start()
+    assert not any(proc.is_alive() for proc in pool.processes)
+
+
+def _load_worker_that_fails(index, config, conn):
+    conn.send(("error", f"ValueError: worker {index} cannot"))
+    raise SystemExit(1)
+
+
+def test_load_pool_failure_carries_a_workers_reason():
+    pool = LoadPool(_load_worker_that_fails, [{}, {}])
+    with pytest.raises(
+        WorkerPoolError,
+        match="every load worker failed: ValueError: worker 0 cannot",
+    ):
+        pool.run()
+    assert pool.failed_workers == [0, 1]
+    assert pool.exit_code == 1
+
+
 def test_serve_pool_rejects_zero_workers():
     with pytest.raises(WorkerPoolError):
         ServePool(workers=0, transport="udp", port=0)
@@ -553,9 +585,10 @@ def test_sharded_api_run_emits_worker_metrics_that_sum():
 
 
 #: ``sorted(report.metrics)`` of a live run, banked on the parent of the
-#: PR that folded the two serve+load pairings into one: the
-#: single-process key set, and what each sharded side adds to it.
-_SINGLE_PROCESS_KEYS = [
+#: PR that folded the two serve+load pairings into one: what every run
+#: carries, what the serve pool adds (for any worker count, one
+#: included), and what a sharded load side adds.
+_COMMON_KEYS = [
     "cache.client_coap.hit_ratio", "cache.client_coap.hits",
     "cache.client_coap.misses", "cache.client_coap.stale_hits",
     "cache.client_coap.stale_ratio", "cache.client_coap.validation_failures",
@@ -582,14 +615,11 @@ _PER_LOAD_WORKER = ("achieved_qps", "failed", "queries", "rcode_failures",
 
 
 def _banked_live_keys(serve_workers, load_workers):
-    keys = list(_SINGLE_PROCESS_KEYS)
-    if (serve_workers, load_workers) != (1, 1):
-        # Any sharded side puts the serve side in a pool.
-        keys += _POOL_KEYS
-        keys += [
-            f"live.workers.serve.{index}.{name}"
-            for index in range(serve_workers) for name in _PER_SERVE_WORKER
-        ]
+    keys = _COMMON_KEYS + _POOL_KEYS
+    keys += [
+        f"live.workers.serve.{index}.{name}"
+        for index in range(serve_workers) for name in _PER_SERVE_WORKER
+    ]
     if load_workers > 1:
         keys += ["live.workers.load.count", "live.workers.load.failed"]
         keys += [
@@ -620,12 +650,23 @@ def test_live_report_key_set_is_stable_per_worker_combination(
         assert report.metrics["queries.succeeded"] > 0
 
 
-def test_single_worker_api_run_has_no_worker_metrics():
+def test_single_worker_api_run_reports_its_one_pool_worker():
     from repro.api import run
 
     report = run(
         "substrate=live,transport=udp,queries=20,rate=200,names=8"
     )
+    metrics = report.metrics
+    assert metrics["live.workers.serve.count"] == 1
+    assert metrics["live.workers.serve.failed"] == 0
+    assert (
+        metrics["live.workers.serve.0.queries_handled"]
+        == metrics["live.server.queries_handled"]
+        >= metrics["queries.succeeded"] > 0
+    )
+    # A lone worker owns its port outright.
+    assert metrics["live.workers.reuseport"] is False
+    assert metrics["live.workers.warning"] is None
     assert not any(
-        key.startswith("live.workers.") for key in report.metrics
+        key.startswith("live.workers.load.") for key in metrics
     )

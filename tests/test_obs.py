@@ -5,7 +5,7 @@ rendering, snapshot merge purity, parse round-trips), histogram
 quantile estimation against exact percentiles and the live-path
 ``LatencyReservoir`` on a 20k-sample distribution, the per-second
 telemetry sampler and timeline merging, the structured JSON logger,
-the /metrics + /healthz asyncio listener, and the schema contract
+the /metrics + /healthz listener thread, and the schema contract
 between ``SNAPSHOT_SCHEMA`` and ``tests/report_schema.json``.
 """
 
@@ -22,7 +22,7 @@ import pytest
 
 from repro.api.schema import ValidationError, validate
 from repro.live.reservoir import LatencyReservoir
-from repro.obs.http import ObsHttpServer, ObsHttpThread
+from repro.obs.http import ObsHttpThread
 from repro.obs.log import JsonLogger, configure, get_logger
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
@@ -514,12 +514,15 @@ def test_configure_rejects_unknown_level():
 # -- HTTP listener ---------------------------------------------------------
 
 
-async def _http_get(port: int, path: str) -> tuple:
-    reader, writer = await asyncio.open_connection("127.0.0.1", port)
-    writer.write(f"GET {path} HTTP/1.0\r\n\r\n".encode())
-    await writer.drain()
-    raw = await reader.read()
-    writer.close()
+def _http(port: int, path: str, method: str = "GET") -> tuple:
+    """One HTTP/1.0 exchange with the listener: (status, body)."""
+    import socket
+
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as conn:
+        conn.sendall(f"{method} {path} HTTP/1.0\r\n\r\n".encode())
+        raw = b""
+        while chunk := conn.recv(65536):
+            raw += chunk
     head, _, body = raw.partition(b"\r\n\r\n")
     status = int(head.split(b" ", 2)[1])
     return status, body.decode()
@@ -527,55 +530,43 @@ async def _http_get(port: int, path: str) -> tuple:
 
 def test_obs_http_server_routes():
     registry = _loaded_registry()
+    listener = ObsHttpThread(
+        registry.render, lambda: (True, {"role": "test"}), port=0
+    )
+    port = listener.start()
+    try:
+        assert port == listener.port
+        status, body = _http(port, "/metrics")
+        assert status == 200
+        parsed = parse_exposition(body)
+        assert parsed[QUERIES_TOTAL][()] == 100.0
 
-    async def scenario():
-        server = ObsHttpServer(
-            registry.render, lambda: (True, {"role": "test"}), port=0
-        )
-        await server.start()
-        try:
-            status, body = await _http_get(server.port, "/metrics")
-            assert status == 200
-            parsed = parse_exposition(body)
-            assert parsed[QUERIES_TOTAL][()] == 100.0
+        status, body = _http(port, "/healthz")
+        assert status == 200
+        payload = json.loads(body)
+        assert payload["status"] == "ok"
+        assert payload["role"] == "test"
 
-            status, body = await _http_get(server.port, "/healthz")
-            assert status == 200
-            payload = json.loads(body)
-            assert payload["status"] == "ok"
-            assert payload["role"] == "test"
-
-            status, _ = await _http_get(server.port, "/nope")
-            assert status == 404
-        finally:
-            await server.stop()
-
-    asyncio.run(scenario())
+        status, _ = _http(port, "/nope")
+        assert status == 404
+    finally:
+        listener.stop()
 
 
 def test_obs_http_unhealthy_is_503_and_post_rejected():
-    async def scenario():
-        server = ObsHttpServer(
-            lambda: "", lambda: (False, {"reason": "socket closed"}), port=0
-        )
-        await server.start()
-        try:
-            status, body = await _http_get(server.port, "/healthz")
-            assert status == 503
-            assert json.loads(body)["status"] == "unhealthy"
+    listener = ObsHttpThread(
+        lambda: "", lambda: (False, {"reason": "socket closed"}), port=0
+    )
+    port = listener.start()
+    try:
+        status, body = _http(port, "/healthz")
+        assert status == 503
+        assert json.loads(body)["status"] == "unhealthy"
 
-            reader, writer = await asyncio.open_connection(
-                "127.0.0.1", server.port
-            )
-            writer.write(b"POST /metrics HTTP/1.0\r\n\r\n")
-            await writer.drain()
-            raw = await reader.read()
-            writer.close()
-            assert b" 405 " in raw.split(b"\r\n", 1)[0]
-        finally:
-            await server.stop()
-
-    asyncio.run(scenario())
+        status, _ = _http(port, "/metrics", method="POST")
+        assert status == 405
+    finally:
+        listener.stop()
 
 
 def test_obs_http_thread_serves_from_sync_caller():
@@ -585,7 +576,7 @@ def test_obs_http_thread_serves_from_sync_caller():
     )
     port = thread.start()
     try:
-        status, body = asyncio.run(_http_get(port, "/metrics"))
+        status, body = _http(port, "/metrics")
         assert status == 200
         assert QUERIES_TOTAL in body
     finally:
