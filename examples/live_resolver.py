@@ -12,7 +12,8 @@ Run:  python examples/live_resolver.py
 
 import asyncio
 
-from repro.live import DocLiveServer, LiveResolver, generate_report
+from repro.api import report_from_loadgen
+from repro.live import DocLiveServer, LiveResolver, generate_load
 
 
 async def main() -> None:
@@ -52,14 +53,15 @@ async def main() -> None:
 
             # A one-second open-loop load test against the OSCORE
             # server, Zipf-popular names hitting the client DNS cache.
-            # generate_report returns the unified repro.api Report —
-            # the same document `repro run ...,substrate=live` emits.
+            # report_from_loadgen turns the load generator's dict into
+            # the unified repro.api Report — the same document
+            # `repro run ...,substrate=live` emits.
             from repro.scenarios import WorkloadSpec
 
-            report = await generate_report(
+            report = report_from_loadgen(await generate_load(
                 resolver, server.names, rate=100.0, duration=1.0,
                 timeout=5.0, workload=WorkloadSpec(zipf_alpha=1.0),
-            )
+            ))
         metrics = report.metrics
         print(f"loadtest: {metrics['queries.issued']} queries, "
               f"{metrics['queries.success_rate']:.0%} ok, "

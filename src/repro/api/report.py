@@ -264,8 +264,8 @@ class Report:
     scalars. ``raw`` keeps the substrate-native result object (an
     :class:`~repro.scenarios.runner.ExperimentResult` or
     :class:`~repro.fleet.engine.FleetResult`, a list of them, or the
-    loadgen dict) for Python callers — it is never serialised and does
-    not participate in equality.
+    loadgen dicts as the converter was given them) for Python callers —
+    it is never serialised and does not participate in equality.
     """
 
     substrate: str
@@ -443,17 +443,18 @@ _SERVE_WORKER_METRICS = (
 )
 
 
-def _worker_metrics(pooled, server_stats) -> Dict[str, object]:
+def _worker_metrics(workers, load_failed, server_stats) -> Dict[str, object]:
     """The ``live.workers.*`` namespace from sharded-run detail.
 
-    Load-side detail rides in each merged loadgen report's ``workers``
-    block (:func:`repro.live.workers.merge_loadgen_reports`); serve-side
-    detail in *server_stats*' ``workers``/``runtime`` blocks
+    Load-side detail is each loadgen dict's own ``worker`` index (a
+    forked load worker stamps it on what it delivers) and *load_failed*,
+    the number of load workers that delivered nothing; serve-side
+    detail rides in *server_stats*' ``workers``/``runtime`` blocks
     (:func:`repro.live.workers.merge_server_stats`). Per-worker counters
-    sum index-by-index across pooled repeats — summing any
+    sum index-by-index across repeats — summing any
     ``live.workers.load.<i>.queries`` column therefore reproduces the
     top-level ``queries.issued``. A load side that ran in the caller's
-    process has no ``workers`` block and adds no ``live.workers.load.*``;
+    process stamps no ``worker`` and adds no ``live.workers.load.*``;
     every self-served run has a serve pool, of one worker or more, and
     reports it. A plain :meth:`~repro.live.server.DocLiveServer.stats`
     block (a library caller's own in-loop server) has neither pool
@@ -461,19 +462,15 @@ def _worker_metrics(pooled, server_stats) -> Dict[str, object]:
     """
     metrics: Dict[str, object] = {}
     load_totals: Dict[int, Dict[str, float]] = {}
-    load_failed = 0
-    for report in pooled:
-        block = report.get("workers")
-        if not isinstance(block, dict):
+    for report in workers:
+        if "worker" not in report:
             continue
-        load_failed += block.get("load_failed", 0)
-        for entry in block.get("load", ()):
-            totals = load_totals.setdefault(
-                int(entry.get("worker", 0)),
-                {key: 0 for key in _LOAD_WORKER_METRICS},
-            )
-            for key in _LOAD_WORKER_METRICS:
-                totals[key] += entry.get(key, 0)
+        totals = load_totals.setdefault(
+            int(report["worker"]),
+            {key: 0 for key in _LOAD_WORKER_METRICS},
+        )
+        for key in _LOAD_WORKER_METRICS:
+            totals[key] += report[key]
     if load_totals:
         metrics["live.workers.load.count"] = len(load_totals)
         metrics["live.workers.load.failed"] = load_failed
@@ -518,64 +515,79 @@ def report_from_loadgen(
     reports,
     spec: Optional[Dict[str, object]] = None,
     server_stats: Optional[Dict[str, object]] = None,
+    load_failed: int = 0,
 ) -> Report:
-    """Build the unified Report from live load-generation output.
+    """Build the unified Report from live load-generation output — the
+    one place loadgen dicts are pooled, on both axes.
 
-    *reports* is one :func:`~repro.live.loadgen.generate_load` report
-    dict or a list of them (repeats pool: counters sum, latency
-    quantiles recompute from the pooled ``latencies_ms`` samples when
-    present, falling back to the single report's summary otherwise).
-    *server_stats* optionally attaches the paired
-    :class:`~repro.live.server.DocLiveServer` counters under
-    ``live.server.*``.
+    *reports* is one :func:`~repro.live.loadgen.generate_load` dict, or
+    a list with one entry per repeat, an entry being one dict or the
+    list of dicts that repeat's load workers delivered
+    (:func:`repro.live.workers.run_load`). Counters sum, the bounded
+    ``latencies_ms`` samples pool and the quantiles are taken over the
+    pool, caches pool per location, all over every dict. The workers of
+    one repeat ran side by side: their ``achieved_qps`` and their
+    shares of the offered rate or concurrency add, and the slowest
+    one's ``elapsed_s`` is the repeat's. Repeats ran one after another:
+    ``throughput.qps`` is the mean of theirs, ``live.elapsed_s`` the
+    sum, and the offered load is read off the first.
+
+    *load_failed* is the number of load workers, over all repeats, that
+    delivered nothing (what they would have offered is in no sum).
+    *server_stats* optionally attaches the paired server's counters
+    under ``live.server.*``.
     """
+    from repro.obs.telemetry import merge_timelines
+
     single = not isinstance(reports, (list, tuple))
-    pooled = [reports] if single else list(reports)
-    if not pooled:
+    repeats = [
+        list(entry) if isinstance(entry, (list, tuple)) else [entry]
+        for entry in ([reports] if single else reports)
+    ]
+    if not repeats or not all(repeats):
         raise ReportError("cannot report on zero loadgen reports")
+    workers = [report for repeat in repeats for report in repeat]
 
     counters = {
         "queries": 0, "succeeded": 0, "failed": 0,
         "timeouts": 0, "rcode_failures": 0,
     }
     latencies_ms: List[float] = []
-    have_samples = all("latencies_ms" in report for report in pooled)
-    elapsed = 0.0
-    qps_values: List[float] = []
-    for report in pooled:
+    for report in workers:
         for key in counters:
             counters[key] += report[key]
-        elapsed += report["elapsed_s"]
-        qps_values.append(report["achieved_qps"])
-        if have_samples:
-            latencies_ms.extend(report["latencies_ms"])
-
-    if have_samples:
-        latency = latency_metrics([ms / 1000 for ms in latencies_ms])
-    else:
-        summary = pooled[0]["latency_ms"]
-        latency = {
-            f"latency.{key}": summary[key.replace("_ms", "")]
-            for key in LATENCY_METRICS
-        }
+        latencies_ms.extend(report["latencies_ms"])
     metrics = common_vocabulary(
         issued=counters["queries"],
         succeeded=counters["succeeded"],
         failed=counters["failed"],
         timeouts=counters["timeouts"],
         rcode_failures=counters["rcode_failures"],
-        latency=latency,
-        qps_values=qps_values,
-        caches=pooled_caches(report.get("cache", {}) for report in pooled),
+        latency=latency_metrics([ms / 1000 for ms in latencies_ms]),
+        qps_values=[
+            round(sum(report["achieved_qps"] for report in repeat), 3)
+            for repeat in repeats
+        ],
+        caches=pooled_caches(report.get("cache", {}) for report in workers),
     )
 
-    first = pooled[0]
-    metrics["live.mode"] = first["mode"]
-    metrics["live.offered_rate_qps"] = first["offered_rate_qps"]
-    metrics["live.concurrency"] = first["concurrency"]
-    metrics["live.elapsed_s"] = round(elapsed, 3)
-    metrics["live.repeats"] = len(pooled)
-    metrics.update(_worker_metrics(pooled, server_stats))
+    first = repeats[0]
+    mode = first[0]["mode"]
+    metrics["live.mode"] = mode
+    # Rounded so that three shares of 100/3 read 100.0.
+    metrics["live.offered_rate_qps"] = (
+        round(sum(report["offered_rate_qps"] for report in first), 9)
+        if mode == "open" else None
+    )
+    metrics["live.concurrency"] = (
+        sum(report["concurrency"] for report in first)
+        if mode == "closed" else None
+    )
+    metrics["live.elapsed_s"] = round(sum(
+        max(report["elapsed_s"] for report in repeat) for repeat in repeats
+    ), 3)
+    metrics["live.repeats"] = len(repeats)
+    metrics.update(_worker_metrics(workers, load_failed, server_stats))
     if server_stats:
         for key in ("queries_handled", "datagrams_received",
                     "datagrams_sent", "validations_sent"):
@@ -587,13 +599,17 @@ def report_from_loadgen(
                 metrics[f"live.cache.resolver.{key}"] = value
     # Same single-run rule as the sim side: repeats restart the clock,
     # so only an unrepeated run carries its per-second series.
-    telemetry = pooled[0].get("telemetry") if len(pooled) == 1 else None
+    telemetry = None
+    if len(repeats) == 1:
+        telemetry = merge_timelines(
+            [report.get("telemetry") or [] for report in first]
+        ) or None
     return Report(
         substrate="live",
         spec=spec if spec is not None else {},
         metrics=metrics,
-        telemetry=list(telemetry) if telemetry else None,
-        raw=reports if not single else pooled[0],
+        telemetry=telemetry,
+        raw=reports,
     )
 
 

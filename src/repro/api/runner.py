@@ -99,18 +99,21 @@ def _run_live(spec: RunSpec) -> Report:
     """
     from repro.live.workers import merge_server_stats
 
-    reports, server_blocks = [], []
+    repeats, server_blocks = [], []
+    load_failed = 0
     for seed in spec.repeat_seeds():
-        report, stats = _live_once(spec, seed)
-        reports.append(report)
+        (reports, failed), stats = _live_once(spec, seed)
+        repeats.append(reports)
+        load_failed += failed
         if stats is not None:
             server_blocks.append(stats)
     return report_from_loadgen(
-        reports if spec.repeats > 1 else reports[0],
+        repeats,
         spec=spec.to_dict(),
         server_stats=(
             merge_server_stats(server_blocks) if server_blocks else None
         ),
+        load_failed=load_failed,
     )
 
 
@@ -121,13 +124,11 @@ def _live_once(spec: RunSpec, seed: int):
     when the spec names an external ``live-host``, else a
     :class:`~repro.live.workers.ServePool` of ``serve_workers``
     processes (it forks, and therefore starts outside any event loop).
-    Load side: :func:`~repro.live.workers.load_once` in this process,
-    or :func:`~repro.live.workers.run_distributed_load` over
-    ``load_workers`` processes.
+    Load side: :func:`~repro.live.workers.run_load` over
+    ``load_workers`` generators. Returns what ``run_load`` returned
+    and the drained server stats.
     """
-    import asyncio
-
-    from repro.live.workers import ServePool, load_once, run_distributed_load
+    from repro.live.workers import ServePool, run_load
 
     scenario = spec.to_scenario(seed)
     workload = scenario.workload
@@ -163,20 +164,13 @@ def _live_once(spec: RunSpec, seed: int):
         workload=workload,
     )
 
-    def run_load(endpoint):
-        if options.load_workers > 1:
-            return run_distributed_load(
-                endpoint, workers=options.load_workers, **load
-            )
-        return asyncio.run(load_once(dict(load, endpoint=endpoint)))
-
     if options.host is not None:
-        return run_load((options.host, options.port)), None
+        load["endpoint"] = (options.host, options.port)
+        return run_load(load, options.load_workers), None
     pool = ServePool(workers=options.serve_workers, **serve)
-    endpoint = pool.start()
+    load["endpoint"] = pool.start()
     try:
-        report = run_load(endpoint)
-        return report, pool.drain()
+        return run_load(load, options.load_workers), pool.drain()
     finally:
         # No-op after a drain; on any error nothing is left running.
         pool.terminate()

@@ -118,6 +118,9 @@ def _print_report(report) -> None:
     spec = report.spec
     print(f"substrate:        {report.substrate}")
     print(f"transport:        {spec.get('transport', '?')}")
+    if report.substrate == "live":
+        print(f"loop:             {metrics['live.mode']}, "
+              f"{metrics['live.elapsed_s']} s elapsed")
     print(f"queries:          {metrics['queries.issued']}")
     print(f"success rate:     {metrics['queries.success_rate']:.2%} "
           f"({metrics['queries.timeouts']} timeouts, "
@@ -130,6 +133,14 @@ def _print_report(report) -> None:
         print(f"latency mean/max: {metrics['latency.mean_ms']:.2f} / "
               f"{metrics['latency.max_ms']:.2f} ms")
     print(f"throughput:       {metrics['throughput.qps']} qps")
+    load_workers = [
+        f"#{key.split('.')[3]} {value} qps"
+        for key, value in metrics.items()
+        if key.startswith("live.workers.load.")
+        and key.endswith(".achieved_qps")
+    ]
+    if load_workers:
+        print(f"load workers:     {', '.join(load_workers)}")
     locations = sorted({
         key.split(".")[1]
         for key in metrics
@@ -145,19 +156,26 @@ def _print_report(report) -> None:
         print(f"frames @2hop:     {metrics['sim.link.frames_2hop']}")
 
 
+def _emit_report(report, json_dest: Optional[str]) -> int:
+    """Emit a run's Report — the JSON document to *json_dest*, or the
+    human summary — and return the exit code the Report implies: 0 when
+    something resolved and every load worker delivered."""
+    if json_dest is not None:
+        _emit_json(report.to_json(), json_dest)
+    else:
+        _print_report(report)
+    metrics = report.metrics
+    return 0 if (
+        metrics["queries.issued"]
+        and metrics["queries.success_rate"] > 0
+        and not metrics.get("live.workers.load.failed")
+    ) else 1
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.api import RunSpec, run
 
-    spec = RunSpec.from_spec(args.spec)
-    report = run(spec)
-    if args.json is not None:
-        _emit_json(report.to_json(), args.json)
-    else:
-        _print_report(report)
-    return 0 if (
-        report.metrics["queries.issued"]
-        and report.metrics["queries.success_rate"] > 0
-    ) else 1
+    return _emit_report(run(RunSpec.from_spec(args.spec)), args.json)
 
 
 def _print_dissections(dissections) -> None:
@@ -483,22 +501,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return pool.exit_code
 
 
-def _loadtest_report(args: argparse.Namespace, workload, report):
-    """The unified Report for one ``loadtest`` pass: the loadgen dict
-    plus the RunSpec description reconstructed from the CLI flags."""
+def _loadtest_spec(args: argparse.Namespace, workload, issued: int):
+    """The RunSpec description of one ``loadtest`` pass, reconstructed
+    from the CLI flags and the number of queries it issued."""
     from dataclasses import replace
 
     from repro.api import LiveOptions, RunSpec
-    from repro.api.report import report_from_loadgen
     from repro.scenarios import CachingSpec, Scenario
 
-    spec = RunSpec(
+    return RunSpec(
         scenario=Scenario(
             name="loadtest",
             transport=args.transport,
             workload=replace(
                 workload,
-                num_queries=max(1, report["queries"]),
+                num_queries=max(1, issued),
                 num_names=args.names,
                 query_rate=(
                     args.rate if args.mode == "open" else workload.query_rate
@@ -521,13 +538,11 @@ def _loadtest_report(args: argparse.Namespace, workload, report):
             load_workers=args.workers,
         ),
     )
-    return report_from_loadgen(report, spec=spec.to_dict())
 
 
 def _cmd_loadtest(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from repro.live.workers import load_once, run_distributed_load
+    from repro.api.report import report_from_loadgen
+    from repro.live.workers import run_load
     from repro.scenarios import WorkloadSpec
 
     if args.workers < 1:
@@ -539,8 +554,8 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         burst_off=args.burst_off,
         zipf_alpha=args.zipf,
     )
-    endpoint = (args.host, args.port)
     load = dict(
+        endpoint=(args.host, args.port),
         transport=args.transport,
         scheme=_parse_scheme(args.cache_scheme),
         cache_placement=args.client_cache,
@@ -556,59 +571,44 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         seed=args.seed,
         workload=workload,
     )
-    if args.workers > 1:
-        if args.stream:
-            print(
-                "warning: --stream applies to --workers 1 (its sink "
-                "cannot cross a fork); distributed runs carry their "
-                "merged telemetry in the final report only",
-                file=sys.stderr, flush=True,
-            )
-        report = run_distributed_load(endpoint, workers=args.workers, **load)
-    else:
-        # Per-second telemetry sinks: a progress line on stderr by
-        # default (silenced by --json, which owns the machine-readable
-        # contract), plus the optional --stream NDJSON destination.
-        sinks = []
-        stream_close = None
-        if args.json is None:
-            sinks.append(_progress_sink)
-        if args.stream:
-            stream_sink, stream_close = _open_stream_sink(args.stream)
-            sinks.append(stream_sink)
-        try:
-            report = asyncio.run(load_once(
-                dict(load, endpoint=endpoint, snapshot_sinks=sinks)
-            ))
-        finally:
-            if stream_close is not None:
-                stream_close()
-    if args.json is not None:
-        # The machine-readable output is the unified Report — the same
-        # document `repro run` emits — with the flat loadgen dict
-        # available as its raw form.
-        _emit_json(_loadtest_report(args, workload, report).to_json(),
-                   args.json)
-    else:
-        latency = report["latency_ms"]
-        print(f"transport:     {report['transport']} ({report['mode']} loop)")
-        print(f"queries:       {report['queries']} in {report['elapsed_s']} s")
-        print(f"success rate:  {report['success_rate']:.2%} "
-              f"({report['timeouts']} timeouts)")
-        print(f"achieved qps:  {report['achieved_qps']}")
-        if "workers" in report:
-            per = ", ".join(
-                f"#{worker['worker']} {worker['achieved_qps']}"
-                for worker in report["workers"]["load"]
-            )
-            print(f"load workers:  {per}")
-        if latency["p50"] is not None:
-            print(f"latency p50:   {latency['p50']:.2f} ms")
-            print(f"latency p95:   {latency['p95']:.2f} ms")
-            print(f"latency p99:   {latency['p99']:.2f} ms")
-        for location, stats in sorted(report["cache"].items()):
-            print(f"cache {location:12s} hit-ratio {stats['hit_ratio']:.0%}")
-    return 0 if report["queries"] and report["success_rate"] > 0 else 1
+    stream = args.stream
+    if stream and args.workers > 1:
+        print(
+            "warning: --stream applies to --workers 1 (its sink "
+            "cannot cross a fork); distributed runs carry their "
+            "merged telemetry in the final report only",
+            file=sys.stderr, flush=True,
+        )
+        stream = None
+    # Per-second telemetry sinks: a progress line on stderr by default
+    # (silenced by --json, which owns the machine-readable contract),
+    # plus the optional --stream NDJSON destination.
+    sinks = []
+    stream_close = None
+    if args.json is None:
+        sinks.append(_progress_sink)
+    if stream:
+        stream_sink, stream_close = _open_stream_sink(stream)
+        sinks.append(stream_sink)
+    try:
+        reports, failed = run_load(
+            dict(load, snapshot_sinks=sinks), args.workers
+        )
+    finally:
+        if stream_close is not None:
+            stream_close()
+    if failed:
+        print(f"warning: {failed} of {failed + len(reports)} load workers "
+              "failed", file=sys.stderr, flush=True)
+    issued = sum(report["queries"] for report in reports)
+    return _emit_report(
+        report_from_loadgen(
+            [reports],
+            spec=_loadtest_spec(args, workload, issued).to_dict(),
+            load_failed=failed,
+        ),
+        args.json,
+    )
 
 
 def _cmd_watch(args: argparse.Namespace) -> int:

@@ -48,11 +48,6 @@ class OptionNumber(enum.IntEnum):
     def is_unsafe_to_forward(self) -> bool:
         return bool(self & 2)
 
-    @property
-    def is_no_cache_key(self) -> bool:
-        """True if the option is NoCacheKey (RFC 7252 §5.4.2)."""
-        return (self & 0x1E) == 0x1C
-
 
 class ContentFormat(enum.IntEnum):
     """Content-Format registry entries relevant to DoC.

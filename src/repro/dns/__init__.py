@@ -32,7 +32,7 @@ from .rdata import (
 )
 from .cache import DNSCache, CacheEntry
 from .zone import Zone, ZoneRecord
-from .resolver import RecursiveResolver, StubResolver, make_query, min_ttl
+from .resolver import RecursiveResolver, StubResolver, make_query
 
 __all__ = [
     "AAAAData",
@@ -64,6 +64,5 @@ __all__ = [
     "decode_name",
     "encode_name",
     "make_query",
-    "min_ttl",
     "split_name",
 ]

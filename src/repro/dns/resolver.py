@@ -45,11 +45,6 @@ def make_query(
     return Message(txid, flags, (Question(name, rtype, rclass),))
 
 
-def min_ttl(message: Message) -> Optional[int]:
-    """Minimum TTL across a response's records (the Max-Age source)."""
-    return message.min_ttl()
-
-
 @dataclass
 class ResolutionResult:
     """Outcome of a stub resolution: addresses plus response metadata."""
@@ -67,11 +62,6 @@ class StubResolver:
 
     def __init__(self, cache: Optional[DNSCache] = None) -> None:
         self.cache = cache
-
-    def compose(
-        self, name: str, rtype: int = RecordType.AAAA, txid: int = 0
-    ) -> Message:
-        return make_query(name, rtype, txid=txid)
 
     def cached_response(
         self, question: Question, now: float

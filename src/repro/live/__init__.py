@@ -15,9 +15,10 @@ asyncio runtime:
 * :func:`~repro.live.loadgen.generate_load` — open- and closed-loop
   load generation with latency-percentile reports;
 * :class:`~repro.live.workers.ServePool` /
-  :func:`~repro.live.workers.run_distributed_load` — SO_REUSEPORT
-  sharding across server worker processes and distributed load
-  generation with merged reports.
+  :func:`~repro.live.workers.run_load` — SO_REUSEPORT sharding across
+  server worker processes, and load generation from one process or
+  many, pooled into one Report by
+  :func:`repro.api.report.report_from_loadgen`.
 
 The CLI front-ends are ``python -m repro.cli serve`` and
 ``python -m repro.cli loadtest``.
@@ -41,7 +42,6 @@ _EXPORTS = {
     "REPORT_VERSION": ".loadgen",
     "LoadGenError": ".loadgen",
     "generate_load": ".loadgen",
-    "generate_report": ".loadgen",
     "DEFAULT_RESERVOIR_CAPACITY": ".reservoir",
     "LatencyReservoir": ".reservoir",
     "DocLiveServer": ".server",
@@ -54,7 +54,7 @@ _EXPORTS = {
     "derive_worker_seed": ".workers",
     "maybe_install_uvloop": ".workers",
     "reuseport_supported": ".workers",
-    "run_distributed_load": ".workers",
+    "run_load": ".workers",
     "DEFAULT_LIVE_PORT": ".wiring",
     "LiveWiringError": ".wiring",
     "build_names": ".wiring",

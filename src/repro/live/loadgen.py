@@ -35,7 +35,7 @@ from repro.obs.telemetry import (
 from repro.scenarios.scenario import WorkloadSpec
 
 from .client import LiveResolver
-from .reservoir import DEFAULT_RESERVOIR_CAPACITY, LatencyReservoir
+from .reservoir import LatencyReservoir
 from .wiring import LiveWiringError
 
 #: Top-level keys every report carries, in emission order. The version
@@ -46,7 +46,7 @@ REPORT_FIELDS = (
     "offered_rate_qps", "concurrency", "duration_s", "elapsed_s",
     "queries", "succeeded", "failed", "timeouts", "rcode_failures",
     "success_rate", "achieved_qps", "latency_ms", "cache", "workload",
-    "seed", "telemetry",
+    "seed", "telemetry", "latencies_ms",
 )
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "REPORT_FIELDS",
     "REPORT_VERSION",
     "generate_load",
-    "generate_report",
 ]
 
 
@@ -76,10 +75,6 @@ async def generate_load(
     timeout: Optional[float] = None,
     seed: int = 1,
     workload: Optional[WorkloadSpec] = None,
-    include_latencies: bool = False,
-    reservoir_capacity: int = DEFAULT_RESERVOIR_CAPACITY,
-    registry: Optional[MetricsRegistry] = None,
-    telemetry_interval: float = 1.0,
     snapshot_sinks: Sequence[Callable[[Dict[str, object]], None]] = (),
 ) -> Dict[str, object]:
     """Run one load-generation pass and return the report dict.
@@ -90,23 +85,20 @@ async def generate_load(
     *names* so one spec works for both simulated and live runs);
     omitted, a steady-Poisson/round-robin spec is derived.
 
-    *include_latencies* appends the per-query ``latencies_ms`` samples
-    to the report (beyond :data:`REPORT_FIELDS`) — what lets
-    :mod:`repro.api` pool quantiles across repeated passes and
-    distributed workers.
-
     Latency samples are held in a bounded
     :class:`~repro.live.reservoir.LatencyReservoir` of
-    *reservoir_capacity* entries, so memory stays flat at any qps;
-    runs shorter than the capacity keep every sample (exact
-    percentiles, identical to a full-sample sort), longer runs report
-    reservoir estimates while mean/min/max stay exact.
+    :data:`~repro.live.reservoir.DEFAULT_RESERVOIR_CAPACITY` entries,
+    so memory stays flat at any qps; runs shorter than the capacity
+    keep every sample (exact percentiles, identical to a full-sample
+    sort), longer runs report reservoir estimates while mean/min/max
+    stay exact. The held samples ride in the report as
+    ``latencies_ms`` — what lets
+    :func:`repro.api.report.report_from_loadgen` pool quantiles across
+    repeated passes and distributed workers.
 
-    Query outcomes count through a :class:`repro.obs.metrics.
-    MetricsRegistry` (pass *registry* to scrape mid-run, e.g. from a
-    paired ``/metrics`` endpoint; omitted, a private one is created).
-    A :class:`repro.obs.telemetry.TelemetrySampler` snapshots it every
-    *telemetry_interval* seconds into the report's ``telemetry`` time
+    Query outcomes count through a private :class:`repro.obs.metrics.
+    MetricsRegistry`. A :class:`repro.obs.telemetry.TelemetrySampler`
+    snapshots it every second into the report's ``telemetry`` time
     series; *snapshot_sinks* receive each per-second record as it is
     produced — the hook behind ``--stream`` and the stderr progress
     line.
@@ -138,8 +130,8 @@ async def generate_load(
     loop = asyncio.get_running_loop()
     # The reservoir draws from its own RNG so bounding the sample never
     # perturbs the arrival/name streams (seed replayability contract).
-    latencies = LatencyReservoir(reservoir_capacity, seed=seed)
-    metrics = registry if registry is not None else MetricsRegistry()
+    latencies = LatencyReservoir(seed=seed)
+    metrics = MetricsRegistry()
     issued_counter = metrics.counter(
         QUERIES_TOTAL, "queries issued by the load generator"
     )
@@ -183,8 +175,7 @@ async def generate_load(
                 count_rcode.inc()
 
     sampler = TelemetrySampler(
-        metrics, interval=telemetry_interval,
-        time_fn=loop.time, sinks=snapshot_sinks,
+        metrics, time_fn=loop.time, sinks=snapshot_sinks,
     )
     sampler_stop = asyncio.Event()
     sampler_task = asyncio.ensure_future(run_sampler(sampler, sampler_stop))
@@ -265,32 +256,6 @@ async def generate_load(
         },
         "seed": seed,
         "telemetry": timeline,
+        "latencies_ms": [round(s * 1000, 3) for s in latencies.samples],
     }
-    if include_latencies:
-        report["latencies_ms"] = [
-            round(s * 1000, 3) for s in latencies.samples
-        ]
     return report
-
-
-async def generate_report(
-    resolver: LiveResolver,
-    names: Sequence[str],
-    spec: Optional[Dict[str, object]] = None,
-    server_stats: Optional[Dict[str, object]] = None,
-    **kwargs,
-) -> "Report":
-    """Run one pass and return the unified :class:`repro.api.Report`
-    (the native vocabulary of the façade; :func:`generate_load` keeps
-    returning the flat loadgen dict, available as ``report.raw``).
-
-    *spec* stamps the Report's run description (a
-    :meth:`repro.api.RunSpec.to_dict` document); *server_stats*
-    attaches the paired server's counters under ``live.server.*``.
-    Remaining keyword arguments pass through to :func:`generate_load`.
-    """
-    from repro.api.report import report_from_loadgen
-
-    kwargs.setdefault("include_latencies", True)
-    report = await generate_load(resolver, names, **kwargs)
-    return report_from_loadgen(report, spec=spec, server_stats=server_stats)

@@ -11,9 +11,10 @@ running its own asyncio loop (optionally `uvloop`, see
 resolver/fastpath/DNS/CoAP caches, per-worker RNG — all bound to the
 *same* ``host:port`` through ``SO_REUSEPORT``, so the kernel hashes
 inbound flows across the workers with no userspace dispatcher. The
-load generator distributes the same way: :func:`run_distributed_load`
-forks M generator processes with deterministically derived seeds
-(:func:`derive_worker_seed`) and merges their reports — counters sum,
+load generator distributes the same way: :func:`run_load` forks M
+generator processes with deterministically derived seeds
+(:func:`derive_worker_seed`) and returns what each delivered;
+:func:`repro.api.report.report_from_loadgen` pools them — counters sum,
 latency reservoirs pool, per-worker stats ride along under
 ``live.workers.*`` in the unified Report.
 
@@ -55,10 +56,9 @@ __all__ = [
     "derive_worker_seed",
     "load_once",
     "maybe_install_uvloop",
-    "merge_loadgen_reports",
     "merge_server_stats",
     "reuseport_supported",
-    "run_distributed_load",
+    "run_load",
     "uvloop_available",
 ]
 
@@ -309,7 +309,7 @@ class WorkerPool:
     def _record_failure(self, index: int) -> None:
         """Mark worker *index* failed and emit the structured crash
         record (worker index, exit code, decoded signal, and the
-        partial-stats flag the merged report carries)."""
+        partial-stats flag: the survivors' numbers are still reported)."""
         if index in self._failed:
             return
         self._failed.append(index)
@@ -779,18 +779,19 @@ async def load_once(config: dict) -> Dict[str, object]:
     :class:`~repro.live.client.LiveResolver` to ``config["endpoint"]``
     and drive :func:`~repro.live.loadgen.generate_load` through it.
 
-    *config* carries the keyword set of :func:`run_distributed_load`
-    (minus ``workers``) plus ``endpoint`` and, for a caller in this
-    process, ``snapshot_sinks`` (``generate_load``'s per-second sinks).
-    Every load worker runs this, and ``repro.api.run`` and ``repro
-    loadtest`` run it in their own process for one load worker (the
-    sinks are callables of that process and cannot cross a fork) — one
-    definition of "the load side" for every worker count.
+    *config* names the resolver (``endpoint``, ``transport``,
+    ``scheme``, ``timeout``, ``seed``), the name universe
+    (``num_names``) and the offered load (``rate``, ``duration``,
+    ``mode``, ``concurrency``); the ``config.get`` defaults below and in
+    :func:`_load_side` are the only ones. A caller in this process may
+    add ``snapshot_sinks`` (``generate_load``'s per-second sinks).
+    Every load worker runs this, and :func:`run_load` runs it in the
+    caller's process for one load worker — one definition of "the load
+    side" for every worker count.
     """
     from .loadgen import generate_load
 
     names, resolver = _load_side(config)
-    seed = config["seed"]
     async with resolver:
         return await generate_load(
             resolver,
@@ -800,10 +801,8 @@ async def load_once(config: dict) -> Dict[str, object]:
             mode=config["mode"],
             concurrency=config["concurrency"],
             timeout=config["timeout"],
-            seed=seed,
+            seed=config["seed"],
             workload=config.get("workload"),
-            include_latencies=True,
-            reservoir_capacity=config.get("reservoir_capacity", 4096),
             snapshot_sinks=config.get("snapshot_sinks", ()),
         )
 
@@ -821,7 +820,8 @@ class LoadPool(WorkerPool):
         reports = self.collect("report", timeout=LOAD_COLLECT_TIMEOUT)
         if not reports:
             raise WorkerPoolError(
-                "every load worker failed" + self._reason(0)
+                "every load worker failed"
+                + self._reason(min(self._errors, default=0))
             )
         return reports
 
@@ -832,210 +832,45 @@ def _split_evenly(total: int, parts: int) -> List[int]:
     return [base + (1 if index < rest else 0) for index in range(parts)]
 
 
-def run_distributed_load(
-    endpoint: Tuple[str, int],
-    *,
-    transport: str = "udp",
-    scheme=None,
-    cache_placement: str = "none",
-    block_size: Optional[int] = None,
-    secret: bytes = DEFAULT_SECRET,
-    timeout: float = 10.0,
-    num_names: int = 50,
-    dataset: Optional[str] = None,
-    name_seed: int = 7,
-    rate: float = 50.0,
-    duration: float = 2.0,
-    mode: str = "open",
-    concurrency: int = 8,
-    seed: int = 1,
-    workload=None,
-    workers: int = 2,
-    reservoir_capacity: int = 4096,
-) -> Dict[str, object]:
-    """Drive *workers* load-generator processes against *endpoint* and
-    return one merged loadgen report.
+def run_load(
+    config: dict, workers: int = 1
+) -> Tuple[List[Dict[str, object]], int]:
+    """Drive the load *config* describes (:func:`load_once`'s keys) from
+    *workers* generators: the loadgen dict of each one that delivered,
+    and the number that did not — one repeat's entry, and the
+    ``load_failed`` count, of
+    :func:`repro.api.report.report_from_loadgen`.
 
-    The offered load splits across workers — open loop divides the
-    arrival rate, closed loop divides the concurrency — and every
-    worker draws from the same deterministic name universe under its
-    own :func:`derive_worker_seed` seed, so the aggregate workload is
-    replayable yet decorrelated across processes. The merged report is
-    the flat loadgen vocabulary plus a ``workers`` block
-    (:func:`merge_loadgen_reports`).
+    One worker runs in this process, where ``config["snapshot_sinks"]``
+    can be called. More fork a :class:`LoadPool` (the sinks are
+    callables of this process and stay here) and split the offered load
+    — open loop divides the arrival rate, closed loop divides the
+    concurrency — and every worker draws from the same deterministic
+    name universe under its own :func:`derive_worker_seed` seed, so the
+    aggregate workload is replayable yet decorrelated across processes.
     """
     from .loadgen import LoadGenError
 
     if workers < 1:
         raise LoadGenError("workers must be >= 1")
-    if scheme is None:
-        from repro.doc.caching import CachingScheme
-
-        scheme = CachingScheme.EOL_TTLS
-    shares = (
-        _split_evenly(concurrency, workers) if mode == "closed" else None
-    )
-    configs = []
-    for index in range(workers):
-        worker_concurrency = shares[index] if shares else concurrency
-        if mode == "closed" and worker_concurrency == 0:
-            continue  # more workers than closed-loop slots
-        configs.append({
-            "endpoint": list(endpoint),
-            "transport": transport,
-            "scheme": scheme,
-            "cache_placement": cache_placement,
-            "block_size": block_size,
-            "secret": secret,
-            "timeout": timeout,
-            "num_names": num_names,
-            "dataset": dataset,
-            "name_seed": name_seed,
-            "rate": rate / workers if mode == "open" else rate,
-            "duration": duration,
-            "mode": mode,
-            "concurrency": max(1, worker_concurrency),
-            "seed": derive_worker_seed(seed, index),
-            "workload": workload,
-            "reservoir_capacity": reservoir_capacity,
-        })
+    if workers == 1:
+        return [asyncio.run(load_once(config))], 0
+    closed = config["mode"] == "closed"
+    shares = _split_evenly(config["concurrency"], workers)
+    configs = [
+        dict(
+            config,
+            snapshot_sinks=(),
+            rate=config["rate"] if closed else config["rate"] / workers,
+            concurrency=shares[index] if closed else config["concurrency"],
+            seed=derive_worker_seed(config["seed"], index),
+        )
+        for index in range(workers)
+        # More workers than closed-loop slots leaves some without one.
+        if not closed or shares[index] > 0
+    ]
     pool = LoadPool(_load_worker_main, configs)
     # A misconfiguration fails here, once and under its own name, not
     # in every worker as "every load worker failed".
     _load_side(configs[0])
-    reports = pool.run()
-    return merge_loadgen_reports(
-        reports,
-        rate=rate,
-        concurrency=concurrency,
-        seed=seed,
-        failed=len(pool.failed_workers),
-    )
-
-
-def merge_loadgen_reports(
-    reports: Sequence[Dict[str, object]],
-    *,
-    rate: Optional[float] = None,
-    concurrency: Optional[int] = None,
-    seed: Optional[int] = None,
-    failed: int = 0,
-) -> Dict[str, object]:
-    """One loadgen report from M per-worker reports.
-
-    Counters sum; ``achieved_qps`` sums (the workers ran concurrently,
-    so aggregate throughput is the sum of per-worker throughputs);
-    percentiles recompute over the pooled latency samples while the
-    mean pools exactly from the per-worker exact means; cache counters
-    pool per location through ``CacheStats.merge``, the ratios read off
-    the pooled object. The per-worker summaries
-    land under ``workers`` — the block
-    :func:`repro.api.report.report_from_loadgen` turns into
-    ``live.workers.load.*`` metrics.
-    """
-    from repro.api.report import REPORT_VERSION as _VERSION
-    from repro.api.report import cache_metrics, pooled_caches
-    from repro.api.report import provenance as _provenance
-    from repro.experiments.metrics import percentile
-    from repro.obs.telemetry import merge_timelines
-
-    if not reports:
-        raise WorkerPoolError("cannot merge zero loadgen reports")
-    first = reports[0]
-    counters = {
-        "queries": 0, "succeeded": 0, "failed": 0,
-        "timeouts": 0, "rcode_failures": 0,
-    }
-    samples_ms: List[float] = []
-    mean_weighted = 0.0
-    minimum = maximum = None
-    elapsed = 0.0
-    aggregate_qps = 0.0
-    per_worker: List[Dict[str, object]] = []
-    for report in reports:
-        for key in counters:
-            counters[key] += report[key]
-        elapsed = max(elapsed, report["elapsed_s"])
-        aggregate_qps += report["achieved_qps"]
-        samples_ms.extend(report.get("latencies_ms", ()))
-        latency = report["latency_ms"]
-        if latency["mean"] is not None:
-            mean_weighted += latency["mean"] * report["succeeded"]
-            minimum = (
-                latency["min"] if minimum is None
-                else min(minimum, latency["min"])
-            )
-            maximum = (
-                latency["max"] if maximum is None
-                else max(maximum, latency["max"])
-            )
-        per_worker.append({
-            "worker": report.get("worker", len(per_worker)),
-            "seed": report["seed"],
-            "queries": report["queries"],
-            "succeeded": report["succeeded"],
-            "failed": report["failed"],
-            "timeouts": report["timeouts"],
-            "rcode_failures": report["rcode_failures"],
-            "achieved_qps": report["achieved_qps"],
-            "elapsed_s": report["elapsed_s"],
-        })
-    completed = counters["succeeded"] + counters["failed"]
-    if counters["succeeded"]:
-        latency_ms = {
-            "p50": round(percentile(samples_ms, 50), 3),
-            "p95": round(percentile(samples_ms, 95), 3),
-            "p99": round(percentile(samples_ms, 99), 3),
-            "mean": round(mean_weighted / counters["succeeded"], 3),
-            "min": minimum,
-            "max": maximum,
-        }
-    else:
-        latency_ms = {
-            "p50": None, "p95": None, "p99": None,
-            "mean": None, "min": None, "max": None,
-        }
-    mode = first["mode"]
-    merged: Dict[str, object] = {
-        "report_version": _VERSION,
-        "provenance": _provenance(),
-        "mode": mode,
-        "transport": first["transport"],
-        "offered_rate_qps": (
-            (rate if rate is not None else first["offered_rate_qps"])
-            if mode == "open" else None
-        ),
-        "concurrency": (
-            (concurrency if concurrency is not None else first["concurrency"])
-            if mode == "closed" else None
-        ),
-        "duration_s": first["duration_s"],
-        "elapsed_s": round(elapsed, 3),
-        "queries": counters["queries"],
-        "succeeded": counters["succeeded"],
-        "failed": counters["failed"],
-        "timeouts": counters["timeouts"],
-        "rcode_failures": counters["rcode_failures"],
-        "success_rate": (
-            counters["succeeded"] / completed if completed else 0.0
-        ),
-        "achieved_qps": round(aggregate_qps, 3),
-        "latency_ms": latency_ms,
-        "cache": {
-            location: cache_metrics(stats)
-            for location, stats in pooled_caches(
-                report.get("cache", {}) for report in reports
-            ).items()
-        },
-        "workload": dict(first["workload"]),
-        "seed": seed if seed is not None else first["seed"],
-        "telemetry": merge_timelines(
-            [report.get("telemetry") or [] for report in reports]
-        ),
-        "latencies_ms": samples_ms,
-        "workers": {
-            "load": per_worker,
-            "load_failed": failed,
-        },
-    }
-    return merged
+    return pool.run(), len(pool.failed_workers)

@@ -1,4 +1,4 @@
-"""Zero-copy parse cursors and reusable encode buffers.
+"""Zero-copy parse cursors and the codecs' buffer conventions.
 
 The wire codecs (DNS, CoAP, CBOR, 6LoWPAN, DTLS) share two hot-path
 conventions, both provided here:
@@ -11,9 +11,7 @@ conventions, both provided here:
   materialised exactly once with ``bytes(...)``. Decoders never mutate
   their input.
 * **Encode** appends into a single ``bytearray`` end to end
-  (``encode_into(out, ...)`` style). For per-tick paths that encode at
-  a high rate, :func:`scratch` hands out a cleared, reusable buffer so
-  steady-state encoding allocates nothing but the final ``bytes()``.
+  (``encode_into(out, ...)`` style).
 
 Nothing here imports from the codec packages, so every codec may import
 from this module without cycles.
@@ -22,7 +20,7 @@ from this module without cycles.
 from __future__ import annotations
 
 import struct
-from typing import Dict, Type, Union
+from typing import Type, Union
 
 Buffer = Union[bytes, bytearray, memoryview]
 
@@ -50,8 +48,8 @@ class BufReader:
     All reads advance the cursor; underflow raises the ``error`` class
     the reader was constructed with (a :class:`ValueError` subclass per
     codec), never ``IndexError``/``struct.error``. Slices returned by
-    :meth:`take` are views into the underlying buffer — call
-    :meth:`take_bytes` for an owned copy at a storage boundary.
+    :meth:`take` are views into the underlying buffer —
+    :func:`materialize` one for an owned copy at a storage boundary.
     """
 
     __slots__ = ("data", "pos", "end", "error")
@@ -107,56 +105,9 @@ class BufReader:
         self.pos += 8
         return value
 
-    def uint(self, count: int) -> int:
-        """A big-endian unsigned integer of *count* bytes."""
-        self.need(count)
-        value = int.from_bytes(self.data[self.pos : self.pos + count], "big")
-        self.pos += count
-        return value
-
     def take(self, count: int) -> Buffer:
         """The next *count* bytes as a zero-copy slice (view for views)."""
         self.need(count)
         chunk = self.data[self.pos : self.pos + count]
         self.pos += count
         return chunk
-
-    def take_bytes(self, count: int) -> bytes:
-        """The next *count* bytes materialised as owned ``bytes``."""
-        self.need(count)
-        chunk = materialize(self.data[self.pos : self.pos + count])
-        self.pos += count
-        return chunk
-
-    def skip(self, count: int) -> None:
-        self.need(count)
-        self.pos += count
-
-    def rest(self) -> Buffer:
-        """Everything from the cursor to the end, as a zero-copy slice."""
-        chunk = self.data[self.pos : self.end]
-        self.pos = self.end
-        return chunk
-
-
-# -- reusable encode buffers ----------------------------------------------
-
-_SCRATCH: Dict[str, bytearray] = {}
-
-
-def scratch(tag: str) -> bytearray:
-    """A cleared, reusable ``bytearray`` for the call site named *tag*.
-
-    The buffer keeps its capacity across calls, so a steady-state encode
-    path reuses one allocation instead of growing a fresh ``bytearray``
-    per message. **Not reentrant**: each tag must be used by one encode
-    at a time (true of the single-threaded sim and the asyncio live
-    stack); never hold a reference across calls for the same tag.
-    """
-    buf = _SCRATCH.get(tag)
-    if buf is None:
-        buf = bytearray()
-        _SCRATCH[tag] = buf
-    else:
-        del buf[:]
-    return buf

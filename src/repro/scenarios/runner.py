@@ -277,10 +277,6 @@ class ScenarioRunner:
         from repro.dns import RecursiveResolver
 
         profile = registry.get(scenario.transport)
-        if not profile.simulatable:
-            raise ScenarioError(
-                f"transport {scenario.transport!r} is model-only and cannot run"
-            )
         workload = scenario.workload
         sim = Simulator(seed=scenario.seed)
         # Every metric reads aggregate frame tallies, never individual

@@ -284,9 +284,9 @@ class TestSubstrateParity:
         seen = {}
         real = runner.report_from_loadgen
 
-        def spy(reports, spec=None, server_stats=None):
+        def spy(reports, server_stats=None, **kwargs):
             seen["server_stats"] = server_stats
-            return real(reports, spec=spec, server_stats=server_stats)
+            return real(reports, server_stats=server_stats, **kwargs)
 
         monkeypatch.setattr(runner, "report_from_loadgen", spy)
         run(RunSpec.from_spec(
@@ -487,16 +487,19 @@ def test_schema_is_valid_draft7_and_agrees_with_jsonschema():
 
 
 def test_generate_report_returns_unified_report():
-    from repro.live import DocLiveServer, LiveResolver, generate_report
+    from repro.api import report_from_loadgen
+    from repro.live import DocLiveServer, LiveResolver, generate_load
 
     async def body():
         server = DocLiveServer(transport="udp", port=0, num_names=8)
         async with server:
             async with LiveResolver(server.endpoint, transport="udp") as r:
-                return await generate_report(
-                    r, server.names,
+                return report_from_loadgen(
+                    await generate_load(
+                        r, server.names,
+                        rate=100.0, duration=0.2, timeout=5.0, seed=5,
+                    ),
                     server_stats=server.stats(),
-                    rate=100.0, duration=0.2, timeout=5.0, seed=5,
                 )
 
     report = asyncio.run(asyncio.wait_for(body(), timeout=20))

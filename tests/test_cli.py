@@ -12,7 +12,7 @@ import time
 import pytest
 
 from repro.cli import main
-from repro.live.workers import reuseport_supported
+from repro.live.workers import _load_worker_main, reuseport_supported
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -418,6 +418,64 @@ def test_loadtest_report_metric_keys(capsys, workers, expected):
     assert sorted(report["metrics"]) == expected
     assert report["metrics"]["queries.success_rate"] >= 0.95
     assert report["spec"]["live"]["load_workers"] == workers
+
+
+def test_loadtest_prints_the_report_summary_run_prints(capsys):
+    with _inline_server() as port:
+        assert main([
+            "loadtest", "--transport", "coap", "--port", str(port),
+            "--names", "8", "--rate", "80", "--duration", "0.4",
+            "--timeout", "5", "--workers", "2",
+        ]) == 0
+    out = capsys.readouterr().out
+    assert "substrate:        live" in out
+    assert "transport:        coap" in out
+    assert re.search(r"^loop: +open, [\d.]+ s elapsed$", out, re.M)
+    assert "latency p50:" in out
+    assert re.search(r"^load workers: +#0 [\d.]+ qps, #1 [\d.]+ qps$", out,
+                     re.M)
+
+
+def _load_worker_one_dies(index, config, conn):
+    if index == 1:
+        os._exit(3)  # before it reports
+    _load_worker_main(index, config, conn)
+
+
+def test_loadtest_that_loses_a_generator_says_so_and_exits_1(
+    capsys, monkeypatch
+):
+    import json
+
+    from repro.live import workers
+
+    monkeypatch.setattr(workers, "_load_worker_main", _load_worker_one_dies)
+    with _inline_server() as port:
+        assert main([
+            "loadtest", "--transport", "coap", "--port", str(port),
+            "--names", "8", "--rate", "80", "--duration", "0.4",
+            "--timeout", "5", "--workers", "2", "--json",
+        ]) == 1
+    captured = capsys.readouterr()
+    assert "warning: 1 of 2 load workers failed" in captured.err
+    metrics = json.loads(captured.out)["metrics"]
+    assert metrics["live.workers.load.failed"] == 1
+    assert metrics["live.workers.load.count"] == 1
+    # Only what the survivor offered and counted is reported.
+    assert metrics["live.offered_rate_qps"] == 40.0
+    assert metrics["queries.issued"] > 0
+    for total, counter in [
+        ("issued", "queries"), ("succeeded", "succeeded"),
+        ("failed", "failed"), ("timeouts", "timeouts"),
+        ("rcode_failures", "rcode_failures"),
+    ]:
+        assert (
+            metrics[f"queries.{total}"]
+            == metrics[f"live.workers.load.0.{counter}"]
+        )
+    assert metrics["throughput.qps"] == (
+        metrics["live.workers.load.0.achieved_qps"]
+    )
 
 
 def test_run_sim_human_summary(capsys):

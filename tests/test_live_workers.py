@@ -27,10 +27,9 @@ from repro.live.workers import (
     WorkerPoolError,
     derive_worker_seed,
     maybe_install_uvloop,
-    merge_loadgen_reports,
     merge_server_stats,
     reuseport_supported,
-    run_distributed_load,
+    run_load,
     uvloop_available,
 )
 
@@ -341,65 +340,206 @@ def test_merge_server_stats_one_worker_repeats_sum_every_counter():
         == merged
 
 
-def _fake_loadgen_report(worker, seed, queries, rtt_ms):
+def _fake_loadgen_report(
+    worker, seed, queries, rtt_ms, *, elapsed_s=1.0, timeouts=0, cache=None,
+    spread_ms=0.0, telemetry=None,
+):
+    succeeded = queries - timeouts
     return {
         "report_version": 2,
         "provenance": {},
         "mode": "open",
         "transport": "udp",
-        "offered_rate_qps": 100.0,
+        "offered_rate_qps": 50.0,
         "concurrency": None,
         "duration_s": 1.0,
-        "elapsed_s": 1.0,
+        "elapsed_s": elapsed_s,
         "queries": queries,
-        "succeeded": queries,
-        "failed": 0,
-        "timeouts": 0,
+        "succeeded": succeeded,
+        "failed": timeouts,
+        "timeouts": timeouts,
         "rcode_failures": 0,
-        "success_rate": 1.0,
-        "achieved_qps": float(queries),
+        "success_rate": succeeded / queries,
+        "achieved_qps": round(succeeded / elapsed_s, 3),
         "latency_ms": {
             "p50": rtt_ms, "p95": rtt_ms, "p99": rtt_ms,
             "mean": rtt_ms, "min": rtt_ms, "max": rtt_ms,
         },
-        "cache": {},
+        "cache": cache or {},
         "workload": {"names": 8, "arrival": "poisson", "burst_on": 1.0,
                      "burst_off": 4.0, "zipf_alpha": None},
         "seed": seed,
-        "latencies_ms": [rtt_ms] * queries,
+        "telemetry": telemetry or [],
+        "latencies_ms": [
+            round(rtt_ms + spread_ms * (i % 7), 3) for i in range(succeeded)
+        ],
         "worker": worker,
     }
 
 
-def test_merge_loadgen_reports_sums_counters_and_throughput():
-    merged = merge_loadgen_reports(
+def _fake_cache(hits, misses, stale_hits, validations):
+    # Ratios are deliberately wrong: only the pooled object's count.
+    return {"client-dns": {
+        "hits": hits, "misses": misses, "stale_hits": stale_hits,
+        "validations": validations, "validation_failures": 1,
+        "hit_ratio": 0.0, "stale_ratio": 0.0, "validation_ratio": 0.0,
+    }}
+
+
+def _fake_row(t, queries, succeeded, ms):
+    return {
+        "t": t, "interval_s": 1.0, "queries": queries,
+        "succeeded": succeeded, "failed": queries - succeeded,
+        "timeouts": queries - succeeded, "qps": float(succeeded),
+        "latency_ms": {"p50": ms, "p99": ms, "mean": ms},
+    }
+
+
+def _fake_two_by_two():
+    """2 repeats x 2 load workers, unequal ``elapsed_s``, a client DNS
+    cache, timeouts on worker 1, a timeline on the first repeat."""
+    return [
         [
-            _fake_loadgen_report(0, 111, 40, 2.0),
-            _fake_loadgen_report(1, 222, 60, 4.0),
+            _fake_loadgen_report(
+                0, 111, 40, 2.0, elapsed_s=1.0, spread_ms=0.1,
+                cache=_fake_cache(10, 30, 2, 1),
+                telemetry=[_fake_row(1.0, 30, 30, 2.1),
+                           _fake_row(1.0, 10, 10, 2.4)],
+            ),
+            _fake_loadgen_report(
+                1, 222, 60, 4.0, elapsed_s=1.25, timeouts=3, spread_ms=0.2,
+                cache=_fake_cache(20, 40, 4, 2),
+                telemetry=[_fake_row(1.002, 50, 48, 4.2),
+                           _fake_row(1.25, 10, 9, 4.9)],
+            ),
         ],
-        rate=100.0,
-        seed=1,
-    )
-    assert merged["queries"] == 100
-    assert merged["succeeded"] == 100
+        [
+            _fake_loadgen_report(
+                0, 333, 30, 3.0, elapsed_s=0.9, spread_ms=0.3,
+                cache=_fake_cache(5, 25, 0, 0),
+            ),
+            _fake_loadgen_report(
+                1, 444, 50, 5.0, elapsed_s=1.1, timeouts=1, spread_ms=0.05,
+                cache=_fake_cache(15, 35, 6, 3),
+            ),
+        ],
+    ]
+
+
+#: ``Report.metrics`` of :func:`_fake_two_by_two`, produced at the parent
+#: of the PR that made ``report_from_loadgen`` the one pooling pass: there
+#: each repeat's workers were first merged into one loadgen dict
+#: (``merge_loadgen_reports``, with the run's ``rate=100.0``) and the
+#: Report was taken over the two merged dicts.
+_TWO_BY_TWO_METRICS = {
+    "queries.issued": 180,
+    "queries.succeeded": 176,
+    "queries.failed": 4,
+    "queries.timeouts": 4,
+    "queries.rcode_failures": 0,
+    "queries.success_rate": 0.9777777777777777,
+    "latency.p50_ms": 4.5,
+    "latency.p95_ms": 5.25,
+    "latency.p99_ms": 5.3,
+    "latency.mean_ms": 4.096,
+    "latency.max_ms": 5.3,
+    "throughput.qps": 81.739,
+    "cache.client_dns.hits": 50,
+    "cache.client_dns.misses": 130,
+    "cache.client_dns.stale_hits": 12,
+    "cache.client_dns.validations": 6,
+    "cache.client_dns.validation_failures": 4,
+    "cache.client_dns.hit_ratio": 0.2604166666666667,
+    "cache.client_dns.stale_ratio": 0.0625,
+    "cache.client_dns.validation_ratio": 0.5,
+    "live.mode": "open",
+    "live.offered_rate_qps": 100.0,
+    "live.concurrency": None,
+    "live.elapsed_s": 2.35,
+    "live.repeats": 2,
+    "live.workers.load.count": 2,
+    "live.workers.load.failed": 0,
+    "live.workers.load.0.queries": 70,
+    "live.workers.load.0.succeeded": 70,
+    "live.workers.load.0.failed": 0,
+    "live.workers.load.0.timeouts": 0,
+    "live.workers.load.0.rcode_failures": 0,
+    "live.workers.load.0.achieved_qps": 73.333,
+    "live.workers.load.1.queries": 110,
+    "live.workers.load.1.succeeded": 106,
+    "live.workers.load.1.failed": 4,
+    "live.workers.load.1.timeouts": 4,
+    "live.workers.load.1.rcode_failures": 0,
+    "live.workers.load.1.achieved_qps": 90.145,
+}
+
+#: The first repeat's merged timeline, from the same parent.
+_FIRST_REPEAT_TELEMETRY = [
+    {"t": 1.002, "interval_s": 1.0, "queries": 80, "succeeded": 78,
+     "failed": 2, "timeouts": 2, "qps": 78.0,
+     "latency_ms": {"p50": 3.392, "p99": 3.392, "mean": 3.392}},
+    {"t": 1.25, "interval_s": 1.0, "queries": 20, "succeeded": 19,
+     "failed": 1, "timeouts": 1, "qps": 19.0,
+     "latency_ms": {"p50": 3.584, "p99": 3.584, "mean": 3.584}},
+]
+
+
+def test_two_by_two_report_is_the_banked_one_key_for_key():
+    from repro.api.report import report_from_loadgen
+
+    repeats = _fake_two_by_two()
+    report = report_from_loadgen(repeats)
+    assert list(report.metrics.items()) == list(_TWO_BY_TWO_METRICS.items())
+    assert report.telemetry is None  # repeats restart the clock
+    one = report_from_loadgen(repeats[:1])
+    assert one.telemetry == _FIRST_REPEAT_TELEMETRY
+    assert one.metrics["throughput.qps"] == 85.6
+    assert one.metrics["live.elapsed_s"] == 1.25
+
+
+def test_merge_loadgen_reports_sums_counters_and_throughput():
+    from repro.api.report import report_from_loadgen
+
+    metrics = report_from_loadgen([[
+        _fake_loadgen_report(0, 111, 40, 2.0),
+        _fake_loadgen_report(1, 222, 60, 4.0),
+    ]]).metrics
+    assert metrics["queries.issued"] == 100
+    assert metrics["queries.succeeded"] == 100
     # Aggregate throughput is the sum (workers ran concurrently)...
-    assert merged["achieved_qps"] == pytest.approx(100.0)
-    # ...and the mean pools exactly by success weight.
-    assert merged["latency_ms"]["mean"] == pytest.approx(
+    assert metrics["throughput.qps"] == pytest.approx(100.0)
+    assert metrics["live.offered_rate_qps"] == 100.0
+    # ...and the latency pools by sample.
+    assert metrics["latency.mean_ms"] == pytest.approx(
         (40 * 2.0 + 60 * 4.0) / 100
     )
-    assert merged["latency_ms"]["min"] == 2.0
-    assert merged["latency_ms"]["max"] == 4.0
-    assert merged["seed"] == 1
-    assert len(merged["latencies_ms"]) == 100
-    workers = merged["workers"]["load"]
-    assert [w["worker"] for w in workers] == [0, 1]
-    assert sum(w["queries"] for w in workers) == merged["queries"]
+    assert metrics["latency.max_ms"] == 4.0
+    assert metrics["live.workers.load.count"] == 2
+    assert sum(
+        metrics[f"live.workers.load.{index}.queries"] for index in (0, 1)
+    ) == metrics["queries.issued"]
+
+
+def test_offered_rate_of_three_shares_reads_whole():
+    from repro.api.report import report_from_loadgen
+
+    thirds = [
+        dict(_fake_loadgen_report(index, index, 10, 2.0),
+             offered_rate_qps=100.0 / 3)
+        for index in range(3)
+    ]
+    assert report_from_loadgen(
+        [thirds]
+    ).metrics["live.offered_rate_qps"] == 100.0
 
 
 def test_merge_loadgen_reports_rejects_empty():
-    with pytest.raises(WorkerPoolError):
-        merge_loadgen_reports([])
+    from repro.api.report import ReportError, report_from_loadgen
+
+    with pytest.raises(ReportError):
+        report_from_loadgen([])
+    with pytest.raises(ReportError):
+        report_from_loadgen([[]])
 
 
 # -- forked pools on loopback ----------------------------------------------
@@ -410,33 +550,38 @@ needs_reuseport = pytest.mark.skipif(
 )
 
 
+def _load_config(endpoint, **overrides):
+    """What ``run_load`` requires, for a short open-loop UDP pass."""
+    from repro.doc.caching import CachingScheme
+
+    return dict(
+        endpoint=endpoint, transport="udp", scheme=CachingScheme.EOL_TTLS,
+        timeout=5.0, mode="open", concurrency=8, **overrides,
+    )
+
+
 @needs_reuseport
 def test_sharded_serve_and_distributed_load_counters_balance():
     pool = ServePool(workers=2, transport="udp", port=0, num_names=16)
     endpoint = pool.start()
     try:
-        report = run_distributed_load(
-            endpoint,
-            transport="udp",
-            rate=300.0,
-            duration=0.5,
-            workers=2,
-            num_names=16,
-            seed=5,
-            timeout=5.0,
+        reports, failed = run_load(
+            _load_config(
+                endpoint, rate=300.0, duration=0.5, num_names=16, seed=5
+            ),
+            2,
         )
         stats = pool.drain()
     finally:
         pool.terminate()
-    assert report["failed"] == 0
-    assert report["queries"] > 0
-    # Per-worker load counters sum to the merged totals...
-    load_workers = report["workers"]["load"]
-    assert len(load_workers) == 2
-    assert sum(w["queries"] for w in load_workers) == report["queries"]
-    assert sum(w["succeeded"] for w in load_workers) == report["succeeded"]
-    # ...and the serve side handled exactly what the load side issued.
-    assert stats["queries_handled"] == report["succeeded"]
+    assert failed == 0
+    assert [report["worker"] for report in reports] == [0, 1]
+    assert all(report["failed"] == 0 for report in reports)
+    assert all(report["offered_rate_qps"] == 150.0 for report in reports)
+    succeeded = sum(report["succeeded"] for report in reports)
+    assert succeeded > 0
+    # The serve side handled exactly what the load side issued.
+    assert stats["queries_handled"] == succeeded
     assert sum(
         w.get("queries_handled", 0) for w in stats["workers"]
     ) == stats["queries_handled"]
@@ -449,16 +594,18 @@ def test_distributed_load_worker_seeds_derive_from_base():
     pool = ServePool(workers=1, transport="udp", port=0, num_names=8)
     endpoint = pool.start()
     try:
-        report = run_distributed_load(
-            endpoint, transport="udp", rate=120.0, duration=0.3,
-            workers=2, num_names=8, seed=9, timeout=5.0,
+        reports, _failed = run_load(
+            _load_config(
+                endpoint, rate=120.0, duration=0.3, num_names=8, seed=9
+            ),
+            2,
         )
     finally:
         pool.drain()
         pool.terminate()
-    seeds = [w["seed"] for w in report["workers"]["load"]]
-    assert seeds == [derive_worker_seed(9, 0), derive_worker_seed(9, 1)]
-    assert report["seed"] == 9
+    assert [report["seed"] for report in reports] == [
+        derive_worker_seed(9, 0), derive_worker_seed(9, 1),
+    ]
 
 
 @needs_reuseport
@@ -500,7 +647,8 @@ def test_serve_pool_start_failure_carries_the_workers_reason():
 
 
 def _load_worker_that_fails(index, config, conn):
-    conn.send(("error", f"ValueError: worker {index} cannot"))
+    if not config.get("silent"):
+        conn.send(("error", f"ValueError: worker {index} cannot"))
     raise SystemExit(1)
 
 
@@ -513,6 +661,16 @@ def test_load_pool_failure_carries_a_workers_reason():
         pool.run()
     assert pool.failed_workers == [0, 1]
     assert pool.exit_code == 1
+
+
+def test_load_pool_failure_names_the_first_worker_that_said_why():
+    pool = LoadPool(_load_worker_that_fails, [{"silent": True}, {}])
+    with pytest.raises(
+        WorkerPoolError,
+        match="every load worker failed: ValueError: worker 1 cannot",
+    ):
+        pool.run()
+    assert pool.failed_workers == [0, 1]
 
 
 def test_serve_pool_rejects_zero_workers():

@@ -30,8 +30,14 @@ class TestSpecs:
             Scenario(transport="smtp")
 
     def test_model_only_transport_rejected(self):
-        with pytest.raises(ScenarioError):
+        # Refused where a Scenario is made — by construction and by
+        # `replace` alike — so no runner is ever handed one.
+        from dataclasses import replace
+
+        with pytest.raises(ScenarioError, match="model-only.*runnable: "):
             Scenario(transport="quic")
+        with pytest.raises(ScenarioError, match="model-only.*runnable: "):
+            replace(Scenario(), transport="quic")
 
     def test_proxy_requires_coap(self):
         with pytest.raises(ScenarioError):
