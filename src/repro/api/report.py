@@ -437,11 +437,6 @@ _LOAD_WORKER_METRICS = (
     "achieved_qps",
 )
 
-#: Per-serve-worker counters surfaced as ``live.workers.serve.<i>.*``.
-_SERVE_WORKER_METRICS = (
-    "queries_handled", "datagrams_received", "datagrams_sent",
-)
-
 
 def _worker_metrics(workers, load_failed, server_stats) -> Dict[str, object]:
     """The ``live.workers.*`` namespace from sharded-run detail.
@@ -460,6 +455,8 @@ def _worker_metrics(workers, load_failed, server_stats) -> Dict[str, object]:
     block (a library caller's own in-loop server) has neither pool
     block and adds nothing here.
     """
+    from repro.live.server import SERVER_STATS
+
     metrics: Dict[str, object] = {}
     load_totals: Dict[int, Dict[str, float]] = {}
     for report in workers:
@@ -503,10 +500,10 @@ def _worker_metrics(workers, load_failed, server_stats) -> Dict[str, object]:
         if isinstance(per_worker, list):
             for entry in per_worker:
                 index = entry.get("worker", 0)
-                for key in _SERVE_WORKER_METRICS:
-                    if key in entry:
-                        metrics[f"live.workers.serve.{index}.{key}"] = (
-                            entry[key]
+                for row in SERVER_STATS:
+                    if row.report == "worker" and row.path in entry:
+                        metrics[f"live.workers.serve.{index}.{row.path}"] = (
+                            entry[row.path]
                         )
     return metrics
 
@@ -537,6 +534,7 @@ def report_from_loadgen(
     *server_stats* optionally attaches the paired server's counters
     under ``live.server.*``.
     """
+    from repro.live.server import SERVER_STATS
     from repro.obs.telemetry import merge_timelines
 
     single = not isinstance(reports, (list, tuple))
@@ -589,10 +587,9 @@ def report_from_loadgen(
     metrics["live.repeats"] = len(repeats)
     metrics.update(_worker_metrics(workers, load_failed, server_stats))
     if server_stats:
-        for key in ("queries_handled", "datagrams_received",
-                    "datagrams_sent", "validations_sent"):
-            if key in server_stats:
-                metrics[f"live.server.{key}"] = server_stats[key]
+        for row in SERVER_STATS:
+            if row.report and row.path in server_stats:
+                metrics[f"live.server.{row.path}"] = server_stats[row.path]
         resolver_cache = server_stats.get("resolver_cache")
         if isinstance(resolver_cache, dict):
             for key, value in resolver_cache.items():

@@ -431,7 +431,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # `kill` drains like Ctrl-C. Installed after the fork, so a worker
     # still dies of the SIGTERM that `pool.terminate()` sends it.
     sigterm = signal.signal(signal.SIGTERM, signal.default_int_handler)
-    obs_http = stream_close = None
+    obs_http = stream_close = sampler = None
     try:
         try:
             print(
@@ -455,17 +455,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     f"(health: {obs_http.endpoint}/healthz)",
                     flush=True,
                 )
-            sampler = None
             if args.stream:
-                from repro.obs.metrics import merge_snapshots
                 from repro.obs.telemetry import TelemetrySampler
 
                 stream_sink, stream_close = _open_stream_sink(args.stream)
                 sampler = TelemetrySampler(
-                    lambda: merge_snapshots(
-                        snap for _index, snap in pool.sample()
-                    ),
-                    sinks=[stream_sink],
+                    pool.telemetry_snapshot, sinks=[stream_sink]
                 )
                 sampler.tick()  # prime
             deadline = (
@@ -480,7 +475,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 if sampler is not None:
                     sampler.tick()
         except KeyboardInterrupt:
-            pass
+            if sampler is not None:
+                sampler.tick()  # what was served since the last tick
         stats = pool.drain()
     finally:
         signal.signal(signal.SIGTERM, sigterm)
@@ -496,7 +492,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     print(f"served {stats.get('queries_handled', 0)} queries "
           f"across {pool.workers} workers ({per_worker or 0}; "
-          f"{stats['io']['recv_bursts']} bursts, "
+          f"{stats.get('io', {}).get('recv_bursts', 0)} bursts, "
           f"{stats['workers_failed']} workers failed)")
     return pool.exit_code
 

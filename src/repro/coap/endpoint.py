@@ -135,9 +135,10 @@ class CoapClient:
         self.params = params
         self.cache = cache
         self.block_size = block_size
-        #: The transmission/cache timeline; ``None`` switches recording
-        #: off where nothing reads it (the live wiring does).
-        self.events: Optional[List[ClientEvent]] = []
+        #: The transmission/cache timeline, one record per transmission
+        #: for as long as the client lives: off until a reader (Fig. 11,
+        #: through ``ScenarioRunner.run``) sets a list here.
+        self.events: Optional[List[ClientEvent]] = None
         self._exchanges: Dict[bytes, _Exchange] = {}
         self._next_mid = sim.rng.randrange(0x10000)
         self._next_token = sim.rng.randrange(1 << 32)

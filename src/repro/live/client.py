@@ -207,7 +207,7 @@ class LiveResolver:
             from repro.coap.cache import CoapCache
 
             coap_cache = CoapCache(64)
-        client = profile.client_builder(
+        return profile.client_builder(
             self.clock, self._socket, self.server,
             method=self.method, scheme=self.scheme,
             block_size=self.block_size,
@@ -218,12 +218,6 @@ class LiveResolver:
                 if profile.object_security else None
             ),
         )
-        if profile.coap_based:
-            # Nothing on the live path reads the transmission timeline,
-            # and a resolver that runs for days must not grow by a
-            # record a query.
-            client.coap.events = None
-        return client
 
     # -- resolution -------------------------------------------------------
 

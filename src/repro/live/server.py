@@ -22,7 +22,7 @@ vocabulary:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.doc.caching import CachingScheme
 from repro.transports.registry import get_profile
@@ -39,6 +39,72 @@ from .wiring import (
     build_zone,
     check_live_transport,
     derive_oscore_pair,
+)
+
+
+class ServerStat(NamedTuple):
+    """One leaf of a :meth:`DocLiveServer.stats` block: how blocks pool
+    it, how ``/metrics`` shows it, and where a Report shows it."""
+
+    #: Dotted path of the leaf in the stats block.
+    path: str
+    #: How many blocks become one: ``sum``, ``max``, ``all``, ``any``,
+    #: ``first`` (a fact every block states alike), or ``ratio`` (not
+    #: pooled: taken again from the pooled hits and misses).
+    merge: str
+    #: Exposition family, after ``repro_`` (one worker's series) or
+    #: ``repro_pool_`` (the pool's); empty: not on ``/metrics``.
+    family: str = ""
+    labels: Dict[str, str] = {}
+    help: str = ""
+    kind: str = "counter"
+    #: ``server``: a Report's ``live.server.<path>``; ``worker``: that
+    #: and, per serve worker, ``live.workers.serve.<i>.<path>``.
+    report: str = ""
+
+
+_DATAGRAMS = "UDP datagrams by direction"
+_FASTPATH = "wire-cache fastpath lookups"
+_IO_EVENTS = "transport I/O events"
+_RESOLVER = "resolver cache lookups"
+
+#: Every leaf of a :meth:`DocLiveServer.stats` block, one row each: the
+#: one place that says how a server counter merges
+#: (:func:`repro.live.workers.merge_server_stats`) and how it is shown
+#: (:func:`repro.live.workers.stats_snapshot`, ``repro.api.report``). A
+#: counter added to ``stats()`` needs its row here and nothing else.
+SERVER_STATS: Tuple[ServerStat, ...] = (
+    ServerStat("transport", "first"),
+    ServerStat("endpoint", "first"),
+    ServerStat("names", "first"),
+    ServerStat("queries_handled", "sum", "queries_total", {},
+               "DNS queries handled by the serving stack", report="worker"),
+    ServerStat("datagrams_received", "sum", "datagrams_total",
+               {"direction": "in"}, _DATAGRAMS, report="worker"),
+    ServerStat("datagrams_sent", "sum", "datagrams_total",
+               {"direction": "out"}, _DATAGRAMS, report="worker"),
+    ServerStat("validations_sent", "sum", "validations_total", {},
+               "cache-validation responses sent", report="server"),
+    ServerStat("fastpath_hits", "sum", "fastpath_total",
+               {"result": "hit"}, _FASTPATH),
+    ServerStat("fastpath_misses", "sum", "fastpath_total",
+               {"result": "miss"}, _FASTPATH),
+    ServerStat("io.batched", "all"),
+    ServerStat("io.recv_bursts", "sum", "io_events_total",
+               {"kind": "recv_burst"}, _IO_EVENTS),
+    ServerStat("io.largest_burst", "max", "io_largest_burst", {},
+               "largest batched recv burst", kind="gauge"),
+    ServerStat("io.recv_errors", "sum", "io_events_total",
+               {"kind": "recv_error"}, _IO_EVENTS),
+    ServerStat("io.send_buffer_drops", "sum", "io_events_total",
+               {"kind": "send_buffer_drop"}, _IO_EVENTS),
+    ServerStat("io.reuse_port", "any"),
+    ServerStat("io.mmsg", "first"),
+    ServerStat("resolver_cache.hits", "sum", "resolver_cache_total",
+               {"result": "hit"}, _RESOLVER),
+    ServerStat("resolver_cache.misses", "sum", "resolver_cache_total",
+               {"result": "miss"}, _RESOLVER),
+    ServerStat("resolver_cache.hit_ratio", "ratio"),
 )
 
 
@@ -66,8 +132,8 @@ class DocLiveServer:
         same values.
 
     ``/metrics`` and ``/healthz`` are not served from here: the
-    :class:`~repro.live.workers.ServePool` parent scrapes every worker's
-    :meth:`metrics_snapshot` over its pipe and is the one listener.
+    :class:`~repro.live.workers.ServePool` parent asks every worker for
+    its :meth:`stats` block over its pipe and is the one listener.
     """
 
     def __init__(
@@ -109,7 +175,6 @@ class DocLiveServer:
         self._server = None
         self.resolver = None
         self._final_stats: Optional[Dict[str, object]] = None
-        self.registry = self._build_registry()
 
     # -- lifecycle --------------------------------------------------------
 
@@ -162,88 +227,10 @@ class DocLiveServer:
 
     # -- observability ----------------------------------------------------
 
-    def _build_registry(self):
-        """The server's metrics registry: one scrape-time collector
-        mirrors the sans-IO stack's plain counters into canonical
-        instruments, so the datagram path pays nothing for
-        observability until someone actually looks."""
-        from repro.obs.metrics import MetricsRegistry
-        from repro.obs.telemetry import QUERIES_TOTAL
-
-        registry = MetricsRegistry()
-        queries = registry.counter(
-            QUERIES_TOTAL, "DNS queries handled by the serving stack"
-        ).labels()
-        datagrams = registry.counter(
-            "repro_datagrams_total", "UDP datagrams by direction",
-            labels=("direction",),
-        )
-        datagrams_in = datagrams.labels(direction="in")
-        datagrams_out = datagrams.labels(direction="out")
-        fastpath = registry.counter(
-            "repro_fastpath_total", "wire-cache fastpath lookups",
-            labels=("result",),
-        )
-        fastpath_hit = fastpath.labels(result="hit")
-        fastpath_miss = fastpath.labels(result="miss")
-        validations = registry.counter(
-            "repro_validations_total", "cache-validation responses sent"
-        ).labels()
-        resolver_cache = registry.counter(
-            "repro_resolver_cache_total", "resolver cache lookups",
-            labels=("result",),
-        )
-        resolver_hit = resolver_cache.labels(result="hit")
-        resolver_miss = resolver_cache.labels(result="miss")
-        io_events = registry.counter(
-            "repro_io_events_total", "transport I/O events",
-            labels=("kind",),
-        )
-        recv_errors = io_events.labels(kind="recv_error")
-        send_drops = io_events.labels(kind="send_buffer_drop")
-        recv_bursts = io_events.labels(kind="recv_burst")
-        largest_burst = registry.gauge(
-            "repro_io_largest_burst", "largest batched recv burst"
-        ).labels()
-        up = registry.gauge(
-            "repro_up", "1 while the server socket is open"
-        ).labels()
-
-        @registry.collect
-        def _mirror() -> None:
-            server = self._server
-            if server is not None:
-                queries.value = getattr(server, "queries_handled", 0) or 0
-                validations.value = (
-                    getattr(server, "validations_sent", 0) or 0
-                )
-                fastpath_hit.value = getattr(server, "fastpath_hits", 0) or 0
-                fastpath_miss.value = (
-                    getattr(server, "fastpath_misses", 0) or 0
-                )
-            sock = self._socket
-            if sock is not None:
-                io = sock.io_counters()
-                datagrams_in.value = sock.datagrams_received
-                datagrams_out.value = sock.datagrams_sent
-                recv_errors.value = io["recv_errors"]
-                send_drops.value = io["send_buffer_drops"]
-                recv_bursts.value = io["recv_bursts"]
-                largest_burst.value = io["largest_burst"]
-            if self.resolver is not None:
-                cache_stats = self.resolver.cache.stats
-                resolver_hit.value = cache_stats.hits
-                resolver_miss.value = cache_stats.misses
-            up.value = 1.0 if self._socket is not None else 0.0
-
-        return registry
-
-    def metrics_snapshot(self) -> Dict[str, object]:
-        """Mergeable registry snapshot (what pool workers pipe back)."""
-        return self.registry.snapshot()
-
     def stats(self) -> Dict[str, object]:
-        """Counters for the CLI's shutdown report (JSON-serialisable)."""
+        """The server's counters, JSON-serialisable: what a pool worker
+        sends, mid-run and at shutdown. :data:`SERVER_STATS` has a row
+        for every leaf."""
         if self._socket is None and getattr(self, "_final_stats", None):
             return self._final_stats
         sock = self._socket

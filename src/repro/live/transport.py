@@ -229,8 +229,7 @@ class LiveUdpTransport(asyncio.DatagramProtocol):
         self.last_error = exc
 
     def io_counters(self) -> Dict[str, object]:
-        """The I/O counter block, one authoritative source for server
-        ``stats()`` and the metrics-registry scrape collector."""
+        """The I/O counter block of the server's ``stats()``."""
         return {
             "batched": self.batched,
             "recv_bursts": self.recv_bursts,

@@ -19,9 +19,12 @@ latency reservoirs pool, per-worker stats ride along under
 ``live.workers.*`` in the unified Report.
 
 Control runs over a per-worker duplex pipe: workers announce
-``("ready", endpoint)`` once bound, the parent broadcasts ``"stop"``
-to drain gracefully, and each worker answers with its final stats
-block before exiting. A worker that crashes mid-run is detected by
+``("ready", endpoint)`` once bound, and a serve worker only ever sends
+one thing after that, its stats block — to a mid-run ``"sample"`` and,
+final, to the ``"stop"`` the parent broadcasts to drain gracefully.
+:data:`~repro.live.server.SERVER_STATS` says how the blocks merge
+(:func:`merge_server_stats`) and how ``/metrics`` shows them
+(:func:`stats_snapshot`). A worker that crashes mid-run is detected by
 process liveness, surfaces in the pool's nonzero :attr:`exit_code`,
 and the surviving workers' stats still merge (partial-stats contract).
 A parent that dies without saying ``stop`` hangs up every pipe — each
@@ -46,6 +49,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.log import get_logger
 
+from .server import SERVER_STATS, DocLiveServer
 from .wiring import DEFAULT_SECRET, LiveWiringError
 
 __all__ = [
@@ -59,10 +63,11 @@ __all__ = [
     "merge_server_stats",
     "reuseport_supported",
     "run_load",
+    "stats_snapshot",
     "uvloop_available",
 ]
 
-#: How long a mid-run metrics scrape waits per worker snapshot.
+#: How long a mid-run metrics scrape waits per worker's stats block.
 SAMPLE_TIMEOUT = 2.0
 
 _pool_log = get_logger("repro.live.workers")
@@ -430,21 +435,20 @@ def _serve_worker_main(index: int, config: dict, conn) -> None:
 async def _serve_worker(
     index: int, config: dict, conn, uvloop_active: bool
 ) -> None:
-    from .server import DocLiveServer
-
     server = DocLiveServer(
         reuse_port=config["reuse_port"], **config["server"]
     )
+
+    def block() -> Dict[str, object]:
+        return dict(server.stats(), worker=index, uvloop=uvloop_active)
+
     await server.start()
     conn.send(("ready", list(server.endpoint)))
     try:
-        await _await_stop(conn, on_sample=server.metrics_snapshot)
+        await _await_stop(conn, on_sample=block)
     finally:
         await server.stop()
-    stats = server.stats()
-    stats["worker"] = index
-    stats["uvloop"] = uvloop_active
-    conn.send(("stats", stats))
+    conn.send(("stats", block()))
 
 
 class ServePool(WorkerPool):
@@ -552,8 +556,8 @@ class ServePool(WorkerPool):
 
     def sample(
         self, timeout: float = SAMPLE_TIMEOUT
-    ) -> List[Tuple[int, Dict[str, object]]]:
-        """One registry snapshot per live worker: ``[(index, snap)]``.
+    ) -> List[Dict[str, object]]:
+        """Every live worker's stats block, as of now.
 
         Safe to call from the metrics HTTP thread — pipe use is
         serialized against :meth:`drain` — and tolerant of workers
@@ -571,33 +575,27 @@ class ServePool(WorkerPool):
                 except (BrokenPipeError, OSError):
                     continue
                 asked.append(index)
-            snapshots: List[Tuple[int, Dict[str, object]]] = []
-            for index in asked:
-                payload = self._recv(index, "sample", timeout)
-                if payload is not None:
-                    snapshots.append((index, payload))
-            return snapshots
+            blocks = [self._recv(index, "sample", timeout) for index in asked]
+            return [block for block in blocks if block is not None]
 
     def metrics_snapshot(self) -> Dict[str, object]:
-        """Merged pool exposition source: every worker's series with a
-        ``worker`` label, plus ``repro_pool_*`` totals summed across
-        workers (so per-worker series provably sum to the pool)."""
-        from repro.obs.metrics import (
-            label_snapshot, merge_snapshots,
-        )
+        """The pool's exposition source: :func:`stats_snapshot` of the
+        merged mid-run sample."""
+        return stats_snapshot(merge_server_stats(self.sample()))
 
-        pairs = self.sample()
-        merged = merge_snapshots(
-            label_snapshot(snap, worker=str(index)) for index, snap in pairs
-        )
-        totals = merge_snapshots(snap for _index, snap in pairs)
-        for name, entry in totals.items():
-            pool_name = (
-                "repro_pool_" + name[len("repro_"):]
-                if name.startswith("repro_") else "repro_pool_" + name
-            )
-            merged[pool_name] = entry
-        return merged
+    def telemetry_snapshot(self) -> Dict[str, object]:
+        """What the ``serve --stream`` sampler diffs: the pool snapshot,
+        every answered query counted again as an ``ok`` response — a
+        server has no other outcome to report."""
+        from repro.obs.telemetry import QUERIES_TOTAL, RESPONSES_TOTAL
+
+        snapshot = self.metrics_snapshot()
+        if QUERIES_TOTAL in snapshot:
+            snapshot[RESPONSES_TOTAL] = {"kind": "counter", "samples": [
+                [dict(labels, result="ok"), value]
+                for labels, value in snapshot[QUERIES_TOTAL]["samples"]
+            ]}
+        return snapshot
 
     def render_metrics(self) -> str:
         """Prometheus text exposition of :meth:`metrics_snapshot`."""
@@ -619,51 +617,41 @@ class ServePool(WorkerPool):
         }
 
 
-#: Per-server counters a stats block may carry (DNS-only transports
-#: have no fastpath or validations); present ones sum.
-_SERVER_COUNTERS = (
-    "queries_handled", "validations_sent", "fastpath_hits",
-    "fastpath_misses", "datagrams_received", "datagrams_sent",
-)
+#: A merge rule of :data:`~repro.live.server.SERVER_STATS` applied to
+#: the values the blocks state (``ratio`` is not pooled, see there).
+_MERGE = {
+    "sum": sum, "max": max, "all": all, "any": any,
+    "first": lambda values: values[0],
+}
+
+
+def _stat(block: Dict[str, object], path: str):
+    """The leaf of *block* at dotted *path*, ``None`` when not stated."""
+    for key in path.split("."):
+        block = block.get(key) if isinstance(block, dict) else None
+    return block
 
 
 def _pooled_block(leaves: Sequence[Dict[str, object]]) -> Dict[str, object]:
-    """The counters of *leaves* (single-server stats blocks) as one."""
+    """The counters of *leaves* (single-server stats blocks) as one,
+    each by its row's rule; what no leaf states stays out."""
     from repro.api.report import pooled_cache_stats
 
     pooled: Dict[str, object] = {}
-    io_pooled = {
-        "batched": True, "recv_bursts": 0, "largest_burst": 0,
-        "recv_errors": 0, "send_buffer_drops": 0, "reuse_port": False,
-    }
-    caches = []
-    for stats in leaves:
-        for key in ("transport", "endpoint", "names"):
-            if key in stats:
-                pooled.setdefault(key, stats[key])
-        for key in _SERVER_COUNTERS:
-            if key in stats:
-                pooled[key] = pooled.get(key, 0) + stats[key]
-        io = stats.get("io")
-        if isinstance(io, dict):
-            io_pooled["batched"] &= bool(io.get("batched"))
-            io_pooled["reuse_port"] |= bool(io.get("reuse_port"))
-            io_pooled["largest_burst"] = max(
-                io_pooled["largest_burst"], io.get("largest_burst", 0)
-            )
-            for key in ("recv_bursts", "recv_errors", "send_buffer_drops"):
-                io_pooled[key] += io.get(key, 0)
-            io_pooled.setdefault("mmsg", io.get("mmsg"))
-        if isinstance(stats.get("resolver_cache"), dict):
-            caches.append(stats["resolver_cache"])
-    pooled["io"] = io_pooled
-    if caches:
-        cache = pooled_cache_stats(caches)
-        pooled["resolver_cache"] = {
-            "hits": cache.hits,
-            "misses": cache.misses,
-            "hit_ratio": cache.hit_ratio,
-        }
+    for row in SERVER_STATS:
+        values = [
+            value for value in (_stat(leaf, row.path) for leaf in leaves)
+            if value is not None
+        ]
+        if values and row.merge in _MERGE:
+            *sections, key = row.path.split(".")
+            target = pooled
+            for section in sections:
+                target = target.setdefault(section, {})
+            target[key] = _MERGE[row.merge](values)
+    cache = pooled.get("resolver_cache")
+    if cache:
+        cache["hit_ratio"] = pooled_cache_stats([cache]).hit_ratio
     return pooled
 
 
@@ -684,16 +672,13 @@ def merge_server_stats(
     apart into their per-worker entries again; every total is
     recomputed from those.
 
-    Counters sum and the resolver cache pools through
-    ``CacheStats.merge`` (its hit ratio is the pooled object's
-    property). Three kinds of field cannot ride a summed registry
-    snapshot (:func:`repro.obs.merge_snapshots`), which is why the
-    merge works on the stats blocks the pipe already delivers:
-    ``io.largest_burst`` is a maximum where snapshot gauges sum;
-    ``transport``/``endpoint``/``names``/``io.mmsg`` are facts, kept
-    from the first block that states them; and the ``runtime`` block
-    (``serve_workers`` = distinct worker indices, ``reuseport``,
-    ``uvloop``, ``warning``) describes the pool.
+    Each leaf pools by its :data:`~repro.live.server.SERVER_STATS`
+    rule — counters sum, ``io.largest_burst`` is a maximum, the facts
+    are kept from the first block that states them, the resolver
+    cache's hit ratio is ``CacheStats``' own over the pooled counts —
+    and the ``runtime`` block (``serve_workers`` = distinct worker
+    indices, ``reuseport``, ``uvloop``, ``warning``) describes the
+    pool.
 
     Every result carries the pool facts: ``workers_requested``,
     ``workers_failed`` (sums), ``failed_workers`` (union; always
@@ -712,7 +697,9 @@ def merge_server_stats(
     failed = {int(index) for index in failed_indices or ()}
     merged["workers_requested"] = (
         requested if requested is not None
-        else max(block.get("workers_requested", 0) for block in blocks)
+        else max(
+            (block.get("workers_requested", 0) for block in blocks), default=0
+        )
     )
     merged["workers_failed"] = len(failed) + sum(
         block.get("workers_failed", 0) for block in blocks
@@ -729,13 +716,45 @@ def merge_server_stats(
     ]
     merged["runtime"] = {
         "serve_workers": len(by_index),
-        "reuseport": merged["io"]["reuse_port"],
+        "reuseport": bool(_stat(merged, "io.reuse_port")),
         "uvloop": any(leaf.get("uvloop") for leaf in leaves),
         "warning": next(filter(None, [warning] + [
             block.get("runtime", {}).get("warning") for block in blocks
         ]), None),
     }
     return merged
+
+
+def stats_snapshot(stats: Dict[str, object]) -> Dict[str, object]:
+    """The exposition snapshot (:func:`repro.obs.metrics.render_snapshot`'s
+    input) of a :func:`merge_server_stats` block: every per-worker
+    entry's leaves as ``repro_<family>{worker=…}`` series and the
+    block's own totals as their ``repro_pool_<family>`` twins — pooled
+    by the one merge, so the twin of a summed leaf is the sum of its
+    series. Every family is there for every transport: a leaf a block
+    does not state (a ``udp`` server has no fast path) reads 0.
+    ``repro_up`` is 1 per worker that answered and ``repro_pool_up``
+    their count."""
+    views = [
+        ("repro_", {"worker": str(entry["worker"])}, entry)
+        for entry in stats.get("workers", ())
+    ]
+    up = {"kind": "gauge", "help": "1 while the server socket is open"}
+    snapshot: Dict[str, object] = {
+        "repro_up": dict(
+            up, samples=[[worker, 1] for _prefix, worker, _entry in views]
+        ),
+        "repro_pool_up": dict(up, samples=[[{}, len(views)]]),
+    }
+    for prefix, worker, block in views + [("repro_pool_", {}, stats)]:
+        for row in SERVER_STATS:
+            if row.family:
+                snapshot.setdefault(prefix + row.family, {
+                    "kind": row.kind, "help": row.help, "samples": [],
+                })["samples"].append(
+                    [{**row.labels, **worker}, _stat(block, row.path) or 0]
+                )
+    return snapshot
 
 
 # -- distributed load generation -------------------------------------------

@@ -3,9 +3,8 @@
 Dependency-free instrumentation shared by every serving layer:
 
 * :mod:`repro.obs.metrics` — label-aware :class:`Counter` /
-  :class:`Gauge` / :class:`Histogram` families in a
-  :class:`MetricsRegistry`, Prometheus text exposition, and plain-dict
-  snapshots that merge across worker processes;
+  :class:`Histogram` families in a :class:`MetricsRegistry`, plain-dict
+  snapshots and their Prometheus text exposition;
 * :mod:`repro.obs.log` — structured JSON logging with bound
   run/worker/request context (``repro.obs.get_logger``);
 * :mod:`repro.obs.telemetry` — per-second :class:`TelemetrySampler`
@@ -26,12 +25,9 @@ from importlib import import_module
 #: Public name -> defining submodule (resolved on first access).
 _EXPORTS = {
     "Counter": ".metrics",
-    "Gauge": ".metrics",
     "Histogram": ".metrics",
     "MetricsRegistry": ".metrics",
     "DEFAULT_LATENCY_BUCKETS": ".metrics",
-    "merge_snapshots": ".metrics",
-    "label_snapshot": ".metrics",
     "render_snapshot": ".metrics",
     "parse_exposition": ".metrics",
     "JsonLogger": ".log",

@@ -1,10 +1,12 @@
 """Label-aware metrics registry with Prometheus text exposition.
 
-Dependency-free observability core for the toolkit: three instrument
-kinds (:class:`Counter`, :class:`Gauge`, :class:`Histogram`) grouped
-into families by a :class:`MetricsRegistry`, rendered in the
-Prometheus text exposition format and snapshot into plain dicts that
-pickle across the :mod:`repro.live.workers` stats pipes.
+Dependency-free observability core for the toolkit: two instrument
+kinds (:class:`Counter`, :class:`Histogram`) grouped into families by
+a :class:`MetricsRegistry`, snapshot into plain dicts and rendered in
+the Prometheus text exposition format. The load generator counts into
+a registry; a serving pool builds the same snapshot shape, gauges
+included, straight from its workers' stats blocks
+(:func:`repro.live.workers.stats_snapshot`).
 
 Design constraints, in order:
 
@@ -13,29 +15,21 @@ Design constraints, in order:
   ints — no locks, no string formatting, no dict lookups beyond what
   the caller chose to hoist. Hot loops resolve their child once
   (``c = family.labels(result="ok")``) and call ``c.inc()`` per event.
-* **Mergeable.** ``snapshot()`` produces a plain-data form; module
-  level :func:`merge_snapshots` sums any number of them by
-  ``(name, labels)`` so per-worker registries fold into pool-level
-  exposition without the workers sharing memory.
-* **Scrape-time collectors.** Existing sans-IO counters (server
-  stack, UDP transport) stay plain attributes; a registry collector
-  callback mirrors them into gauges/counters only when someone looks.
-  Zero cost on the datagram path.
+* **Plain data out.** ``snapshot()`` is dicts and lists only:
+  :class:`~repro.obs.telemetry.TelemetrySampler` diffs two of them,
+  :func:`render_snapshot` prints one, whoever built it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_LATENCY_BUCKETS",
-    "merge_snapshots",
-    "label_snapshot",
     "render_snapshot",
     "parse_exposition",
 ]
@@ -84,21 +78,6 @@ class _CounterChild:
         self.value = 0
 
     def inc(self, amount: int = 1) -> None:
-        self.value += amount
-
-
-class _GaugeChild:
-    """One labelled gauge series: a settable instantaneous value."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
 
@@ -175,22 +154,6 @@ class Counter(_Family):
         return sum(c.value for c in self._children.values())
 
 
-class Gauge(_Family):
-    """An instantaneous value (queue depth, worker liveness, ...)."""
-
-    kind = "gauge"
-
-    def _make_child(self) -> _GaugeChild:
-        return _GaugeChild()
-
-    def set(self, value: float) -> None:
-        self.labels().set(value)
-
-    @property
-    def value(self) -> float:
-        return sum(c.value for c in self._children.values())
-
-
 class Histogram(_Family):
     """A distribution over fixed log-spaced buckets."""
 
@@ -216,17 +179,10 @@ class Histogram(_Family):
 
 
 class MetricsRegistry:
-    """A process-local set of metric families plus scrape collectors.
-
-    ``collect(fn)`` registers a callback run before every
-    ``snapshot``/``render`` — the hook that mirrors sans-IO stack
-    counters into the registry at scrape time instead of taxing the
-    datagram path.
-    """
+    """A process-local set of metric families."""
 
     def __init__(self) -> None:
         self._families: Dict[str, _Family] = {}
-        self._collectors: List[Callable[[], None]] = []
 
     def _register(self, family: _Family) -> _Family:
         existing = self._families.get(family.name)
@@ -244,11 +200,6 @@ class MetricsRegistry:
     ) -> Counter:
         return self._register(Counter(name, help, tuple(labels)))
 
-    def gauge(
-        self, name: str, help: str = "", labels: Sequence[str] = ()
-    ) -> Gauge:
-        return self._register(Gauge(name, help, tuple(labels)))
-
     def histogram(
         self,
         name: str,
@@ -257,15 +208,6 @@ class MetricsRegistry:
         buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
     ) -> Histogram:
         return self._register(Histogram(name, help, tuple(labels), buckets))
-
-    def collect(self, fn: Callable[[], None]) -> Callable[[], None]:
-        """Register *fn* to run before each snapshot/render; returns it."""
-        self._collectors.append(fn)
-        return fn
-
-    def _run_collectors(self) -> None:
-        for fn in self._collectors:
-            fn()
 
     def snapshot(self) -> Dict[str, object]:
         """Plain-data view of every series, pickle- and merge-safe.
@@ -279,7 +221,6 @@ class MetricsRegistry:
         Histogram sample values are ``[counts, count, sum]`` with
         non-cumulative per-bucket counts.
         """
-        self._run_collectors()
         out: Dict[str, object] = {}
         for name, family in self._families.items():
             samples = []
@@ -304,90 +245,6 @@ class MetricsRegistry:
     def render(self) -> str:
         """Prometheus text exposition of the registry's current state."""
         return render_snapshot(self.snapshot())
-
-
-def merge_snapshots(
-    snapshots: Iterable[Dict[str, object]],
-) -> Dict[str, object]:
-    """Sum any number of :meth:`MetricsRegistry.snapshot` dicts.
-
-    Series are merged by ``(family, labels)``: counters and histogram
-    bucket counts add; gauges add too (pool queue depth is the sum of
-    worker queue depths — callers wanting last-write-wins should label
-    per worker instead). Input snapshots are not mutated.
-    """
-    merged: Dict[str, Dict[str, object]] = {}
-    for snap in snapshots:
-        for name, entry in snap.items():
-            target = merged.get(name)
-            if target is None:
-                target = merged[name] = {
-                    "kind": entry["kind"],
-                    "help": entry.get("help", ""),
-                    "samples": [],
-                    "_index": {},
-                }
-                if "buckets" in entry:
-                    target["buckets"] = list(entry["buckets"])
-            elif target["kind"] != entry["kind"]:
-                raise ValueError(
-                    f"cannot merge {name!r}: kind {entry['kind']!r} vs "
-                    f"{target['kind']!r}"
-                )
-            index: Dict[_LabelKV, int] = target["_index"]
-            for labels, value in entry["samples"]:
-                key = _label_key(labels)
-                at = index.get(key)
-                if at is None:
-                    index[key] = len(target["samples"])
-                    if entry["kind"] == "histogram":
-                        counts, count, total = value
-                        target["samples"].append(
-                            [dict(labels), [list(counts), count, total]]
-                        )
-                    else:
-                        target["samples"].append([dict(labels), value])
-                else:
-                    slot = target["samples"][at]
-                    if entry["kind"] == "histogram":
-                        counts, count, total = value
-                        merged_counts = slot[1][0]
-                        for i, c in enumerate(counts):
-                            merged_counts[i] += c
-                        slot[1][1] += count
-                        slot[1][2] += total
-                    else:
-                        slot[1] += value
-    for entry in merged.values():
-        del entry["_index"]
-    return merged
-
-
-def label_snapshot(
-    snapshot: Dict[str, object], **labels: str
-) -> Dict[str, object]:
-    """Copy *snapshot* with extra labels injected into every series.
-
-    The pool parent stamps ``worker="0"`` etc. on each worker snapshot
-    before merging, so the combined exposition keeps per-worker series
-    distinguishable while :func:`merge_snapshots` of the *unstamped*
-    snapshots yields the pool totals.
-    """
-    out: Dict[str, object] = {}
-    for name, entry in snapshot.items():
-        samples = []
-        for sample_labels, value in entry["samples"]:
-            stamped = dict(sample_labels)
-            stamped.update({k: str(v) for k, v in labels.items()})
-            if entry["kind"] == "histogram":
-                counts, count, total = value
-                samples.append([stamped, [list(counts), count, total]])
-            else:
-                samples.append([stamped, value])
-        new_entry = {k: v for k, v in entry.items() if k != "samples"}
-        new_entry["samples"] = samples
-        out[name] = new_entry
-    return out
 
 
 def render_snapshot(snapshot: Dict[str, object]) -> str:

@@ -319,6 +319,11 @@ class ScenarioRunner:
             profile.build_client(env, node, index)
             for index, node in enumerate(topo.clients)
         ]
+        # ExperimentResult.client_events (Figure 11) is the one reader
+        # of the clients' transmission timelines.
+        for client in clients:
+            if getattr(client, "coap", None) is not None:
+                client.coap.events = []
 
         # -- workload ------------------------------------------------------
         outcomes: List[QueryOutcome] = []

@@ -312,6 +312,9 @@ def test_serve_scrapes_streams_and_reports(workers, tmp_path, capsys):
     for snapshot in snapshots():
         validate_snapshot(snapshot)
     assert sum(snapshot["queries"] for snapshot in snapshots()) == issued
+    # What a server answered is what it reports as succeeded.
+    assert sum(snapshot["succeeded"] for snapshot in snapshots()) == issued
+    assert any(snapshot["qps"] > 0 for snapshot in snapshots())
 
 
 def test_serve_on_a_busy_port_is_a_cli_error(capsys):

@@ -20,11 +20,22 @@ def _setup(loss=0.0, seed=1, server_handler=None, **client_kwargs):
             respond(request.make_response(Code.CONTENT, payload=b"ok:" + request.payload))
     server.add_resource("/dns", server_handler)
     client = CoapClient(sim, topo.clients[0].bind(), **client_kwargs)
+    client.events = []  # off by default; these tests read the timeline
     return sim, topo, client, server
 
 
 def _fetch(payload=b"q"):
     return CoapMessage.request(Code.FETCH, "/dns", payload=payload)
+
+
+def test_timeline_is_off_until_a_reader_switches_it_on():
+    sim = Simulator(seed=3)
+    topo = build_figure2_topology(sim)
+    client = CoapClient(sim, topo.clients[0].bind())
+    assert client.events is None
+    client.request(_fetch(), topo.resolver_host.address, 5683, lambda r, e: None)
+    sim.run(until=200)
+    assert client.events is None  # a long-lived client keeps no record
 
 
 class TestBasicExchange:
@@ -88,6 +99,7 @@ class TestReliability:
         topo = build_figure2_topology(sim, loss=0.0)
         # No server bound: requests go nowhere.
         client = CoapClient(sim, topo.clients[0].bind())
+        client.events = []
         results = []
         client.request(_fetch(), topo.resolver_host.address, 5683,
                        lambda r, e: results.append((r, e)))
@@ -102,6 +114,7 @@ class TestReliability:
         sim = Simulator(seed=13)
         topo = build_figure2_topology(sim)
         client = CoapClient(sim, topo.clients[0].bind())
+        client.events = []
         client.request(_fetch(), topo.resolver_host.address, 5683, lambda r, e: None)
         sim.run(until=200)
         start = client.events[0].time

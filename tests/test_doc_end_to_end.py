@@ -173,6 +173,7 @@ class TestDocCaching:
         client = DocClient(sim, topo.clients[0].bind(),
                            (topo.resolver_host.address, 5683),
                            coap_cache=CoapCache(8))
+        client.coap.events = []
         results = []
         for delay in (0.0, 1.0, 2.0):
             sim.schedule(delay, client.resolve, "name00.iot.example.org",
@@ -228,6 +229,7 @@ class TestDocCaching:
         client = DocClient(sim, topo.clients[0].bind(),
                            (topo.resolver_host.address, 5683),
                            coap_cache=CoapCache(8))
+        client.coap.events = []
         results = []
         sim.schedule(0.0, client.resolve, "name00.iot.example.org",
                      RecordType.AAAA, lambda r, e: results.append((r, e)))

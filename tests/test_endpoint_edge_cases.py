@@ -42,6 +42,7 @@ class TestNonConfirmable:
         sim = Simulator(seed=2)
         topo = build_figure2_topology(sim)
         client = CoapClient(sim, topo.clients[0].bind())
+        client.events = []
         request = CoapMessage.request(
             Code.FETCH, "/echo", payload=b"x", confirmable=False
         )

@@ -127,6 +127,8 @@ class TestCacheLayering:
                       coap_cache=CoapCache(8))
             for node in topo.clients
         ]
+        for client in clients:
+            client.coap.events = []
         results = []
         # c1 warms proxy; c2's first query hits the proxy; repeats hit
         # the local caches.

@@ -340,6 +340,98 @@ def test_merge_server_stats_one_worker_repeats_sum_every_counter():
         == merged
 
 
+def _leaves(block, prefix=""):
+    """``(dotted path, value)`` of every numeric or boolean leaf."""
+    for key, value in block.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
+        elif isinstance(value, (bool, int, float)):
+            yield f"{prefix}{key}", value
+
+
+@pytest.mark.parametrize("transport", ["udp", "coap"])
+def test_every_stats_leaf_has_exactly_one_table_row(transport):
+    # A counter cannot be added to stats() without saying how it merges
+    # and how it is exposed.
+    import asyncio
+
+    from repro.live.server import SERVER_STATS, DocLiveServer
+
+    async def started_block():
+        async with DocLiveServer(
+            transport=transport, port=0, num_names=4
+        ) as server:
+            return server.stats()
+
+    leaves = dict(_leaves(asyncio.run(started_block())))
+    assert {"queries_handled", "io.largest_burst",
+            "resolver_cache.hit_ratio", "io.mmsg.recvmmsg"} <= set(leaves)
+    for path in leaves:
+        rows = [
+            row for row in SERVER_STATS
+            if path == row.path or path.startswith(row.path + ".")
+        ]
+        assert len(rows) == 1, (path, rows)
+    assert {row.merge for row in SERVER_STATS} == {
+        "sum", "max", "all", "any", "first", "ratio",
+    }
+
+
+def _pool_exposition(blocks):
+    from repro.live.workers import stats_snapshot
+    from repro.obs.metrics import parse_exposition, render_snapshot
+
+    return parse_exposition(render_snapshot(stats_snapshot(blocks)))
+
+
+def test_worker_series_sum_to_their_pool_twins():
+    """The pool exposition contract CI asserts over HTTP, on two workers
+    x two repeats of fake blocks: rendered and parsed back, every summed
+    family's ``worker`` series add up to its ``repro_pool_*`` twin."""
+    from repro.live.server import SERVER_STATS
+
+    families = _pool_exposition(merge_server_stats([
+        merge_server_stats(
+            [_fake_server_stats(0, 10 + extra), _fake_server_stats(1, 30)],
+            requested=2,
+        )
+        for extra in (0, 5)
+    ]))
+    summed = {row.family for row in SERVER_STATS if row.merge == "sum"}
+    assert summed == {
+        "queries_total", "datagrams_total", "fastpath_total",
+        "validations_total", "resolver_cache_total", "io_events_total",
+    }
+    for family in summed | {"up"}:
+        series = families[f"repro_{family}"]
+        pool = families[f"repro_pool_{family}"]
+        assert {dict(labels)["worker"] for labels in series} == {"0", "1"}
+        for labels, total in pool.items():
+            assert total == sum(
+                value for series_labels, value in series.items()
+                if set(labels) <= set(series_labels)
+            ), (family, labels)
+    assert families["repro_pool_queries_total"] == {(): 85.0}
+    assert families["repro_queries_total"] == {
+        (("worker", "0"),): 25.0, (("worker", "1"),): 60.0,
+    }
+    assert families["repro_pool_datagrams_total"] == {
+        (("direction", "in"),): 85.0, (("direction", "out"),): 85.0,
+    }
+    # A udp block states no fast path: zero lookups, not no family.
+    assert set(families["repro_pool_fastpath_total"].values()) == {0.0}
+
+
+def test_pool_largest_burst_is_the_maximum_over_workers():
+    blocks = [_fake_server_stats(0, 10), _fake_server_stats(1, 30)]
+    blocks[1]["io"]["largest_burst"] = 9
+    families = _pool_exposition(merge_server_stats(blocks))
+    assert families["repro_io_largest_burst"] == {
+        (("worker", "0"),): 4.0, (("worker", "1"),): 9.0,
+    }
+    assert families["repro_pool_io_largest_burst"] == {(): 9.0}  # not 13
+
+
 def _fake_loadgen_report(
     worker, seed, queries, rtt_ms, *, elapsed_s=1.0, timeouts=0, cache=None,
     spread_ms=0.0, telemetry=None,

@@ -1,7 +1,7 @@
 """Tests for the repro.obs observability core.
 
 Covers the metrics registry (instrument semantics, exposition
-rendering, snapshot merge purity, parse round-trips), histogram
+rendering, parse round-trips), histogram
 quantile estimation against exact percentiles and the live-path
 ``LatencyReservoir`` on a 20k-sample distribution, the per-second
 telemetry sampler and timeline merging, the structured JSON logger,
@@ -12,7 +12,6 @@ between ``SNAPSHOT_SCHEMA`` and ``tests/report_schema.json``.
 from __future__ import annotations
 
 import asyncio
-import copy
 import io
 import json
 import os
@@ -27,8 +26,6 @@ from repro.obs.log import JsonLogger, configure, get_logger
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     MetricsRegistry,
-    label_snapshot,
-    merge_snapshots,
     parse_exposition,
     render_snapshot,
 )
@@ -83,7 +80,7 @@ def test_reregistration_returns_same_family_and_checks_kind():
     first = registry.counter("dup_total")
     assert registry.counter("dup_total") is first
     with pytest.raises(ValueError):
-        registry.gauge("dup_total")
+        registry.histogram("dup_total")
 
 
 def test_default_latency_buckets_shape():
@@ -177,13 +174,17 @@ def test_prometheus_exposition_golden():
     )
     queries.labels(result="ok").inc(40)
     queries.labels(result="error").inc(2)
-    registry.gauge("demo_up", "up flag").labels().set(1)
     hist = registry.histogram(
         "demo_latency_seconds", "latency", buckets=(0.001, 0.1)
     ).labels()
     for value in (0.0005, 0.002, 0.1, 1.0505):
         hist.observe(value)
-    assert registry.render() == GOLDEN_EXPOSITION
+    # A gauge is a snapshot entry only (the serve pool builds its own).
+    snapshot = registry.snapshot()
+    snapshot["demo_up"] = {
+        "kind": "gauge", "help": "up flag", "samples": [[{}, 1]],
+    }
+    assert render_snapshot(snapshot) == GOLDEN_EXPOSITION
 
 
 def test_exposition_label_escaping_round_trip():
@@ -221,9 +222,6 @@ def test_parse_exposition_round_trip_histogram():
     assert parsed[f"{LATENCY_SECONDS}_count"][(("worker", "0"),)] == 4.0
 
 
-# -- snapshot merge --------------------------------------------------------
-
-
 def _loaded_registry(scale: int = 1) -> MetricsRegistry:
     registry = MetricsRegistry()
     registry.counter(QUERIES_TOTAL).labels().inc(100 * scale)
@@ -234,68 +232,6 @@ def _loaded_registry(scale: int = 1) -> MetricsRegistry:
     for i in range(10 * scale):
         hist.observe(0.001 * (i + 1))
     return registry
-
-
-def test_merge_snapshots_sums_and_is_pure():
-    one = _loaded_registry(1).snapshot()
-    two = _loaded_registry(2).snapshot()
-    before_one = copy.deepcopy(one)
-    before_two = copy.deepcopy(two)
-
-    merged = merge_snapshots([one, two])
-    assert one == before_one and two == before_two  # inputs untouched
-    assert "_index" not in merged[QUERIES_TOTAL]
-
-    samples = {(): v for labels, v in merged[QUERIES_TOTAL]["samples"]
-               if not labels}
-    assert samples[()] == 300
-    hist_samples = merged[LATENCY_SECONDS]["samples"]
-    assert hist_samples[0][1][1] == 30  # count summed
-
-    # Commutative: order of inputs does not change totals.
-    flipped = merge_snapshots([two, one])
-    assert (
-        sorted(json.dumps(s) for s in flipped[RESPONSES_TOTAL]["samples"])
-        == sorted(json.dumps(s) for s in merged[RESPONSES_TOTAL]["samples"])
-    )
-
-
-def test_merge_snapshots_kind_conflict_raises():
-    a = MetricsRegistry()
-    a.counter("thing")
-    b = MetricsRegistry()
-    b.gauge("thing")
-    with pytest.raises(ValueError):
-        merge_snapshots([a.snapshot(), b.snapshot()])
-
-
-def test_label_snapshot_stamps_without_mutating():
-    snap = _loaded_registry().snapshot()
-    before = copy.deepcopy(snap)
-    stamped = label_snapshot(snap, worker="3")
-    assert snap == before
-    for entry in stamped.values():
-        for labels, _value in entry["samples"]:
-            assert labels["worker"] == "3"
-    # Histogram values are deep-copied, not aliased.
-    stamped[LATENCY_SECONDS]["samples"][0][1][0][0] += 999
-    assert snap == before
-
-
-def test_worker_series_sum_to_pool_totals():
-    """The pool exposition contract CI asserts over HTTP, in-process:
-    stamped per-worker series summed across workers equal the merged
-    (unstamped) pool totals."""
-    snaps = [_loaded_registry(1).snapshot(), _loaded_registry(3).snapshot()]
-    stamped = [
-        label_snapshot(s, worker=str(i)) for i, s in enumerate(snaps)
-    ]
-    exposition = render_snapshot(merge_snapshots(stamped))
-    parsed = parse_exposition(exposition)
-    per_worker = sum(parsed[QUERIES_TOTAL].values())
-    pool = merge_snapshots(snaps)
-    total = sum(v for _l, v in pool[QUERIES_TOTAL]["samples"])
-    assert per_worker == total == 400
 
 
 # -- telemetry sampler -----------------------------------------------------
