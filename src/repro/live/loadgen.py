@@ -24,14 +24,7 @@ import random
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.api.report import REPORT_VERSION, provenance
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.telemetry import (
-    LATENCY_SECONDS,
-    QUERIES_TOTAL,
-    RESPONSES_TOTAL,
-    TelemetrySampler,
-    run_sampler,
-)
+from repro.obs.telemetry import TelemetrySampler, run_sampler
 from repro.scenarios.scenario import WorkloadSpec
 
 from .client import LiveResolver
@@ -96,12 +89,15 @@ async def generate_load(
     :func:`repro.api.report.report_from_loadgen` pool quantiles across
     repeated passes and distributed workers.
 
-    Query outcomes count through a private :class:`repro.obs.metrics.
-    MetricsRegistry`. A :class:`repro.obs.telemetry.TelemetrySampler`
-    snapshots it every second into the report's ``telemetry`` time
-    series; *snapshot_sinks* receive each per-second record as it is
-    produced — the hook behind ``--stream`` and the stderr progress
-    line.
+    Query outcomes count in plain integers, and each success's latency
+    is also appended to a per-interval list. A
+    :class:`repro.obs.telemetry.TelemetrySampler` polls both every
+    second — draining the list, so it never holds more than one
+    interval of traffic — into the report's ``telemetry`` time series:
+    a success lands in the row of the second it completed in, with
+    exact percentiles over that second's samples. *snapshot_sinks*
+    receive each per-second record as it is produced — the hook behind
+    ``--stream`` and the stderr progress line.
     """
     if not names:
         raise LoadGenError("names must not be empty")
@@ -131,51 +127,44 @@ async def generate_load(
     # The reservoir draws from its own RNG so bounding the sample never
     # perturbs the arrival/name streams (seed replayability contract).
     latencies = LatencyReservoir(seed=seed)
-    metrics = MetricsRegistry()
-    issued_counter = metrics.counter(
-        QUERIES_TOTAL, "queries issued by the load generator"
-    )
-    responses = metrics.counter(
-        RESPONSES_TOTAL, "query outcomes by result", labels=("result",)
-    )
-    latency_hist = metrics.histogram(
-        LATENCY_SECONDS, "successful-query round-trip time"
-    )
-    # Children hoisted out of the hot path: one attribute increment
-    # per outcome, no dict/label lookup per query.
-    count_issued = metrics.counter(QUERIES_TOTAL).labels()
-    count_ok = responses.labels(result="ok")
-    count_timeout = responses.labels(result="timeout")
-    count_error = responses.labels(result="error")
-    count_rcode = responses.labels(result="rcode")
-    observe_latency = latency_hist.labels()
-    last_success = {"at": None}
+    issued = succeeded = timeouts = errors = rcode_failures = 0
+    interval_latencies: List[float] = []
+    last_success_at: Optional[float] = None
 
     async def one_query(sequence_index: int) -> None:
-        count_issued.inc()
+        nonlocal issued, succeeded, timeouts, errors, rcode_failures
+        nonlocal last_success_at
+        issued += 1
         name = names[spec.draw_name_index(rng, sequence_index)]
         rtype = spec.draw_rtype(rng)
         try:
             result = await resolver.resolve(name, rtype, timeout=timeout)
         except asyncio.TimeoutError:
-            count_timeout.inc()
+            timeouts += 1
         except Exception:
-            count_error.inc()
+            errors += 1
         else:
             if result.ok:
                 # A response is only a success when the name resolved:
                 # NXDOMAIN against a mismatched zone (e.g. differing
                 # --name-seed between serve and loadtest) must not
                 # read as a healthy run.
-                count_ok.inc()
+                succeeded += 1
                 latencies.add(result.rtt)
-                observe_latency.observe(result.rtt)
-                last_success["at"] = loop.time()
+                interval_latencies.append(result.rtt)
+                last_success_at = loop.time()
             else:
-                count_rcode.inc()
+                rcode_failures += 1
+
+    def counts_and_interval_latencies():
+        nonlocal interval_latencies
+        drained, interval_latencies = interval_latencies, []
+        failed = timeouts + errors + rcode_failures
+        return (issued, succeeded, failed, timeouts), drained
 
     sampler = TelemetrySampler(
-        metrics, time_fn=loop.time, sinks=snapshot_sinks,
+        counts_and_interval_latencies, time_fn=loop.time,
+        sinks=snapshot_sinks,
     )
     sampler_stop = asyncio.Event()
     sampler_task = asyncio.ensure_future(run_sampler(sampler, sampler_stop))
@@ -208,21 +197,13 @@ async def generate_load(
     sampler_stop.set()
     timeline = await sampler_task
 
-    issued = count_issued.value
-    outcomes = {
-        "succeeded": count_ok.value,
-        "timeouts": count_timeout.value,
-        "rcode_failures": count_rcode.value,
-        "failed": (
-            count_timeout.value + count_error.value + count_rcode.value
-        ),
-    }
-    completed = outcomes["succeeded"] + outcomes["failed"]
+    failed = timeouts + errors + rcode_failures
+    completed = succeeded + failed
     # Throughput over the span in which successes actually landed —
     # waiting out the timeouts of stragglers after the offered window
     # must not dilute the rate the server demonstrably sustained.
     success_span = (
-        last_success["at"] - started if last_success["at"] is not None else 0.0
+        last_success_at - started if last_success_at is not None else 0.0
     )
     report: Dict[str, object] = {
         "report_version": REPORT_VERSION,
@@ -234,15 +215,13 @@ async def generate_load(
         "duration_s": duration,
         "elapsed_s": round(elapsed, 3),
         "queries": issued,
-        "succeeded": outcomes["succeeded"],
-        "failed": outcomes["failed"],
-        "timeouts": outcomes["timeouts"],
-        "rcode_failures": outcomes["rcode_failures"],
-        "success_rate": (
-            outcomes["succeeded"] / completed if completed else 0.0
-        ),
+        "succeeded": succeeded,
+        "failed": failed,
+        "timeouts": timeouts,
+        "rcode_failures": rcode_failures,
+        "success_rate": succeeded / completed if completed else 0.0,
         "achieved_qps": (
-            round(outcomes["succeeded"] / success_span, 3)
+            round(succeeded / success_span, 3)
             if success_span > 0 else 0.0
         ),
         "latency_ms": latencies.summary_ms(),

@@ -583,20 +583,6 @@ class ServePool(WorkerPool):
         merged mid-run sample."""
         return stats_snapshot(merge_server_stats(self.sample()))
 
-    def telemetry_snapshot(self) -> Dict[str, object]:
-        """What the ``serve --stream`` sampler diffs: the pool snapshot,
-        every answered query counted again as an ``ok`` response — a
-        server has no other outcome to report."""
-        from repro.obs.telemetry import QUERIES_TOTAL, RESPONSES_TOTAL
-
-        snapshot = self.metrics_snapshot()
-        if QUERIES_TOTAL in snapshot:
-            snapshot[RESPONSES_TOTAL] = {"kind": "counter", "samples": [
-                [dict(labels, result="ok"), value]
-                for labels, value in snapshot[QUERIES_TOTAL]["samples"]
-            ]}
-        return snapshot
-
     def render_metrics(self) -> str:
         """Prometheus text exposition of :meth:`metrics_snapshot`."""
         from repro.obs.metrics import render_snapshot

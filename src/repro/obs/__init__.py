@@ -1,15 +1,16 @@
-"""Observability: metrics, structured logs, telemetry, /metrics HTTP.
+"""Observability: exposition format, structured logs, telemetry rows.
 
-Dependency-free instrumentation shared by every serving layer:
+Dependency-free reporting shared by every serving layer:
 
-* :mod:`repro.obs.metrics` — label-aware :class:`Counter` /
-  :class:`Histogram` families in a :class:`MetricsRegistry`, plain-dict
-  snapshots and their Prometheus text exposition;
+* :mod:`repro.obs.metrics` — the Prometheus text exposition of a
+  plain-dict snapshot (:func:`render_snapshot`) and its parser;
 * :mod:`repro.obs.log` — structured JSON logging with bound
   run/worker/request context (``repro.obs.get_logger``);
-* :mod:`repro.obs.telemetry` — per-second :class:`TelemetrySampler`
-  diffing registry snapshots into the NDJSON time series streamed by
-  ``loadtest --stream``, rendered by ``repro watch``, and embedded in
+* :mod:`repro.obs.telemetry` — the per-second row every substrate
+  reports (:func:`telemetry_row`: counts and exact percentiles over
+  the interval's samples), the :class:`TelemetrySampler` that polls a
+  running source into the NDJSON time series streamed by ``--stream``,
+  and :func:`timeline_from_outcomes` for a finished run — embedded in
   Reports as the ``telemetry`` block;
 * :mod:`repro.obs.http` — the minimal listener thread behind
   ``serve --metrics-port``: the pool parent's ``/metrics`` and
@@ -24,20 +25,14 @@ from importlib import import_module
 
 #: Public name -> defining submodule (resolved on first access).
 _EXPORTS = {
-    "Counter": ".metrics",
-    "Histogram": ".metrics",
-    "MetricsRegistry": ".metrics",
-    "DEFAULT_LATENCY_BUCKETS": ".metrics",
     "render_snapshot": ".metrics",
     "parse_exposition": ".metrics",
     "JsonLogger": ".log",
     "configure": ".log",
     "get_logger": ".log",
     "SNAPSHOT_SCHEMA": ".telemetry",
-    "QUERIES_TOTAL": ".telemetry",
-    "RESPONSES_TOTAL": ".telemetry",
-    "LATENCY_SECONDS": ".telemetry",
     "TelemetrySampler": ".telemetry",
+    "telemetry_row": ".telemetry",
     "run_sampler": ".telemetry",
     "merge_timelines": ".telemetry",
     "timeline_from_outcomes": ".telemetry",

@@ -1,24 +1,25 @@
-"""Per-second telemetry: registry snapshots diffed into a time series.
+"""Per-second telemetry: one row per interval, built one way.
 
-A :class:`TelemetrySampler` polls a :class:`~repro.obs.metrics.
-MetricsRegistry` (or any callable returning a snapshot dict — how the
-pool parent feeds merged worker snapshots) once per interval and
-diffs consecutive snapshots into compact NDJSON-ready records::
+Every substrate reports its run as a time series of rows::
 
     {"t": 3.0, "interval_s": 1.0, "queries": 512, "succeeded": 508,
      "failed": 4, "timeouts": 1, "qps": 508.0,
      "latency_ms": {"p50": 0.4, "p99": 2.1, "mean": 0.6}}
 
-``t`` is seconds since the sampler started; counts are *deltas over
-the interval*, not cumulative totals, so a snapshot line reads as
-"what happened in the last second". Interval quantiles come from the
-shared log-spaced histogram buckets (linear interpolation within the
-winning bucket) — estimates, but consistent between live scrapes,
-streamed lines, and the Report's ``telemetry`` block.
+``t`` is seconds since the run started; counts are what happened *in
+the interval*, not cumulative totals, so a row reads as "the last
+second". :func:`telemetry_row` is the only code that writes one: from
+the interval's four counts and the raw latencies of its successes,
+with exact percentiles over those samples — the same arithmetic for
+streamed lines and for the Report's ``telemetry`` block, live or
+simulated.
 
-The same vocabulary covers simulation: :func:`timeline_from_outcomes`
-buckets a finished sim run's per-query outcomes by completion second,
-so ``repro run`` reports carry the identical block either substrate.
+Two callers feed it. A :class:`TelemetrySampler` polls a running
+source once per interval (the load generator's outcome counts and
+latencies, a serving pool's answered-query count), so a live success
+lands in the row of the second it *completed* in.
+:func:`timeline_from_outcomes` buckets a finished sim or fleet run's
+per-query outcomes by the second they were *issued* in.
 """
 
 from __future__ import annotations
@@ -26,17 +27,13 @@ from __future__ import annotations
 import asyncio
 import time
 from typing import (
-    Any, Callable, Dict, Iterable, List, Optional, Sequence, Union,
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
 )
-
-from .metrics import MetricsRegistry
 
 __all__ = [
     "SNAPSHOT_SCHEMA",
-    "QUERIES_TOTAL",
-    "RESPONSES_TOTAL",
-    "LATENCY_SECONDS",
     "TelemetrySampler",
+    "telemetry_row",
     "run_sampler",
     "merge_timelines",
     "timeline_from_outcomes",
@@ -44,19 +41,13 @@ __all__ = [
     "validate_snapshot",
 ]
 
-#: Canonical instrument names the sampler reads. Loadgen, server, and
-#: sim all publish through these so one sampler serves every layer.
-QUERIES_TOTAL = "repro_queries_total"
-RESPONSES_TOTAL = "repro_responses_total"
-LATENCY_SECONDS = "repro_latency_seconds"
-
 #: Maximum timeline length carried inside a Report — long runs keep
 #: the first N intervals rather than ballooning the artifact.
 MAX_TIMELINE_SNAPSHOTS = 600
 
 #: JSON-Schema (the :mod:`repro.api.schema` subset) for one snapshot
-#: line. ``tests/report_schema.json`` embeds the same definition as
-#: ``$defs/telemetry_snapshot``; a test asserts the two stay in sync.
+#: row. ``tests/report_schema.json`` embeds the same definition under
+#: ``$defs``; a test asserts the two stay in sync.
 SNAPSHOT_SCHEMA: Dict[str, Any] = {
     "type": "object",
     "required": [
@@ -85,151 +76,65 @@ SNAPSHOT_SCHEMA: Dict[str, Any] = {
     },
 }
 
-SnapshotSource = Union[MetricsRegistry, Callable[[], Dict[str, object]]]
+#: The four counts of a row, in the order a sampler source states them.
+Counts = Tuple[int, int, int, int]
+
+#: What a :class:`TelemetrySampler` polls: the cumulative ``(queries,
+#: succeeded, failed, timeouts)`` and the latencies (seconds) of the
+#: successes seen since the previous call.
+SampleSource = Callable[[], Tuple[Counts, Sequence[float]]]
 
 
-def _series_total(
-    snapshot: Dict[str, object], family: str, **want: str
-) -> int:
-    """Sum a counter family's samples matching the *want* labels."""
-    entry = snapshot.get(family)
-    if entry is None:
-        return 0
-    total = 0
-    for labels, value in entry["samples"]:
-        if all(labels.get(k) == v for k, v in want.items()):
-            total += value
-    return int(total)
-
-
-def _histogram_state(
-    snapshot: Dict[str, object], family: str
-) -> Optional[Dict[str, object]]:
-    """Collapse a histogram family's samples into one (counts, sum)."""
-    entry = snapshot.get(family)
-    if entry is None or entry.get("kind") != "histogram":
-        return None
-    bounds = entry.get("buckets", [])
-    counts: Optional[List[int]] = None
-    total = 0.0
-    count = 0
-    for _labels, (sample_counts, sample_count, sample_sum) in entry["samples"]:
-        if counts is None:
-            counts = list(sample_counts)
-        else:
-            for i, c in enumerate(sample_counts):
-                counts[i] += c
-        count += sample_count
-        total += sample_sum
-    if counts is None:
-        counts = [0] * (len(bounds) + 1)
-    return {"bounds": bounds, "counts": counts, "count": count, "sum": total}
-
-
-def quantile_from_buckets(
-    bounds: Sequence[float], counts: Sequence[int], q: float
-) -> Optional[float]:
-    """Estimate the q-quantile (seconds) from non-cumulative buckets.
-
-    Linear interpolation within the winning bucket; the overflow
-    bucket reports its lower bound (the estimate cannot exceed what
-    the buckets resolve). Returns ``None`` with no observations.
-    """
-    total = sum(counts)
-    if total == 0:
-        return None
-    rank = q * total
-    cumulative = 0
-    for i, c in enumerate(counts):
-        if c == 0:
-            continue
-        if cumulative + c >= rank:
-            lower = bounds[i - 1] if 0 < i <= len(bounds) else 0.0
-            if i >= len(bounds):
-                return float(bounds[-1]) if bounds else None
-            upper = bounds[i]
-            fraction = (rank - cumulative) / c
-            return lower + (upper - lower) * min(max(fraction, 0.0), 1.0)
-        cumulative += c
-    return float(bounds[-1]) if bounds else None
-
-
-def _diff_snapshot(
-    prev: Dict[str, object],
-    curr: Dict[str, object],
+def telemetry_row(
     t: float,
     interval: float,
+    counts: Counts,
+    latencies: Iterable[float] = (),
 ) -> Dict[str, Any]:
-    """One telemetry record from two consecutive registry snapshots."""
-    queries = _series_total(curr, QUERIES_TOTAL) - _series_total(
-        prev, QUERIES_TOTAL
-    )
-    succeeded = _series_total(
-        curr, RESPONSES_TOTAL, result="ok"
-    ) - _series_total(prev, RESPONSES_TOTAL, result="ok")
-    timeouts = _series_total(
-        curr, RESPONSES_TOTAL, result="timeout"
-    ) - _series_total(prev, RESPONSES_TOTAL, result="timeout")
-    failed = 0
-    for result in ("timeout", "error", "rcode"):
-        failed += _series_total(
-            curr, RESPONSES_TOTAL, result=result
-        ) - _series_total(prev, RESPONSES_TOTAL, result=result)
+    """The row of one interval ending at *t*: its *counts* (``queries,
+    succeeded, failed, timeouts``) and exact percentiles over
+    *latencies*, the resolution times (seconds) of its successes —
+    ``null`` when there are none."""
+    queries, succeeded, failed, timeouts = counts
+    samples = sorted(latencies)
+    latency: Dict[str, Optional[float]] = {
+        "p50": None, "p99": None, "mean": None,
+    }
+    if samples:
+        from repro.experiments.metrics import interpolate_sorted
 
-    latency: Dict[str, Optional[float]] = {"p50": None, "p99": None,
-                                           "mean": None}
-    curr_hist = _histogram_state(curr, LATENCY_SECONDS)
-    if curr_hist is not None:
-        prev_hist = _histogram_state(prev, LATENCY_SECONDS)
-        if prev_hist is not None and len(prev_hist["counts"]) == len(
-            curr_hist["counts"]
-        ):
-            delta_counts = [
-                c - p
-                for c, p in zip(curr_hist["counts"], prev_hist["counts"])
-            ]
-            delta_sum = curr_hist["sum"] - prev_hist["sum"]
-        else:
-            delta_counts = list(curr_hist["counts"])
-            delta_sum = curr_hist["sum"]
-        observed = sum(delta_counts)
-        if observed > 0:
-            bounds = curr_hist["bounds"]
-            p50 = quantile_from_buckets(bounds, delta_counts, 0.50)
-            p99 = quantile_from_buckets(bounds, delta_counts, 0.99)
-            latency = {
-                "p50": round(p50 * 1000, 3) if p50 is not None else None,
-                "p99": round(p99 * 1000, 3) if p99 is not None else None,
-                "mean": round(delta_sum / observed * 1000, 3),
-            }
-
-    span = interval if interval > 0 else 1.0
+        last = len(samples) - 1
+        latency = {
+            "p50": round(interpolate_sorted(samples, 0.50 * last) * 1000, 3),
+            "p99": round(interpolate_sorted(samples, 0.99 * last) * 1000, 3),
+            "mean": round(sum(samples) / len(samples) * 1000, 3),
+        }
     return {
         "t": round(t, 3),
         "interval_s": round(interval, 3),
-        "queries": max(queries, 0),
-        "succeeded": max(succeeded, 0),
-        "failed": max(failed, 0),
-        "timeouts": max(timeouts, 0),
-        "qps": round(max(succeeded, 0) / span, 3),
+        "queries": queries,
+        "succeeded": succeeded,
+        "failed": failed,
+        "timeouts": timeouts,
+        "qps": round(succeeded / (interval if interval > 0 else 1.0), 3),
         "latency_ms": latency,
     }
 
 
 class TelemetrySampler:
-    """Diffs successive snapshots of a source into telemetry records.
+    """Turns a polled source into one row per elapsed interval.
 
-    *source* is a registry or a zero-argument callable returning a
-    snapshot dict. ``tick()`` takes one sample and returns the record
-    for the elapsed interval (or ``None`` on the priming call when no
-    time has passed); ``timeline`` accumulates every record. *sinks*
-    are callables invoked with each record as it is produced — the
-    streaming/progress hook.
+    *source* is a :data:`SampleSource`. The first ``tick()`` only marks
+    the start of the run (counts start from zero there) and returns
+    ``None``; each later one polls the source and returns the row of
+    the interval since the previous tick. ``timeline`` keeps the first
+    :data:`MAX_TIMELINE_SNAPSHOTS` rows; *sinks* are callables invoked
+    with every row as it is produced — the streaming/progress hook.
     """
 
     def __init__(
         self,
-        source: SnapshotSource,
+        source: SampleSource,
         interval: float = 1.0,
         time_fn: Callable[[], float] = time.monotonic,
         sinks: Sequence[Callable[[Dict[str, Any]], None]] = (),
@@ -238,38 +143,35 @@ class TelemetrySampler:
             raise ValueError("interval must be positive")
         self.interval = interval
         self.timeline: List[Dict[str, Any]] = []
+        self._source = source
         self._time_fn = time_fn
         self._sinks = list(sinks)
-        if isinstance(source, MetricsRegistry):
-            self._snap: Callable[[], Dict[str, object]] = source.snapshot
-        else:
-            self._snap = source
         self._started: Optional[float] = None
-        self._prev: Optional[Dict[str, object]] = None
         self._prev_at = 0.0
+        self._prev: Counts = (0, 0, 0, 0)
 
     def tick(self) -> Optional[Dict[str, Any]]:
-        """Sample now; return the interval record (None on priming)."""
+        """Poll now; return the interval's row (None when there is
+        none: the priming call, or nothing counted in no time)."""
         now = self._time_fn()
-        snap = self._snap()
         if self._started is None:
-            self._started = now
-        if self._prev is None:
-            # Prime against an empty baseline so the first tick after
-            # interval elapses reports the opening interval's counts.
-            self._prev = {}
-            self._prev_at = now
-            if now == self._started:
-                return None
+            self._started = self._prev_at = now
+            return None
+        counts, latencies = self._source()
         elapsed = now - self._prev_at
-        record = _diff_snapshot(
-            self._prev, snap, t=now - self._started, interval=elapsed
+        # A pool's total drops when a worker dies mid-run; a row never
+        # counts below zero.
+        deltas = tuple(max(c - p, 0) for c, p in zip(counts, self._prev))
+        if not any(deltas) and round(elapsed, 3) == 0:
+            # A stop landing just after a timer tick: no row to write.
+            return None
+        record = telemetry_row(
+            now - self._started, elapsed, deltas, latencies
         )
-        self._prev = snap
+        self._prev = counts
         self._prev_at = now
-        self.timeline.append(record)
-        if len(self.timeline) > MAX_TIMELINE_SNAPSHOTS:
-            del self.timeline[0 : len(self.timeline) - MAX_TIMELINE_SNAPSHOTS]
+        if len(self.timeline) < MAX_TIMELINE_SNAPSHOTS:
+            self.timeline.append(record)
         for sink in self._sinks:
             try:
                 sink(record)
@@ -350,16 +252,14 @@ def merge_timelines(
 def timeline_from_outcomes(
     outcomes: Iterable[object], interval: float = 1.0
 ) -> List[Dict[str, Any]]:
-    """Build the telemetry timeline for a finished simulation run.
+    """Build the telemetry timeline for a finished sim or fleet run.
 
     *outcomes* are :class:`repro.scenarios.runner.QueryOutcome`
     rows (anything with ``issued_at``/``resolution_time``/``error``).
-    Queries bucket by issue time; a bucket's latency stats are exact
-    percentiles over the successes completing there — the sim has the
-    full sample set, so no histogram estimation is needed.
+    Queries bucket by issue time — a success counts, latency included,
+    in the interval it was issued in, whenever it completed; empty
+    intervals between the first and last issue get their zero row.
     """
-    from repro.experiments.metrics import interpolate_sorted
-
     buckets: Dict[int, Dict[str, Any]] = {}
     for outcome in outcomes:
         issued = getattr(outcome, "issued_at", 0.0) or 0.0
@@ -383,37 +283,17 @@ def timeline_from_outcomes(
     timeline: List[Dict[str, Any]] = []
     if not buckets:
         return timeline
+    empty = {"queries": 0, "succeeded": 0, "failed": 0, "timeouts": 0,
+             "latencies": []}
     for index in range(min(buckets), max(buckets) + 1):
-        bucket = buckets.get(
-            index,
-            {"queries": 0, "succeeded": 0, "failed": 0, "timeouts": 0,
-             "latencies": []},
-        )
-        samples = sorted(bucket["latencies"])
-        latency: Dict[str, Optional[float]] = {
-            "p50": None, "p99": None, "mean": None,
-        }
-        if samples:
-            last = len(samples) - 1
-            latency = {
-                "p50": round(
-                    interpolate_sorted(samples, 0.50 * last) * 1000, 3
-                ),
-                "p99": round(
-                    interpolate_sorted(samples, 0.99 * last) * 1000, 3
-                ),
-                "mean": round(sum(samples) / len(samples) * 1000, 3),
-            }
-        timeline.append({
-            "t": round((index + 1) * interval, 3),
-            "interval_s": interval,
-            "queries": bucket["queries"],
-            "succeeded": bucket["succeeded"],
-            "failed": bucket["failed"],
-            "timeouts": bucket["timeouts"],
-            "qps": round(bucket["succeeded"] / interval, 3),
-            "latency_ms": latency,
-        })
+        bucket = buckets.get(index, empty)
+        timeline.append(telemetry_row(
+            (index + 1) * interval,
+            interval,
+            (bucket["queries"], bucket["succeeded"], bucket["failed"],
+             bucket["timeouts"]),
+            bucket["latencies"],
+        ))
         if len(timeline) >= MAX_TIMELINE_SNAPSHOTS:
             break
     return timeline

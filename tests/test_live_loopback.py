@@ -264,17 +264,18 @@ def test_live_protocol_identifiers_replayable_under_seed():
 # -- load generator smoke ------------------------------------------------
 
 
-def test_loadgen_report_schema():
-    async def body():
-        server = DocLiveServer(transport="coap", port=0, num_names=8)
-        async with server:
-            async with LiveResolver(server.endpoint, transport="coap") as r:
-                return await generate_load(
-                    r, server.names, rate=100.0, duration=0.4,
-                    timeout=QUERY_TIMEOUT, seed=5,
-                )
+async def _coap_loadgen_report(duration: float):
+    server = DocLiveServer(transport="coap", port=0, num_names=8)
+    async with server:
+        async with LiveResolver(server.endpoint, transport="coap") as r:
+            return await generate_load(
+                r, server.names, rate=100.0, duration=duration,
+                timeout=QUERY_TIMEOUT, seed=5,
+            )
 
-    report = run(body())
+
+def test_loadgen_report_schema():
+    report = run(_coap_loadgen_report(0.4))
     assert tuple(report.keys()) == REPORT_FIELDS
     assert report["queries"] > 0
     assert report["succeeded"] + report["failed"] == report["queries"]
@@ -283,6 +284,24 @@ def test_loadgen_report_schema():
     assert set(latency) == {"p50", "p95", "p99", "mean", "min", "max"}
     assert latency["p50"] <= latency["p95"] <= latency["p99"]
     json.dumps(report)  # must be JSON-serialisable as-is
+
+
+def test_loadgen_rows_are_exact_over_the_run_s_own_samples():
+    """The per-second rows and the run's ``latency_ms`` read the same
+    raw samples: no row's p99 exceeds the run's largest latency, and
+    the rows' means, weighted by their successes, are the run's mean."""
+    report = run(_coap_loadgen_report(1.2))
+    rows = report["telemetry"]
+    assert len(rows) >= 2  # one timer tick and the closing one
+    busy = [row for row in rows if row["succeeded"]]
+    assert sum(row["succeeded"] for row in busy) == report["succeeded"] > 0
+    latency = report["latency_ms"]
+    assert max(row["latency_ms"]["p99"] for row in busy) <= latency["max"]
+    weighted = sum(
+        row["latency_ms"]["mean"] * row["succeeded"] for row in busy
+    ) / report["succeeded"]
+    # Each mean is rounded to a microsecond, the run's own once more.
+    assert weighted == pytest.approx(latency["mean"], abs=0.0011)
 
 
 def test_loadgen_closed_loop():

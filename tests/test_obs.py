@@ -1,12 +1,11 @@
 """Tests for the repro.obs observability core.
 
-Covers the metrics registry (instrument semantics, exposition
-rendering, parse round-trips), histogram
-quantile estimation against exact percentiles and the live-path
-``LatencyReservoir`` on a 20k-sample distribution, the per-second
-telemetry sampler and timeline merging, the structured JSON logger,
-the /metrics + /healthz listener thread, and the schema contract
-between ``SNAPSHOT_SCHEMA`` and ``tests/report_schema.json``.
+Covers the exposition format (rendering, parse round-trips), the one
+telemetry row builder through both of its callers — the per-second
+sampler and ``timeline_from_outcomes``, each the other's oracle —
+timeline merging, the structured JSON logger, the /metrics + /healthz
+listener thread, and the schema contract between ``SNAPSHOT_SCHEMA``
+and ``tests/report_schema.json``.
 """
 
 from __future__ import annotations
@@ -15,29 +14,22 @@ import asyncio
 import io
 import json
 import os
-import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api.schema import ValidationError, validate
-from repro.live.reservoir import LatencyReservoir
 from repro.obs.http import ObsHttpThread
 from repro.obs.log import JsonLogger, configure, get_logger
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    MetricsRegistry,
-    parse_exposition,
-    render_snapshot,
-)
+from repro.obs.metrics import parse_exposition, render_snapshot
 from repro.obs.telemetry import (
-    LATENCY_SECONDS,
-    QUERIES_TOTAL,
-    RESPONSES_TOTAL,
+    MAX_TIMELINE_SNAPSHOTS,
     SNAPSHOT_SCHEMA,
     TelemetrySampler,
     format_snapshot,
     merge_timelines,
-    quantile_from_buckets,
     run_sampler,
     timeline_from_outcomes,
     validate_snapshot,
@@ -46,117 +38,10 @@ from repro.obs.telemetry import (
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "report_schema.json")
 
 
-# -- registry instruments --------------------------------------------------
-
-
-def test_counter_fast_path_and_family_total():
-    registry = MetricsRegistry()
-    responses = registry.counter(
-        RESPONSES_TOTAL, "responses", labels=("result",)
-    )
-    ok = responses.labels(result="ok")
-    timeout = responses.labels(result="timeout")
-    for _ in range(10):
-        ok.inc()
-    timeout.inc(3)
-    assert ok.value == 10
-    assert timeout.value == 3
-    assert responses.value == 13
-    # The same label set resolves to the same child object.
-    assert responses.labels(result="ok") is ok
-
-
-def test_label_validation_rejects_wrong_names():
-    registry = MetricsRegistry()
-    family = registry.counter("x_total", labels=("result",))
-    with pytest.raises(ValueError):
-        family.labels(direction="in")
-    with pytest.raises(ValueError):
-        family.labels()
-
-
-def test_reregistration_returns_same_family_and_checks_kind():
-    registry = MetricsRegistry()
-    first = registry.counter("dup_total")
-    assert registry.counter("dup_total") is first
-    with pytest.raises(ValueError):
-        registry.histogram("dup_total")
-
-
-def test_default_latency_buckets_shape():
-    # Four per decade, 100 µs up to 10 s, strictly increasing.
-    assert len(DEFAULT_LATENCY_BUCKETS) == 21
-    assert DEFAULT_LATENCY_BUCKETS[0] == pytest.approx(1e-4)
-    assert DEFAULT_LATENCY_BUCKETS[-1] == pytest.approx(10.0)
-    assert list(DEFAULT_LATENCY_BUCKETS) == sorted(DEFAULT_LATENCY_BUCKETS)
-
-
-def test_histogram_le_boundary_is_inclusive():
-    registry = MetricsRegistry()
-    hist = registry.histogram("h_seconds", buckets=(0.001, 0.01)).labels()
-    hist.observe(0.001)  # exactly the first bound -> first bucket
-    hist.observe(0.0011)  # just above -> second bucket
-    hist.observe(5.0)  # beyond all bounds -> overflow
-    assert hist.counts == [1, 1, 1]
-    assert hist.count == 3
-
-
-# -- histogram quantiles vs exact vs reservoir -----------------------------
-
-
-def test_histogram_quantiles_track_exact_and_reservoir():
-    """On 20k lognormal-ish samples the bucket estimate must stay within
-    one bucket width of the exact quantile, and the LatencyReservoir
-    (which holds every sample below capacity-saturation) must agree
-    with exact to float precision."""
-    rng = random.Random(42)
-    samples = [min(9.9, 0.0005 * rng.lognormvariate(0.0, 1.0))
-               for _ in range(20_000)]
-
-    registry = MetricsRegistry()
-    hist = registry.histogram(LATENCY_SECONDS).labels()
-    reservoir = LatencyReservoir(capacity=20_000, seed=1)
-    for s in samples:
-        hist.observe(s)
-        reservoir.add(s)
-
-    ordered = sorted(samples)
-    for q, pct in ((0.50, 50), (0.95, 95), (0.99, 99)):
-        exact = ordered[min(int(q * len(ordered)), len(ordered) - 1)]
-        estimate = quantile_from_buckets(
-            DEFAULT_LATENCY_BUCKETS, hist.counts, q
-        )
-        held = reservoir.percentile(pct)
-        # Log-spaced buckets: the estimate lands within the winning
-        # bucket, i.e. within a factor of 10**(1/4) of exact.
-        assert estimate is not None
-        assert exact / 1.9 <= estimate <= exact * 1.9, (q, exact, estimate)
-        # Unsaturated reservoir == full sample set, so exact-ish.
-        assert held == pytest.approx(exact, rel=0.01)
-    assert hist.count == reservoir.count == 20_000
-    assert hist.sum == pytest.approx(sum(samples))
-
-
-def test_quantile_from_buckets_edges():
-    assert quantile_from_buckets((0.1, 1.0), [0, 0, 0], 0.5) is None
-    # All mass in overflow reports the last bound, not beyond.
-    assert quantile_from_buckets((0.1, 1.0), [0, 0, 7], 0.5) == 1.0
-    # Single bucket interpolates between the bounds.
-    est = quantile_from_buckets((0.1, 1.0), [0, 10, 0], 0.5)
-    assert 0.1 <= est <= 1.0
-
-
 # -- exposition rendering --------------------------------------------------
 
 
 GOLDEN_EXPOSITION = """\
-# HELP demo_latency_seconds latency
-# TYPE demo_latency_seconds histogram
-demo_latency_seconds_bucket{le="0.001"} 1
-demo_latency_seconds_bucket{le="0.1"} 3
-demo_latency_seconds_bucket{le="+Inf"} 4
-demo_latency_seconds_count 4
-demo_latency_seconds_sum 1.153
 # HELP demo_queries_total queries handled
 # TYPE demo_queries_total counter
 demo_queries_total{result="error"} 2
@@ -168,81 +53,56 @@ demo_up 1
 
 
 def test_prometheus_exposition_golden():
-    registry = MetricsRegistry()
-    queries = registry.counter(
-        "demo_queries_total", "queries handled", labels=("result",)
-    )
-    queries.labels(result="ok").inc(40)
-    queries.labels(result="error").inc(2)
-    hist = registry.histogram(
-        "demo_latency_seconds", "latency", buckets=(0.001, 0.1)
-    ).labels()
-    for value in (0.0005, 0.002, 0.1, 1.0505):
-        hist.observe(value)
-    # A gauge is a snapshot entry only (the serve pool builds its own).
-    snapshot = registry.snapshot()
-    snapshot["demo_up"] = {
-        "kind": "gauge", "help": "up flag", "samples": [[{}, 1]],
+    snapshot = {
+        "demo_up": {
+            "kind": "gauge", "help": "up flag", "samples": [[{}, 1]],
+        },
+        "demo_queries_total": {
+            "kind": "counter", "help": "queries handled",
+            "samples": [[{"result": "ok"}, 40], [{"result": "error"}, 2]],
+        },
     }
     assert render_snapshot(snapshot) == GOLDEN_EXPOSITION
 
 
 def test_exposition_label_escaping_round_trip():
-    registry = MetricsRegistry()
-    family = registry.counter("esc_total", labels=("name",))
     tricky = 'a"b\\c\nd'
-    family.labels(name=tricky).inc(5)
-    text = registry.render()
+    text = render_snapshot({"esc_total": {
+        "kind": "counter", "samples": [[{"name": tricky}, 5]],
+    }})
     parsed = parse_exposition(text)
     assert parsed["esc_total"][(("name", tricky),)] == 5.0
 
 
-def test_parse_exposition_round_trip_histogram():
-    registry = MetricsRegistry()
-    hist = registry.histogram(
-        LATENCY_SECONDS, "latency", labels=("worker",)
-    )
-    child = hist.labels(worker="0")
-    for value in (0.0002, 0.003, 0.05, 2.0):
-        child.observe(value)
-    parsed = parse_exposition(registry.render())
-    buckets = parsed[f"{LATENCY_SECONDS}_bucket"]
-    inf_key = (("le", "+Inf"), ("worker", "0"))
-    assert buckets[inf_key] == 4.0
-    # Cumulative counts are monotone in le.
-    ordered = sorted(
-        (
-            (float("inf") if dict(k)["le"] == "+Inf" else float(dict(k)["le"]),
-             v)
-            for k, v in buckets.items()
-        ),
-    )
-    values = [v for _le, v in ordered]
-    assert values == sorted(values)
-    assert parsed[f"{LATENCY_SECONDS}_count"][(("worker", "0"),)] == 4.0
+QUERIES_TOTAL = "repro_queries_total"
 
 
-def _loaded_registry(scale: int = 1) -> MetricsRegistry:
-    registry = MetricsRegistry()
-    registry.counter(QUERIES_TOTAL).labels().inc(100 * scale)
-    responses = registry.counter(RESPONSES_TOTAL, labels=("result",))
-    responses.labels(result="ok").inc(90 * scale)
-    responses.labels(result="timeout").inc(10 * scale)
-    hist = registry.histogram(LATENCY_SECONDS).labels()
-    for i in range(10 * scale):
-        hist.observe(0.001 * (i + 1))
-    return registry
+def _loaded_exposition() -> str:
+    return render_snapshot({QUERIES_TOTAL: {
+        "kind": "counter", "help": "queries", "samples": [[{}, 100]],
+    }})
+
+
+class _LoadedSource:
+    """A sampler source that has counted 100 queries (90 ok, 10 timed
+    out) and holds ten success latencies, 1–10 ms, for the next poll."""
+
+    def __init__(self):
+        self.latencies = [0.001 * (i + 1) for i in range(10)]
+
+    def __call__(self):
+        drained, self.latencies = self.latencies, []
+        return (100, 90, 10, 10), drained
 
 
 # -- telemetry sampler -----------------------------------------------------
 
 
 def test_sampler_emits_interval_deltas():
-    registry = _loaded_registry()
     clock = iter([0.0, 1.0, 2.0])
     seen = []
     sampler = TelemetrySampler(
-        registry, interval=1.0, time_fn=lambda: next(clock),
+        _LoadedSource(), interval=1.0, time_fn=lambda: next(clock),
         sinks=(seen.append,),
     )
     assert sampler.tick() is None  # priming
@@ -252,7 +112,7 @@ def test_sampler_emits_interval_deltas():
     assert first["failed"] == 10
     assert first["timeouts"] == 10
     assert first["qps"] == pytest.approx(90.0)
-    assert first["latency_ms"]["p50"] is not None
+    assert first["latency_ms"] == {"p50": 5.5, "p99": 9.91, "mean": 5.5}
     validate_snapshot(first)
 
     # No traffic in the second interval -> zero deltas, null latency.
@@ -265,25 +125,23 @@ def test_sampler_emits_interval_deltas():
 
 
 def test_sampler_sink_errors_do_not_break_sampling():
-    registry = _loaded_registry()
     clock = iter([0.0, 1.0])
 
     def broken(_record):
         raise OSError("gone")
 
     sampler = TelemetrySampler(
-        registry, interval=1.0, time_fn=lambda: next(clock), sinks=(broken,)
+        _LoadedSource(), interval=1.0, time_fn=lambda: next(clock),
+        sinks=(broken,),
     )
     sampler.tick()
     assert sampler.tick() is not None
 
 
 def test_run_sampler_takes_final_tick():
-    registry = _loaded_registry()
-
     async def drive():
         stop = asyncio.Event()
-        sampler = TelemetrySampler(registry, interval=0.05)
+        sampler = TelemetrySampler(_LoadedSource(), interval=0.05)
         task = asyncio.ensure_future(run_sampler(sampler, stop))
         await asyncio.sleep(0.12)
         stop.set()
@@ -293,6 +151,106 @@ def test_run_sampler_takes_final_tick():
     assert len(timeline) >= 2  # at least one interval plus the tail tick
     total = sum(r["queries"] for r in timeline)
     assert total == 100  # every count lands in exactly one interval
+
+
+def _ticking_sampler(seconds, **kwargs):
+    """A sampler on a fake clock reading 0, 1, 2, …, and the list its
+    source reads from: one ``(cumulative counts, latencies)`` entry per
+    tick after the priming one."""
+    clock = iter(float(t) for t in range(seconds + 1))
+    polls = []
+    feed = iter(polls)
+    sampler = TelemetrySampler(
+        lambda: next(feed), time_fn=lambda: next(clock), **kwargs
+    )
+    sampler.tick()  # prime
+    return sampler, polls
+
+
+def test_long_runs_keep_the_first_rows_on_every_substrate():
+    seconds = MAX_TIMELINE_SNAPSHOTS + 100
+    streamed = []
+    sampler, polls = _ticking_sampler(seconds, sinks=(streamed.append,))
+    polls.extend(
+        ((k + 1, k + 1, 0, 0), [0.001]) for k in range(seconds)
+    )
+    for _ in range(seconds):
+        sampler.tick()
+    outcomes = [
+        SimpleNamespace(issued_at=k + 0.5, resolution_time=0.001, error=None)
+        for k in range(seconds)
+    ]
+    assert len(sampler.timeline) == MAX_TIMELINE_SNAPSHOTS
+    assert sampler.timeline[0]["t"] == 1.0
+    assert sampler.timeline == timeline_from_outcomes(outcomes)
+    # The cap is the Report's; a stream still gets every row.
+    assert [row["t"] for row in streamed] == [
+        float(k + 1) for k in range(seconds)
+    ]
+
+
+def test_closing_tick_writes_a_row_only_for_what_it_counted():
+    counts = [(0, 0, 0, 0)]
+    clock = iter([0.0, 1.0, 1.0002, 1.0004])
+    sampler = TelemetrySampler(
+        lambda: (counts[0], ()), time_fn=lambda: next(clock)
+    )
+    sampler.tick()  # prime
+    counts[0] = (5, 5, 0, 0)
+    assert sampler.tick()["queries"] == 5
+    # The stop lands just after a timer tick: nothing to report.
+    assert sampler.tick() is None
+    assert len(sampler.timeline) == 1
+    # Had something been counted in that sliver, it gets its row.
+    counts[0] = (6, 5, 1, 1)
+    tail = sampler.tick()
+    assert (tail["queries"], tail["failed"], tail["interval_s"]) == (1, 1, 0.0)
+    validate_snapshot(tail)
+    assert sum(row["queries"] for row in sampler.timeline) == 6
+
+
+_OUTCOME = st.tuples(
+    st.floats(min_value=0.0, max_value=0.999),  # issued this far in
+    st.one_of(  # resolution time, or the error of a failure
+        st.floats(min_value=1e-5, max_value=30.0),
+        st.sampled_from(["timeout waiting for response", "rcode 3"]),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(_OUTCOME, max_size=6), max_size=12))
+def test_sampler_and_outcome_timelines_agree_row_for_row(seconds):
+    """The two callers of the row builder as each other's oracle: the
+    same outcomes, fed second by second through a sampler or bucketed
+    after the fact, give the same rows."""
+    outcomes = []
+    sampler, polls = _ticking_sampler(len(seconds))
+    queries = succeeded = failed = timeouts = 0
+    for second, issued in enumerate(seconds):
+        latencies = []
+        for offset, result in issued:
+            queries += 1
+            if isinstance(result, float):
+                succeeded += 1
+                latencies.append(result)
+                outcomes.append(SimpleNamespace(
+                    issued_at=second + offset, resolution_time=result,
+                    error=None,
+                ))
+            else:
+                failed += 1
+                timeouts += "timeout" in result
+                outcomes.append(SimpleNamespace(
+                    issued_at=second + offset, resolution_time=None,
+                    error=result,
+                ))
+        polls.append(((queries, succeeded, failed, timeouts), latencies))
+        sampler.tick()
+    # A finished run's timeline spans its first to its last busy second.
+    busy = [i for i, issued in enumerate(seconds) if issued]
+    expected = sampler.timeline[busy[0]:busy[-1] + 1] if busy else []
+    assert timeline_from_outcomes(outcomes) == expected
 
 
 def test_merge_timelines_weights_latency_by_successes():
@@ -465,9 +423,8 @@ def _http(port: int, path: str, method: str = "GET") -> tuple:
 
 
 def test_obs_http_server_routes():
-    registry = _loaded_registry()
     listener = ObsHttpThread(
-        registry.render, lambda: (True, {"role": "test"}), port=0
+        _loaded_exposition, lambda: (True, {"role": "test"}), port=0
     )
     port = listener.start()
     try:
@@ -506,9 +463,8 @@ def test_obs_http_unhealthy_is_503_and_post_rejected():
 
 
 def test_obs_http_thread_serves_from_sync_caller():
-    registry = _loaded_registry()
     thread = ObsHttpThread(
-        registry.render, lambda: (True, {}), port=0
+        _loaded_exposition, lambda: (True, {}), port=0
     )
     port = thread.start()
     try:
