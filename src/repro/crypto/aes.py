@@ -27,9 +27,39 @@ The 32 tables hold 8192 ints of up to 128 bits — about 0.4 MiB, the
 price of never shifting at run time — and are built at import in under
 a millisecond.
 
+Many blocks in one pass
+-----------------------
+:meth:`AES128.encrypt_lanes` enciphers *n* independent blocks at once.
+They sit side by side in one int of ``128 * n`` bits, block 0 in the
+most significant *lane*, so the int is the n blocks read big-endian one
+after the other and every lane has the state layout above. A round then
+costs a fixed number of whole-int operations whatever *n* is: SubBytes
+is one ``bytes.translate`` of the ``16 * n`` state bytes; ShiftRows is
+seven masks and six shifts (row *r* moves *r* columns left, the bytes
+that wrap move ``4 - r`` columns right, none leaves its lane);
+MixColumns is two word rotations and one ``xtime`` translate, via the
+column parity ``t = a0 ^ a1 ^ a2 ^ a3`` and ``b_i = a_i ^ t ^
+xtime(a_i ^ a_i+1)``; AddRoundKey is one XOR with the round key
+repeated in every lane. The masks of every width up to
+:data:`MAX_LANES` are built at import (about 30 KiB), and each key's
+round keys are repeated once, at that widest width; a narrower pass
+masks them down.
+
+Why two formulations: a pass does about 40 whole-int operations per
+round where the table kernel does 32 small ones per block, and the
+whole-int ones cost little more for 16 lanes than for one. On CPython
+3.11 (2-core shared x86-64 host, best of 7) a block costs 7.9 µs and a
+pass 15.2 µs at 1 lane, 17.1 at 2, 22.0 at 6, 24.0 at 8 and 32.6 at 16
+(2.0 µs per lane): twice a block alone, even at two lanes, a third of
+the table kernel's cost per block at eight. So
+:meth:`~AES128.encrypt_int` stays the one single-block kernel, for work
+that is one block after another (a CBC-MAC chain), and the pass is for
+blocks known together (CCM's B0 and counter blocks).
+
 Table-lookup AES is **not constant-time**: which cache lines a block
 touches depends on key and data, exactly as with the four 32-bit
-T-tables this layout replaces. It protects simulated credentials.
+T-tables this layout replaces; the pass's translates index by state
+bytes the same way. It protects simulated credentials.
 """
 
 from __future__ import annotations
@@ -103,6 +133,48 @@ _ROUND_TABLES, _FINAL_TABLES = _build_tables()
 
 _RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36]
 
+#: Most blocks one :meth:`AES128.encrypt_lanes` pass takes.
+MAX_LANES = 16
+
+_SBOX_BYTES = bytes(_SBOX)
+_XTIME_BYTES = bytes(_xtime(value) for value in range(256))
+
+
+def _repeat(pattern: int, width: int, count: int) -> int:
+    """*pattern* in each of *count* fields of *width* bytes."""
+    return int.from_bytes(pattern.to_bytes(width, "big") * count, "big")
+
+
+def _state_mask(select) -> int:
+    """The one-block mask of the state bytes whose (row, column) *select*s."""
+    return sum(
+        0xFF << 8 * (15 - i) for i in range(16) if select(i % 4, i // 4)
+    )
+
+
+# One block's masks, in the order encrypt_lanes unpacks them: row 0
+# (stays), rows 1-3 moving left by 32, 64, 96 bits (columns >= r), rows
+# 1-3 wrapping right by 96, 64, 32 bits (columns < r); then the word
+# masks of MixColumns' rotations by 8 and 16 bits; then the whole lane.
+_BLOCK_MASKS = (
+    _state_mask(lambda row, column: row == 0),
+    *(_state_mask(lambda row, column, r=r: row == r and column >= r)
+      for r in (1, 2, 3)),
+    *(_state_mask(lambda row, column, r=r: row == r and column < r)
+      for r in (1, 2, 3)),
+    _repeat(0xFFFFFF00, 4, 4),
+    _repeat(0x000000FF, 4, 4),
+    _repeat(0xFFFF0000, 4, 4),
+    _repeat(0x0000FFFF, 4, 4),
+    (1 << 128) - 1,
+)
+
+#: ``_LANE_MASKS[n]``: the masks above repeated in each of n lanes.
+_LANE_MASKS = (None,) + tuple(
+    tuple(mask * _repeat(1, 16, lanes) for mask in _BLOCK_MASKS)
+    for lanes in range(1, MAX_LANES + 1)
+)
+
 
 class AES128:
     """AES with a 128-bit key; 10 rounds.
@@ -121,6 +193,9 @@ class AES128:
         self._first_key = round_keys[0]
         self._middle_keys = round_keys[1:10]
         self._last_key = round_keys[10]
+        # The same keys in every one of MAX_LANES lanes, for encrypt_lanes.
+        widest = _repeat(1, 16, MAX_LANES)
+        self._lane_keys = tuple(round_key * widest for round_key in round_keys)
 
     @staticmethod
     def _expand_key(key: bytes) -> Tuple[int, ...]:
@@ -187,6 +262,56 @@ class AES128:
             ^ t12[b12] ^ t13[b13] ^ t14[b14] ^ t15[b15]
             ^ self._last_key
         )  # fmt: skip
+
+    def encrypt_lanes(self, value: int, lanes: int) -> int:
+        """Encrypt *lanes* blocks in one pass (module docstring).
+
+        *value* is the blocks read big-endian one after the other, block
+        0 first, and must lie in ``0 .. 2**(128 * lanes) - 1`` (else
+        ``OverflowError``); the result is their ciphertexts in the same
+        layout. *lanes* is 1 to :data:`MAX_LANES`.
+        """
+        if not 0 < lanes <= MAX_LANES:
+            raise ValueError(f"a pass takes 1 to {MAX_LANES} blocks, not {lanes}")
+        (
+            row0, left1, left2, left3, wrap1, wrap2, wrap3,
+            high24, low8, high16, low16, whole,
+        ) = _LANE_MASKS[lanes]  # fmt: skip
+        size = 16 * lanes
+        from_bytes = int.from_bytes
+        first, *middle, last = self._lane_keys
+        value ^= first & whole
+        for round_key in middle:
+            # SubBytes first: it commutes with ShiftRows, and to_bytes
+            # rejects a value outside the lanes as encrypt_int does.
+            state = from_bytes(
+                value.to_bytes(size, "big").translate(_SBOX_BYTES), "big"
+            )
+            state = (
+                (state & row0)
+                | ((state & left1) << 32) | ((state & left2) << 64)
+                | ((state & left3) << 96) | ((state & wrap1) >> 96)
+                | ((state & wrap2) >> 64) | ((state & wrap3) >> 32)
+            )  # fmt: skip
+            # MixColumns: pairs = a_i ^ a_i+1, parity = the column's XOR.
+            pairs = state ^ ((state << 8) & high24) ^ ((state >> 24) & low8)
+            parity = pairs ^ ((pairs << 16) & high16) ^ ((pairs >> 16) & low16)
+            value = (
+                state ^ parity ^ (round_key & whole)
+                ^ from_bytes(
+                    pairs.to_bytes(size, "big").translate(_XTIME_BYTES), "big"
+                )
+            )  # fmt: skip
+        # Final round: SubBytes + ShiftRows + AddRoundKey (no MixColumns).
+        state = from_bytes(
+            value.to_bytes(size, "big").translate(_SBOX_BYTES), "big"
+        )
+        return (
+            (state & row0)
+            | ((state & left1) << 32) | ((state & left2) << 64)
+            | ((state & left3) << 96) | ((state & wrap1) >> 96)
+            | ((state & wrap2) >> 64) | ((state & wrap3) >> 32)
+        ) ^ (last & whole)  # fmt: skip
 
     def encrypt_block(self, block: bytes) -> bytes:
         if len(block) != 16:

@@ -14,8 +14,9 @@ from __future__ import annotations
 import hmac
 import os
 from functools import lru_cache
+from typing import Tuple
 
-from .aes import AES128
+from .aes import AES128, MAX_LANES
 
 
 class AEADError(Exception):
@@ -85,16 +86,19 @@ class ReplayWindow:
 # repository), AES-CCM can run at C speed. The pure-Python
 # implementation below remains the canonical one — both produce
 # byte-identical RFC 3610 output, the test suite pins the pure path
-# explicitly, and ``REPRO_PURE_CRYPTO=1`` disables the backend.
-if os.environ.get("REPRO_PURE_CRYPTO"):
-    _ACCELERATED_BACKEND = None
-else:
+# explicitly, and ``REPRO_PURE_CRYPTO=1`` disables the backend. Only the
+# backend's ``InvalidTag`` becomes an AEADError (``_InvalidTag`` exists
+# whenever the backend does); parameter errors are raised before it is
+# called, exactly as on the pure path.
+_ACCELERATED_BACKEND = None
+if not os.environ.get("REPRO_PURE_CRYPTO"):
     try:
+        from cryptography.exceptions import InvalidTag as _InvalidTag
         from cryptography.hazmat.primitives.ciphers.aead import (
             AESCCM as _ACCELERATED_BACKEND,
         )
     except ImportError:  # pragma: no cover - depends on environment
-        _ACCELERATED_BACKEND = None
+        pass
 
 
 @lru_cache(maxsize=256)
@@ -122,6 +126,18 @@ def _expanded_key(key: bytes) -> AES128:
 _BLOCK_MASK = (1 << 128) - 1
 _ADATA_FLAG = 0x40 << 120
 
+# Counter blocks A_c ‖ A_c+1 ‖ … in n lanes are ``A_c * _ONES[n] +
+# _STEPS[n]``: _ONES[n] holds 1 in each of n lanes, _STEPS[n] holds 0,
+# 1, …, n - 1 from the top lane down.
+_ONES = tuple(
+    sum(1 << 128 * lane for lane in range(lanes))
+    for lanes in range(MAX_LANES + 1)
+)
+_STEPS = tuple(
+    sum(step << 128 * (lanes - 1 - step) for step in range(lanes))
+    for lanes in range(MAX_LANES + 1)
+)
+
 
 def _cbc_absorb(encrypt, mac: int, stream: int, bits: int) -> int:
     """Chain the *bits* // 128 blocks of *stream* into the CBC-MAC *mac*."""
@@ -133,15 +149,29 @@ def _cbc_absorb(encrypt, mac: int, stream: int, bits: int) -> int:
 class AESCCM:
     """AES-128 in CCM mode with configurable nonce and tag length.
 
-    CBC-MAC and CTR run in the integer domain on
-    :meth:`AES128.encrypt_int`: the nonce, the associated data and the
-    text are each loaded into an int once, blocks are taken from them by
-    128-bit shifts, and the keystream is accumulated as one int and
-    XOR-ed once — no block goes through ``bytes`` on its way to or from
-    the cipher. Taking a block out of an n-byte int costs O(n), so the
+    A message costs its AES blocks in two kinds of pass. B0 (RFC 3610
+    §2.2) and the counter blocks A0, A1 … Am (§2.3) depend only on the
+    nonce, the length and whether there is associated data, so they are
+    enciphered together: one :meth:`AES128.encrypt_lanes` pass over
+    [B0, A0 … Am] when m + 2 ≤ :data:`~repro.crypto.aes.MAX_LANES`,
+    further passes of up to that many counter blocks beyond. What is
+    left is the CBC-MAC chain over the associated data and the text,
+    inherently one block after another, on :meth:`AES128.encrypt_int`
+    from E(B0) on. AES passes per seal or open: 1 + AAD blocks + text
+    blocks, where the block-by-block mode took 2 + AAD + 2 × text.
+
+    Everything stays in the integer domain: the nonce, the associated
+    data and the text are each loaded into an int once, MAC blocks are
+    taken from them by 128-bit shifts, and the keystream is XOR-ed in
+    once — no block goes through ``bytes`` on its way to or from the
+    cipher. Taking a block out of an n-byte int costs O(n), so the MAC
     walk has a quadratic term; it passes the cost of the AES blocks only
     near 64 KiB, the most a datagram carries, and is noise at the sizes
-    DNS messages have. An instance is immutable after construction.
+    DNS messages have. The counter side has no per-block shift: each
+    pass's counter blocks are built from A0 by one multiply-add, and the
+    keystream grows one pass (up to ``MAX_LANES`` = 16 blocks) at a
+    time, so its quadratic term is a sixteenth of the walk's. An
+    instance is immutable after construction.
 
     Parameters
     ----------
@@ -199,26 +229,46 @@ class AESCCM:
         if length >> self._length_bits:
             raise ValueError("plaintext too long for nonce length")
 
-    # In both helpers *nonce_bits* is the nonce as an int, shifted left
-    # past the length/counter field to where it sits in every block.
+    def _passes(self, nonce: bytes, aad: bytes, length: int) -> Tuple[int, int, int]:
+        """E(B0), S0 and the first *length* bytes of S1 ‖ S2 ‖ …, as ints:
+        the AES blocks of a message known before its text (class
+        docstring)."""
+        # The nonce sits past the length/counter field in every block.
+        nonce_bits = int.from_bytes(nonce, "big") << self._length_bits
+        b0 = self._mac_flags | nonce_bits | length
+        if aad:
+            b0 |= _ADATA_FLAG
+        counter = self._counter_flags | nonce_bits  # A0
+        blocks = (length + 15) // 16
+        encrypt_lanes = self._aes.encrypt_lanes
+        lanes = min(blocks + 2, MAX_LANES)
+        out = encrypt_lanes(
+            (b0 << 128 * (lanes - 1))
+            | (counter * _ONES[lanes - 1] + _STEPS[lanes - 1]),
+            lanes,
+        )
+        done = lanes - 2  # counter blocks A1 … A_done are in *out*
+        while done < blocks:
+            lanes = min(blocks - done, MAX_LANES)
+            out = (out << 128 * lanes) | encrypt_lanes(
+                (counter + done + 1) * _ONES[lanes] + _STEPS[lanes], lanes
+            )
+            done += lanes
+        bits = 128 * blocks
+        return (
+            out >> (bits + 128),
+            (out >> bits) & _BLOCK_MASK,
+            (out & ((1 << bits) - 1)) >> (-length % 16 * 8),
+        )
 
-    def _keystream(self, nonce_bits: int, length: int) -> int:
-        """The first *length* bytes of S1 ‖ S2 ‖ … as one int."""
-        encrypt = self._aes.encrypt_int
-        counter_zero = self._counter_flags | nonce_bits
-        stream = 0
-        for counter in range(1, (length + 15) // 16 + 1):
-            stream = (stream << 128) | encrypt(counter_zero + counter)
-        return stream >> (-length % 16 * 8)
-
-    def _tag(self, nonce_bits: int, aad: bytes, text: int, length: int) -> int:
-        """CBC-MAC over B0 ‖ AAD ‖ text, encrypted with S0, truncated.
+    def _tag(self, mac: int, s0: int, aad: bytes, text: int, length: int) -> int:
+        """The CBC-MAC chain from *mac* = E(B0) over AAD ‖ text,
+        encrypted with *s0*, truncated.
 
         *text* is the *length*-byte plaintext as an int; the zero
         padding of the AAD and of the text to whole blocks is a shift.
         """
         encrypt = self._aes.encrypt_int
-        b0 = self._mac_flags | nonce_bits | length
         if aad:
             size = len(aad)
             if size < 0xFF00:
@@ -230,18 +280,14 @@ class AESCCM:
             padding = -encoded % 16
             mac = _cbc_absorb(
                 encrypt,
-                encrypt(b0 | _ADATA_FLAG),
+                mac,
                 ((header << (8 * size)) | int.from_bytes(aad, "big"))
                 << (8 * padding),
                 8 * (encoded + padding),
             )
-        else:
-            mac = encrypt(b0)
         padding = -length % 16
         mac = _cbc_absorb(encrypt, mac, text << (8 * padding), 8 * (length + padding))
-        return (mac ^ encrypt(self._counter_flags | nonce_bits)) >> (
-            128 - self._tag_bits
-        )
+        return (mac ^ s0) >> (128 - self._tag_bits)
 
     # -- public API ------------------------------------------------------
 
@@ -252,11 +298,10 @@ class AESCCM:
         self._check_length(length)
         if self._fast is not None:
             return self._fast.encrypt(nonce, plaintext, aad or None)
-        nonce_bits = int.from_bytes(nonce, "big") << self._length_bits
+        mac, s0, stream = self._passes(nonce, aad, length)
         text = int.from_bytes(plaintext, "big")
-        tag = self._tag(nonce_bits, aad, text, length)
-        body = text ^ self._keystream(nonce_bits, length)
-        return ((body << self._tag_bits) | tag).to_bytes(
+        tag = self._tag(mac, s0, aad, text, length)
+        return (((text ^ stream) << self._tag_bits) | tag).to_bytes(
             length + self.tag_length, "big"
         )
 
@@ -267,21 +312,24 @@ class AESCCM:
         ------
         AEADError
             If the ciphertext is too short or the tag does not verify.
+        ValueError
+            If the nonce length is wrong or the ciphertext too long for
+            the nonce's length field — on either backend.
         """
         self._check_nonce(nonce)
         length = len(ciphertext) - self.tag_length
         if length < 0:
             raise AEADError("ciphertext shorter than authentication tag")
+        self._check_length(length)
         if self._fast is not None:
             try:
                 return self._fast.decrypt(nonce, ciphertext, aad or None)
-            except Exception as exc:
+            except _InvalidTag as exc:
                 raise AEADError("CCM tag verification failed") from exc
-        self._check_length(length)
-        nonce_bits = int.from_bytes(nonce, "big") << self._length_bits
+        mac, s0, stream = self._passes(nonce, aad, length)
         body = int.from_bytes(ciphertext, "big") >> self._tag_bits
-        text = body ^ self._keystream(nonce_bits, length)
-        expected = self._tag(nonce_bits, aad, text, length)
+        text = body ^ stream
+        expected = self._tag(mac, s0, aad, text, length)
         if not hmac.compare_digest(
             ciphertext[length:], expected.to_bytes(self.tag_length, "big")
         ):

@@ -33,28 +33,30 @@ def _scaled_telemetry(
     """The per-second timeline, with counts scaled to fleet totals.
 
     Buckets come from the sampled outcomes via the shared
-    :func:`~repro.obs.telemetry.timeline_from_outcomes`; each
-    snapshot's counters then scale by the plan's query scale (rounded
-    back to integers) and its rate recomputes from the scaled count, so
-    the series reads as what the whole fleet did per second. Latency
-    quantiles stay unscaled — sampling thins the population, not the
-    per-query latency distribution.
+    :func:`~repro.obs.telemetry.timeline_from_outcomes`; each row's
+    counts then scale by the plan's query scale (rounded back to
+    integers) and :func:`~repro.obs.telemetry.telemetry_row` rebuilds
+    the row from them, so the series reads as what the whole fleet did
+    per second and its rate is ``succeeded / interval`` like every other
+    row's. Latency quantiles stay unscaled — sampling thins the
+    population, not the per-query latency distribution.
     """
     if not result.outcomes:
         return None
-    from repro.obs.telemetry import timeline_from_outcomes
+    from repro.obs.telemetry import telemetry_row, timeline_from_outcomes
 
     timeline = timeline_from_outcomes(result.outcomes)
     scale = result.plan.query_scale
     if scale == 1.0:
         return timeline
     scaled = []
-    for snapshot in timeline:
-        entry = dict(snapshot)
-        for key in ("queries", "succeeded", "failed", "timeouts"):
-            entry[key] = int(round(snapshot[key] * scale))
-        interval = snapshot["interval_s"]
-        entry["qps"] = round(entry["queries"] / interval, 3) if interval else 0.0
+    for row in timeline:
+        counts = tuple(
+            int(round(row[key] * scale))
+            for key in ("queries", "succeeded", "failed", "timeouts")
+        )
+        entry = telemetry_row(row["t"], row["interval_s"], counts)
+        entry["latency_ms"] = row["latency_ms"]
         scaled.append(entry)
     return scaled
 

@@ -1,5 +1,6 @@
 """Crypto tests: official vectors plus property-based round trips."""
 
+import asyncio
 import hashlib
 
 import pytest
@@ -17,6 +18,7 @@ from repro.crypto import (
     hkdf_sha256,
     tls12_prf,
 )
+from repro.crypto.aes import MAX_LANES
 
 
 class TestAes:
@@ -80,6 +82,44 @@ class TestAes:
     def test_encrypt_int_rejects_values_outside_one_block(self, value):
         with pytest.raises(OverflowError):
             AES128(bytes(16)).encrypt_int(value)
+
+    # Widths past MAX_LANES go through in passes of at most MAX_LANES,
+    # the way CCM feeds its counter blocks.
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.binary(min_size=16, max_size=16),
+        st.integers(min_value=1, max_value=MAX_LANES + 3).flatmap(
+            lambda width: st.binary(min_size=16 * width, max_size=16 * width)
+        ),
+    )
+    def test_pass_matches_kernel_and_reference(self, key, data):
+        cipher = AES128(key)
+        blocks = [data[i : i + 16] for i in range(0, len(data), 16)]
+        expected = b"".join(
+            fips197_reference.encrypt_block(key, block) for block in blocks
+        )
+        assert b"".join(cipher.encrypt_block(block) for block in blocks) == expected
+        if len(blocks) > MAX_LANES:
+            with pytest.raises(ValueError):
+                cipher.encrypt_lanes(int.from_bytes(data, "big"), len(blocks))
+        out = b""
+        for start in range(0, len(blocks), MAX_LANES):
+            lanes = len(blocks[start : start + MAX_LANES])
+            value = int.from_bytes(data[16 * start : 16 * (start + lanes)], "big")
+            out += cipher.encrypt_lanes(value, lanes).to_bytes(16 * lanes, "big")
+        assert out == expected
+
+    @pytest.mark.parametrize("lanes", [1, 5, MAX_LANES])
+    def test_pass_rejects_values_outside_its_lanes(self, lanes):
+        cipher = AES128(bytes(16))
+        for value in (-1, 1 << 128 * lanes):
+            with pytest.raises(OverflowError):
+                cipher.encrypt_lanes(value, lanes)
+
+    @pytest.mark.parametrize("lanes", [-1, 0, MAX_LANES + 1])
+    def test_pass_width_validation(self, lanes):
+        with pytest.raises(ValueError):
+            AES128(bytes(16)).encrypt_lanes(0, lanes)
 
     def test_key_length_validation(self):
         with pytest.raises(ValueError):
@@ -352,17 +392,24 @@ class TestCcmBoundaries:
                 ccm.decrypt(forged_nonce, forged_sealed, forged_aad)
 
     @staticmethod
-    def _grid_digest(seal) -> str:
+    def _grid_digest(
+        seal,
+        plaintext_lengths=_PLAINTEXT_LENGTHS,
+        aad_lengths=_SHORT_AAD_LENGTHS + _LONG_AAD_LENGTHS[-1:],
+    ) -> str:
         """SHA-256 over ``seal(key, tag_length, nonce, plaintext, aad)`` at
         every nonce length × tag length × boundary length, fixed inputs."""
         digest = hashlib.sha256()
-        material = hashlib.shake_128(b"ccm grid").digest(0x10000)
+        # A SHAKE output's prefix does not depend on the length asked for.
+        material = hashlib.shake_128(b"ccm grid").digest(0x20100)
         for nonce_length in range(7, 14):
             for tag_length in range(4, 17, 2):
-                for plaintext_length in _PLAINTEXT_LENGTHS:
-                    for aad_length in _SHORT_AAD_LENGTHS + _LONG_AAD_LENGTHS[-1:]:
-                        if aad_length > 15 and (nonce_length, tag_length) != (13, 8):
-                            continue  # the long AAD once per plaintext length
+                for plaintext_length in plaintext_lengths:
+                    for aad_length in aad_lengths:
+                        if (aad_length > 15 or plaintext_length > 0x1000) and (
+                            nonce_length, tag_length
+                        ) != (13, 8):
+                            continue  # a long AAD or text at one shape only
                         offset = nonce_length + tag_length + plaintext_length
                         digest.update(
                             seal(
@@ -381,15 +428,26 @@ class TestCcmBoundaries:
     # an error that seal and open share.
     _GRID_DIGEST = "83f190a05bf7ccdba10069aef81427164e5d043a8ff6403c516c133fe9372be2"
 
-    def test_pure_grid_matches_banked_digest(self):
-        def seal(key, tag_length, nonce, plaintext, aad):
-            return AESCCM(key, tag_length, len(nonce), backend="pure").encrypt(
-                nonce, plaintext, aad
-            )
+    # Where the passes of one message fill up (MAX_LANES = 16): the first
+    # takes B0, A0 and 14 counter blocks (a 224-byte text), every later
+    # one 16 more (256, 480); and the longest text a 13-byte nonce allows.
+    _LANE_PLAINTEXT_LENGTHS = [
+        0, 1, 15, 16, 17, 223, 224, 225, 255, 257, 479, 481, 0xFFFF,
+    ]
+    # Banked from ``cryptography`` like the grid above.
+    _LANE_GRID_DIGEST = (
+        "1a4e9d32e35eb91d6bf5bac769f51579d914795268ec3c2e6e148d05729e0ff7"
+    )
 
-        assert self._grid_digest(seal) == self._GRID_DIGEST
+    @staticmethod
+    def _pure_seal(key, tag_length, nonce, plaintext, aad):
+        ccm = AESCCM(key, tag_length, len(nonce), backend="pure")
+        sealed = ccm.encrypt(nonce, plaintext, aad)
+        assert ccm.decrypt(nonce, sealed, aad) == plaintext
+        return sealed
 
-    def test_banked_digest_is_what_cryptography_computes(self):
+    @staticmethod
+    def _cryptography_seal():
         aead = pytest.importorskip("cryptography.hazmat.primitives.ciphers.aead")
 
         def seal(key, tag_length, nonce, plaintext, aad):
@@ -397,7 +455,27 @@ class TestCcmBoundaries:
                 nonce, plaintext, aad or None
             )
 
-        assert self._grid_digest(seal) == self._GRID_DIGEST
+        return seal
+
+    def test_pure_grid_matches_banked_digest(self):
+        assert self._grid_digest(self._pure_seal) == self._GRID_DIGEST
+
+    def test_banked_digest_is_what_cryptography_computes(self):
+        assert self._grid_digest(self._cryptography_seal()) == self._GRID_DIGEST
+
+    def test_pure_lane_grid_matches_banked_digest(self):
+        digest = self._grid_digest(
+            self._pure_seal, self._LANE_PLAINTEXT_LENGTHS, _SHORT_AAD_LENGTHS
+        )
+        assert digest == self._LANE_GRID_DIGEST
+
+    def test_banked_lane_digest_is_what_cryptography_computes(self):
+        digest = self._grid_digest(
+            self._cryptography_seal(),
+            self._LANE_PLAINTEXT_LENGTHS,
+            _SHORT_AAD_LENGTHS,
+        )
+        assert digest == self._LANE_GRID_DIGEST
 
     @pytest.mark.parametrize("aad_length", _LONG_AAD_LENGTHS)
     def test_pure_long_aad_round_trip_and_tamper(self, aad_length):
@@ -420,8 +498,11 @@ class TestCcmBoundaries:
         with pytest.raises(ValueError, match="plaintext too long for nonce length"):
             ccm.encrypt(nonce, bytes(0x10000))
 
-    def test_pure_ciphertext_too_long_for_nonce_length(self):
-        ccm = AESCCM(bytes(16), nonce_length=13, backend="pure")
+    @pytest.mark.parametrize("backend", ["auto", "pure"])
+    def test_ciphertext_too_long_for_nonce_length(self, backend):
+        # Checked before either backend runs: not a tag failure on one
+        # and a ValueError on the other.
+        ccm = AESCCM(bytes(16), nonce_length=13, backend=backend)
         with pytest.raises(ValueError, match="plaintext too long for nonce length"):
             ccm.decrypt(bytes(13), bytes(0x10000 + 8))
 
@@ -449,6 +530,80 @@ class TestCcmBoundaries:
         with pytest.raises(AEADError):
             ccm.decrypt(bytes(13), sealed, b"aad")
         assert seen == [(sealed[-8:], sealed[-8:])]
+
+
+def _count_passes(monkeypatch):
+    """Count AES passes from here on, single blocks and many-block
+    passes alike; the count is ``[0]``."""
+    passes = [0]
+    for name in ("encrypt_int", "encrypt_lanes"):
+
+        def counting(self, *args, method=getattr(AES128, name)):
+            passes[0] += 1
+            return method(self, *args)
+
+        monkeypatch.setattr(AES128, name, counting)
+    return passes
+
+
+@pytest.fixture
+def pure_suites(monkeypatch):
+    """The suite factories hand out pure-path AEADs, backend or not."""
+    import repro.crypto.ccm as ccm_module
+
+    caches = (ccm_module._accelerated_ccm, AES_CCM_16_64_128, AES_128_CCM_8)
+    monkeypatch.setattr(ccm_module, "_ACCELERATED_BACKEND", None)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+class TestPassesPerMessage:
+    """B0 and the counter blocks in one pass, the CBC-MAC chain block by
+    block: 1 + AAD blocks + text blocks per seal or open, while the text
+    fits the first pass (block by block it was 2 + AAD + 2 × text)."""
+
+    @pytest.mark.parametrize(
+        "length,aad_length,passes",
+        [
+            (54, 21, 7),  # a live_oscore_hot request: 12 block by block
+            (87, 21, 9),  # its reply: 16
+            (0, 0, 1),
+            (0, 21, 3),
+            (224, 0, 15),  # B0, A0 … A14 fill the first pass
+            (225, 0, 17),  # A15 takes a second
+        ],
+    )
+    def test_passes_per_seal_and_open(
+        self, monkeypatch, length, aad_length, passes
+    ):
+        ccm = AESCCM(bytes(range(16)), backend="pure")
+        nonce, plaintext, aad = bytes(13), bytes(length), bytes(aad_length)
+        counted = _count_passes(monkeypatch)
+        sealed = ccm.encrypt(nonce, plaintext, aad)
+        assert counted[0] == passes
+        assert ccm.decrypt(nonce, sealed, aad) == plaintext
+        assert counted[0] == 2 * passes
+
+    def test_a_live_oscore_query_costs_32_passes(self, monkeypatch, pure_suites):
+        # The bench's live_oscore_hot exchange: the request sealed and
+        # opened (7 + 7), the reply sealed and opened (9 + 9).
+        from repro.live import DocLiveServer, LiveResolver
+
+        async def exchange():
+            server = DocLiveServer(transport="oscore", port=0, num_names=16)
+            async with server:
+                resolver = LiveResolver(server.endpoint, transport="oscore")
+                async with resolver:
+                    await resolver.resolve(server.names[-1], timeout=5.0)
+                    counted = _count_passes(monkeypatch)
+                    for name in server.names[:4]:
+                        await resolver.resolve(name, timeout=5.0)
+                    return counted[0]
+
+        assert asyncio.run(asyncio.wait_for(exchange(), 20.0)) == 4 * 32
 
 
 class TestKdf:

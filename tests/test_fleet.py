@@ -340,6 +340,23 @@ class TestFleetAtScale:
         )
         validate(report.to_json(), SCHEMA)
 
+    def test_scaled_rows_rate_what_succeeded(self):
+        # Frame loss without link-layer retries: a tenth of the fleet is
+        # sampled and about a fifth of its queries time out. A scaled row
+        # rates what succeeded per second, as every other row does.
+        report = run(RunSpec.from_spec(
+            "one-hop,transport=coap,clients=1000,queries=20000,rate=2000,"
+            "names=12,loss=0.35,retries=0,substrate=fleet,"
+            "fleet-sample-cap=2000,seed=4711"
+        ))
+        assert report.metrics["fleet.sample.scale"] > 1.0
+        assert report.metrics["queries.failed"] > 0
+        rows = report.telemetry
+        assert any(row["failed"] for row in rows)
+        for row in rows:
+            assert row["qps"] == round(row["succeeded"] / row["interval_s"], 3)
+        validate(report.to_json(), SCHEMA)
+
     def test_repeats_pool_and_fan_out(self):
         report = run(RunSpec.from_spec(
             "one-hop,transport=udp,clients=50,queries=40,rate=20,"
