@@ -495,7 +495,6 @@ def _worker_metrics(workers, load_failed, server_stats) -> Dict[str, object]:
             metrics["live.workers.reuseport"] = bool(
                 runtime.get("reuseport")
             )
-            metrics["live.workers.uvloop"] = bool(runtime.get("uvloop"))
             metrics["live.workers.warning"] = runtime.get("warning")
         if isinstance(per_worker, list):
             for entry in per_worker:

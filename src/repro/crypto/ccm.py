@@ -7,12 +7,17 @@ are instances with different parameters:
 * ``AES_128_CCM_8``     — DTLSv1.2 suite (RFC 6655): 12-byte nonce, 8-byte tag.
 * ``AES_CCM_16_64_128`` — OSCORE/COSE default (RFC 8152): 13-byte nonce,
   8-byte tag.
+
+:class:`AESCCM` is the one implementation both transports run, in pure
+Python on :class:`~repro.crypto.aes.AES128`, whatever else is installed:
+the OSCORE and DTLS costs the paper compares come from the same code.
+The ``cryptography`` package, where present, is only the test suite's
+differential oracle, never a backend.
 """
 
 from __future__ import annotations
 
 import hmac
-import os
 from functools import lru_cache
 from typing import Tuple
 
@@ -79,34 +84,6 @@ class ReplayWindow:
     @property
     def highest_seen(self) -> int:
         return self._highest
-
-
-# Optional hardware-accelerated backend: when the ``cryptography``
-# package happens to be installed (it is NOT a dependency of this
-# repository), AES-CCM can run at C speed. The pure-Python
-# implementation below remains the canonical one — both produce
-# byte-identical RFC 3610 output, the test suite pins the pure path
-# explicitly, and ``REPRO_PURE_CRYPTO=1`` disables the backend. Only the
-# backend's ``InvalidTag`` becomes an AEADError (``_InvalidTag`` exists
-# whenever the backend does); parameter errors are raised before it is
-# called, exactly as on the pure path.
-_ACCELERATED_BACKEND = None
-if not os.environ.get("REPRO_PURE_CRYPTO"):
-    try:
-        from cryptography.exceptions import InvalidTag as _InvalidTag
-        from cryptography.hazmat.primitives.ciphers.aead import (
-            AESCCM as _ACCELERATED_BACKEND,
-        )
-    except ImportError:  # pragma: no cover - depends on environment
-        pass
-
-
-@lru_cache(maxsize=256)
-def _accelerated_ccm(key: bytes, tag_length: int):
-    """Shared accelerated AEAD instances (``None`` without backend)."""
-    if _ACCELERATED_BACKEND is None:
-        return None
-    return _ACCELERATED_BACKEND(key, tag_length=tag_length)
 
 
 @lru_cache(maxsize=256)
@@ -182,10 +159,6 @@ class AESCCM:
     nonce_length:
         Nonce length in bytes (7..13); the CTR counter occupies the
         remaining ``15 - nonce_length`` bytes.
-    backend:
-        ``"auto"`` (default) delegates seal/open to the optional
-        accelerated backend when one is available; ``"pure"`` forces
-        the from-scratch implementation.
     """
 
     def __init__(
@@ -193,17 +166,12 @@ class AESCCM:
         key: bytes,
         tag_length: int = 8,
         nonce_length: int = 13,
-        backend: str = "auto",
     ):
         if tag_length % 2 or not 4 <= tag_length <= 16:
             raise ValueError("tag_length must be an even value in 4..16")
         if not 7 <= nonce_length <= 13:
             raise ValueError("nonce_length must be in 7..13")
-        if backend not in ("auto", "pure"):
-            raise ValueError(f"unknown backend {backend!r}")
-        key = bytes(key)
-        self._aes = _expanded_key(key)
-        self._fast = _accelerated_ccm(key, tag_length) if backend == "auto" else None
+        self._aes = _expanded_key(bytes(key))
         self.tag_length = tag_length
         self.nonce_length = nonce_length
         length_field = 15 - nonce_length
@@ -296,8 +264,6 @@ class AESCCM:
         self._check_nonce(nonce)
         length = len(plaintext)
         self._check_length(length)
-        if self._fast is not None:
-            return self._fast.encrypt(nonce, plaintext, aad or None)
         mac, s0, stream = self._passes(nonce, aad, length)
         text = int.from_bytes(plaintext, "big")
         tag = self._tag(mac, s0, aad, text, length)
@@ -314,18 +280,13 @@ class AESCCM:
             If the ciphertext is too short or the tag does not verify.
         ValueError
             If the nonce length is wrong or the ciphertext too long for
-            the nonce's length field — on either backend.
+            the nonce's length field.
         """
         self._check_nonce(nonce)
         length = len(ciphertext) - self.tag_length
         if length < 0:
             raise AEADError("ciphertext shorter than authentication tag")
         self._check_length(length)
-        if self._fast is not None:
-            try:
-                return self._fast.decrypt(nonce, ciphertext, aad or None)
-            except _InvalidTag as exc:
-                raise AEADError("CCM tag verification failed") from exc
         mac, s0, stream = self._passes(nonce, aad, length)
         body = int.from_bytes(ciphertext, "big") >> self._tag_bits
         text = body ^ stream

@@ -52,7 +52,6 @@ _EXPORTS = {
     "WorkerPool": ".workers",
     "WorkerPoolError": ".workers",
     "derive_worker_seed": ".workers",
-    "maybe_install_uvloop": ".workers",
     "reuseport_supported": ".workers",
     "run_load": ".workers",
     "DEFAULT_LIVE_PORT": ".wiring",

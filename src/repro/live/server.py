@@ -28,7 +28,7 @@ from repro.doc.caching import CachingScheme
 from repro.transports.registry import get_profile
 
 from .clock import AsyncioClock
-from .transport import LiveUdpTransport, mmsg_support
+from .transport import LiveUdpTransport
 from .wiring import (
     DEFAULT_LIVE_PORT,
     DEFAULT_PSK,
@@ -48,9 +48,9 @@ class ServerStat(NamedTuple):
 
     #: Dotted path of the leaf in the stats block.
     path: str
-    #: How many blocks become one: ``sum``, ``max``, ``all``, ``any``,
-    #: ``first`` (a fact every block states alike), or ``ratio`` (not
-    #: pooled: taken again from the pooled hits and misses).
+    #: How many blocks become one: ``sum``, ``max``, ``any``, ``first``
+    #: (a fact every block states alike), or ``ratio`` (not pooled:
+    #: taken again from the pooled hits and misses).
     merge: str
     #: Exposition family, after ``repro_`` (one worker's series) or
     #: ``repro_pool_`` (the pool's); empty: not on ``/metrics``.
@@ -89,7 +89,6 @@ SERVER_STATS: Tuple[ServerStat, ...] = (
                {"result": "hit"}, _FASTPATH),
     ServerStat("fastpath_misses", "sum", "fastpath_total",
                {"result": "miss"}, _FASTPATH),
-    ServerStat("io.batched", "all"),
     ServerStat("io.recv_bursts", "sum", "io_events_total",
                {"kind": "recv_burst"}, _IO_EVENTS),
     ServerStat("io.largest_burst", "max", "io_largest_burst", {},
@@ -98,8 +97,9 @@ SERVER_STATS: Tuple[ServerStat, ...] = (
                {"kind": "recv_error"}, _IO_EVENTS),
     ServerStat("io.send_buffer_drops", "sum", "io_events_total",
                {"kind": "send_buffer_drop"}, _IO_EVENTS),
+    ServerStat("io.send_errors", "sum", "io_events_total",
+               {"kind": "send_error"}, _IO_EVENTS),
     ServerStat("io.reuse_port", "any"),
-    ServerStat("io.mmsg", "first"),
     ServerStat("resolver_cache.hits", "sum", "resolver_cache_total",
                {"result": "hit"}, _RESOLVER),
     ServerStat("resolver_cache.misses", "sum", "resolver_cache_total",
@@ -234,12 +234,8 @@ class DocLiveServer:
         if self._socket is None and getattr(self, "_final_stats", None):
             return self._final_stats
         sock = self._socket
-        io = sock.io_counters() if sock is not None else {
-            "batched": False, "recv_bursts": 0, "largest_burst": 0,
-            "recv_errors": 0, "send_buffer_drops": 0,
-            "reuse_port": self._reuse_port,
-        }
-        io["mmsg"] = mmsg_support()
+        # Before start, the all-zero counters of an unbound transport.
+        io = (sock or LiveUdpTransport(reuse_port=self._reuse_port)).io_counters()
         stats: Dict[str, object] = {
             "transport": self.transport_name,
             "endpoint": list(self.endpoint),

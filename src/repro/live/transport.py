@@ -7,17 +7,12 @@ contract the sans-IO stack is written against, but backed by a real
 socket on the asyncio event loop. CoAP endpoints, DoC clients/servers,
 and the DTLS adapters stack on top of it unchanged.
 
-Datagram I/O is batched where the platform allows it. The preferred
-path registers the socket directly with the event loop
-(``loop.add_reader``) and drains it in bursts: one readiness callback
-receives up to ``batch_size`` datagrams before yielding back to the
-loop, instead of one callback per datagram as
-:class:`asyncio.DatagramProtocol` delivers. ``socket.recvmmsg`` /
-``sendmmsg`` are used when the running interpreter exposes them
-(CPython does not, as of 3.12 — see :func:`mmsg_support`); otherwise
-the burst loop falls back to plain non-blocking ``recvfrom``. Event
-loops without ``add_reader`` (e.g. the Windows proactor) fall back to
-the per-datagram :class:`asyncio.DatagramProtocol` path.
+Datagram I/O has one path. The non-blocking socket is registered with
+the event loop's reader interface (``loop.add_reader``) and drained in
+bursts: one readiness callback receives up to :data:`BATCH_SIZE`
+datagrams with plain ``recvfrom`` before yielding back to the loop.
+That needs a selector event loop; a loop without ``add_reader`` (the
+Windows proactor) is refused with :class:`LiveTransportError`.
 
 The *metadata* dictionary is a simulation-side channel (frame tagging
 for the sniffer); on a real socket it has no wire representation, so
@@ -34,32 +29,21 @@ from typing import Callable, Dict, Optional, Tuple
 #: Upper bound on one UDP payload read (larger than any DoC datagram).
 _RECV_SIZE = 65535
 
-
-def mmsg_support() -> Dict[str, bool]:
-    """Which multi-message syscalls this interpreter exposes.
-
-    CPython's :mod:`socket` module wraps ``recvmsg``/``sendmsg`` but
-    not the Linux batch variants ``recvmmsg``/``sendmmsg``, so both
-    flags are ``False`` on stock CPython; the transport then batches at
-    the event-loop level (burst draining) instead of the syscall level.
-    """
-    return {
-        "recvmmsg": hasattr(socket.socket, "recvmmsg"),
-        "sendmmsg": hasattr(socket.socket, "sendmmsg"),
-    }
+#: How many datagrams one readiness callback drains before yielding to
+#: the event loop (the fairness bound).
+BATCH_SIZE = 64
 
 
 class LiveTransportError(Exception):
-    """Raised on transport misuse (sending before/after the socket is
-    open) or socket-level failures reported by the event loop."""
+    """Raised on transport misuse (sending before the socket is open) or
+    on an event loop the transport cannot run on."""
 
 
-class LiveUdpTransport(asyncio.DatagramProtocol):
+class LiveUdpTransport:
     """A bound UDP socket quacking like ``repro.stack.node.UdpSocket``.
 
-    Create with :meth:`create` (binds the socket and waits for it to be
-    ready). The socket stays open until :meth:`close`. ``batched``
-    reports which I/O path is active.
+    Create with :meth:`create` (binds the socket and registers it with
+    the running loop). The socket stays open until :meth:`close`.
     """
 
     def __init__(
@@ -68,19 +52,17 @@ class LiveUdpTransport(asyncio.DatagramProtocol):
         reuse_port: bool = False,
     ) -> None:
         self.on_datagram: Optional[Callable[[str, int, bytes, dict], None]] = None
-        self._transport: Optional[asyncio.DatagramTransport] = None
         self._sock: Optional[socket.socket] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._batch_size = 1
         self._allowed_peer = allowed_peer
         self._reuse_port = reuse_port
         self._closed = False
-        self.batched = False
         self.datagrams_sent = 0
         self.datagrams_received = 0
         self.datagrams_filtered = 0
         self.datagrams_dropped_after_close = 0
         self.send_buffer_drops = 0
+        self.send_errors = 0
         self.recv_bursts = 0
         self.recv_errors = 0
         self.largest_burst = 0
@@ -92,7 +74,6 @@ class LiveUdpTransport(asyncio.DatagramProtocol):
         host: str = "127.0.0.1",
         port: int = 0,
         allowed_peer: Optional[Tuple[str, int]] = None,
-        batch_size: int = 64,
         reuse_port: bool = False,
     ) -> "LiveUdpTransport":
         """Bind a UDP socket on ``host:port`` (port 0 = ephemeral).
@@ -102,69 +83,43 @@ class LiveUdpTransport(asyncio.DatagramProtocol):
         the stack — client sockets talk to exactly one server, and an
         unfiltered port would let any off-path host inject responses.
 
-        *batch_size* caps how many datagrams one readiness callback
-        drains before yielding to the event loop (fairness bound);
-        ``batch_size <= 1`` forces the per-datagram protocol path.
-
         *reuse_port* sets ``SO_REUSEPORT`` before binding so N worker
         processes can share one port and let the kernel shard inbound
         flows across them (see :mod:`repro.live.workers`). Callers
         should gate on :func:`repro.live.workers.reuseport_supported`
         first — an unsupported platform raises here.
+
+        A bind failure raises the ``OSError`` it is; a running loop
+        without ``add_reader`` raises :class:`LiveTransportError`. The
+        socket is closed either way.
         """
         loop = asyncio.get_running_loop()
-        protocol = cls(allowed_peer=allowed_peer, reuse_port=reuse_port)
-        if batch_size > 1 and protocol._open_batched(loop, host, port, batch_size):
-            return protocol
-        kwargs = {"reuse_port": True} if reuse_port else {}
-        _transport, bound = await loop.create_datagram_endpoint(
-            lambda: protocol, local_addr=(host, port), **kwargs
-        )
-        assert bound is protocol
-        return protocol
-
-    # -- batched reader path ----------------------------------------------
-
-    def _open_batched(
-        self,
-        loop: asyncio.AbstractEventLoop,
-        host: str,
-        port: int,
-        batch_size: int,
-    ) -> bool:
-        """Bind a non-blocking socket on the loop's reader interface.
-
-        Returns ``False`` (after cleaning up) when the platform cannot
-        do it — unresolvable address family or a loop without
-        ``add_reader`` — so :meth:`create` can fall back to the
-        :class:`asyncio.DatagramProtocol` per-datagram path.
-        """
+        transport = cls(allowed_peer=allowed_peer, reuse_port=reuse_port)
+        family, type_, proto, _, sockaddr = socket.getaddrinfo(
+            host, port, type=socket.SOCK_DGRAM, proto=socket.IPPROTO_UDP
+        )[0]
+        sock = socket.socket(family, type_, proto)
         try:
-            family, type_, proto, _, sockaddr = socket.getaddrinfo(
-                host, port, type=socket.SOCK_DGRAM, proto=socket.IPPROTO_UDP
-            )[0]
-            sock = socket.socket(family, type_, proto)
-        except OSError:
-            return False
-        try:
-            if self._reuse_port:
-                sock.setsockopt(
-                    socket.SOL_SOCKET, socket.SO_REUSEPORT, 1
-                )
+            if reuse_port:
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
             sock.setblocking(False)
             sock.bind(sockaddr)
-            loop.add_reader(sock.fileno(), self._drain_ready)
-        except (AttributeError, NotImplementedError, OSError):
+            loop.add_reader(sock.fileno(), transport._drain_ready)
+        except NotImplementedError:
             sock.close()
-            return False
-        self._sock = sock
-        self._loop = loop
-        self._batch_size = batch_size
-        self.batched = True
-        return True
+            raise LiveTransportError(
+                f"{type(loop).__name__} has no add_reader: the live "
+                "transport needs a selector event loop"
+            ) from None
+        except BaseException:
+            sock.close()
+            raise
+        transport._sock = sock
+        transport._loop = loop
+        return transport
 
     def _drain_ready(self) -> None:
-        """One readiness tick: drain up to ``batch_size`` datagrams.
+        """One readiness tick: drain up to :data:`BATCH_SIZE` datagrams.
 
         ``add_reader`` is level-triggered, so stopping at the cap is
         safe — leftover datagrams re-arm the callback on the next loop
@@ -184,7 +139,7 @@ class LiveUdpTransport(asyncio.DatagramProtocol):
         recvfrom = sock.recvfrom
         received = self.datagram_received
         burst = 0
-        for _ in range(self._batch_size):
+        for _ in range(BATCH_SIZE):
             try:
                 data, addr = recvfrom(_RECV_SIZE)
             except (BlockingIOError, InterruptedError):
@@ -202,17 +157,6 @@ class LiveUdpTransport(asyncio.DatagramProtocol):
             if burst > self.largest_burst:
                 self.largest_burst = burst
 
-    # -- asyncio.DatagramProtocol ----------------------------------------
-
-    def connection_made(self, transport) -> None:
-        self._transport = transport
-
-    def connection_lost(self, exc) -> None:
-        self._transport = None
-        self._closed = True
-        if exc is not None:
-            self.last_error = exc
-
     def datagram_received(self, data: bytes, addr) -> None:
         if self._allowed_peer is not None and (
             (addr[0], addr[1]) != self._allowed_peer
@@ -223,19 +167,14 @@ class LiveUdpTransport(asyncio.DatagramProtocol):
         if self.on_datagram is not None:
             self.on_datagram(addr[0], addr[1], data, {})
 
-    def error_received(self, exc) -> None:
-        # ICMP errors (e.g. port unreachable) surface here; the stack's
-        # own retransmission timers handle the loss, so just record it.
-        self.last_error = exc
-
     def io_counters(self) -> Dict[str, object]:
         """The I/O counter block of the server's ``stats()``."""
         return {
-            "batched": self.batched,
             "recv_bursts": self.recv_bursts,
             "largest_burst": self.largest_burst,
             "recv_errors": self.recv_errors,
             "send_buffer_drops": self.send_buffer_drops,
+            "send_errors": self.send_errors,
             "reuse_port": self._reuse_port,
         }
 
@@ -244,11 +183,9 @@ class LiveUdpTransport(asyncio.DatagramProtocol):
     @property
     def local_address(self) -> Tuple[str, int]:
         """The bound ``(host, port)``."""
-        if self._sock is not None:
-            return self._sock.getsockname()[:2]
-        if self._transport is None:
+        if self._sock is None:
             raise LiveTransportError("socket is not open")
-        return self._transport.get_extra_info("sockname")[:2]
+        return self._sock.getsockname()[:2]
 
     @property
     def port(self) -> int:
@@ -268,41 +205,35 @@ class LiveUdpTransport(asyncio.DatagramProtocol):
         the sans-IO stack's retransmission timers may legitimately
         outlive the socket, and raising from inside a
         ``loop.call_later`` callback would only spam the event loop's
-        unhandled-error log.
+        unhandled-error log. For the same reason a send the kernel
+        refuses is counted, not raised: a full send buffer in
+        ``send_buffer_drops``, any other ``OSError`` (EMSGSIZE,
+        ENETUNREACH, EPERM …) in ``send_errors``, the latest kept in
+        ``last_error``.
         """
         sock = self._sock
-        if sock is not None:
-            try:
-                sock.sendto(payload, (dst_addr, dst_port))
-            except (BlockingIOError, InterruptedError):
-                # Kernel send buffer full: UDP semantics allow the drop;
-                # the stack's retransmissions recover what matters.
-                self.send_buffer_drops += 1
-                return
-            except OSError as exc:
-                self.last_error = exc
-                return
-            self.datagrams_sent += 1
-            return
-        if self._transport is None:
+        if sock is None:
             if self._closed:
                 self.datagrams_dropped_after_close += 1
                 return
             raise LiveTransportError("socket is not open")
-        self._transport.sendto(payload, (dst_addr, dst_port))
+        try:
+            sock.sendto(payload, (dst_addr, dst_port))
+        except (BlockingIOError, InterruptedError):
+            # Kernel send buffer full: UDP semantics allow the drop;
+            # the stack's retransmissions recover what matters.
+            self.send_buffer_drops += 1
+            return
+        except OSError as exc:
+            self.last_error = exc
+            self.send_errors += 1
+            return
         self.datagrams_sent += 1
 
     def close(self) -> None:
         self._closed = True
         if self._sock is not None:
-            if self._loop is not None:
-                try:
-                    self._loop.remove_reader(self._sock.fileno())
-                except (NotImplementedError, OSError):
-                    pass
+            self._loop.remove_reader(self._sock.fileno())
             self._sock.close()
             self._sock = None
             self._loop = None
-        if self._transport is not None:
-            self._transport.close()
-            self._transport = None

@@ -6,17 +6,16 @@ the one way ``repro serve`` and ``repro.api.run`` start a server, for
 any worker count, and scales it the way production DNS resolvers do:
 **kernel socket sharding**. A :class:`ServePool` forks N worker
 processes (N = 1 is one worker under the supervising parent), each
-running its own asyncio loop (optionally `uvloop`, see
-:func:`maybe_install_uvloop`) with its own server stack — per-worker
-resolver/fastpath/DNS/CoAP caches, per-worker RNG — all bound to the
-*same* ``host:port`` through ``SO_REUSEPORT``, so the kernel hashes
-inbound flows across the workers with no userspace dispatcher. The
-load generator distributes the same way: :func:`run_load` forks M
-generator processes with deterministically derived seeds
-(:func:`derive_worker_seed`) and returns what each delivered;
-:func:`repro.api.report.report_from_loadgen` pools them — counters sum,
-latency reservoirs pool, per-worker stats ride along under
-``live.workers.*`` in the unified Report.
+running its own stdlib asyncio selector loop with its own server stack
+— per-worker resolver/fastpath/DNS/CoAP caches, per-worker RNG — all
+bound to the *same* ``host:port`` through ``SO_REUSEPORT``, so the
+kernel hashes inbound flows across the workers with no userspace
+dispatcher. The load generator distributes the same way:
+:func:`run_load` forks M generator processes with deterministically
+derived seeds (:func:`derive_worker_seed`) and returns what each
+delivered; :func:`repro.api.report.report_from_loadgen` pools them —
+counters sum, latency reservoirs pool, per-worker stats ride along
+under ``live.workers.*`` in the unified Report.
 
 Control runs over a per-worker duplex pipe: workers announce
 ``("ready", endpoint)`` once bound, and a serve worker only ever sends
@@ -40,7 +39,6 @@ from __future__ import annotations
 
 import asyncio
 import multiprocessing
-import os
 import signal
 import socket
 import threading
@@ -59,12 +57,10 @@ __all__ = [
     "WorkerPoolError",
     "derive_worker_seed",
     "load_once",
-    "maybe_install_uvloop",
     "merge_server_stats",
     "reuseport_supported",
     "run_load",
     "stats_snapshot",
-    "uvloop_available",
 ]
 
 #: How long a mid-run metrics scrape waits per worker's stats block.
@@ -125,34 +121,6 @@ def reuseport_supported(host: str = "127.0.0.1") -> bool:
             second.close()
         if probe is not None:
             probe.close()
-    return True
-
-
-def uvloop_available() -> bool:
-    """Whether the optional `uvloop` accelerator can be used.
-
-    ``REPRO_NO_UVLOOP=1`` opts out even when the package is installed
-    (mirrors ``REPRO_PURE_CRYPTO`` for the AES backend).
-    """
-    if os.environ.get("REPRO_NO_UVLOOP"):
-        return False
-    try:
-        import uvloop  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def maybe_install_uvloop() -> bool:
-    """Install the uvloop event-loop policy when available; returns
-    whether it is active. Safe to call in every worker: a missing
-    package or the ``REPRO_NO_UVLOOP`` opt-out leave the stdlib loop
-    in place."""
-    if not uvloop_available():
-        return False
-    import uvloop
-
-    uvloop.install()
     return True
 
 
@@ -386,6 +354,8 @@ async def _await_stop(conn, on_sample=None) -> None:
     ``("sample",)`` requests — the pool parent's mid-run ``/metrics``
     scrape — answer with ``("sample", on_sample())``; unknown commands
     are ignored so the protocol can grow without breaking old workers.
+    The pipe is watched with ``add_reader``, like the server socket on
+    the same selector loop.
     """
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
@@ -406,41 +376,26 @@ async def _await_stop(conn, on_sample=None) -> None:
             except (BrokenPipeError, OSError):
                 pass
 
-    try:
-        loop.add_reader(conn.fileno(), on_pipe)
-    except (NotImplementedError, OSError):
-        # Proactor-style loops: poll the pipe instead.
-        while not stop.is_set():
-            if conn.poll(0):
-                on_pipe()
-            else:
-                await asyncio.sleep(0.05)
-        return
+    loop.add_reader(conn.fileno(), on_pipe)
     try:
         await stop.wait()
     finally:
-        try:
-            loop.remove_reader(conn.fileno())
-        except (NotImplementedError, OSError):
-            pass
+        loop.remove_reader(conn.fileno())
 
 
 def _serve_worker_main(index: int, config: dict, conn) -> None:
     """One serving worker: bind (SO_REUSEPORT), serve until ``stop``,
     answer with the final stats block."""
-    uvloop_active = maybe_install_uvloop()
-    asyncio.run(_serve_worker(index, config, conn, uvloop_active))
+    asyncio.run(_serve_worker(index, config, conn))
 
 
-async def _serve_worker(
-    index: int, config: dict, conn, uvloop_active: bool
-) -> None:
+async def _serve_worker(index: int, config: dict, conn) -> None:
     server = DocLiveServer(
         reuse_port=config["reuse_port"], **config["server"]
     )
 
     def block() -> Dict[str, object]:
-        return dict(server.stats(), worker=index, uvloop=uvloop_active)
+        return dict(server.stats(), worker=index)
 
     await server.start()
     conn.send(("ready", list(server.endpoint)))
@@ -477,7 +432,6 @@ class ServePool(WorkerPool):
             raise WorkerPoolError("workers must be >= 1")
         self.requested_workers = workers
         self.warning: Optional[str] = None
-        self.uvloop_active = False
         self._server_kwargs = dict(server_kwargs)
         self._endpoint: Optional[Tuple[str, int]] = None
         self._final_stats: Optional[Dict[str, object]] = None
@@ -543,7 +497,6 @@ class ServePool(WorkerPool):
         with self._pipe_lock:
             self.broadcast("stop")
             stats = self.collect("stats")
-        self.uvloop_active = any(s.get("uvloop") for s in stats)
         self._final_stats = merge_server_stats(
             stats,
             requested=self.requested_workers,
@@ -606,7 +559,7 @@ class ServePool(WorkerPool):
 #: A merge rule of :data:`~repro.live.server.SERVER_STATS` applied to
 #: the values the blocks state (``ratio`` is not pooled, see there).
 _MERGE = {
-    "sum": sum, "max": max, "all": all, "any": any,
+    "sum": sum, "max": max, "any": any,
     "first": lambda values: values[0],
 }
 
@@ -663,8 +616,7 @@ def merge_server_stats(
     are kept from the first block that states them, the resolver
     cache's hit ratio is ``CacheStats``' own over the pooled counts —
     and the ``runtime`` block (``serve_workers`` = distinct worker
-    indices, ``reuseport``, ``uvloop``, ``warning``) describes the
-    pool.
+    indices, ``reuseport``, ``warning``) describes the pool.
 
     Every result carries the pool facts: ``workers_requested``,
     ``workers_failed`` (sums), ``failed_workers`` (union; always
@@ -694,16 +646,12 @@ def merge_server_stats(
         *(block.get("failed_workers", ()) for block in blocks)
     ))
     merged["workers"] = [
-        dict(
-            _pooled_block(group), worker=index,
-            uvloop=any(leaf.get("uvloop") for leaf in group),
-        )
+        dict(_pooled_block(group), worker=index)
         for index, group in sorted(by_index.items())
     ]
     merged["runtime"] = {
         "serve_workers": len(by_index),
         "reuseport": bool(_stat(merged, "io.reuse_port")),
-        "uvloop": any(leaf.get("uvloop") for leaf in leaves),
         "warning": next(filter(None, [warning] + [
             block.get("runtime", {}).get("warning") for block in blocks
         ]), None),
@@ -749,7 +697,6 @@ def stats_snapshot(stats: Dict[str, object]) -> Dict[str, object]:
 def _load_worker_main(index: int, config: dict, conn) -> None:
     """One load-generation worker: drive its share of the offered load
     and answer with its loadgen report."""
-    maybe_install_uvloop()
     report = asyncio.run(load_once(config))
     report["worker"] = index
     conn.send(("report", report))

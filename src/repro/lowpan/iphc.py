@@ -6,14 +6,16 @@ and traffic class / flow label zeroed so they can be elided.
 
 Compression modes implemented:
 
-* TF: elided when TC and flow label are 0, else 4 bytes inline;
+* TF: elided when TC and flow label are 0, else 4 bytes inline, laid
+  out ECN ‖ DSCP ‖ 4 pad bits ‖ flow label (§3.2.1);
 * NH: UDP next-header compression (LOWPAN_NHC, §4.3) with the 4/8/16
   bit port compression cases; checksum always inline;
 * HLIM: 1/64/255 compressed into the header, else 1 byte inline;
 * SAM/DAM (stateless): fully elided when the IID is derived from the
   link-layer address, 16-bit when the IID matches ``::ff:fe00:xxxx``,
   64-bit for other link-local, full 128-bit otherwise; multicast
-  destinations use the 8/32/48-bit ff00::/8 encodings.
+  destinations use the 8/32/48-bit encodings of §3.2.4 (``ff02::00XX``,
+  ``ffXX::00XX:XXXX``, ``ffXX::00XX:XXXX:XXXX``).
 
 The IPHC header is worked out once per flow, not once per packet per
 hop. Two bounded memos (1 024 entries each, the idiom of
@@ -55,7 +57,7 @@ _HLIM_MODES = {1: 0b01, 64: 0b10, 255: 0b11}
 _HLIM_VALUES = (None, 1, 64, 255)
 #: Inline address bytes per SAM/DAM mode 0-3.
 _UNICAST_INLINE = (16, 8, 2, 0)
-_MULTICAST_INLINE = (16, 6, 5, 1)
+_MULTICAST_INLINE = (16, 6, 4, 1)
 _NHC_UDP = 0b11110000
 #: Inline port bytes per NHC port mode 0-3.
 _NHC_PORT_BYTES = (4, 3, 3, 1)
@@ -109,8 +111,8 @@ def _compress_multicast(address: str) -> Tuple[int, bytes]:
     if group < 0x100 and scope == 0x02:
         # ff02::00XX
         return 3, bytes([group])
-    if group >> 32 == 0:
-        return 2, bytes([scope]) + group.to_bytes(4, "big")
+    if group >> 24 == 0:
+        return 2, bytes([scope]) + group.to_bytes(3, "big")
     if group >> 40 == 0:
         return 1, bytes([scope]) + group.to_bytes(5, "big")
     return 0, packed_address(address)
@@ -121,7 +123,7 @@ def _decompress_multicast(mode: int, inline: bytes) -> str:
         return address_from_packed(inline)
     if mode == 3:
         return address_from_int((0xFF02 << 112) | inline[0])
-    # Modes 1 and 2: the scope byte, then a 40- or 32-bit group.
+    # Modes 1 and 2: the scope byte, then a 40- or 24-bit group.
     group = int.from_bytes(inline[1:], "big")
     return address_from_int((0xFF << 120) | (inline[0] << 112) | group)
 
@@ -155,8 +157,10 @@ def _header(
         )
     )
     if not tf_elided:
-        # ECN/DSCP + flow label inline (TF=00)
-        out += (traffic_class << 20 | flow_label).to_bytes(4, "big")
+        # TF 00: the traffic class rotated to ECN ‖ DSCP, 4 pad bits,
+        # the flow label.
+        ecn_dscp = ((traffic_class & 0b11) << 6) | (traffic_class >> 2)
+        out += _TF_INLINE.pack(ecn_dscp << 24 | flow_label)
     if not udp_nhc:
         out.append(next_header)
     if hlim_mode == 0b00:
@@ -256,7 +260,8 @@ def _parse_header(
     traffic_class = flow_label = 0
     if not byte1 & 0b11000:
         (combined,) = _TF_INLINE.unpack_from(header, 2)
-        traffic_class = (combined >> 20) & 0xFF
+        ecn_dscp = combined >> 24
+        traffic_class = ((ecn_dscp & 0x3F) << 2) | (ecn_dscp >> 6)
         flow_label = combined & 0xFFFFF
         offset = 6
     next_header = NEXT_HEADER_UDP

@@ -9,26 +9,19 @@ field byte by byte, the checksum is the word loop with end-around carry
 of RFC 1071, and addresses go through the standard library's
 ``ipaddress``. Slow and meant to be.
 
-Two deviations from RFC 6282 are reproduced, because the oracle pins
-the bytes this simulator has always put on the air (and every banked
-figure counts); neither occurs in the paper's set-up (TC and flow label
-zero, no such multicast group):
-
-* a multicast destination in DAM 10: the RFC sends 4 bytes (flags/scope
-  + a 24-bit group, ``ffXX::00XX:XXXX``); ``repro.lowpan.iphc`` sends 5
-  (flags/scope + a 32-bit group) and picks the mode for any group below
-  2**32 — ``MULTICAST_DAM10_GROUP_BYTES`` names it;
-* TF 00: the RFC sends ECN ‖ DSCP ‖ 4 pad bits ‖ flow label (§3.2.1, the
-  traffic class rotated); the codec sends 4 pad bits ‖ traffic class in
-  IPv6 order ‖ flow label, i.e. the first word of the IPv6 header with
-  the version nibble cleared.
+The two fields whose layout differs from the IPv6 header are written as
+RFC 6282 has them: TF 00 carries ECN ‖ DSCP ‖ 4 pad bits ‖ flow label
+(§3.2.1: the traffic class's two ECN bits move in front of its six DSCP
+bits), and a multicast destination in DAM 10 carries flags/scope and a
+24-bit group, the form ``ffXX::00XX:XXXX`` (§3.2.4). Neither occurs in
+the paper's set-up (TC and flow label zero, only ``ff02::XX`` groups),
+so no banked figure depends on them.
 """
 
 import ipaddress
 from typing import List, Tuple
 
 UDP = 17
-MULTICAST_DAM10_GROUP_BYTES = 4  # RFC 6282 §3.2.4 says 3
 
 
 # -- RFC 768 / RFC 8200 ------------------------------------------------------
@@ -114,12 +107,11 @@ def _unicast_mode(address: bytes, mac: int) -> Tuple[int, bytes]:
 
 
 def _multicast_mode(address: bytes) -> Tuple[int, bytes]:
-    """§3.2.4 DAM with M = 1, DAC = 0 (see the module docstring)."""
+    """§3.2.4 DAM with M = 1, DAC = 0."""
     if address[1] == 0x02 and not any(address[2:15]):
         return 0b11, address[15:]
-    wide = 16 - MULTICAST_DAM10_GROUP_BYTES
-    if not any(address[2:wide]):
-        return 0b10, address[1:2] + address[wide:]
+    if not any(address[2:13]):
+        return 0b10, address[1:2] + address[13:]
     if not any(address[2:11]):
         return 0b01, address[1:2] + address[11:]
     return 0b00, address
@@ -150,8 +142,9 @@ def iphc_compress(packet: bytes, src_mac: int, dst_mac: int) -> bytes:
 
     inline = b""
     if traffic_class or flow_label:
-        tf = 0b00  # 4 bytes inline, laid out as the module docstring says
-        inline += bytes([traffic_class >> 4, ((traffic_class & 0xF) << 4) | (flow_label >> 16)])
+        tf = 0b00  # §3.2.1: ECN, DSCP, 4 pad bits, flow label
+        ecn, dscp = traffic_class & 0b11, traffic_class >> 2
+        inline += bytes([(ecn << 6) | dscp, flow_label >> 16])
         inline += bytes([(flow_label >> 8) & 0xFF, flow_label & 0xFF])
     else:
         tf = 0b11

@@ -2,6 +2,9 @@
 
 import asyncio
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -160,12 +163,9 @@ _RFC3610_VECTORS = [
 
 
 class TestCcm:
-    # Both the default (possibly accelerated) and the forced pure
-    # from-scratch backend must reproduce the RFC vectors.
-    @pytest.mark.parametrize("backend", ["auto", "pure"])
     @pytest.mark.parametrize("nonce_hex,aad_hex,pt_hex,ct_hex", _RFC3610_VECTORS)
-    def test_rfc3610_vectors(self, backend, nonce_hex, aad_hex, pt_hex, ct_hex):
-        ccm = AESCCM(_RFC3610_KEY, tag_length=8, nonce_length=13, backend=backend)
+    def test_rfc3610_vectors(self, nonce_hex, aad_hex, pt_hex, ct_hex):
+        ccm = AESCCM(_RFC3610_KEY, tag_length=8, nonce_length=13)
         nonce = bytes.fromhex(nonce_hex)
         aad = bytes.fromhex(aad_hex)
         plaintext = bytes.fromhex(pt_hex)
@@ -173,23 +173,8 @@ class TestCcm:
         assert ciphertext.hex().upper() == ct_hex
         assert ccm.decrypt(nonce, ciphertext, aad) == plaintext
 
-    def test_pure_backend_matches_default(self):
-        key = bytes(range(16))
-        nonce = bytes(range(13))
-        default = AESCCM(key)
-        pure = AESCCM(key, backend="pure")
-        for plaintext, aad in [
-            (b"", b""),
-            (b"x", b"aad"),
-            (bytes(range(100)), b"\x83\x00\x41\x01"),
-        ]:
-            sealed = default.encrypt(nonce, plaintext, aad)
-            assert pure.encrypt(nonce, plaintext, aad) == sealed
-            assert pure.decrypt(nonce, sealed, aad) == plaintext
-            assert default.decrypt(nonce, sealed, aad) == plaintext
-
     def test_pure_backend_tamper_detection(self):
-        ccm = AESCCM(bytes(16), backend="pure")
+        ccm = AESCCM(bytes(16))
         nonce = bytes(13)
         ct = bytearray(ccm.encrypt(nonce, b"hello", b"aad"))
         ct[0] ^= 1
@@ -201,10 +186,10 @@ class TestCcm:
         # the same derived key; the expanded AES128 must be shared
         # instead of re-expanded.
         key = bytes(range(16))
-        first = AESCCM(key, backend="pure")
-        second = AESCCM(key, backend="pure")
+        first = AESCCM(key)
+        second = AESCCM(key)
         assert first._aes is second._aes
-        other = AESCCM(bytes(16), backend="pure")
+        other = AESCCM(bytes(16))
         assert other._aes is not first._aes
 
     def test_tamper_detection_ciphertext(self):
@@ -258,9 +243,8 @@ class TestCcm:
         with pytest.raises(ValueError):
             ccm.encrypt(bytes(13), b"x")
 
-    @pytest.mark.parametrize("backend", ["auto", "pure"])
-    def test_nonce_length_validated_on_seal_and_open(self, backend):
-        ccm = AESCCM(bytes(16), nonce_length=12, backend=backend)
+    def test_nonce_length_validated_on_seal_and_open(self):
+        ccm = AESCCM(bytes(16), nonce_length=12)
         sealed = ccm.encrypt(bytes(12), b"x")
         for wrong in (bytes(11), bytes(13)):
             with pytest.raises(ValueError):
@@ -340,7 +324,7 @@ class TestCcmBoundaries:
         key, nonce, plaintext, aad = _draw_ccm_case(
             data, nonce_length, plaintext_length, aad_length
         )
-        pure = AESCCM(key, tag_length, nonce_length, backend="pure")
+        pure = AESCCM(key, tag_length, nonce_length)
         sealed = aead.AESCCM(key, tag_length=tag_length).encrypt(
             nonce, plaintext, aad or None
         )
@@ -368,7 +352,7 @@ class TestCcmBoundaries:
         key, nonce, plaintext, aad = _draw_ccm_case(
             data, nonce_length, plaintext_length, aad_length
         )
-        ccm = AESCCM(key, tag_length, nonce_length, backend="pure")
+        ccm = AESCCM(key, tag_length, nonce_length)
         sealed = ccm.encrypt(nonce, plaintext, aad)
         assert len(sealed) == plaintext_length + tag_length
         assert ccm.decrypt(nonce, sealed, aad) == plaintext
@@ -441,7 +425,7 @@ class TestCcmBoundaries:
 
     @staticmethod
     def _pure_seal(key, tag_length, nonce, plaintext, aad):
-        ccm = AESCCM(key, tag_length, len(nonce), backend="pure")
+        ccm = AESCCM(key, tag_length, len(nonce))
         sealed = ccm.encrypt(nonce, plaintext, aad)
         assert ccm.decrypt(nonce, sealed, aad) == plaintext
         return sealed
@@ -479,7 +463,7 @@ class TestCcmBoundaries:
 
     @pytest.mark.parametrize("aad_length", _LONG_AAD_LENGTHS)
     def test_pure_long_aad_round_trip_and_tamper(self, aad_length):
-        ccm = AESCCM(bytes(range(16)), backend="pure")
+        ccm = AESCCM(bytes(range(16)))
         nonce = bytes(range(13))
         aad = (bytes(range(251)) * 261)[:aad_length]
         sealed = ccm.encrypt(nonce, b"seventeen bytes!!", aad)
@@ -488,21 +472,18 @@ class TestCcmBoundaries:
             with pytest.raises(AEADError):
                 ccm.decrypt(nonce, sealed, forged_aad)
 
-    @pytest.mark.parametrize("backend", ["auto", "pure"])
-    def test_plaintext_too_long_for_nonce_length(self, backend):
+    def test_plaintext_too_long_for_nonce_length(self):
         # A 13-byte nonce leaves a two-byte length field: 65 535 bytes max.
-        ccm = AESCCM(bytes(16), nonce_length=13, backend=backend)
+        ccm = AESCCM(bytes(16), nonce_length=13)
         nonce = bytes(13)
         longest = bytes(0xFFFF)
         assert ccm.decrypt(nonce, ccm.encrypt(nonce, longest)) == longest
         with pytest.raises(ValueError, match="plaintext too long for nonce length"):
             ccm.encrypt(nonce, bytes(0x10000))
 
-    @pytest.mark.parametrize("backend", ["auto", "pure"])
-    def test_ciphertext_too_long_for_nonce_length(self, backend):
-        # Checked before either backend runs: not a tag failure on one
-        # and a ValueError on the other.
-        ccm = AESCCM(bytes(16), nonce_length=13, backend=backend)
+    def test_ciphertext_too_long_for_nonce_length(self):
+        # Checked before the tag is: a ValueError, not a tag failure.
+        ccm = AESCCM(bytes(16), nonce_length=13)
         with pytest.raises(ValueError, match="plaintext too long for nonce length"):
             ccm.decrypt(bytes(13), bytes(0x10000 + 8))
 
@@ -511,7 +492,7 @@ class TestCcmBoundaries:
             def __len__(self):
                 return 1 << 32
 
-        ccm = AESCCM(bytes(16), backend="pure")
+        ccm = AESCCM(bytes(16))
         with pytest.raises(ValueError, match="associated data too long"):
             ccm.encrypt(bytes(13), b"x", Huge(b"aad"))
 
@@ -525,7 +506,7 @@ class TestCcmBoundaries:
             return False
 
         monkeypatch.setattr(ccm_module.hmac, "compare_digest", recording_compare)
-        ccm = AESCCM(bytes(16), backend="pure")
+        ccm = AESCCM(bytes(16))
         sealed = ccm.encrypt(bytes(13), b"hello", b"aad")
         with pytest.raises(AEADError):
             ccm.decrypt(bytes(13), sealed, b"aad")
@@ -544,20 +525,6 @@ def _count_passes(monkeypatch):
 
         monkeypatch.setattr(AES128, name, counting)
     return passes
-
-
-@pytest.fixture
-def pure_suites(monkeypatch):
-    """The suite factories hand out pure-path AEADs, backend or not."""
-    import repro.crypto.ccm as ccm_module
-
-    caches = (ccm_module._accelerated_ccm, AES_CCM_16_64_128, AES_128_CCM_8)
-    monkeypatch.setattr(ccm_module, "_ACCELERATED_BACKEND", None)
-    for cache in caches:
-        cache.cache_clear()
-    yield
-    for cache in caches:
-        cache.cache_clear()
 
 
 class TestPassesPerMessage:
@@ -579,7 +546,7 @@ class TestPassesPerMessage:
     def test_passes_per_seal_and_open(
         self, monkeypatch, length, aad_length, passes
     ):
-        ccm = AESCCM(bytes(range(16)), backend="pure")
+        ccm = AESCCM(bytes(range(16)))
         nonce, plaintext, aad = bytes(13), bytes(length), bytes(aad_length)
         counted = _count_passes(monkeypatch)
         sealed = ccm.encrypt(nonce, plaintext, aad)
@@ -587,7 +554,7 @@ class TestPassesPerMessage:
         assert ccm.decrypt(nonce, sealed, aad) == plaintext
         assert counted[0] == 2 * passes
 
-    def test_a_live_oscore_query_costs_32_passes(self, monkeypatch, pure_suites):
+    def test_a_live_oscore_query_costs_32_passes(self, monkeypatch):
         # The bench's live_oscore_hot exchange: the request sealed and
         # opened (7 + 7), the reply sealed and opened (9 + 9).
         from repro.live import DocLiveServer, LiveResolver
@@ -604,6 +571,24 @@ class TestPassesPerMessage:
                     return counted[0]
 
         assert asyncio.run(asyncio.wait_for(exchange(), 20.0)) == 4 * 32
+
+
+def test_the_stack_does_not_load_cryptography():
+    # One AES-CCM: with `cryptography` installed it stays the tests'
+    # oracle, and a fresh interpreter running the stack never loads it.
+    import repro
+
+    code = (
+        "import sys, repro.api, repro.live.server, repro.oscore; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'cryptography'))"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    loaded = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    assert loaded.stdout.strip() == "[]"
 
 
 class TestKdf:

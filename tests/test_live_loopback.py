@@ -67,14 +67,13 @@ def test_udp_round_trip():
 
 
 def test_batched_io_active_and_counted():
-    """Selector loops take the burst-drain reader path; its counters
-    and the mmsg detection report surface in the server stats."""
+    """The burst-drain reader path's counters surface in the server
+    stats, and a clean loopback run refuses no send."""
     server, resolver, results = run(_round_trip("coap"))
     io = server.stats()["io"]
-    assert io["batched"] is True
     assert io["recv_bursts"] >= 1
     assert io["largest_burst"] >= 1
-    assert set(io["mmsg"]) == {"recvmmsg", "sendmmsg"}
+    assert io["send_errors"] == 0
     assert len(results) == 3
 
 

@@ -10,6 +10,8 @@ only and always drain or terminate their pools.
 
 from __future__ import annotations
 
+import asyncio
+import errno
 import os
 import random
 import signal
@@ -19,18 +21,16 @@ import pytest
 
 from repro.experiments.metrics import percentile
 from repro.live.reservoir import DEFAULT_RESERVOIR_CAPACITY, LatencyReservoir
-from repro.live.transport import LiveUdpTransport
+from repro.live.transport import LiveTransportError, LiveUdpTransport
 from repro.live.workers import (
     REUSEPORT_WARNING,
     LoadPool,
     ServePool,
     WorkerPoolError,
     derive_worker_seed,
-    maybe_install_uvloop,
     merge_server_stats,
     reuseport_supported,
     run_load,
-    uvloop_available,
 )
 
 #: Hard wall-clock deadline for pool start/drain operations (seconds).
@@ -164,7 +164,6 @@ class _ScriptedSocket:
 
 def test_drain_ready_continues_past_connection_reset():
     transport = LiveUdpTransport()
-    transport._batch_size = 8
     # An ICMP port-unreachable error queued from an earlier send lands
     # mid-batch; the datagrams behind it must still be drained.
     transport._sock = _ScriptedSocket([
@@ -187,7 +186,6 @@ def test_drain_ready_continues_past_connection_reset():
 
 def test_drain_ready_stops_when_socket_closed_mid_batch():
     transport = LiveUdpTransport()
-    transport._batch_size = 8
 
     class _ClosingSocket(_ScriptedSocket):
         def fileno(self):
@@ -205,24 +203,62 @@ def test_drain_ready_stops_when_socket_closed_mid_batch():
     assert transport.recv_errors == 1
 
 
+def test_a_refused_send_is_counted_as_a_send_error():
+    # EMSGSIZE, ENETUNREACH, EPERM …: the reply is lost, and the stats
+    # say why a server sent fewer datagrams than it answered.
+    class _RefusingSocket(_ScriptedSocket):
+        def sendto(self, payload, addr):
+            item = self._script.pop(0)
+            if isinstance(item, Exception):
+                raise item
+
+    transport = LiveUdpTransport()
+    transport._sock = _RefusingSocket([
+        None,
+        OSError(errno.EMSGSIZE, "message too long"),
+        BlockingIOError(),
+        OSError(errno.ENETUNREACH, "network unreachable"),
+        None,
+    ])
+    for _ in range(5):
+        transport.sendto(b"reply", "127.0.0.1", 5683)
+    assert transport.datagrams_sent == 2
+    assert transport.send_buffer_drops == 1
+    assert transport.io_counters()["send_errors"] == 2
+    assert transport.last_error.errno == errno.ENETUNREACH
+
+    blocks = [_fake_server_stats(0, 10), _fake_server_stats(1, 30)]
+    blocks[1]["io"]["send_errors"] = 2
+    families = _pool_exposition(merge_server_stats(blocks))
+    assert families["repro_pool_io_events_total"][
+        (("kind", "send_error"),)
+    ] == 2.0
+
+
+def test_a_loop_without_add_reader_is_refused_and_its_socket_closed():
+    class _NoReaderLoop(asyncio.SelectorEventLoop):
+        def add_reader(self, fd, callback, *args):
+            self.refused = fd
+            raise NotImplementedError
+
+    async def create():
+        with pytest.raises(LiveTransportError, match="add_reader"):
+            await LiveUdpTransport.create(port=0)
+        with pytest.raises(OSError):
+            os.fstat(loop.refused)  # closed, not leaked
+
+    loop = _NoReaderLoop()
+    try:
+        loop.run_until_complete(create())
+    finally:
+        loop.close()
+
+
 # -- capability detection --------------------------------------------------
 
 
 def test_reuseport_probe_reports_a_bool():
     assert reuseport_supported() in (True, False)
-
-
-def test_uvloop_detection_respects_opt_out(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_UVLOOP", "1")
-    assert uvloop_available() is False
-    assert maybe_install_uvloop() is False
-
-
-def test_uvloop_absent_is_graceful(monkeypatch):
-    # The container has no uvloop; without the opt-out the probe must
-    # still answer False instead of raising.
-    monkeypatch.delenv("REPRO_NO_UVLOOP", raising=False)
-    assert maybe_install_uvloop() in (True, False)
 
 
 def test_forced_unsupported_reuseport_falls_back_to_single_worker(
@@ -259,9 +295,8 @@ def _fake_server_stats(worker, handled):
         "datagrams_received": handled,
         "datagrams_sent": handled,
         "io": {
-            "batched": True, "recv_bursts": handled, "largest_burst": 4,
-            "recv_errors": 0, "send_buffer_drops": 0, "reuse_port": True,
-            "mmsg": {"recvmmsg": False, "sendmmsg": False},
+            "recv_bursts": handled, "largest_burst": 4, "recv_errors": 0,
+            "send_buffer_drops": 0, "send_errors": 0, "reuse_port": True,
         },
         "resolver_cache": {"hits": handled - 1, "misses": 1,
                            "hit_ratio": 0.0},
@@ -353,8 +388,6 @@ def _leaves(block, prefix=""):
 def test_every_stats_leaf_has_exactly_one_table_row(transport):
     # A counter cannot be added to stats() without saying how it merges
     # and how it is exposed.
-    import asyncio
-
     from repro.live.server import SERVER_STATS, DocLiveServer
 
     async def started_block():
@@ -365,7 +398,7 @@ def test_every_stats_leaf_has_exactly_one_table_row(transport):
 
     leaves = dict(_leaves(asyncio.run(started_block())))
     assert {"queries_handled", "io.largest_burst",
-            "resolver_cache.hit_ratio", "io.mmsg.recvmmsg"} <= set(leaves)
+            "resolver_cache.hit_ratio", "io.send_errors"} <= set(leaves)
     for path in leaves:
         rows = [
             row for row in SERVER_STATS
@@ -373,7 +406,7 @@ def test_every_stats_leaf_has_exactly_one_table_row(transport):
         ]
         assert len(rows) == 1, (path, rows)
     assert {row.merge for row in SERVER_STATS} == {
-        "sum", "max", "all", "any", "first", "ratio",
+        "sum", "max", "any", "first", "ratio",
     }
 
 
@@ -857,7 +890,7 @@ _COMMON_KEYS = [
 _POOL_KEYS = [
     "live.workers.reuseport", "live.workers.serve.count",
     "live.workers.serve.failed", "live.workers.serve.failed_workers",
-    "live.workers.uvloop", "live.workers.warning",
+    "live.workers.warning",
 ]
 _PER_SERVE_WORKER = ("datagrams_received", "datagrams_sent", "queries_handled")
 _PER_LOAD_WORKER = ("achieved_qps", "failed", "queries", "rcode_failures",

@@ -62,8 +62,8 @@ destinations = st.one_of(
     st.just(_mac_derived(MAC_B)),
     # Multicast DAM 3, 2, 1, 0.
     st.integers(0, 0xFF).map(lambda group: _multicast(0x02, group)),
-    st.builds(_multicast, st.integers(0, 0xFF), st.integers(0x100, (1 << 32) - 1)),
-    st.builds(_multicast, st.integers(0, 0xFF), st.integers(1 << 32, (1 << 40) - 1)),
+    st.builds(_multicast, st.integers(0, 0xFF), st.integers(0x100, (1 << 24) - 1)),
+    st.builds(_multicast, st.integers(0, 0xFF), st.integers(1 << 24, (1 << 40) - 1)),
     st.builds(_multicast, st.integers(0, 0xFF), st.integers(1 << 40, (1 << 112) - 1)),
 )
 hop_limits = st.one_of(st.sampled_from([1, 64, 255]), st.integers(0, 255))
@@ -93,7 +93,7 @@ def packets(draw):
     fields = dict(
         next_header=next_header,
         hop_limit=draw(hop_limits),
-        traffic_class=draw(st.sampled_from([0, 0, 0x20, 0xFF])),
+        traffic_class=draw(st.sampled_from([0, 0, 0x03, 0x20, 0xB9, 0xFF])),
         flow_label=draw(st.sampled_from([0, 0, 1, 0xFFFFF])),
     )
     packet = Ipv6Packet(src, dst, body, **fields)
@@ -174,6 +174,43 @@ class TestByteIdentity:
         whole = datagram + carried.to_bytes(2, "big")
         assert reference.udp_checksum(src, dst, whole) == 0xFFFF
         assert udp_checksum(src, dst, whole) == 0xFFFF
+
+
+class TestRfc6282Layouts:
+    """TF 00 (§3.2.1) and the multicast DAM modes (§3.2.4) byte for byte:
+    the codec and the oracle both write the RFC's layout. The header
+    runs from source MAC_A's elided address, hop limit 64 and UDP NHC."""
+
+    @pytest.mark.parametrize(
+        "dst,traffic_class,flow_label,header",
+        [
+            # TF 11 | NH | HLIM 10; SAM 11, M, DAM 10: flags/scope, 24 bits.
+            ("ff05::fb", 0, 0, "7e3a" "050000fb"),
+            ("ff05::1:3", 0, 0, "7e3a" "05010003"),
+            # A group past 24 bits takes DAM 01: flags/scope, 40 bits.
+            ("ff05::100:0", 0, 0, "7e39" "050001000000"),
+            # TF 00: ECN ‖ DSCP (0xb9 is DSCP 46, ECN 01), pad, flow label.
+            (_mac_derived(MAC_B), 0xB9, 0x12345, "6633" "6e012345"),
+            (_mac_derived(MAC_B), 0x03, 0, "6633" "c0000000"),
+        ],
+        ids=["ff05::fb", "ff05::1:3", "dam01", "dscp-ecn-flow", "ecn-only"],
+    )
+    def test_codec_and_oracle_write_the_rfc_bytes(
+        self, dst, traffic_class, flow_label, header
+    ):
+        src = _mac_derived(MAC_A)
+        body = UdpDatagram(5683, 5683, b"q").encode(src, dst)
+        fields = dict(traffic_class=traffic_class, flow_label=flow_label)
+        packet = Ipv6Packet(src, dst, body, **fields)
+        expected = bytes.fromhex(header)
+        compressed = compress(packet, MAC_A, MAC_B)
+        assert compressed[: len(expected)] == expected
+        assert compressed[len(expected)] == 0b11110000  # NHC, ports inline
+        assert compressed == reference.iphc_compress(
+            reference.ipv6_packet(src, dst, body, **fields), MAC_A, MAC_B
+        )
+        assert header_extents(compressed) == (len(expected) + 7, 48)
+        assert decompress(compressed, MAC_A, MAC_B) == packet
 
 
 class TestMemoSafety:
