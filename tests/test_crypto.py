@@ -162,6 +162,19 @@ _RFC3610_VECTORS = [
 ]
 
 
+# How a test obtains its AEAD: "auto" is the memoised suite factory for
+# the nonce length, as OSCORE and DTLS get it; "pure" is AESCCM built
+# directly.
+_CCM_ROUTES = ["auto", "pure"]
+
+
+def _ccm_by_route(route, nonce_length):
+    if route == "auto":
+        factory = {12: AES_128_CCM_8, 13: AES_CCM_16_64_128}[nonce_length]
+        return factory(bytes(16))
+    return AESCCM(bytes(16), nonce_length=nonce_length)
+
+
 class TestCcm:
     @pytest.mark.parametrize("nonce_hex,aad_hex,pt_hex,ct_hex", _RFC3610_VECTORS)
     def test_rfc3610_vectors(self, nonce_hex, aad_hex, pt_hex, ct_hex):
@@ -243,8 +256,9 @@ class TestCcm:
         with pytest.raises(ValueError):
             ccm.encrypt(bytes(13), b"x")
 
-    def test_nonce_length_validated_on_seal_and_open(self):
-        ccm = AESCCM(bytes(16), nonce_length=12)
+    @pytest.mark.parametrize("route", _CCM_ROUTES)
+    def test_nonce_length_validated_on_seal_and_open(self, route):
+        ccm = _ccm_by_route(route, 12)
         sealed = ccm.encrypt(bytes(12), b"x")
         for wrong in (bytes(11), bytes(13)):
             with pytest.raises(ValueError):
@@ -472,18 +486,20 @@ class TestCcmBoundaries:
             with pytest.raises(AEADError):
                 ccm.decrypt(nonce, sealed, forged_aad)
 
-    def test_plaintext_too_long_for_nonce_length(self):
+    @pytest.mark.parametrize("route", _CCM_ROUTES)
+    def test_plaintext_too_long_for_nonce_length(self, route):
         # A 13-byte nonce leaves a two-byte length field: 65 535 bytes max.
-        ccm = AESCCM(bytes(16), nonce_length=13)
+        ccm = _ccm_by_route(route, 13)
         nonce = bytes(13)
         longest = bytes(0xFFFF)
         assert ccm.decrypt(nonce, ccm.encrypt(nonce, longest)) == longest
         with pytest.raises(ValueError, match="plaintext too long for nonce length"):
             ccm.encrypt(nonce, bytes(0x10000))
 
-    def test_ciphertext_too_long_for_nonce_length(self):
+    @pytest.mark.parametrize("route", _CCM_ROUTES)
+    def test_ciphertext_too_long_for_nonce_length(self, route):
         # Checked before the tag is: a ValueError, not a tag failure.
-        ccm = AESCCM(bytes(16), nonce_length=13)
+        ccm = _ccm_by_route(route, 13)
         with pytest.raises(ValueError, match="plaintext too long for nonce length"):
             ccm.decrypt(bytes(13), bytes(0x10000 + 8))
 
