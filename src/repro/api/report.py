@@ -112,20 +112,30 @@ def provenance() -> Dict[str, str]:
     }
 
 
+def quantile_ms(ordered: Sequence[float], q: float) -> float:
+    """Percentile *q* of sorted, non-empty seconds samples, in ms."""
+    from repro.experiments.metrics import interpolate_sorted
+
+    position = (len(ordered) - 1) * q / 100.0
+    return round(interpolate_sorted(ordered, position) * 1000, 3)
+
+
 def latency_metrics(latencies_s: Sequence[float]) -> Dict[str, Optional[float]]:
-    """The common ``latency.*`` values (ms) from raw seconds samples."""
+    """The common ``latency.*`` values (ms) from raw seconds samples —
+    the one run-level latency reducer of every substrate."""
     if not latencies_s:
         return {f"latency.{key}": None for key in LATENCY_METRICS}
-    from repro.experiments.metrics import percentile
-
+    ordered = sorted(latencies_s)
     return {
-        "latency.p50_ms": round(percentile(latencies_s, 50) * 1000, 3),
-        "latency.p95_ms": round(percentile(latencies_s, 95) * 1000, 3),
-        "latency.p99_ms": round(percentile(latencies_s, 99) * 1000, 3),
+        "latency.p50_ms": quantile_ms(ordered, 50),
+        "latency.p95_ms": quantile_ms(ordered, 95),
+        "latency.p99_ms": quantile_ms(ordered, 99),
+        # Summed in input order, not sorted order: the banked sim and
+        # fleet digests read the last bit of this mean.
         "latency.mean_ms": round(
             sum(latencies_s) / len(latencies_s) * 1000, 3
         ),
-        "latency.max_ms": round(max(latencies_s) * 1000, 3),
+        "latency.max_ms": round(ordered[-1] * 1000, 3),
     }
 
 
@@ -519,9 +529,11 @@ def report_from_loadgen(
     *reports* is one :func:`~repro.live.loadgen.generate_load` dict, or
     a list with one entry per repeat, an entry being one dict or the
     list of dicts that repeat's load workers delivered
-    (:func:`repro.live.workers.run_load`). Counters sum, the bounded
-    ``latencies_ms`` samples pool and the quantiles are taken over the
-    pool, caches pool per location, all over every dict. The workers of
+    (:func:`repro.live.workers.run_load`). Counters sum, every dict's
+    ``latencies_s`` (one entry per success) concatenate and
+    :func:`latency_metrics` reduces them, so the run-level latency is
+    exact however many workers and repeats delivered it, and caches pool
+    per location, all over every dict. The workers of
     one repeat ran side by side: their ``achieved_qps`` and their
     shares of the offered rate or concurrency add, and the slowest
     one's ``elapsed_s`` is the repeat's. Repeats ran one after another:
@@ -549,18 +561,18 @@ def report_from_loadgen(
         "queries": 0, "succeeded": 0, "failed": 0,
         "timeouts": 0, "rcode_failures": 0,
     }
-    latencies_ms: List[float] = []
+    latencies_s: List[float] = []
     for report in workers:
         for key in counters:
             counters[key] += report[key]
-        latencies_ms.extend(report["latencies_ms"])
+        latencies_s.extend(report["latencies_s"])
     metrics = common_vocabulary(
         issued=counters["queries"],
         succeeded=counters["succeeded"],
         failed=counters["failed"],
         timeouts=counters["timeouts"],
         rcode_failures=counters["rcode_failures"],
-        latency=latency_metrics([ms / 1000 for ms in latencies_ms]),
+        latency=latency_metrics(latencies_s),
         qps_values=[
             round(sum(report["achieved_qps"] for report in repeat), 3)
             for repeat in repeats

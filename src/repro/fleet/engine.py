@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.cache import LookupState
-from repro.live.reservoir import LatencyReservoir
 from repro.scenarios.runner import NAME_TEMPLATE, QueryOutcome
 from repro.scenarios.scenario import Scenario
 from repro.transports.registry import registry
@@ -54,6 +53,9 @@ from .cache import FleetCacheModel
 from .options import FleetOptions
 from .service import Calibration, ServiceModel, calibrate
 
+#: Success latencies a run keeps (a uniform sample of them, Algorithm R).
+_SAMPLE_CAPACITY = 4096
+
 
 @dataclass
 class FleetResult:
@@ -65,8 +67,11 @@ class FleetResult:
     calibration: Calibration
     #: Sampled-query outcomes (the exact-sim vocabulary), unscaled.
     outcomes: List[QueryOutcome]
-    #: Bounded success-latency sample (seconds).
-    reservoir: LatencyReservoir
+    #: A uniform sample of at most 4 096 success latencies (seconds):
+    #: the fleet cannot keep and sort every draw inside its walk.
+    latency_sample: List[float]
+    #: Successes the sample was drawn from.
+    successes: int
     #: Per-location cache counters of the sample, fleet-scaled.
     cache_stats: Dict[str, Dict[str, float]] = field(default_factory=dict)
     active_clients: int = 0
@@ -137,7 +142,22 @@ def run_fleet(
         churn=options.churn,
         model_rng=model_rng,
     )
-    reservoir = LatencyReservoir(seed=scenario.seed)
+    # Vitter's Algorithm R over its own seeded stream: past capacity,
+    # the n-th success replaces a random slot with probability 4096/n.
+    sample: List[float] = []
+    randrange = random.Random(scenario.seed).randrange
+    successes = 0
+
+    def observe(latency: float) -> None:
+        nonlocal successes
+        successes += 1
+        if successes <= _SAMPLE_CAPACITY:
+            sample.append(latency)
+            return
+        slot = randrange(successes)
+        if slot < _SAMPLE_CAPACITY:
+            sample[slot] = latency
+
     outcomes: List[QueryOutcome] = []
     wired_clients = set()
     run_duration = scenario.run_duration
@@ -147,7 +167,7 @@ def run_fleet(
     draw_service = ServiceModel(calibration).draw
     touch, caches = cache_model.touch, cache_model.caches
     caching = bool(cache_model.consulted)
-    record, observe = outcomes.append, reservoir.add
+    record = outcomes.append
     HIT, STALE, OK = LookupState.HIT, LookupState.STALE, ServiceModel.OK
 
     for index in order:
@@ -231,7 +251,8 @@ def run_fleet(
         plan=plan,
         calibration=calibration,
         outcomes=outcomes,
-        reservoir=reservoir,
+        latency_sample=sample,
+        successes=successes,
         cache_stats=cache_model.scaled_stats(plan.query_scale),
         active_clients=cache_model.active_clients,
     )

@@ -7,8 +7,11 @@ when those locations are active — plus a ``fleet.*`` namespaced block
 describing the scaling plan, the fleet-only dimensions, and the
 service-model calibration. Sampled counters are blown up to fleet
 totals by the run's :class:`~repro.fleet.arrivals.SamplePlan` scales;
-latency percentiles come straight from the (unscaled) reservoir
-samples, since quantiles are scale-invariant under client sampling.
+latency comes straight from the (unscaled) latency sample, since
+quantiles are scale-invariant under client sampling. The engine keeps a
+uniform 4 096 of a run's success latencies, not all of them, so past
+that many successes ``latency.*`` is an estimate and
+``fleet.tolerance.exact`` reads false.
 """
 
 from __future__ import annotations
@@ -98,12 +101,14 @@ def report_from_fleet(
         succeeded += run_ok
         timeouts += run_to
         rcode_failures += run_rc
-        latencies.extend(result.reservoir.samples)
+        latencies.extend(result.latency_sample)
         # The sampled sub-fleet ran at rate × clients/fleet_clients, so
         # its achieved qps scales back up by the client scale.
         qps_values.append(qps * plan.client_scale)
         active_clients += result.active_clients
-        saturated = saturated or result.reservoir.saturated
+        saturated = saturated or (
+            result.successes > len(result.latency_sample)
+        )
 
     # Counters sum across repeats, so the ratios describe the pooled
     # counters, not an average of averages.

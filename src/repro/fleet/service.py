@@ -69,7 +69,7 @@ class Calibration:
 
     def metrics(self) -> Dict[str, object]:
         """The ``fleet.calibration.*`` block of a fleet Report."""
-        from repro.experiments.metrics import percentile
+        from repro.api.report import quantile_ms
 
         values: Dict[str, object] = {
             "fleet.calibration.probe_clients": self.probe_clients,
@@ -80,10 +80,10 @@ class Calibration:
         }
         pooled = sorted(self.first_latencies + self.rest_latencies)
         values["fleet.calibration.wire_p50_ms"] = (
-            round(percentile(pooled, 50) * 1000, 3) if pooled else None
+            quantile_ms(pooled, 50) if pooled else None
         )
         values["fleet.calibration.wire_p95_ms"] = (
-            round(percentile(pooled, 95) * 1000, 3) if pooled else None
+            quantile_ms(pooled, 95) if pooled else None
         )
         return values
 

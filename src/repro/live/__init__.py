@@ -13,7 +13,7 @@ asyncio runtime:
   :class:`~repro.live.client.LiveResolver` — serving and resolving
   over any live transport profile (udp/dtls/coap/coaps/oscore);
 * :func:`~repro.live.loadgen.generate_load` — open- and closed-loop
-  load generation with latency-percentile reports;
+  load generation that keeps every success's latency;
 * :class:`~repro.live.workers.ServePool` /
   :func:`~repro.live.workers.run_load` — SO_REUSEPORT sharding across
   server worker processes, and load generation from one process or
@@ -42,8 +42,6 @@ _EXPORTS = {
     "REPORT_VERSION": ".loadgen",
     "LoadGenError": ".loadgen",
     "generate_load": ".loadgen",
-    "DEFAULT_RESERVOIR_CAPACITY": ".reservoir",
-    "LatencyReservoir": ".reservoir",
     "DocLiveServer": ".server",
     "LiveTransportError": ".transport",
     "LiveUdpTransport": ".transport",

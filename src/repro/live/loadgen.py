@@ -12,15 +12,17 @@ server in one of two disciplines:
 
 Names are drawn from the workload's popularity model (round-robin or
 Zipf(α)) over the same deterministic universe the server built its
-zone from. The result is a JSON-ready report: achieved qps, latency
-percentiles (p50/p95/p99), timeout and failure counts, and client
-cache ratios.
+zone from. The result is a report dict: achieved qps, timeout and
+failure counts, client cache ratios, the per-second telemetry rows and
+every success's latency; :func:`repro.api.report.report_from_loadgen`
+turns one or many of them into the JSON-ready Report.
 """
 
 from __future__ import annotations
 
 import asyncio
 import random
+from array import array
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.api.report import REPORT_VERSION, provenance
@@ -28,7 +30,6 @@ from repro.obs.telemetry import TelemetrySampler, run_sampler
 from repro.scenarios.scenario import WorkloadSpec
 
 from .client import LiveResolver
-from .reservoir import LatencyReservoir
 from .wiring import LiveWiringError
 
 #: Top-level keys every report carries, in emission order. The version
@@ -38,8 +39,8 @@ REPORT_FIELDS = (
     "report_version", "provenance", "mode", "transport",
     "offered_rate_qps", "concurrency", "duration_s", "elapsed_s",
     "queries", "succeeded", "failed", "timeouts", "rcode_failures",
-    "success_rate", "achieved_qps", "latency_ms", "cache", "workload",
-    "seed", "telemetry", "latencies_ms",
+    "success_rate", "achieved_qps", "cache", "workload", "seed",
+    "telemetry", "latencies_s",
 )
 
 __all__ = [
@@ -78,26 +79,17 @@ async def generate_load(
     *names* so one spec works for both simulated and live runs);
     omitted, a steady-Poisson/round-robin spec is derived.
 
-    Latency samples are held in a bounded
-    :class:`~repro.live.reservoir.LatencyReservoir` of
-    :data:`~repro.live.reservoir.DEFAULT_RESERVOIR_CAPACITY` entries,
-    so memory stays flat at any qps; runs shorter than the capacity
-    keep every sample (exact percentiles, identical to a full-sample
-    sort), longer runs report reservoir estimates while mean/min/max
-    stay exact. The held samples ride in the report as
-    ``latencies_ms`` — what lets
-    :func:`repro.api.report.report_from_loadgen` pool quantiles across
-    repeated passes and distributed workers.
-
     Query outcomes count in plain integers, and each success's latency
-    is also appended to a per-interval list. A
-    :class:`repro.obs.telemetry.TelemetrySampler` polls both every
-    second — draining the list, so it never holds more than one
-    interval of traffic — into the report's ``telemetry`` time series:
-    a success lands in the row of the second it completed in, with
-    exact percentiles over that second's samples. *snapshot_sinks*
-    receive each per-second record as it is produced — the hook behind
-    ``--stream`` and the stderr progress line.
+    is appended once, in seconds and unrounded, to one ``array('d')``
+    (8 B a sample) that rides in the report as ``latencies_s``:
+    :func:`repro.api.report.report_from_loadgen` pools those of every
+    worker and repeat and reduces them exactly. A
+    :class:`repro.obs.telemetry.TelemetrySampler` polls the counts and
+    the array's new tail every second into the report's ``telemetry``
+    time series: a success lands in the row of the second it completed
+    in, with exact percentiles over that second's samples.
+    *snapshot_sinks* receive each per-second record as it is produced —
+    the hook behind ``--stream`` and the stderr progress line.
     """
     if not names:
         raise LoadGenError("names must not be empty")
@@ -124,11 +116,9 @@ async def generate_load(
 
     rng = random.Random(seed)
     loop = asyncio.get_running_loop()
-    # The reservoir draws from its own RNG so bounding the sample never
-    # perturbs the arrival/name streams (seed replayability contract).
-    latencies = LatencyReservoir(seed=seed)
+    latencies = array("d")
     issued = succeeded = timeouts = errors = rcode_failures = 0
-    interval_latencies: List[float] = []
+    sampled = 0  # latencies[:sampled] are in a telemetry row already
     last_success_at: Optional[float] = None
 
     async def one_query(sequence_index: int) -> None:
@@ -150,20 +140,19 @@ async def generate_load(
                 # --name-seed between serve and loadtest) must not
                 # read as a healthy run.
                 succeeded += 1
-                latencies.add(result.rtt)
-                interval_latencies.append(result.rtt)
+                latencies.append(result.rtt)
                 last_success_at = loop.time()
             else:
                 rcode_failures += 1
 
-    def counts_and_interval_latencies():
-        nonlocal interval_latencies
-        drained, interval_latencies = interval_latencies, []
+    def counts_and_new_latencies():
+        nonlocal sampled
+        fresh, sampled = latencies[sampled:], len(latencies)
         failed = timeouts + errors + rcode_failures
-        return (issued, succeeded, failed, timeouts), drained
+        return (issued, succeeded, failed, timeouts), fresh
 
     sampler = TelemetrySampler(
-        counts_and_interval_latencies, time_fn=loop.time,
+        counts_and_new_latencies, time_fn=loop.time,
         sinks=snapshot_sinks,
     )
     sampler_stop = asyncio.Event()
@@ -224,7 +213,6 @@ async def generate_load(
             round(succeeded / success_span, 3)
             if success_span > 0 else 0.0
         ),
-        "latency_ms": latencies.summary_ms(),
         "cache": resolver.stats().get("caches", {}),
         "workload": {
             "names": len(names),
@@ -235,6 +223,6 @@ async def generate_load(
         },
         "seed": seed,
         "telemetry": timeline,
-        "latencies_ms": [round(s * 1000, 3) for s in latencies.samples],
+        "latencies_s": latencies,
     }
     return report

@@ -14,8 +14,9 @@ dispatcher. The load generator distributes the same way:
 :func:`run_load` forks M generator processes with deterministically
 derived seeds (:func:`derive_worker_seed`) and returns what each
 delivered; :func:`repro.api.report.report_from_loadgen` pools them —
-counters sum, latency reservoirs pool, per-worker stats ride along
-under ``live.workers.*`` in the unified Report.
+counters sum, every worker's success latencies pool into one exact
+distribution, per-worker stats ride along under ``live.workers.*`` in
+the unified Report.
 
 Control runs over a per-worker duplex pipe: workers announce
 ``("ready", endpoint)`` once bound, and a serve worker only ever sends

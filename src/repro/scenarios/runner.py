@@ -447,7 +447,8 @@ class ScenarioRunner:
         (``"none"``, ``"client-coap+proxy"``, ``"all"`` — see
         :meth:`CachingSpec.from_placement`); a placement that enables
         the proxy cache also enables the forward proxy for that cell,
-        which requires every swept transport to be CoAP-based. A scheme
+        which every swept transport must be able to run through (see
+        :class:`Scenario`). A scheme
         is a :class:`~repro.doc.CachingScheme` or its value
         (``"doh-like"``/``"eol-ttls"``). When either axis is left
         ``None``, the base scenario's configuration applies and the
@@ -487,7 +488,7 @@ class ScenarioRunner:
             spec if isinstance(spec, TopologySpec) else get_topology(spec)
             for spec in topologies
         ]
-        placements = self._resolve_placements(cache_placements, transports)
+        placements = self._resolve_placements(cache_placements)
         scheme_values = self._resolve_schemes(schemes)
         seen = set()
         for key in self._grid_keys(transports, specs, losses, placements,
@@ -508,8 +509,12 @@ class ScenarioRunner:
         ]
 
     @staticmethod
-    def _resolve_placements(cache_placements, transports):
-        """Normalise the placement axis to (label, spec-or-None) pairs."""
+    def _resolve_placements(cache_placements):
+        """Normalise the placement axis to (label, spec-or-None) pairs.
+
+        A placement that enables the proxy is checked against each
+        transport where its cell's :class:`Scenario` is built, and
+        every cell is built before any runs."""
         if cache_placements is None:
             return [(None, None)]
         placements = []
@@ -519,15 +524,6 @@ class ScenarioRunner:
                 if isinstance(item, CachingSpec)
                 else CachingSpec.from_placement(item)
             )
-            if spec.proxy:
-                for transport in transports:
-                    if not registry.get(transport).coap_based:
-                        raise ScenarioError(
-                            f"cache placement {spec.placement_label()!r} "
-                            f"enables the forward proxy, which transport "
-                            f"{transport!r} cannot traverse — sweep "
-                            f"CoAP-based transports only"
-                        )
             placements.append((spec.placement_label(), spec))
         return placements
 

@@ -320,6 +320,15 @@ class Scenario:
             )
         if self.use_proxy and not profile.coap_based:
             raise ScenarioError("the CoAP proxy requires a CoAP transport")
+        if self.use_proxy and profile.has_handshake:
+            # The client's DTLS session runs to the server, so the
+            # plain-CoAP proxy would receive records it cannot read.
+            raise ScenarioError(
+                f"transport {self.transport!r} cannot run through the CoAP "
+                f"proxy (its DTLS session ends at the server); use oscore "
+                f"through a proxy, or the client-side cache placements "
+                f"(client-dns, client-coap)"
+            )
         if (
             self.use_proxy
             and self.topology.hops == 1

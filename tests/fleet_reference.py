@@ -6,13 +6,13 @@ loop: every client gets its ``KeyedCache`` pair on its first query,
 every successful exchange stores, the service model re-derives its
 failure probabilities on every draw, and the van der Corput point is
 summed bit by bit. ``tests/test_fleet.py`` holds the engine to it —
-``outcomes``, ``cache_stats``, ``reservoir.samples`` and
+``outcomes``, ``cache_stats``, ``latency_sample``, ``successes`` and
 ``active_clients`` must be equal for every spec.
 
 Only what the engine itself decides is re-stated here. The inputs of
-the walk (sample plan, arrival columns, calibration) and the stores it
-drives (``repro.cache.KeyedCache``, ``LatencyReservoir``) are shared
-with the engine on purpose: they are not what the differential tests.
+the walk (sample plan, arrival columns, calibration) and the cache it
+drives (``repro.cache.KeyedCache``) are shared with the engine on
+purpose: they are not what the differential tests.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from repro.fleet.arrivals import (
 )
 from repro.fleet.options import FleetOptions
 from repro.fleet.service import Calibration, calibrate
-from repro.live.reservoir import LatencyReservoir
 from repro.scenarios.runner import NAME_TEMPLATE, QueryOutcome
 from repro.scenarios.scenario import Scenario
 from repro.transports.registry import registry
@@ -83,6 +82,22 @@ class ReferenceServiceModel:
             u = van_der_corput_loop(self.rest_index)
             self.rest_index += 1
         return "ok", interpolate_sorted(samples, u * (len(samples) - 1))
+
+
+class ReferenceSample:
+    """Vitter's Algorithm R: a uniform sample of at most 4 096 values,
+    its replacement slots drawn from a stream seeded like the run's."""
+
+    def __init__(self, seed: int, capacity: int = 4096) -> None:
+        self.rng, self.capacity = random.Random(seed), capacity
+        self.values, self.count = [], 0
+
+    def add(self, value: float) -> None:
+        self.count += 1
+        if len(self.values) < self.capacity:
+            self.values.append(value)
+        elif (slot := self.rng.randrange(self.count)) < self.capacity:
+            self.values[slot] = value
 
 
 def reference_run_fleet(
@@ -137,7 +152,7 @@ def reference_run_fleet(
     last_seen: Dict[int, float] = {}
 
     service = ReferenceServiceModel(calibration)
-    reservoir = LatencyReservoir(seed=scenario.seed)
+    sample = ReferenceSample(scenario.seed)
     outcomes = []
     wired_clients = set()
     run_duration = scenario.run_duration
@@ -196,14 +211,14 @@ def reference_run_fleet(
             entry, state = dns.lookup(key, issued_at)
             if state is LookupState.HIT:
                 outcome.resolution_time = 0.0
-                reservoir.add(0.0)
+                sample.add(0.0)
                 continue
         stale = False
         if coap is not None:
             entry, state = coap.lookup(key, issued_at)
             if state is LookupState.HIT:
                 outcome.resolution_time = 0.0
-                reservoir.add(0.0)
+                sample.add(0.0)
                 if dns is not None:
                     remaining = entry.expires_at - issued_at
                     if remaining > 0:
@@ -224,7 +239,7 @@ def reference_run_fleet(
         if done > run_duration:
             continue
         outcome.resolution_time = latency
-        reservoir.add(latency)
+        sample.add(latency)
         ttl = ttls[name_index]
         if coap is not None and ttl > 0:
             if stale:
@@ -248,7 +263,8 @@ def reference_run_fleet(
         )
     return SimpleNamespace(
         outcomes=outcomes,
-        reservoir=reservoir,
+        latency_sample=sample.values,
+        successes=sample.count,
         cache_stats=scaled,
         active_clients=len(last_seen),
     )

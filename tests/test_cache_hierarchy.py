@@ -257,14 +257,28 @@ class TestCachePlacementSweep:
         scenario = scenario_from_spec("scheme=doh-like", base=base)
         assert scenario.caching_spec.scheme is CachingScheme.DOH_LIKE
 
-    def test_proxy_placement_requires_coap_transport(self):
+    @staticmethod
+    def _refused_before_any_cell_runs(monkeypatch, transport, placement):
+        import repro.scenarios.runner as runner_module
+
+        ran = []
+        monkeypatch.setattr(runner_module, "_execute_cell", ran.append)
         with pytest.raises(ScenarioError):
             ScenarioRunner().sweep(
-                transports=("udp",),
+                transports=("coap", transport),
                 topologies=("figure2",),
                 losses=(0.0,),
-                cache_placements=("proxy",),
+                cache_placements=("none", placement),
             )
+        assert ran == []
+
+    def test_proxy_placement_requires_coap_transport(self, monkeypatch):
+        self._refused_before_any_cell_runs(monkeypatch, "udp", "proxy")
+
+    def test_proxy_placement_refuses_coaps(self, monkeypatch):
+        self._refused_before_any_cell_runs(
+            monkeypatch, "coaps", "client-coap+proxy"
+        )
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ScenarioError):
@@ -289,6 +303,27 @@ class TestCachePlacementSweep:
 
 
 class TestSpecParser:
+    @pytest.mark.parametrize("spec", [
+        "figure2,transport=coaps,cache=all",
+        "figure2,transport=coaps,proxy=true",
+    ])
+    def test_coaps_through_the_proxy_is_refused(self, spec):
+        # The client's DTLS session runs to the server, so the
+        # plain-CoAP proxy could only drop its records: every query
+        # used to time out.
+        from repro.api import RunSpec
+
+        with pytest.raises(ScenarioError, match="use oscore through a proxy"):
+            RunSpec.from_spec(spec)
+
+    def test_coaps_with_client_side_caches_still_runs(self):
+        from repro.api import RunSpec
+
+        spec = RunSpec.from_spec(
+            "figure2,transport=coaps,cache=client-dns+client-coap"
+        )
+        assert not spec.scenario.use_proxy
+
     def test_cache_key_places_and_enables_proxy(self):
         from repro.scenarios import scenario_from_spec
 

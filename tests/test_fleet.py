@@ -552,8 +552,8 @@ class TestAgainstReferenceWalk:
         assert result.outcomes == expected.outcomes
         assert result.cache_stats == expected.cache_stats
         assert result.active_clients == expected.active_clients
-        assert result.reservoir.samples == expected.reservoir.samples
-        assert result.reservoir.count == expected.reservoir.count
+        assert result.latency_sample == expected.latency_sample
+        assert result.successes == expected.successes
 
     @pytest.mark.parametrize("name", sorted(REGRESSION_SPECS))
     def test_banked_report_digests(self, name):

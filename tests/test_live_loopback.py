@@ -274,33 +274,78 @@ async def _coap_loadgen_report(duration: float):
 
 
 def test_loadgen_report_schema():
+    from repro.api.report import report_from_loadgen
+
     report = run(_coap_loadgen_report(0.4))
     assert tuple(report.keys()) == REPORT_FIELDS
     assert report["queries"] > 0
     assert report["succeeded"] + report["failed"] == report["queries"]
     assert report["success_rate"] >= 0.95
-    latency = report["latency_ms"]
-    assert set(latency) == {"p50", "p95", "p99", "mean", "min", "max"}
-    assert latency["p50"] <= latency["p95"] <= latency["p99"]
-    json.dumps(report)  # must be JSON-serialisable as-is
+    assert len(report["latencies_s"]) == report["succeeded"]
+    latency = report_from_loadgen(report).metrics
+    assert latency["latency.p50_ms"] <= latency["latency.p95_ms"] \
+        <= latency["latency.p99_ms"] <= latency["latency.max_ms"]
+    # What ``loadtest --json`` emits is the Report, as-is.
+    json.dumps(report_from_loadgen(report).to_json())
 
 
-def test_loadgen_rows_are_exact_over_the_run_s_own_samples():
-    """The per-second rows and the run's ``latency_ms`` read the same
-    raw samples: no row's p99 exceeds the run's largest latency, and
-    the rows' means, weighted by their successes, are the run's mean."""
-    report = run(_coap_loadgen_report(1.2))
+def _assert_rows_read_the_run_s_samples(report):
+    """No row's p99 exceeds the Report's largest latency, and the rows'
+    means, weighted by their successes, are the Report's mean."""
+    from repro.api.report import report_from_loadgen
+
     rows = report["telemetry"]
-    assert len(rows) >= 2  # one timer tick and the closing one
     busy = [row for row in rows if row["succeeded"]]
     assert sum(row["succeeded"] for row in busy) == report["succeeded"] > 0
-    latency = report["latency_ms"]
-    assert max(row["latency_ms"]["p99"] for row in busy) <= latency["max"]
+    metrics = report_from_loadgen(report).metrics
+    assert max(
+        row["latency_ms"]["p99"] for row in busy
+    ) <= metrics["latency.max_ms"]
     weighted = sum(
         row["latency_ms"]["mean"] * row["succeeded"] for row in busy
     ) / report["succeeded"]
     # Each mean is rounded to a microsecond, the run's own once more.
-    assert weighted == pytest.approx(latency["mean"], abs=0.0011)
+    assert weighted == pytest.approx(metrics["latency.mean_ms"], abs=0.0011)
+
+
+def test_loadgen_rows_are_exact_over_the_run_s_own_samples():
+    """The per-second rows and the run's Report read the same raw
+    samples."""
+    report = run(_coap_loadgen_report(1.2))
+    assert len(report["telemetry"]) >= 2  # one timer tick and the closing one
+    _assert_rows_read_the_run_s_samples(report)
+
+
+def test_loadgen_report_is_exact_past_4096_successes():
+    """A closed-loop run long enough to outgrow any 4 096-entry sample:
+    every success's latency is kept, and the Report's ``latency.*`` is
+    :func:`latency_metrics` over all of them."""
+    from repro.api.report import latency_metrics, report_from_loadgen
+
+    async def body():
+        server = DocLiveServer(transport="udp", port=0, num_names=8)
+        async with server:
+            async with LiveResolver(server.endpoint, transport="udp") as r:
+                for duration in (1.5, 3.0, 6.0):
+                    report = await generate_load(
+                        r, server.names, duration=duration, mode="closed",
+                        concurrency=8, timeout=QUERY_TIMEOUT,
+                    )
+                    if report["succeeded"] > 4096:
+                        return report
+                return report
+
+    report = asyncio.run(asyncio.wait_for(body(), timeout=60.0))
+    assert report["succeeded"] > 4096
+    assert len(report["latencies_s"]) == report["succeeded"]
+    metrics = report_from_loadgen(report).metrics
+    exact = latency_metrics(report["latencies_s"])
+    for key in ("max_ms", "mean_ms", "p99_ms"):
+        assert metrics[f"latency.{key}"] == exact[f"latency.{key}"], key
+    assert metrics["latency.max_ms"] == round(
+        max(report["latencies_s"]) * 1000, 3
+    )
+    _assert_rows_read_the_run_s_samples(report)
 
 
 def test_loadgen_closed_loop():

@@ -1,7 +1,7 @@
 """Tests for sharded multi-worker serving and distributed load.
 
-Covers the pure pieces in-process (seed derivation, the latency
-reservoir, stats merging, the burst-drain error path) and the process
+Covers the pure pieces in-process (seed derivation, stats merging,
+latency pooling, the burst-drain error path) and the process
 machinery against real forked workers on loopback (SO_REUSEPORT
 sharding, the single-worker fallback, worker-crash handling, the
 sharded ``repro.api`` path). Worker-pool tests bind ephemeral ports
@@ -13,14 +13,11 @@ from __future__ import annotations
 import asyncio
 import errno
 import os
-import random
 import signal
 import time
 
 import pytest
 
-from repro.experiments.metrics import percentile
-from repro.live.reservoir import DEFAULT_RESERVOIR_CAPACITY, LatencyReservoir
 from repro.live.transport import LiveTransportError, LiveUdpTransport
 from repro.live.workers import (
     REUSEPORT_WARNING,
@@ -70,77 +67,6 @@ def test_worker_seeds_do_not_collide_with_repeat_spacing():
 def test_worker_seed_is_64_bit():
     for index in range(16):
         assert 0 <= derive_worker_seed(7, index) < (1 << 64)
-
-
-# -- the latency reservoir -------------------------------------------------
-
-
-def test_reservoir_below_capacity_keeps_every_sample_in_order():
-    reservoir = LatencyReservoir(capacity=100, seed=1)
-    values = [random.Random(3).uniform(0.001, 0.2) for _ in range(50)]
-    for value in values:
-        reservoir.add(value)
-    assert reservoir.samples == values
-    assert not reservoir.saturated
-    assert reservoir.count == 50
-
-
-def test_reservoir_summary_matches_full_sort_below_capacity():
-    rng = random.Random(11)
-    values = [rng.expovariate(50.0) for _ in range(400)]
-    reservoir = LatencyReservoir(capacity=DEFAULT_RESERVOIR_CAPACITY, seed=0)
-    for value in values:
-        reservoir.add(value)
-    summary = reservoir.summary_ms()
-    assert summary["p50"] == round(percentile(values, 50) * 1000, 3)
-    assert summary["p95"] == round(percentile(values, 95) * 1000, 3)
-    assert summary["p99"] == round(percentile(values, 99) * 1000, 3)
-    assert summary["mean"] == round(sum(values) / len(values) * 1000, 3)
-    assert summary["min"] == round(min(values) * 1000, 3)
-    assert summary["max"] == round(max(values) * 1000, 3)
-
-
-def test_reservoir_percentiles_track_exact_quantiles_when_saturated():
-    # 20k exponential draws through a 2k reservoir: the estimates must
-    # stay within a few percent of the exact sample quantiles (p99 gets
-    # a wider band — the tail holds the fewest samples).
-    rng = random.Random(1234)
-    values = [rng.expovariate(10.0) for _ in range(20_000)]
-    reservoir = LatencyReservoir(capacity=2048, seed=7)
-    for value in values:
-        reservoir.add(value)
-    assert reservoir.saturated
-    assert len(reservoir.samples) == 2048
-    for q, tolerance in ((50, 0.10), (95, 0.10), (99, 0.15)):
-        exact = percentile(values, q)
-        estimate = reservoir.percentile(q)
-        assert abs(estimate - exact) / exact < tolerance, (
-            f"p{q}: estimate {estimate} vs exact {exact}"
-        )
-    # Mean/min/max stay exact regardless of saturation.
-    assert reservoir.mean == pytest.approx(sum(values) / len(values))
-    assert reservoir.minimum == min(values)
-    assert reservoir.maximum == max(values)
-
-
-def test_reservoir_memory_stays_bounded():
-    reservoir = LatencyReservoir(capacity=64, seed=0)
-    for index in range(10_000):
-        reservoir.add(index * 1e-6)
-        assert len(reservoir.samples) <= 64
-    assert reservoir.count == 10_000
-
-
-def test_reservoir_rejects_non_positive_capacity():
-    with pytest.raises(ValueError):
-        LatencyReservoir(capacity=0)
-
-
-def test_reservoir_empty_summary_is_all_null():
-    assert all(
-        value is None
-        for value in LatencyReservoir(capacity=8).summary_ms().values()
-    )
 
 
 # -- burst-drain error handling (satellite bugfix) -------------------------
@@ -486,17 +412,14 @@ def _fake_loadgen_report(
         "rcode_failures": 0,
         "success_rate": succeeded / queries,
         "achieved_qps": round(succeeded / elapsed_s, 3),
-        "latency_ms": {
-            "p50": rtt_ms, "p95": rtt_ms, "p99": rtt_ms,
-            "mean": rtt_ms, "min": rtt_ms, "max": rtt_ms,
-        },
         "cache": cache or {},
         "workload": {"names": 8, "arrival": "poisson", "burst_on": 1.0,
                      "burst_off": 4.0, "zipf_alpha": None},
         "seed": seed,
         "telemetry": telemetry or [],
-        "latencies_ms": [
-            round(rtt_ms + spread_ms * (i % 7), 3) for i in range(succeeded)
+        "latencies_s": [
+            round(rtt_ms + spread_ms * (i % 7), 3) / 1000
+            for i in range(succeeded)
         ],
         "worker": worker,
     }
@@ -731,6 +654,38 @@ def test_distributed_load_worker_seeds_derive_from_base():
     assert [report["seed"] for report in reports] == [
         derive_worker_seed(9, 0), derive_worker_seed(9, 1),
     ]
+
+
+@needs_reuseport
+def test_unequal_load_workers_pool_to_the_p99_of_every_sample():
+    """Two forked generators with unequal success counts (closed-loop
+    slots split 2 + 1): the Report's p99 is the p99 over every sample
+    of both, not an equal-weight blend of the two workers'."""
+    from repro.api.report import latency_metrics, report_from_loadgen
+
+    pool = ServePool(workers=1, transport="udp", port=0, num_names=8)
+    endpoint = pool.start()
+    try:
+        reports, failed = run_load(
+            dict(
+                _load_config(endpoint, rate=1.0, duration=0.5, num_names=8,
+                             seed=3),
+                mode="closed", concurrency=3,
+            ),
+            2,
+        )
+    finally:
+        pool.drain()
+        pool.terminate()
+    assert failed == 0
+    counts = [len(report["latencies_s"]) for report in reports]
+    assert counts == [report["succeeded"] for report in reports]
+    assert counts[0] != counts[1]
+    every = [rtt for report in reports for rtt in report["latencies_s"]]
+    pooled = report_from_loadgen([reports]).metrics
+    exact = latency_metrics(every)
+    for key in ("p50_ms", "p99_ms", "mean_ms", "max_ms"):
+        assert pooled[f"latency.{key}"] == exact[f"latency.{key}"], key
 
 
 @needs_reuseport
