@@ -35,8 +35,7 @@ from importlib import import_module
 
 #: Public name -> defining submodule (resolved on first access).
 _EXPORTS = {
-    "CACHE_METRICS": ".report",
-    "LATENCY_METRICS": ".report",
+    "REPORT_METRICS": ".report",
     "REPORT_VERSION": ".report",
     "SUBSTRATES": ".report",
     "Report": ".report",

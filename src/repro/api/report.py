@@ -4,47 +4,45 @@ One :class:`Report` describes the outcome of one run regardless of the
 substrate that produced it: a discrete-event simulation
 (:class:`~repro.scenarios.ScenarioRunner`), a wall-clock serve+load
 pairing (:mod:`repro.live`), or an aggregate fleet pass
-(:mod:`repro.fleet`). Metric names are **stable dotted identifiers**
-shared by every substrate, and emitted for all of them by one
-function, :func:`common_vocabulary`:
+(:mod:`repro.fleet`). Metric names are **stable dotted identifiers**,
+and :data:`REPORT_METRICS` is the one list of them. A row
+(:class:`MetricRow`) gives a key or key pattern, the key's unit, the
+substrates that emit it, and how it pools across the repeats of a run
+and across the parallel load workers of a live one.
 
-``queries.*``
-    ``issued``, ``succeeded``, ``failed``, ``timeouts``,
-    ``rcode_failures``, ``success_rate``.
-``latency.*``
-    ``p50_ms``, ``p95_ms``, ``p99_ms``, ``mean_ms``, ``max_ms``
-    (``null`` when no query succeeded).
-``throughput.qps``
-    Successful resolutions per second over the span successes landed in.
-``cache.<location>.*``
-    Per-location cache counters and ratios for the *client-side* cache
-    locations the run's spec enabled (``client_dns``, ``client_coap``):
-    ``hits``, ``misses``, ``stale_hits``, ``validations``,
-    ``validation_failures``, ``hit_ratio``, ``stale_ratio``,
-    ``validation_ratio``.
+Rows listing every substrate — ``queries.*``, ``latency.*``,
+``throughput.qps`` and ``cache.<client location>.*`` — are the common
+vocabulary: Reports of one :class:`~repro.api.spec.RunSpec` on
+different substrates carry the same such keys and diff directly.
+Everything only one substrate can measure is namespaced under
+``sim.*``, ``live.*`` or ``fleet.*``.
 
-Everything only one substrate can measure is **explicitly namespaced**
-under ``sim.*`` (link frames/bytes, resolver/proxy cache stats),
-``live.*`` (wall-clock elapsed time, offered rate, loop mode, server
-counters), or ``fleet.*`` (client count, sampling scale, service-model
-calibration — see :mod:`repro.fleet`). Reports produced from the same
-:class:`~repro.api.spec.RunSpec` on different substrates therefore
-carry identical non-namespaced key sets and diff directly.
+The converters (:func:`report_from_experiment_result`,
+:func:`report_from_loadgen`,
+:func:`repro.fleet.report.report_from_fleet`) say what each run
+measured; :func:`pool_metrics`, the one pooling pass, applies the
+rows' rules. ``python -m repro.api.validate`` checks Reports against
+the table (:func:`check_metrics`). The ``live.server.*``,
+``live.workers.serve.<i>.*`` and ``live.cache.resolver.*`` rows are
+generated from :data:`SERVER_STATS`, the table of a live server's
+stats block, which lives here so that the Report's table needs no
+import of the live runtime.
 
 This module is import-light on purpose (stdlib only at module level):
-:mod:`repro.live.loadgen` imports the shared :data:`REPORT_VERSION` /
-:func:`provenance` stamp from here without pulling in the scenario
-engine.
+every run imports it, and :mod:`repro.live` imports the shared
+:data:`REPORT_VERSION` stamp and both tables from here.
 """
 
 from __future__ import annotations
 
 import platform
+import re
 import subprocess
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence
+from itertools import groupby
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 #: Schema version shared by every JSON document the toolkit emits
 #: (unified Reports, the loadgen report, ``sweep --json``). Bump on
@@ -53,28 +51,281 @@ from typing import Dict, List, Optional, Sequence
 REPORT_VERSION = 2
 
 #: Every substrate a RunSpec can execute on. Single-sourced: RunSpec
-#: validation, Report validation, the ``common_metrics()`` namespace
-#: filter, and ``tests/report_schema.json`` (via the schema-sync test)
-#: all derive from this tuple, so adding a substrate is one edit here
-#: plus the matching schema entry.
+#: validation, Report validation, :data:`REPORT_METRICS` and
+#: ``tests/report_schema.json`` (via the schema-sync test) all derive
+#: from this tuple.
 SUBSTRATES = ("sim", "live", "fleet")
 
-#: The metric-key prefixes that mark substrate-namespaced metrics —
-#: everything else is the common, substrate-agnostic vocabulary.
-SUBSTRATE_NAMESPACES = tuple(f"{substrate}." for substrate in SUBSTRATES)
 
-#: Sub-metrics every cache location reports, in emission order.
-CACHE_METRICS = (
-    "hits", "misses", "stale_hits", "validations", "validation_failures",
-    "hit_ratio", "stale_ratio", "validation_ratio",
+class MetricRow(NamedTuple):
+    """One Report key or key pattern of :data:`REPORT_METRICS`."""
+
+    #: Dotted key; a ``{name}`` segment stands for what
+    #: ``PLACEHOLDERS[name]`` matches. The last segment is literal.
+    key: str
+    #: A key of :data:`UNITS`.
+    unit: str
+    substrates: Tuple[str, ...]
+    #: How the repeats of a run pool: ``sum``, ``mean`` (a repeat that
+    #: states nothing counts 0), ``max``, ``first`` or ``all``. Derived
+    #: after pooling instead: ``count`` (of repeats), ``samples`` (from
+    #: every success latency) or ``ratio`` (from the counters beside
+    #: it). ``run``: stated once for the whole run. The rows from
+    #: ``SERVER_STATS`` carry its merge, which
+    #: :func:`repro.live.workers.merge_server_stats` applies.
+    repeats: str
+    #: How the side-by-side workers of a live repeat pool (same rules):
+    #: load workers, or serve workers for the ``SERVER_STATS`` rows.
+    #: Empty where one worker states the key.
+    workers: str = ""
+    #: Decimals every pooling of several values, and every pooling of
+    #: repeats, rounds to.
+    digits: Optional[int] = None
+
+
+#: What each ``{placeholder}`` of a row key matches (a regex).
+PLACEHOLDERS = {
+    # The client-side cache locations: every substrate observes them,
+    # so they are the only non-namespaced ones.
+    "client": "client_dns|client_coap",
+    # The simulator's shared caches.
+    "server": "proxy|resolver",
+    # A load or serve worker's index.
+    "i": r"\d+",
+}
+
+#: The types a unit's values take; every unit also admits null.
+UNITS = {
+    "count": (int,),
+    "ratio": (float, int),
+    "ms": (float, int),
+    "s": (float, int),
+    "qps": (float, int),
+    "per_s": (float, int),
+    "label": (str,),
+    "flag": (bool,),
+}
+
+
+def _rows(prefix, leaves, unit, substrates, repeats, workers="", digits=None):
+    """One row per space-separated leaf of *leaves* under *prefix*."""
+    return tuple(
+        MetricRow(f"{prefix}.{leaf}", unit, substrates, repeats, workers,
+                  digits)
+        for leaf in leaves.split()
+    )
+
+
+class ServerStat(NamedTuple):
+    """One leaf of a :meth:`~repro.live.server.DocLiveServer.stats`
+    block: how blocks pool it, how ``/metrics`` shows it, and where a
+    Report shows it."""
+
+    #: Dotted path of the leaf in the stats block.
+    path: str
+    #: How many blocks become one: ``sum``, ``max``, ``any``, ``first``
+    #: (a fact every block states alike), or ``ratio`` (not pooled:
+    #: taken again from the pooled hits and misses).
+    merge: str
+    #: Exposition family, after ``repro_`` (one worker's series) or
+    #: ``repro_pool_`` (the pool's); empty: not on ``/metrics``.
+    family: str = ""
+    labels: Dict[str, str] = {}
+    help: str = ""
+    kind: str = "counter"
+    #: ``server``: a Report's ``live.server.<path>``; ``worker``: that
+    #: and, per serve worker, ``live.workers.serve.<i>.<path>``.
+    report: str = ""
+
+
+_DATAGRAMS = "UDP datagrams by direction"
+_FASTPATH = "wire-cache fastpath lookups"
+_IO_EVENTS = "transport I/O events"
+_RESOLVER = "resolver cache lookups"
+
+#: Every leaf of a :meth:`~repro.live.server.DocLiveServer.stats`
+#: block, one row each: the one place that says how a server counter
+#: merges (:func:`repro.live.workers.merge_server_stats`) and how it is
+#: shown (:func:`repro.live.workers.stats_snapshot`, the
+#: :data:`REPORT_METRICS` rows below). A counter added to ``stats()``
+#: needs its row here and nothing else.
+SERVER_STATS: Tuple[ServerStat, ...] = (
+    ServerStat("transport", "first"),
+    ServerStat("endpoint", "first"),
+    ServerStat("names", "first"),
+    ServerStat("queries_handled", "sum", "queries_total", {},
+               "DNS queries handled by the serving stack", report="worker"),
+    ServerStat("datagrams_received", "sum", "datagrams_total",
+               {"direction": "in"}, _DATAGRAMS, report="worker"),
+    ServerStat("datagrams_sent", "sum", "datagrams_total",
+               {"direction": "out"}, _DATAGRAMS, report="worker"),
+    ServerStat("validations_sent", "sum", "validations_total", {},
+               "cache-validation responses sent", report="server"),
+    ServerStat("fastpath_hits", "sum", "fastpath_total",
+               {"result": "hit"}, _FASTPATH),
+    ServerStat("fastpath_misses", "sum", "fastpath_total",
+               {"result": "miss"}, _FASTPATH),
+    ServerStat("io.recv_bursts", "sum", "io_events_total",
+               {"kind": "recv_burst"}, _IO_EVENTS),
+    ServerStat("io.largest_burst", "max", "io_largest_burst", {},
+               "largest batched recv burst", kind="gauge"),
+    ServerStat("io.recv_errors", "sum", "io_events_total",
+               {"kind": "recv_error"}, _IO_EVENTS),
+    ServerStat("io.send_buffer_drops", "sum", "io_events_total",
+               {"kind": "send_buffer_drop"}, _IO_EVENTS),
+    ServerStat("io.send_errors", "sum", "io_events_total",
+               {"kind": "send_error"}, _IO_EVENTS),
+    ServerStat("io.reuse_port", "any"),
+    ServerStat("resolver_cache.hits", "sum", "resolver_cache_total",
+               {"result": "hit"}, _RESOLVER),
+    ServerStat("resolver_cache.misses", "sum", "resolver_cache_total",
+               {"result": "miss"}, _RESOLVER),
+    ServerStat("resolver_cache.hit_ratio", "ratio"),
 )
 
-#: Cache locations that live on the client side — the only locations
-#: both substrates can observe, hence the only non-namespaced ones.
-CLIENT_CACHE_LOCATIONS = ("client_dns", "client_coap")
 
-#: Latency quantile keys of the common vocabulary (milliseconds).
-LATENCY_METRICS = ("p50_ms", "p95_ms", "p99_ms", "mean_ms", "max_ms")
+def _server_rows(prefix, report):
+    """Rows for the ``SERVER_STATS`` leaves under *prefix*: those with
+    a ``report`` in *report*, or under ``resolver_cache.``."""
+    return tuple(
+        MetricRow(
+            f"{prefix}.{row.path.rpartition('.')[2]}",
+            "ratio" if row.merge == "ratio" else "count",
+            ("live",), row.merge, row.merge,
+        )
+        for row in SERVER_STATS
+        if (row.report in report if report
+            else row.path.startswith("resolver_cache."))
+    )
+
+
+_CACHE_COUNTERS = "hits misses stale_hits validations validation_failures"
+_CACHE_RATIOS = "hit_ratio stale_ratio validation_ratio"
+_LIVE = ("live",)
+_FLEET = ("fleet",)
+
+#: Every key a Report may carry, in emission order.
+REPORT_METRICS: Tuple[MetricRow, ...] = (
+    *_rows("queries", "issued succeeded failed timeouts rcode_failures",
+           "count", SUBSTRATES, "sum", "sum"),
+    # Over completed queries.
+    MetricRow("queries.success_rate", "ratio", SUBSTRATES, "ratio", "ratio"),
+    *_rows("latency", "p50_ms p95_ms p99_ms mean_ms max_ms", "ms",
+           SUBSTRATES, "samples", "samples"),
+    # Successes per second over the span they landed in, per run:
+    # side-by-side workers add, repeats (each restarting the clock)
+    # average.
+    MetricRow("throughput.qps", "qps", SUBSTRATES, "mean", "sum", 3),
+    *_rows("cache.{client}", _CACHE_COUNTERS, "count", SUBSTRATES,
+           "sum", "sum"),
+    *_rows("cache.{client}", _CACHE_RATIOS, "ratio", SUBSTRATES,
+           "ratio", "ratio"),
+    *_rows("sim.cache.{server}", _CACHE_COUNTERS, "count", ("sim",), "sum"),
+    *_rows("sim.cache.{server}", _CACHE_RATIOS, "ratio", ("sim",), "ratio"),
+    *_rows("sim.link", "frames_1hop frames_2hop bytes_1hop bytes_2hop "
+           "queries_frames responses_frames", "count", ("sim",), "sum"),
+    MetricRow("sim.repeats", "count", ("sim",), "count"),
+    MetricRow("live.mode", "label", _LIVE, "first", "first"),
+    # Rounded so that three shares of 100/3 read 100.0.
+    MetricRow("live.offered_rate_qps", "qps", _LIVE, "first", "sum", 9),
+    MetricRow("live.concurrency", "count", _LIVE, "first", "sum"),
+    # The slowest side-by-side worker's; repeats run one after another.
+    MetricRow("live.elapsed_s", "s", _LIVE, "sum", "max", 3),
+    MetricRow("live.repeats", "count", _LIVE, "count"),
+    # Load workers that stamped an index, and those that delivered
+    # nothing (what they would have offered is in no sum).
+    *_rows("live.workers.load", "count failed", "count", _LIVE, "run"),
+    *_rows("live.workers.load.{i}",
+           "queries succeeded failed timeouts rcode_failures", "count",
+           _LIVE, "sum"),
+    MetricRow("live.workers.load.{i}.achieved_qps", "qps", _LIVE, "mean",
+              digits=3),
+    *_rows("live.workers.serve", "count failed", "count", _LIVE, "run"),
+    MetricRow("live.workers.serve.failed_workers", "label", _LIVE, "run"),
+    MetricRow("live.workers.reuseport", "flag", _LIVE, "run"),
+    MetricRow("live.workers.warning", "label", _LIVE, "run"),
+    *_server_rows("live.workers.serve.{i}", ("worker",)),
+    *_server_rows("live.server", ("server", "worker")),
+    *_server_rows("live.cache.resolver", ()),
+    MetricRow("fleet.clients", "count", _FLEET, "first"),
+    # Sampled active clients, scaled to the fleet after pooling.
+    MetricRow("fleet.active_clients", "count", _FLEET, "mean"),
+    MetricRow("fleet.repeats", "count", _FLEET, "count"),
+    MetricRow("fleet.sample.queries", "count", _FLEET, "first"),
+    MetricRow("fleet.sample.scale", "ratio", _FLEET, "first", digits=3),
+    # Every fleet query simulated and every success latency kept.
+    MetricRow("fleet.tolerance.exact", "flag", _FLEET, "all"),
+    MetricRow("fleet.churn", "per_s", _FLEET, "first"),
+    *_rows("fleet", "duty_cycle flash_crowd", "ratio", _FLEET, "first"),
+    *_rows("fleet.calibration", "probe_clients probe_queries", "count",
+           _FLEET, "first"),
+    *_rows("fleet.calibration", "success_rate p_timeout p_rcode", "ratio",
+           _FLEET, "first", digits=4),
+    *_rows("fleet.calibration", "wire_p50_ms wire_p95_ms", "ms", _FLEET,
+           "first"),
+)
+
+#: Rules :func:`pool_metrics` derives instead of pooling.
+_DERIVED = ("count", "samples", "ratio")
+
+#: The pooling rules, shared with the serve side's
+#: :data:`SERVER_STATS` merge.
+POOL_RULES = {
+    "sum": sum,
+    "max": max,
+    "any": any,
+    "all": all,
+    "first": lambda values: values[0],
+}
+
+
+def _matches(parts: Sequence[str], segments: Sequence[str]) -> bool:
+    """Whether the concrete key *segments* are an instance of a row
+    key's *parts* (every row key starts with a literal segment)."""
+    return (
+        len(parts) == len(segments) and parts[0] == segments[0]
+        and all(
+            re.fullmatch(PLACEHOLDERS[part[1:-1]], segment)
+            if part.startswith("{") else part == segment
+            for part, segment in zip(parts, segments)
+        )
+    )
+
+
+_KEY_PARTS = [(row, row.key.split(".")) for row in REPORT_METRICS]
+
+
+@lru_cache(maxsize=4096)
+def metric_rows(key: str) -> Tuple[MetricRow, ...]:
+    """The rows of :data:`REPORT_METRICS` that *key* matches — exactly
+    one for every key a Report carries."""
+    segments = key.split(".")
+    return tuple(row for row, parts in _KEY_PARTS if _matches(parts, segments))
+
+
+@lru_cache(maxsize=1024)
+def _stated_leaves(prefix: str) -> Tuple[str, ...]:
+    """The leaves of the non-derived rows directly under *prefix*."""
+    segments = prefix.split(".")
+    return tuple(
+        parts[-1] for row, parts in _KEY_PARTS
+        if row.repeats not in _DERIVED and _matches(parts[:-1], segments)
+    )
+
+
+def row_values(prefix: str, source) -> Dict[str, object]:
+    """``{prefix.leaf: value}`` for every non-derived row directly under
+    the concrete *prefix*, read off *source* (a mapping or an object's
+    attributes); leaves *source* does not state are left out."""
+    if not isinstance(source, dict):
+        source = {
+            leaf: getattr(source, leaf)
+            for leaf in _stated_leaves(prefix) if hasattr(source, leaf)
+        }
+    return {
+        f"{prefix}.{leaf}": source[leaf]
+        for leaf in _stated_leaves(prefix) if leaf in source
+    }
 
 
 class ReportError(ValueError):
@@ -124,7 +375,9 @@ def latency_metrics(latencies_s: Sequence[float]) -> Dict[str, Optional[float]]:
     """The common ``latency.*`` values (ms) from raw seconds samples —
     the one run-level latency reducer of every substrate."""
     if not latencies_s:
-        return {f"latency.{key}": None for key in LATENCY_METRICS}
+        return {
+            row.key: None for row in REPORT_METRICS if row.repeats == "samples"
+        }
     ordered = sorted(latencies_s)
     return {
         "latency.p50_ms": quantile_ms(ordered, 50),
@@ -162,28 +415,6 @@ def pooled_cache_stats(blocks):
     return pooled
 
 
-def pooled_caches(runs) -> Dict[str, object]:
-    """The ``{location: block}`` cache mappings of many runs pooled
-    per location (:func:`pooled_cache_stats`), location names
-    normalized (``client-dns`` → ``client_dns``)."""
-    by_location: Dict[str, list] = {}
-    for caches in runs:
-        for location, block in caches.items():
-            by_location.setdefault(
-                location.replace("-", "_"), []
-            ).append(block)
-    return {
-        location: pooled_cache_stats(blocks)
-        for location, blocks in by_location.items()
-    }
-
-
-def cache_metrics(stats, prefix: str = "") -> Dict[str, object]:
-    """One location's :data:`CACHE_METRICS` read off a ``CacheStats``:
-    its counters, and the ratios as its properties define them."""
-    return {f"{prefix}{key}": getattr(stats, key) for key in CACHE_METRICS}
-
-
 def tally_outcomes(outcomes):
     """Walk one run's query outcomes (``issued_at`` /
     ``resolution_time`` / ``error`` rows, the sim and fleet vocabulary).
@@ -191,7 +422,7 @@ def tally_outcomes(outcomes):
     Returns ``(succeeded, timeouts, rcode_failures, qps)``. Every run
     restarts its clock, so throughput is derived per run — successes
     over the span from the first issue to the last success — and
-    averaged across repeats by :func:`common_vocabulary`, the same
+    averaged across repeats by the ``throughput.qps`` row, the same
     aggregation the live substrate applies to its per-repeat achieved
     qps.
     """
@@ -222,46 +453,122 @@ def tally_outcomes(outcomes):
     )
 
 
-def common_vocabulary(
-    *,
-    issued: int,
-    succeeded: int,
-    failed: int,
-    timeouts: int,
-    rcode_failures: int,
-    latency: Dict[str, Optional[float]],
-    qps_values: Sequence[float],
-    caches: Dict[str, object],
-) -> Dict[str, object]:
-    """The substrate-agnostic vocabulary, emitted in one place.
+# -- the one pooling pass ----------------------------------------------------
 
-    ``queries.*`` from the pooled counters (the success rate is over
-    completed queries), ``latency.*`` as given (see
-    :func:`latency_metrics`), ``throughput.qps`` as the mean of the
-    per-repeat rates, and ``cache.<location>.*`` for the client-side
-    locations among the pooled ``CacheStats`` in *caches* (keyed by
-    normalized location) — what only one substrate can see (the
-    simulator's resolver and proxy) is that substrate's to namespace.
-    """
-    completed = succeeded + failed
-    metrics: Dict[str, object] = {
-        "queries.issued": issued,
-        "queries.succeeded": succeeded,
-        "queries.failed": failed,
-        "queries.timeouts": timeouts,
-        "queries.rcode_failures": rcode_failures,
-        "queries.success_rate": succeeded / completed if completed else 0.0,
-    }
-    metrics.update(latency)
-    metrics["throughput.qps"] = (
-        round(sum(qps_values) / len(qps_values), 3) if qps_values else 0.0
-    )
-    for location in sorted(caches):
-        if location in CLIENT_CACHE_LOCATIONS:
-            metrics.update(
-                cache_metrics(caches[location], f"cache.{location}.")
+
+def _pool(rule: str, values, digits: Optional[int], count: int):
+    """*values* pooled by *rule* (``mean`` over *count*), nulls aside."""
+    values = [value for value in values if value is not None]
+    if not values:
+        return None
+    value = sum(values) / count if rule == "mean" else POOL_RULES[rule](values)
+    return value if digits is None else round(value, digits)
+
+
+def _merge(partials, axis: str) -> Dict[str, object]:
+    """*partials* pooled key by key by each row's rule for *axis*
+    (``workers`` or ``repeats``); a worker's lone value is its own."""
+    merged: Dict[str, object] = {}
+    for key in dict.fromkeys(key for part in partials for key in part):
+        values = [part[key] for part in partials if key in part]
+        if key == "latencies_s":
+            merged[key] = [rtt for value in values for rtt in value]
+        elif axis == "workers" and len(values) == 1:
+            merged[key] = values[0]
+        else:
+            (row,) = metric_rows(key)
+            merged[key] = _pool(
+                getattr(row, axis), values, row.digits, len(partials)
             )
+    return merged
+
+
+def _ratio(key: str, pooled: Dict[str, object]) -> float:
+    """A ``ratio`` row's value, from the pooled counters beside it."""
+    prefix, _, leaf = key.rpartition(".")
+    counters = {
+        name.rpartition(".")[2]: value
+        for name, value in pooled.items() if name.rpartition(".")[0] == prefix
+    }
+    if leaf == "success_rate":
+        completed = counters["succeeded"] + counters["failed"]
+        return counters["succeeded"] / completed if completed else 0.0
+    return getattr(pooled_cache_stats([counters]), leaf)
+
+
+def _instance_order(prefix: str):
+    return [int(part) if part.isdigit() else part
+            for part in prefix.split(".")]
+
+
+def pool_metrics(
+    substrate: str,
+    runs: Sequence[Sequence[Dict[str, object]]],
+    whole: Optional[Dict[str, object]] = None,
+) -> Dict[str, object]:
+    """A Report's metrics from per-run partials — the one pooling pass.
+
+    *runs* has one entry per repeat: the partials its side-by-side load
+    workers delivered (one partial on sim and fleet). A partial maps
+    Report keys to what one worker measured, and ``latencies_s`` to its
+    success latencies. Workers pool by each row's ``workers`` rule,
+    repeats by its ``repeats`` rule, then the ``count``, ``samples``
+    and ``ratio`` rows are derived; *whole* holds the ``run`` rows and
+    the ``SERVER_STATS`` rows already merged. Keys come out in table
+    order, the instances of a pattern in index or name order.
+    """
+    pooled = _merge([_merge(workers, "workers") for workers in runs],
+                    "repeats")
+    latency = latency_metrics(pooled.pop("latencies_s", ()))
+    pooled.update(whole or {})
+    instances: Dict[str, set] = {}
+    for key in pooled:
+        (row,) = metric_rows(key)
+        instances.setdefault(row.key.rpartition(".")[0], set()).add(
+            key.rpartition(".")[0]
+        )
+    metrics: Dict[str, object] = {}
+    rows = [row for row in REPORT_METRICS if substrate in row.substrates]
+    for pattern, group in groupby(
+        rows, lambda row: row.key.rpartition(".")[0]
+    ):
+        group = list(group)
+        prefixes = instances.get(pattern, set())
+        for prefix in (
+            sorted(prefixes, key=_instance_order)
+            if "{" in pattern else [pattern]
+        ):
+            for row in group:
+                key = f"{prefix}.{row.key.rpartition('.')[2]}"
+                if key in pooled:
+                    metrics[key] = pooled[key]
+                elif row.repeats == "count":
+                    metrics[key] = len(runs)
+                elif row.repeats == "samples":
+                    metrics[key] = latency[key]
+                elif row.repeats == "ratio" and prefix in prefixes:
+                    metrics[key] = _ratio(key, pooled)
     return metrics
+
+
+def check_metrics(substrate: str, metrics: Dict[str, object]) -> None:
+    """Raise :class:`ReportError` unless every key of *metrics* matches
+    exactly one row, one listing *substrate*, every value has its
+    row's unit's type, and the query counters add up."""
+    for key, value in metrics.items():
+        rows = metric_rows(key)
+        if len(rows) != 1 or substrate not in rows[0].substrates:
+            raise ReportError(f"metric {key!r} is not one {substrate} row")
+        if value is not None and type(value) not in UNITS[rows[0].unit]:
+            raise ReportError(f"metric {key!r} is not a {rows[0].unit}")
+    queries = {
+        key.partition(".")[2]: value
+        for key, value in metrics.items() if key.startswith("queries.")
+    }
+    if queries["issued"] != queries["succeeded"] + queries["failed"]:
+        raise ReportError("queries.issued != succeeded + failed")
+    if queries["timeouts"] + queries["rcode_failures"] > queries["failed"]:
+        raise ReportError("queries.timeouts + rcode_failures > failed")
 
 
 @dataclass
@@ -270,8 +577,8 @@ class Report:
 
     ``spec`` is the JSON-ready description of the
     :class:`~repro.api.spec.RunSpec` that produced the run; ``metrics``
-    maps the stable dotted names documented in the module docstring to
-    scalars. ``raw`` keeps the substrate-native result object (an
+    maps the keys of :data:`REPORT_METRICS` to scalars. ``raw`` keeps
+    the substrate-native result object (an
     :class:`~repro.scenarios.runner.ExperimentResult` or
     :class:`~repro.fleet.engine.FleetResult`, a list of them, or the
     loadgen dicts as the converter was given them) for Python callers —
@@ -341,11 +648,11 @@ class Report:
     # -- accessors ---------------------------------------------------------
 
     def common_metrics(self) -> Dict[str, object]:
-        """The substrate-agnostic (non-namespaced) metric subset."""
+        """The metrics whose row lists every substrate."""
         return {
             key: value
             for key, value in self.metrics.items()
-            if not key.startswith(SUBSTRATE_NAMESPACES)
+            if any(row.substrates == SUBSTRATES for row in metric_rows(key))
         }
 
     def __getitem__(self, key: str) -> object:
@@ -371,6 +678,21 @@ def _classify_error(error_name: str) -> str:
     return "other"
 
 
+def cache_values(caches, namespace: str = "") -> Dict[str, object]:
+    """The counters of a ``{location: block}`` cache mapping as partial
+    entries: ``cache.<location>.*`` for the client locations, and
+    ``<namespace>cache.<location>.*`` for the others where the
+    *namespace* has rows for them."""
+    values: Dict[str, object] = {}
+    for location, block in caches.items():
+        location = location.replace("-", "_")
+        values.update(
+            row_values(f"cache.{location}", block)
+            or row_values(f"{namespace}cache.{location}", block)
+        )
+    return values
+
+
 def report_from_experiment_result(
     results,
     spec: Optional[Dict[str, object]] = None,
@@ -378,52 +700,31 @@ def report_from_experiment_result(
     """Build the unified Report from simulation output.
 
     *results* is one :class:`~repro.scenarios.runner.ExperimentResult`
-    or a list of them (repeated runs pool their samples: latencies and
-    counters aggregate, cache stats merge per location).
+    or a list of them, one per repeat (:func:`pool_metrics` pools them).
     """
     single = not isinstance(results, (list, tuple))
     pooled = [results] if single else list(results)
     if not pooled:
         raise ReportError("cannot report on zero experiment results")
 
-    issued = succeeded = timeouts = rcode_failures = 0
-    latencies: List[float] = []
-    qps_values: List[float] = []
-    link_totals = {
-        "frames_1hop": 0, "frames_2hop": 0,
-        "bytes_1hop": 0, "bytes_2hop": 0,
-        "queries_frames": 0, "responses_frames": 0,
-    }
+    runs = []
     for result in pooled:
-        run_ok, run_timeouts, run_rcode, qps = tally_outcomes(result.outcomes)
-        issued += len(result.outcomes)
-        succeeded += run_ok
-        timeouts += run_timeouts
-        rcode_failures += run_rcode
-        latencies.extend(result.resolution_times)
-        qps_values.append(qps)
-        for key in link_totals:
-            link_totals[key] += getattr(result.link, key)
-    caches = pooled_caches(result.cache_stats for result in pooled)
-
-    metrics = common_vocabulary(
-        issued=issued,
-        succeeded=succeeded,
-        failed=issued - succeeded,
-        timeouts=timeouts,
-        rcode_failures=rcode_failures,
-        latency=latency_metrics(latencies),
-        qps_values=qps_values,
-        caches=caches,
-    )
-    for location in sorted(caches):
-        if location not in CLIENT_CACHE_LOCATIONS:
-            metrics.update(
-                cache_metrics(caches[location], f"sim.cache.{location}.")
-            )
-    for key, value in link_totals.items():
-        metrics[f"sim.link.{key}"] = value
-    metrics["sim.repeats"] = len(pooled)
+        succeeded, timeouts, rcode_failures, qps = tally_outcomes(
+            result.outcomes
+        )
+        issued = len(result.outcomes)
+        partial = {
+            "queries.issued": issued,
+            "queries.succeeded": succeeded,
+            "queries.failed": issued - succeeded,
+            "queries.timeouts": timeouts,
+            "queries.rcode_failures": rcode_failures,
+            "throughput.qps": qps,
+            "latencies_s": result.resolution_times,
+            **cache_values(result.cache_stats, "sim."),
+            **row_values("sim.link", result.link),
+        }
+        runs.append([partial])
     # The telemetry timeline only makes sense for one run: repeats
     # restart the simulated clock, so their per-second series would
     # overlay rather than concatenate.
@@ -435,86 +736,73 @@ def report_from_experiment_result(
     return Report(
         substrate="sim",
         spec=spec if spec is not None else {},
-        metrics=metrics,
+        metrics=pool_metrics("sim", runs),
         telemetry=telemetry,
         raw=results if not single else pooled[0],
     )
 
 
-#: Per-load-worker counters surfaced as ``live.workers.load.<i>.*``.
-_LOAD_WORKER_METRICS = (
-    "queries", "succeeded", "failed", "timeouts", "rcode_failures",
-    "achieved_qps",
-)
-
-
-def _worker_metrics(workers, load_failed, server_stats) -> Dict[str, object]:
-    """The ``live.workers.*`` namespace from sharded-run detail.
-
-    Load-side detail is each loadgen dict's own ``worker`` index (a
-    forked load worker stamps it on what it delivers) and *load_failed*,
-    the number of load workers that delivered nothing; serve-side
-    detail rides in *server_stats*' ``workers``/``runtime`` blocks
-    (:func:`repro.live.workers.merge_server_stats`). Per-worker counters
-    sum index-by-index across repeats — summing any
-    ``live.workers.load.<i>.queries`` column therefore reproduces the
-    top-level ``queries.issued``. A load side that ran in the caller's
-    process stamps no ``worker`` and adds no ``live.workers.load.*``;
-    every self-served run has a serve pool, of one worker or more, and
-    reports it. A plain :meth:`~repro.live.server.DocLiveServer.stats`
-    block (a library caller's own in-loop server) has neither pool
-    block and adds nothing here.
-    """
-    from repro.live.server import SERVER_STATS
-
-    metrics: Dict[str, object] = {}
-    load_totals: Dict[int, Dict[str, float]] = {}
-    for report in workers:
-        if "worker" not in report:
-            continue
-        totals = load_totals.setdefault(
-            int(report["worker"]),
-            {key: 0 for key in _LOAD_WORKER_METRICS},
+def _live_partial(report: Dict[str, object]) -> Dict[str, object]:
+    """What one :func:`~repro.live.loadgen.generate_load` dict measured."""
+    partial = {
+        "queries.issued": report["queries"],
+        "queries.succeeded": report["succeeded"],
+        "queries.failed": report["failed"],
+        "queries.timeouts": report["timeouts"],
+        "queries.rcode_failures": report["rcode_failures"],
+        "throughput.qps": report["achieved_qps"],
+        "latencies_s": report["latencies_s"],
+        **cache_values(report.get("cache", {})),
+        "live.mode": report["mode"],
+        "live.offered_rate_qps": report["offered_rate_qps"],
+        "live.concurrency": report["concurrency"],
+        "live.elapsed_s": report["elapsed_s"],
+    }
+    if "worker" in report:
+        partial.update(
+            row_values(f"live.workers.load.{int(report['worker'])}", report)
         )
-        for key in _LOAD_WORKER_METRICS:
-            totals[key] += report[key]
-    if load_totals:
-        metrics["live.workers.load.count"] = len(load_totals)
-        metrics["live.workers.load.failed"] = load_failed
-        for index in sorted(load_totals):
-            for key in _LOAD_WORKER_METRICS:
-                value = load_totals[index][key]
-                metrics[f"live.workers.load.{index}.{key}"] = (
-                    round(value, 3) if key == "achieved_qps" else value
-                )
-    if server_stats:
-        runtime = server_stats.get("runtime")
-        per_worker = server_stats.get("workers")
-        if isinstance(runtime, dict):
-            metrics["live.workers.serve.count"] = runtime.get(
-                "serve_workers", 1
-            )
-            metrics["live.workers.serve.failed"] = server_stats.get(
-                "workers_failed", 0
-            )
-            failed_workers = server_stats.get("failed_workers", [])
-            metrics["live.workers.serve.failed_workers"] = (
-                ",".join(str(i) for i in failed_workers)
-                if failed_workers else None
-            )
-            metrics["live.workers.reuseport"] = bool(
-                runtime.get("reuseport")
-            )
-            metrics["live.workers.warning"] = runtime.get("warning")
-        if isinstance(per_worker, list):
-            for entry in per_worker:
-                index = entry.get("worker", 0)
-                for row in SERVER_STATS:
-                    if row.report == "worker" and row.path in entry:
-                        metrics[f"live.workers.serve.{index}.{row.path}"] = (
-                            entry[row.path]
-                        )
-    return metrics
+    return partial
+
+
+def _live_whole(workers, load_failed, server_stats) -> Dict[str, object]:
+    """The ``run`` rows and the merged ``SERVER_STATS`` rows of a live
+    run. Only forked load workers stamp a ``worker`` index, and only a
+    serve pool's block (:func:`repro.live.workers.merge_server_stats`)
+    has ``runtime`` and ``workers``; a plain
+    :meth:`~repro.live.server.DocLiveServer.stats` block has neither.
+    """
+    whole: Dict[str, object] = {}
+    stamped = {
+        int(report["worker"]) for report in workers if "worker" in report
+    }
+    if stamped:
+        whole["live.workers.load.count"] = len(stamped)
+        whole["live.workers.load.failed"] = load_failed
+    if not server_stats:
+        return whole
+    runtime = server_stats.get("runtime")
+    if isinstance(runtime, dict):
+        failed_workers = server_stats.get("failed_workers", [])
+        whole.update({
+            "live.workers.serve.count": runtime.get("serve_workers", 1),
+            "live.workers.serve.failed": server_stats.get("workers_failed", 0),
+            "live.workers.serve.failed_workers": (
+                ",".join(str(i) for i in failed_workers) or None
+            ),
+            "live.workers.reuseport": bool(runtime.get("reuseport")),
+            "live.workers.warning": runtime.get("warning"),
+        })
+    per_worker = server_stats.get("workers")
+    for entry in per_worker if isinstance(per_worker, list) else ():
+        whole.update(row_values(
+            f"live.workers.serve.{entry.get('worker', 0)}", entry
+        ))
+    whole.update(row_values("live.server", server_stats))
+    resolver_cache = server_stats.get("resolver_cache")
+    if isinstance(resolver_cache, dict):
+        whole.update(row_values("live.cache.resolver", resolver_cache))
+    return whole
 
 
 def report_from_loadgen(
@@ -523,29 +811,23 @@ def report_from_loadgen(
     server_stats: Optional[Dict[str, object]] = None,
     load_failed: int = 0,
 ) -> Report:
-    """Build the unified Report from live load-generation output — the
-    one place loadgen dicts are pooled, on both axes.
+    """Build the unified Report from live load-generation output.
 
     *reports* is one :func:`~repro.live.loadgen.generate_load` dict, or
     a list with one entry per repeat, an entry being one dict or the
     list of dicts that repeat's load workers delivered
-    (:func:`repro.live.workers.run_load`). Counters sum, every dict's
-    ``latencies_s`` (one entry per success) concatenate and
-    :func:`latency_metrics` reduces them, so the run-level latency is
-    exact however many workers and repeats delivered it, and caches pool
-    per location, all over every dict. The workers of
-    one repeat ran side by side: their ``achieved_qps`` and their
-    shares of the offered rate or concurrency add, and the slowest
-    one's ``elapsed_s`` is the repeat's. Repeats ran one after another:
-    ``throughput.qps`` is the mean of theirs, ``live.elapsed_s`` the
-    sum, and the offered load is read off the first.
+    (:func:`repro.live.workers.run_load`). Each dict is one partial of
+    :func:`pool_metrics`: counters sum on both axes, every dict's
+    ``latencies_s`` (one entry per success) pool, so the run-level
+    latency is exact however many workers and repeats delivered it;
+    side-by-side workers add their ``achieved_qps`` and offered load
+    and the slowest one's ``elapsed_s`` is the repeat's, repeats
+    average their throughput and add their elapsed time.
 
     *load_failed* is the number of load workers, over all repeats, that
-    delivered nothing (what they would have offered is in no sum).
-    *server_stats* optionally attaches the paired server's counters
-    under ``live.server.*``.
+    delivered nothing. *server_stats* optionally attaches the paired
+    server's counters under ``live.server.*``.
     """
-    from repro.live.server import SERVER_STATS
     from repro.obs.telemetry import merge_timelines
 
     single = not isinstance(reports, (list, tuple))
@@ -556,61 +838,17 @@ def report_from_loadgen(
     if not repeats or not all(repeats):
         raise ReportError("cannot report on zero loadgen reports")
     workers = [report for repeat in repeats for report in repeat]
-
-    counters = {
-        "queries": 0, "succeeded": 0, "failed": 0,
-        "timeouts": 0, "rcode_failures": 0,
-    }
-    latencies_s: List[float] = []
-    for report in workers:
-        for key in counters:
-            counters[key] += report[key]
-        latencies_s.extend(report["latencies_s"])
-    metrics = common_vocabulary(
-        issued=counters["queries"],
-        succeeded=counters["succeeded"],
-        failed=counters["failed"],
-        timeouts=counters["timeouts"],
-        rcode_failures=counters["rcode_failures"],
-        latency=latency_metrics(latencies_s),
-        qps_values=[
-            round(sum(report["achieved_qps"] for report in repeat), 3)
-            for repeat in repeats
-        ],
-        caches=pooled_caches(report.get("cache", {}) for report in workers),
+    metrics = pool_metrics(
+        "live",
+        [[_live_partial(report) for report in repeat] for repeat in repeats],
+        _live_whole(workers, load_failed, server_stats),
     )
-
-    first = repeats[0]
-    mode = first[0]["mode"]
-    metrics["live.mode"] = mode
-    # Rounded so that three shares of 100/3 read 100.0.
-    metrics["live.offered_rate_qps"] = (
-        round(sum(report["offered_rate_qps"] for report in first), 9)
-        if mode == "open" else None
-    )
-    metrics["live.concurrency"] = (
-        sum(report["concurrency"] for report in first)
-        if mode == "closed" else None
-    )
-    metrics["live.elapsed_s"] = round(sum(
-        max(report["elapsed_s"] for report in repeat) for repeat in repeats
-    ), 3)
-    metrics["live.repeats"] = len(repeats)
-    metrics.update(_worker_metrics(workers, load_failed, server_stats))
-    if server_stats:
-        for row in SERVER_STATS:
-            if row.report and row.path in server_stats:
-                metrics[f"live.server.{row.path}"] = server_stats[row.path]
-        resolver_cache = server_stats.get("resolver_cache")
-        if isinstance(resolver_cache, dict):
-            for key, value in resolver_cache.items():
-                metrics[f"live.cache.resolver.{key}"] = value
     # Same single-run rule as the sim side: repeats restart the clock,
     # so only an unrepeated run carries its per-second series.
     telemetry = None
     if len(repeats) == 1:
         telemetry = merge_timelines(
-            [report.get("telemetry") or [] for report in first]
+            [report.get("telemetry") or [] for report in repeats[0]]
         ) or None
     return Report(
         substrate="live",

@@ -144,24 +144,18 @@ class FleetCacheModel:
 
     # -- scaling -----------------------------------------------------------
 
-    def scaled_stats(self, scale: float) -> Dict[str, Dict[str, float]]:
+    def scaled_stats(self, scale: float) -> Dict[str, Dict[str, int]]:
         """Per-location counters blown up to fleet totals.
 
         Counters scale linearly (each sampled client stands for
-        ``scale`` fleet clients); the derived ratios are recomputed
-        from the scaled counters with the exact ``CacheStats``
-        definitions, so they match the unscaled ratios up to rounding.
+        ``scale`` fleet clients); a Report derives the ratios from the
+        scaled counters with the exact ``CacheStats`` definitions, so
+        they match the unscaled ratios up to rounding.
         """
-        scaled: Dict[str, Dict[str, float]] = {}
+        scaled: Dict[str, Dict[str, int]] = {}
         for location, stats in self.stats.items():
-            counters = CacheStats(**{
+            scaled[location] = {
                 key: int(round(value * scale))
                 for key, value in stats.as_dict().items()
-            })
-            scaled[location] = dict(
-                counters.as_dict(),
-                hit_ratio=counters.hit_ratio,
-                stale_ratio=counters.stale_ratio,
-                validation_ratio=counters.validation_ratio,
-            )
+            }
         return scaled

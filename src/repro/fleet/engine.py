@@ -73,7 +73,7 @@ class FleetResult:
     #: Successes the sample was drawn from.
     successes: int
     #: Per-location cache counters of the sample, fleet-scaled.
-    cache_stats: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    cache_stats: Dict[str, Dict[str, int]] = field(default_factory=dict)
     active_clients: int = 0
 
 

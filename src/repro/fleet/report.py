@@ -21,9 +21,9 @@ from typing import Dict, List, Optional
 from repro.api.report import (
     Report,
     ReportError,
-    common_vocabulary,
-    latency_metrics,
-    pooled_caches,
+    cache_values,
+    pool_metrics,
+    row_values,
     tally_outcomes,
 )
 
@@ -64,6 +64,47 @@ def _scaled_telemetry(
     return scaled
 
 
+def _fleet_partial(result: FleetResult) -> Dict[str, object]:
+    """What one fleet run measured, its sampled counters blown up to
+    fleet totals by the plan's scales."""
+    plan = result.plan
+    scale = plan.query_scale
+    succeeded, timeouts, rcode_failures, qps = tally_outcomes(result.outcomes)
+    issued = int(round(len(result.outcomes) * scale))
+    ok = int(round(succeeded * scale))
+    failed = issued - ok
+    # Round the failure breakdown inside the scaled failure total so
+    # issued = succeeded + failed always survives the scaling.
+    timeouts = min(failed, int(round(timeouts * scale)))
+    return {
+        "queries.issued": issued,
+        "queries.succeeded": ok,
+        "queries.failed": failed,
+        "queries.timeouts": timeouts,
+        "queries.rcode_failures": min(
+            failed - timeouts, int(round(rcode_failures * scale))
+        ),
+        # The sampled sub-fleet ran at rate × clients/fleet_clients, so
+        # its achieved qps scales back up by the client scale.
+        "throughput.qps": qps * plan.client_scale,
+        "latencies_s": result.latency_sample,
+        **cache_values(result.cache_stats),
+        "fleet.clients": plan.fleet_clients,
+        "fleet.active_clients": result.active_clients,
+        "fleet.sample.queries": plan.queries,
+        "fleet.sample.scale": scale,
+        # "Exact" = every fleet query was simulated individually and
+        # every success latency kept — the Report equals an exact-sim
+        # aggregate up to the service-model approximation, with no
+        # sampling error on top.
+        "fleet.tolerance.exact": (
+            plan.exact and result.successes <= len(result.latency_sample)
+        ),
+        **row_values("fleet", result.options),
+        **row_values("fleet.calibration", result.calibration),
+    }
+
+
 def report_from_fleet(
     results,
     spec: Optional[Dict[str, object]] = None,
@@ -71,77 +112,19 @@ def report_from_fleet(
     """Build the unified Report from fleet-engine output.
 
     *results* is one :class:`~repro.fleet.engine.FleetResult` or a list
-    of them (repeated runs pool: counters aggregate across repeats,
-    latency samples pool, per-location cache counters sum).
+    of them, one per repeat (:func:`~repro.api.report.pool_metrics`
+    pools them).
     """
     single = not isinstance(results, (list, tuple))
     pooled = [results] if single else list(results)
     if not pooled:
         raise ReportError("cannot report on zero fleet results")
 
-    issued = succeeded = timeouts = rcode_failures = 0
-    latencies: List[float] = []
-    qps_values: List[float] = []
-    active_clients = 0
-    saturated = False
-    for result in pooled:
-        plan = result.plan
-        scale = plan.query_scale
-        run_succeeded, run_timeouts, run_rcode, qps = tally_outcomes(
-            result.outcomes
-        )
-        run_issued = int(round(len(result.outcomes) * scale))
-        run_ok = int(round(run_succeeded * scale))
-        run_failed = run_issued - run_ok
-        # Round the failure breakdown inside the scaled failure total so
-        # issued = succeeded + failed always survives the scaling.
-        run_to = min(run_failed, int(round(run_timeouts * scale)))
-        run_rc = min(run_failed - run_to, int(round(run_rcode * scale)))
-        issued += run_issued
-        succeeded += run_ok
-        timeouts += run_to
-        rcode_failures += run_rc
-        latencies.extend(result.latency_sample)
-        # The sampled sub-fleet ran at rate × clients/fleet_clients, so
-        # its achieved qps scales back up by the client scale.
-        qps_values.append(qps * plan.client_scale)
-        active_clients += result.active_clients
-        saturated = saturated or (
-            result.successes > len(result.latency_sample)
-        )
-
-    # Counters sum across repeats, so the ratios describe the pooled
-    # counters, not an average of averages.
-    metrics = common_vocabulary(
-        issued=issued,
-        succeeded=succeeded,
-        failed=issued - succeeded,
-        timeouts=timeouts,
-        rcode_failures=rcode_failures,
-        latency=latency_metrics(latencies),
-        qps_values=qps_values,
-        caches=pooled_caches(result.cache_stats for result in pooled),
-    )
-
+    metrics = pool_metrics("fleet", [[_fleet_partial(r)] for r in pooled])
     head = pooled[0]
-    plan = head.plan
-    options = head.options
-    metrics["fleet.clients"] = plan.fleet_clients
-    metrics["fleet.active_clients"] = int(
-        round(active_clients / len(pooled) * plan.client_scale)
-    )
-    metrics["fleet.repeats"] = len(pooled)
-    metrics["fleet.sample.queries"] = plan.queries
-    metrics["fleet.sample.scale"] = round(plan.query_scale, 3)
-    # "Exact" = every fleet query was simulated individually and every
-    # success latency kept — the Report equals an exact-sim aggregate up
-    # to the service-model approximation, with no sampling error on top.
-    metrics["fleet.tolerance.exact"] = plan.exact and not saturated
-    metrics["fleet.churn"] = options.churn
-    metrics["fleet.duty_cycle"] = options.duty_cycle
-    metrics["fleet.flash_crowd"] = options.flash_crowd
-    metrics.update(head.calibration.metrics())
-
+    metrics["fleet.active_clients"] = int(round(
+        metrics["fleet.active_clients"] * head.plan.client_scale
+    ))
     telemetry = _scaled_telemetry(head) if len(pooled) == 1 else None
     return Report(
         substrate="fleet",

@@ -67,25 +67,20 @@ class Calibration:
     def success_rate(self) -> float:
         return self.succeeded / self.issued if self.issued else 0.0
 
-    def metrics(self) -> Dict[str, object]:
-        """The ``fleet.calibration.*`` block of a fleet Report."""
+    @property
+    def wire_p50_ms(self) -> Optional[float]:
+        return self._wire_quantile_ms(50)
+
+    @property
+    def wire_p95_ms(self) -> Optional[float]:
+        return self._wire_quantile_ms(95)
+
+    def _wire_quantile_ms(self, q: float) -> Optional[float]:
+        """Percentile *q* of every probe success latency, in ms."""
         from repro.api.report import quantile_ms
 
-        values: Dict[str, object] = {
-            "fleet.calibration.probe_clients": self.probe_clients,
-            "fleet.calibration.probe_queries": self.probe_queries,
-            "fleet.calibration.success_rate": round(self.success_rate, 4),
-            "fleet.calibration.p_timeout": round(self.p_timeout, 4),
-            "fleet.calibration.p_rcode": round(self.p_rcode, 4),
-        }
         pooled = sorted(self.first_latencies + self.rest_latencies)
-        values["fleet.calibration.wire_p50_ms"] = (
-            quantile_ms(pooled, 50) if pooled else None
-        )
-        values["fleet.calibration.wire_p95_ms"] = (
-            quantile_ms(pooled, 95) if pooled else None
-        )
-        return values
+        return quantile_ms(pooled, q) if pooled else None
 
 
 def probe_scenario(scenario: Scenario, options: FleetOptions) -> Scenario:

@@ -273,7 +273,8 @@ class LiveResolver:
     # -- observability ----------------------------------------------------
 
     def stats(self) -> Dict[str, object]:
-        """Client-side counters and cache ratios (JSON-serialisable)."""
+        """Client-side counters, per cache location too
+        (JSON-serialisable)."""
         stats: Dict[str, object] = {
             "transport": self.transport_name,
             "timeouts": self.timeouts,
@@ -291,21 +292,10 @@ class LiveResolver:
         caches: Dict[str, object] = {}
 
         def pool(location: str, cache) -> None:
-            if cache is None:
-                return
-            # The full per-location vocabulary of repro.cache.CacheStats
-            # — the same counters/ratios the simulated runner reports,
-            # so sim and live cache metrics diff key-for-key.
-            caches[location] = {
-                "hits": cache.stats.hits,
-                "misses": cache.stats.misses,
-                "stale_hits": cache.stats.stale_hits,
-                "validations": cache.stats.validations,
-                "validation_failures": cache.stats.validation_failures,
-                "hit_ratio": cache.stats.hit_ratio,
-                "stale_ratio": cache.stats.stale_ratio,
-                "validation_ratio": cache.stats.validation_ratio,
-            }
+            # Counters only: a Report derives every ratio from the
+            # counters it pools (repro.api.report.REPORT_METRICS).
+            if cache is not None:
+                caches[location] = cache.stats.as_dict()
 
         stub = getattr(client, "stub", None)
         pool("client_dns", getattr(stub, "cache", None))

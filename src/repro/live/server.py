@@ -22,7 +22,7 @@ vocabulary:
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.doc.caching import CachingScheme
 from repro.transports.registry import get_profile
@@ -39,72 +39,6 @@ from .wiring import (
     build_zone,
     check_live_transport,
     derive_oscore_pair,
-)
-
-
-class ServerStat(NamedTuple):
-    """One leaf of a :meth:`DocLiveServer.stats` block: how blocks pool
-    it, how ``/metrics`` shows it, and where a Report shows it."""
-
-    #: Dotted path of the leaf in the stats block.
-    path: str
-    #: How many blocks become one: ``sum``, ``max``, ``any``, ``first``
-    #: (a fact every block states alike), or ``ratio`` (not pooled:
-    #: taken again from the pooled hits and misses).
-    merge: str
-    #: Exposition family, after ``repro_`` (one worker's series) or
-    #: ``repro_pool_`` (the pool's); empty: not on ``/metrics``.
-    family: str = ""
-    labels: Dict[str, str] = {}
-    help: str = ""
-    kind: str = "counter"
-    #: ``server``: a Report's ``live.server.<path>``; ``worker``: that
-    #: and, per serve worker, ``live.workers.serve.<i>.<path>``.
-    report: str = ""
-
-
-_DATAGRAMS = "UDP datagrams by direction"
-_FASTPATH = "wire-cache fastpath lookups"
-_IO_EVENTS = "transport I/O events"
-_RESOLVER = "resolver cache lookups"
-
-#: Every leaf of a :meth:`DocLiveServer.stats` block, one row each: the
-#: one place that says how a server counter merges
-#: (:func:`repro.live.workers.merge_server_stats`) and how it is shown
-#: (:func:`repro.live.workers.stats_snapshot`, ``repro.api.report``). A
-#: counter added to ``stats()`` needs its row here and nothing else.
-SERVER_STATS: Tuple[ServerStat, ...] = (
-    ServerStat("transport", "first"),
-    ServerStat("endpoint", "first"),
-    ServerStat("names", "first"),
-    ServerStat("queries_handled", "sum", "queries_total", {},
-               "DNS queries handled by the serving stack", report="worker"),
-    ServerStat("datagrams_received", "sum", "datagrams_total",
-               {"direction": "in"}, _DATAGRAMS, report="worker"),
-    ServerStat("datagrams_sent", "sum", "datagrams_total",
-               {"direction": "out"}, _DATAGRAMS, report="worker"),
-    ServerStat("validations_sent", "sum", "validations_total", {},
-               "cache-validation responses sent", report="server"),
-    ServerStat("fastpath_hits", "sum", "fastpath_total",
-               {"result": "hit"}, _FASTPATH),
-    ServerStat("fastpath_misses", "sum", "fastpath_total",
-               {"result": "miss"}, _FASTPATH),
-    ServerStat("io.recv_bursts", "sum", "io_events_total",
-               {"kind": "recv_burst"}, _IO_EVENTS),
-    ServerStat("io.largest_burst", "max", "io_largest_burst", {},
-               "largest batched recv burst", kind="gauge"),
-    ServerStat("io.recv_errors", "sum", "io_events_total",
-               {"kind": "recv_error"}, _IO_EVENTS),
-    ServerStat("io.send_buffer_drops", "sum", "io_events_total",
-               {"kind": "send_buffer_drop"}, _IO_EVENTS),
-    ServerStat("io.send_errors", "sum", "io_events_total",
-               {"kind": "send_error"}, _IO_EVENTS),
-    ServerStat("io.reuse_port", "any"),
-    ServerStat("resolver_cache.hits", "sum", "resolver_cache_total",
-               {"result": "hit"}, _RESOLVER),
-    ServerStat("resolver_cache.misses", "sum", "resolver_cache_total",
-               {"result": "miss"}, _RESOLVER),
-    ServerStat("resolver_cache.hit_ratio", "ratio"),
 )
 
 
@@ -229,7 +163,8 @@ class DocLiveServer:
 
     def stats(self) -> Dict[str, object]:
         """The server's counters, JSON-serialisable: what a pool worker
-        sends, mid-run and at shutdown. :data:`SERVER_STATS` has a row
+        sends, mid-run and at shutdown.
+        :data:`repro.api.report.SERVER_STATS` has a row
         for every leaf."""
         if self._socket is None and getattr(self, "_final_stats", None):
             return self._final_stats

@@ -22,7 +22,7 @@ Control runs over a per-worker duplex pipe: workers announce
 ``("ready", endpoint)`` once bound, and a serve worker only ever sends
 one thing after that, its stats block — to a mid-run ``"sample"`` and,
 final, to the ``"stop"`` the parent broadcasts to drain gracefully.
-:data:`~repro.live.server.SERVER_STATS` says how the blocks merge
+:data:`~repro.api.report.SERVER_STATS` says how the blocks merge
 (:func:`merge_server_stats`) and how ``/metrics`` shows them
 (:func:`stats_snapshot`). A worker that crashes mid-run is detected by
 process liveness, surfaces in the pool's nonzero :attr:`exit_code`,
@@ -46,9 +46,10 @@ import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.api.report import POOL_RULES, SERVER_STATS, pooled_cache_stats
 from repro.obs.log import get_logger
 
-from .server import SERVER_STATS, DocLiveServer
+from .server import DocLiveServer
 from .wiring import DEFAULT_SECRET, LiveWiringError
 
 __all__ = [
@@ -557,14 +558,6 @@ class ServePool(WorkerPool):
         }
 
 
-#: A merge rule of :data:`~repro.live.server.SERVER_STATS` applied to
-#: the values the blocks state (``ratio`` is not pooled, see there).
-_MERGE = {
-    "sum": sum, "max": max, "any": any,
-    "first": lambda values: values[0],
-}
-
-
 def _stat(block: Dict[str, object], path: str):
     """The leaf of *block* at dotted *path*, ``None`` when not stated."""
     for key in path.split("."):
@@ -574,8 +567,9 @@ def _stat(block: Dict[str, object], path: str):
 
 def _pooled_block(leaves: Sequence[Dict[str, object]]) -> Dict[str, object]:
     """The counters of *leaves* (single-server stats blocks) as one,
-    each by its row's rule; what no leaf states stays out."""
-    from repro.api.report import pooled_cache_stats
+    each by its row's rule (:data:`~repro.api.report.POOL_RULES`;
+    ``ratio`` is not pooled, see there); what no leaf states stays
+    out."""
 
     pooled: Dict[str, object] = {}
     for row in SERVER_STATS:
@@ -583,12 +577,12 @@ def _pooled_block(leaves: Sequence[Dict[str, object]]) -> Dict[str, object]:
             value for value in (_stat(leaf, row.path) for leaf in leaves)
             if value is not None
         ]
-        if values and row.merge in _MERGE:
+        if values and row.merge in POOL_RULES:
             *sections, key = row.path.split(".")
             target = pooled
             for section in sections:
                 target = target.setdefault(section, {})
-            target[key] = _MERGE[row.merge](values)
+            target[key] = POOL_RULES[row.merge](values)
     cache = pooled.get("resolver_cache")
     if cache:
         cache["hit_ratio"] = pooled_cache_stats([cache]).hit_ratio
@@ -612,7 +606,7 @@ def merge_server_stats(
     apart into their per-worker entries again; every total is
     recomputed from those.
 
-    Each leaf pools by its :data:`~repro.live.server.SERVER_STATS`
+    Each leaf pools by its :data:`~repro.api.report.SERVER_STATS`
     rule — counters sum, ``io.largest_burst`` is a maximum, the facts
     are kept from the first block that states them, the resolver
     cache's hit ratio is ``CacheStats``' own over the pooled counts —

@@ -90,9 +90,10 @@ def build_workload_zone(workload: WorkloadSpec, rng, names=None):
     return zone
 
 
-@dataclass
+@dataclass(slots=True)
 class QueryOutcome:
-    """One query's fate."""
+    """One query's fate (slotted: sim and fleet runs hold one per
+    query)."""
 
     name: str
     client: str

@@ -251,16 +251,10 @@ def reference_run_fleet(
 
     scaled = {}
     for location, pooled in stats.items():
-        counters = CacheStats(**{
+        scaled[location] = {
             name: int(round(value * plan.query_scale))
             for name, value in pooled.as_dict().items()
-        })
-        scaled[location] = dict(
-            counters.as_dict(),
-            hit_ratio=counters.hit_ratio,
-            stale_ratio=counters.stale_ratio,
-            validation_ratio=counters.validation_ratio,
-        )
+        }
     return SimpleNamespace(
         outcomes=outcomes,
         latency_sample=sample.values,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import asyncio
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -471,6 +472,140 @@ def test_schema_substrates_stay_in_sync_with_the_enum():
             if pattern.startswith(f"^{substrate}\\.")
         ]
         assert namespaced, f"no {substrate}.* patternProperty in the schema"
+
+
+def _example_key(row) -> str:
+    """A concrete key of *row*: each placeholder's first alternative."""
+    from repro.api.report import PLACEHOLDERS
+
+    return ".".join(
+        PLACEHOLDERS[part[1:-1]].split("|")[0].replace(r"\d+", "0")
+        if part.startswith("{") else part
+        for part in row.key.split(".")
+    )
+
+
+def test_schema_metrics_stay_in_sync_with_the_table():
+    # REPORT_METRICS is the one list of Report keys: the schema requires
+    # exactly the keys every substrate always emits (the rows listing
+    # all three without a placeholder), and its metric patterns and the
+    # table's rows cover each other.
+    from repro.api.report import REPORT_METRICS, SUBSTRATES
+
+    metrics = SCHEMA["$defs"]["metrics"]
+    assert metrics["required"] == [
+        row.key for row in REPORT_METRICS
+        if row.substrates == SUBSTRATES and "{" not in row.key
+    ]
+    examples = [_example_key(row) for row in REPORT_METRICS]
+    for pattern in metrics["patternProperties"]:
+        assert any(re.search(pattern, key) for key in examples), pattern
+    for key in examples:
+        assert any(
+            re.search(pattern, key) for pattern in metrics["patternProperties"]
+        ), key
+
+
+def test_table_rows_are_well_formed():
+    from repro.api.report import (
+        POOL_RULES, REPORT_METRICS, SUBSTRATES, UNITS, _DERIVED, metric_rows,
+    )
+
+    rules = set(POOL_RULES) | set(_DERIVED) | {"mean", "run"}
+    for row in REPORT_METRICS:
+        assert row.unit in UNITS, row
+        assert set(row.substrates) <= set(SUBSTRATES), row
+        assert row.repeats in rules and row.workers in rules | {""}, row
+        assert metric_rows(_example_key(row)) == (row,), row
+
+
+def _grid_reports():
+    specs = [
+        f"transport={transport},cache={cache},queries=6,loss=0.0,"
+        f"repeats={repeats}"
+        # udp has no CoAP proxy, so its widest placement is client-dns.
+        for transport, widest in (
+            ("udp", "client-dns"), ("coap", "all"), ("oscore", "all"),
+        )
+        for cache in ("none", widest)
+        for repeats in (1, 2)
+    ]
+    specs.append(
+        "one-hop,transport=coap,cache=client-dns+client-coap,clients=1000,"
+        "queries=4000,rate=400,fleet-sample-cap=500,substrate=fleet"
+    )
+    specs.append(
+        "transport=udp,queries=20,rate=200,cache=client-dns,substrate=live,"
+        "timeout=5,serve_workers=2,load_workers=2"
+    )
+    return [run(spec) for spec in specs]
+
+
+def test_every_emitted_key_is_one_row_of_its_substrate():
+    from repro.api.report import check_metrics
+    from repro.live.workers import reuseport_supported
+
+    reports = _grid_reports()
+    assert {report.substrate for report in reports} == {
+        "sim", "live", "fleet"
+    }
+    fleet = next(report for report in reports if report.substrate == "fleet")
+    assert fleet.metrics["fleet.sample.scale"] > 1
+    live = next(report for report in reports if report.substrate == "live")
+    assert live.metrics["live.workers.load.count"] == 2
+    # Without SO_REUSEPORT the serve pool falls back to one worker.
+    assert live.metrics["live.workers.serve.count"] == (
+        2 if reuseport_supported() else 1
+    )
+    for report in reports:
+        check_metrics(report.substrate, report.metrics)
+        validate(report.to_json(), SCHEMA)
+
+
+class TestValidateAgainstTheTable:
+    def _exit_code(self, tmp_path, payload):
+        from repro.api.validate import main
+
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(payload))
+        return main([str(SCHEMA_PATH), str(path)])
+
+    def test_unknown_key_exits_1(self, tmp_path, capsys):
+        payload = run_sim("queries=4,loss=0.0").to_json()
+        # The schema's sim.* pattern admits it; the table has no row.
+        payload["metrics"]["sim.link.frames_3hop"] = 1
+        assert self._exit_code(tmp_path, payload) == 1
+        assert "sim.link.frames_3hop" in capsys.readouterr().err
+
+    def test_other_substrates_key_exits_1(self, tmp_path):
+        payload = run_sim("queries=4,loss=0.0").to_json()
+        payload["metrics"]["live.repeats"] = 1
+        assert self._exit_code(tmp_path, payload) == 1
+
+    def test_wrong_unit_type_exits_1(self, tmp_path):
+        payload = run_sim("queries=4,loss=0.0").to_json()
+        payload["metrics"]["sim.repeats"] = 1.0
+        assert self._exit_code(tmp_path, payload) == 1
+
+    @pytest.mark.parametrize("key, value", [
+        ("queries.failed", 1),       # issued != succeeded + failed
+        ("queries.timeouts", 1),     # timeouts + rcode > failed
+    ])
+    def test_broken_identity_exits_1(self, tmp_path, key, value):
+        payload = run_sim("queries=4,loss=0.0").to_json()
+        assert payload["metrics"]["queries.failed"] == 0
+        assert self._exit_code(tmp_path, payload) == 0
+        payload["metrics"][key] = value
+        assert self._exit_code(tmp_path, payload) == 1
+
+    def test_sweep_cells_are_checked(self, tmp_path):
+        cell = run_sim("queries=4,loss=0.0").to_json()
+        cell["metrics"]["queries.issued"] += 1
+        sweep = {
+            "report_version": REPORT_VERSION, "kind": "sweep",
+            "provenance": provenance(), "cells": {"udp": cell},
+        }
+        assert self._exit_code(tmp_path, sweep) == 1
 
 
 def test_schema_is_valid_draft7_and_agrees_with_jsonschema():

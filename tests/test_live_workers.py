@@ -314,7 +314,8 @@ def _leaves(block, prefix=""):
 def test_every_stats_leaf_has_exactly_one_table_row(transport):
     # A counter cannot be added to stats() without saying how it merges
     # and how it is exposed.
-    from repro.live.server import SERVER_STATS, DocLiveServer
+    from repro.api.report import SERVER_STATS
+    from repro.live.server import DocLiveServer
 
     async def started_block():
         async with DocLiveServer(
@@ -347,7 +348,7 @@ def test_worker_series_sum_to_their_pool_twins():
     """The pool exposition contract CI asserts over HTTP, on two workers
     x two repeats of fake blocks: rendered and parsed back, every summed
     family's ``worker`` series add up to its ``repro_pool_*`` twin."""
-    from repro.live.server import SERVER_STATS
+    from repro.api.report import SERVER_STATS
 
     families = _pool_exposition(merge_server_stats([
         merge_server_stats(
@@ -478,7 +479,9 @@ def _fake_two_by_two():
 #: of the PR that made ``report_from_loadgen`` the one pooling pass: there
 #: each repeat's workers were first merged into one loadgen dict
 #: (``merge_loadgen_reports``, with the run's ``rate=100.0``) and the
-#: Report was taken over the two merged dicts.
+#: Report was taken over the two merged dicts. The two per-worker
+#: ``achieved_qps`` values are the mean over the repeats since the
+#: Report vocabulary became one table; they were the sum before.
 _TWO_BY_TWO_METRICS = {
     "queries.issued": 180,
     "queries.succeeded": 176,
@@ -512,13 +515,13 @@ _TWO_BY_TWO_METRICS = {
     "live.workers.load.0.failed": 0,
     "live.workers.load.0.timeouts": 0,
     "live.workers.load.0.rcode_failures": 0,
-    "live.workers.load.0.achieved_qps": 73.333,
+    "live.workers.load.0.achieved_qps": 36.666,
     "live.workers.load.1.queries": 110,
     "live.workers.load.1.succeeded": 106,
     "live.workers.load.1.failed": 4,
     "live.workers.load.1.timeouts": 4,
     "live.workers.load.1.rcode_failures": 0,
-    "live.workers.load.1.achieved_qps": 90.145,
+    "live.workers.load.1.achieved_qps": 45.073,
 }
 
 #: The first repeat's merged timeline, from the same parent.
@@ -543,6 +546,24 @@ def test_two_by_two_report_is_the_banked_one_key_for_key():
     assert one.telemetry == _FIRST_REPEAT_TELEMETRY
     assert one.metrics["throughput.qps"] == 85.6
     assert one.metrics["live.elapsed_s"] == 1.25
+
+
+def test_per_worker_throughput_adds_up_to_the_runs():
+    """A worker's ``achieved_qps`` pools across repeats like
+    ``throughput.qps`` does, as the mean over every repeat: summed over
+    the workers, it is the run's throughput, not a multiple of it."""
+    from repro.api.report import report_from_loadgen
+
+    repeats = _fake_two_by_two()
+    # Worker 1 delivered nothing in a third repeat: it counts 0 there.
+    repeats.append([_fake_loadgen_report(0, 555, 20, 2.0, elapsed_s=0.8)])
+    for run in (repeats[:2], repeats):
+        metrics = report_from_loadgen(run).metrics
+        per_worker = [
+            metrics[f"live.workers.load.{index}.achieved_qps"]
+            for index in (0, 1)
+        ]
+        assert abs(sum(per_worker) - metrics["throughput.qps"]) <= 0.001 * 2
 
 
 def test_merge_loadgen_reports_sums_counters_and_throughput():
