@@ -415,9 +415,18 @@ def pooled_cache_stats(blocks):
     return pooled
 
 
+def _triples(outcomes):
+    """The ``(issued_at, resolution_time, error)`` of each sim row."""
+    return (
+        (outcome.issued_at, outcome.resolution_time, outcome.error)
+        for outcome in outcomes
+    )
+
+
 def tally_outcomes(outcomes):
-    """Walk one run's query outcomes (``issued_at`` /
-    ``resolution_time`` / ``error`` rows, the sim and fleet vocabulary).
+    """Walk one run's ``(issued_at, resolution_time, error)`` triples
+    (sim feeds them from its :class:`~repro.scenarios.runner.QueryOutcome`
+    rows, fleet zips them from its columns).
 
     Returns ``(succeeded, timeouts, rcode_failures, qps)``. Every run
     restarts its clock, so throughput is derived per run — successes
@@ -429,19 +438,19 @@ def tally_outcomes(outcomes):
     succeeded = timeouts = rcode_failures = 0
     first_issue: Optional[float] = None
     last_done: Optional[float] = None
-    for outcome in outcomes:
-        if outcome.resolution_time is not None:
+    for issued_at, resolution_time, error in outcomes:
+        if resolution_time is not None:
             succeeded += 1
-            done = outcome.issued_at + outcome.resolution_time
+            done = issued_at + resolution_time
             last_done = done if last_done is None else max(last_done, done)
-        elif outcome.error:
-            kind = _classify_error(outcome.error)
+        elif error:
+            kind = classify_error(error)
             if kind == "timeout":
                 timeouts += 1
             elif kind == "rcode":
                 rcode_failures += 1
-        if first_issue is None or outcome.issued_at < first_issue:
-            first_issue = outcome.issued_at
+        if first_issue is None or issued_at < first_issue:
+            first_issue = issued_at
     span = (
         last_done - first_issue
         if last_done is not None and first_issue is not None
@@ -669,7 +678,10 @@ _TIMEOUT_MARKERS = ("timeout",)
 _RCODE_MARKERS = ("rcode", "nxdomain", "servfail", "docerror")
 
 
-def _classify_error(error_name: str) -> str:
+def classify_error(error_name: str) -> str:
+    """``timeout``, ``rcode`` or ``other``: the one failure classifier
+    of the sim and fleet tallies, the telemetry timeline and the fleet
+    calibration."""
     lowered = error_name.lower()
     if any(marker in lowered for marker in _TIMEOUT_MARKERS):
         return "timeout"
@@ -710,7 +722,7 @@ def report_from_experiment_result(
     runs = []
     for result in pooled:
         succeeded, timeouts, rcode_failures, qps = tally_outcomes(
-            result.outcomes
+            _triples(result.outcomes)
         )
         issued = len(result.outcomes)
         partial = {
@@ -732,7 +744,9 @@ def report_from_experiment_result(
     if len(pooled) == 1 and pooled[0].outcomes:
         from repro.obs.telemetry import timeline_from_outcomes
 
-        telemetry = timeline_from_outcomes(pooled[0].outcomes)
+        telemetry = timeline_from_outcomes(
+            _triples(pooled[0].outcomes)
+        )
     return Report(
         substrate="sim",
         spec=spec if spec is not None else {},

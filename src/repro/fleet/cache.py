@@ -20,6 +20,11 @@ dropped without a counter noticing. A run where every client asks once
 holds no cache state at all; every counter is what it would be with
 every cache built on the client's first query.
 
+Per-client counts are dense arrays indexed by the client number, sized
+to the clients the walk can reach (``min(clients, queries)`` of the
+sample): how often each client has asked (``array('I')``) and, under
+churn, when it last asked (``array('d')``).
+
 Client churn is applied here: with churn rate λ, a client alive since
 its last query survives the gap ``dt`` with probability ``exp(-λ·dt)``
 (exponential lifetimes); a replaced client restarts with cold caches.
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from typing import Dict, List, Optional, Tuple
 
 from repro.cache import CacheStats, EvictionPolicy, KeyedCache
@@ -47,6 +53,7 @@ class FleetCacheModel:
     def __init__(
         self,
         caching: CachingSpec,
+        clients: int,
         coap_based: bool,
         coap_active: bool = True,
         churn: float = 0.0,
@@ -67,8 +74,11 @@ class FleetCacheModel:
         self._churn = churn
         self._model_rng = model_rng if model_rng is not None else random.Random(0)
         self._pairs: Dict[int, CachePair] = {}
-        self._asked: Dict[int, int] = {}
-        self._last_seen: Dict[int, float] = {}
+        # Clients are 0 .. clients - 1: one slot each, zero-filled.
+        self._asked = array("I", [0]) * clients
+        self._last_seen = (
+            array("d", [0.0]) * clients if churn > 0.0 else None
+        )
         #: Pooled counters, keyed with the exact runner's location labels.
         self.stats: Dict[str, CacheStats] = {}
         #: The counters of the locations queries look up and store into:
@@ -85,18 +95,20 @@ class FleetCacheModel:
     @property
     def active_clients(self) -> int:
         """Clients that issued at least one query."""
-        return len(self._asked)
+        return len(self._asked) - self._asked.count(0)
 
     def touch(self, client: int, now: float) -> int:
         """Count *client*'s query at *now* and apply the churn model
         to the time since its previous one; returns how many queries
         the client has now issued."""
-        asked = self._asked[client] = self._asked.get(client, 0) + 1
-        if self._churn <= 0.0:
+        asked = self._asked[client] + 1
+        self._asked[client] = asked
+        last_seen = self._last_seen
+        if last_seen is None:
             return asked
-        last = self._last_seen.get(client)
-        self._last_seen[client] = now
-        if last is None:
+        last = last_seen[client]
+        last_seen[client] = now
+        if asked == 1:
             return asked
         gap = now - last
         if gap > 0.0 and (

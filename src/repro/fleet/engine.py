@@ -14,6 +14,14 @@ often each client asks is known from the columns, so a client's caches
 are built at its first store that one of its own later queries can
 see (:mod:`repro.fleet.cache`), never for a client that asks once.
 
+The walk's output is columns too, not one object per query: each
+issued query appends its sample index, record type, issue instant,
+resolution time and error to flat arrays and lists
+(:class:`FleetResult`), and per-client state is a dense array over the
+clients the walk can reach. :attr:`FleetResult.outcomes` rebuilds the
+exact simulator's per-query rows on demand, for callers that compare
+row by row; the Report reads the columns.
+
 Semantics mirror the exact per-node stack query-for-query:
 
 * client DNS cache hit → resolved immediately (latency 0), the CoAP
@@ -33,6 +41,7 @@ Semantics mirror the exact per-node stack query-for-query:
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -59,14 +68,27 @@ _SAMPLE_CAPACITY = 4096
 
 @dataclass
 class FleetResult:
-    """One fleet run's raw output (unscaled sample + the scaling plan)."""
+    """One fleet run's raw output (unscaled sample + the scaling plan).
+
+    The sampled queries that issued are five columns of equal length,
+    in walk (issue) order and unscaled: ``query`` (the index ``i`` in
+    the sample — client ``i % plan.clients``, name
+    ``name_indices[i]``), ``rtype``, ``issued_at``,
+    ``resolution_time`` (``None`` unless resolved) and ``error``
+    (``None`` unless the exchange failed).
+    """
 
     scenario: Scenario
     options: FleetOptions
     plan: SamplePlan
     calibration: Calibration
-    #: Sampled-query outcomes (the exact-sim vocabulary), unscaled.
-    outcomes: List[QueryOutcome]
+    query: array
+    rtype: array
+    issued_at: List[float]
+    resolution_time: List[Optional[float]]
+    error: List[Optional[str]]
+    #: The sample's name draw, one name index per query index.
+    name_indices: List[int]
     #: A uniform sample of at most 4 096 success latencies (seconds):
     #: the fleet cannot keep and sort every draw inside its walk.
     latency_sample: List[float]
@@ -75,6 +97,26 @@ class FleetResult:
     #: Per-location cache counters of the sample, fleet-scaled.
     cache_stats: Dict[str, Dict[str, int]] = field(default_factory=dict)
     active_clients: int = 0
+
+    @property
+    def outcomes(self) -> List[QueryOutcome]:
+        """The columns as the exact simulator's per-query rows (built on
+        every access)."""
+        labels = [
+            NAME_TEMPLATE.format(index=i)
+            for i in range(self.scenario.workload.num_names)
+        ]
+        clients, names = self.plan.clients, self.name_indices
+        return [
+            QueryOutcome(
+                labels[names[index]], f"fleet{index % clients}",
+                issued_at, resolution_time, error, rtype,
+            )
+            for index, rtype, issued_at, resolution_time, error in zip(
+                self.query, self.rtype, self.issued_at,
+                self.resolution_time, self.error,
+            )
+        ]
 
 
 def run_fleet(
@@ -128,12 +170,17 @@ def run_fleet(
     # `extra` clients once more than `rounds`. A client's last query
     # cannot leave anything behind that a lookup will see.
     rounds, extra = divmod(plan.queries, num_clients)
+    # Query i goes to client i % num_clients with i < plan.queries, so
+    # no client index reaches past the smaller of the two: per-client
+    # state is sized by it, not by the (possibly huge) client count.
+    reachable = min(num_clients, plan.queries)
 
     # Model-internal draws (churn survival) come from a separate seeded
     # stream so fleet-only dimensions never shift the workload streams.
     model_rng = random.Random(f"fleet-model-{scenario.seed}")
     cache_model = FleetCacheModel(
         scenario.caching_spec,
+        reachable,
         coap_based=profile.coap_based,
         # Plain OSCORE protects requests end-to-end; the outer message
         # the CoAP layer sees is not cacheable, so the per-node stack
@@ -158,16 +205,24 @@ def run_fleet(
         if slot < _SAMPLE_CAPACITY:
             sample[slot] = latency
 
-    outcomes: List[QueryOutcome] = []
-    wired_clients = set()
+    # The output columns (see FleetResult), appended once per issued
+    # query; the failure path overwrites its error slot.
+    queries, rtypes = array("I"), array("H")
+    issued: List[float] = []
+    resolutions: List[Optional[float]] = []
+    errors: List[Optional[str]] = []
+    # Which clients have been over the wire, one byte each.
+    wired = bytearray(reachable)
     run_duration = scenario.run_duration
-    labels = [NAME_TEMPLATE.format(index=i) for i in range(workload.num_names)]
     # What the walk calls once per sampled query, bound once.
     draw_rtype = workload.draw_rtype
     draw_service = ServiceModel(calibration).draw
     touch, caches = cache_model.touch, cache_model.caches
     caching = bool(cache_model.consulted)
-    record = outcomes.append
+    record_query, record_rtype = queries.append, rtypes.append
+    record_issue, resolved, record_error = (
+        issued.append, resolutions.append, errors.append
+    )
     HIT, STALE, OK = LookupState.HIT, LookupState.STALE, ServiceModel.OK
 
     for index in order:
@@ -177,10 +232,10 @@ def run_fleet(
         client = index % num_clients
         name_index = names[index]
         rtype = draw_rtype(rng)
-        outcome = QueryOutcome(
-            labels[name_index], f"fleet{client}", issued_at, None, None, rtype
-        )
-        record(outcome)
+        record_query(index)
+        record_rtype(rtype)
+        record_issue(issued_at)
+        record_error(None)
         asked = touch(client, issued_at)
         key = (name_index, rtype)
 
@@ -193,13 +248,13 @@ def run_fleet(
             if dns is not None:
                 entry, state = dns.lookup(key, issued_at)
                 if state is HIT:
-                    outcome.resolution_time = 0.0
+                    resolved(0.0)
                     observe(0.0)
                     continue
             if coap is not None:
                 entry, state = coap.lookup(key, issued_at)
                 if state is HIT:
-                    outcome.resolution_time = 0.0
+                    resolved(0.0)
                     observe(0.0)
                     if dns is not None:
                         remaining = entry.expires_at - issued_at
@@ -211,11 +266,12 @@ def run_fleet(
                     continue
                 stale = state is STALE
 
-        first_exchange = client not in wired_clients
-        wired_clients.add(client)
+        first_exchange = not wired[client]
+        wired[client] = 1
         kind, latency = draw_service(first_exchange)
         if kind != OK:
-            outcome.error = (
+            resolved(None)
+            errors[-1] = (
                 "TimeoutError" if kind == ServiceModel.TIMEOUT
                 else "RcodeError"
             )
@@ -224,8 +280,9 @@ def run_fleet(
         if done > run_duration:
             # Still in flight when the run ends: unresolved, no error —
             # the same fate the event-loop cutoff hands such queries.
+            resolved(None)
             continue
-        outcome.resolution_time = latency
+        resolved(latency)
         observe(latency)
         ttl = ttls[name_index]
         if ttl <= 0 or not caching:
@@ -250,7 +307,12 @@ def run_fleet(
         options=options,
         plan=plan,
         calibration=calibration,
-        outcomes=outcomes,
+        query=queries,
+        rtype=rtypes,
+        issued_at=issued,
+        resolution_time=resolutions,
+        error=errors,
+        name_indices=names,
         latency_sample=sample,
         successes=successes,
         cache_stats=cache_model.scaled_stats(plan.query_scale),

@@ -35,7 +35,7 @@ def _scaled_telemetry(
 ) -> Optional[List[Dict[str, object]]]:
     """The per-second timeline, with counts scaled to fleet totals.
 
-    Buckets come from the sampled outcomes via the shared
+    Buckets come from the sampled columns via the shared
     :func:`~repro.obs.telemetry.timeline_from_outcomes`; each row's
     counts then scale by the plan's query scale (rounded back to
     integers) and :func:`~repro.obs.telemetry.telemetry_row` rebuilds
@@ -44,11 +44,11 @@ def _scaled_telemetry(
     row's. Latency quantiles stay unscaled — sampling thins the
     population, not the per-query latency distribution.
     """
-    if not result.outcomes:
+    if not result.issued_at:
         return None
     from repro.obs.telemetry import telemetry_row, timeline_from_outcomes
 
-    timeline = timeline_from_outcomes(result.outcomes)
+    timeline = timeline_from_outcomes(_triples(result))
     scale = result.plan.query_scale
     if scale == 1.0:
         return timeline
@@ -64,13 +64,20 @@ def _scaled_telemetry(
     return scaled
 
 
+def _triples(result: FleetResult):
+    """The run's ``(issued_at, resolution_time, error)`` per query."""
+    return zip(result.issued_at, result.resolution_time, result.error)
+
+
 def _fleet_partial(result: FleetResult) -> Dict[str, object]:
     """What one fleet run measured, its sampled counters blown up to
     fleet totals by the plan's scales."""
     plan = result.plan
     scale = plan.query_scale
-    succeeded, timeouts, rcode_failures, qps = tally_outcomes(result.outcomes)
-    issued = int(round(len(result.outcomes) * scale))
+    succeeded, timeouts, rcode_failures, qps = tally_outcomes(
+        _triples(result)
+    )
+    issued = int(round(len(result.issued_at) * scale))
     ok = int(round(succeeded * scale))
     failed = issued - ok
     # Round the failure breakdown inside the scaled failure total so

@@ -165,7 +165,7 @@ _CALIBRATIONS: Dict[Tuple, Calibration] = {}
 
 def calibrate(scenario: Scenario, options: FleetOptions) -> Calibration:
     """Run (or reuse) the probe for *scenario* and distil its model."""
-    from repro.api.report import _classify_error
+    from repro.api.report import classify_error
     from repro.scenarios.runner import ScenarioRunner
 
     probe = probe_scenario(scenario, options)
@@ -185,7 +185,7 @@ def calibrate(scenario: Scenario, options: FleetOptions) -> Calibration:
         if outcome.resolution_time is not None:
             (first if is_first else rest).append(outcome.resolution_time)
         elif outcome.error:
-            kind = _classify_error(outcome.error)
+            kind = classify_error(outcome.error)
             if kind == "timeout":
                 timeouts += 1
             elif kind == "rcode":

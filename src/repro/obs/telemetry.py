@@ -250,19 +250,23 @@ def merge_timelines(
 
 
 def timeline_from_outcomes(
-    outcomes: Iterable[object], interval: float = 1.0
+    outcomes: Iterable[Tuple[float, Optional[float], Optional[str]]],
+    interval: float = 1.0,
 ) -> List[Dict[str, Any]]:
     """Build the telemetry timeline for a finished sim or fleet run.
 
-    *outcomes* are :class:`repro.scenarios.runner.QueryOutcome`
-    rows (anything with ``issued_at``/``resolution_time``/``error``).
-    Queries bucket by issue time — a success counts, latency included,
-    in the interval it was issued in, whenever it completed; empty
-    intervals between the first and last issue get their zero row.
+    *outcomes* are the run's ``(issued_at, resolution_time, error)``
+    triples. Queries bucket by issue time — a success counts, latency
+    included, in the interval it was issued in, whenever it completed;
+    empty intervals between the first and last issue get their zero
+    row. A failure counts as a timeout where
+    :func:`~repro.api.report.classify_error` says so, as it does in the
+    run's ``queries.timeouts``.
     """
+    from repro.api.report import classify_error
+
     buckets: Dict[int, Dict[str, Any]] = {}
-    for outcome in outcomes:
-        issued = getattr(outcome, "issued_at", 0.0) or 0.0
+    for issued, rtime, error in outcomes:
         index = int(issued / interval)
         bucket = buckets.get(index)
         if bucket is None:
@@ -271,14 +275,12 @@ def timeline_from_outcomes(
                 "latencies": [],
             }
         bucket["queries"] += 1
-        rtime = getattr(outcome, "resolution_time", None)
         if rtime is not None:
             bucket["succeeded"] += 1
             bucket["latencies"].append(rtime)
         else:
             bucket["failed"] += 1
-            error = (getattr(outcome, "error", "") or "").lower()
-            if "timeout" in error:
+            if error and classify_error(error) == "timeout":
                 bucket["timeouts"] += 1
     timeline: List[Dict[str, Any]] = []
     if not buckets:

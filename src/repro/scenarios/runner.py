@@ -92,8 +92,8 @@ def build_workload_zone(workload: WorkloadSpec, rng, names=None):
 
 @dataclass(slots=True)
 class QueryOutcome:
-    """One query's fate (slotted: sim and fleet runs hold one per
-    query)."""
+    """One query's fate (slotted: a sim run holds one per query; a
+    fleet run builds them only when its ``outcomes`` are read)."""
 
     name: str
     client: str

@@ -311,6 +311,31 @@ class TestSubstrateParity:
         validate(live_report.to_json(), SCHEMA)
 
 
+@pytest.mark.parametrize("spec", (
+    # Frame loss without link-layer retries: a quarter of the queries
+    # time out, on the exact simulator and on an unscaled fleet.
+    "one-hop,transport=coap,clients=4,queries=40,rate=10,loss=0.35,"
+    "retries=0",
+    "one-hop,transport=coap,clients=200,queries=2000,rate=200,names=12,"
+    "loss=0.35,retries=0,substrate=fleet",
+))
+def test_telemetry_rows_add_up_to_the_query_counters(spec):
+    # The rows and the counters classify failures with one function, so
+    # the per-second series sums to the run's totals.
+    report = run(RunSpec.from_spec(spec))
+    metrics = report.metrics
+    assert metrics["queries.timeouts"] > 0
+    assert metrics.get("fleet.sample.scale", 1.0) == 1.0
+    for row_key, metric in (
+        ("queries", "queries.issued"),
+        ("succeeded", "queries.succeeded"),
+        ("timeouts", "queries.timeouts"),
+    ):
+        assert sum(row[row_key] for row in report.telemetry) == (
+            metrics[metric]
+        ), row_key
+
+
 # -- the façade adds nothing to the run -------------------------------------
 
 

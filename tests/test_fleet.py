@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -22,12 +23,14 @@ from hypothesis import given, settings, strategies as st
 
 import fleet_reference as reference
 import repro.fleet.cache
+import repro.fleet.engine
 from repro.api import ApiError, RunSpec, run
 from repro.api.schema import load_schema, validate
 from repro.fleet import (
     FleetCacheModel,
     FleetOptions,
     FleetOptionsError,
+    calibrate,
     flash_crowd_warp,
     plan_sample,
     probe_scenario,
@@ -36,6 +39,7 @@ from repro.fleet import (
 )
 from repro.fleet.service import Calibration, ServiceModel, _van_der_corput
 from repro.scenarios import CachingSpec, scenario_from_spec
+from repro.scenarios.runner import QueryOutcome
 
 SCHEMA = load_schema(
     str(pathlib.Path(__file__).parent / "report_schema.json")
@@ -203,6 +207,7 @@ class TestChurn:
     def make_model(self, churn: float, rng_value: float) -> FleetCacheModel:
         return FleetCacheModel(
             CachingSpec(client_dns=True, client_coap=False, proxy=False),
+            clients=1,
             coap_based=False,
             churn=churn,
             model_rng=FixedRng(rng_value),
@@ -652,3 +657,84 @@ class TestMaterialisation:
         assert result.cache_stats == (
             reference.reference_run_fleet(scenario).cache_stats
         )
+
+
+# -- the walk records columns -----------------------------------------------
+
+
+def traced_walk(spec_text: str):
+    """One fleet walk and the tracemalloc peak it added. The calibration
+    is memoised per process, so it is paid before tracing starts."""
+    spec = RunSpec.from_spec(spec_text + ",substrate=fleet")
+    scenario = spec.to_scenario()
+    calibrate(scenario, spec.fleet)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = run_fleet(scenario, spec.fleet)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, peak
+
+
+class TestColumns:
+    def test_ask_once_walk_holds_under_160_bytes_per_query(self):
+        result, peak = traced_walk(
+            "one-hop,transport=coap,clients=16384,queries=16384,rate=2000,"
+            "cache=client-dns+client-coap"
+        )
+        assert result.plan.queries == 16384
+        assert peak / result.plan.queries < 160, peak
+
+    def test_sparse_fleet_sizes_client_state_by_the_sample(self):
+        # A hundred million clients, a thousand of whom ever ask: the
+        # per-client arrays are sized by the clients the walk reaches.
+        result, peak = traced_walk(
+            "one-hop,transport=coap,clients=100000000,queries=1000,"
+            "rate=100,cache=client-dns+client-coap"
+        )
+        assert result.plan.clients == 100_000_000
+        assert result.active_clients == 1000
+        assert peak < 8 * 2 ** 20, peak
+
+    def test_run_and_report_build_no_query_rows(self, monkeypatch):
+        built = []
+
+        class CountingOutcome(QueryOutcome):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(repro.fleet.engine, "QueryOutcome", CountingOutcome)
+        report = run(RunSpec.from_spec(
+            "one-hop,transport=coap,clients=8,queries=200,names=6,rate=20,"
+            "cache=client-dns+client-coap,substrate=fleet"
+        ))
+        assert report.telemetry
+        assert built == []
+        # The rows exist only when asked for.
+        assert len(report.raw.outcomes) == report.metrics["queries.issued"]
+        assert len(built) == 200
+
+    def test_process_pool_repeats_equal_in_process_ones(self):
+        # Two workers pickle the columnar results back through the
+        # ordered map; the Report and every row must not notice.
+        base = (
+            "one-hop,transport=coap,clients=40,queries=300,names=8,rate=30,"
+            "loss=0.35,retries=0,cache=client-dns+client-coap,"
+            "substrate=fleet,repeats=2"
+        )
+        serial = run(RunSpec.from_spec(base + ",workers=1"))
+        pooled = run(RunSpec.from_spec(base + ",workers=2"))
+        assert serial.metrics["queries.timeouts"] > 0
+        assert pooled.metrics == serial.metrics
+        assert [r.outcomes for r in pooled.raw] == [
+            r.outcomes for r in serial.raw
+        ]

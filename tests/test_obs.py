@@ -14,7 +14,6 @@ import asyncio
 import io
 import json
 import os
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -176,10 +175,7 @@ def test_long_runs_keep_the_first_rows_on_every_substrate():
     )
     for _ in range(seconds):
         sampler.tick()
-    outcomes = [
-        SimpleNamespace(issued_at=k + 0.5, resolution_time=0.001, error=None)
-        for k in range(seconds)
-    ]
+    outcomes = [(k + 0.5, 0.001, None) for k in range(seconds)]
     assert len(sampler.timeline) == MAX_TIMELINE_SNAPSHOTS
     assert sampler.timeline[0]["t"] == 1.0
     assert sampler.timeline == timeline_from_outcomes(outcomes)
@@ -234,17 +230,11 @@ def test_sampler_and_outcome_timelines_agree_row_for_row(seconds):
             if isinstance(result, float):
                 succeeded += 1
                 latencies.append(result)
-                outcomes.append(SimpleNamespace(
-                    issued_at=second + offset, resolution_time=result,
-                    error=None,
-                ))
+                outcomes.append((second + offset, result, None))
             else:
                 failed += 1
                 timeouts += "timeout" in result
-                outcomes.append(SimpleNamespace(
-                    issued_at=second + offset, resolution_time=None,
-                    error=result,
-                ))
+                outcomes.append((second + offset, None, result))
         polls.append(((queries, succeeded, failed, timeouts), latencies))
         sampler.tick()
     # A finished run's timeline spans its first to its last busy second.
@@ -273,17 +263,11 @@ def test_merge_timelines_weights_latency_by_successes():
 
 
 def test_timeline_from_outcomes_buckets_by_issue_second():
-    class Outcome:
-        def __init__(self, issued_at, resolution_time=None, error=None):
-            self.issued_at = issued_at
-            self.resolution_time = resolution_time
-            self.error = error
-
     outcomes = [
-        Outcome(0.1, 0.010),
-        Outcome(0.6, 0.020),
-        Outcome(1.2, None, "timeout waiting for response"),
-        Outcome(2.5, 0.040),
+        (0.1, 0.010, None),
+        (0.6, 0.020, None),
+        (1.2, None, "timeout waiting for response"),
+        (2.5, 0.040, None),
     ]
     timeline = timeline_from_outcomes(outcomes)
     assert [r["t"] for r in timeline] == [1.0, 2.0, 3.0]
