@@ -4,7 +4,8 @@ the IoT: DNS over CoAP" (Lenders et al., CoNEXT 2023).
 The package implements DNS over CoAP (DoC) and every substrate the
 paper's evaluation depends on, in pure Python:
 
-* ``repro.api``       — the unified façade: RunSpec → versioned Report
+* ``repro.api``       — the unified façade: RunSpec → versioned Report,
+                        and sweeps of them
 * ``repro.doc``       — the DoC client/server, caching schemes, CBOR format
 * ``repro.coap``      — CoAP incl. FETCH, block-wise, caches, proxy
 * ``repro.oscore``    — OSCORE object security (RFC 8613)
@@ -15,7 +16,7 @@ paper's evaluation depends on, in pure Python:
 * ``repro.sim``       — deterministic discrete-event simulator
 * ``repro.stack``     — per-node stacks and multi-hop topologies
 * ``repro.transports``— DNS transport baselines + the plugin registry
-* ``repro.scenarios`` — declarative scenarios, sweeps, presets
+* ``repro.scenarios`` — declarative scenarios, presets, the runner
 * ``repro.crypto``    — AES-CCM, HKDF, TLS 1.2 PRF (from scratch)
 * ``repro.cborlib``   — CBOR (RFC 8949)
 * ``repro.memmodel``  — firmware build-size model (Figures 5/8)

@@ -13,6 +13,9 @@ The façade over everything the toolkit can execute:
 * :class:`~repro.api.report.Report` — one versioned result document
   with stable dotted metric names, identical non-namespaced key sets
   on every substrate, and ``to_json()``/``from_json()`` round-tripping.
+* :func:`~repro.api.runner.sweep` — a grid of such runs: one RunSpec
+  per (transport × topology × loss [× placement] [× scheme]) cell, one
+  Report back per cell, keyed ``"coap/figure2/0.05"``.
 
 Quick use::
 
@@ -44,11 +47,13 @@ _EXPORTS = {
     "provenance": ".report",
     "report_from_experiment_result": ".report",
     "report_from_loadgen": ".report",
+    "sweep_to_json": ".report",
     "ApiError": ".spec",
     "FleetOptions": ".spec",
     "LiveOptions": ".spec",
     "RunSpec": ".spec",
     "run": ".runner",
+    "sweep": ".runner",
     # NOTE: the schema *validate* function is not re-exported here —
     # the name belongs to the ``repro.api.validate`` CLI module; import
     # the function from :mod:`repro.api.schema` directly.

@@ -668,6 +668,19 @@ class Report:
         return self.metrics[key]
 
 
+def sweep_to_json(reports: Dict[str, Report]) -> Dict[str, object]:
+    """A sweep's Reports (:func:`repro.api.sweep`) as one
+    ``json.dumps``-ready document: the shared ``report_version`` and
+    provenance stamp around each cell's :meth:`Report.to_json` under
+    its grid key."""
+    return {
+        "report_version": REPORT_VERSION,
+        "kind": "sweep",
+        "provenance": provenance(),
+        "cells": {key: report.to_json() for key, report in reports.items()},
+    }
+
+
 # -- substrate converters --------------------------------------------------
 
 #: Error-name fragments classified as timeouts (sim outcomes record the

@@ -9,14 +9,25 @@ against an externally provided endpoint; the fleet path to a
 :func:`~repro.fleet.run_fleet` aggregate pass. Repeats of the sim and
 fleet paths fan out over
 :func:`~repro.scenarios.executors.ordered_map`. All paths emit the
-same versioned :class:`~repro.api.report.Report`.
+same versioned :class:`~repro.api.report.Report`. :func:`sweep` is a
+grid of such runs: one RunSpec per cell, one Report back per cell.
 """
 
 from __future__ import annotations
 
-from typing import Union
+from dataclasses import replace
+from itertools import product
+from typing import Dict, Optional, Sequence, Union
 
 from repro.obs.log import get_logger
+from repro.scenarios import (
+    Scenario,
+    ScenarioError,
+    TopologySpec,
+    get_topology,
+    scenario_from_spec,
+)
+from repro.scenarios.executors import ordered_map
 
 from .report import Report, report_from_experiment_result, report_from_loadgen
 from .spec import RunSpec
@@ -52,9 +63,66 @@ def run(spec: Union[RunSpec, str]) -> Report:
     return report
 
 
-def _run_sim(spec: RunSpec) -> Report:
-    from repro.scenarios.executors import ordered_map
+def sweep(
+    base: Optional[Scenario] = None,
+    *,
+    transports: Sequence[str],
+    topologies: Sequence[Union[str, TopologySpec]],
+    losses: Sequence[float],
+    cache_placements: Optional[Sequence[str]] = None,
+    schemes: Optional[Sequence[str]] = None,
+    workers: Optional[int] = None,
+) -> Dict[str, Report]:
+    """Run every cell of a (transport × topology × loss [× cache
+    placement] [× scheme]) grid and return its Reports by grid key.
 
+    Each cell is the *base* :class:`~repro.scenarios.Scenario` (the
+    default one when ``None``) on one topology — a preset name or a
+    :class:`~repro.scenarios.TopologySpec` — at one loss rate, with the
+    cell's ``transport=…[,cache=…][,scheme=…]`` applied the way
+    :func:`~repro.scenarios.scenario_from_spec` applies them: a
+    placement naming the proxy turns the proxy on, and a swept scheme
+    beats one pinned in the base's caching spec. The key is
+    ``transport/topology/loss`` (loss as ``:g``), extended by the
+    canonical placement and the scheme when those axes are swept, e.g.
+    ``"coap/figure2/0.05"`` or ``"coap/figure2/0/all/eol-ttls"``.
+
+    Every cell is built before any runs, so a duplicate key or a cell
+    no :class:`~repro.scenarios.Scenario` accepts (a proxy placement on
+    udp or coaps) raises :class:`~repro.scenarios.ScenarioError` first.
+    ``workers`` > 1 runs the cells on that many processes; the Reports
+    are identical for any worker count, since every cell seeds its own
+    simulator.
+    """
+    base = base if base is not None else Scenario()
+    specs: Dict[str, RunSpec] = {}
+    for transport, topology, loss, placement, scheme in product(
+        transports, topologies, losses,
+        cache_placements or (None,), schemes or (None,),
+    ):
+        if isinstance(topology, str):
+            topology = get_topology(topology)
+        axes = {"transport": transport, "cache": placement, "scheme": scheme}
+        cell = scenario_from_spec(
+            ",".join(f"{k}={v}" for k, v in axes.items() if v is not None),
+            base=replace(base, topology=replace(topology, loss=loss)),
+        )
+        key = f"{transport}/{topology.name}/{loss:g}"
+        name = f"{transport}/{topology.name}/loss={loss:g}"
+        if placement is not None:
+            label = cell.caching.placement_label()
+            key += f"/{label}"
+            name += f"/cache={label}"
+        if scheme is not None:
+            key += f"/{cell.scheme.value}"
+            name += f"/scheme={cell.scheme.value}"
+        if key in specs:
+            raise ScenarioError(f"duplicate sweep cell {key!r}")
+        specs[key] = RunSpec.from_scenario(replace(cell, name=name))
+    return dict(zip(specs, ordered_map(run, list(specs.values()), workers)))
+
+
+def _run_sim(spec: RunSpec) -> Report:
     scenarios = [spec.to_scenario(seed) for seed in spec.repeat_seeds()]
     results = ordered_map(_run_one_scenario, scenarios, spec.workers)
     return report_from_experiment_result(
@@ -71,7 +139,6 @@ def _run_one_scenario(scenario):
 
 def _run_fleet(spec: RunSpec) -> Report:
     from repro.fleet import report_from_fleet
-    from repro.scenarios.executors import ordered_map
 
     jobs = [
         (spec.to_scenario(seed), spec.fleet) for seed in spec.repeat_seeds()

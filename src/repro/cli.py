@@ -122,9 +122,12 @@ def _print_report(report) -> None:
         print(f"loop:             {metrics['live.mode']}, "
               f"{metrics['live.elapsed_s']} s elapsed")
     print(f"queries:          {metrics['queries.issued']}")
+    timeouts = metrics["queries.timeouts"]
+    rcode_failures = metrics["queries.rcode_failures"]
+    other = metrics["queries.failed"] - timeouts - rcode_failures
     print(f"success rate:     {metrics['queries.success_rate']:.2%} "
-          f"({metrics['queries.timeouts']} timeouts, "
-          f"{metrics['queries.rcode_failures']} rcode failures)")
+          f"({timeouts} timeouts, {rcode_failures} rcode failures, "
+          f"{other} other)")
     p50 = metrics["latency.p50_ms"]
     if p50 is not None:
         print(f"latency p50:      {p50:.2f} ms")
@@ -265,8 +268,9 @@ _SWEEP_AXIS_KEYS = {"loss": "--losses", "transport": "--transports"}
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
-    from repro.api.report import pooled_cache_stats
-    from repro.scenarios import ScenarioRunner, get_topology, scenario_from_spec
+    from repro.api import sweep
+    from repro.api.report import pooled_cache_stats, sweep_to_json
+    from repro.scenarios import get_topology, scenario_from_spec
 
     if args.workers is not None and args.workers < 1:
         print("error: --workers must be >= 1", file=sys.stderr)
@@ -290,8 +294,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         args.cache_placements.split(",") if args.cache_placements else None
     )
     schemes = args.schemes.split(",") if args.schemes else None
-    sweep = ScenarioRunner().sweep(
-        base=base,
+    reports = sweep(
+        base,
         transports=args.transports.split(","),
         topologies=topologies,
         losses=[float(value) for value in args.losses.split(",")],
@@ -300,7 +304,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         workers=args.workers,
     )
     if args.json is not None:
-        _emit_json(sweep.to_json(), args.json)
+        _emit_json(sweep_to_json(reports), args.json)
         return 0
     cache_axes = placements is not None or schemes is not None
     header = (f"{'transport':10s} {'topology':14s} {'loss':>5s} "
@@ -310,11 +314,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         header += (f" {'cache':>28s} {'scheme':>9s} "
                    f"{'hit%':>6s} {'valid':>6s}")
     print(header)
-    for cell in sweep:
-        metrics = cell.report().metrics
+    for report in reports.values():
+        spec, metrics = report.spec, report.metrics
         p50, p95 = metrics["latency.p50_ms"], metrics["latency.p95_ms"]
         row = (
-            f"{cell.transport:10s} {cell.topology:14s} {cell.loss:5.2f} "
+            f"{spec['transport']:10s} {spec['topology']['name']:14s} "
+            f"{spec['topology']['loss']:5.2f} "
             f"{metrics['queries.success_rate']:8.2%} "
             + (f"{p50:7.1f} ms {p95:7.1f} ms " if p50 is not None
                else f"{'-':>10s} {'-':>10s} ")
@@ -325,27 +330,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             # (client DNS + client CoAP + proxy), and the total
             # successful revalidations — the Figure 11 events.
             seen = pooled_cache_stats(
-                stats for location, stats in cell.result.cache_stats.items()
+                stats for location, stats in report.raw.cache_stats.items()
                 if location != "resolver"
             )
+            placement = spec["caching"]["placement"] if placements else "-"
+            scheme = spec["scheme"] if schemes else "-"
             row += (
-                f" {cell.placement or '-':>28s} {cell.scheme or '-':>9s} "
+                f" {placement:>28s} {scheme:>9s} "
                 f"{seen.hit_ratio:6.1%} {seen.validations:6d}"
             )
         print(row)
     return 0
-
-
-def _parse_scheme(value: str):
-    from repro.doc import CachingScheme
-
-    try:
-        return CachingScheme(value.lower())
-    except ValueError:
-        known = ", ".join(s.value for s in CachingScheme)
-        raise SystemExit(
-            f"error: unknown caching scheme {value!r} (known: {known})"
-        ) from None
 
 
 def _open_stream_sink(dest: str):
@@ -407,6 +402,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
     import time
 
+    from repro.doc import CachingScheme
     from repro.live import ServePool
 
     if args.workers < 1:
@@ -420,7 +416,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         num_names=args.names,
         dataset=args.dataset,
         name_seed=args.name_seed,
-        scheme=_parse_scheme(args.cache_scheme),
+        scheme=CachingScheme(args.cache_scheme),
         seed=args.seed,
         secret=args.secret.encode(),
     )
@@ -510,6 +506,7 @@ def _loadtest_spec(args: argparse.Namespace, workload, issued: int):
     from dataclasses import replace
 
     from repro.api import LiveOptions, RunSpec
+    from repro.doc import CachingScheme
     from repro.scenarios import CachingSpec, Scenario
 
     return RunSpec(
@@ -524,7 +521,7 @@ def _loadtest_spec(args: argparse.Namespace, workload, issued: int):
                     args.rate if args.mode == "open" else workload.query_rate
                 ),
             ),
-            scheme=_parse_scheme(args.cache_scheme),
+            scheme=CachingScheme(args.cache_scheme),
             # `--client-cache all` means "every cache the live client
             # has" — strip the proxy bit the placement vocabulary would
             # otherwise imply (the resolver accepts it the same way).
@@ -545,6 +542,7 @@ def _loadtest_spec(args: argparse.Namespace, workload, issued: int):
 
 def _cmd_loadtest(args: argparse.Namespace) -> int:
     from repro.api.report import report_from_loadgen
+    from repro.doc import CachingScheme
     from repro.live.workers import run_load
     from repro.scenarios import WorkloadSpec
 
@@ -560,7 +558,7 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
     load = dict(
         endpoint=(args.host, args.port),
         transport=args.transport,
-        scheme=_parse_scheme(args.cache_scheme),
+        scheme=CachingScheme(args.cache_scheme),
         cache_placement=args.client_cache,
         secret=args.secret.encode(),
         timeout=args.timeout,
@@ -725,6 +723,7 @@ def _cmd_compress(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.doc import CachingScheme
     from repro.transports import transport_names
 
     parser = argparse.ArgumentParser(
@@ -846,8 +845,9 @@ def build_parser() -> argparse.ArgumentParser:
                  "serve and loadtest)",
         )
         sub.add_argument(
-            "--cache-scheme", default="eol-ttls",
-            help="TTL handling scheme (doh-like or eol-ttls)",
+            "--cache-scheme", default="eol-ttls", type=str.lower,
+            choices=[scheme.value for scheme in CachingScheme],
+            help="TTL handling scheme",
         )
         sub.add_argument("--seed", type=int, default=1)
         sub.add_argument(

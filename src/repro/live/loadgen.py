@@ -25,7 +25,7 @@ import random
 from array import array
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.api.report import REPORT_VERSION, provenance
+from repro.api.report import REPORT_VERSION, classify_error, provenance
 from repro.obs.telemetry import TelemetrySampler, run_sampler
 from repro.scenarios.scenario import WorkloadSpec
 
@@ -129,10 +129,16 @@ async def generate_load(
         rtype = spec.draw_rtype(rng)
         try:
             result = await resolver.resolve(name, rtype, timeout=timeout)
-        except asyncio.TimeoutError:
-            timeouts += 1
-        except Exception:
-            errors += 1
+        except Exception as error:
+            # The sim's classifier: a DoC 4.xx/5.xx (an OSCORE
+            # rejection too) is an rcode failure, not an unnamed error.
+            kind = classify_error(type(error).__name__)
+            if kind == "timeout":
+                timeouts += 1
+            elif kind == "rcode":
+                rcode_failures += 1
+            else:
+                errors += 1
         else:
             if result.ok:
                 # A response is only a success when the name resolved:

@@ -4,9 +4,8 @@
   :class:`TopologySpec`, :class:`WorkloadSpec`, :class:`CachingSpec`:
   what to run;
 * :mod:`repro.scenarios.runner` — :class:`ScenarioRunner`: how to run
-  it (including ``sweep`` over transport × topology × loss ×
-  cache-placement × scheme grids) and the raw
-  :class:`ExperimentResult` a run returns;
+  it, and the raw :class:`ExperimentResult` a run returns (a grid of
+  runs is :func:`repro.api.sweep`);
 * :mod:`repro.scenarios.presets` — named topologies/scenarios and the
   ``key=value`` spec parser behind the CLI's ``--scenario`` flag.
 """
@@ -25,8 +24,6 @@ from .runner import (
     LinkUtilization,
     QueryOutcome,
     ScenarioRunner,
-    SweepCell,
-    SweepResult,
     build_workload_zone,
 )
 from .presets import (
@@ -48,8 +45,6 @@ __all__ = [
     "Scenario",
     "ScenarioError",
     "ScenarioRunner",
-    "SweepCell",
-    "SweepResult",
     "TOPOLOGIES",
     "TopologySpec",
     "WorkloadSpec",

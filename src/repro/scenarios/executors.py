@@ -1,11 +1,11 @@
 """The one way sweeps and repeats fan out: an ordered map.
 
-A sweep is an embarrassingly parallel grid: every cell is a pure
-function of its :class:`~repro.scenarios.scenario.Scenario` (each cell
-builds its own :class:`~repro.sim.Simulator` with its own seeded RNG),
-so cells can run in any order — or concurrently — without affecting
-each other's results. The same holds for the seeded repeats of one
-:class:`repro.api.RunSpec`.
+A sweep (:func:`repro.api.sweep`) is an embarrassingly parallel grid:
+every cell is a pure function of its :class:`repro.api.RunSpec` (each
+cell builds its own :class:`~repro.sim.Simulator` with its own seeded
+RNG), so cells can run in any order — or concurrently — without
+affecting each other's results. The same holds for the seeded repeats
+of one RunSpec.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ def ordered_map(
     or 1, or a single item, runs in-process — no point paying process
     start-up for it. Otherwise *fn*, the items and the results cross
     process boundaries, so all three must be picklable (*fn* by import
-    path; scenarios and result structs are plain dataclasses).
+    path; specs, scenarios, Reports and result structs are plain
+    dataclasses).
     """
     if workers is not None and workers < 1:
         raise ExecutorError(f"workers must be >= 1, got {workers}")

@@ -6,8 +6,8 @@ count, client count, link loss, wired/wireless mix), and the workload
 (:class:`WorkloadSpec` — Poisson rate, name count, record-type mix,
 burst vs. steady arrivals), plus the caching/proxy knobs of the paper's
 ablations. Scenarios are frozen dataclasses: derive variants with
-:func:`dataclasses.replace`, or let :class:`ScenarioRunner.sweep`
-enumerate (transport × topology × loss) grids.
+:func:`dataclasses.replace`, or let :func:`repro.api.sweep` run
+(transport × topology × loss) grids of them.
 """
 
 from __future__ import annotations

@@ -25,6 +25,8 @@ from repro.api import (
     provenance,
     report_from_experiment_result,
     run,
+    sweep,
+    sweep_to_json,
 )
 from repro.api.schema import (
     SchemaError,
@@ -361,18 +363,18 @@ class TestFacadeRawResult:
 
 class TestSweepJson:
     @pytest.fixture(scope="class")
-    def sweep(self):
-        from repro.scenarios import Scenario, ScenarioRunner, WorkloadSpec
+    def reports(self):
+        from repro.scenarios import Scenario, WorkloadSpec
 
         base = Scenario(workload=WorkloadSpec(num_queries=4))
-        return ScenarioRunner().sweep(
-            base=base, transports=("udp", "coap"),
+        return sweep(
+            base, transports=("udp", "coap"),
             topologies=("one-hop",), losses=(0.0,),
         )
 
-    def test_cell_metrics_gain_p99_and_mean(self, sweep):
-        for cell in sweep:
-            metrics = cell.report().metrics
+    def test_cell_metrics_gain_p99_and_mean(self, reports):
+        for report in reports.values():
+            metrics = report.metrics
             assert (
                 metrics["latency.p50_ms"] <= metrics["latency.p95_ms"]
                 <= metrics["latency.p99_ms"] <= metrics["latency.max_ms"]
@@ -382,15 +384,15 @@ class TestSweepJson:
                 <= metrics["latency.max_ms"]
             )
 
-    def test_to_json_uses_string_grid_keys(self, sweep):
-        payload = sweep.to_json()
+    def test_to_json_uses_string_grid_keys(self, reports):
+        payload = sweep_to_json(reports)
         json.dumps(payload)  # serialisable as-is
         assert payload["report_version"] == REPORT_VERSION
+        assert payload["kind"] == "sweep"
         assert sorted(payload["cells"]) == ["coap/one-hop/0", "udp/one-hop/0"]
         validate(payload, SCHEMA)
 
-    def test_cell_reports_are_unified(self, sweep):
-        reports = sweep.reports()
+    def test_cell_reports_are_unified(self, reports):
         report = reports["udp/one-hop/0"]
         assert report.substrate == "sim"
         assert report.spec["transport"] == "udp"

@@ -8,6 +8,7 @@ Figure 11 event analysis needs.
 
 import pytest
 
+from repro.api import sweep
 from repro.doc import CachingScheme
 from repro.scenarios import (
     CachingSpec,
@@ -179,11 +180,11 @@ class TestCachingSpec:
 
 class TestCachePlacementSweep:
     @pytest.fixture(scope="class")
-    def sweep(self):
+    def reports(self):
         base = _hierarchy_scenario(CachingScheme.EOL_TTLS, use_proxy=False,
                                    caching=None)
-        return ScenarioRunner().sweep(
-            base=base,
+        return sweep(
+            base,
             transports=("coap",),
             topologies=("figure2",),
             losses=(0.0,),
@@ -191,38 +192,32 @@ class TestCachePlacementSweep:
             schemes=("doh-like", "eol-ttls"),
         )
 
-    def test_full_grid(self, sweep):
-        assert len(sweep) == 6
+    def test_full_grid(self, reports):
+        assert len(reports) == 6
 
-    def test_cell_addressing_includes_cache_axes(self, sweep):
-        cell = sweep.cell("coap", "figure2", 0.0, ALL, "eol-ttls")
-        assert cell.placement == ALL
-        assert cell.scheme == "eol-ttls"
-        assert cell.scenario.use_proxy   # placement turned the proxy on
+    def test_cell_addressing_includes_cache_axes(self, reports):
+        report = reports[f"coap/figure2/0/{ALL}/eol-ttls"]
+        assert report.spec["caching"]["placement"] == ALL
+        assert report.spec["scheme"] == "eol-ttls"
+        assert report.raw.scenario.use_proxy   # placement turned the proxy on
 
-    def test_metrics_carry_per_location_ratios(self, sweep):
-        metrics = sweep.cell(
-            "coap", "figure2", 0.0, ALL, "eol-ttls"
-        ).report().metrics
+    def test_metrics_carry_per_location_ratios(self, reports):
+        metrics = reports[f"coap/figure2/0/{ALL}/eol-ttls"].metrics
         for key in ("cache.client_dns.hit_ratio",
                     "cache.client_coap.validations",
                     "sim.cache.proxy.hits", "sim.cache.resolver.hits"):
             assert key in metrics
-        none_metrics = sweep.cell(
-            "coap", "figure2", 0.0, "none", "eol-ttls"
-        ).report().metrics
+        none_metrics = reports["coap/figure2/0/none/eol-ttls"].metrics
         assert "cache.client_dns.hit_ratio" not in none_metrics
 
-    def test_caching_reduces_bottleneck_traffic(self, sweep):
-        cached = sweep.cell("coap", "figure2", 0.0, ALL, "eol-ttls")
-        uncached = sweep.cell("coap", "figure2", 0.0, "none", "eol-ttls")
-        assert (
-            cached.result.link.frames_1hop < uncached.result.link.frames_1hop
-        )
+    def test_caching_reduces_bottleneck_traffic(self, reports):
+        cached = reports[f"coap/figure2/0/{ALL}/eol-ttls"].raw
+        uncached = reports["coap/figure2/0/none/eol-ttls"].raw
+        assert cached.link.frames_1hop < uncached.link.frames_1hop
 
-    def test_scheme_axis_changes_validation_behaviour(self, sweep):
-        eol = sweep.cell("coap", "figure2", 0.0, ALL, "eol-ttls").result
-        doh = sweep.cell("coap", "figure2", 0.0, ALL, "doh-like").result
+    def test_scheme_axis_changes_validation_behaviour(self, reports):
+        eol = reports[f"coap/figure2/0/{ALL}/eol-ttls"].raw
+        doh = reports[f"coap/figure2/0/{ALL}/doh-like"].raw
         assert (
             eol.cache_stats["client-coap"].validations
             > doh.cache_stats["client-coap"].validations
@@ -239,16 +234,22 @@ class TestCachePlacementSweep:
             ),
             use_proxy=False,
         )
-        sweep = ScenarioRunner().sweep(
-            base=base,
+        reports = sweep(
+            base,
             transports=("coap",),
             topologies=("one-hop",),
             losses=(0.0,),
             cache_placements=("client-coap+proxy",),
             schemes=("doh-like", "eol-ttls"),
         )
-        for cell in sweep:
-            assert cell.scenario.caching_spec.scheme.value == cell.scheme
+        assert list(reports) == [
+            "coap/one-hop/0/client-coap+proxy/doh-like",
+            "coap/one-hop/0/client-coap+proxy/eol-ttls",
+        ]
+        for key, report in reports.items():
+            scheme = report.raw.scenario.caching_spec.scheme.value
+            assert scheme == report.spec["caching"]["scheme"]
+            assert key.endswith(f"/{scheme}")
 
     def test_spec_parser_scheme_overrides_explicit_spec_scheme(self):
         from repro.scenarios import scenario_from_spec
@@ -259,12 +260,12 @@ class TestCachePlacementSweep:
 
     @staticmethod
     def _refused_before_any_cell_runs(monkeypatch, transport, placement):
-        import repro.scenarios.runner as runner_module
+        import repro.api.runner as api_runner
 
         ran = []
-        monkeypatch.setattr(runner_module, "_execute_cell", ran.append)
+        monkeypatch.setattr(api_runner, "run", ran.append)
         with pytest.raises(ScenarioError):
-            ScenarioRunner().sweep(
+            sweep(
                 transports=("coap", transport),
                 topologies=("figure2",),
                 losses=(0.0,),
@@ -281,8 +282,8 @@ class TestCachePlacementSweep:
         )
 
     def test_unknown_scheme_rejected(self):
-        with pytest.raises(ScenarioError):
-            ScenarioRunner().sweep(
+        with pytest.raises(ScenarioError, match="unknown caching scheme"):
+            sweep(
                 transports=("coap",),
                 topologies=("figure2",),
                 losses=(0.0,),
@@ -291,15 +292,14 @@ class TestCachePlacementSweep:
 
     def test_legacy_sweep_keys_unchanged(self):
         base = Scenario(workload=WorkloadSpec(num_queries=4, num_names=2))
-        sweep = ScenarioRunner().sweep(
-            base=base,
+        reports = sweep(
+            base,
             transports=("coap",),
             topologies=("one-hop",),
             losses=(0.0,),
         )
-        cell = sweep.cell("coap", "one-hop", 0.0)
-        assert cell.key == ("coap", "one-hop", 0.0)
-        assert cell.placement is None and cell.scheme is None
+        assert list(reports) == ["coap/one-hop/0"]
+        assert reports["coap/one-hop/0"].spec["name"] == "coap/one-hop/loss=0"
 
 
 class TestSpecParser:

@@ -44,6 +44,34 @@ def test_experiment(capsys):
     assert "latency p50:" in out
 
 
+def test_failure_line_counts_every_failure(capsys):
+    # A failure that is neither a timeout nor an rcode failure still
+    # shows on the summary's failure line.
+    import asyncio
+
+    from repro.api.report import report_from_loadgen
+    from repro.cli import _print_report
+    from repro.live import generate_load
+
+    class Failing:
+        transport_name = "udp"
+
+        async def resolve(self, name, rtype, timeout=None):
+            raise ValueError("unclassified")
+
+        def stats(self):
+            return {}
+
+    loadgen = asyncio.run(generate_load(
+        Failing(), ["name.example"], rate=1.0, duration=1.0, seed=1,
+    ))
+    _print_report(report_from_loadgen(loadgen))
+    assert (
+        "(0 timeouts, 0 rcode failures, 1 other)"
+        in capsys.readouterr().out
+    )
+
+
 def test_memory(capsys):
     assert main(["memory"]) == 0
     out = capsys.readouterr().out

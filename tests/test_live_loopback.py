@@ -14,6 +14,7 @@ import json
 import pytest
 
 from repro.dns.enums import RecordType
+from repro.doc.client import DocError
 from repro.live import (
     AsyncioClock,
     DocLiveServer,
@@ -23,6 +24,7 @@ from repro.live import (
     build_names,
     generate_load,
 )
+from repro.transports.dns_over_udp import DnsTimeoutError
 
 #: Hard deadline for one whole test body (seconds, wall clock).
 TEST_DEADLINE = 20.0
@@ -306,6 +308,47 @@ def _assert_rows_read_the_run_s_samples(report):
     ) / report["succeeded"]
     # Each mean is rounded to a microsecond, the run's own once more.
     assert weighted == pytest.approx(metrics["latency.mean_ms"], abs=0.0011)
+
+
+class _RaisingResolver:
+    """A connected-resolver stand-in whose every query raises *error*."""
+
+    transport_name = "coap"
+
+    def __init__(self, error: Exception) -> None:
+        self.error = error
+
+    async def resolve(self, name, rtype, timeout=None):
+        raise self.error
+
+    def stats(self):
+        return {}
+
+
+def _one_failed_query(error: Exception):
+    # Seed 1 at 1 query/s puts exactly one arrival inside the second.
+    report = run(generate_load(
+        _RaisingResolver(error), ["name.example"], rate=1.0, duration=1.0,
+        seed=1,
+    ))
+    assert report["queries"] == report["failed"] == 1
+    return report
+
+
+@pytest.mark.parametrize("error, timeouts, rcode_failures", [
+    # A DoC 4.xx/5.xx response (an OSCORE 4.00 rejection too) is an
+    # rcode failure, as the simulator classifies it.
+    (DocError("4.01 Unauthorized"), 0, 1),
+    (DnsTimeoutError("no response"), 1, 0),
+    (asyncio.TimeoutError(), 1, 0),
+    (ValueError("neither"), 0, 0),
+])
+def test_loadgen_classifies_raised_errors_like_the_sim(
+    error, timeouts, rcode_failures
+):
+    report = _one_failed_query(error)
+    assert report["timeouts"] == timeouts
+    assert report["rcode_failures"] == rcode_failures
 
 
 def test_loadgen_rows_are_exact_over_the_run_s_own_samples():

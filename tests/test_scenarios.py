@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.api import sweep
 from repro.dns import RecordType
 from repro.experiments.metrics import fraction_below, percentile
 from repro.scenarios import (
@@ -283,23 +284,23 @@ class TestRunner:
 
 class TestSweep:
     @pytest.fixture(scope="class")
-    def sweep(self):
-        base = _quick(workload_queries=8)
-        return ScenarioRunner().sweep(
-            base=base,
+    def reports(self):
+        return sweep(
+            _quick(workload_queries=8),
             transports=("udp", "coap", "oscore"),
             topologies=("figure2", "one-hop"),
             losses=(0.05, 0.25),
         )
 
-    def test_grid_is_complete(self, sweep):
-        assert len(sweep) == 3 * 2 * 2
-        keys = {cell.key for cell in sweep}
-        assert ("udp", "figure2", 0.05) in keys
-        assert ("oscore", "one-hop", 0.25) in keys
+    def test_grid_is_complete(self, reports):
+        assert len(reports) == 3 * 2 * 2
+        assert "udp/figure2/0.05" in reports
+        assert "oscore/one-hop/0.25" in reports
+        assert [
+            report.spec["topology"]["loss"] for report in reports.values()
+        ] == [0.05, 0.25] * 6
 
-    def test_per_cell_metrics(self, sweep):
-        reports = sweep.reports()
+    def test_per_cell_metrics(self, reports):
         assert len(reports) == 12
         for key, report in reports.items():
             metrics = report.metrics
@@ -308,39 +309,56 @@ class TestSweep:
             assert metrics["latency.p50_ms"] > 0.0, key
             assert metrics["sim.link.frames_1hop"] > 0, key
 
-    def test_cell_lookup(self, sweep):
-        cell = sweep.cell("coap", "one-hop", 0.05)
-        assert cell.scenario.transport == "coap"
-        assert cell.scenario.topology.hops == 1
-        assert cell.result.success_rate > 0.0
+    def test_cell_lookup(self, reports):
+        report = reports["coap/one-hop/0.05"]
+        assert report.raw.scenario.transport == "coap"
+        assert report.raw.scenario.topology.hops == 1
+        assert report.raw.success_rate > 0.0
         with pytest.raises(KeyError):
-            sweep.cell("coap", "ring", 0.05)
+            reports["coap/ring/0.05"]
 
-    def test_loss_hurts(self, sweep):
+    def test_loss_hurts(self, reports):
         """More loss never *helps* the low-latency fraction (coarse,
         but deterministic for these seeds)."""
         for transport in ("udp", "coap", "oscore"):
-            clean = sweep.cell(transport, "figure2", 0.05).result
-            lossy = sweep.cell(transport, "figure2", 0.25).result
+            clean = reports[f"{transport}/figure2/0.05"].raw
+            lossy = reports[f"{transport}/figure2/0.25"].raw
             assert fraction_below(clean.resolution_times, 0.25) >= (
                 fraction_below(lossy.resolution_times, 0.25) - 0.15
             )
 
     def test_duplicate_cells_rejected_before_running(self):
         with pytest.raises(ScenarioError, match="duplicate sweep cell"):
-            ScenarioRunner().sweep(
-                base=_quick(workload_queries=4),
+            sweep(
+                _quick(workload_queries=4),
                 transports=("coap",),
                 topologies=("one-hop", "one-hop"),
                 losses=(0.0,),
             )
 
+    def test_losses_equal_under_the_key_format_are_duplicates(
+        self, monkeypatch
+    ):
+        # Two distinct floats, one ``:g`` key: refused, not one cell
+        # silently dropped from the result.
+        import repro.api.runner as api_runner
+
+        ran = []
+        monkeypatch.setattr(api_runner, "run", ran.append)
+        with pytest.raises(ScenarioError, match="duplicate sweep cell"):
+            sweep(
+                _quick(workload_queries=4),
+                transports=("coap",),
+                topologies=("one-hop",),
+                losses=(0.1234567, 0.1234568),
+            )
+        assert ran == []
+
     def test_topology_names_accept_specs(self):
-        base = _quick(workload_queries=4)
-        sweep = ScenarioRunner().sweep(
-            base=base,
+        reports = sweep(
+            _quick(workload_queries=4),
             transports=("coap",),
             topologies=(TopologySpec(name="deep", hops=4),),
             losses=(0.0,),
         )
-        assert sweep.cell("coap", "deep", 0.0).result.success_rate == 1.0
+        assert reports["coap/deep/0"].raw.success_rate == 1.0

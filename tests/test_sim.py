@@ -519,7 +519,8 @@ class TestScheduleManyBitIdentity:
         # same-timestamp pops) must be a pure optimisation: the full
         # 8-cell perf-sweep grid replays bit-identically when arrivals
         # are scheduled one at a time through schedule_at.
-        from repro.scenarios import Scenario, ScenarioRunner, WorkloadSpec
+        from repro.api import sweep
+        from repro.scenarios import Scenario, WorkloadSpec
         from repro.sim.core import Simulator
 
         grid = dict(
@@ -528,7 +529,7 @@ class TestScheduleManyBitIdentity:
             losses=(0.05, 0.25),
         )
         base = Scenario(workload=WorkloadSpec(num_queries=6))
-        batched = ScenarioRunner().sweep(base=base, **grid)
+        batched = sweep(base, **grid)
 
         def sequential(self, entries):
             return [
@@ -537,13 +538,12 @@ class TestScheduleManyBitIdentity:
             ]
 
         monkeypatch.setattr(Simulator, "schedule_many", sequential)
-        looped = ScenarioRunner().sweep(base=base, **grid)
+        looped = sweep(base, **grid)
 
-        cells_batched = list(batched)
-        cells_looped = list(looped)
-        assert len(cells_batched) == 8
-        for cell_b, cell_l in zip(cells_batched, cells_looped):
-            assert cell_b.result.outcomes == cell_l.result.outcomes
-            assert cell_b.result.link == cell_l.result.link
-            assert cell_b.result.cache_stats == cell_l.result.cache_stats
-            assert cell_b.report().metrics == cell_l.report().metrics
+        assert len(batched) == 8
+        assert list(batched) == list(looped)
+        for report_b, report_l in zip(batched.values(), looped.values()):
+            assert report_b.raw.outcomes == report_l.raw.outcomes
+            assert report_b.raw.link == report_l.raw.link
+            assert report_b.raw.cache_stats == report_l.raw.cache_stats
+            assert report_b.metrics == report_l.metrics

@@ -1,16 +1,42 @@
-"""Parallel sweep execution: determinism and plumbing.
+"""Parallel sweep execution: determinism, plumbing and banked digests.
 
 The acceptance bar for parallel execution is bit-identical results:
 ``sweep(workers=4)`` must produce exactly the raw results (and so the
 Reports) of ``sweep(workers=1)`` for a grid that exercises the
 cache-placement and scheme axes, because every cell seeds its own
-simulator and no state crosses cells.
+simulator and no state crosses cells. The 8-cell grid's Report
+metrics are pinned by digest, so a change that moves any of them
+fails here rather than only against a second run of itself.
 """
+
+import hashlib
+import json
 
 import pytest
 
-from repro.api import RunSpec, run
-from repro.scenarios import Scenario, ScenarioRunner, WorkloadSpec
+from repro.api import RunSpec, run, sweep
+from repro.scenarios import Scenario, WorkloadSpec
+
+#: sha256 of each cell's canonical ``Report.metrics`` JSON (sorted
+#: keys, no whitespace) for the 8-cell grid at ``num_queries=6``.
+EIGHT_CELL_DIGESTS = {
+    "coap/figure2/0.05":
+        "b6d108f8e88b48a4a30c80a7d0c2540f0b1f0eb8af7442cf4268d96d7db74408",
+    "coap/figure2/0.25":
+        "69b63d095380768273a7334dba4f132efc7352563848f3960bf6e98b1a8fb047",
+    "coap/one-hop/0.05":
+        "57f1a0ba67be6a047671b212bd21e169254cb9ac496ffb091dbb23c52a971283",
+    "coap/one-hop/0.25":
+        "b8360f7d6e61a726533409a3d6ecc48978c6223958133b6c18770783d8d007fe",
+    "oscore/figure2/0.05":
+        "cc81a4eef98b906494ea7730abb37631eb988968868a643d6ac6cf2040cee0c6",
+    "oscore/figure2/0.25":
+        "4ac75e43b8e27e5d473b896782511198b197211a45ea835745b0de63b6760053",
+    "oscore/one-hop/0.05":
+        "f5af9389d375fcb5f6172006dcfeb069b654c46e59adf70a24df027f4e76b82b",
+    "oscore/one-hop/0.25":
+        "9bc63872237ef2180dea0a9f5bab03780a9445832ae0170c4c2dca22a16ee7e3",
+}
 
 
 def _small_base() -> Scenario:
@@ -24,67 +50,70 @@ def _assert_cells_identical(one, other):
     """Same cells in the same grid order, and bit-identical results:
     exact floats in the raw outcomes, link tallies and cache counters
     (the simulations are deterministic), hence equal Reports."""
-    assert [cell.key for cell in one] == [cell.key for cell in other]
-    for a, b in zip(one, other):
-        assert a.result.outcomes == b.result.outcomes
-        assert a.result.link == b.result.link
-        assert a.result.cache_stats == b.result.cache_stats
-        assert a.report().metrics == b.report().metrics
+    assert list(one) == list(other)
+    for a, b in zip(one.values(), other.values()):
+        assert a.raw.outcomes == b.raw.outcomes
+        assert a.raw.link == b.raw.link
+        assert a.raw.cache_stats == b.raw.cache_stats
+        assert a.metrics == b.metrics
+        assert a.spec == b.spec
+        assert a.telemetry == b.telemetry
+
+
+def _digest(metrics) -> str:
+    text = json.dumps(metrics, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 class TestParallelSweepDeterminism:
     def test_process_pool_matches_serial_with_cache_axes(self):
-        runner = ScenarioRunner()
         grid = dict(
-            base=_small_base(),
             transports=("coap",),
             topologies=("figure2",),
             losses=(0.05,),
             cache_placements=("none", "client-coap+proxy"),
             schemes=("doh-like", "eol-ttls"),
         )
-        serial = runner.sweep(**grid, workers=1)
-        parallel = runner.sweep(**grid, workers=4)
+        serial = sweep(_small_base(), **grid, workers=1)
+        parallel = sweep(_small_base(), **grid, workers=4)
         assert len(serial) == len(parallel) == 4
         _assert_cells_identical(serial, parallel)
 
     def test_explicit_process_executor_name(self):
-        runner = ScenarioRunner()
         grid = dict(
-            base=_small_base(),
             transports=("udp", "coap"),
             topologies=("one-hop",),
             losses=(0.05,),
         )
-        serial = runner.sweep(**grid, workers=1)
-        process = runner.sweep(**grid, workers=2)
+        serial = sweep(_small_base(), **grid, workers=1)
+        process = sweep(_small_base(), **grid, workers=2)
         _assert_cells_identical(serial, process)
-
-    def test_enumerate_cells_is_pure(self):
-        runner = ScenarioRunner()
-        cells = runner.enumerate_cells(
-            base=_small_base(),
-            transports=("coap",),
-            topologies=("figure2",),
-            losses=(0.05, 0.25),
-        )
-        assert [cell.result for cell in cells] == [None, None]
-        assert [cell.scenario.topology.loss for cell in cells] == [0.05, 0.25]
 
     def test_sweep_cells_use_counting_capture(self):
         # Sweep metrics only read aggregate frame tallies; the cells
         # must still report non-zero link utilisation through them.
-        runner = ScenarioRunner()
-        sweep = runner.sweep(
-            base=_small_base(),
+        reports = sweep(
+            _small_base(),
             transports=("coap",),
             topologies=("figure2",),
             losses=(0.0,),
         )
-        metrics = sweep.cell("coap", "figure2", 0.0).report().metrics
+        metrics = reports["coap/figure2/0"].metrics
         assert metrics["sim.link.frames_1hop"] > 0
         assert metrics["sim.link.bytes_2hop"] > 0
         assert metrics["queries.success_rate"] == 1.0
+
+    def test_eight_cell_grid_matches_banked_digests(self):
+        reports = sweep(
+            Scenario(workload=WorkloadSpec(num_queries=6)),
+            transports=("coap", "oscore"),
+            topologies=("figure2", "one-hop"),
+            losses=(0.05, 0.25),
+            workers=2,
+        )
+        assert {
+            key: _digest(report.metrics) for key, report in reports.items()
+        } == EIGHT_CELL_DIGESTS
 
 
 class TestRepeatedRunsParallel:
