@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Protocol, Tuple
 
 from repro.sim.clock import Clock, Timer
 
@@ -35,7 +35,7 @@ from .blockwise import Block, BlockAssembler, block_for
 from .cache import CoapCache
 from .codes import Code
 from .message import CoapMessage, CoapMessageError, MessageType
-from .options import OptionNumber
+from .options import OptionError, OptionNumber
 from .reliability import ReliabilityParams, TransmissionState
 
 #: How long the server remembers an exchange: the reply kept for
@@ -384,6 +384,25 @@ ResourceHandler = Callable[
 ]
 
 
+class FastPath(Protocol):
+    """A reply cache that :class:`CoapServer` reads raw requests against.
+
+    A *body* is ``code || options || 0xFF payload``: a request datagram
+    without its type, MID and token. :meth:`answer` returns the reply
+    to a cache-hot body as ``(code, max_age, rest)``, the reply body
+    being ``code || rest``, or ``None``. :meth:`learn` is offered every
+    reply the fast path's resource gives synchronously to a request
+    that came in one piece (no Block1 or Block2), encoded in *wire*
+    with its options from *options_at* on.
+    """
+
+    def answer(self, body: bytes) -> Optional[Tuple[int, int, bytes]]: ...
+
+    def learn(
+        self, body: bytes, response: CoapMessage, wire: bytes, options_at: int
+    ) -> None: ...
+
+
 class CoapServer:
     """The server role: resources, dedup, separate responses, Block2.
 
@@ -404,6 +423,10 @@ class CoapServer:
         self.params = params
         self._resources: Dict[str, ResourceHandler] = {}
         self.default_handler: Optional[ResourceHandler] = None
+        #: Answers cache-hot requests from their bytes (see
+        #: :meth:`_on_datagram`); set by :meth:`add_resource`.
+        self.fast_path: Optional[FastPath] = None
+        self._fast_path_route: Optional[str] = None
         # The three tables below are written by _remember and read by
         # _recall: an entry is (expires_at, value).
         #: (peer, mid, token) -> encoded reply, for deduplication. The
@@ -415,35 +438,80 @@ class CoapServer:
         self._block2_store: OrderedDict = OrderedDict()
         #: Block1 uploads in progress: assemblers by token.
         self._block1_assembly: OrderedDict = OrderedDict()
-        self._separate_pending: Dict[int, Callable[[], None]] = {}
-        self._current_peer: Tuple[str, int] = ("", 0)
+        #: Separate CON responses awaiting their ACK, by (peer, mid)
+        #: (RFC 7252 §4.4 matches an ACK per endpoint): the
+        #: retransmission state, dropped on ACK, RST or giving up.
+        self._separate_pending: Dict[Tuple[str, int, int], TransmissionState] = {}
         self._next_mid = sim.rng.randrange(0x10000)
         socket.on_datagram = self._on_datagram
 
-    def add_resource(self, path: str, handler: ResourceHandler) -> None:
-        self._resources["/" + path.strip("/")] = handler
+    def add_resource(
+        self, path: str, handler: ResourceHandler,
+        fast_path: Optional[FastPath] = None,
+    ) -> None:
+        """Route *path* to *handler*. A *fast_path* answers the
+        resource's cache-hot requests before they are decoded, and
+        learns from its replies; a server has at most one."""
+        path = "/" + path.strip("/")
+        self._resources[path] = handler
+        if fast_path is not None:
+            self.fast_path = fast_path
+            self._fast_path_route = path
 
     # -- receive path -----------------------------------------------------------
 
     def _on_datagram(self, src_addr: str, src_port: int, data: bytes, metadata: dict) -> None:
-        try:
-            message = CoapMessage.decode(data)
-        except CoapMessageError:
-            return
-        if message.mtype == MessageType.ACK or message.mtype == MessageType.RST:
-            self._note_ack(message.mid)
-            return
-        if not message.code.is_request:
+        """Handle one datagram, a request read from its bytes first.
+
+        The 4-byte header and the token of a CON or NON request give
+        its deduplication key, and the rest, its body, is offered to
+        the :class:`FastPath` before anything is decoded. A hit is
+        answered in bytes, building no :class:`CoapMessage`: ACK for
+        CON, NON for NON, the request's MID and token, then the reply
+        body. Everything else is decoded: ACK and RST, requests the
+        fast path does not know, and malformed datagrams, which are
+        dropped without a reply.
+        """
+        size = len(data)
+        first = data[0] if size >= 4 else 0
+        offset = 4 + (first & 0x0F)
+        if first & 0xE0 != 0x40 or offset > 12 or offset > size:
+            # Not a version-1 CON or NON whose token (at most 8 bytes)
+            # fits: an ACK or RST, or nothing the decoder accepts.
+            message = _decode(data)
+            if message is not None and message.mtype in (
+                MessageType.ACK, MessageType.RST
+            ):
+                self._separate_pending.pop((src_addr, src_port, message.mid), None)
             return
 
-        self._current_peer = (src_addr, src_port)
-        dedup_key = (src_addr, src_port, message.mid, message.token)
+        dedup_key = (src_addr, src_port, (data[2] << 8) | data[3], bytes(data[4:offset]))
         cached_reply = _recall(self._dedup, dedup_key, self.sim.now)
         if cached_reply is not None:
-            self.socket.sendto(cached_reply, src_addr, src_port, {"kind": "dup-reply"})
+            message = _decode(data)
+            if message is not None and message.code.is_request:
+                self.socket.sendto(cached_reply, src_addr, src_port, {"kind": "dup-reply"})
             return
 
-        handler = self._resources.get(message.uri_path, self.default_handler)
+        fast_path = self.fast_path
+        body = None
+        if fast_path is not None:
+            body = bytes((data[1],)) + data[offset:]  # code || the rest
+            hot = fast_path.answer(body)
+            if hot is not None:
+                code, _, rest = hot
+                reply_type = first if first & 0x10 else first | 0x20  # CON -> ACK
+                self._send_reply(
+                    bytes((reply_type, code)) + data[2:offset] + rest,
+                    src_addr, src_port, dedup_key, metadata,
+                )
+                return
+
+        message = _decode(data)
+        if message is None or not message.code.is_request:
+            return
+        path = message.uri_path
+        handler = self._resources.get(path, self.default_handler)
         if handler is None:
             self._reply(
                 message, src_addr, src_port,
@@ -451,16 +519,23 @@ class CoapServer:
             )
             return
 
-        request, early_reply = self._apply_blockwise_request(message)
-        if early_reply is not None:
-            self._reply(message, src_addr, src_port, early_reply, dedup_key, metadata)
+        block1 = message.option(OptionNumber.BLOCK1)
+        block2 = message.option(OptionNumber.BLOCK2)
+        request = message
+        if block1 is not None:
+            request, early_reply = self._apply_blockwise_request(message, block1)
+            if early_reply is not None:
+                self._reply(message, src_addr, src_port, early_reply, dedup_key, metadata)
+                return
+        if block2 is not None and self._serve_block2_continuation(
+            message, block2, src_addr, src_port, dedup_key, metadata
+        ):
             return
-        if request is None:
-            return  # mid-assembly, 2.31 already sent via early_reply path
-
-        served = self._serve_block2_continuation(message, src_addr, src_port, dedup_key, metadata)
-        if served:
-            return
+        # A block-wise exchange is neither stored nor replayed.
+        learn = (
+            body is not None and block1 is None and block2 is None
+            and path == self._fast_path_route
+        )
 
         responded = {"sync": True, "done": False}
 
@@ -468,11 +543,16 @@ class CoapServer:
             if responded["done"]:
                 raise RuntimeError("respond() called twice")
             responded["done"] = True
-            response = self._apply_blockwise_response(message, response)
-            if responded["sync"]:
-                self._reply(message, src_addr, src_port, response, dedup_key, metadata)
-            else:
+            if block2 is not None:
+                response = self._apply_blockwise_response(
+                    message, block2, response, src_addr, src_port
+                )
+            if not responded["sync"]:
                 self._send_separate(message, src_addr, src_port, response, metadata)
+                return
+            wire = self._reply(message, src_addr, src_port, response, dedup_key, metadata)
+            if learn:
+                fast_path.learn(body, response, wire, offset)
 
         handler(request, respond, metadata)
         if not responded["done"] and message.mtype == MessageType.CON:
@@ -484,12 +564,9 @@ class CoapServer:
 
     # -- block-wise (server side) --------------------------------------------------
 
-    def _apply_blockwise_request(self, message: CoapMessage):
+    def _apply_blockwise_request(self, message: CoapMessage, block1: bytes):
         """Handle Block1 assembly; returns (complete_request, early_reply)."""
-        block1_data = message.option(OptionNumber.BLOCK1)
-        if block1_data is None:
-            return message, None
-        block = Block.decode(block1_data)
+        block = Block.decode(block1)
         key = (message.token.hex(), 1)
         assembler = _recall(self._block1_assembly, key, self.sim.now)
         fresh = assembler is None or block.number == 0
@@ -516,22 +593,18 @@ class CoapServer:
         )
         return full, None
 
-    def _block2_key(self, message: CoapMessage, src_addr: str, src_port: int) -> Tuple:
-        # Continuation requests keep the exchange token (RFC 7959 §3.3),
-        # so the token identifies the stored full response.
-        return (src_addr, src_port, message.token)
-
     def _serve_block2_continuation(
-        self, message: CoapMessage, src_addr: str, src_port: int, dedup_key, metadata
+        self, message: CoapMessage, block2: bytes, src_addr: str,
+        src_port: int, dedup_key, metadata,
     ) -> bool:
-        block2_data = message.option(OptionNumber.BLOCK2)
-        if block2_data is None:
-            return False
-        block = Block.decode(block2_data)
+        block = Block.decode(block2)
         if block.number == 0:
             return False
-        key = self._block2_key(message, src_addr, src_port)
-        full = _recall(self._block2_store, key, self.sim.now)
+        # Continuation requests keep the exchange token (RFC 7959
+        # §3.3), so the token identifies the stored full response.
+        full = _recall(
+            self._block2_store, (src_addr, src_port, message.token), self.sim.now
+        )
         if full is None:
             self._reply(
                 message, src_addr, src_port,
@@ -557,19 +630,20 @@ class CoapServer:
         return True
 
     def _apply_blockwise_response(
-        self, request: CoapMessage, response: CoapMessage
+        self, request: CoapMessage, block2: bytes, response: CoapMessage,
+        src_addr: str, src_port: int,
     ) -> CoapMessage:
-        """Slice large responses into block 0 when Block2 was requested."""
-        block2_data = request.option(OptionNumber.BLOCK2)
-        if block2_data is None or not response.code.is_success:
+        """Slice a large response into block 0 of the requested size."""
+        if not response.code.is_success:
             return response
-        preferred = Block.decode(block2_data)
+        preferred = Block.decode(block2)
         if len(response.payload) <= preferred.size:
             return response
         # Store the full response for continuations, send block 0.
-        src_addr, src_port = self._current_peer
-        key = self._block2_key(request, src_addr, src_port)
-        _remember(self._block2_store, key, response, self.sim.now)
+        _remember(
+            self._block2_store, (src_addr, src_port, request.token), response,
+            self.sim.now,
+        )
         blk, chunk = block_for(response.payload, 0, preferred.size)
         return replace(response, payload=chunk).with_option(
             OptionNumber.BLOCK2, blk.encode()
@@ -585,8 +659,8 @@ class CoapServer:
         response: CoapMessage,
         dedup_key,
         metadata: dict,
-    ) -> None:
-        self._current_peer = (src_addr, src_port)
+    ) -> bytes:
+        """Send *response* as the reply to *request*; returns its bytes."""
         mtype = (
             MessageType.ACK if request.mtype == MessageType.CON
             else MessageType.NON
@@ -602,10 +676,18 @@ class CoapServer:
                 response.options, response.payload,
             )
         encoded = response.encode()
-        _remember(self._dedup, dedup_key, encoded, self.sim.now)
+        self._send_reply(encoded, src_addr, src_port, dedup_key, metadata)
+        return encoded
+
+    def _send_reply(
+        self, wire: bytes, src_addr: str, src_port: int, dedup_key,
+        metadata: dict,
+    ) -> None:
+        """Send a reply's bytes, remembered for deduplication."""
+        _remember(self._dedup, dedup_key, wire, self.sim.now)
         out_metadata = dict(metadata)
         out_metadata["kind"] = out_metadata.get("response_kind", "response")
-        self.socket.sendto(encoded, src_addr, src_port, out_metadata)
+        self.socket.sendto(wire, src_addr, src_port, out_metadata)
 
     def _send_separate(
         self,
@@ -623,28 +705,31 @@ class CoapServer:
         )
         out_metadata = dict(metadata)
         out_metadata["kind"] = out_metadata.get("response_kind", "response")
-        # Separate CON responses get their own (simple) retransmission.
+        # Separate CON responses get their own (simple) retransmission,
+        # until _on_datagram sees the ACK or RST from this peer.
         state = TransmissionState(self.params, self.sim.rng)
         encoded = response.encode()
+        pending = (src_addr, src_port, mid)
+        self._separate_pending[pending] = state
 
         def send_and_arm() -> None:
             self.socket.sendto(encoded, src_addr, src_port, out_metadata)
             self.sim.schedule(state.timeout, maybe_retransmit)
 
-        acked = {"done": False}
-
         def maybe_retransmit() -> None:
-            if acked["done"]:
-                return
+            if self._separate_pending.get(pending) is not state:
+                return  # acknowledged
             if state.register_timeout():
                 send_and_arm()
+            else:
+                del self._separate_pending[pending]  # given up
 
-        # Hook ACK detection: we watch for the ACK in _on_datagram via
-        # a registry keyed by MID.
-        self._separate_pending[mid] = lambda: acked.__setitem__("done", True)
         send_and_arm()
 
-    def _note_ack(self, mid: int) -> None:
-        callback = self._separate_pending.pop(mid, None)
-        if callback is not None:
-            callback()
+
+def _decode(data) -> Optional[CoapMessage]:
+    """*data* decoded, or ``None`` when it is malformed."""
+    try:
+        return CoapMessage.decode(data)
+    except (CoapMessageError, OptionError):
+        return None

@@ -20,24 +20,22 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.cache import EvictionPolicy, KeyedCache, LookupState
+from repro.cache import EvictionPolicy, KeyedCache
 from repro.coap.codes import Code
 from repro.coap.endpoint import CoapServer
-from repro.coap.message import CoapMessage
-from repro.coap.options import ContentFormat, OptionNumber, encode_uint
+from repro.coap.message import CoapMessage, MessageType
+from repro.coap.options import ContentFormat, OptionNumber, decode_uint, encode_uint
 from repro.coap.reliability import ReliabilityParams
 from repro.coap.uri import base64url_decode
 from repro.dns import Message, RecursiveResolver
 from repro.dns.resolver import RD_QUERY_FLAGS
-from repro.oscore import (
-    OscoreError,
-    SecurityContext,
-    protect_response,
-    unprotect_request,
-)
-from repro.oscore.cacheable import (
-    protect_cacheable_response,
-    unprotect_deterministic_request,
+from repro.oscore import OscoreError, SecurityContext, protect_response
+from repro.oscore.cacheable import open_deterministic_request
+from repro.oscore.protect import (
+    encode_plaintext,
+    open_request,
+    request_from_plaintext,
+    seal_response,
 )
 from repro.sim.clock import Clock
 
@@ -49,7 +47,22 @@ DOC_RESOURCE = "/dns"
 
 
 class DocServer:
-    """A DNS-over-CoAP server bound to a CoAP server endpoint."""
+    """A DNS-over-CoAP server bound to a CoAP server endpoint.
+
+    With ``fastpath_capacity`` > 0 a response cache sits in front of
+    the resolver. It is keyed on, and answers in, the bytes of a CoAP
+    body, ``code || options || 0xFF payload``: on the plain route the
+    request datagram without its type, MID and token, on the OSCORE
+    route the decrypted plaintext (RFC 8613 §5.3 lays it out the same
+    way). A hit replays the stored reply body with only Max-Age
+    re-encoded from the entry's remaining lifetime; on the plain route
+    :class:`~repro.coap.endpoint.CoapServer` answers it without
+    decoding or encoding a message, and it never reaches the resolver.
+    Only 2.05 and 2.03 replies with a non-zero Max-Age are stored, and
+    block-wise requests are neither stored nor replayed. Capacity 0
+    (every simulated run) leaves the cache out, so simulation results,
+    which observe resolver-cache statistics, do not depend on it.
+    """
 
     def __init__(
         self,
@@ -61,7 +74,6 @@ class DocServer:
         oscore_context: Optional[SecurityContext] = None,
         deterministic_context: Optional[SecurityContext] = None,
         params: ReliabilityParams = ReliabilityParams(),
-        upstream_delay: float = 0.0,
         sort_records: bool = False,
         fastpath_capacity: int = 0,
     ) -> None:
@@ -70,10 +82,20 @@ class DocServer:
         self.scheme = scheme
         self.oscore_context = oscore_context
         self.deterministic_context = deterministic_context
-        self.upstream_delay = upstream_delay
         self.sort_records = sort_records
+        #: Reply templates by request body: (code, the options before
+        #: Max-Age, Max-Age's delta nibble, 0xFF payload or b"").
+        self._fastpath: Optional[KeyedCache] = (
+            KeyedCache(fastpath_capacity, policy=EvictionPolicy.LRU)
+            if fastpath_capacity > 0
+            else None
+        )
+        self._route = "/" + resource.strip("/")
         self.coap = CoapServer(sim, socket, params)
-        self.coap.add_resource(resource, self._handle_plain)
+        self.coap.add_resource(
+            resource, self._handle_plain,
+            fast_path=self if self._fastpath is not None else None,
+        )
         if oscore_context is not None or deterministic_context is not None:
             self.coap.default_handler = self._handle_oscore
         #: kids that have completed the Echo exchange.
@@ -81,28 +103,58 @@ class DocServer:
         self._echo_values: Dict[bytes, bytes] = {}
         self.queries_handled = 0
         self.validations_sent = 0
-        # Fast-path response cache: canonical request identity →
-        # prebuilt response template; only MID/token/Max-Age differ
-        # between hits. Opt-in (capacity 0 disables) so simulation
-        # results — which observe resolver-cache statistics — stay
-        # bit-identical unless a scenario asks for it.
-        self._fastpath: Optional[KeyedCache] = (
-            KeyedCache(fastpath_capacity, policy=EvictionPolicy.LRU)
-            if fastpath_capacity > 0
-            else None
-        )
         self.fastpath_hits = 0
         self.fastpath_misses = 0
+
+    # -- fast path --------------------------------------------------------------
+
+    def answer(self, body: bytes) -> Optional[Tuple[int, int, bytes]]:
+        """The stored reply to *body*, or ``None``: ``(code, max_age,
+        rest)``, the reply body being ``code || rest`` with Max-Age
+        re-encoded from the entry's remaining lifetime."""
+        now = self.sim.now
+        entry, _ = self._fastpath.lookup(body, now)
+        if entry is None:
+            return None
+        self.fastpath_hits += 1
+        self.queries_handled += 1
+        code, head, delta, tail = entry.value
+        if code == Code.VALID:
+            self.validations_sent += 1
+        # entry.remaining(now) and encode_uint, spelled out: a fresh
+        # entry has a non-negative whole number of seconds left.
+        max_age = int(entry.lifetime - (now - entry.stored_at))
+        value = max_age.to_bytes((max_age.bit_length() + 7) >> 3, "big")
+        return code, max_age, head + bytes((delta | len(value),)) + value + tail
+
+    def learn(
+        self, body: bytes, response: CoapMessage, wire: bytes, options_at: int
+    ) -> None:
+        """Store the reply to *body* if it may be replayed: a 2.05 or
+        2.03 with a non-zero Max-Age. *wire* holds the reply's options
+        and payload from *options_at* on; the template is cut from it,
+        so nothing is encoded twice."""
+        if response.code not in (Code.CONTENT, Code.VALID):
+            return
+        # Max-Age is the last option of every reply _process builds,
+        # and its number and length each fit the option's first byte.
+        max_age = response.options[-1][1]
+        if not max_age:
+            return
+        tail_at = len(wire) - (len(response.payload) + 1 if response.payload else 0)
+        max_age_at = tail_at - 1 - len(max_age)
+        template = (
+            int(response.code), wire[options_at:max_age_at],
+            wire[max_age_at] & 0xF0, wire[tail_at:],
+        )
+        self._fastpath.store(body, template, float(decode_uint(max_age)), self.sim.now)
 
     # -- plain CoAP -------------------------------------------------------------
 
     def _handle_plain(self, request: CoapMessage, respond, metadata: dict) -> None:
         response = self._process(request)
         metadata["response_kind"] = "response"
-        if self.upstream_delay > 0:
-            self.sim.schedule(self.upstream_delay, respond, response)
-        else:
-            respond(response)
+        respond(response)
 
     # -- OSCORE -----------------------------------------------------------------
 
@@ -117,12 +169,15 @@ class DocServer:
             respond(outer.make_response(Code.BAD_REQUEST))
             return
         try:
-            inner, binding = unprotect_request(context, outer)
+            plaintext, binding = open_request(context, outer)
+            inner = None
+            if context.echo_required and not self._echo_done.get(binding.kid):
+                inner = request_from_plaintext(outer, plaintext)
         except OscoreError:
             respond(outer.make_response(Code.BAD_REQUEST))
             return
 
-        if context.echo_required and not self._echo_done.get(binding.kid):
+        if inner is not None:
             echo_value = inner.option(OptionNumber.ECHO)
             expected = self._echo_values.get(binding.kid)
             if echo_value is not None and echo_value == expected:
@@ -138,13 +193,15 @@ class DocServer:
                 respond(protect_response(context, reject, binding))
                 return
 
-        inner_response = self._process(inner)
-        protected = protect_response(context, inner_response, binding)
+        try:
+            _, reply = self._reply_plaintext(outer, plaintext, inner)
+        except OscoreError:
+            respond(outer.make_response(Code.BAD_REQUEST))
+            return
         metadata["response_kind"] = "response"
-        if self.upstream_delay > 0:
-            self.sim.schedule(self.upstream_delay, respond, protected)
-        else:
-            respond(protected)
+        respond(seal_response(
+            context, reply, binding, _piggybacked(outer), outer.mid, outer.token,
+        ))
 
     def _handle_deterministic(
         self, outer: CoapMessage, respond, metadata: dict
@@ -154,20 +211,42 @@ class DocServer:
         context = self.deterministic_context
         assert context is not None
         try:
-            inner, binding = unprotect_deterministic_request(context, outer)
+            inner, plaintext, binding = open_deterministic_request(context, outer)
         except OscoreError:
             respond(outer.make_response(Code.BAD_REQUEST))
             return
-        inner_response = self._process(inner)
-        protected = protect_cacheable_response(
-            context, inner_response, binding,
-            outer_max_age=inner_response.max_age,
+        max_age, reply = self._reply_plaintext(outer, plaintext, inner)
+        outer_options = () if max_age is None else (
+            (OptionNumber.MAX_AGE, encode_uint(max_age)),
         )
         metadata["response_kind"] = "response"
-        if self.upstream_delay > 0:
-            self.sim.schedule(self.upstream_delay, respond, protected)
-        else:
-            respond(protected)
+        respond(seal_response(
+            context, reply, binding, _piggybacked(outer), outer.mid, outer.token,
+            outer_code=Code.CONTENT, outer_options=outer_options,
+        ))
+
+    def _reply_plaintext(
+        self, outer: CoapMessage, plaintext: bytes, inner: Optional[CoapMessage]
+    ) -> Tuple[Optional[int], bytes]:
+        """``(max_age, reply plaintext)`` for the request whose
+        plaintext is *plaintext*, from the fast path or the resolver.
+        *inner* is the request parsed, if that is done already; a
+        plaintext that parses as no request raises
+        :class:`~repro.oscore.OscoreError`."""
+        if self._fastpath is not None:
+            hot = self.answer(plaintext)
+            if hot is not None:
+                code, max_age, rest = hot
+                return max_age, bytes((code,)) + rest
+        if inner is None:
+            inner = request_from_plaintext(outer, plaintext)
+        response = self._process(inner)
+        reply = encode_plaintext(response.code, response.options, response.payload)
+        # Only a body the plain route would hand the resolver too may
+        # be stored: the two routes share one cache.
+        if self._fastpath is not None and inner.uri_path == self._route:
+            self.learn(plaintext, response, reply, 1)
+        return response.max_age, reply
 
     # -- common processing ---------------------------------------------------------
 
@@ -188,44 +267,14 @@ class DocServer:
         return Message.decode(request.payload), int(ContentFormat.DNS_MESSAGE)
 
     def _process(self, request: CoapMessage) -> CoapMessage:
-        """Resolve one request, via the fast path when it is cache-hot.
+        """Resolve one request the fast path did not answer (a miss,
+        when the fast path is on).
 
-        The fast path keys on the canonical request identity — method,
-        options (including any validation ETags), and payload — and
-        replays a prebuilt response template with only MID, token, and
-        Max-Age patched in: a hot query never touches the resolver and
-        never re-prepares its payload.
+        Replies are built in one call with their options in number
+        order: ETag 4, Content-Format 12, and Max-Age 14, the last.
         """
-        cache = self._fastpath
-        if cache is None:
-            return self._resolve(request)
-        now = self.sim.now
-        key = (int(request.code), request.options, request.payload)
-        entry, state = cache.lookup(key, now)
-        if state is LookupState.HIT:
-            self.fastpath_hits += 1
-            self.queries_handled += 1
-            code, options, payload = entry.value
-            if code is Code.VALID:
-                self.validations_sent += 1
-            # Max-Age is the last option of every reply ``_resolve`` builds.
-            max_age = (OptionNumber.MAX_AGE, encode_uint(entry.remaining(now)))
-            return request.make_response(
-                code, payload=payload, options=(*options[:-1], max_age)
-            )
-        self.fastpath_misses += 1
-        response = self._resolve(request)
-        max_age = response.max_age
-        if response.code in (Code.CONTENT, Code.VALID) and max_age:
-            cache.store(
-                key,
-                (response.code, response.options, response.payload),
-                float(max_age),
-                now,
-            )
-        return response
-
-    def _resolve(self, request: CoapMessage) -> CoapMessage:
+        if self._fastpath is not None:
+            self.fastpath_misses += 1
         if request.code not in (Code.FETCH, Code.GET, Code.POST):
             return request.make_response(Code.METHOD_NOT_ALLOWED)
         try:
@@ -252,8 +301,6 @@ class DocServer:
                 prepared.payload, prepared.max_age, prepared.etag
             )
 
-        # Replies are built in one call with their options in number
-        # order (ETag 4, Content-Format 12, Max-Age 14, the last).
         etag_option = (OptionNumber.ETAG, etag)
         max_age_option = (OptionNumber.MAX_AGE, encode_uint(max_age))
         # Cache validation: if the client (or proxy) presented the ETag
@@ -272,3 +319,8 @@ class DocServer:
                 max_age_option,
             ),
         )
+
+
+def _piggybacked(request: CoapMessage) -> MessageType:
+    """The type of a reply piggybacked on *request*: ACK for CON."""
+    return MessageType.ACK if request.mtype == MessageType.CON else MessageType.NON

@@ -34,8 +34,9 @@ from repro.coap.message import CoapMessage
 from .context import OscoreError, SecurityContext, encode_partial_iv
 from .protect import (
     RequestBinding,
+    open_request,
     protect_request,
-    unprotect_request,
+    request_from_plaintext,
 )
 
 #: Reserved sender ID of the deterministic client (draft §3.1 uses a
@@ -201,16 +202,18 @@ def protect_deterministic_request(
     return outer, binding
 
 
-def unprotect_deterministic_request(
+def open_deterministic_request(
     context: SecurityContext, outer: CoapMessage
-) -> Tuple[CoapMessage, RequestBinding]:
+) -> Tuple[CoapMessage, bytes, RequestBinding]:
     """Server side: decrypt and *verify* the deterministic PIV.
 
     Replay checking is disabled (equal requests are the point), but the
     server recomputes the hash-based PIV from the decrypted plaintext
-    and rejects mismatches, preventing nonce-forcing games.
+    and rejects mismatches, preventing nonce-forcing games. Returns the
+    inner request, the plaintext it was parsed from, and the binding.
     """
-    inner, binding = unprotect_request(context, outer, enforce_replay=False)
+    plaintext, binding = open_request(context, outer, enforce_replay=False)
+    inner = request_from_plaintext(outer, plaintext)
     expected = _deterministic_piv(
         # The *client's* sender key is this server context's recipient key.
         _recipient_view(context),
@@ -218,6 +221,14 @@ def unprotect_deterministic_request(
     )
     if binding.partial_iv != encode_partial_iv(expected):
         raise OscoreError("deterministic Partial IV mismatch")
+    return inner, plaintext, binding
+
+
+def unprotect_deterministic_request(
+    context: SecurityContext, outer: CoapMessage
+) -> Tuple[CoapMessage, RequestBinding]:
+    """:func:`open_deterministic_request` without the plaintext."""
+    inner, _, binding = open_deterministic_request(context, outer)
     return inner, binding
 
 

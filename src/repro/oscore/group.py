@@ -39,7 +39,7 @@ from .context import (
     decode_partial_iv,
 )
 from .option import OscoreOptionValue
-from .protect import RequestBinding, _parse_plaintext, _plaintext, _split_options
+from .protect import RequestBinding, _parse_plaintext, _split_options, encode_plaintext
 
 _KEY_LENGTH = 16
 _NONCE_LENGTH = 13
@@ -112,7 +112,7 @@ def protect_group_request(
         raise OscoreError("protect_group_request needs a request")
     partial_iv = encode_partial_iv(context.next_sequence())
     outer_options, inner_options = _split_options(request)
-    plaintext = _plaintext(request.code, inner_options, request.payload)
+    plaintext = encode_plaintext(request.code, inner_options, request.payload)
     nonce = context.nonce(context.member_id, partial_iv)
     aad = _group_aad(context.group_id, context.member_id, partial_iv)
     key = context.key_for(context.member_id)
@@ -189,7 +189,7 @@ def protect_group_response(
         raise OscoreError("protect_group_response needs a response")
     partial_iv = encode_partial_iv(context.next_sequence())
     outer_options, inner_options = _split_options(response)
-    plaintext = _plaintext(response.code, inner_options, response.payload)
+    plaintext = encode_plaintext(response.code, inner_options, response.payload)
     nonce = context.nonce(context.member_id, partial_iv)
     aad = _group_aad(context.group_id, binding.kid, binding.partial_iv)
     key = context.key_for(context.member_id)

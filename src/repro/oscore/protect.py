@@ -66,7 +66,9 @@ def _split_options(message: CoapMessage) -> Tuple[list, list]:
     return outer, inner
 
 
-def _plaintext(code: Code, inner_options: list, payload: bytes) -> bytes:
+def encode_plaintext(code: Code, inner_options, payload: bytes) -> bytes:
+    """``code || options || 0xFF payload``: the OSCORE plaintext, laid
+    out like a CoAP body (RFC 8613 §5.3)."""
     out = bytearray([int(code)])
     out += encode_options(inner_options)
     if payload:
@@ -113,7 +115,7 @@ def protect_request(
     partial_iv = encode_partial_iv(sequence)
     outer_options, inner_options = _split_options(request)
 
-    plaintext = _plaintext(request.code, inner_options, request.payload)
+    plaintext = encode_plaintext(request.code, inner_options, request.payload)
     nonce = context.nonce(context.sender_id, partial_iv)
     aad = _external_aad(context.sender_id, partial_iv)
     ciphertext = context.sender_aead().encrypt(nonce, plaintext, aad)
@@ -134,10 +136,15 @@ def protect_request(
     return outer, RequestBinding(context.sender_id, partial_iv)
 
 
-def unprotect_request(
+def open_request(
     context: SecurityContext, outer: CoapMessage, enforce_replay: bool = True
-) -> Tuple[CoapMessage, RequestBinding]:
-    """Verify and decrypt an incoming protected request."""
+) -> Tuple[bytes, RequestBinding]:
+    """Verify and decrypt an incoming protected request.
+
+    Returns the plaintext (``code || options || 0xFF payload``, laid
+    out like a CoAP body) and the binding; :func:`unprotect_request`
+    parses it into the inner request.
+    """
     option_data = outer.option(OptionNumber.OSCORE)
     if option_data is None:
         raise OscoreError("missing OSCORE option")
@@ -160,14 +167,18 @@ def unprotect_request(
         raise OscoreError("request authentication failed") from exc
     if enforce_replay:
         context.replay_window.accept(sequence)
+    return plaintext, RequestBinding(value.kid, value.partial_iv)
 
+
+def request_from_plaintext(outer: CoapMessage, plaintext: bytes) -> CoapMessage:
+    """The inner request of *outer*, whose decrypted body is *plaintext*."""
     code, inner_options, payload = _parse_plaintext(plaintext)
     if not code.is_request:
         raise OscoreError("inner message is not a request")
     outer_options = tuple(
         (n, v) for n, v in outer.options if n in _CLASS_U
     )
-    request = CoapMessage(
+    return CoapMessage(
         mtype=outer.mtype,
         code=code,
         mid=outer.mid,
@@ -175,7 +186,14 @@ def unprotect_request(
         options=outer_options + inner_options,
         payload=payload,
     )
-    return request, RequestBinding(value.kid, value.partial_iv)
+
+
+def unprotect_request(
+    context: SecurityContext, outer: CoapMessage, enforce_replay: bool = True
+) -> Tuple[CoapMessage, RequestBinding]:
+    """Verify and decrypt an incoming protected request."""
+    plaintext, binding = open_request(context, outer, enforce_replay)
+    return request_from_plaintext(outer, plaintext), binding
 
 
 def protect_response(
@@ -195,9 +213,40 @@ def protect_response(
     if not response.code.is_response:
         raise OscoreError("protect_response needs a response")
     outer_class_u, inner_options = _split_options(response)
-    plaintext = _plaintext(response.code, inner_options, response.payload)
-    aad = _external_aad(binding.kid, binding.partial_iv)
+    return seal_response(
+        context,
+        encode_plaintext(response.code, inner_options, response.payload),
+        binding,
+        response.mtype,
+        response.mid,
+        response.token,
+        use_new_piv=use_new_piv,
+        outer_code=outer_code,
+        outer_options=tuple(outer_class_u) + tuple(outer_options),
+    )
 
+
+def seal_response(
+    context: SecurityContext,
+    plaintext: bytes,
+    binding: RequestBinding,
+    mtype: MessageType,
+    mid: int,
+    token: bytes,
+    use_new_piv: bool = False,
+    outer_code: Code = Code.CHANGED,
+    outer_options: Tuple[Tuple[int, bytes], ...] = (),
+) -> CoapMessage:
+    """The seal step of :func:`protect_response`: encrypt a response
+    already laid out as *plaintext* (``code || options || 0xFF
+    payload``) into the outer message.
+
+    The outer message has type *mtype*, *mid* and *token*, and carries
+    *outer_options* and the OSCORE option. A server that keeps the
+    plaintexts of its responses seals one here without building the
+    inner response.
+    """
+    aad = _external_aad(binding.kid, binding.partial_iv)
     if use_new_piv:
         partial_iv = encode_partial_iv(context.next_sequence())
         nonce = context.nonce(context.sender_id, partial_iv)
@@ -208,12 +257,11 @@ def protect_response(
 
     ciphertext = context.sender_aead().encrypt(nonce, plaintext, aad)
     return CoapMessage(
-        mtype=response.mtype,
+        mtype=mtype,
         code=outer_code,
-        mid=response.mid,
-        token=response.token,
-        options=tuple(outer_class_u) + tuple(outer_options)
-        + ((OptionNumber.OSCORE, option_value.encode()),),
+        mid=mid,
+        token=token,
+        options=outer_options + ((OptionNumber.OSCORE, option_value.encode()),),
         payload=ciphertext,
     )
 

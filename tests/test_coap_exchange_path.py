@@ -305,7 +305,7 @@ def test_a_doc_query_builds_each_message_once(monkeypatch):
     sim = Simulator(seed=5)
     # Names no other test resolves: ``Message.decode`` memoises by wire.
     warm_up, name = "warm-up.example.org", "built-once.example.org"
-    client, server, _ = _doc_pair(sim, names=(warm_up, name))
+    client, server, server_end = _doc_pair(sim, names=(warm_up, name))
     outcomes = []
 
     def resolve(name):
@@ -326,12 +326,22 @@ def test_a_doc_query_builds_each_message_once(monkeypatch):
         return response
 
     server._process = counting_process
+    on_server = []
+    on_datagram = server_end.on_datagram
+
+    def counting_on_datagram(*args):
+        before = coap_built[0]
+        on_datagram(*args)
+        on_server.append(coap_built[0] - before)
+
+    server_end.on_datagram = counting_on_datagram
     resolve(name)  # a miss at the fast path and the resolver
     # The query, its decoding, the answer, its decoding, the TTL restore
     # (the server's TTL rewrite happens while encoding).
     assert dns_built[0] == 5
-    resolve(name)  # a fast-path hit
-    assert in_process == [1, 1]
+    resolve(name)  # a fast-path hit: answered in bytes
+    assert in_process == [1]
+    assert on_server == [2, 0]  # the request decoded and the reply; none
     assert flags_built[0] == 0
     assert outcomes == [None, None, None]
 

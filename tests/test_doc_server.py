@@ -1,5 +1,7 @@
 """Direct unit tests for DocServer request processing."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.coap import CoapMessage, Code, ContentFormat, OptionNumber
@@ -156,40 +158,55 @@ class TestProcessing:
         assert server.queries_handled == 2
 
 
+class _Socket:
+    """Collects what the server sends."""
+
+    def __init__(self):
+        self.on_datagram = None
+        self.sent = []
+
+    def sendto(self, payload, dst_addr, dst_port, metadata=None):
+        self.sent.append(payload)
+
+
+def _serve(server, request):
+    """Deliver *request* as a datagram under a fresh MID; the reply."""
+    socket = server.coap.socket
+    wire = replace(request, mid=len(socket.sent)).encode()
+    socket.on_datagram("fe80::9", 40000, wire, {})
+    return CoapMessage.decode(socket.sent[-1])
+
+
 class TestFastPath:
-    """The opt-in wire-level response cache (fastpath_capacity knob)."""
+    """The opt-in wire-level response cache (fastpath_capacity knob),
+    driven through the datagram path it answers on."""
 
     @pytest.fixture()
     def server_and_sim(self):
         sim = Simulator(seed=73)
-        topo = build_figure2_topology(sim)
         zone = Zone()
         zone.add_address("a.example.org", "2001:db8::1", ttl=120)
         server = DocServer(
-            sim, topo.resolver_host.bind(5683), RecursiveResolver(zone),
-            fastpath_capacity=64,
+            sim, _Socket(), RecursiveResolver(zone), fastpath_capacity=64,
         )
         return server, sim
 
     def test_disabled_by_default(self):
         sim = Simulator(seed=74)
-        topo = build_figure2_topology(sim)
         zone = Zone()
         zone.add_address("a.example.org", "2001:db8::1", ttl=120)
-        server = DocServer(
-            sim, topo.resolver_host.bind(5683), RecursiveResolver(zone)
-        )
+        server = DocServer(sim, _Socket(), RecursiveResolver(zone))
         query = make_query("a.example.org", RecordType.AAAA, txid=0)
-        server._process(_fetch(query.encode()))
-        server._process(_fetch(query.encode()))
+        _serve(server, _fetch(query.encode()))
+        _serve(server, _fetch(query.encode()))
         assert server.fastpath_hits == 0
         assert server.fastpath_misses == 0
 
     def test_hit_replays_template(self, server_and_sim):
         server, _ = server_and_sim
         query = make_query("a.example.org", RecordType.AAAA, txid=0)
-        first = server._process(_fetch(query.encode()))
-        second = server._process(_fetch(query.encode()))
+        first = _serve(server, _fetch(query.encode()))
+        second = _serve(server, _fetch(query.encode()))
         assert server.fastpath_misses == 1
         assert server.fastpath_hits == 1
         assert server.queries_handled == 2
@@ -203,7 +220,7 @@ class TestFastPath:
     def test_hit_patches_mid_token_and_max_age(self, server_and_sim):
         server, sim = server_and_sim
         query = make_query("a.example.org", RecordType.AAAA, txid=0)
-        first = server._process(_fetch(query.encode()))
+        first = _serve(server, _fetch(query.encode()))
         sim.run(until=30.0)
         request = (
             CoapMessage.request(
@@ -213,37 +230,38 @@ class TestFastPath:
                 OptionNumber.CONTENT_FORMAT, int(ContentFormat.DNS_MESSAGE)
             )
         )
-        second = server._process(request)
+        second = _serve(server, request)
         assert server.fastpath_hits == 1
         assert second.token == b"\x99"
+        assert second.mid == 1
         assert second.payload == first.payload
         assert second.max_age == first.max_age - 30
 
     def test_expired_entry_falls_back_to_resolver(self, server_and_sim):
         server, sim = server_and_sim
         query = make_query("a.example.org", RecordType.AAAA, txid=0)
-        server._process(_fetch(query.encode()))
+        _serve(server, _fetch(query.encode()))
         sim.run(until=130.0)  # past the 120 s Max-Age
-        server._process(_fetch(query.encode()))
+        _serve(server, _fetch(query.encode()))
         assert server.fastpath_hits == 0
         assert server.fastpath_misses == 2
 
     def test_validation_hit_counts(self, server_and_sim):
         server, _ = server_and_sim
         query = make_query("a.example.org", RecordType.AAAA, txid=0)
-        first = server._process(_fetch(query.encode()))
+        first = _serve(server, _fetch(query.encode()))
         revalidation = _fetch(query.encode()).with_option(
             OptionNumber.ETAG, first.etag
         )
-        assert server._process(revalidation).code == Code.VALID
-        assert server._process(revalidation).code == Code.VALID
+        assert _serve(server, revalidation).code == Code.VALID
+        assert _serve(server, revalidation).code == Code.VALID
         assert server.validations_sent == 2
         assert server.fastpath_hits == 1
 
     def test_uncacheable_error_not_stored(self, server_and_sim):
         server, _ = server_and_sim
         request = CoapMessage.request(Code.PUT, "/dns", payload=b"x")
-        server._process(request)
-        server._process(request)
+        _serve(server, request)
+        _serve(server, request)
         assert server.fastpath_hits == 0
         assert server.fastpath_misses == 2

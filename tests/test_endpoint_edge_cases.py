@@ -229,6 +229,73 @@ class TestRobustness:
         assert seen == [b"\x01\x02"]
 
 
+
+class _Capture:
+    """A socket that records what is sent, with the time."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.on_datagram = None
+        self.sent = []
+
+    def sendto(self, payload, dst_addr, dst_port, metadata=None):
+        self.sent.append((self.sim.now, (dst_addr, dst_port), payload))
+
+
+class TestSeparateResponse:
+    """A separate CON response is retransmitted until the ACK (or RST)
+    of the peer it went to, matched by that peer and the MID."""
+
+    PEER_A, PEER_B = ("fe80::a", 40000), ("fe80::b", 40000)
+
+    def _separate(self):
+        """A server that answered PEER_A's request in a separate CON;
+        returns (sim, socket, server, that response's MID)."""
+        sim = Simulator(seed=9)
+        socket = _Capture(sim)
+        server = CoapServer(sim, socket)
+        later = []
+        server.add_resource("/slow", lambda request, respond, md: later.append(respond))
+        request = CoapMessage.request(Code.GET, "/slow", mid=7, token=b"\x07")
+        socket.on_datagram(*self.PEER_A, request.encode(), {})
+        sim.schedule(1.0, lambda: later[0](
+            CoapMessage(MessageType.CON, Code.CONTENT, payload=b"late")
+        ))
+        sim.run(until=1.5)
+        separate = CoapMessage.decode(socket.sent[-1][2])
+        assert separate.mtype == MessageType.CON and separate.token == b"\x07"
+        return sim, socket, server, separate.mid
+
+    def _transmissions(self, socket):
+        return [
+            sent for sent in socket.sent
+            if CoapMessage.decode(sent[2]).payload == b"late"
+        ]
+
+    def test_ack_from_another_peer_does_not_stop_retransmission(self):
+        sim, socket, server, mid = self._separate()
+        ack = CoapMessage(MessageType.ACK, Code.EMPTY, mid)
+        socket.on_datagram(*self.PEER_B, ack.encode(), {})
+        sim.run(until=300)
+        sent = self._transmissions(socket)
+        assert len(sent) == 1 + server.params.max_retransmit
+        assert {dst for _, dst, _ in sent} == {self.PEER_A}
+
+    def test_ack_from_the_peer_stops_retransmission(self):
+        sim, socket, server, mid = self._separate()
+        ack = CoapMessage(MessageType.ACK, Code.EMPTY, mid)
+        socket.on_datagram(*self.PEER_A, ack.encode(), {})
+        sim.run(until=300)
+        assert len(self._transmissions(socket)) == 1
+        assert server._separate_pending == {}
+
+    def test_unacknowledged_response_leaves_no_state_behind(self):
+        sim, socket, server, _ = self._separate()
+        assert len(server._separate_pending) == 1
+        sim.run(until=300)  # every retransmission spent
+        assert len(self._transmissions(socket)) == 1 + server.params.max_retransmit
+        assert server._separate_pending == {}
+
 class TestFullStackProperties:
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
