@@ -38,7 +38,6 @@ from __future__ import annotations
 import platform
 import re
 import subprocess
-import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import groupby
@@ -664,9 +663,6 @@ class Report:
             if any(row.substrates == SUBSTRATES for row in metric_rows(key))
         }
 
-    def __getitem__(self, key: str) -> object:
-        return self.metrics[key]
-
 
 def sweep_to_json(reports: Dict[str, Report]) -> Dict[str, object]:
     """A sweep's Reports (:func:`repro.api.sweep`) as one
@@ -884,18 +880,3 @@ def report_from_loadgen(
         telemetry=telemetry,
         raw=reports,
     )
-
-
-def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover
-    """``python -m repro.api.report`` — print the provenance stamp."""
-    import json
-
-    print(json.dumps(
-        {"report_version": REPORT_VERSION, "provenance": provenance()},
-        indent=2,
-    ))
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -179,14 +179,6 @@ def validate(instance, schema: dict, root: Optional[dict] = None,
                 validate(item, schema["items"], root, f"{path}[{index}]")
 
 
-def is_valid(instance, schema: dict) -> bool:
-    try:
-        validate(instance, schema)
-    except ValidationError:
-        return False
-    return True
-
-
 def load_schema(path: str) -> Dict[str, object]:
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)

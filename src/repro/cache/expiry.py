@@ -58,13 +58,6 @@ class ExpiryIndex:
             heapq.heappop(self._heap)
         return None
 
-    def peek_expired(self, now: float) -> Optional[Hashable]:
-        """The key of one expired entry, or ``None`` if all are fresh."""
-        top = self._skim()
-        if top is not None and top[0] <= now:
-            return top[1]
-        return None
-
     def pop_expired(self, now: float) -> Optional[Hashable]:
         """Remove and return one expired key (its heap record only —
         the caller removes it from the store)."""

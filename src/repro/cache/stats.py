@@ -37,10 +37,6 @@ class CacheStats:
     validation_failures: int = 0
     evictions: int = 0
 
-    def reset(self) -> None:
-        for spec in fields(self):
-            setattr(self, spec.name, 0)
-
     # -- derived ratios ---------------------------------------------------
 
     @property

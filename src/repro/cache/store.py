@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from collections import OrderedDict
-from typing import Hashable, Iterator, Optional, Tuple
+from typing import Hashable, Optional, Tuple
 
 from .expiry import ExpiryIndex
 from .stats import CacheStats
@@ -71,18 +71,9 @@ class CacheEntry:
     def age(self, now: float) -> float:
         return now - self.stored_at
 
-    def is_fresh(self, now: float) -> bool:
-        return now < self.expires_at
-
     def remaining(self, now: float) -> int:
         """Whole seconds of freshness left (0 when stale)."""
         return max(0, int(self.lifetime - self.age(now)))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CacheEntry(value={self.value!r}, stored_at={self.stored_at}, "
-            f"lifetime={self.lifetime})"
-        )
 
 
 class KeyedCache:
@@ -132,23 +123,9 @@ class KeyedCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._entries
-
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
-    @property
-    def policy(self) -> EvictionPolicy:
-        return self._policy
-
     def peek(self, key: Hashable) -> Optional[CacheEntry]:
         """The raw entry for *key* — no stats, no recency update."""
         return self._entries.get(key)
-
-    def entries(self) -> Iterator[Tuple[Hashable, CacheEntry]]:
-        return iter(self._entries.items())
 
     def _current_expiry(self, key: Hashable) -> Optional[float]:
         entry = self._entries.get(key)

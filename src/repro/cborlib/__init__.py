@@ -22,7 +22,7 @@ b'\\x82kexample.org\\x18\\x1c'
 """
 
 from .encoder import CBOREncodeError, dump_into, dumps
-from .decoder import CBORDecodeError, loads, loads_prefix
+from .decoder import CBORDecodeError, loads
 from .types import Tag, Simple, UNDEFINED
 
 __all__ = [
@@ -34,5 +34,4 @@ __all__ = [
     "dump_into",
     "dumps",
     "loads",
-    "loads_prefix",
 ]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import struct
-from typing import Any, Tuple
+from typing import Any
 
 from repro.net.buffers import BufReader, Buffer
 from .types import Simple, Tag
@@ -159,14 +159,3 @@ def loads(data: Buffer) -> Any:
             f"{len(data) - decoder.pos} trailing bytes after CBOR item"
         )
     return value
-
-
-def loads_prefix(data: Buffer) -> Tuple[Any, int]:
-    """Decode one CBOR item from the front of *data*.
-
-    Returns the decoded value and the number of bytes consumed, allowing
-    streams of concatenated CBOR items to be processed.
-    """
-    decoder = _Decoder(data)
-    value = decoder.decode_item()
-    return value, decoder.pos

@@ -11,8 +11,6 @@ key bytes.
 
 from __future__ import annotations
 
-import math
-import struct
 from typing import Any
 
 from .types import Simple, Tag
@@ -54,26 +52,6 @@ def _head_into(out: bytearray, major: int, argument: int) -> None:
         raise CBOREncodeError("integer too large for CBOR head")
 
 
-def _encode_float(value: float) -> bytes:
-    # Deterministic encoding: use the shortest float representation that
-    # round-trips. Half precision is attempted first, then single.
-    if math.isnan(value):
-        return b"\xf9\x7e\x00"
-    try:
-        half = struct.pack(">e", value)
-        if struct.unpack(">e", half)[0] == value:
-            return b"\xf9" + half
-    except (OverflowError, struct.error):
-        pass
-    try:
-        single = struct.pack(">f", value)
-        if struct.unpack(">f", single)[0] == value:
-            return b"\xfa" + single
-    except (OverflowError, struct.error):
-        pass
-    return b"\xfb" + struct.pack(">d", value)
-
-
 def dump_into(out: bytearray, value: Any) -> None:
     """Append the deterministic CBOR encoding of *value* to *out*."""
     if value is False:
@@ -87,8 +65,6 @@ def dump_into(out: bytearray, value: Any) -> None:
             _head_into(out, _MT_UNSIGNED, value)
         else:
             _head_into(out, _MT_NEGATIVE, -1 - value)
-    elif isinstance(value, float):
-        out += _encode_float(value)
     elif isinstance(value, (bytes, bytearray, memoryview)):
         _head_into(out, _MT_BYTES, len(value))
         out += value

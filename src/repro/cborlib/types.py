@@ -21,10 +21,6 @@ class Tag:
     number: int
     value: Any
 
-    def __post_init__(self) -> None:
-        if self.number < 0:
-            raise ValueError("tag number must be non-negative")
-
 
 @dataclass(frozen=True)
 class Simple:

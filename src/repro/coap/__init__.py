@@ -16,7 +16,7 @@ plain UDP, DTLS, and the simulator all plug in underneath.
 """
 
 from .codes import Code, CodeClass
-from .options import ContentFormat, OptionDef, OptionNumber, encode_options, decode_options
+from .options import ContentFormat, OptionNumber, encode_options, decode_options
 from .message import CoapMessage, CoapMessageError, MessageType
 from .blockwise import Block, BlockError
 from .cache import CoapCache, CacheKey, cache_key_for
@@ -34,7 +34,6 @@ __all__ = [
     "CoapMessageError",
     "ContentFormat",
     "MessageType",
-    "OptionDef",
     "OptionNumber",
     "ReliabilityParams",
     "TransmissionState",

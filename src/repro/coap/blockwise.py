@@ -49,11 +49,6 @@ class Block:
     def szx(self) -> int:
         return VALID_BLOCK_SIZES.index(self.size)
 
-    @property
-    def offset(self) -> int:
-        """Byte offset of this block within the full body."""
-        return self.number * self.size
-
     def encode(self) -> bytes:
         return encode_uint((self.number << 4) | (int(self.more) << 3) | self.szx)
 
@@ -66,9 +61,6 @@ class Block:
         if szx == 7:
             raise BlockError("SZX 7 is reserved")
         return cls(number=value >> 4, more=bool(value & 0x8), size=16 << szx)
-
-    def __str__(self) -> str:  # matches the paper's n/m/s notation
-        return f"{self.number}/{int(self.more)}/{self.size}"
 
 
 def split_body(body: bytes, size: int) -> List[bytes]:
@@ -103,10 +95,6 @@ class BlockAssembler:
         self._size: Optional[int] = None
         self._complete = False
 
-    @property
-    def complete(self) -> bool:
-        return self._complete
-
     def add(self, block: Block, chunk: bytes) -> bool:
         """Add one block; returns True when the body is complete."""
         if self._complete:
@@ -132,8 +120,3 @@ class BlockAssembler:
         if not self._complete:
             raise BlockError("transfer incomplete")
         return b"".join(self._chunks)
-
-    def reset(self) -> None:
-        self._chunks.clear()
-        self._size = None
-        self._complete = False

@@ -23,7 +23,7 @@ eviction (expired-first with LRU fallback), and the unified
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.cache import CacheEntry as _BaseEntry
 from repro.cache import CacheStats, EvictionPolicy, KeyedCache, LookupState
@@ -84,10 +84,6 @@ class CoapCacheEntry(_BaseEntry):
         return self.value
 
     @property
-    def max_age(self) -> int:
-        return int(self.lifetime)
-
-    @property
     def etag(self) -> Optional[bytes]:
         return self.response.etag
 
@@ -110,13 +106,6 @@ class CoapCache:
             entry_factory=CoapCacheEntry,
         )
         self.stats = self._store.stats
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    @property
-    def capacity(self) -> int:
-        return self._store.capacity
 
     # -- lookups ----------------------------------------------------------
 
@@ -190,16 +179,3 @@ class CoapCache:
         )
         self._store.refresh(key, now, max_age, value=refreshed)
         return refreshed
-
-    def etags_for(self, request: CoapMessage, now: float) -> List[bytes]:
-        """ETags usable to validate a stale entry for *request*."""
-        key = cache_key_for(request)
-        if key is None:
-            return []
-        entry = self._store.peek(key)
-        if entry is None or entry.etag is None:
-            return []
-        return [entry.etag]
-
-    def clear(self) -> None:
-        self._store.clear()

@@ -243,6 +243,3 @@ class CoapMessage:
     def make_ack(self) -> "CoapMessage":
         """An empty ACK for this CON message."""
         return CoapMessage(mtype=MessageType.ACK, code=Code.EMPTY, mid=self.mid)
-
-    def make_reset(self) -> "CoapMessage":
-        return CoapMessage(mtype=MessageType.RST, code=Code.EMPTY, mid=self.mid)

@@ -9,7 +9,6 @@ size the paper reports.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, List, Tuple
 
@@ -40,14 +39,6 @@ class OptionNumber(enum.IntEnum):
     ECHO = 252
     NO_RESPONSE = 258
 
-    @property
-    def is_critical(self) -> bool:
-        return bool(self & 1)
-
-    @property
-    def is_unsafe_to_forward(self) -> bool:
-        return bool(self & 2)
-
 
 class ContentFormat(enum.IntEnum):
     """Content-Format registry entries relevant to DoC.
@@ -64,48 +55,6 @@ class ContentFormat(enum.IntEnum):
     CBOR = 60
     DNS_MESSAGE = 553
     DNS_CBOR = 554
-
-
-@dataclass(frozen=True)
-class OptionDef:
-    """Static properties of an option (for validation and tooling)."""
-
-    number: int
-    name: str
-    repeatable: bool
-    min_length: int
-    max_length: int
-
-
-_REGISTRY = {
-    OptionNumber.IF_MATCH: OptionDef(1, "If-Match", True, 0, 8),
-    OptionNumber.URI_HOST: OptionDef(3, "Uri-Host", False, 1, 255),
-    OptionNumber.ETAG: OptionDef(4, "ETag", True, 1, 8),
-    OptionNumber.IF_NONE_MATCH: OptionDef(5, "If-None-Match", False, 0, 0),
-    OptionNumber.OBSERVE: OptionDef(6, "Observe", False, 0, 3),
-    OptionNumber.URI_PORT: OptionDef(7, "Uri-Port", False, 0, 2),
-    OptionNumber.OSCORE: OptionDef(9, "OSCORE", False, 0, 255),
-    OptionNumber.URI_PATH: OptionDef(11, "Uri-Path", True, 0, 255),
-    OptionNumber.CONTENT_FORMAT: OptionDef(12, "Content-Format", False, 0, 2),
-    OptionNumber.MAX_AGE: OptionDef(14, "Max-Age", False, 0, 4),
-    OptionNumber.URI_QUERY: OptionDef(15, "Uri-Query", True, 0, 255),
-    OptionNumber.ACCEPT: OptionDef(17, "Accept", False, 0, 2),
-    OptionNumber.BLOCK2: OptionDef(23, "Block2", False, 0, 3),
-    OptionNumber.BLOCK1: OptionDef(27, "Block1", False, 0, 3),
-    OptionNumber.SIZE2: OptionDef(28, "Size2", False, 0, 4),
-    OptionNumber.PROXY_URI: OptionDef(35, "Proxy-Uri", False, 1, 1034),
-    OptionNumber.PROXY_SCHEME: OptionDef(39, "Proxy-Scheme", False, 1, 255),
-    OptionNumber.SIZE1: OptionDef(60, "Size1", False, 0, 4),
-    OptionNumber.ECHO: OptionDef(252, "Echo", False, 1, 40),
-}
-
-
-def option_def(number: int) -> OptionDef | None:
-    """Look up the registry entry for *number*, if known."""
-    try:
-        return _REGISTRY[OptionNumber(number)]
-    except ValueError:
-        return None
 
 
 class OptionError(ValueError):

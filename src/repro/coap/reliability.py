@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 
 @dataclass(frozen=True)
@@ -24,24 +24,6 @@ class ReliabilityParams:
     ack_random_factor: float = 1.5
     max_retransmit: int = 4
     nstart: int = 1
-
-    @property
-    def max_transmit_span(self) -> float:
-        """Time from first transmission to the last retransmission."""
-        return (
-            self.ack_timeout
-            * ((1 << self.max_retransmit) - 1)
-            * self.ack_random_factor
-        )
-
-    @property
-    def max_transmit_wait(self) -> float:
-        """Time until a sender gives up on a confirmable exchange."""
-        return (
-            self.ack_timeout
-            * ((1 << (self.max_retransmit + 1)) - 1)
-            * self.ack_random_factor
-        )
 
     def initial_timeout(self, rng: random.Random) -> float:
         """Draw the randomised initial ACK timeout."""
@@ -70,7 +52,6 @@ class TransmissionState:
         self._params = params
         self.timeout = params.initial_timeout(rng)
         self.retransmissions = 0
-        self.acknowledged = False
 
     @property
     def exhausted(self) -> bool:
@@ -82,29 +63,8 @@ class TransmissionState:
 
         Doubles the timeout for the next attempt per §4.2.
         """
-        if self.acknowledged or self.exhausted:
+        if self.exhausted:
             return False
         self.retransmissions += 1
         self.timeout *= 2
         return True
-
-    def acknowledge(self) -> None:
-        self.acknowledged = True
-
-
-def retransmission_offsets(
-    params: ReliabilityParams, rng: random.Random
-) -> List[float]:
-    """Sampled retransmission time offsets for one exchange (no ACK).
-
-    Useful for analytical plots: the offsets of all MAX_RETRANSMIT
-    retransmissions relative to the initial transmission.
-    """
-    offsets = []
-    timeout = params.initial_timeout(rng)
-    elapsed = 0.0
-    for _ in range(params.max_retransmit):
-        elapsed += timeout
-        offsets.append(elapsed)
-        timeout *= 2
-    return offsets

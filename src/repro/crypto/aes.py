@@ -180,8 +180,8 @@ class AES128:
     """AES with a 128-bit key; 10 rounds.
 
     >>> cipher = AES128(bytes(16))
-    >>> cipher.encrypt_block(bytes(16)).hex()
-    '66e94bd4ef8a2c3b884cfa59ca342b2e'
+    >>> hex(cipher.encrypt_int(0))
+    '0x66e94bd4ef8a2c3b884cfa59ca342b2e'
     """
 
     block_size = 16
@@ -223,8 +223,7 @@ class AES128:
 
         *value* is the block read big-endian and must lie in
         ``0 .. 2**128 - 1``; anything else raises ``OverflowError``.
-        CCM works on this form directly; :meth:`encrypt_block` is the
-        same cipher for callers that hold bytes.
+        CCM works on this form directly.
         """
         # Hot path — this function is most of the OSCORE/DTLS transports'
         # CPU profile. Unpacking the sixteen state bytes into locals
@@ -312,8 +311,3 @@ class AES128:
             | ((state & left3) << 96) | ((state & wrap1) >> 96)
             | ((state & wrap2) >> 64) | ((state & wrap3) >> 32)
         ) ^ (last & whole)  # fmt: skip
-
-    def encrypt_block(self, block: bytes) -> bytes:
-        if len(block) != 16:
-            raise ValueError("AES block must be 16 bytes")
-        return self.encrypt_int(int.from_bytes(block, "big")).to_bytes(16, "big")

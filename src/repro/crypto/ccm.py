@@ -81,10 +81,6 @@ class ReplayWindow:
         else:
             raise ReplayError(f"replayed or stale sequence {sequence}")
 
-    @property
-    def highest_seen(self) -> int:
-        return self._highest
-
 
 @lru_cache(maxsize=256)
 def _expanded_key(key: bytes) -> AES128:
@@ -296,11 +292,6 @@ class AESCCM:
         ):
             raise AEADError("CCM tag verification failed")
         return text.to_bytes(length, "big")
-
-    @property
-    def overhead(self) -> int:
-        """Bytes added to every protected payload (the tag)."""
-        return self.tag_length
 
 
 # The suite factories are memoised: an AESCCM is immutable, and OSCORE,

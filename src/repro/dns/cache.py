@@ -30,10 +30,6 @@ class CacheEntry(_BaseEntry):
     def response(self) -> Message:
         return self.value
 
-    @property
-    def ttl(self) -> int:
-        return int(self.lifetime)
-
     def aged_response(self, now: float) -> Message:
         """The response with TTLs decremented by the elapsed cache time."""
         elapsed = int(now - self.stored_at)
@@ -59,24 +55,9 @@ class DNSCache:
             entry_factory=CacheEntry,
         )
 
-    def __len__(self) -> int:
-        return len(self._store)
-
-    @property
-    def capacity(self) -> int:
-        return self._store.capacity
-
     @property
     def stats(self) -> CacheStats:
         return self._store.stats
-
-    @property
-    def hits(self) -> int:
-        return self._store.stats.hits
-
-    @property
-    def misses(self) -> int:
-        return self._store.stats.misses
 
     def store(self, question: Question, response: Message, now: float) -> None:
         """Insert *response* for *question*; zero-TTL responses are not cached."""
@@ -91,10 +72,3 @@ class DNSCache:
         if state is not LookupState.HIT:
             return None
         return entry.aged_response(now)
-
-    def expire(self, now: float) -> int:
-        """Drop all stale entries; returns the number removed."""
-        return self._store.expire(now)
-
-    def clear(self) -> None:
-        self._store.clear()

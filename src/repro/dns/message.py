@@ -60,10 +60,6 @@ class Flags:
             | self.ad << 5 | self.cd << 4 | self.rcode & 0xF
         )
 
-    @classmethod
-    def decode(cls, value: int) -> "Flags":
-        return _decode_flags(value)
-
 
 @lru_cache(maxsize=1024)
 def _decode_flags(value: int) -> Flags:

@@ -63,12 +63,6 @@ def _name_parts(name: str) -> Tuple[Tuple[str, bytes], ...]:
     )
 
 
-@lru_cache(maxsize=4096)
-def _encode_uncompressed(name: str) -> bytes:
-    """The full wire form of *name* with no compression, memoised."""
-    return b"".join(wire for _, wire in _name_parts(name)) + b"\x00"
-
-
 def encode_name(
     name: str,
     compress: Dict[str, int] | None = None,
@@ -90,7 +84,7 @@ def encode_name(
         register suffixes in *compress*).
     """
     if compress is None:
-        return _encode_uncompressed(name)
+        compress = {}
     out = bytearray()
     for suffix, wire in _name_parts(name):
         if suffix in compress:

@@ -71,24 +71,3 @@ class Zone:
             for r in self._records.get((name, int(rtype)), [])
             if r.rclass == rclass
         ]
-
-    def set_ttl(self, name: str, rtype: int, ttl: int) -> int:
-        """Rewrite the TTL of matching records; returns how many changed.
-
-        Experiments use this to emulate authoritative TTL changes, the
-        trigger for the DoH-like ETag instability in Figure 3.
-        """
-        records = self._records.get((name.lower(), int(rtype)), [])
-        updated = [
-            ZoneRecord(r.name, r.rtype, ttl, r.rdata, r.rclass) for r in records
-        ]
-        if updated:
-            self._records[(name.lower(), int(rtype))] = updated
-        return len(updated)
-
-    def names(self) -> List[str]:
-        """All owner names present in the zone."""
-        return sorted({owner for owner, _ in self._records})
-
-    def __len__(self) -> int:
-        return sum(len(records) for records in self._records.values())

@@ -17,7 +17,6 @@ Public entry points:
 
 from .caching import CachingScheme, PreparedResponse, compute_etag, prepare_response, restore_ttls
 from .integrity import MaxAgeIntegrityError, check_max_age_consistency
-from .loadbalance import shuffle_answers, sort_answers, stable_representation
 from .client import DocClient, DocError, DocResult
 from .features import TABLE1, TABLE5, MethodFeatures, TransportFeatures, method_features
 from .server import DocServer, DOC_RESOURCE
@@ -26,9 +25,6 @@ __all__ = [
     "CachingScheme",
     "MaxAgeIntegrityError",
     "check_max_age_consistency",
-    "shuffle_answers",
-    "sort_answers",
-    "stable_representation",
     "DOC_RESOURCE",
     "DocClient",
     "DocError",

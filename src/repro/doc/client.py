@@ -74,7 +74,6 @@ class DocClient:
         oscore_context: Optional[SecurityContext] = None,
         cacheable_oscore: bool = False,
         verify_max_age: bool = False,
-        shuffle_records: bool = False,
         uri_template: str = DEFAULT_TEMPLATE,
         params: ReliabilityParams = ReliabilityParams(),
     ) -> None:
@@ -93,7 +92,6 @@ class DocClient:
         self.oscore_context = oscore_context
         self.cacheable_oscore = cacheable_oscore
         self.verify_max_age = verify_max_age
-        self.shuffle_records = shuffle_records
         if cacheable_oscore and oscore_context is None:
             raise DocError("cacheable_oscore requires an OSCORE context")
         self.template = UriTemplate(uri_template)
@@ -265,10 +263,6 @@ class DocClient:
                 self.resolutions_failed += 1
                 on_result(None, exc)
                 return
-            if self.shuffle_records:
-                from .loadbalance import shuffle_answers
-
-                dns_response = shuffle_answers(dns_response, self.sim.rng)
             result = self._build_result(question, dns_response, started)
             self.resolutions_completed += 1
             on_result(result, None)

@@ -41,7 +41,6 @@ from repro.sim.clock import Clock
 
 from . import cbor_format
 from .caching import CachingScheme, compute_etag, prepare_response
-from .loadbalance import sort_answers
 
 DOC_RESOURCE = "/dns"
 
@@ -74,7 +73,6 @@ class DocServer:
         oscore_context: Optional[SecurityContext] = None,
         deterministic_context: Optional[SecurityContext] = None,
         params: ReliabilityParams = ReliabilityParams(),
-        sort_records: bool = False,
         fastpath_capacity: int = 0,
     ) -> None:
         self.sim = sim
@@ -82,7 +80,6 @@ class DocServer:
         self.scheme = scheme
         self.oscore_context = oscore_context
         self.deterministic_context = deterministic_context
-        self.sort_records = sort_records
         #: Reply templates by request body: (code, the options before
         #: Max-Age, Max-Age's delta nibble, 0xFF payload or b"").
         self._fastpath: Optional[KeyedCache] = (
@@ -284,8 +281,6 @@ class DocServer:
 
         self.queries_handled += 1
         dns_response = self.resolver.resolve(query, self.sim.now)
-        if self.sort_records:
-            dns_response = sort_answers(dns_response)
 
         if response_format == int(ContentFormat.DNS_CBOR):
             min_ttl = dns_response.min_ttl()

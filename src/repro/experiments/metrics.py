@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 
 def interpolate_sorted(ordered: Sequence[float], position: float) -> float:
@@ -64,13 +64,6 @@ def summary_stats(values: Sequence[float]) -> Dict[str, float]:
         "q2": q2,
         "q3": q3,
     }
-
-
-def cdf(values: Sequence[float]) -> List[Tuple[float, float]]:
-    """Empirical CDF points ``(value, fraction ≤ value)``."""
-    ordered = sorted(values)
-    n = len(ordered)
-    return [(value, (index + 1) / n) for index, value in enumerate(ordered)]
 
 
 def fraction_below(values: Sequence[float], threshold: float) -> float:

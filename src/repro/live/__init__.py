@@ -72,7 +72,3 @@ def __getattr__(name: str):
     value = getattr(import_module(module_name, __name__), name)
     globals()[name] = value  # cache: __getattr__ runs once per name
     return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))

@@ -54,15 +54,3 @@ class AsyncioClock:
             raise ValueError(f"negative delay {delay}")
         loop = asyncio.get_running_loop()
         return loop.call_later(delay, callback, *args)
-
-    def schedule_at(
-        self, time: float, callback: Callable, *args: Any
-    ) -> asyncio.TimerHandle:
-        """Run ``callback(*args)`` at absolute *time* on this clock's
-        axis (seconds since construction)."""
-        now = self.now
-        if time < now:
-            raise ValueError(
-                f"cannot schedule at {time}: clock is already at {now}"
-            )
-        return self.schedule(time - now, callback, *args)

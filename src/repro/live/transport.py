@@ -187,10 +187,6 @@ class LiveUdpTransport:
             raise LiveTransportError("socket is not open")
         return self._sock.getsockname()[:2]
 
-    @property
-    def port(self) -> int:
-        return self.local_address[1]
-
     def sendto(
         self,
         payload: bytes,

@@ -179,10 +179,6 @@ class WorkerPool:
         return len(self._configs)
 
     @property
-    def processes(self) -> List[multiprocessing.Process]:
-        return list(self._procs)
-
-    @property
     def failed_workers(self) -> List[int]:
         """Indices of workers that died without delivering a payload."""
         return list(self._failed)
@@ -482,12 +478,6 @@ class ServePool(WorkerPool):
             self.terminate()
             raise
         self._endpoint = endpoint
-        return self._endpoint
-
-    @property
-    def endpoint(self) -> Tuple[str, int]:
-        if self._endpoint is None:
-            raise WorkerPoolError("pool is not started")
         return self._endpoint
 
     def drain(self) -> Dict[str, object]:

@@ -187,6 +187,3 @@ class Reassembler:
             return None
         del partials[key]
         return b"".join(chunks)
-
-    def pending(self) -> int:
-        return len(self._partial)

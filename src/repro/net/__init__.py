@@ -6,15 +6,12 @@ bytes, RFC 4944 §5.3). The paper's setup zeroes traffic class and flow
 label so IPHC can elide them; that is the default here too.
 """
 
-from .ipv6 import Ipv6Packet, global_address, interface_id, is_link_local, link_local
+from .ipv6 import Ipv6Packet, global_address
 from .udp import UdpDatagram, udp_checksum
 
 __all__ = [
     "Ipv6Packet",
     "global_address",
     "UdpDatagram",
-    "interface_id",
-    "is_link_local",
-    "link_local",
     "udp_checksum",
 ]

@@ -66,13 +66,6 @@ class BufReader:
         self.end = len(data) if end is None else end
         self.error = error
 
-    def __len__(self) -> int:
-        return self.end - self.pos
-
-    @property
-    def exhausted(self) -> bool:
-        return self.pos >= self.end
-
     def need(self, count: int) -> None:
         if self.pos + count > self.end:
             raise self.error(

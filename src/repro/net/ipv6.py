@@ -83,17 +83,6 @@ def is_multicast(address: str) -> bool:
     return address_int(address) >> 120 == 0xFF
 
 
-def link_local(iid: int) -> str:
-    """A link-local address ``fe80::/64`` with the given 64-bit IID."""
-    if not 0 <= iid < 1 << 64:
-        raise ValueError("interface ID must fit in 64 bits")
-    return address_from_int((0xFE80 << 112) | iid)
-
-
-def is_link_local(address: str) -> bool:
-    return address_int(address) >> 118 == 0x3FA  # fe80::/10
-
-
 def global_address(iid: int, prefix: int = 0x2001_0DB8_0000_0000) -> str:
     """A global unicast address ``2001:db8::/64`` with the given IID.
 
@@ -105,11 +94,6 @@ def global_address(iid: int, prefix: int = 0x2001_0DB8_0000_0000) -> str:
     if not 0 <= iid < 1 << 64:
         raise ValueError("interface ID must fit in 64 bits")
     return address_from_int((prefix << 64) | iid)
-
-
-def interface_id(address: str) -> int:
-    """The low 64 bits of *address*."""
-    return address_int(address) & ((1 << 64) - 1)
 
 
 @dataclass(frozen=True, slots=True)

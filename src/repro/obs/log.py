@@ -91,9 +91,6 @@ class JsonLogger:
             # never take the serving path down with it.
             pass
 
-    def debug(self, msg: str, **fields: Any) -> None:
-        self._emit("debug", msg, fields)
-
     def info(self, msg: str, **fields: Any) -> None:
         self._emit("info", msg, fields)
 

@@ -24,11 +24,9 @@ from .context import OscoreError, SecurityContext
 from .option import OscoreOptionValue
 from .protect import protect_request, protect_response, unprotect_request, unprotect_response
 from .cacheable import (
-    CiphertextCache,
     derive_deterministic_context,
+    open_deterministic_request,
     protect_cacheable_request,
-    protect_cacheable_response,
-    unprotect_deterministic_request,
 )
 from .group import (
     GroupContext,
@@ -44,14 +42,12 @@ __all__ = [
     "ReplayError",
     "ReplayWindow",
     "SecurityContext",
-    "CiphertextCache",
     "GroupContext",
     "derive_deterministic_context",
     "protect_cacheable_request",
-    "protect_cacheable_response",
     "protect_group_request",
     "protect_group_response",
-    "unprotect_deterministic_request",
+    "open_deterministic_request",
     "unprotect_group_request",
     "unprotect_group_response",
     "protect_request",

@@ -16,7 +16,14 @@ caching):
 * Responses are bound to the deterministic request's (kid, PIV) just
   like normal OSCORE responses, so an untrusted proxy can cache the
   *ciphertext* response keyed on the ciphertext request and serve it to
-  any group member without being able to read either.
+  any group member without being able to read either. The request goes
+  out as an outer FETCH, so the proxy's ordinary
+  :class:`~repro.coap.cache.CoapCache` does that: its RFC 7252 cache key
+  covers the (deterministic) ciphertext payload. The server seals the
+  response as 2.05 Content with the freshness lifetime in an *outer*
+  Max-Age, which the proxy ages (Section 7 discusses the integrity
+  limits of that option; :mod:`repro.doc.integrity` is the client-side
+  check).
 
 With DoC this closes the loop of the paper's Section 4.2 ID-zeroing:
 the DNS ID is already 0, the FETCH payload is deterministic, and with a
@@ -27,7 +34,7 @@ stable, so OSCORE no longer defeats proxy caching.
 from __future__ import annotations
 
 import hashlib
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.coap.message import CoapMessage
 
@@ -42,94 +49,6 @@ from .protect import (
 #: Reserved sender ID of the deterministic client (draft §3.1 uses a
 #: dedicated, well-known ID within the group).
 DETERMINISTIC_CLIENT_ID = b"\xDC"
-
-
-class CiphertextCache:
-    """Proxy-side cache of *protected* responses to deterministic requests.
-
-    The en-route caching of Table 1: an untrusted proxy keys on the
-    deterministic request's ciphertext (byte-identical across group
-    members) and serves the protected response without being able to
-    read either side. A thin adapter over
-    :class:`repro.cache.KeyedCache` — the domain contribution is the
-    key (only OSCORE-protected outer FETCHes are shareable) and the
-    lifetime (the *outer* Max-Age that
-    :func:`protect_cacheable_response` exposes for exactly this
-    purpose).
-    """
-
-    def __init__(self, capacity: int = 50) -> None:
-        from repro.cache import EvictionPolicy, KeyedCache
-
-        self._store = KeyedCache(
-            capacity, policy=EvictionPolicy.EXPIRED_FIRST, keep_stale=False
-        )
-        self.stats = self._store.stats
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    @property
-    def capacity(self) -> int:
-        return self._store.capacity
-
-    @staticmethod
-    def key_for(outer_request: CoapMessage):
-        """Cache key for a protected request, or ``None`` if unshareable.
-
-        Only deterministic requests may be served from a shared cache;
-        they are recognisable as outer FETCHes carrying an OSCORE
-        option (a normal OSCORE request has a fresh Partial IV, so its
-        ciphertext never repeats and caching it is pointless).
-        """
-        from repro.coap.cache import cache_key_for
-        from repro.coap.codes import Code
-        from repro.coap.options import OptionNumber
-
-        if outer_request.code != Code.FETCH:
-            return None
-        if outer_request.option(OptionNumber.OSCORE) is None:
-            return None
-        return cache_key_for(outer_request)
-
-    def lookup(self, outer_request: CoapMessage, now: float) -> Optional[CoapMessage]:
-        """The cached protected response, aged, or ``None``."""
-        from repro.cache import LookupState
-        from repro.coap.options import OptionNumber
-
-        key = self.key_for(outer_request)
-        if key is None:
-            return None
-        entry, state = self._store.lookup(key, now)
-        if state is not LookupState.HIT:
-            return None
-        return entry.value.replace_uint_option(
-            OptionNumber.MAX_AGE, entry.remaining(now)
-        )
-
-    def store(
-        self, outer_request: CoapMessage, outer_response: CoapMessage, now: float
-    ) -> bool:
-        """Cache *outer_response* if the exchange is cacheable.
-
-        The lifetime is the outer Max-Age; a protected response without
-        one gives the proxy no freshness information, so it is not
-        cached (the draft requires the server to expose it).
-        """
-        key = self.key_for(outer_request)
-        if key is None or not outer_response.code.is_success:
-            return False
-        max_age = outer_response.max_age
-        if max_age is None or max_age <= 0:
-            return False
-        self._store.store(key, outer_response, max_age, now)
-        return True
-
-    def expire(self, now: float) -> int:
-        return self._store.expire(now)
-
-    def clear(self) -> None:
-        self._store.clear()
 
 #: Length of the hash-derived Partial IV.
 _DET_PIV_LENGTH = 5
@@ -179,29 +98,6 @@ def _deterministic_piv(context, request: CoapMessage) -> int:
     return int.from_bytes(digest.digest()[:_DET_PIV_LENGTH], "big")
 
 
-def protect_deterministic_request(
-    context: SecurityContext, request: CoapMessage
-) -> Tuple[CoapMessage, RequestBinding]:
-    """Protect *request* deterministically.
-
-    Identical requests yield identical outer messages (up to the CoAP
-    header fields the message layer rewrites), making the result
-    cacheable by DoC-agnostic proxies.
-    """
-    if context.sender_id != DETERMINISTIC_CLIENT_ID:
-        raise OscoreError("not a deterministic-client context")
-    piv_value = _deterministic_piv(context, request)
-    # Temporarily pin the sender sequence so protect_request emits the
-    # hash-derived PIV; restore afterwards (the counter is unused here).
-    saved_sequence = context.sender_sequence
-    context.sender_sequence = piv_value
-    try:
-        outer, binding = protect_request(context, request)
-    finally:
-        context.sender_sequence = saved_sequence
-    return outer, binding
-
-
 def open_deterministic_request(
     context: SecurityContext, outer: CoapMessage
 ) -> Tuple[CoapMessage, bytes, RequestBinding]:
@@ -222,14 +118,6 @@ def open_deterministic_request(
     if binding.partial_iv != encode_partial_iv(expected):
         raise OscoreError("deterministic Partial IV mismatch")
     return inner, plaintext, binding
-
-
-def unprotect_deterministic_request(
-    context: SecurityContext, outer: CoapMessage
-) -> Tuple[CoapMessage, RequestBinding]:
-    """:func:`open_deterministic_request` without the plaintext."""
-    inner, _, binding = open_deterministic_request(context, outer)
-    return inner, binding
 
 
 class _KeyView:
@@ -281,36 +169,3 @@ def protect_cacheable_request(
     finally:
         context.sender_sequence = saved_sequence
     return outer, binding
-
-
-def protect_cacheable_response(
-    context: SecurityContext,
-    response: CoapMessage,
-    binding: RequestBinding,
-    outer_max_age: Optional[int] = None,
-) -> CoapMessage:
-    """Protect a response to a deterministic request for proxy caching.
-
-    The outer code is 2.05 Content (cacheable, unlike 2.04) and the
-    freshness lifetime is exposed as an *outer* Max-Age option so that
-    proxies can age the entry — the Section 7 discussion notes the
-    integrity limits of this outer option; see
-    :func:`repro.doc.integrity.check_max_age_consistency` for the
-    proposed client-side mitigation.
-    """
-    from repro.coap.codes import Code
-    from repro.coap.options import OptionNumber, encode_uint
-    from .protect import protect_response
-
-    outer_options: Tuple[Tuple[int, bytes], ...] = ()
-    if outer_max_age is not None:
-        outer_options = (
-            (int(OptionNumber.MAX_AGE), encode_uint(outer_max_age)),
-        )
-    return protect_response(
-        context,
-        response,
-        binding,
-        outer_code=Code.CONTENT,
-        outer_options=outer_options,
-    )

@@ -233,7 +233,7 @@ class ScenarioRunner:
         sim.run(until=scenario.run_duration)
 
         # -- collect -------------------------------------------------------
-        kinds = topo.sniffer.by_kind()
+        kinds = topo.tally.by_kind()
         queries = kinds.get("query", 0)
         responses = kinds.get("response", 0)
         link = LinkUtilization(

@@ -129,8 +129,9 @@ class TopologySpec:
     def build(self, sim, capture: str = "records"):
         """Instantiate this topology on *sim*.
 
-        *capture* selects the frame observer (``"records"`` for a full
-        sniffer, ``"counts"`` for the aggregate-only tally).
+        *capture* says whether a full sniffer keeps every frame
+        (``"records"``) or only the aggregate tally is kept
+        (``"counts"``).
         """
         from repro.stack import build_linear_topology
 
@@ -340,12 +341,6 @@ class Scenario:
                 "the proxy needs a forwarder distinct from the resolver "
                 "host (use hops >= 2 or a wired tail)"
             )
-
-    @property
-    def profile(self):
-        from repro.transports.registry import registry
-
-        return registry.get(self.transport)
 
     @property
     def caching_spec(self) -> CachingSpec:

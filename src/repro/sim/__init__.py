@@ -15,7 +15,6 @@ from .trace import FrameRecord, FrameTally, Sniffer
 from .workload import (
     bursty_arrival_times,
     poisson_arrival_times,
-    sample_zipf,
     sample_zipf_many,
     zipf_cumulative,
     zipf_weights,
@@ -33,7 +32,6 @@ __all__ = [
     "Timer",
     "bursty_arrival_times",
     "poisson_arrival_times",
-    "sample_zipf",
     "sample_zipf_many",
     "zipf_cumulative",
     "zipf_weights",

@@ -58,8 +58,3 @@ class Clock(Protocol):
         """Run ``callback(*args)`` after *delay* seconds; returns a
         cancellable timer. Negative delays raise :class:`ValueError`."""
         ...
-
-    def schedule_at(self, time: float, callback: Callable, *args: Any) -> Timer:
-        """Run ``callback(*args)`` at absolute *time* on this clock's
-        axis; times in the past raise :class:`ValueError`."""
-        ...

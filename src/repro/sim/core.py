@@ -64,7 +64,6 @@ class Simulator:
         self._now = 0.0
         self._heap: List[Tuple[float, int, Event]] = []
         self._sequence = itertools.count()
-        self._live = 0
         self._cancelled_in_heap = 0
         self.rng = random.Random(seed)
 
@@ -79,7 +78,6 @@ class Simulator:
             raise ValueError(f"negative delay {delay}")
         event = Event(self._now + delay, callback, args, sim=self)
         heapq.heappush(self._heap, (event.time, next(self._sequence), event))
-        self._live += 1
         return event
 
     def schedule_at(self, time: float, callback: Callable, *args: Any) -> Event:
@@ -132,7 +130,6 @@ class Simulator:
             event = Event(time, callback, args, sim=self)
             self._heap.append((time, next(self._sequence), event))
             events.append(event)
-        self._live += len(events)
         heapq.heapify(self._heap)
         return events
 
@@ -155,7 +152,6 @@ class Simulator:
                 if event.cancelled:
                     self._cancelled_in_heap -= 1
                     continue
-                self._live -= 1
                 event.fired = True
                 event.callback(*event.args)
                 processed += 1
@@ -167,12 +163,7 @@ class Simulator:
         if until is not None:
             self._now = until
 
-    def pending(self) -> int:
-        """Number of not-yet-cancelled scheduled events (O(1))."""
-        return self._live
-
     def _on_cancel(self) -> None:
-        self._live -= 1
         self._cancelled_in_heap += 1
         if (
             len(self._heap) >= self.COMPACT_MIN_SIZE

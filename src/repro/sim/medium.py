@@ -16,7 +16,7 @@ layer retransmissions and acknowledgments").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from .core import Simulator
 
@@ -91,18 +91,6 @@ class RadioMedium:
         if observer in self._observers:
             raise ValueError("observer already attached")
         self._observers.append(observer)
-
-    @property
-    def observer(self) -> Optional[Callable]:
-        """Legacy single-observer view: the first attached observer."""
-        return self._observers[0] if self._observers else None
-
-    @observer.setter
-    def observer(self, value: Optional[Callable]) -> None:
-        # Legacy assignment semantics: replace whatever is attached
-        # (``None`` detaches). New code should use add_observer so a
-        # sniffer and another observer can coexist.
-        self._observers = [] if value is None else [value]
 
     def _notify(
         self, src: str, dst: str, frame: bytes, metadata: dict, lost: bool

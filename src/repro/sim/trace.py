@@ -9,7 +9,7 @@ dissections are computed from these records.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .medium import RadioMedium
 
@@ -25,10 +25,6 @@ class FrameRecord:
     #: Sender-attached annotations, e.g. {"kind": "query", "layers": {...}}.
     metadata: dict
     lost: bool
-
-    @property
-    def kind(self) -> str:
-        return self.metadata.get("kind", "unknown")
 
 
 class Sniffer:
@@ -50,59 +46,23 @@ class Sniffer:
             FrameRecord(time, src, dst, len(frame), dict(metadata), lost)
         )
 
-    # -- aggregations ----------------------------------------------------------
-
-    def frames_on_link(self, a: str, b: str) -> List[FrameRecord]:
-        """Frames in either direction between *a* and *b*."""
-        return [
-            r
-            for r in self.records
-            if (r.src == a and r.dst == b) or (r.src == b and r.dst == a)
-        ]
-
-    def bytes_on_link(self, a: str, b: str) -> int:
-        return sum(r.length for r in self.frames_on_link(a, b))
-
-    def frame_count(self, a: str, b: str) -> int:
-        return len(self.frames_on_link(a, b))
-
-    def by_kind(self) -> Dict[str, int]:
-        """Frame counts per annotated kind (query/response/...)."""
-        counts: Dict[str, int] = {}
-        for record in self.records:
-            counts[record.kind] = counts.get(record.kind, 0) + 1
-        return counts
-
-    def max_frame(self, kind: Optional[str] = None) -> int:
-        """Largest frame length, optionally filtered by kind."""
-        lengths = [
-            r.length for r in self.records if kind is None or r.kind == kind
-        ]
-        return max(lengths) if lengths else 0
-
-    def clear(self) -> None:
-        self.records.clear()
-
 
 class FrameTally:
     """Aggregated frame counters without per-frame records.
 
-    A drop-in for :class:`Sniffer` wherever only aggregate views are
-    read (per-link frame/byte counts, per-kind totals, maximum frame
-    size). It allocates nothing per frame — no :class:`FrameRecord`,
-    no metadata copy — which is why scenario sweeps attach it instead
-    of a full sniffer: sweep metrics never read individual records.
+    The aggregate views (per-link frame/byte counts, per-kind totals)
+    for runs that read no individual frame. It allocates nothing per
+    frame — no :class:`FrameRecord`, no metadata copy — which is why
+    scenario runs attach it instead of a full sniffer.
     """
 
-    __slots__ = ("_links", "_kinds", "_max_by_kind")
+    __slots__ = ("_links", "_kinds")
 
     def __init__(self, medium: RadioMedium) -> None:
         #: (src, dst) -> [frames, bytes]
         self._links: Dict[tuple, list] = {}
         #: kind -> frame count
         self._kinds: Dict[str, int] = {}
-        #: kind -> largest frame length
-        self._max_by_kind: Dict[str, int] = {}
         medium.add_observer(self._observe)
 
     def _observe(
@@ -116,10 +76,8 @@ class FrameTally:
         entry[1] += length
         kind = metadata.get("kind", "unknown")
         self._kinds[kind] = self._kinds.get(kind, 0) + 1
-        if length > self._max_by_kind.get(kind, 0):
-            self._max_by_kind[kind] = length
 
-    # -- aggregations (the Sniffer views that need no records) -------------
+    # -- aggregations ----------------------------------------------------------
 
     def frame_count(self, a: str, b: str) -> int:
         """Frames in either direction between *a* and *b*."""
@@ -137,14 +95,3 @@ class FrameTally:
     def by_kind(self) -> Dict[str, int]:
         """Frame counts per annotated kind (query/response/...)."""
         return dict(self._kinds)
-
-    def max_frame(self, kind: Optional[str] = None) -> int:
-        """Largest frame length, optionally filtered by kind."""
-        if kind is not None:
-            return self._max_by_kind.get(kind, 0)
-        return max(self._max_by_kind.values(), default=0)
-
-    def clear(self) -> None:
-        self._links.clear()
-        self._kinds.clear()
-        self._max_by_kind.clear()

@@ -9,7 +9,7 @@ the simulated sweeps and the live load generator
 * :func:`bursty_arrival_times` — an on/off modulated Poisson process
   (exponential arrivals during ON periods, silence during OFF), the
   classic model for duty-cycled sensor traffic;
-* :func:`zipf_weights` / :func:`sample_zipf` — Zipf(α) name
+* :func:`zipf_cumulative` / :func:`sample_zipf_many` — Zipf(α) name
   popularity, the standard skew of real DNS workloads (a few hot
   names, a long cold tail).
 """
@@ -97,11 +97,6 @@ def zipf_weights(count: int, alpha: float) -> List[float]:
     return [(k + 1) ** -alpha for k in range(count)]
 
 
-def sample_zipf(rng: random.Random, weights: Sequence[float]) -> int:
-    """One rank index (0-based) drawn from precomputed Zipf weights."""
-    return rng.choices(range(len(weights)), weights=weights, k=1)[0]
-
-
 @lru_cache(maxsize=256)
 def zipf_cumulative(count: int, alpha: float) -> Tuple[float, ...]:
     """Cached cumulative Zipf(α) weights for ranks ``1..count``.
@@ -125,7 +120,7 @@ def sample_zipf_many(
     ``rng.random()`` per draw via the same scaled-uniform bisection as
     ``random.Random.choices`` — the stream contract: a bulk call of
     size *n* advances the RNG identically to *n* single draws through
-    :func:`sample_zipf` or ``draw_name_index``.
+    ``draw_name_index``.
     """
     if n < 0:
         raise ValueError("n must be non-negative")

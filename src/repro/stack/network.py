@@ -11,7 +11,7 @@ is the two-wireless-hop instance, kept as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.net.ipv6 import global_address
 from repro.sim.core import Simulator
@@ -24,11 +24,13 @@ from .node import Node
 class Network:
     """A simulation network: one radio medium plus wired attachments.
 
-    ``capture`` selects the frame observer: ``"records"`` (default)
-    attaches a full :class:`Sniffer`, ``"counts"`` the allocation-free
-    :class:`FrameTally` — sufficient for every aggregate view
-    (per-link counts/bytes, per-kind totals) and measurably cheaper
-    per frame, which is what scenario sweeps use.
+    Every network keeps the allocation-free :class:`FrameTally` in
+    :attr:`tally`, which the aggregate views (per-link counts/bytes,
+    per-kind totals, such as :meth:`LinearTopology.frames_at_hop`)
+    read. ``capture`` says whether a :class:`Sniffer` keeps every frame
+    as well: ``"records"`` (default) attaches one as :attr:`sniffer`,
+    ``"counts"`` leaves :attr:`sniffer` ``None`` — measurably cheaper
+    per frame, which is what scenario runs use.
     """
 
     def __init__(
@@ -36,14 +38,14 @@ class Network:
     ) -> None:
         self.sim = sim
         self.medium = RadioMedium(sim, l2_retries=l2_retries)
-        if capture == "records":
-            self.sniffer = Sniffer(self.medium)
-        elif capture == "counts":
-            self.sniffer = FrameTally(self.medium)
-        else:
+        if capture not in ("records", "counts"):
             raise ValueError(
                 f"capture must be 'records' or 'counts', got {capture!r}"
             )
+        self.tally = FrameTally(self.medium)
+        self.sniffer: Optional[Sniffer] = (
+            Sniffer(self.medium) if capture == "records" else None
+        )
         self.nodes: Dict[str, Node] = {}
         self._next_iid = 1
 
@@ -112,8 +114,12 @@ class LinearTopology:
         return len(self.relays) + 1
 
     @property
-    def sniffer(self) -> Sniffer:
+    def sniffer(self) -> Optional[Sniffer]:
         return self.network.sniffer
+
+    @property
+    def tally(self) -> FrameTally:
+        return self.network.tally
 
     def links_at_hop(self, distance: int) -> List[tuple]:
         """Radio links at *distance* wireless hops from the sink (BR).
@@ -133,12 +139,12 @@ class LinearTopology:
 
     def frames_at_hop(self, distance: int) -> int:
         return sum(
-            self.sniffer.frame_count(a, b) for a, b in self.links_at_hop(distance)
+            self.tally.frame_count(a, b) for a, b in self.links_at_hop(distance)
         )
 
     def bytes_at_hop(self, distance: int) -> int:
         return sum(
-            self.sniffer.bytes_on_link(a, b) for a, b in self.links_at_hop(distance)
+            self.tally.bytes_on_link(a, b) for a, b in self.links_at_hop(distance)
         )
 
     # -- the Figure 10 accounting views -------------------------------------

@@ -56,9 +56,6 @@ class UdpSocket:
         )
         self.node.send_packet(packet, metadata or {})
 
-    def close(self) -> None:
-        self.node._sockets.pop(self.port, None)
-
 
 class Node:
     """One network node: radio or wired attachment, routing, UDP."""

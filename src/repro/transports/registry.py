@@ -259,10 +259,6 @@ class TransportRegistry:
         self._ensure_builtins()
         return name in self._profiles
 
-    def __len__(self) -> int:
-        self._ensure_builtins()
-        return len(self._profiles)
-
     def _ensure_builtins(self) -> None:
         if self._builtins_loaded or self._loading_builtins:
             return

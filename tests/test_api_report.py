@@ -31,7 +31,6 @@ from repro.api import (
 from repro.api.schema import (
     SchemaError,
     ValidationError,
-    is_valid,
     load_schema,
     validate,
 )
@@ -462,10 +461,6 @@ class TestSchemaValidator:
     def test_unknown_keyword_is_loud(self):
         with pytest.raises(SchemaError):
             validate(1, {"type": "integer", "exclusiveMaximum": 3})
-
-    def test_is_valid_wrapper(self):
-        assert is_valid({"report": 1}, {"type": "object"})
-        assert not is_valid([], {"type": "object"})
 
     def test_validate_cli_on_real_artifacts(self, tmp_path, capsys):
         from repro.api.validate import main

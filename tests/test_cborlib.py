@@ -13,7 +13,6 @@ from repro.cborlib import (
     UNDEFINED,
     dumps,
     loads,
-    loads_prefix,
 )
 
 
@@ -51,6 +50,11 @@ RFC_VECTORS = [
     ({1: 2, 3: 4}, "a201020304"),
     ({"a": 1, "b": [2, 3]}, "a26161016162820203"),
     (Tag(1, 1363896240), "c11a514b67b0"),
+]
+
+# Floats are decoded (they may arrive from outside) but never encoded:
+# nothing the toolkit sends carries one.
+RFC_FLOAT_VECTORS = [
     (1.5, "f93e00"),
     (-4.1, "fbc010666666666666"),
     (100000.0, "fa47c35000"),
@@ -62,7 +66,7 @@ def test_rfc8949_encode_vectors(value, expected_hex):
     assert dumps(value).hex() == expected_hex
 
 
-@pytest.mark.parametrize("value,expected_hex", RFC_VECTORS)
+@pytest.mark.parametrize("value,expected_hex", RFC_VECTORS + RFC_FLOAT_VECTORS)
 def test_rfc8949_decode_vectors(value, expected_hex):
     assert loads(bytes.fromhex(expected_hex)) == value
 
@@ -84,11 +88,6 @@ def test_simple_value_range_validation():
         Simple(256)
 
 
-def test_tag_negative_number_rejected():
-    with pytest.raises(ValueError):
-        Tag(-1, 0)
-
-
 def test_map_keys_sorted_deterministically():
     a = dumps({"b": 1, "a": 2})
     b = dumps({"a": 2, "b": 1})
@@ -96,13 +95,14 @@ def test_map_keys_sorted_deterministically():
 
 
 def test_nan_half_precision():
-    assert dumps(float("nan")) == bytes.fromhex("f97e00")
     assert math.isnan(loads(bytes.fromhex("f97e00")))
 
 
 def test_unencodable_type_raises():
     with pytest.raises(CBOREncodeError):
         dumps(object())
+    with pytest.raises(CBOREncodeError):
+        dumps(1.5)
 
 
 def test_trailing_bytes_rejected():
@@ -152,13 +152,6 @@ def test_unhashable_map_key_rejected():
         loads(bytes.fromhex("a1810102"))
 
 
-def test_loads_prefix_returns_consumed():
-    data = dumps([1, 2]) + dumps("x")
-    value, consumed = loads_prefix(data)
-    assert value == [1, 2]
-    assert loads(data[consumed:]) == "x"
-
-
 def test_bytes_like_inputs_encode():
     assert dumps(bytearray(b"ab")) == dumps(b"ab")
     assert dumps(memoryview(b"ab")) == dumps(b"ab")
@@ -190,11 +183,6 @@ def test_round_trip_property(value):
     decoded = loads(dumps(value))
     # Lists come back as lists; tuples are encoded as arrays.
     assert decoded == value
-
-
-@given(st.floats(allow_nan=False))
-def test_float_round_trip(value):
-    assert loads(dumps(value)) == value
 
 
 @given(st.integers(min_value=0, max_value=2**64 - 1))

@@ -30,13 +30,6 @@ class TestBlockOption:
         assert Block(0, False, 16).encode() == b""
         assert Block.decode(b"") == Block(0, False, 16)
 
-    def test_paper_notation(self):
-        assert str(Block(2, False, 32)) == "2/0/32"
-        assert str(Block(1, True, 32)) == "1/1/32"
-
-    def test_offset(self):
-        assert Block(3, True, 32).offset == 96
-
     def test_invalid_size_rejected(self):
         with pytest.raises(BlockError):
             Block(0, False, 48)
@@ -125,13 +118,6 @@ class TestAssembler:
         with pytest.raises(BlockError):
             assembler.add(Block(1, False, 32), b"y")
 
-    def test_reset(self):
-        assembler = BlockAssembler()
-        assembler.add(Block(0, False, 32), b"x")
-        assembler.reset()
-        assert not assembler.complete
-        assembler.add(Block(0, False, 32), b"y")
-        assert assembler.body() == b"y"
 
     @given(st.binary(min_size=1, max_size=500), st.sampled_from([16, 32, 64]))
     def test_split_assemble_round_trip(self, body, size):

@@ -104,7 +104,7 @@ class TestFreshness:
         for i in range(3):
             request = _fetch(payload=bytes([i]))
             cache.store(request, _response(request), now=0.0)
-        assert len(cache) == 2
+        assert cache.stats.evictions == 1
         hit, entry = cache.lookup(_fetch(payload=b"\x00"), now=0.0)
         assert hit is None and entry is None
 
@@ -141,13 +141,6 @@ class TestValidation:
         request = _fetch()
         valid = request.make_response(Code.VALID)
         assert cache.refresh(request, valid, now=0.0) is None
-
-    def test_etags_for_stale_entry(self):
-        cache = CoapCache()
-        request = _fetch()
-        cache.store(request, _response(request, etag=b"\x42"), now=0.0)
-        assert cache.etags_for(request, now=100.0) == [b"\x42"]
-        assert cache.etags_for(_fetch(b"other"), now=0.0) == []
 
     def test_store_valid_routes_to_refresh(self):
         cache = CoapCache()

@@ -463,12 +463,20 @@ def test_expired_replies_are_dropped_when_the_next_one_is_stored():
 
 def test_a_reply_schedules_no_clock_event():
     sim = Simulator(seed=7)
+    scheduled = []
+    schedule = sim.schedule  # schedule_at delegates to it
+
+    def spy(delay, callback, *args):
+        scheduled.append(callback)
+        return schedule(delay, callback, *args)
+
+    sim.schedule = spy
     server, end, _ = _counting_server(sim)
-    before = sim.pending()
+    before = len(scheduled)
     for mid in range(20):
         end.deliver(CoapMessage.request(Code.FETCH, "/r", mid=mid).encode())
     assert len(end.sent) == 20
-    assert sim.pending() == before
+    assert len(scheduled) == before
 
 
 def _block1_piece(number, more, token):

@@ -5,11 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.coap.reliability import (
-    ReliabilityParams,
-    TransmissionState,
-    retransmission_offsets,
-)
+from repro.coap.reliability import ReliabilityParams, TransmissionState
 from repro.coap.uri import (
     UriTemplate,
     UriTemplateError,
@@ -24,14 +20,6 @@ class TestReliability:
         assert params.ack_timeout == 2.0
         assert params.ack_random_factor == 1.5
         assert params.max_retransmit == 4
-
-    def test_max_transmit_span(self):
-        # RFC 7252 §4.8.2: 45 s with default parameters.
-        assert ReliabilityParams().max_transmit_span == pytest.approx(45.0)
-
-    def test_max_transmit_wait(self):
-        # RFC 7252 §4.8.2: 93 s with default parameters.
-        assert ReliabilityParams().max_transmit_wait == pytest.approx(93.0)
 
     def test_initial_timeout_range(self):
         params = ReliabilityParams()
@@ -67,18 +55,36 @@ class TestReliability:
         assert state.exhausted
         assert not state.register_timeout()
 
-    def test_ack_stops_retransmission(self):
-        state = TransmissionState(ReliabilityParams(), random.Random(2))
-        state.acknowledge()
-        assert not state.register_timeout()
 
-    def test_offsets_within_windows(self):
+class TestTable6:
+    """The defaults match the paper's Table 6 (the RIOT build
+    configuration) and its experiment setup (Section 5.1)."""
+
+    def test_cache_and_retransmission_defaults(self):
+        import inspect
+
+        from repro.coap.cache import CoapCache
+        from repro.coap.proxy import ForwardProxy
+        from repro.dns.cache import DNSCache
+
+        def default(callable_, name):
+            return inspect.signature(callable_).parameters[name].default
+
+        assert default(DNSCache, "capacity") == 8  # CONFIG_DNS_CACHE_SIZE
+        # CONFIG_NANOCOAP_CACHE_ENTRIES: 8 on clients, 50 on the proxy.
+        assert default(CoapCache, "capacity") == 8
+        assert default(ForwardProxy, "cache_entries") == 50
         params = ReliabilityParams()
-        offsets = retransmission_offsets(params, random.Random(3))
-        assert len(offsets) == 4
-        for attempt, offset in enumerate(offsets, start=1):
-            low, high = params.retransmission_window(attempt)
-            assert low <= offset <= high
+        assert params.max_retransmit == 4  # CONFIG_SOCK_DODTLS_RETRIES
+        assert params.ack_timeout == 2.0  # CONFIG_SOCK_DODTLS_TIMEOUT_MS 2000
+
+    def test_experiment_harness_defaults(self):
+        from repro.scenarios import NAME_TEMPLATE, WorkloadSpec
+
+        workload = WorkloadSpec()
+        assert workload.query_rate == 5.0  # queries per second
+        assert workload.num_queries == 50  # queries per run
+        assert len(NAME_TEMPLATE.format(index=0)) == 24  # name length
 
 
 class TestUriTemplate:

@@ -24,18 +24,23 @@ from repro.crypto import (
 from repro.crypto.aes import MAX_LANES
 
 
+def _encrypt(cipher: AES128, block: bytes) -> bytes:
+    """One 16-byte block through *cipher*, in the int form CCM uses."""
+    return cipher.encrypt_int(int.from_bytes(block, "big")).to_bytes(16, "big")
+
+
 class TestAes:
     def test_fips197_appendix_c1(self):
         key = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
         plaintext = bytes.fromhex("00112233445566778899aabbccddeeff")
         assert (
-            AES128(key).encrypt_block(plaintext).hex()
+            _encrypt(AES128(key), plaintext).hex()
             == "69c4e0d86a7b0430d8cdb78070b4c55a"
         )
 
     def test_zero_vector(self):
         assert (
-            AES128(bytes(16)).encrypt_block(bytes(16)).hex()
+            _encrypt(AES128(bytes(16)), bytes(16)).hex()
             == "66e94bd4ef8a2c3b884cfa59ca342b2e"
         )
 
@@ -44,7 +49,7 @@ class TestAes:
         key = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
         block = bytes.fromhex("6bc1bee22e409f96e93d7e117393172a")
         assert (
-            AES128(key).encrypt_block(block).hex()
+            _encrypt(AES128(key), block).hex()
             == "3ad77bb40d7a3660a89ecaf32466ef97"
         )
 
@@ -60,7 +65,7 @@ class TestAes:
     def test_nist_ecb_remaining_blocks(self, block_hex, expected_hex):
         key = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
         block = bytes.fromhex(block_hex)
-        assert AES128(key).encrypt_block(block).hex() == expected_hex
+        assert _encrypt(AES128(key), block).hex() == expected_hex
         assert fips197_reference.encrypt_block(key, block).hex() == expected_hex
 
     def test_reference_reproduces_fips197_appendix_c1(self):
@@ -76,7 +81,7 @@ class TestAes:
     def test_matches_textbook_reference(self, key, block):
         expected = fips197_reference.encrypt_block(key, block)
         cipher = AES128(key)
-        assert cipher.encrypt_block(block) == expected
+        assert _encrypt(cipher, block) == expected
         assert cipher.encrypt_int(int.from_bytes(block, "big")) == int.from_bytes(
             expected, "big"
         )
@@ -101,7 +106,7 @@ class TestAes:
         expected = b"".join(
             fips197_reference.encrypt_block(key, block) for block in blocks
         )
-        assert b"".join(cipher.encrypt_block(block) for block in blocks) == expected
+        assert b"".join(_encrypt(cipher, block) for block in blocks) == expected
         if len(blocks) > MAX_LANES:
             with pytest.raises(ValueError):
                 cipher.encrypt_lanes(int.from_bytes(data, "big"), len(blocks))
@@ -128,13 +133,9 @@ class TestAes:
         with pytest.raises(ValueError):
             AES128(bytes(15))
 
-    def test_block_length_validation(self):
-        with pytest.raises(ValueError):
-            AES128(bytes(16)).encrypt_block(bytes(15))
-
     def test_deterministic(self):
         cipher = AES128(b"0123456789abcdef")
-        assert cipher.encrypt_block(bytes(16)) == cipher.encrypt_block(bytes(16))
+        assert _encrypt(cipher, bytes(16)) == _encrypt(cipher, bytes(16))
 
 
 # RFC 3610 packet vectors (key, nonce, total packet with 8-byte header,
@@ -235,7 +236,6 @@ class TestCcm:
         ccm = AES_128_CCM_8(bytes(16))
         assert ccm.nonce_length == 12
         assert ccm.tag_length == 8
-        assert ccm.overhead == 8
 
     def test_oscore_suite_parameters(self):
         ccm = AES_CCM_16_64_128(bytes(16))

@@ -231,7 +231,8 @@ class TestMessage:
     def test_flags_bits_round_trip(self):
         flags = Flags(qr=True, aa=True, tc=True, rd=False, ra=True, ad=True,
                       cd=True, rcode=Rcode.NXDOMAIN)
-        assert Flags.decode(flags.encode()) == flags
+        message = Message(0, flags, (Question("example.org", RecordType.A),))
+        assert Message.decode(message.encode()).flags == flags
 
     def test_truncated_message_rejected(self):
         with pytest.raises(ValueError):
@@ -320,7 +321,7 @@ class TestDnsCache:
         cache = DNSCache(4)
         q = Question("example.org", RecordType.AAAA)
         cache.store(q, self._response(0), now=0.0)
-        assert len(cache) == 0
+        assert cache.lookup(q, now=0.0) is None
 
     def test_lru_eviction(self):
         cache = DNSCache(2)
@@ -332,7 +333,7 @@ class TestDnsCache:
                                         DNSClass.IN, 60, AAAAData("2001:db8::1")),),
             )
             cache.store(q, r, now=0.0)
-        assert len(cache) == 2
+        assert cache.stats.evictions == 1
         assert cache.lookup(Question("n0.org", RecordType.AAAA), now=1.0) is None
         assert cache.lookup(Question("n2.org", RecordType.AAAA), now=1.0) is not None
 
@@ -342,14 +343,7 @@ class TestDnsCache:
         cache.lookup(q, 0.0)
         cache.store(q, self._response(60), now=0.0)
         cache.lookup(q, 1.0)
-        assert cache.misses == 1 and cache.hits == 1
-
-    def test_expire_sweep(self):
-        cache = DNSCache(4)
-        q = Question("example.org", RecordType.AAAA)
-        cache.store(q, self._response(5), now=0.0)
-        assert cache.expire(now=10.0) == 1
-        assert len(cache) == 0
+        assert cache.stats.misses == 1 and cache.stats.hits == 1
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
@@ -374,14 +368,6 @@ class TestZoneAndResolver:
 
     def test_case_insensitive(self):
         assert self._zone().lookup("A.Example.ORG", RecordType.AAAA)
-
-    def test_set_ttl(self):
-        zone = self._zone()
-        assert zone.set_ttl("a.example.org", RecordType.AAAA, 10) == 1
-        assert zone.lookup("a.example.org", RecordType.AAAA)[0].ttl == 10
-
-    def test_names_listing(self):
-        assert self._zone().names() == ["a.example.org", "b.example.org"]
 
     def test_resolve_success(self):
         resolver = RecursiveResolver(self._zone())

@@ -124,14 +124,11 @@ class TestDiscovery:
         sim = Simulator(seed=7)
         net, browser_node, hosts = _star(sim, responders=1)
         captured = []
-        original = net.medium.observer
 
         def spy(time, src, dst, frame, metadata, lost):
             captured.append(bytes(frame))
-            if original:
-                original(time, src, dst, frame, metadata, lost)
 
-        net.medium.observer = spy
+        net.medium.add_observer(spy)
         browser = DnsSdClient(sim, browser_node, _ctx(b"\x01"))
         responder = DnsSdResponder(sim, hosts[0], _ctx(b"\x10"))
         responder.register(_light())

@@ -1,7 +1,6 @@
-"""Max-Age integrity (Section 7) and load-balancing helper tests,
-including failure injection with a malicious proxy."""
+"""Max-Age integrity (Section 7) tests, including failure injection with
+a malicious proxy."""
 
-import random
 
 import pytest
 
@@ -16,7 +15,6 @@ from repro.dns import (
 )
 from repro.doc.caching import CachingScheme
 from repro.doc.integrity import MaxAgeIntegrityError, check_max_age_consistency
-from repro.doc.loadbalance import shuffle_answers, sort_answers, stable_representation
 
 
 def _response(ttls=(60, 30), addresses=("2001:db8::1", "2001:db8::2")):
@@ -167,66 +165,3 @@ class TestMaliciousProxyInjection:
         result, error = self._run(verify=True, tamper_enabled=False)
         assert error is None
         assert result.response.min_ttl() == 30
-
-
-class TestLoadBalancing:
-    def test_sort_is_canonical(self):
-        response = _response(addresses=("2001:db8::9", "2001:db8::1"))
-        sorted_response = sort_answers(response)
-        addresses = [r.rdata.address for r in sorted_response.answers]
-        assert addresses == ["2001:db8::1", "2001:db8::9"]
-
-    def test_sort_stable_under_rotation(self):
-        """Rotated resolver output yields identical representations —
-        the stable-ETag property of Section 7."""
-        a = _response(addresses=("2001:db8::1", "2001:db8::2"))
-        rotated = Message(
-            flags=a.flags, questions=a.questions,
-            answers=(a.answers[1], a.answers[0]),
-        )
-        assert stable_representation(a) == stable_representation(rotated)
-
-    def test_sort_ignores_ttl(self):
-        a = _response(ttls=(60, 30))
-        b = _response(ttls=(5, 999))
-        order_a = [r.rdata.address for r in sort_answers(a).answers]
-        order_b = [r.rdata.address for r in sort_answers(b).answers]
-        assert order_a == order_b
-
-    def test_shuffle_preserves_records(self):
-        response = _response(
-            ttls=(1, 2), addresses=("2001:db8::1", "2001:db8::2")
-        )
-        shuffled = shuffle_answers(response, random.Random(1))
-        assert sorted(r.rdata.address for r in shuffled.answers) == [
-            "2001:db8::1", "2001:db8::2",
-        ]
-
-    def test_shuffle_varies_order(self):
-        response = Message(
-            flags=Flags(qr=True),
-            questions=(Question("example.org", RecordType.AAAA),),
-            answers=tuple(
-                ResourceRecord("example.org", RecordType.AAAA, DNSClass.IN,
-                               60, AAAAData(f"2001:db8::{i}"))
-                for i in range(1, 9)
-            ),
-        )
-        rng = random.Random(3)
-        orders = {
-            tuple(r.rdata.address for r in shuffle_answers(response, rng).answers)
-            for _ in range(10)
-        }
-        assert len(orders) > 1
-
-    def test_server_sorting_end_to_end(self):
-        """A DocServer with sort_records produces identical ETags for
-        rotated resolver outputs."""
-        from repro.doc.caching import compute_etag
-        from repro.doc.loadbalance import sort_answers as sort_fn
-
-        rotated_a = _response(addresses=("2001:db8::2", "2001:db8::1"))
-        rotated_b = _response(addresses=("2001:db8::1", "2001:db8::2"))
-        etag_a = compute_etag(sort_fn(rotated_a).with_ttls(0).encode())
-        etag_b = compute_etag(sort_fn(rotated_b).with_ttls(0).encode())
-        assert etag_a == etag_b

@@ -143,7 +143,8 @@ class TestRobustness:
 
         def reset_everything(src, sport, data, metadata):
             message = CoapMessage.decode(data)
-            socket.sendto(message.make_reset().encode(), src, sport)
+            reset = CoapMessage(mtype=MessageType.RST, code=Code.EMPTY, mid=message.mid)
+            socket.sendto(reset.encode(), src, sport)
 
         socket.on_datagram = reset_everything
         client = CoapClient(sim, topo.clients[0].bind())

@@ -1,5 +1,9 @@
 """Experiment harness tests: dissections, metrics, resolution runs."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.api import RunSpec, run
@@ -7,7 +11,6 @@ from repro.coap.codes import Code
 from repro.experiments import (
     FRAGMENTATION_LIMIT,
     canonical_messages,
-    cdf,
     dissect_all,
     dissect_transport,
     percentile,
@@ -39,12 +42,26 @@ class TestMetrics:
         assert stats["mean"] == 2.0
         assert stats["min"] == 1.0 and stats["max"] == 3.0
 
-    def test_cdf_monotonic(self):
-        points = cdf([3.0, 1.0, 2.0])
-        assert points == [(1.0, 1 / 3), (2.0, 2 / 3), (3.0, 1.0)]
-
     def test_fraction_below(self):
         assert fraction_below([0.1, 0.2, 0.3, 5.0], 0.25) == 0.5
+
+    def test_percentile_helper_loads_no_simulator(self):
+        # interpolate_sorted is the percentile behind telemetry rows,
+        # Report quantiles and the fleet service: importing it cold must
+        # not pull in the scenario engine and the sim stack behind it.
+        import repro
+
+        code = (
+            "import sys, repro.experiments.metrics; "
+            "print(sorted(m for m in sys.modules if m.startswith('repro.scenarios')))"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        loaded = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, check=True,
+        )
+        assert loaded.stdout.strip() == "[]"
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import errno
+import multiprocessing
 import os
 import signal
 import time
@@ -714,7 +715,8 @@ def test_worker_crash_surfaces_in_exit_code_and_partial_stats():
     pool = ServePool(workers=2, transport="udp", port=0, num_names=8)
     pool.start()
     try:
-        victim = pool.processes[1]
+        victim, = [proc for proc in multiprocessing.active_children()
+                   if proc.name == "repro-serve-1"]
         os.kill(victim.pid, signal.SIGKILL)
         deadline = time.monotonic() + POOL_DEADLINE
         while victim.is_alive() and time.monotonic() < deadline:
@@ -744,7 +746,8 @@ def test_serve_pool_start_failure_carries_the_workers_reason():
             match=r"serve worker 0 failed to start: OSError: .*in use",
         ):
             pool.start()
-    assert not any(proc.is_alive() for proc in pool.processes)
+    assert not any(proc.name.startswith("repro-serve-")
+                   for proc in multiprocessing.active_children())
 
 
 def _load_worker_that_fails(index, config, conn):

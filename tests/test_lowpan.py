@@ -15,10 +15,17 @@ from repro.lowpan import (
 )
 from repro.lowpan.ieee802154 import FRAME_MAX_PDU
 from repro.lowpan.iphc import IphcError, header_extents
-from repro.net import Ipv6Packet, UdpDatagram, global_address, link_local
+from repro.net import Ipv6Packet, UdpDatagram, global_address
+from repro.net.ipv6 import address_from_int
 
 MAC_A = 0x0200_0000_0000_1001
 MAC_B = 0x0200_0000_0000_1002
+
+
+def link_local(iid: int) -> str:
+    """The address ``fe80::/64`` + *iid*: IPHC compresses link-local
+    addresses, though the stack itself only assigns global ones."""
+    return address_from_int((0xFE80 << 112) | iid)
 
 
 def _packet(payload=b"x" * 20, src=None, dst=None, **kwargs):

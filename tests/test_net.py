@@ -7,29 +7,15 @@ from repro.net import (
     Ipv6Packet,
     UdpDatagram,
     global_address,
-    interface_id,
-    is_link_local,
-    link_local,
     udp_checksum,
 )
 
 
 class TestAddresses:
-    def test_link_local_format(self):
-        assert link_local(1) == "fe80::1"
-        assert is_link_local(link_local(0xABCD))
-
     def test_global_format(self):
         assert global_address(1) == "2001:db8::1"
-        assert not is_link_local(global_address(1))
-
-    def test_interface_id(self):
-        assert interface_id(link_local(0x1234)) == 0x1234
-        assert interface_id(global_address(0x99)) == 0x99
 
     def test_iid_range_validation(self):
-        with pytest.raises(ValueError):
-            link_local(1 << 64)
         with pytest.raises(ValueError):
             global_address(-1)
 

@@ -343,10 +343,10 @@ def test_report_schema_accepts_snapshot_document():
 def test_logger_emits_json_with_bound_context():
     stream = io.StringIO()
     log = get_logger("test.obs", run="r1").bind(worker=2)
-    configure(stream=stream, level="info")
+    configure(stream=stream, level="warning")
     try:
-        log.info("hello", extra=7)
-        log.debug("hidden")
+        log.warning("hello", extra=7)
+        log.info("hidden")
     finally:
         configure(stream=None, level="warning")
         from repro.obs import log as log_module
@@ -360,7 +360,7 @@ def test_logger_emits_json_with_bound_context():
     assert record["run"] == "r1"
     assert record["worker"] == 2
     assert record["extra"] == 7
-    assert record["level"] == "info"
+    assert record["level"] == "warning"
     assert "ts" in record
 
 

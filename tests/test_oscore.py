@@ -78,7 +78,8 @@ class TestReplayWindow:
         window = ReplayWindow()
         for seq in range(10):
             window.accept(seq)
-        assert window.highest_seen == 9
+        assert not any(window.check(seq) for seq in range(10))
+        assert window.check(10)
 
     def test_replay_rejected(self):
         window = ReplayWindow()
@@ -106,7 +107,7 @@ class TestReplayWindow:
         window = ReplayWindow()
         with pytest.raises(ReplayError):
             window.accept(-1)
-        assert window.highest_seen == -1
+        assert all(window.check(seq) for seq in range(window.size))
         with pytest.raises(ValueError):
             ReplayWindow(size=0)
 
@@ -120,7 +121,7 @@ class TestReplayWindow:
         assert not window.check(5)  # offset 64: one older
         with pytest.raises(ReplayError):
             window.accept(5)
-        assert window.highest_seen == 69
+        assert not window.check(69) and window.check(70)
 
     def test_both_layers_use_this_class(self):
         import repro.crypto

@@ -2,16 +2,16 @@
 
 import pytest
 
-from repro.coap import CoapMessage, Code, cache_key_for
+from repro.coap import CoapMessage, Code, MessageType, cache_key_for
+from repro.coap.options import OptionNumber, encode_uint
 from repro.oscore import OscoreError, SecurityContext, unprotect_response
 from repro.oscore.cacheable import (
     DETERMINISTIC_CLIENT_ID,
     derive_deterministic_context,
+    open_deterministic_request,
     protect_cacheable_request,
-    protect_cacheable_response,
-    protect_deterministic_request,
-    unprotect_deterministic_request,
 )
+from repro.oscore.protect import encode_plaintext, seal_response
 
 
 def _contexts():
@@ -27,29 +27,41 @@ def _request(payload=b"\x00" * 20, token=b"\x01", mid=1):
     )
 
 
+def _sealed_reply(server, outer, payload, max_age):
+    """The server's reply to *outer*, sealed the way
+    :class:`~repro.doc.server.DocServer` seals one: 2.05 Content with
+    the lifetime in an outer Max-Age."""
+    _, _, binding = open_deterministic_request(server, outer)
+    return seal_response(
+        server, encode_plaintext(Code.CONTENT, (), payload), binding,
+        MessageType.ACK, outer.mid, outer.token, outer_code=Code.CONTENT,
+        outer_options=((OptionNumber.MAX_AGE, encode_uint(max_age)),),
+    )
+
+
 class TestDeterminism:
     def test_equal_requests_equal_ciphertext(self):
         client_a, client_b, _ = _contexts()
-        outer_a, _ = protect_deterministic_request(client_a, _request())
-        outer_b, _ = protect_deterministic_request(client_b, _request(token=b"\x09", mid=99))
+        outer_a, _ = protect_cacheable_request(client_a, _request())
+        outer_b, _ = protect_cacheable_request(client_b, _request(token=b"\x09", mid=99))
         assert outer_a.payload == outer_b.payload
 
     def test_different_payloads_different_ciphertext(self):
         client_a, _, _ = _contexts()
-        outer_a, _ = protect_deterministic_request(client_a, _request(b"\x01" * 20))
-        outer_b, _ = protect_deterministic_request(client_a, _request(b"\x02" * 20))
+        outer_a, _ = protect_cacheable_request(client_a, _request(b"\x01" * 20))
+        outer_b, _ = protect_cacheable_request(client_a, _request(b"\x02" * 20))
         assert outer_a.payload != outer_b.payload
 
     def test_sequence_counter_untouched(self):
         client_a, _, _ = _contexts()
         before = client_a.sender_sequence
-        protect_deterministic_request(client_a, _request())
+        protect_cacheable_request(client_a, _request())
         assert client_a.sender_sequence == before
 
     def test_requires_deterministic_context(self):
         normal, _ = SecurityContext.pair(b"m", b"s")
         with pytest.raises(OscoreError):
-            protect_deterministic_request(normal, _request())
+            protect_cacheable_request(normal, _request())
 
     def test_deterministic_id_reserved(self):
         client_a, _, _ = _contexts()
@@ -59,17 +71,17 @@ class TestDeterminism:
 class TestServerVerification:
     def test_round_trip(self):
         client_a, _, server = _contexts()
-        outer, _ = protect_deterministic_request(client_a, _request())
-        inner, binding = unprotect_deterministic_request(server, outer)
+        outer, _ = protect_cacheable_request(client_a, _request())
+        inner, _, binding = open_deterministic_request(server, outer)
         assert inner.payload == b"\x00" * 20
         assert binding.kid == DETERMINISTIC_CLIENT_ID
 
     def test_replay_allowed(self):
         """Equal deterministic requests are the whole point."""
         client_a, _, server = _contexts()
-        outer, _ = protect_deterministic_request(client_a, _request())
-        unprotect_deterministic_request(server, outer)
-        unprotect_deterministic_request(server, outer)  # no error
+        outer, _ = protect_cacheable_request(client_a, _request())
+        open_deterministic_request(server, outer)
+        open_deterministic_request(server, outer)  # no error
 
     def test_forged_piv_rejected(self):
         """A valid ciphertext under a wrong PIV must not pass (the PIV
@@ -77,8 +89,8 @@ class TestServerVerification:
         client_a, _, server = _contexts()
         request_a = _request(b"\x01" * 20)
         request_b = _request(b"\x02" * 20)
-        outer_a, _ = protect_deterministic_request(client_a, request_a)
-        outer_b, _ = protect_deterministic_request(client_a, request_b)
+        outer_a, _ = protect_cacheable_request(client_a, request_a)
+        outer_b, _ = protect_cacheable_request(client_a, request_b)
         # Swap the OSCORE options (carrying the PIVs) between messages.
         from dataclasses import replace
         from repro.coap.options import OptionNumber
@@ -88,18 +100,18 @@ class TestServerVerification:
             OptionNumber.OSCORE, option_b
         )
         with pytest.raises(OscoreError):
-            unprotect_deterministic_request(server, forged)
+            open_deterministic_request(server, forged)
 
     def test_tampered_ciphertext_rejected(self):
         client_a, _, server = _contexts()
-        outer, _ = protect_deterministic_request(client_a, _request())
+        outer, _ = protect_cacheable_request(client_a, _request())
         from dataclasses import replace
 
         bad = replace(
             outer, payload=bytes([outer.payload[0] ^ 1]) + outer.payload[1:]
         )
         with pytest.raises(OscoreError):
-            unprotect_deterministic_request(server, bad)
+            open_deterministic_request(server, bad)
 
 
 class TestCacheability:
@@ -121,12 +133,8 @@ class TestCacheability:
 
     def test_any_member_decrypts_response(self):
         client_a, client_b, server = _contexts()
-        outer, binding_a = protect_cacheable_request(client_a, _request())
-        inner, server_binding = unprotect_deterministic_request(server, outer)
-        response = inner.make_response(Code.CONTENT, payload=b"answer")
-        protected = protect_cacheable_response(
-            server, response, server_binding, outer_max_age=60
-        )
+        outer, _ = protect_cacheable_request(client_a, _request())
+        protected = _sealed_reply(server, outer, b"answer", max_age=60)
         # Client B never sent the request but shares the deterministic
         # context; a cached copy works for it too.
         _, binding_b = protect_cacheable_request(client_b, _request(token=b"\x05"))
@@ -136,9 +144,7 @@ class TestCacheability:
     def test_outer_max_age_exposed(self):
         client_a, _, server = _contexts()
         outer, _ = protect_cacheable_request(client_a, _request())
-        inner, binding = unprotect_deterministic_request(server, outer)
-        response = inner.make_response(Code.CONTENT, payload=b"x")
-        protected = protect_cacheable_response(server, response, binding, outer_max_age=42)
+        protected = _sealed_reply(server, outer, b"x", max_age=42)
         assert protected.code == Code.CONTENT
         assert protected.max_age == 42
 

@@ -127,7 +127,8 @@ class TestProxyValidation:
             for r, e in results
         )
         assert proxy.requests_served_from_cache == 0
-        assert len(proxy.cache) == 0
+        assert proxy.cache.stats.evictions == 0
+        assert proxy.cache.lookup(_request(), now=sim.now) == (None, None)
 
     def test_blockwise_through_proxy(self):
         """Large responses travel the proxy in blocks and are cached as

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.sim import RadioMedium, Simulator, Sniffer, poisson_arrival_times
+from repro.sim import FrameTally, RadioMedium, Simulator, Sniffer, poisson_arrival_times
 from repro.sim.medium import PHY_OVERHEAD_BYTES
 
 
@@ -122,7 +122,6 @@ class TestEventLoop:
             [(1.0, fired.append, ("x",)), (2.0, fired.append, ("y",))]
         )
         assert len(events) == 2
-        assert sim.pending() == 3
         sim.run()
         assert fired == ["x", "single", "y"]
 
@@ -136,7 +135,6 @@ class TestEventLoop:
                 [(3.0, fired.append, ("ok",)), (1.0, fired.append, ("past",))]
             )
         # All-or-nothing: the valid entry must not have been scheduled.
-        assert sim.pending() == 0
         sim.run()
         assert fired == []
 
@@ -170,7 +168,6 @@ class TestEventLoop:
         )
         sim.run()
         assert fired == ["cancel", "after"]
-        assert sim.pending() == 0
 
     def test_runaway_guard(self):
         sim = Simulator()
@@ -186,50 +183,48 @@ class TestEventLoop:
         assert Simulator(seed=9).rng.random() == Simulator(seed=9).rng.random()
 
     def test_pending_count(self):
+        """Of the scheduled events, the ones not cancelled fire."""
         sim = Simulator()
-        event = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        assert sim.pending() == 2
+        fired = []
+        event = sim.schedule(1.0, fired.append, 1)
+        sim.schedule(2.0, fired.append, 2)
         event.cancel()
-        assert sim.pending() == 1
+        sim.run()
+        assert fired == [2]
 
     def test_cancel_after_fire_is_noop(self):
-        """Cancelling an event that already ran must not corrupt the
-        live-event counter (timers are often cancelled after firing)."""
+        """Cancelling an event that already ran changes nothing (timers
+        are often cancelled after firing)."""
         sim = Simulator()
-        fired = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
+        log = []
+        fired = sim.schedule(1.0, log.append, 1)
+        sim.schedule(2.0, log.append, 2)
         sim.run(until=1.5)
         fired.cancel()
         fired.cancel()
-        assert sim.pending() == 1
+        assert fired.fired and not fired.cancelled
         sim.run()
-        assert sim.pending() == 0
+        assert log == [1, 2]
 
     def test_pending_cancel_idempotent(self):
         sim = Simulator()
-        event = sim.schedule(1.0, lambda: None)
+        fired = []
+        event = sim.schedule(1.0, fired.append, 1)
         event.cancel()
         event.cancel()
-        assert sim.pending() == 0
+        assert event.cancelled
+        sim.run()
+        assert fired == []
 
     def test_pending_tracks_fired_events(self):
         sim = Simulator()
-        sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
+        fired = []
+        sim.schedule(1.0, fired.append, 1)
+        sim.schedule(2.0, fired.append, 2)
         sim.run(until=1.5)
-        assert sim.pending() == 1
+        assert fired == [1]
         sim.run()
-        assert sim.pending() == 0
-
-    def test_pending_is_constant_time(self):
-        """pending() reads a counter, not the heap."""
-        sim = Simulator()
-        for _ in range(1000):
-            sim.schedule(1.0, lambda: None)
-        heap_snapshot = list(sim._heap)
-        assert sim.pending() == 1000
-        assert sim._heap == heap_snapshot  # no scan side effects
+        assert fired == [1, 2]
 
     def test_mass_cancellation_compacts_heap(self):
         """Cancelled events are purged lazily so long sweeps don't
@@ -239,7 +234,6 @@ class TestEventLoop:
         keeper = sim.schedule(2.0, lambda: None)
         for event in events:
             event.cancel()
-        assert sim.pending() == 1
         assert len(sim._heap) < 1000
         fired = []
         keeper.callback = lambda: fired.append(True)
@@ -291,7 +285,7 @@ class TestMedium:
         times = []
         medium.register("c", lambda *args: None)
         medium.connect("a", "c")
-        medium.observer = lambda t, *args: times.append(t)
+        medium.add_observer(lambda t, *args: times.append(t))
         medium.transmit("a", "b", bytes(100), {})
         medium.transmit("a", "c", bytes(100), {})
         sim.run()
@@ -365,26 +359,18 @@ class TestFrameTally:
         medium.transmit("b", "a", bytes(25), {"kind": "response"})
         medium.transmit("a", "b", bytes(40), {"kind": "query"})
         sim.run()
-        assert tally.frame_count("a", "b") == sniffer.frame_count("a", "b") == 3
-        assert tally.bytes_on_link("a", "b") == sniffer.bytes_on_link("a", "b")
-        assert tally.by_kind() == sniffer.by_kind()
-        assert tally.max_frame() == sniffer.max_frame() == 40
-        assert tally.max_frame("response") == sniffer.max_frame("response") == 25
+        records = sniffer.records
+        assert tally.frame_count("a", "b") == len(records) == 3
+        assert tally.bytes_on_link("a", "b") == sum(r.length for r in records)
+        assert tally.by_kind() == {"query": 2, "response": 1} == {
+            kind: sum(r.metadata["kind"] == kind for r in records)
+            for kind in ("query", "response")
+        }
 
     def test_empty_tally(self):
         _, _, tally = self._wired_pair()
         assert tally.frame_count("a", "b") == 0
         assert tally.bytes_on_link("a", "b") == 0
-        assert tally.by_kind() == {}
-        assert tally.max_frame() == 0
-
-    def test_clear(self):
-        sim, medium, tally = self._wired_pair()
-        medium.transmit("a", "b", bytes(10), {})
-        sim.run()
-        assert tally.frame_count("a", "b") == 1
-        tally.clear()
-        assert tally.frame_count("a", "b") == 0
         assert tally.by_kind() == {}
 
 
@@ -401,20 +387,20 @@ class TestSniffer:
         assert len(sniffer.records) == 1
         record = sniffer.records[0]
         assert record.length == 60
-        assert record.kind == "query"
+        assert record.metadata["kind"] == "query"
 
     def test_link_aggregation_bidirectional(self):
         sim = Simulator()
         medium = RadioMedium(sim)
-        sniffer = Sniffer(medium)
+        tally = FrameTally(medium)
         for name in "ab":
             medium.register(name, lambda *a: None)
         medium.connect("a", "b")
         medium.transmit("a", "b", bytes(10), {})
         medium.transmit("b", "a", bytes(20), {})
         sim.run()
-        assert sniffer.frame_count("a", "b") == 2
-        assert sniffer.bytes_on_link("a", "b") == 30
+        assert tally.frame_count("a", "b") == 2
+        assert tally.bytes_on_link("a", "b") == 30
 
     def test_sniffer_coexists_with_another_observer(self):
         """A sniffer must not clobber (or be clobbered by) another
@@ -450,45 +436,6 @@ class TestSniffer:
         medium.add_observer(observer)
         with pytest.raises(ValueError):
             medium.add_observer(observer)
-
-    def test_legacy_assignment_replaces(self):
-        sim = Simulator()
-        medium = RadioMedium(sim)
-        sniffer = Sniffer(medium)
-        spied = []
-        # The pre-existing chaining idiom: read the current observer,
-        # assign a wrapper. Assignment keeps replace semantics.
-        original = medium.observer
-        assert original is not None
-
-        def spy(*args):
-            spied.append(args)
-            original(*args)
-
-        medium.observer = spy
-        for name in "ab":
-            medium.register(name, lambda *a: None)
-        medium.connect("a", "b")
-        medium.transmit("a", "b", bytes(10), {})
-        sim.run()
-        assert len(spied) == 1
-        assert len(sniffer.records) == 1   # via the chain, not directly
-        medium.observer = None
-        assert medium.observer is None
-
-    def test_by_kind_and_max_frame(self):
-        sim = Simulator()
-        medium = RadioMedium(sim)
-        sniffer = Sniffer(medium)
-        for name in "ab":
-            medium.register(name, lambda *a: None)
-        medium.connect("a", "b")
-        medium.transmit("a", "b", bytes(10), {"kind": "query"})
-        medium.transmit("a", "b", bytes(90), {"kind": "response"})
-        sim.run()
-        assert sniffer.by_kind() == {"query": 1, "response": 1}
-        assert sniffer.max_frame() == 90
-        assert sniffer.max_frame("query") == 10
 
 
 class TestWorkload:

@@ -10,7 +10,8 @@ from repro.scenarios import Scenario, ScenarioError, WorkloadSpec, scenario_from
 from repro.sim.workload import (
     bursty_arrival_times,
     poisson_arrival_times,
-    sample_zipf,
+    sample_zipf_many,
+    zipf_cumulative,
     zipf_weights,
 )
 
@@ -73,9 +74,7 @@ def test_zipf_weights_shape():
 
 
 def test_zipf_sampling_is_skewed():
-    rng = random.Random(5)
-    weights = zipf_weights(20, 1.2)
-    draws = [sample_zipf(rng, weights) for _ in range(3000)]
+    draws = sample_zipf_many(random.Random(5), zipf_cumulative(20, 1.2), 3000)
     rank0 = draws.count(0)
     rank19 = draws.count(19)
     assert rank0 > 5 * max(rank19, 1)
@@ -186,11 +185,12 @@ def test_zipf_cumulative_is_cached_and_consistent():
 def test_sample_zipf_many_stream_identical_to_singles():
     from repro.sim import sample_zipf_many, zipf_cumulative
 
-    weights = zipf_weights(12, 1.1)
     cumulative = zipf_cumulative(12, 1.1)
     bulk = sample_zipf_many(random.Random(9), cumulative, 200)
     singles_rng = random.Random(9)
-    singles = [sample_zipf(singles_rng, weights) for _ in range(200)]
+    singles = [
+        sample_zipf_many(singles_rng, cumulative, 1)[0] for _ in range(200)
+    ]
     assert bulk == singles
     # ...and to the stdlib's own cumulative-weights sampling: exactly
     # one rng.random() per draw, same bisect, same stream.
