@@ -14,6 +14,12 @@ The client can be given a :class:`repro.coap.cache.CoapCache` to act as
 the paper's "CoAP client cache" configuration, including ETag
 revalidation of stale entries.
 
+Both roles have a bytes path beside the message one. The server answers
+a cache-hot request from its body (:class:`FastPath`); the client sends
+a request given as its body, and completes a reply whose body it has
+seen before from a memo of what its caller made of that body. Neither
+decodes or encodes a :class:`CoapMessage` on a hit.
+
 Server state expires by position, not by timer. The deduplication table
 and the block-wise state of both directions keep every entry for the
 same :data:`EXCHANGE_LIFETIME`, so insertion order *is* expiry order:
@@ -41,6 +47,12 @@ from .reliability import ReliabilityParams, TransmissionState
 #: How long the server remembers an exchange: the reply kept for
 #: deduplication and the block-wise state of both directions.
 EXCHANGE_LIFETIME = 247.0
+
+#: How many reply bodies a client keeps with the value its body
+#: requests made of them (see :meth:`CoapClient.request`). A Max-Age
+#: counting down makes a new body every second, so only the last few
+#: seconds of a small name set are worth keeping.
+REPLY_MEMO_CAPACITY = 64
 
 
 def _remember(table: OrderedDict, key, value, now: float) -> None:
@@ -80,27 +92,45 @@ class ClientEvent:
 
 
 class _Exchange:
-    """State of one outstanding request."""
+    """State of one outstanding request.
+
+    ``wire`` holds the bytes last sent, and a retransmission resends
+    them as they are. ``request`` is the message they encode; it is
+    ``None`` for a request issued as a body (see
+    :meth:`CoapClient.request`) unless a block-wise reply needed it.
+    The class attributes are the defaults an exchange overrides only
+    when it gets that far.
+    """
+
+    request: Optional[CoapMessage] = None
+    transmission: Optional[TransmissionState] = None
+    timer: Optional[Timer] = None
+    acknowledged = False
+    block1_body: Optional[bytes] = None
+    block1_number = 0
+    block2_assembler: Optional[BlockAssembler] = None
+    first_block_response: Optional[CoapMessage] = None
+    done = False
 
     def __init__(
         self,
-        request: CoapMessage,
+        token: bytes,
         dst: Tuple[str, int],
-        on_response: Callable[[Optional[CoapMessage], Optional[Exception]], None],
+        on_response: Callable[[Optional[CoapMessage], Optional[Exception]], object],
         metadata: dict,
+        on_memo: Optional[Callable[[object], None]] = None,
     ) -> None:
-        self.request = request
+        self.token = token
         self.dst = dst
         self.on_response = on_response
+        self.on_memo = on_memo
         self.metadata = metadata
-        self.transmission: Optional[TransmissionState] = None
-        self.timer: Optional[Timer] = None
-        self.acknowledged = False
-        self.block1_body: Optional[bytes] = None
-        self.block1_number = 0
-        self.block2_assembler: Optional[BlockAssembler] = None
-        self.first_block_response: Optional[CoapMessage] = None
-        self.done = False
+
+    def carry(self, message: CoapMessage) -> None:
+        """Make *message* the request this exchange (re)transmits."""
+        self.request = message
+        self.mid = message.mid
+        self.wire = message.encode()
 
 
 class CoapClient:
@@ -140,6 +170,9 @@ class CoapClient:
         #: through ``ScenarioRunner.run``) sets a list here.
         self.events: Optional[List[ClientEvent]] = None
         self._exchanges: Dict[bytes, _Exchange] = {}
+        #: Reply bodies and the values body requests made of them, at
+        #: most REPLY_MEMO_CAPACITY, the oldest dropped first.
+        self._replies: Dict[bytes, object] = {}
         self._next_mid = sim.rng.randrange(0x10000)
         self._next_token = sim.rng.randrange(1 << 32)
         socket.on_datagram = self._on_datagram
@@ -148,34 +181,63 @@ class CoapClient:
 
     def request(
         self,
-        message: CoapMessage,
+        message,
         dst_addr: str,
         dst_port: int,
-        on_response: Callable[[Optional[CoapMessage], Optional[Exception]], None],
+        on_response: Callable[[Optional[CoapMessage], Optional[Exception]], object],
         metadata: Optional[dict] = None,
+        on_memo: Optional[Callable[[object], None]] = None,
     ) -> bytes:
-        """Issue *message*; ``on_response(response, error)`` fires once.
+        """Issue *message*; ``on_response(response, error)`` fires once,
+        or for a body request ``on_memo`` may fire in its place.
+
+        *message* is a :class:`CoapMessage`, or the body of a CON
+        request as bytes, ``code || options || 0xFF payload``, for a
+        client with no cache and no block size: the header and token
+        are written in front of it. A reply to a body request is read
+        from its bytes first. When ``on_response`` returned a value
+        for a reply that came in one datagram, the value is kept under
+        the reply's body, ``code || options || 0xFF payload``; a later
+        reply with that body to a body request goes to
+        ``on_memo(value)`` instead and is decoded no further. So the
+        body requests of one client must all make the same value of
+        the same reply body. A message request ignores *on_memo*.
 
         Returns the token assigned to the exchange. Responses served
         from the local cache short-circuit the network entirely.
         """
         metadata = dict(metadata or {})
         token = self._claim_token()
-        message = self._prepare(message, token)
-
-        if self.cache is not None:
-            served = self._try_cache(message, dst_addr, dst_port, on_response, metadata)
-            if served:
+        dst = (dst_addr, dst_port)
+        if isinstance(message, bytes):
+            exchange = _Exchange(token, dst, on_response, metadata, on_memo)
+            mid = exchange.mid = self._claim_mid()
+            # Version 1, CON, a 4-byte token; then the code.
+            exchange.wire = (
+                bytes((0x44, message[0], mid >> 8, mid & 0xFF)) + token + message[1:]
+            )
+        else:
+            message = self._prepare(message, token)
+            if self.cache is not None and self._try_cache(
+                message, dst_addr, dst_port, on_response, metadata
+            ):
                 return token
-
-        exchange = _Exchange(message, (dst_addr, dst_port), on_response, metadata)
-        if self.block_size is not None and len(message.payload) > self.block_size:
-            exchange.block1_body = message.payload
-            message = self._block1_request(exchange, 0)
+            exchange = _Exchange(token, dst, on_response, metadata)
             exchange.request = message
+            if self.block_size is not None and len(message.payload) > self.block_size:
+                exchange.block1_body = message.payload
+                message = self._block1_request(exchange, 0)
+            exchange.carry(message)
         self._exchanges[token] = exchange
         self._transmit(exchange, first=True)
         return token
+
+    def cancel_timers(self) -> None:
+        """Disarm every outstanding exchange's retransmission timer,
+        for a client whose socket is closing; nothing more is sent and
+        the exchanges stay unanswered."""
+        for exchange in self._exchanges.values():
+            self._stop_timer(exchange)
 
     # -- cache integration ------------------------------------------------------
 
@@ -190,7 +252,7 @@ class CoapClient:
         assert self.cache is not None
         fresh, entry = self.cache.lookup(message, self.sim.now)
         if fresh is not None:
-            self._record("cache_hit", message)
+            self._record("cache_hit", message.token, message.mid)
             self.sim.schedule(0.0, on_response, fresh, None)
             return True
         if entry is not None and entry.etag is not None:
@@ -204,12 +266,15 @@ class CoapClient:
                         message.without_option(OptionNumber.ETAG), response, self.sim.now
                     )
                     if revived is not None:
-                        self._record("validation", message)
+                        self._record("validation", message.token, message.mid)
                         original(revived, None)
                         return
                 original(response, error)
 
-            exchange = _Exchange(message, (dst_addr, dst_port), on_validated, metadata)
+            exchange = _Exchange(
+                message.token, (dst_addr, dst_port), on_validated, metadata
+            )
+            exchange.carry(message)
             self._exchanges[message.token] = exchange
             self._transmit(exchange, first=True)
             return True
@@ -217,11 +282,9 @@ class CoapClient:
 
     # -- internals ----------------------------------------------------------------
 
-    def _record(self, kind: str, message: CoapMessage) -> None:
+    def _record(self, kind: str, token: bytes, mid: int) -> None:
         if self.events is not None:
-            self.events.append(
-                ClientEvent(self.sim.now, kind, message.token, message.mid)
-            )
+            self.events.append(ClientEvent(self.sim.now, kind, token, mid))
 
     def _claim_token(self) -> bytes:
         token = self._next_token.to_bytes(4, "big")
@@ -259,12 +322,13 @@ class CoapClient:
         return message
 
     def _transmit(self, exchange: _Exchange, first: bool) -> None:
-        message = exchange.request
-        self._record("transmission" if first else "retransmission", message)
-        self.socket.sendto(
-            message.encode(), exchange.dst[0], exchange.dst[1], exchange.metadata
+        self._record(
+            "transmission" if first else "retransmission",
+            exchange.token, exchange.mid,
         )
-        if message.mtype == MessageType.CON:
+        wire = exchange.wire
+        self.socket.sendto(wire, exchange.dst[0], exchange.dst[1], exchange.metadata)
+        if wire[0] & 0x30 == 0:  # CON
             if first:
                 exchange.transmission = TransmissionState(self.params, self.sim.rng)
             assert exchange.transmission is not None
@@ -285,26 +349,55 @@ class CoapClient:
         if exchange.done:
             return
         exchange.done = True
-        self._exchanges.pop(exchange.request.token, None)
+        self._exchanges.pop(exchange.token, None)
         exchange.on_response(None, error)
 
     def _on_datagram(self, src_addr: str, src_port: int, data: bytes, metadata: dict) -> None:
-        try:
-            message = CoapMessage.decode(data)
-        except CoapMessageError:
-            return
+        """Handle one datagram, a reply to a body request read from its
+        bytes first.
 
+        The 4-byte header and the token of a CON, NON or ACK name the
+        exchange. When that is a body request and the rest, the reply
+        body, is one the memo holds (see :meth:`request`), the reply is
+        handled as the decoded one would be, in bytes: a CON is ACKed,
+        and the exchange ends in ``on_memo``. Everything else is
+        decoded: empty ACKs and RSTs, replies to message requests,
+        reply bodies the memo does not hold, and malformed datagrams,
+        which are dropped.
+        """
+        size = len(data)
+        first = data[0] if size >= 4 else 0
+        offset = 4 + (first & 0x0F)
+        body = None
+        if first & 0xF0 in (0x40, 0x50, 0x60) and offset <= 12 and offset <= size:
+            # Version 1, not an RST, and a token (at most 8 bytes) that fits.
+            exchange = self._exchanges.get(bytes(data[4:offset]))
+            if exchange is not None and exchange.on_memo is not None:
+                body = bytes((data[1],)) + data[offset:]  # code || the rest
+                value = self._replies.get(body)
+                if value is not None:
+                    if first & 0x30 == 0:  # a separate CON response
+                        self._send_ack(data[2], data[3], src_addr, src_port)
+                    self._stop_timer(exchange)
+                    exchange.done = True
+                    del self._exchanges[exchange.token]
+                    exchange.on_memo(value)
+                    return
+
+        message = _decode(data)
+        if message is None:
+            return
         if message.mtype == MessageType.ACK and message.code == Code.EMPTY:
             # Empty ACK: stop retransmitting, await separate response.
             for exchange in self._exchanges.values():
-                if exchange.request.mid == message.mid:
+                if exchange.mid == message.mid:
                     self._stop_timer(exchange)
                     exchange.acknowledged = True
                     return
             return
         if message.mtype == MessageType.RST:
-            for token, exchange in list(self._exchanges.items()):
-                if exchange.request.mid == message.mid:
+            for exchange in list(self._exchanges.values()):
+                if exchange.mid == message.mid:
                     self._fail(exchange, CoapTimeoutError("reset by peer"))
             return
         if not message.code.is_response:
@@ -313,29 +406,39 @@ class CoapClient:
         exchange = self._exchanges.get(message.token)
         if message.mtype == MessageType.CON:
             # Separate CON response: always ACK, even duplicates.
-            ack = message.make_ack()
-            self.socket.sendto(
-                ack.encode(), src_addr, src_port, {"kind": "ack"}
-            )
+            self._send_ack(data[2], data[3], src_addr, src_port)
         if exchange is None or exchange.done:
             return
         self._stop_timer(exchange)
         exchange.acknowledged = True
-        self._handle_response(exchange, message)
+        value = self._handle_response(exchange, message)
+        if value is not None and body is not None:
+            replies = self._replies
+            if len(replies) >= REPLY_MEMO_CAPACITY:
+                del replies[next(iter(replies))]
+            replies[body] = value
+
+    def _send_ack(self, mid_high: int, mid_low: int, dst_addr: str, dst_port: int) -> None:
+        """Send the empty ACK to the CON whose MID is these two bytes."""
+        self.socket.sendto(
+            bytes((0x60, 0, mid_high, mid_low)), dst_addr, dst_port, {"kind": "ack"}
+        )
 
     def _stop_timer(self, exchange: _Exchange) -> None:
         if exchange.timer is not None:
             exchange.timer.cancel()
             exchange.timer = None
 
-    def _handle_response(self, exchange: _Exchange, response: CoapMessage) -> None:
+    def _handle_response(self, exchange: _Exchange, response: CoapMessage):
+        """Continue or complete *exchange* with *response*; returns what
+        ``on_response`` returned when the response came in one piece."""
         # Block1 continuation (2.31 Continue).
         if response.code == Code.CONTINUE and exchange.block1_body is not None:
             next_number = exchange.block1_number + 1
-            exchange.request = self._block1_request(exchange, next_number)
+            exchange.carry(self._block1_request(exchange, next_number))
             exchange.transmission = None
             self._transmit(exchange, first=True)
-            return
+            return None
 
         # Block2 download.
         block2_data = response.option(OptionNumber.BLOCK2)
@@ -346,6 +449,8 @@ class CoapClient:
                 exchange.first_block_response = response
             exchange.block2_assembler.add(block, response.payload)
             if block.more:
+                if exchange.request is None:  # a body request
+                    exchange.request = CoapMessage.decode(exchange.wire)
                 # Continuation: same token, no body (RFC 7959 §3.3).
                 next_request = replace(
                     exchange.request, mid=self._claim_mid(), payload=b""
@@ -355,11 +460,11 @@ class CoapClient:
                     OptionNumber.BLOCK2,
                     Block(block.number + 1, False, block.size).encode(),
                 )
-                exchange.request = next_request
+                exchange.carry(next_request)
                 exchange.transmission = None
                 exchange.acknowledged = False
                 self._transmit(exchange, first=True)
-                return
+                return None
             # Complete: synthesise the full response.
             first = exchange.first_block_response
             assert first is not None
@@ -369,14 +474,15 @@ class CoapClient:
             )
 
         exchange.done = True
-        self._exchanges.pop(exchange.request.token, None)
+        self._exchanges.pop(exchange.token, None)
         if self.cache is not None:
             key_request = exchange.request.without_option(OptionNumber.ETAG)
             if response.code == Code.VALID:
                 pass  # refresh handled by the validation callback
             else:
                 self.cache.store(key_request, response, self.sim.now)
-        exchange.on_response(response, None)
+        value = exchange.on_response(response, None)
+        return value if exchange.block2_assembler is None else None
 
 
 ResourceHandler = Callable[

@@ -63,6 +63,12 @@ def _name_parts(name: str) -> Tuple[Tuple[str, bytes], ...]:
     )
 
 
+@lru_cache(maxsize=4096)
+def _uncompressed(name: str) -> bytes:
+    """*name*'s wire form without compression, memoised."""
+    return b"".join(wire for _, wire in _name_parts(name)) + b"\x00"
+
+
 def encode_name(
     name: str,
     compress: Dict[str, int] | None = None,
@@ -79,12 +85,13 @@ def encode_name(
         offsets in the enclosing message. When given, compression
         pointers are emitted for known suffixes and new suffixes are
         registered at ``offset`` + their position within this encoding.
+        Without one the name is written in full, from a memo.
     offset:
         Wire offset at which this encoding will be placed (used only to
         register suffixes in *compress*).
     """
     if compress is None:
-        compress = {}
+        return _uncompressed(name)
     out = bytearray()
     for suffix, wire in _name_parts(name):
         if suffix in compress:

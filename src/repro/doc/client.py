@@ -11,6 +11,11 @@ Supports the full design space the paper evaluates:
 * block-wise transfer with a fixed block size (Appendix D);
 * the OSCORE Echo round-trip on first contact with a guarded server;
 * optionally the compressed CBOR format of Section 7.
+
+The plain FETCH/POST query of a client without CoAP cache or block
+size takes the bytes path: it is written from a per-client prefix and
+the name's memoised wire form, and a reply body seen before completes
+it from the CoapClient's reply memo, building no CoAP or DNS message.
 """
 
 from __future__ import annotations
@@ -22,7 +27,12 @@ from repro.coap.cache import CoapCache
 from repro.coap.codes import Code
 from repro.coap.endpoint import CoapClient
 from repro.coap.message import CoapMessage, MessageType
-from repro.coap.options import ContentFormat, OptionNumber, encode_uint
+from repro.coap.options import (
+    ContentFormat,
+    OptionNumber,
+    encode_options,
+    encode_uint,
+)
 from repro.coap.reliability import ReliabilityParams
 from repro.coap.uri import UriTemplate, base64url_encode
 from repro.dns import DNSCache, Message, Question, RecordType
@@ -40,6 +50,11 @@ from . import cbor_format
 from .caching import CachingScheme, restore_ttls
 
 DEFAULT_TEMPLATE = "/dns{?dns}"
+
+#: A DoC query's DNS header: ID 0 for a deterministic cache key
+#: (Section 4.2), RD, one question.
+_QUERY_HEADER = bytes((0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0))
+_QUERY_METADATA = {"kind": "query", "response_kind": "response"}
 
 
 class DocError(Exception):
@@ -106,6 +121,23 @@ class DocClient:
             (OptionNumber.CONTENT_FORMAT, encode_uint(int(content_format))),
             (OptionNumber.ACCEPT, encode_uint(int(content_format))),
         )
+        #: The bytes path: a plain FETCH/POST query in the DNS message
+        #: format, from a client with no CoAP cache and no block size,
+        #: is sent as a CoAP body built on this prefix (code, options,
+        #: 0xFF and the DNS header), and its replies are read through
+        #: the CoapClient's reply memo. ``None`` for every other client,
+        #: which builds a CoapMessage per query. (A CBOR reply is not
+        #: memoised: decoding it needs the question it elides.)
+        self._body_prefix: Optional[bytes] = None
+        if (
+            method != Code.GET and oscore_context is None
+            and coap_cache is None and block_size is None
+            and content_format == ContentFormat.DNS_MESSAGE
+        ):
+            self._body_prefix = (
+                bytes((int(method),)) + encode_options(self._request_options)
+                + b"\xff" + _QUERY_HEADER
+            )
         self.stub = StubResolver(dns_cache)
         self.coap = CoapClient(
             sim, socket, params=params, cache=coap_cache, block_size=block_size
@@ -137,6 +169,11 @@ class DocClient:
         request = self._build_request(question)
         self._send(request, question, started, on_result, echo_retry_left=1)
 
+    def cancel_timers(self) -> None:
+        """Disarm every in-flight query's retransmission timer, for a
+        client whose socket is closing."""
+        self.coap.cancel_timers()
+
     # -- request construction --------------------------------------------------------
 
     def _encode_query(self, question: Question) -> bytes:
@@ -145,7 +182,13 @@ class DocClient:
         # DNS ID 0 for a deterministic cache key (Section 4.2).
         return Message(0, RD_QUERY_FLAGS, (question,)).encode()
 
-    def _build_request(self, question: Question) -> CoapMessage:
+    def _build_request(self, question: Question):
+        """The request for *question*: its CoAP body as bytes on the
+        bytes path, else a :class:`CoapMessage`."""
+        if self._body_prefix is not None:
+            body = bytearray(self._body_prefix)
+            question.encode_into(body, None)  # the name's memoised wire form
+            return bytes(body)
         if self.method == Code.GET:
             wire = self._encode_query(question)
             segments, queries = self.template.split_expanded(
@@ -171,13 +214,15 @@ class DocClient:
 
     def _send(
         self,
-        request: CoapMessage,
+        request,
         question: Question,
         started: float,
         on_result,
         echo_retry_left: int,
         echo_value: Optional[bytes] = None,
     ) -> None:
+        """Send *request*, a :class:`CoapMessage` or a bytes-path body,
+        and see its reply through to ``on_result``."""
         binding = None
         outgoing = request
         if echo_value is not None:
@@ -192,7 +237,7 @@ class DocClient:
                     self.oscore_context, outgoing
                 )
 
-        def on_response(coap_response: Optional[CoapMessage], error) -> None:
+        def on_response(coap_response: Optional[CoapMessage], error) -> Optional[Message]:
             if error is not None:
                 self.resolutions_failed += 1
                 on_result(None, error)
@@ -255,22 +300,51 @@ class DocClient:
                     self.resolutions_failed += 1
                     on_result(None, exc)
                     return
-            try:
-                dns_response = self._decode_response(
-                    coap_response.payload, question, max_age
-                )
-            except ValueError as exc:
-                self.resolutions_failed += 1
-                on_result(None, exc)
-                return
-            result = self._build_result(question, dns_response, started)
-            self.resolutions_completed += 1
-            on_result(result, None)
+            return self._finish(
+                question, coap_response.payload, max_age, started, on_result
+            )
+
+        def on_memo(response: Message) -> None:
+            # A reply to the bytes path that the CoapClient remembers:
+            # on_response made *response* of the same reply body before.
+            self._complete(question, response, started, on_result)
 
         self.coap.request(
             outgoing, self.server[0], self.server[1], on_response,
-            metadata={"kind": "query", "response_kind": "response"},
+            metadata=_QUERY_METADATA, on_memo=on_memo,
         )
+
+    def _finish(
+        self, question: Question, payload: bytes, max_age: Optional[int],
+        started: float, on_result,
+    ) -> Optional[Message]:
+        """Complete a resolution with the DNS response in *payload*;
+        returns that response with its TTLs restored, or ``None`` when
+        the resolution failed instead."""
+        try:
+            response = self._decode_response(payload, question, max_age)
+        except ValueError as exc:
+            self.resolutions_failed += 1
+            on_result(None, exc)
+            return None
+        if not self._complete(question, response, started, on_result):
+            return None
+        return response
+
+    def _complete(
+        self, question: Question, response: Message, started: float, on_result
+    ) -> bool:
+        """Hand *response* to the stub resolver and ``on_result``: the
+        answer, or the error when it does not answer *question*."""
+        try:
+            result = self._build_result(question, response, started)
+        except ValueError as exc:
+            self.resolutions_failed += 1
+            on_result(None, exc)
+            return False
+        self.resolutions_completed += 1
+        on_result(result, None)
+        return True
 
     def _decode_response(
         self, payload: bytes, question: Question, max_age: Optional[int]

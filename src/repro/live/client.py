@@ -167,26 +167,12 @@ class LiveResolver:
         # The client object is kept after close so stats() can still
         # report final counters and cache ratios.
         if self._socket is not None:
-            self._cancel_pending_timers()
+            # In-flight queries stop ticking: a late send on the closed
+            # socket would be dropped anyway, this quiets the event loop.
+            if self._client is not None:
+                self._client.cancel_timers()
             self._socket.close()
             self._socket = None
-
-    def _cancel_pending_timers(self) -> None:
-        """Best-effort disarm of in-flight retransmission timers so a
-        closed resolver stops ticking (late sends on the closed socket
-        are dropped anyway, this just quiets the event loop)."""
-        client = self._client
-        if client is None:
-            return
-        coap = getattr(client, "coap", client)
-        for exchange in getattr(coap, "_exchanges", {}).values():
-            timer = getattr(exchange, "timer", None)
-            if timer is not None:
-                timer.cancel()
-        for pending in getattr(client, "_pending", {}).values():
-            timer = getattr(pending, "timer", None)
-            if timer is not None:
-                timer.cancel()
 
     async def __aenter__(self) -> "LiveResolver":
         return await self.connect()

@@ -91,6 +91,14 @@ class DnsOverUdpClient:
         self._pending[txid] = pending
         self._transmit(txid, pending)
 
+    def cancel_timers(self) -> None:
+        """Disarm every pending query's retransmission timer, for a
+        client whose socket is closing; the queries stay unanswered."""
+        for pending in self._pending.values():
+            if pending.timer is not None:
+                pending.timer.cancel()
+                pending.timer = None
+
     def _transmit(self, txid: int, pending: _Pending) -> None:
         self.transmissions += 1
         self.socket.sendto(

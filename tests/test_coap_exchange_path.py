@@ -16,6 +16,7 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import ipaddress
+import socket
 from dataclasses import replace
 
 import pytest
@@ -308,9 +309,9 @@ def test_a_doc_query_builds_each_message_once(monkeypatch):
     client, server, server_end = _doc_pair(sim, names=(warm_up, name))
     outcomes = []
 
-    def resolve(name):
+    def resolve(name, then=1.0):
         client.resolve(name, RecordType.AAAA, lambda r, e: outcomes.append(e))
-        sim.run(until=sim.now + 1.0)
+        sim.run(until=sim.now + then)
 
     resolve(warm_up)  # the decoder's flag words are memoised now
     coap_built = _count_built(monkeypatch, CoapMessage)
@@ -335,15 +336,23 @@ def test_a_doc_query_builds_each_message_once(monkeypatch):
         on_server.append(coap_built[0] - before)
 
     server_end.on_datagram = counting_on_datagram
-    resolve(name)  # a miss at the fast path and the resolver
-    # The query, its decoding, the answer, its decoding, the TTL restore
-    # (the server's TTL rewrite happens while encoding).
-    assert dns_built[0] == 5
-    resolve(name)  # a fast-path hit: answered in bytes
+    resolve(name, then=0.5)  # a miss at the fast path and the resolver
+    # The query's decoding, the answer, its decoding and the TTL restore
+    # (the query is written in bytes, and the server's TTL rewrite
+    # happens while encoding).
+    assert dns_built[0] == 4
+    resolve(name, then=0.3)  # a fast-path hit, Max-Age one second down
     assert in_process == [1]
     assert on_server == [2, 0]  # the request decoded and the reply; none
+    # ... whose new body the client's reply memo does not hold yet: it
+    # decodes the reply and restores the TTLs.
+    assert (coap_built[0], dns_built[0]) == (4, 5)
+    resolve(name)  # the same reply body again: read through the memo
+    assert on_server == [2, 0, 0]
+    assert (coap_built[0], dns_built[0]) == (4, 5)  # nothing built anywhere
+    assert client.coap._replies  # the memo that answered it
     assert flags_built[0] == 0
-    assert outcomes == [None, None, None]
+    assert outcomes == [None, None, None, None]
 
 
 _OPTIONS = st.lists(
@@ -614,6 +623,42 @@ def test_an_answered_live_query_arms_one_clock_timer_and_keeps_no_record():
                 assert resolver.timeouts == 0
 
     _run(body())
+
+
+@pytest.mark.parametrize("transport,method", [
+    ("coap", Code.FETCH), ("coap", Code.GET), ("udp", Code.FETCH),
+], ids=["coap-body-request", "coap-message-request", "udp"])
+def test_closing_a_resolver_disarms_its_retransmission_timers(transport, method):
+    """Queries in flight when the resolver closes leave no timer armed,
+    whichever kind of exchange carries them."""
+    silent = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    silent.bind(("127.0.0.1", 0))  # a server that never answers
+
+    async def body():
+        resolver = LiveResolver(
+            silent.getsockname(), transport=transport, method=method,
+            timeout=5.0,
+        )
+        resolver.clock = _CountingClock(resolver.clock)
+        await resolver.connect()
+        queries = [
+            asyncio.ensure_future(resolver.resolve(f"n{index}.example.org"))
+            for index in range(3)
+        ]
+        await asyncio.sleep(0.05)  # every query sent, its timer armed
+        timers = resolver.clock.timers
+        assert len(timers) == 3 and not any(t.cancelled() for t in timers)
+        await resolver.close()
+        assert all(timer.cancelled() for timer in timers)
+        for query in queries:
+            query.cancel()
+        await asyncio.gather(*queries, return_exceptions=True)
+        assert _armed_timers(asyncio.get_running_loop()) == 0
+
+    try:
+        _run(body())
+    finally:
+        silent.close()
 
 
 class _SilentStack:
