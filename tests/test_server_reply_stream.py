@@ -11,6 +11,13 @@ destination, and the server's counters are pinned per caching scheme
 and route. The digests were computed before the fast path answered in
 bytes, so a change to how a reply is built has to reproduce the old
 bytes exactly; a deliberate wire change re-pins them.
+
+Three more pins were computed before the DoC server read every request
+from its bytes, on the code that still decoded a miss into a message:
+the same script with the cache off (capacity 0, every simulated run's
+configuration, which the reader serves too); OSCORE requests whose
+inner Uri-Path is not the DoC resource, answered but never stored; and
+the block-wise exchanges, which the reader leaves to the message path.
 """
 
 from __future__ import annotations
@@ -63,7 +70,7 @@ def _zone() -> Zone:
     return zone
 
 
-def _server(scheme, secured):
+def _server(scheme, secured, capacity=64):
     clock, socket = _ScriptedClock(seed=11), _Socket()
     client_context, server_context = SecurityContext.pair(
         b"reply-stream-secret", b"salt"
@@ -71,7 +78,7 @@ def _server(scheme, secured):
     server = get_profile("coap").server_builder(
         clock, socket, RecursiveResolver(_zone()), scheme=scheme,
         oscore_context=server_context if secured else None,
-        fastpath_capacity=64,
+        fastpath_capacity=capacity,
     )
     return clock, socket, server, client_context
 
@@ -122,9 +129,9 @@ MALFORMED = (
 )
 
 
-def _play(scheme, secured):
+def _play(scheme, secured, capacity=64):
     """Run the script; returns (socket, server)."""
-    clock, socket, server, client_context = _server(scheme, secured)
+    clock, socket, server, client_context = _server(scheme, secured, capacity)
     p1, p2, p3 = PEERS
 
     def send(peer, wire, at=None):
@@ -248,49 +255,172 @@ def test_reply_stream_is_pinned(scheme, secured):
     )
 
 
-def test_block_wise_requests_bypass_the_fast_path():
-    """A request carrying Block2 or Block1 is resolved (and sliced) as
-    before and counted as a miss, but neither stored nor replayed."""
-    _, socket, server, _ = _server(CachingScheme.EOL_TTLS, secured=False)
+def _play_block_wise(capacity):
+    """The block-wise exchanges: a whole FETCH, two first Block2
+    requests, a Block2 continuation, a query uploaded in two Block1
+    blocks, and the whole FETCH again. Returns (socket, server, the
+    replies decoded, the server's (hits, misses, stored) after each
+    stage)."""
+    _, socket, server, _ = _server(CachingScheme.EOL_TTLS, False, capacity)
     peer = PEERS[0]
+    replies, stages = [], []
 
     def exchange(request):
         socket.on_datagram(peer[0], peer[1], request.encode(), {})
-        return CoapMessage.decode(socket.sent[-1][2])
+        replies.append(CoapMessage.decode(socket.sent[-1][2]))
+        return replies[-1]
+
+    def stage():
+        stored = None if server._fastpath is None else len(server._fastpath)
+        stages.append((server.fastpath_hits, server.fastpath_misses, stored))
 
     def block2(number):
         return ((OptionNumber.BLOCK2, Block(number, False, 16).encode()),)
 
-    whole = exchange(_fetch("a.example.org", 1, b"\x01"))
-    firsts = [
+    exchange(_fetch("a.example.org", 1, b"\x01"))
+    for mid in (2, 3):
         exchange(_fetch("a.example.org", mid, b"\x02", options=block2(0)))
-        for mid in (2, 3)
-    ]
-    for first in firsts:
-        assert first.code == Code.CONTENT
-        assert Block.decode(first.option(OptionNumber.BLOCK2)) == Block(0, True, 16)
-        assert first.payload == whole.payload[:16]
-    assert (server.fastpath_hits, server.fastpath_misses) == (0, 3)
-    assert len(server._fastpath) == 1  # the whole request's reply only
-
-    # The continuation comes from the block-wise store: no fast-path event.
-    second = exchange(_fetch("a.example.org", 4, b"\x02", options=block2(1)))
-    assert Block.decode(second.option(OptionNumber.BLOCK2)).number == 1
-    assert second.payload == whole.payload[16:32]
-    assert (server.fastpath_hits, server.fastpath_misses) == (0, 3)
-
-    # A query uploaded in two Block1 blocks is answered whole, a miss.
+    stage()
+    exchange(_fetch("a.example.org", 4, b"\x02", options=block2(1)))
+    stage()
     query = _query("a.example.org")
     for number, mid in ((0, 5), (1, 6)):
-        upload = _request(
+        exchange(_request(
             Code.FETCH, mid, b"\x05", query[16 * number:16 * (number + 1)],
             options=((OptionNumber.BLOCK1, Block(number, number == 0, 16).encode()),),
-        )
-        reply = exchange(upload)
-    assert reply.code == Code.CONTENT and reply.payload == whole.payload
-    assert (server.fastpath_hits, server.fastpath_misses) == (0, 4)
-    assert len(server._fastpath) == 1
+        ))
+    stage()
+    exchange(_fetch("a.example.org", 7, b"\x07"))
+    stage()
+    return socket, server, replies, stages
 
-    # The whole request still hits its own entry.
-    assert exchange(_fetch("a.example.org", 7, b"\x07")).payload == whole.payload
-    assert (server.fastpath_hits, server.fastpath_misses) == (1, 4)
+
+#: capacity -> digest of the block-wise exchanges' replies, computed
+#: before the DoC server read requests in bytes.
+BLOCK_WISE_PINNED = {
+    64: '8ab6c4940da006d7634b14179086cc707f1810af780a6f53917425447b2bcc4f',
+    0: '8ab6c4940da006d7634b14179086cc707f1810af780a6f53917425447b2bcc4f',
+}
+
+
+def _check_block_wise(capacity):
+    socket, _, replies, stages = _play_block_wise(capacity)
+    whole, first, second, continuation, _, uploaded, again = replies
+    for reply in (first, second):
+        assert reply.code == Code.CONTENT
+        assert Block.decode(reply.option(OptionNumber.BLOCK2)) == Block(0, True, 16)
+        assert reply.payload == whole.payload[:16]
+    assert Block.decode(continuation.option(OptionNumber.BLOCK2)).number == 1
+    assert continuation.payload == whole.payload[16:32]
+    # A query uploaded in two Block1 blocks is answered whole.
+    assert uploaded.code == Code.CONTENT and uploaded.payload == whole.payload
+    assert again.payload == whole.payload
+    assert _digest(socket) == BLOCK_WISE_PINNED[capacity]
+    return stages
+
+
+def test_block_wise_requests_bypass_the_fast_path():
+    """A request carrying Block2 or Block1 is resolved (and sliced) as
+    before and counted as a miss, but neither stored nor replayed: the
+    continuation comes from the block-wise store (no fast-path event),
+    the Block1 upload is a miss, and the whole request still hits its
+    own entry."""
+    assert _check_block_wise(64) == [(0, 3, 1), (0, 3, 1), (0, 4, 1), (1, 4, 1)]
+
+
+def test_block_wise_exchanges_without_the_cache_are_pinned():
+    assert _check_block_wise(0) == [(0, 0, None)] * 4
+
+
+#: (scheme, secured) -> (digest, counters) of the script played with
+#: the cache off, the configuration of every simulated run; computed
+#: before the DoC server read requests in bytes.
+PINNED_NO_CACHE = {
+    ('eol-ttls', False): (
+        'b8de384c11cb93ca82f91f77605e78d59115aa1e66469f1393110e25e5c32924',
+        dict(replies=35, fastpath_hits=0, fastpath_misses=0, queries_handled=21,
+             validations_sent=4, resolver_hits=13, resolver_misses=8),
+    ),
+    ('eol-ttls', True): (
+        '6b4f41e101f0c28fe04fa5bd276555efb8e834396c4e6a7459e6ab3bcdce093f',
+        dict(replies=35, fastpath_hits=0, fastpath_misses=0, queries_handled=27,
+             validations_sent=5, resolver_hits=18, resolver_misses=9),
+    ),
+    ('doh-like', False): (
+        'd48320dd327233e06679170fcb740bad4eb49e4dbf331fd61d6c523b1fb1720a',
+        dict(replies=35, fastpath_hits=0, fastpath_misses=0, queries_handled=21,
+             validations_sent=2, resolver_hits=13, resolver_misses=8),
+    ),
+    ('doh-like', True): (
+        'ba19bc818bc2086bb0f02bb43b0a9ac680b1854164fbccadbe4f9612d3eb577c',
+        dict(replies=35, fastpath_hits=0, fastpath_misses=0, queries_handled=27,
+             validations_sent=2, resolver_hits=18, resolver_misses=9),
+    ),
+}
+
+
+@pytest.mark.parametrize("secured", [False, True], ids=["plain", "oscore"])
+@pytest.mark.parametrize(
+    "scheme", [CachingScheme.EOL_TTLS, CachingScheme.DOH_LIKE],
+    ids=["eol-ttls", "doh-like"],
+)
+def test_reply_stream_without_the_cache_is_pinned(scheme, secured):
+    socket, server = _play(scheme, secured, capacity=0)
+    assert PINNED_NO_CACHE[(scheme.value, secured)] == (
+        _digest(socket), _counters(server, socket)
+    )
+
+
+def _play_other_path(capacity):
+    """OSCORE requests whose inner Uri-Path is not the DoC resource:
+    each is answered (resolved, refused 4.05 or 4.00), none stored."""
+    clock, socket, server, client_context = _server(
+        CachingScheme.EOL_TTLS, True, capacity
+    )
+    p1, p2, _ = PEERS
+
+    def send(peer, request):
+        outer, _ = protect_request(client_context, request)
+        socket.on_datagram(peer[0], peer[1], outer.encode(), {})
+
+    send(p1, _fetch("a.example.org", 1, b"\x01", path="other"))   # miss
+    send(p2, _fetch("a.example.org", 2, b"\x02", path="other"))   # miss again
+    send(p1, _fetch("a.example.org", 3, b"\x03"))                 # /dns: stored
+    send(p2, _fetch("a.example.org", 4, b"\x04"))                 # /dns: hit
+    clock.now = 5.0
+    send(p1, _fetch("a.example.org", 5, b"\x05", path="other/dns"))
+    send(p2, _fetch("a.example.org", 6, b"\x06", path="other", non=True))
+    send(p1, _request(Code.PUT, 7, b"\x07", b"x", path="other"))   # 4.05
+    send(p2, _request(Code.GET, 8, b"\x08", path="other"))         # 4.00
+    send(p1, _request(Code.FETCH, 9, b"\x09", b"\x01", path=""))  # 4.00
+    # A plain request for another path goes to the OSCORE route: 4.00.
+    socket.on_datagram(
+        p1[0], p1[1], _fetch("a.example.org", 10, b"\x0a", path="other").encode(), {}
+    )
+    return socket, server
+
+
+#: capacity -> (digest, counters), computed before the DoC server read
+#: requests in bytes.
+OTHER_PATH_PINNED = {
+    64: (
+        '5e62f22cd8f3ce22ba250af0367ad887f0eca689f3bf634048708000cb04cc29',
+        dict(replies=10, fastpath_hits=1, fastpath_misses=8, queries_handled=6,
+             validations_sent=0, resolver_hits=4, resolver_misses=1),
+    ),
+    0: (
+        '5e62f22cd8f3ce22ba250af0367ad887f0eca689f3bf634048708000cb04cc29',
+        dict(replies=10, fastpath_hits=0, fastpath_misses=0, queries_handled=6,
+             validations_sent=0, resolver_hits=5, resolver_misses=1),
+    ),
+}
+
+
+@pytest.mark.parametrize("capacity", [64, 0], ids=["cache", "no-cache"])
+def test_oscore_request_for_another_path_is_answered_not_stored(capacity):
+    socket, server = _play_other_path(capacity)
+    if capacity:
+        assert len(server._fastpath) == 1  # the /dns reply only
+    assert OTHER_PATH_PINNED[capacity] == (
+        _digest(socket), _counters(server, socket)
+    )
