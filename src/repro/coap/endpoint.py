@@ -14,11 +14,11 @@ The client can be given a :class:`repro.coap.cache.CoapCache` to act as
 the paper's "CoAP client cache" configuration, including ETag
 revalidation of stale entries.
 
-Both roles have a bytes path beside the message one. The server answers
-a cache-hot request from its body (:class:`FastPath`); the client sends
-a request given as its body, and completes a reply whose body it has
-seen before from a memo of what its caller made of that body. Neither
-decodes or encodes a :class:`CoapMessage` on a hit.
+Both roles have a bytes path beside the message one. The server offers
+every request body to its :class:`FastPath`, which answers what it can
+in bytes; the client sends a request given as its body, and completes a
+reply whose body it has seen before from a memo of what its caller made
+of that body. Neither decodes or encodes a :class:`CoapMessage` there.
 
 Server state expires by position, not by timer. The deduplication table
 and the block-wise state of both directions keep every entry for the
@@ -37,7 +37,7 @@ from typing import Callable, Dict, List, Optional, Protocol, Tuple
 
 from repro.sim.clock import Clock, Timer
 
-from .blockwise import Block, BlockAssembler, block_for
+from .blockwise import Block, BlockAssembler, BlockError, block_for
 from .cache import CoapCache
 from .codes import Code
 from .message import CoapMessage, CoapMessageError, MessageType
@@ -443,11 +443,17 @@ class CoapClient:
         # Block2 download.
         block2_data = response.option(OptionNumber.BLOCK2)
         if block2_data is not None:
-            block = Block.decode(block2_data)
-            if exchange.block2_assembler is None:
-                exchange.block2_assembler = BlockAssembler()
-                exchange.first_block_response = response
-            exchange.block2_assembler.add(block, response.payload)
+            try:
+                block = Block.decode(block2_data)
+                if exchange.block2_assembler is None:
+                    exchange.block2_assembler = BlockAssembler()
+                    exchange.first_block_response = response
+                exchange.block2_assembler.add(block, response.payload)
+            except BlockError as error:
+                # An invalid Block2 value, or a block the transfer
+                # cannot take: the exchange fails with it.
+                self._fail(exchange, error)
+                return None
             if block.more:
                 if exchange.request is None:  # a body request
                     exchange.request = CoapMessage.decode(exchange.wire)
@@ -491,22 +497,15 @@ ResourceHandler = Callable[
 
 
 class FastPath(Protocol):
-    """A reply cache that :class:`CoapServer` reads raw requests against.
+    """A resource that :class:`CoapServer` offers raw requests to.
 
     A *body* is ``code || options || 0xFF payload``: a request datagram
-    without its type, MID and token. :meth:`answer` returns the reply
-    to a cache-hot body as ``(code, max_age, rest)``, the reply body
-    being ``code || rest``, or ``None``. :meth:`learn` is offered every
-    reply the fast path's resource gives synchronously to a request
-    that came in one piece (no Block1 or Block2), encoded in *wire*
-    with its options from *options_at* on.
+    without its type, MID and token. :meth:`answer` returns the reply to
+    a body as ``(code, max_age, rest)``, the reply body being ``code ||
+    rest``, or ``None`` to leave the request to the message path.
     """
 
-    def answer(self, body: bytes) -> Optional[Tuple[int, int, bytes]]: ...
-
-    def learn(
-        self, body: bytes, response: CoapMessage, wire: bytes, options_at: int
-    ) -> None: ...
+    def answer(self, body: bytes) -> Optional[Tuple[int, Optional[int], bytes]]: ...
 
 
 class CoapServer:
@@ -529,10 +528,8 @@ class CoapServer:
         self.params = params
         self._resources: Dict[str, ResourceHandler] = {}
         self.default_handler: Optional[ResourceHandler] = None
-        #: Answers cache-hot requests from their bytes (see
-        #: :meth:`_on_datagram`); set by :meth:`add_resource`.
+        #: Answers requests from their bytes (see :meth:`_on_datagram`).
         self.fast_path: Optional[FastPath] = None
-        self._fast_path_route: Optional[str] = None
         # The three tables below are written by _remember and read by
         # _recall: an entry is (expires_at, value).
         #: (peer, mid, token) -> encoded reply, for deduplication. The
@@ -551,18 +548,9 @@ class CoapServer:
         self._next_mid = sim.rng.randrange(0x10000)
         socket.on_datagram = self._on_datagram
 
-    def add_resource(
-        self, path: str, handler: ResourceHandler,
-        fast_path: Optional[FastPath] = None,
-    ) -> None:
-        """Route *path* to *handler*. A *fast_path* answers the
-        resource's cache-hot requests before they are decoded, and
-        learns from its replies; a server has at most one."""
-        path = "/" + path.strip("/")
-        self._resources[path] = handler
-        if fast_path is not None:
-            self.fast_path = fast_path
-            self._fast_path_route = path
+    def add_resource(self, path: str, handler: ResourceHandler) -> None:
+        """Route *path* to *handler*."""
+        self._resources["/" + path.strip("/")] = handler
 
     # -- receive path -----------------------------------------------------------
 
@@ -571,12 +559,12 @@ class CoapServer:
 
         The 4-byte header and the token of a CON or NON request give
         its deduplication key, and the rest, its body, is offered to
-        the :class:`FastPath` before anything is decoded. A hit is
-        answered in bytes, building no :class:`CoapMessage`: ACK for
-        CON, NON for NON, the request's MID and token, then the reply
-        body. Everything else is decoded: ACK and RST, requests the
-        fast path does not know, and malformed datagrams, which are
-        dropped without a reply.
+        the :class:`FastPath` before anything is decoded. A body it
+        answers is answered in bytes, building no :class:`CoapMessage`:
+        ACK for CON, NON for NON, the request's MID and token, then the
+        reply body. Everything else is decoded: ACK and RST, requests
+        the fast path leaves to the message path, and malformed
+        datagrams, which are dropped without a reply.
         """
         size = len(data)
         first = data[0] if size >= 4 else 0
@@ -600,12 +588,10 @@ class CoapServer:
             return
 
         fast_path = self.fast_path
-        body = None
         if fast_path is not None:
-            body = bytes((data[1],)) + data[offset:]  # code || the rest
-            hot = fast_path.answer(body)
-            if hot is not None:
-                code, _, rest = hot
+            reply = fast_path.answer(bytes((data[1],)) + data[offset:])  # code || the rest
+            if reply is not None:
+                code, _, rest = reply
                 reply_type = first if first & 0x10 else first | 0x20  # CON -> ACK
                 self._send_reply(
                     bytes((reply_type, code)) + data[2:offset] + rest,
@@ -625,8 +611,15 @@ class CoapServer:
             )
             return
 
-        block1 = message.option(OptionNumber.BLOCK1)
-        block2 = message.option(OptionNumber.BLOCK2)
+        block1 = _request_block(message, OptionNumber.BLOCK1)
+        block2 = _request_block(message, OptionNumber.BLOCK2)
+        for refusal in (block1, block2):
+            if isinstance(refusal, Code):
+                self._reply(
+                    message, src_addr, src_port, message.make_response(refusal),
+                    dedup_key, metadata,
+                )
+                return
         request = message
         if block1 is not None:
             request, early_reply = self._apply_blockwise_request(message, block1)
@@ -637,11 +630,6 @@ class CoapServer:
             message, block2, src_addr, src_port, dedup_key, metadata
         ):
             return
-        # A block-wise exchange is neither stored nor replayed.
-        learn = (
-            body is not None and block1 is None and block2 is None
-            and path == self._fast_path_route
-        )
 
         responded = {"sync": True, "done": False}
 
@@ -656,9 +644,7 @@ class CoapServer:
             if not responded["sync"]:
                 self._send_separate(message, src_addr, src_port, response, metadata)
                 return
-            wire = self._reply(message, src_addr, src_port, response, dedup_key, metadata)
-            if learn:
-                fast_path.learn(body, response, wire, offset)
+            self._reply(message, src_addr, src_port, response, dedup_key, metadata)
 
         handler(request, respond, metadata)
         if not responded["done"] and message.mtype == MessageType.CON:
@@ -670,9 +656,8 @@ class CoapServer:
 
     # -- block-wise (server side) --------------------------------------------------
 
-    def _apply_blockwise_request(self, message: CoapMessage, block1: bytes):
+    def _apply_blockwise_request(self, message: CoapMessage, block: Block):
         """Handle Block1 assembly; returns (complete_request, early_reply)."""
-        block = Block.decode(block1)
         key = (message.token.hex(), 1)
         assembler = _recall(self._block1_assembly, key, self.sim.now)
         fresh = assembler is None or block.number == 0
@@ -700,10 +685,9 @@ class CoapServer:
         return full, None
 
     def _serve_block2_continuation(
-        self, message: CoapMessage, block2: bytes, src_addr: str,
+        self, message: CoapMessage, block: Block, src_addr: str,
         src_port: int, dedup_key, metadata,
     ) -> bool:
-        block = Block.decode(block2)
         if block.number == 0:
             return False
         # Continuation requests keep the exchange token (RFC 7959
@@ -736,13 +720,12 @@ class CoapServer:
         return True
 
     def _apply_blockwise_response(
-        self, request: CoapMessage, block2: bytes, response: CoapMessage,
+        self, request: CoapMessage, preferred: Block, response: CoapMessage,
         src_addr: str, src_port: int,
     ) -> CoapMessage:
         """Slice a large response into block 0 of the requested size."""
         if not response.code.is_success:
             return response
-        preferred = Block.decode(block2)
         if len(response.payload) <= preferred.size:
             return response
         # Store the full response for continuations, send block 0.
@@ -765,8 +748,8 @@ class CoapServer:
         response: CoapMessage,
         dedup_key,
         metadata: dict,
-    ) -> bytes:
-        """Send *response* as the reply to *request*; returns its bytes."""
+    ) -> None:
+        """Send *response* as the reply to *request*."""
         mtype = (
             MessageType.ACK if request.mtype == MessageType.CON
             else MessageType.NON
@@ -781,9 +764,7 @@ class CoapServer:
                 mtype, response.code, request.mid, request.token,
                 response.options, response.payload,
             )
-        encoded = response.encode()
-        self._send_reply(encoded, src_addr, src_port, dedup_key, metadata)
-        return encoded
+        self._send_reply(response.encode(), src_addr, src_port, dedup_key, metadata)
 
     def _send_reply(
         self, wire: bytes, src_addr: str, src_port: int, dedup_key,
@@ -831,6 +812,23 @@ class CoapServer:
                 del self._separate_pending[pending]  # given up
 
         send_and_arm()
+
+
+def _request_block(message: CoapMessage, number: int):
+    """The Block1 or Block2 option (*number*) of request *message*: a
+    :class:`Block`, ``None`` when it has none, or the :class:`Code`
+    that refuses it — 4.02 Bad Option for a value longer than 3 bytes
+    (RFC 7252 §5.4.3 treats it as an unrecognised critical option,
+    §5.4.1), 4.00 for the reserved SZX 7 (RFC 7959 §2.2)."""
+    value = message.option(number)
+    if value is None:
+        return None
+    if len(value) > 3:
+        return Code.BAD_OPTION
+    try:
+        return Block.decode(value)
+    except BlockError:
+        return Code.BAD_REQUEST
 
 
 def _decode(data) -> Optional[CoapMessage]:

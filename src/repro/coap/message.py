@@ -94,10 +94,6 @@ class CoapMessage:
     # Typed accessors for frequently used options --------------------------
 
     @property
-    def content_format(self) -> Optional[int]:
-        return self.uint_option(OptionNumber.CONTENT_FORMAT)
-
-    @property
     def max_age(self) -> Optional[int]:
         return self.uint_option(OptionNumber.MAX_AGE)
 
@@ -116,13 +112,6 @@ class CoapMessage:
             value.decode("utf-8", "replace")
             for value in self.option_values(OptionNumber.URI_PATH)
         )
-
-    @property
-    def uri_queries(self) -> List[str]:
-        return [
-            value.decode("utf-8", "replace")
-            for value in self.option_values(OptionNumber.URI_QUERY)
-        ]
 
     def with_uri_path(self, path: str) -> "CoapMessage":
         message = self

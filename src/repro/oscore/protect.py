@@ -77,6 +77,9 @@ def encode_plaintext(code: Code, inner_options, payload: bytes) -> bytes:
 
 
 def _parse_plaintext(data: bytes) -> Tuple[Code, tuple, bytes]:
+    """``(code, options, payload)`` of a plaintext or CoAP body; raises
+    :class:`OscoreError` for a code no registry knows and
+    :class:`~repro.coap.options.OptionError` for malformed options."""
     if not data:
         raise OscoreError("empty OSCORE plaintext")
     code = CODE_BY_VALUE.get(data[0])

@@ -4,8 +4,9 @@
   :class:`CoapServer` sends equal what the ``with_option`` /
   ``dataclasses.replace`` copy chains build, encoded by an independent
   reference encoder; :class:`DocServer`'s replies equal a chain the test
-  builds itself over a payload from the reference DNS encoder, and each
-  is one ``CoapMessage``.
+  builds itself over a payload from the reference DNS encoder, written
+  with no ``CoapMessage`` built. A reference option decoder, RFC 7252 §3.1
+  written out plainly, holds ``decode_options`` to the same bytes.
 * Deduplication and block-wise state live exactly
   :data:`EXCHANGE_LIFETIME` and cost no clock event.
 * The live backstop deadline: one handle, same exception, same counter.
@@ -16,22 +17,32 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import ipaddress
+import json
+import os
 import socket
 from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import golden_codec
 import rfc1035_reference
 from repro.coap import CoapMessage, Code, ContentFormat, MessageType, OptionNumber
 from repro.coap.blockwise import Block, block_for
 from repro.coap.endpoint import EXCHANGE_LIFETIME, CoapServer
+from repro.coap.options import OptionError, decode_options
 from repro.coap.uri import base64url_encode
 from repro.dns import Flags, Message, Question, RecordType, RecursiveResolver, Zone
 from repro.doc import DocClient, DocServer
 from repro.live import DocLiveServer, LiveResolver
 from repro.oscore import SecurityContext, protect_request
 from repro.sim import Simulator
+
+with open(
+    os.path.join(os.path.dirname(__file__), "golden_codec_vectors.json"),
+    encoding="utf-8",
+) as _handle:
+    GOLDEN = {vector["name"]: vector for vector in json.load(_handle)["vectors"]}
 
 CLIENT = ("fe80::c", 40000)
 SERVER = ("fe80::5", 5683)
@@ -85,6 +96,102 @@ def _reference_encode(message: CoapMessage) -> bytes:
     if message.payload:
         out += b"\xff" + message.payload
     return out
+
+
+def _reference_decode(data: bytes, offset: int = 0):
+    """RFC 7252 §3.1 read plainly: the oracle's option decoder.
+
+    Returns the options from *offset* on and the offset of the payload
+    (past the 0xFF marker, or the end); raises ``OptionError`` where the
+    bytes end inside an option, a nibble is the reserved 15, or the
+    marker has no payload behind it.
+    """
+    options, number = [], 0
+    while offset < len(data):
+        if data[offset] == 0xFF:
+            if offset + 1 == len(data):
+                raise OptionError("payload marker with empty payload")
+            return options, offset + 1
+        fields = [data[offset] >> 4, data[offset] & 0x0F]
+        offset += 1
+        for index, nibble in enumerate(fields):
+            if nibble == 15:
+                raise OptionError("reserved nibble")
+            width, base = {13: (1, 13), 14: (2, 269)}.get(nibble, (0, nibble))
+            if offset + width > len(data):
+                raise OptionError("extension cut short")
+            fields[index] = base + int.from_bytes(data[offset:offset + width], "big")
+            offset += width
+        delta, length = fields
+        if offset + length > len(data):
+            raise OptionError("value cut short")
+        number += delta
+        options.append((number, data[offset:offset + length]))
+        offset += length
+    return options, offset
+
+
+def _decoded(decode, data):
+    """What *decode* makes of *data*: (options, payload offset), or
+    ``OptionError``."""
+    try:
+        options, at = decode(data, 0)
+    except OptionError:
+        return OptionError
+    return [tuple(option) for option in options], at
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, vector in GOLDEN.items() if vector["codec"] == "coap"
+))
+def test_reference_decoder_reads_the_golden_vectors(name):
+    wire = bytes.fromhex(GOLDEN[name]["wire_hex"])
+    built = golden_codec.BUILDERS[name]()
+    start = 4 + (wire[0] & 0x0F)
+    options, at = _reference_decode(wire, start)
+    assert options == sorted(built.options, key=lambda item: item[0])
+    assert wire[at:] == built.payload
+    assert (options, at) == tuple(decode_options(wire, start))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    options=st.lists(st.tuples(
+        # deltas and lengths in the plain, 13 and 14 forms
+        st.one_of(st.integers(0, 12), st.integers(13, 268), st.integers(269, 1400)),
+        st.one_of(st.binary(max_size=12), st.binary(min_size=13, max_size=268),
+                  st.binary(min_size=269, max_size=300)),
+    ), max_size=5),
+    payload=st.binary(max_size=3),
+)
+def test_reference_decoder_agrees_with_decode_options(options, payload):
+    """Both decoders read an encoding back, and every truncation of it
+    alike: one that ends inside an option, or on a bare payload marker,
+    raises ``OptionError`` in both."""
+    numbers = []
+    for delta, _ in options:
+        numbers.append((numbers[-1] if numbers else 0) + delta)
+    options = [(number, value) for number, (_, value) in zip(numbers, options)]
+    message = CoapMessage(options=tuple(options), payload=payload)
+    wire = _reference_encode(message)[4:]
+    assert _decoded(_reference_decode, wire) == (options, len(wire) - len(payload))
+    # Where each option ends; the payload marker follows the last.
+    ends = [
+        len(_reference_encode(CoapMessage(options=tuple(options[:k])))) - 4
+        for k in range(len(options) + 1)
+    ]
+    for cut in range(len(wire)):
+        outcome = _decoded(_reference_decode, wire[:cut])
+        assert outcome == _decoded(decode_options, wire[:cut])
+        cut_short = cut not in ends if cut <= ends[-1] else cut == ends[-1] + 1
+        assert (outcome is OptionError) == cut_short
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.binary(max_size=40))
+def test_reference_decoder_agrees_on_arbitrary_bytes(data):
+    """Reserved nibbles, markers and extensions in any order."""
+    assert _decoded(_reference_decode, data) == _decoded(decode_options, data)
 
 
 # -- (a) byte identity -------------------------------------------------------
@@ -201,7 +308,23 @@ def test_wire_bytes_equal_the_copy_chain(
         client, question, mid, token.to_bytes(4, "big"), oracle_context
     )
     assert client_end.sent[0] == _reference_encode(expected)
-    assert replies
+    # A plain request in one piece is answered by the request reader,
+    # in bytes; its reply is the chain around the payload it carries:
+    # the ETag over it, the query's Content-Format and Max-Age.
+    assert (not replies) == (block_size is None and not secured)
+    if not replies:
+        request = CoapMessage.decode(client_end.sent[0])
+        payload = CoapMessage.decode(server_end.sent[0]).payload
+        if method == Code.GET and content_format == ContentFormat.DNS_CBOR:
+            response = request.make_response(Code.BAD_REQUEST)
+        else:
+            response = (
+                request.make_response(Code.CONTENT, payload=payload)
+                .with_option(OptionNumber.ETAG, hashlib.sha256(payload).digest()[:8])
+                .with_uint_option(OptionNumber.CONTENT_FORMAT, content_format)
+                .with_uint_option(OptionNumber.MAX_AGE, 120)
+            )
+        replies.append((request, response))
     assert server_end.sent == [
         _reference_encode(_chain_reply(request, response))
         for request, response in replies
@@ -317,16 +440,6 @@ def test_a_doc_query_builds_each_message_once(monkeypatch):
     coap_built = _count_built(monkeypatch, CoapMessage)
     flags_built = _count_built(monkeypatch, Flags)
     dns_built = _count_built(monkeypatch, Message)
-    in_process = []
-    process = server._process
-
-    def counting_process(request):
-        before = coap_built[0]
-        response = process(request)
-        in_process.append(coap_built[0] - before)
-        return response
-
-    server._process = counting_process
     on_server = []
     on_datagram = server_end.on_datagram
 
@@ -341,15 +454,15 @@ def test_a_doc_query_builds_each_message_once(monkeypatch):
     # (the query is written in bytes, and the server's TTL rewrite
     # happens while encoding).
     assert dns_built[0] == 4
+    assert on_server == [0]  # the server reads and answers a miss in bytes
     resolve(name, then=0.3)  # a fast-path hit, Max-Age one second down
-    assert in_process == [1]
-    assert on_server == [2, 0]  # the request decoded and the reply; none
+    assert on_server == [0, 0]
     # ... whose new body the client's reply memo does not hold yet: it
-    # decodes the reply and restores the TTLs.
-    assert (coap_built[0], dns_built[0]) == (4, 5)
+    # decodes the reply and restores the TTLs, as it did the miss's.
+    assert (coap_built[0], dns_built[0]) == (2, 5)
     resolve(name)  # the same reply body again: read through the memo
-    assert on_server == [2, 0, 0]
-    assert (coap_built[0], dns_built[0]) == (4, 5)  # nothing built anywhere
+    assert on_server == [0, 0, 0]
+    assert (coap_built[0], dns_built[0]) == (2, 5)  # nothing built anywhere
     assert client.coap._replies  # the memo that answered it
     assert flags_built[0] == 0
     assert outcomes == [None, None, None, None]

@@ -120,7 +120,7 @@ class TestMessageCodec:
         assert decoded.token == b"\xAA\xBB"
         assert decoded.payload == b"body"
         assert decoded.uri_path == "/dns"
-        assert decoded.content_format == 553
+        assert decoded.uint_option(OptionNumber.CONTENT_FORMAT) == 553
         assert decoded.max_age == 30
 
     def test_header_is_four_bytes_plus_token(self):
@@ -162,7 +162,8 @@ class TestMessageCodec:
         message = CoapMessage.request(Code.GET, "/dns").with_option(
             OptionNumber.URI_QUERY, b"dns=AAE"
         )
-        assert CoapMessage.decode(message.encode()).uri_queries == ["dns=AAE"]
+        decoded = CoapMessage.decode(message.encode())
+        assert decoded.option_values(OptionNumber.URI_QUERY) == [b"dns=AAE"]
 
     def test_with_without_option(self):
         message = self._message().without_option(OptionNumber.MAX_AGE)

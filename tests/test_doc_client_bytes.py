@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import rfc1035_reference
 from repro.coap import CoapMessage, Code, MessageType, OptionNumber
-from repro.coap.blockwise import VALID_BLOCK_SIZES, Block, block_for
+from repro.coap.blockwise import VALID_BLOCK_SIZES, Block, BlockError, block_for
 from repro.coap.codes import CODE_BY_VALUE
 from repro.coap.endpoint import CoapTimeoutError
 from repro.coap.options import encode_uint
@@ -44,8 +44,10 @@ class _ScriptedServer:
     *kind* is how: ``piggybacked`` on the ACK, ``non`` (a NON response),
     ``separate`` (an empty ACK, then a CON response), ``ack-only`` (an
     empty ACK and nothing more), ``rst``, ``truncated`` (the
-    piggybacked reply without its last byte) or ``blocks`` (piggybacked
-    16-byte Block2 pieces, the one the request's Block2 asks for).
+    piggybacked reply without its last byte), ``blocks`` (piggybacked
+    16-byte Block2 pieces, the one the request's Block2 asks for),
+    ``block-zero`` (block 0 with M set, whichever block is asked for) or
+    ``bad-block`` (a Block2 value with the reserved SZX 7).
     """
 
     def __init__(self, sim, kind, code, options, payload):
@@ -79,6 +81,13 @@ class _ScriptedServer:
             self._send(CoapMessage(
                 MessageType.ACK, self.code, request.mid, request.token,
                 options + ((23, block.encode()),), chunk,
+            ))
+            return
+        if self.kind in ("block-zero", "bad-block"):
+            value = b"\x07" if self.kind == "bad-block" else Block(0, True, 16).encode()
+            self._send(CoapMessage(
+                MessageType.ACK, self.code, request.mid, request.token,
+                self.options + ((23, value),), self.payload[:16],
             ))
             return
         if self.kind in ("separate", "ack-only"):
@@ -175,6 +184,21 @@ def test_a_body_request_takes_a_reply_in_blocks():
     assert [addresses for addresses, _ in seen] == [[ADDRESS]] * 2
     assert counters == (2, 0)
     assert fetch.coap._replies == {}
+
+
+@pytest.mark.parametrize("kind", ["block-zero", "bad-block"])
+@pytest.mark.parametrize("method", [Code.FETCH, Code.GET], ids=["fetch", "get"])
+def test_a_block2_reply_the_transfer_refuses_fails_its_query(method, kind):
+    """Block 0 again where block 1 was asked for, or an invalid Block2
+    value: the exchange fails with the ``BlockError`` (it used to raise
+    out of the datagram handler and leave the exchange behind)."""
+    options = ((12, encode_uint(553)), (14, encode_uint(60)))
+    seen, _, counters, client = _outcomes(
+        method, kind, Code.CONTENT, options, _answer()
+    )
+    assert seen == [BlockError, BlockError]  # and nothing escaped sim.run
+    assert counters == (0, 2)
+    assert client.coap._exchanges == {}
 
 
 def test_the_memo_answers_a_repeated_reply_and_only_a_body_request():

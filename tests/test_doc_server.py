@@ -1,4 +1,4 @@
-"""Direct unit tests for DocServer request processing."""
+"""Direct unit tests for DocServer's request reader."""
 
 from dataclasses import replace
 
@@ -17,6 +17,7 @@ from repro.dns import (
 )
 from repro.doc import CachingScheme, DocServer, compute_etag
 from repro.doc.cbor_format import decode_response, encode_query
+from repro.oscore.protect import _parse_plaintext, encode_plaintext
 from repro.sim import Simulator
 from repro.stack import build_figure2_topology
 
@@ -41,23 +42,33 @@ def _fetch(payload, content_format=ContentFormat.DNS_MESSAGE):
     )
 
 
+def _answer(server, request):
+    """*request* read from its body by the server's request reader; the
+    reply as a message."""
+    code, _, rest = server.answer(
+        encode_plaintext(request.code, request.options, request.payload)
+    )
+    code, options, payload = _parse_plaintext(bytes((code,)) + rest)
+    return request.make_response(code, payload=payload, options=options)
+
+
 class TestProcessing:
     def test_fetch_wire_format(self, server_and_sim):
         server, _ = server_and_sim
         query = make_query("a.example.org", RecordType.AAAA, txid=0)
-        response = server._process(_fetch(query.encode()))
+        response = _answer(server, _fetch(query.encode()))
         assert response.code == Code.CONTENT
-        assert response.content_format == int(ContentFormat.DNS_MESSAGE)
+        assert response.uint_option(OptionNumber.CONTENT_FORMAT) == int(ContentFormat.DNS_MESSAGE)
         decoded = Message.decode(response.payload)
         assert decoded.answers[0].rdata.address == "2001:db8::1"
 
     def test_fetch_cbor_format(self, server_and_sim):
         server, _ = server_and_sim
         question = Question("a.example.org", RecordType.AAAA)
-        response = server._process(
+        response = _answer(server, 
             _fetch(encode_query(question), ContentFormat.DNS_CBOR)
         )
-        assert response.content_format == int(ContentFormat.DNS_CBOR)
+        assert response.uint_option(OptionNumber.CONTENT_FORMAT) == int(ContentFormat.DNS_CBOR)
         decoded = decode_response(response.payload, question)
         assert decoded.answers[0].rdata.address == "2001:db8::1"
 
@@ -68,7 +79,7 @@ class TestProcessing:
             OptionNumber.URI_QUERY,
             b"dns=" + base64url_encode(query.encode()).encode(),
         )
-        response = server._process(request)
+        response = _answer(server, request)
         assert response.code == Code.CONTENT
         decoded = Message.decode(response.payload)
         assert decoded.answers[0].rdata.address == "192.0.2.1"
@@ -76,21 +87,21 @@ class TestProcessing:
     def test_get_without_dns_variable(self, server_and_sim):
         server, _ = server_and_sim
         request = CoapMessage.request(Code.GET, "/dns")
-        assert server._process(request).code == Code.BAD_REQUEST
+        assert _answer(server, request).code == Code.BAD_REQUEST
 
     def test_malformed_payload(self, server_and_sim):
         server, _ = server_and_sim
-        assert server._process(_fetch(b"\x01\x02")).code == Code.BAD_REQUEST
+        assert _answer(server, _fetch(b"\x01\x02")).code == Code.BAD_REQUEST
 
     def test_disallowed_method(self, server_and_sim):
         server, _ = server_and_sim
         request = CoapMessage.request(Code.PUT, "/dns", payload=b"x")
-        assert server._process(request).code == Code.METHOD_NOT_ALLOWED
+        assert _answer(server, request).code == Code.METHOD_NOT_ALLOWED
 
     def test_eol_ttls_rewritten(self, server_and_sim):
         server, _ = server_and_sim
         query = make_query("a.example.org", RecordType.AAAA, txid=0)
-        response = server._process(_fetch(query.encode()))
+        response = _answer(server, _fetch(query.encode()))
         decoded = Message.decode(response.payload)
         assert all(r.ttl == 0 for r in decoded.answers)
         assert response.max_age == 120
@@ -98,7 +109,7 @@ class TestProcessing:
     def test_nxdomain_reported(self, server_and_sim):
         server, _ = server_and_sim
         query = make_query("missing.example.org", RecordType.AAAA, txid=0)
-        response = server._process(_fetch(query.encode()))
+        response = _answer(server, _fetch(query.encode()))
         assert response.code == Code.CONTENT  # DNS errors are 2.xx DoC responses
         decoded = Message.decode(response.payload)
         assert decoded.flags.rcode == Rcode.NXDOMAIN
@@ -107,17 +118,17 @@ class TestProcessing:
     def test_etag_matches_payload_hash(self, server_and_sim):
         server, _ = server_and_sim
         query = make_query("a.example.org", RecordType.AAAA, txid=0)
-        response = server._process(_fetch(query.encode()))
+        response = _answer(server, _fetch(query.encode()))
         assert response.etag == compute_etag(response.payload)
 
     def test_validation_with_current_etag(self, server_and_sim):
         server, _ = server_and_sim
         query = make_query("a.example.org", RecordType.AAAA, txid=0)
-        first = server._process(_fetch(query.encode()))
+        first = _answer(server, _fetch(query.encode()))
         revalidation = _fetch(query.encode()).with_option(
             OptionNumber.ETAG, first.etag
         )
-        second = server._process(revalidation)
+        second = _answer(server, revalidation)
         assert second.code == Code.VALID
         assert second.payload == b""
         assert second.etag == first.etag
@@ -129,7 +140,7 @@ class TestProcessing:
         revalidation = _fetch(query.encode()).with_option(
             OptionNumber.ETAG, b"\x00" * 8
         )
-        response = server._process(revalidation)
+        response = _answer(server, revalidation)
         assert response.code == Code.CONTENT
         assert response.payload
 
@@ -145,7 +156,7 @@ class TestProcessing:
             scheme=CachingScheme.DOH_LIKE,
         )
         query = make_query("a.example.org", RecordType.AAAA, txid=0)
-        response = server._process(_fetch(query.encode()))
+        response = _answer(server, _fetch(query.encode()))
         decoded = Message.decode(response.payload)
         assert decoded.answers[0].ttl == 77
         assert response.max_age == 77
@@ -153,8 +164,8 @@ class TestProcessing:
     def test_queries_handled_counter(self, server_and_sim):
         server, _ = server_and_sim
         query = make_query("a.example.org", RecordType.AAAA, txid=0)
-        server._process(_fetch(query.encode()))
-        server._process(_fetch(query.encode()))
+        _answer(server, _fetch(query.encode()))
+        _answer(server, _fetch(query.encode()))
         assert server.queries_handled == 2
 
 

@@ -84,8 +84,8 @@ def test_answered_exchange_path_makes_no_message_copies():
     ):
         assert endpoint.get(scope, 0) == 0, scope
     server = copies["repro/doc/server.py"]
-    assert server.get("DocServer._process", 0) == 0
-    assert server.get("DocServer._resolve", 0) == 0
+    for scope in ("DocServer.answer", "DocServer._read", "DocServer._reply_plaintext"):
+        assert server.get(scope, 0) == 0, scope
     caching = copies["repro/doc/caching.py"]
     assert caching.get("prepare_response", 0) == 0  # rewrites while encoding
     assert caching["restore_ttls"] == 2  # EOL restore, DoH-like cap

@@ -27,13 +27,16 @@ import random
 
 import pytest
 
-from repro.coap import CoapMessage, Code, ContentFormat, OptionNumber
+from repro.coap import CoapMessage, Code, ContentFormat, MessageType, OptionNumber
 from repro.coap.blockwise import Block
 from repro.coap.uri import base64url_encode
 from repro.dns import Question, RecordType, RecursiveResolver, Zone, make_query
 from repro.doc import CachingScheme
 from repro.doc.cbor_format import encode_query
 from repro.oscore import SecurityContext, protect_request
+from repro.oscore.context import encode_partial_iv
+from repro.oscore.option import OscoreOptionValue
+from repro.oscore.protect import _external_aad
 from repro.transports import get_profile
 
 PEERS = (("fe80::1", 40001), ("fe80::2", 40002), ("fe80::3", 40003))
@@ -424,3 +427,50 @@ def test_oscore_request_for_another_path_is_answered_not_stored(capacity):
     assert OTHER_PATH_PINNED[capacity] == (
         _digest(socket), _counters(server, socket)
     )
+
+
+@pytest.mark.parametrize("capacity", [64, 0], ids=["cache", "no-cache"])
+@pytest.mark.parametrize(
+    "number", [OptionNumber.BLOCK1, OptionNumber.BLOCK2], ids=["block1", "block2"]
+)
+@pytest.mark.parametrize("value,code", [
+    (b"\x07", Code.BAD_REQUEST),                # SZX 7 (RFC 7959 §2.2)
+    (b"\x02\x07", Code.BAD_REQUEST),
+    (b"\x00\x00\x00\x07", Code.BAD_OPTION),     # 4 bytes (RFC 7252 §5.4.3)
+], ids=["szx7", "szx7-2-bytes", "4-bytes"])
+def test_a_malformed_block_option_is_refused(capacity, number, value, code):
+    """Refused piggybacked, and the refusal replayed to the
+    retransmission; it used to raise ``BlockError`` out of the datagram
+    handler."""
+    _, socket, server, _ = _server(CachingScheme.EOL_TTLS, False, capacity)
+    wire = _fetch("a.example.org", 1, b"\x01\x02", options=((number, value),)).encode()
+    for _ in range(2):  # the request and its retransmission
+        socket.on_datagram(PEERS[0][0], PEERS[0][1], wire, {})
+    assert [payload for _, _, payload in socket.sent] == [
+        CoapMessage(MessageType.ACK, code, 1, b"\x01\x02").encode()
+    ] * 2
+    assert (server.queries_handled, server.fastpath_hits, server.fastpath_misses) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("capacity", [64, 0], ids=["cache", "no-cache"])
+def test_an_oscore_plaintext_with_a_malformed_option_is_refused(capacity):
+    """An authenticated request whose inner options do not parse gets
+    4.00 like any plaintext that is no request; it used to raise
+    ``OptionError`` out of the datagram handler."""
+    _, socket, server, context = _server(CachingScheme.EOL_TTLS, True, capacity)
+    partial_iv = encode_partial_iv(context.next_sequence())
+    plaintext = bytes((Code.FETCH, 0xB5, 0x64))  # a 5-byte Uri-Path, 1 byte there
+    ciphertext = context.sender_aead().encrypt(
+        context.nonce(context.sender_id, partial_iv), plaintext,
+        _external_aad(context.sender_id, partial_iv),
+    )
+    option = OscoreOptionValue(partial_iv=partial_iv, kid=context.sender_id)
+    outer = CoapMessage(
+        MessageType.CON, Code.POST, 7, b"\x07",
+        ((OptionNumber.OSCORE, option.encode()),), ciphertext,
+    )
+    socket.on_datagram(PEERS[0][0], PEERS[0][1], outer.encode(), {})
+    assert [payload for _, _, payload in socket.sent] == [
+        CoapMessage(MessageType.ACK, Code.BAD_REQUEST, 7, b"\x07").encode()
+    ]
+    assert server.queries_handled == 0

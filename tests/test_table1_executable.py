@@ -75,10 +75,11 @@ class TestMessageFormatMultiplexing:
         cbor_format = message.with_uint_option(
             OptionNumber.CONTENT_FORMAT, int(ContentFormat.DNS_CBOR)
         )
-        assert wire_format.content_format != cbor_format.content_format
+        number = OptionNumber.CONTENT_FORMAT
+        assert wire_format.uint_option(number) != cbor_format.uint_option(number)
         # Both decodable from the wire; a server can dispatch on them.
-        assert CoapMessage.decode(wire_format.encode()).content_format == 553
-        assert CoapMessage.decode(cbor_format.encode()).content_format == 554
+        assert CoapMessage.decode(wire_format.encode()).uint_option(number) == 553
+        assert CoapMessage.decode(cbor_format.encode()).uint_option(number) == 554
 
 
 class TestSharesProtocolWithApplication:
