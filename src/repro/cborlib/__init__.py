@@ -7,17 +7,18 @@ rest of the repository:
 * the compressed DNS message format of Section 7 of the paper
   (:mod:`repro.doc.cbor_format`).
 
-Supported major types: unsigned/negative integers, byte strings, text
-strings, arrays, maps, tags, simple values (false/true/null), and floats.
-Indefinite-length items are supported on decode and rejected on encode
-(deterministic encoding only, per RFC 8949 §4.2).
+Decoded major types: unsigned/negative integers, byte strings, text
+strings, arrays, maps, tags, simple values (false/true/null), and floats;
+indefinite-length items too. Encoded: integers, byte and text strings,
+arrays, ``None`` and booleans, deterministically (RFC 8949 §4.2) -- what
+those two users send.
 
 Example
 -------
 >>> from repro.cborlib import dumps, loads
 >>> dumps(["example.org", 28])
 b'\\x82kexample.org\\x18\\x1c'
->>> loads(dumps({1: b"key"}))
+>>> loads(bytes.fromhex("a10143") + b"key")
 {1: b'key'}
 """
 

@@ -1,28 +1,26 @@
 """Deterministic CBOR encoding (RFC 8949 §4.2 core requirements).
 
-Integers use the shortest form, map keys are sorted bytewise by their
-encoded form, and indefinite-length items are never produced.
+Integers use the shortest form, and indefinite-length items are never
+produced. The encoder writes what the stack sends: integers, byte and
+text strings, arrays, ``None`` and booleans -- every item of OSCORE's
+``info`` and AAD structures (RFC 8613 §3.2.1, §5.4) and of the DoC
+CBOR format (:mod:`repro.doc.cbor_format`). Maps, tags and other
+simple values are only decoded (:mod:`repro.cborlib.decoder`); encoding
+one raises :class:`CBOREncodeError`.
 
 Encoding appends into one ``bytearray`` end to end (:func:`dump_into`);
-:func:`dumps` is the materialising wrapper. Only map entries need
-intermediate buffers, because deterministic ordering sorts by encoded
-key bytes.
+:func:`dumps` is the materialising wrapper.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from .types import Simple, Tag
-
 _MT_UNSIGNED = 0
 _MT_NEGATIVE = 1
 _MT_BYTES = 2
 _MT_TEXT = 3
 _MT_ARRAY = 4
-_MT_MAP = 5
-_MT_TAG = 6
-_MT_SIMPLE = 7
 
 
 class CBOREncodeError(ValueError):
@@ -76,30 +74,6 @@ def dump_into(out: bytearray, value: Any) -> None:
         _head_into(out, _MT_ARRAY, len(value))
         for item in value:
             dump_into(out, item)
-    elif isinstance(value, dict):
-        # Deterministic maps sort entries by the encoded key bytes, so
-        # each pair is encoded into its own scratch before the sort.
-        encoded_pairs = []
-        for key, val in value.items():
-            key_buf = bytearray()
-            dump_into(key_buf, key)
-            val_buf = bytearray()
-            dump_into(val_buf, val)
-            encoded_pairs.append((bytes(key_buf), bytes(val_buf)))
-        encoded_pairs.sort()
-        _head_into(out, _MT_MAP, len(value))
-        for key_bytes, val_bytes in encoded_pairs:
-            out += key_bytes
-            out += val_bytes
-    elif isinstance(value, Tag):
-        _head_into(out, _MT_TAG, value.number)
-        dump_into(out, value.value)
-    elif isinstance(value, Simple):
-        if value.value < 24:
-            out.append((_MT_SIMPLE << 5) | value.value)
-        else:
-            out.append((_MT_SIMPLE << 5) | 24)
-            out.append(value.value)
     else:
         raise CBOREncodeError(f"cannot encode {type(value).__name__} in CBOR")
 

@@ -562,9 +562,10 @@ class CoapServer:
         the :class:`FastPath` before anything is decoded. A body it
         answers is answered in bytes, building no :class:`CoapMessage`:
         ACK for CON, NON for NON, the request's MID and token, then the
-        reply body. Everything else is decoded: ACK and RST, requests
-        the fast path leaves to the message path, and malformed
-        datagrams, which are dropped without a reply.
+        reply body. An empty CON, the CoAP ping (RFC 7252 §4.3), gets an
+        RST with its MID. Everything else is decoded: ACK and RST,
+        requests the fast path leaves to the message path, and
+        malformed datagrams, which are dropped without a reply.
         """
         size = len(data)
         first = data[0] if size >= 4 else 0
@@ -577,6 +578,11 @@ class CoapServer:
                 MessageType.ACK, MessageType.RST
             ):
                 self._separate_pending.pop((src_addr, src_port, message.mid), None)
+            return
+        if first == 0x40 and size == 4 and data[1] == 0:
+            self.socket.sendto(
+                bytes((0x70, 0, data[2], data[3])), src_addr, src_port, {"kind": "rst"}
+            )
             return
 
         dedup_key = (src_addr, src_port, (data[2] << 8) | data[3], bytes(data[4:offset]))

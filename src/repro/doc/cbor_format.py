@@ -16,8 +16,8 @@ array of answer arrays. Each answer is::
     [name, ttl, rdata, type]     — fully explicit
 
 where rdata is a byte string (the record's wire rdata). A response
-that must carry its question (e.g. out-of-transaction use) is encoded
-as a two-array wrapper ``[question, answers]``.
+that carries its question (e.g. out-of-transaction use) is the
+two-array wrapper ``[question, answers]``; it is decoded, never sent.
 
 Section 7 reports the 70-byte wire-format AAAA response compressing to
 24 bytes (−66%); ``benchmarks/test_sec7_cbor_compression.py`` checks
@@ -82,27 +82,21 @@ def _encode_answer(
 def encode_response(
     response: Message,
     question: Optional[Question] = None,
-    include_question: bool = False,
     ttl: Optional[int] = None,
 ) -> bytes:
     """Encode the answer section of *response* as CBOR.
 
-    The question defaults to the response's own question section; pass
-    ``include_question=True`` for the self-contained two-array form.
-    With *ttl*, answers carry it in place of their own, as
+    The question defaults to the response's own question section. With
+    *ttl*, answers carry it in place of their own, as
     ``Message.encode(ttl=...)`` writes them (the EOL-TTLs rewrite).
     """
     if question is None:
         if not response.questions:
             raise CborFormatError("no question to elide against")
         question = response.questions[0]
-    answers = [
+    return dumps([
         _encode_answer(record, question, ttl) for record in response.answers
-    ]
-    if include_question:
-        query_items = loads(encode_query(question))
-        return dumps([query_items, answers])
-    return dumps(answers)
+    ])
 
 
 def _decode_answer(item: list, question: Question) -> ResourceRecord:

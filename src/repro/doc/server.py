@@ -58,7 +58,11 @@ _URI_PATH = int(OptionNumber.URI_PATH)
 _ETAG = int(OptionNumber.ETAG)
 _CONTENT_FORMAT = int(OptionNumber.CONTENT_FORMAT)
 _URI_QUERY = int(OptionNumber.URI_QUERY)
-_BLOCK_OPTIONS = frozenset((int(OptionNumber.BLOCK1), int(OptionNumber.BLOCK2)))
+#: Options whose requests the plain route leaves to the message path:
+#: block-wise transfers, and the outer message of an OSCORE request.
+_MESSAGE_PATH_OPTIONS = frozenset(
+    (int(OptionNumber.BLOCK1), int(OptionNumber.BLOCK2), int(OptionNumber.OSCORE))
+)
 _REQUEST_CODES = frozenset(code for code in Code if code.is_request)
 _DOC_METHODS = frozenset((Code.FETCH, Code.GET, Code.POST))
 
@@ -75,8 +79,8 @@ class DocServer:
     hit nor a miss decodes or encodes a CoAP message. The plain route
     leaves only what is not a DoC request for the DoC resource to the
     message path: another Uri-Path, a block-wise request (answered by
-    :meth:`_handle_plain` from its reassembled body), and a body that
-    does not parse.
+    :meth:`_handle_plain` from its reassembled body), an OSCORE request's
+    outer message, and a body that does not parse.
 
     With ``fastpath_capacity`` > 0 a response cache, keyed on the
     request body, sits in front of the resolver. A hit replays the
@@ -163,7 +167,7 @@ class DocServer:
         """Resolve the request body *body* and write its reply, as
         :meth:`answer` returns it; ``None`` for a body that is no
         request, and, unless *routed*, for a request for another
-        Uri-Path or one carrying Block1 or Block2.
+        Uri-Path or one carrying Block1, Block2 or the OSCORE option.
 
         The options are walked once. FETCH and POST carry the query in
         the payload (DNS wire format, or CBOR per Content-Format), GET
@@ -192,7 +196,7 @@ class DocServer:
                     content_format = decode_uint(value)
             elif number == _URI_QUERY:
                 queries.append(value)
-            elif number in _BLOCK_OPTIONS and not routed:
+            elif number in _MESSAGE_PATH_OPTIONS and not routed:
                 return None
         # Decoding the joined segments decodes each (a "/" ends any
         # malformed sequence), as CoapMessage.uri_path does.

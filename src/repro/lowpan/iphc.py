@@ -4,27 +4,39 @@ Configured as the paper does for comparable RIOT/Linux behaviour
 (Section 5.1): stateless address compression only (no context IDs),
 and traffic class / flow label zeroed so they can be elided.
 
-Compression modes implemented:
+What :func:`compress` writes is the paper's configuration and nothing
+else:
 
-* TF: elided when TC and flow label are 0, else 4 bytes inline, laid
-  out ECN ‖ DSCP ‖ 4 pad bits ‖ flow label (§3.2.1);
-* NH: UDP next-header compression (LOWPAN_NHC, §4.3) with the 4/8/16
-  bit port compression cases; checksum always inline;
+* TF: elided; a packet with a non-zero traffic class or flow label
+  raises :class:`IphcError`;
+* NH: UDP next-header compression (LOWPAN_NHC, §4.3), both ports and
+  the checksum inline; another next header raises;
 * HLIM: 1/64/255 compressed into the header, else 1 byte inline;
-* SAM/DAM (stateless): fully elided when the IID is derived from the
-  link-layer address, 16-bit when the IID matches ``::ff:fe00:xxxx``,
-  64-bit for other link-local, full 128-bit otherwise; multicast
-  destinations use the 8/32/48-bit encodings of §3.2.4 (``ff02::00XX``,
-  ``ffXX::00XX:XXXX``, ``ffXX::00XX:XXXX:XXXX``).
+* SAM/DAM (stateless): fully elided (mode 3) for the link-local address
+  derived from the link-layer address, the full 128 bits (mode 0) for
+  any other unicast address; DAM 3 for a ``ff02::00XX`` multicast
+  destination, 0 for any other.
+
+What :func:`decompress` reads is every stateless layout of RFC 6282,
+since the bytes come from another node's stack:
+
+* TF: elided, or 4 bytes inline laid out ECN ‖ DSCP ‖ 4 pad bits ‖
+  flow label (§3.2.1); the two partial modes raise;
+* NH: a next header inline, or UDP NHC with any of the 4/8/16-bit port
+  compression cases; an elided checksum raises;
+* HLIM: any of the four modes;
+* SAM/DAM: unicast modes 0-3 (128, 64, 16 bits inline, or derived from
+  the link-layer address), multicast modes 0-3 (128, 48, 32 or 8 bits:
+  ``ffXX::00XX:XXXX:XXXX``, ``ffXX::00XX:XXXX``, ``ff02::00XX``).
 
 The IPHC header is worked out once per flow, not once per packet per
 hop. Two bounded memos (1 024 entries each, the idiom of
 :mod:`repro.net.ipv6`: a simulation uses a small, fixed set of
 addresses) hold it:
 
-* :func:`_header`, on the way out, is keyed on everything the base
-  header and its inline fields depend on: ``(src, dst, next_header,
-  hop_limit, traffic_class, flow_label, src_mac, dst_mac)``;
+* :func:`_header`, on the way out, is keyed on everything the header,
+  its inline fields and the NHC ports depend on: ``(src, dst,
+  hop_limit, src_mac, dst_mac, src_port, dst_port)``;
 * :func:`_parse_header`, on the way in, is keyed on ``(header bytes,
   src_mac, dst_mac)``. The MACs are part of the key because an elided
   IID (SAM/DAM 11) is taken from them: the same header bytes on another
@@ -63,6 +75,7 @@ _NHC_UDP = 0b11110000
 _NHC_PORT_BYTES = (4, 3, 3, 1)
 
 _PORTS = struct.Struct("!HH")
+_NHC_INLINE_PORTS = struct.Struct("!BHH")
 _PORT = struct.Struct("!H")
 _TF_INLINE = struct.Struct("!I")
 _UDP_PORTS_LENGTH = struct.Struct("!HHH")
@@ -78,15 +91,10 @@ def _iid_from_mac(mac: int) -> int:
 
 
 def _compress_unicast(address: str, mac: int) -> Tuple[int, bytes]:
-    """Return (mode, inline_bytes) for a stateless unicast address."""
-    value = address_int(address)
-    prefix, iid = value >> 64, value & ((1 << 64) - 1)
-    if prefix == _LINK_LOCAL_PREFIX:
-        if iid == _iid_from_mac(mac):
-            return 3, b""
-        if iid >> 16 == 0x000000FFFE00:
-            return 2, (iid & 0xFFFF).to_bytes(2, "big")
-        return 1, iid.to_bytes(8, "big")
+    """Return (mode, inline_bytes) for a unicast address: elided when it
+    is the link-local address derived from *mac*, else all 16 bytes."""
+    if address_int(address) == (_LINK_LOCAL_PREFIX << 64) | _iid_from_mac(mac):
+        return 3, b""
     return 0, packed_address(address)
 
 
@@ -100,22 +108,6 @@ def _decompress_unicast(mode: int, inline: bytes, mac: int) -> str:
     else:
         iid = _iid_from_mac(mac)
     return address_from_int((_LINK_LOCAL_PREFIX << 64) | iid)
-
-
-def _compress_multicast(address: str) -> Tuple[int, bytes]:
-    value = address_int(address)
-    if value >> 120 != 0xFF:
-        raise IphcError("not a multicast address")
-    scope = (value >> 112) & 0xFF
-    group = value & ((1 << 112) - 1)
-    if group < 0x100 and scope == 0x02:
-        # ff02::00XX
-        return 3, bytes([group])
-    if group >> 24 == 0:
-        return 2, bytes([scope]) + group.to_bytes(3, "big")
-    if group >> 40 == 0:
-        return 1, bytes([scope]) + group.to_bytes(5, "big")
-    return 0, packed_address(address)
 
 
 def _decompress_multicast(mode: int, inline: bytes) -> str:
@@ -132,76 +124,52 @@ def _decompress_multicast(mode: int, inline: bytes) -> str:
 def _header(
     src: str,
     dst: str,
-    next_header: int,
     hop_limit: int,
-    traffic_class: int,
-    flow_label: int,
     src_mac: int,
     dst_mac: int,
+    src_port: int,
+    dst_port: int,
 ) -> bytes:
-    """The two IPHC bytes and their inline fields for one flow on one hop."""
-    tf_elided = traffic_class == 0 and flow_label == 0
-    udp_nhc = next_header == NEXT_HEADER_UDP
+    """The two IPHC bytes, their inline fields and the UDP NHC byte with
+    both ports inline, for one flow on one hop."""
     hlim_mode = _HLIM_MODES.get(hop_limit, 0b00)
-    multicast = address_int(dst) >> 120 == 0xFF
+    value = address_int(dst)
+    multicast = value >> 120 == 0xFF
     sam, src_inline = _compress_unicast(src, src_mac)
-    if multicast:
-        dam, dst_inline = _compress_multicast(dst)
-    else:
+    if not multicast:
         dam, dst_inline = _compress_unicast(dst, dst_mac)
-
-    out = bytearray(
-        (
-            (_DISPATCH << 5) | (0b11000 if tf_elided else 0) | (udp_nhc << 2) | hlim_mode,
-            (sam << 4) | (multicast << 3) | dam,
-        )
-    )
-    if not tf_elided:
-        # TF 00: the traffic class rotated to ECN ‖ DSCP, 4 pad bits,
-        # the flow label.
-        ecn_dscp = ((traffic_class & 0b11) << 6) | (traffic_class >> 2)
-        out += _TF_INLINE.pack(ecn_dscp << 24 | flow_label)
-    if not udp_nhc:
-        out.append(next_header)
+    elif value >> 8 == 0xFF02 << 104:  # ff02::00XX
+        dam, dst_inline = 3, bytes((value & 0xFF,))
+    else:
+        dam, dst_inline = 0, packed_address(dst)
+    # TF elided, NH compressed.
+    out = bytearray((
+        (_DISPATCH << 5) | 0b11100 | hlim_mode,
+        (sam << 4) | (multicast << 3) | dam,
+    ))
     if hlim_mode == 0b00:
         out.append(hop_limit)
     out += src_inline
     out += dst_inline
+    out += _NHC_INLINE_PORTS.pack(_NHC_UDP, src_port, dst_port)
     return bytes(out)
 
 
-@lru_cache(maxsize=1024)
-def _nhc_ports(src_port: int, dst_port: int) -> bytes:
-    """LOWPAN_NHC for UDP: the NHC byte and the ports per §4.3.3."""
-    if src_port >> 4 == 0xF0B and dst_port >> 4 == 0xF0B:
-        return bytes((_NHC_UDP | 0b11, ((src_port & 0xF) << 4) | (dst_port & 0xF)))
-    if dst_port >> 8 == 0xF0:
-        return struct.pack("!BHB", _NHC_UDP | 0b01, src_port, dst_port & 0xFF)
-    if src_port >> 8 == 0xF0:
-        return struct.pack("!BBH", _NHC_UDP | 0b10, src_port & 0xFF, dst_port)
-    return struct.pack("!BHH", _NHC_UDP, src_port, dst_port)
-
-
 def compress(packet: Ipv6Packet, src_mac: int, dst_mac: int) -> bytes:
-    """Compress *packet* into IPHC form for one 802.15.4 hop."""
-    header = _header(
-        packet.src,
-        packet.dst,
-        packet.next_header,
-        packet.hop_limit,
-        packet.traffic_class,
-        packet.flow_label,
-        src_mac,
-        dst_mac,
-    )
-    datagram = packet.payload
+    """Compress the UDP *packet* into IPHC form for one 802.15.4 hop."""
+    if packet.traffic_class or packet.flow_label:
+        raise IphcError("traffic class and flow label must be 0 to be elided")
     if packet.next_header != NEXT_HEADER_UDP:
-        return header + datagram
+        raise IphcError("only UDP is compressed")
+    datagram = packet.payload
     if len(datagram) < 8:
         raise IphcError("truncated UDP header")
     # The length field is elided (it follows from the frame); the
     # checksum always travels inline, in front of the payload.
-    return header + _nhc_ports(*_PORTS.unpack_from(datagram)) + datagram[6:]
+    return _header(
+        packet.src, packet.dst, packet.hop_limit, src_mac, dst_mac,
+        *_PORTS.unpack_from(datagram),
+    ) + datagram[6:]
 
 
 def _walk(data: bytes) -> Tuple[int, int]:

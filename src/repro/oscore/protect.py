@@ -10,8 +10,9 @@ The transformation:
 * **COSE_Encrypt0** — the inner bytes encrypted with AES-CCM under the
   RFC 8613 §5.4 AAD; the raw ciphertext is the outer payload.
 
-Responses reuse the request's nonce (no Partial IV on the wire) unless
-``use_new_piv`` is set — the size difference is visible in Figure 6.
+Responses reuse the request's nonce: no Partial IV on the wire, which
+is the size Figure 6 shows. A response that carries a Partial IV (RFC
+8613 §8.3) is still verified, with the nonce it names.
 """
 
 from __future__ import annotations
@@ -203,16 +204,11 @@ def protect_response(
     context: SecurityContext,
     response: CoapMessage,
     binding: RequestBinding,
-    use_new_piv: bool = False,
     outer_code: Code = Code.CHANGED,
     outer_options: Tuple[Tuple[int, bytes], ...] = (),
 ) -> CoapMessage:
-    """Encrypt *response* bound to the request identified by *binding*.
-
-    By default the request's nonce is reused (no Partial IV on the
-    wire); ``use_new_piv`` switches to a fresh sender sequence number,
-    required e.g. for multiple responses to one request.
-    """
+    """Encrypt *response* bound to the request identified by *binding*,
+    reusing the request's nonce (no Partial IV on the wire)."""
     if not response.code.is_response:
         raise OscoreError("protect_response needs a response")
     outer_class_u, inner_options = _split_options(response)
@@ -223,7 +219,6 @@ def protect_response(
         response.mtype,
         response.mid,
         response.token,
-        use_new_piv=use_new_piv,
         outer_code=outer_code,
         outer_options=tuple(outer_class_u) + tuple(outer_options),
     )
@@ -236,7 +231,6 @@ def seal_response(
     mtype: MessageType,
     mid: int,
     token: bytes,
-    use_new_piv: bool = False,
     outer_code: Code = Code.CHANGED,
     outer_options: Tuple[Tuple[int, bytes], ...] = (),
 ) -> CoapMessage:
@@ -250,21 +244,15 @@ def seal_response(
     inner response.
     """
     aad = _external_aad(binding.kid, binding.partial_iv)
-    if use_new_piv:
-        partial_iv = encode_partial_iv(context.next_sequence())
-        nonce = context.nonce(context.sender_id, partial_iv)
-        option_value = OscoreOptionValue(partial_iv=partial_iv)
-    else:
-        nonce = context.nonce(binding.kid, binding.partial_iv)
-        option_value = OscoreOptionValue()
-
+    nonce = context.nonce(binding.kid, binding.partial_iv)
     ciphertext = context.sender_aead().encrypt(nonce, plaintext, aad)
+    option_value = OscoreOptionValue().encode()
     return CoapMessage(
         mtype=mtype,
         code=outer_code,
         mid=mid,
         token=token,
-        options=outer_options + ((OptionNumber.OSCORE, option_value.encode()),),
+        options=outer_options + ((OptionNumber.OSCORE, option_value),),
         payload=ciphertext,
     )
 

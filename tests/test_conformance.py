@@ -1,0 +1,136 @@
+"""The RFCs as an executable table: what the DoC server answers, byte
+for byte, to requests an RFC sentence decides.
+
+Each row is ``(rfc, section, level, request bytes, expected reply)``. A
+reply is matched on its header: the message type, the code and the MID
+of the request. Every row runs against the CoAP-based DoC server (the
+``coap`` profile's ``server_builder``, on a scripted socket and clock),
+without and with an OSCORE context (a protected server's plain route),
+and with its response cache on and off. A MUST the server does not meet
+yet is a strict xfail naming its section: the change that meets it
+removes the mark.
+"""
+
+from __future__ import annotations
+
+import random
+from typing import NamedTuple, Optional
+
+import pytest
+
+from repro.coap import CoapMessage, Code, ContentFormat, MessageType, OptionNumber
+from repro.dns import RecordType, RecursiveResolver, Zone, make_query
+from repro.doc import CachingScheme
+from repro.oscore import SecurityContext
+from repro.transports import get_profile
+
+PEER = ("fe80::1", 40001)
+
+
+class Row(NamedTuple):
+    name: str
+    rfc: str
+    section: str
+    level: str
+    says: str
+    request: bytes
+    #: The reply's (type, code); its MID is the request's.
+    reply: tuple
+    #: Why the server does not meet the row yet, or None.
+    unmet: Optional[str] = None
+    #: The row needs a server without an OSCORE context.
+    plain_only: bool = False
+
+
+def _fetch(*options) -> bytes:
+    """A CON FETCH for ``/dns`` carrying an AAAA query and *options*."""
+    message = CoapMessage.request(
+        Code.FETCH, "dns", mid=0x1234, token=b"\x07",
+        payload=make_query("a.example.org", RecordType.AAAA, txid=0).encode(),
+    ).with_uint_option(OptionNumber.CONTENT_FORMAT, int(ContentFormat.DNS_MESSAGE))
+    for number, value in options:
+        message = message.with_option(number, value)
+    return message.encode()
+
+
+ROWS = [
+    Row("ping-rst", "RFC 7252", "§4.2, §4.3", "MUST",
+        "an empty CON (the CoAP ping) is rejected with an RST carrying its MID",
+        bytes.fromhex("40001234"), (MessageType.RST, Code.EMPTY)),
+    Row("critical-option-2001", "RFC 7252", "§5.4.1", "MUST",
+        "an unrecognised critical option in a CON request gets 4.02 Bad Option",
+        _fetch((2001, b"")), (MessageType.ACK, Code.BAD_OPTION),
+        unmet="the request reader skips an option it does not know"),
+    Row("oscore-option-no-context", "RFC 7252", "§5.4.1", "MUST",
+        "the OSCORE option at a server with no OSCORE context is an "
+        "unrecognised critical option: 4.02 Bad Option",
+        _fetch((OptionNumber.OSCORE, b"")), (MessageType.ACK, Code.BAD_OPTION),
+        unmet="the DoC route answers 2.05 in the clear", plain_only=True),
+    Row("accept-text-plain", "RFC 7252", "§5.10.4", "MUST",
+        "an Accept the server cannot produce (0, text/plain) gets 4.06 Not "
+        "Acceptable",
+        _fetch((OptionNumber.ACCEPT, b"")), (MessageType.ACK, Code.NOT_ACCEPTABLE),
+        unmet="the reply is 2.05 application/dns-message whatever the Accept"),
+]
+
+
+def _cases():
+    for row in ROWS:
+        for secured in (False, True):
+            if secured and row.plain_only:
+                continue
+            for capacity in (64, 0):
+                marks = ()
+                if row.unmet is not None:
+                    marks = pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+                        f"{row.rfc} {row.section} {row.level}: {row.says}; "
+                        f"{row.unmet}"
+                    ))
+                yield pytest.param(
+                    row, secured, capacity, marks=marks,
+                    id=f"{row.name}-{'oscore' if secured else 'coap'}-cache{capacity}",
+                )
+
+
+class _ScriptedClock:
+    def __init__(self) -> None:
+        self.now = 0.0
+        self.rng = random.Random(11)
+
+    def schedule(self, delay, callback, *args):
+        raise AssertionError("the DoC server deferred a reply")
+
+    schedule_at = schedule
+
+
+class _Socket:
+    def __init__(self) -> None:
+        self.on_datagram = None
+        self.sent = []
+
+    def sendto(self, payload, dst_addr, dst_port, metadata=None):
+        self.sent.append((dst_addr, dst_port, bytes(payload)))
+
+
+@pytest.mark.parametrize("row,secured,capacity", _cases())
+def test_server_answers_as_the_rfc_says(row, secured, capacity):
+    zone = Zone()
+    zone.add_address("a.example.org", "2001:db8::1", ttl=120)
+    socket = _Socket()
+    _, server_context = SecurityContext.pair(b"conformance-secret", b"salt")
+    get_profile("coap").server_builder(
+        _ScriptedClock(), socket, RecursiveResolver(zone),
+        scheme=CachingScheme.EOL_TTLS,
+        oscore_context=server_context if secured else None,
+        fastpath_capacity=capacity,
+    )
+    socket.on_datagram(*PEER, row.request, {})
+    assert len(socket.sent) == 1
+    dst_addr, dst_port, reply = socket.sent[0]
+    assert (dst_addr, dst_port) == PEER
+    mtype, code = row.reply
+    assert (reply[0] >> 4 & 0b11, reply[1], reply[2:4]) == (
+        int(mtype), int(code), row.request[2:4]
+    )
+    if mtype == MessageType.RST:
+        assert reply == bytes((0x70, 0)) + row.request[2:4]

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.cborlib import dumps, loads
 from repro.dns import (
     AData,
     AAAAData,
@@ -147,7 +148,11 @@ class TestResponseEncoding:
         assert encode_response(response, ttl=None) == encode_response(response)
 
     def test_self_contained_two_array_form(self):
-        data = encode_response(self._response(), include_question=True)
+        # [question, answers]: decoded, never sent, so built here.
+        data = dumps([
+            loads(encode_query(self._question())),
+            loads(encode_response(self._response())),
+        ])
         decoded = decode_response(data)   # no external question needed
         assert decoded.questions[0].name == MEDIAN_NAME
         assert decoded.answers[0].rdata.address == "2001:db8::1"

@@ -1,8 +1,10 @@
 """The 6LoWPAN hop path: what its rewrite must not change, and what it fixes.
 
-* byte identity of IPHC, NHC, fragmentation, MAC frames and the UDP
-  checksum against ``rfc_lowpan_reference`` (field-by-field encoders
-  that share nothing with the code under test);
+* byte identity of IPHC (in the paper's configuration), NHC,
+  fragmentation, MAC frames and the UDP checksum against
+  ``rfc_lowpan_reference`` (field-by-field encoders that share nothing
+  with the code under test), and every stateless IPHC layout that
+  oracle writes decoded back;
 * memo safety of the per-flow IPHC header memos;
 * every frame on the air of two banked cells, hashed;
 * reassembly state bounded under loss, and ``header_extents`` rejecting
@@ -10,6 +12,7 @@
 """
 
 import hashlib
+from ipaddress import ip_address
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,7 +57,8 @@ def _multicast(flags_scope: int, group: int) -> str:
 
 
 iids = st.integers(1, (1 << 64) - 1)
-#: One strategy per stateless SAM/DAM mode 0-3.
+#: One strategy per stateless SAM/DAM mode 0-3: every layout decompress
+#: reads, fed to it from the oracle's bytes.
 sources = st.one_of(
     iids.map(global_address),
     iids.map(link_local),
@@ -83,15 +87,31 @@ port_pairs = st.one_of(
 )
 payloads = st.binary(max_size=1200)
 
+#: The paper's configuration (Section 5.1), where the oracle picks the
+#: modes compress writes: SAM/DAM 3 or 0, multicast DAM 3 or 0, TF
+#: elided, UDP with both ports inline.
+paper_sources = st.one_of(iids.map(global_address), st.just(_mac_derived(MAC_A)))
+paper_destinations = st.one_of(
+    iids.map(global_address),
+    st.just(_mac_derived(MAC_B)),
+    st.integers(0, 0xFF).map(lambda group: _multicast(0x02, group)),
+    st.builds(_multicast, st.integers(0, 0xFF), st.integers(1 << 40, (1 << 112) - 1)),
+)
+inline_ports = st.integers(0, 0xFFFF).filter(lambda port: port >> 8 != 0xF0)
+
 
 @st.composite
-def packets(draw):
-    """``(Ipv6Packet, the oracle's uncompressed bytes)``."""
-    src, dst = draw(sources), draw(destinations)
+def packets(draw, paper=False):
+    """``(Ipv6Packet, the oracle's uncompressed bytes)``; with *paper*,
+    one in the paper's configuration."""
+    src = draw(paper_sources if paper else sources)
+    dst = draw(paper_destinations if paper else destinations)
     payload = draw(payloads)
-    next_header = draw(st.one_of(st.just(17), st.integers(0, 255)))
+    next_header = 17 if paper else draw(st.one_of(st.just(17), st.integers(0, 255)))
     if next_header == 17:
-        src_port, dst_port = draw(port_pairs)
+        src_port, dst_port = draw(
+            st.tuples(inline_ports, inline_ports) if paper else port_pairs
+        )
         body = UdpDatagram(src_port, dst_port, payload).encode(src, dst)
         assert body == reference.udp_datagram(src, dst, src_port, dst_port, payload)
     else:
@@ -99,18 +119,44 @@ def packets(draw):
     fields = dict(
         next_header=next_header,
         hop_limit=draw(hop_limits),
-        traffic_class=draw(st.sampled_from([0, 0, 0x03, 0x20, 0xB9, 0xFF])),
-        flow_label=draw(st.sampled_from([0, 0, 1, 0xFFFFF])),
+        traffic_class=0 if paper else draw(st.sampled_from([0, 0, 0x03, 0x20, 0xB9, 0xFF])),
+        flow_label=0 if paper else draw(st.sampled_from([0, 0, 1, 0xFFFFF])),
     )
     packet = Ipv6Packet(src, dst, body, **fields)
     return packet, reference.ipv6_packet(src, dst, body, **fields)
 
 
+def _round_trips_or_refuses(packet):
+    """``compress`` writes what ``decompress`` reads back, or refuses a
+    packet outside the paper's configuration: a traffic class or flow
+    label to carry, or a next header other than UDP."""
+    if packet.traffic_class or packet.flow_label or packet.next_header != 17:
+        with pytest.raises(IphcError):
+            compress(packet, MAC_A, MAC_B)
+        return None
+    compressed = compress(packet, MAC_A, MAC_B)
+    assert decompress(compressed, MAC_A, MAC_B) == packet
+    return compressed
+
+
 class TestByteIdentity:
-    """Passes on the tree before the rewrite, too: the rewrite moved no byte."""
+    """compress writes the oracle's bytes in the paper's configuration,
+    and decompress reads every stateless layout the oracle writes."""
 
     @settings(max_examples=300, deadline=None)
     @given(packets())
+    def test_every_stateless_layout_decodes_from_the_oracle(self, drawn):
+        packet, uncompressed = drawn
+        assert packet.encode() == uncompressed
+        oracle = reference.iphc_compress(uncompressed, MAC_A, MAC_B)
+        assert decompress(oracle, MAC_A, MAC_B) == packet
+        compressed_header, uncompressed_header = header_extents(oracle)
+        assert uncompressed_header == 40 + (8 if packet.next_header == 17 else 0)
+        assert len(oracle) - compressed_header == len(uncompressed) - uncompressed_header
+        _round_trips_or_refuses(packet)
+
+    @settings(max_examples=300, deadline=None)
+    @given(packets(paper=True))
     def test_iphc_fragments_and_frames_match_the_reference(self, drawn):
         packet, uncompressed = drawn
         assert packet.encode() == uncompressed
@@ -118,9 +164,8 @@ class TestByteIdentity:
         assert compressed == reference.iphc_compress(uncompressed, MAC_A, MAC_B)
         assert decompress(compressed, MAC_A, MAC_B) == packet
 
-        upper = 8 if packet.next_header == 17 else 0
         compressed_header, uncompressed_header = header_extents(compressed)
-        assert uncompressed_header == 40 + upper
+        assert uncompressed_header == 48
         assert (
             len(compressed) - compressed_header
             == len(uncompressed) - uncompressed_header
@@ -184,8 +229,11 @@ class TestByteIdentity:
 
 class TestRfc6282Layouts:
     """TF 00 (§3.2.1) and the multicast DAM modes (§3.2.4) byte for byte:
-    the codec and the oracle both write the RFC's layout. The header
-    runs from source MAC_A's elided address, hop limit 64 and UDP NHC."""
+    the oracle writes the RFC's layout and the codec reads it back. The
+    header runs from source MAC_A's elided address, hop limit 64 and UDP
+    NHC. compress writes none of these layouts: it carries these
+    multicast groups in full (DAM 00) and refuses a traffic class or
+    flow label, which the paper's configuration elides."""
 
     @pytest.mark.parametrize(
         "dst,traffic_class,flow_label,header",
@@ -209,13 +257,21 @@ class TestRfc6282Layouts:
         fields = dict(traffic_class=traffic_class, flow_label=flow_label)
         packet = Ipv6Packet(src, dst, body, **fields)
         expected = bytes.fromhex(header)
-        compressed = compress(packet, MAC_A, MAC_B)
-        assert compressed[: len(expected)] == expected
-        assert compressed[len(expected)] == 0b11110000  # NHC, ports inline
-        assert compressed == reference.iphc_compress(
+        oracle = reference.iphc_compress(
             reference.ipv6_packet(src, dst, body, **fields), MAC_A, MAC_B
         )
-        assert header_extents(compressed) == (len(expected) + 7, 48)
+        assert oracle[: len(expected)] == expected
+        assert oracle[len(expected)] == 0b11110000  # NHC, ports inline
+        assert header_extents(oracle) == (len(expected) + 7, 48)
+        assert decompress(oracle, MAC_A, MAC_B) == packet
+
+        if traffic_class or flow_label:
+            with pytest.raises(IphcError):
+                compress(packet, MAC_A, MAC_B)
+            return
+        compressed = compress(packet, MAC_A, MAC_B)
+        # SAM 11, M, DAM 00: the group's 16 bytes inline.
+        assert compressed[:18] == bytes.fromhex("7e38") + ip_address(dst).packed
         assert decompress(compressed, MAC_A, MAC_B) == packet
 
 
@@ -255,8 +311,8 @@ class TestMemoSafety:
     @settings(max_examples=60, deadline=None)
     @given(packets())
     def test_every_prefix_decodes_or_raises_the_documented_error(self, drawn):
-        packet, _ = drawn
-        compressed = compress(packet, MAC_A, MAC_B)
+        packet, uncompressed = drawn
+        compressed = reference.iphc_compress(uncompressed, MAC_A, MAC_B)
         header_end, _ = header_extents(compressed)
         for cut in range(len(compressed)):
             prefix = compressed[:cut]
@@ -296,11 +352,14 @@ class TestMemoSafety:
     @settings(max_examples=60, deadline=None)
     @given(packets())
     def test_bytes_and_memoryview_inputs_give_equal_results(self, drawn):
-        packet, _ = drawn
-        compressed = compress(packet, MAC_A, MAC_B)
-        view = memoryview(compressed)
-        assert decompress(view, MAC_A, MAC_B) == decompress(compressed, MAC_A, MAC_B)
-        assert header_extents(view) == header_extents(compressed)
+        packet, uncompressed = drawn
+        oracle = reference.iphc_compress(uncompressed, MAC_A, MAC_B)
+        view = memoryview(oracle)
+        assert decompress(view, MAC_A, MAC_B) == decompress(oracle, MAC_A, MAC_B)
+        assert header_extents(view) == header_extents(oracle)
+        compressed = _round_trips_or_refuses(packet)
+        if compressed is None:
+            return
         sender = LowpanAdaptation(MAC_A)
         as_bytes, as_views = Reassembler(), Reassembler()
         for frame in sender.packet_to_frames(packet, MAC_B):

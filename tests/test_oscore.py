@@ -16,6 +16,7 @@ from repro.oscore import (
     unprotect_response,
 )
 from repro.oscore.context import decode_partial_iv, encode_partial_iv
+from repro.oscore.protect import _external_aad, encode_plaintext
 
 
 def _pair(**kwargs):
@@ -203,17 +204,32 @@ class TestProtection:
         assert plain.max_age == 60
 
     def test_response_with_new_piv(self):
+        """A response under the server's own Partial IV (RFC 8613 §8.3),
+        which the stack never sends but must verify, built here."""
         client, server = _pair()
         outer, binding = protect_request(client, _request())
         inner, server_binding = unprotect_request(server, outer)
-        response = inner.make_response(Code.CONTENT, payload=b"x")
-        protected = protect_response(
-            server, response, server_binding, use_new_piv=True
+        partial_iv = encode_partial_iv(server.next_sequence())
+        ciphertext = server.sender_aead().encrypt(
+            server.nonce(server.sender_id, partial_iv),
+            encode_plaintext(Code.CONTENT, (), b"x"),
+            _external_aad(server_binding.kid, server_binding.partial_iv),
         )
-        value = OscoreOptionValue.decode(protected.option(OptionNumber.OSCORE))
-        assert value.partial_iv != b""
+        option = OscoreOptionValue(partial_iv=partial_iv).encode()
+        protected = inner.make_response(
+            Code.CHANGED, payload=ciphertext, options=((OptionNumber.OSCORE, option),)
+        )
+        assert protected.code == Code.CHANGED
         plain = unprotect_response(client, protected, binding)
+        assert plain.code == Code.CONTENT
         assert plain.payload == b"x"
+        # The same body under the request's nonce does not verify.
+        protected = inner.make_response(
+            Code.CHANGED, payload=ciphertext,
+            options=((OptionNumber.OSCORE, OscoreOptionValue().encode()),),
+        )
+        with pytest.raises(OscoreError):
+            unprotect_response(client, protected, binding)
 
     def test_replay_rejected(self):
         client, server = _pair()

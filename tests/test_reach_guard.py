@@ -2,10 +2,12 @@
 trace, so this suite does not run the product paths under the tracer.
 
 CI runs the script itself over the real paths; these tests keep its
-join and its verdicts honest: which line a function is keyed by, and
-which unreached functions fail the build.
+joins and its verdicts honest: which line a function is keyed by, which
+unreached functions fail the build, and which lines of reached functions
+the line ratchet counts.
 """
 
+import ast
 import importlib.util
 import json
 import textwrap
@@ -56,24 +58,34 @@ def _load_reach():
 
 @pytest.fixture
 def reach(tmp_path, monkeypatch):
-    """The tool pointed at a one-module ``src/`` and its own allowlist."""
+    """The tool pointed at a one-module ``src/`` and its own allowlist
+    and line counts."""
     module = _load_reach()
     src = tmp_path / "src"
     (src / "pkg").mkdir(parents=True)
     (src / "pkg" / "mod.py").write_text(MODULE)
     monkeypatch.setattr(module, "SRC", src)
     monkeypatch.setattr(module, "ALLOWLIST", tmp_path / "allowlist.json")
+    monkeypatch.setattr(module, "LINES", tmp_path / "lines.json")
     return module
 
 
-def _trace(reach, tmp_path, names):
-    """A trace directory whose one dump reached *names* of pkg/mod.py."""
-    table = reach.functions(reach.SRC)["pkg/mod.py"]
+def _trace(reach, tmp_path, names, module="mod", ran=None):
+    """A trace directory whose one dump reached *names* of pkg/*module*
+    and ran *ran* of its lines (by default every line of them)."""
+    path = reach.SRC / "pkg" / f"{module}.py"
+    table = reach.functions(reach.SRC)[f"pkg/{module}.py"]
     trace_dir = tmp_path / "trace"
     trace_dir.mkdir(exist_ok=True)
-    path = reach.SRC / "pkg" / "mod.py"
-    lines = [f"{path}:{line}" for name in names for line in table[name]]
-    (trace_dir / "1-1.txt").write_text("\n".join(lines) + "\n")
+    called = [line for name in names for line in table[name]]
+    (trace_dir / "1-1.txt").write_text(
+        "\n".join(f"{path}:{line}" for line in called) + "\n"
+    )
+    if ran is None:
+        ran = range(1, len(path.read_text().splitlines()) + 1)
+    (trace_dir / "1-1.lines").write_text(
+        "\n".join(f"{path}:{line}" for line in ran) + "\n"
+    )
     return trace_dir
 
 
@@ -178,3 +190,108 @@ def test_checked_in_allowlist_uses_the_closed_reason_set():
             kind, _, evidence = reason.partition(":")
             assert kind in reach.REASONS and evidence.strip(), (module, name)
             assert name in table.get(module, {}), (module, name)
+
+
+BRANCHY = textwrap.dedent('''\
+    def pick(flag):
+        if flag:
+            return "taken"
+        value = "never"
+        return value
+
+
+    def guard(value):
+        if value is None:
+            raise ValueError(
+                "no value"
+            )
+        try:
+            return int(value)
+        except TypeError as exc:
+            message = str(exc)
+            return message
+
+
+    def unreached():
+        return 0
+''')
+#: What the product paths run of BRANCHY: pick(True) and guard("1").
+BRANCHY_RAN = [2, 3, 9, 13, 14]
+
+
+@pytest.fixture
+def branchy(reach):
+    (reach.SRC / "pkg" / "branchy.py").write_text(BRANCHY)
+    (reach.SRC / "pkg" / "mod.py").unlink()
+    return reach
+
+
+def _branchy_trace(reach, tmp_path, ran=BRANCHY_RAN):
+    reach.ALLOWLIST.write_text(json.dumps({"pkg/branchy.py": {
+        "unreached": "api: a public name README documents",
+    }}))
+    return _trace(reach, tmp_path, ["pick", "guard"], "branchy", ran)
+
+
+def test_an_untaken_branch_in_a_reached_function_is_counted(branchy, tmp_path):
+    trace_dir = _branchy_trace(branchy, tmp_path)
+    keys = branchy.reached(trace_dir)
+    found = branchy.unexecuted(branchy.SRC, keys, branchy.executed(trace_dir))
+    # pick's fall-through is counted; the unreached function is the
+    # function gate's, not the line ratchet's.
+    assert found == {"pkg/branchy.py": [4, 5]}
+
+
+def test_raise_lines_and_except_handlers_are_exempt(branchy, tmp_path):
+    trace_dir = _branchy_trace(branchy, tmp_path)
+    found = branchy.unexecuted(
+        branchy.SRC, branchy.reached(trace_dir), branchy.executed(trace_dir)
+    )
+    exempt = branchy._exempt(ast.parse(BRANCHY))
+    assert exempt == {10, 11, 12, 15, 16, 17}
+    # guard's untaken `if` body is a three-line raise, its except
+    # handler never ran: none of them is counted.
+    assert not exempt & set(found["pkg/branchy.py"])
+
+
+def test_a_count_that_rises_fails_and_names_the_lines(branchy, tmp_path, capsys):
+    branchy.LINES.write_text(json.dumps({"pkg/branchy.py": 1}))
+    trace_dir = _branchy_trace(branchy, tmp_path)
+    assert branchy.main(["--trace", str(trace_dir)]) == 1
+    err = capsys.readouterr().err
+    assert "pkg/branchy.py: 2 lines of reached functions ran on no product " \
+           "path, 1 on file; lines 4, 5" in err
+    # A module the file does not list has a budget of 0.
+    branchy.LINES.write_text("{}")
+    assert branchy.main(["--trace", str(trace_dir)]) == 1
+
+
+def test_a_count_that_falls_is_only_reported(branchy, tmp_path, capsys):
+    branchy.LINES.write_text(json.dumps({"pkg/branchy.py": 3, "pkg/gone.py": 1}))
+    trace_dir = _branchy_trace(branchy, tmp_path)
+    assert branchy.main(["--trace", str(trace_dir)]) == 0
+    out = capsys.readouterr().out
+    assert "pkg/branchy.py: 2 unexecuted lines < 3 on file" in out
+    assert "pkg/gone.py: 0 unexecuted lines < 1 on file" in out
+    assert "reach: 2 lines of reached functions" in out
+
+
+def test_only_update_writes_the_line_counts(branchy, tmp_path, capsys):
+    trace_dir = _branchy_trace(branchy, tmp_path, ran=BRANCHY_RAN + [4, 5])
+    assert branchy.main(["--trace", str(trace_dir)]) == 0
+    assert not branchy.LINES.exists()
+    trace_dir = _branchy_trace(branchy, tmp_path)
+    assert branchy.main(["--trace", str(trace_dir)]) == 1
+    assert not branchy.LINES.exists()
+    assert branchy.main(["--trace", str(trace_dir), "--update"]) == 0
+    assert json.loads(branchy.LINES.read_text()) == {"pkg/branchy.py": 2}
+    capsys.readouterr()
+    assert branchy.main(["--trace", str(trace_dir)]) == 0
+
+
+def test_checked_in_line_counts_name_modules_that_exist():
+    reach = _load_reach()
+    counts = json.loads(reach.LINES.read_text())
+    for module, count in counts.items():
+        assert (reach.SRC / module).is_file(), module
+        assert isinstance(count, int) and count > 0, module

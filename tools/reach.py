@@ -1,33 +1,51 @@
 #!/usr/bin/env python3
 """Reach gate: every function in ``src/`` is reached by a product path,
-or is listed in ``tools/reach_allowlist.json`` with a reason.
+or is listed in ``tools/reach_allowlist.json`` with a reason; and the
+lines of reached functions that no product path runs only ever get
+fewer (``tools/reach_lines.json``).
 
 The product paths are the paper's figures and tables (``benchmarks/``),
 the examples, the CLI (``tests/test_cli.py`` and every command CI runs,
 ``tools/cli_smoke.py``) and the bench workloads
 (``bench/test_bench_smoke.py``). They run in subprocesses with a
 ``sitecustomize`` on ``PYTHONPATH`` that calls :func:`install`: a
-``sys.setprofile`` / ``threading.setprofile`` hook records the code
-object of every call, and each process (forked workers, which leave
-through ``os._exit``, too) writes the ``src/`` ones it saw to the trace
-directory. The trace is joined with an AST table of every function,
-keyed ``(module, min(def line, first decorator line))`` -- the
-``co_firstlineno`` of its code object.
+``sys.settrace`` / ``threading.settrace`` hook records the code object
+of every call, and a line tracer, installed only in frames of ``src/``,
+records every line they run. Each process (forked workers, which leave
+through ``os._exit``, too) writes what it saw under ``src/`` to the
+trace directory.
 
-A function that is not reached needs an allowlist entry whose reason is
-``<kind>: <evidence>``, *kind* one of :data:`REASONS`. "Only its unit
-test calls it" is not a reason: such code is deleted.
+**Functions.** The trace is joined with an AST table of every function,
+keyed ``(module, min(def line, first decorator line))`` -- the
+``co_firstlineno`` of its code object. A function that is not reached
+needs an allowlist entry whose reason is ``<kind>: <evidence>``, *kind*
+one of :data:`REASONS`. "Only its unit test calls it" is not a reason:
+such code is deleted.
 
 * an unreached function with no entry fails, and so does an entry whose
   reason is ``TODO`` or of no known kind;
 * a listed function that is now reached is only reported: a path that
   depends on timing must not make the build flaky.
 
-``--update`` adds the unlisted unreached functions with reason ``TODO``
-(and drops entries for functions that no longer exist); the diff is
-then the review. ``--trace DIR`` keeps the trace in *DIR*, and joins
-the one already there instead of running the paths again (they take
-about a minute and a half on a 2-core host).
+**Lines.** A reached function's executable lines are the ``co_lines()``
+of its code object, less its first line. One that never ran is exempt
+when the AST puts it inside a ``raise`` statement or an ``except``
+handler (the error branches, which the allowlist's ``safety`` and
+``fault`` kinds cover at function level); the others are counted per
+module and ratcheted against ``tools/reach_lines.json``, in the shape
+of ``tools/check_hot_slices.py``:
+
+* a count above the file's fails, and lists the module's lines that
+  never ran;
+* a count below it is only reported.
+
+``--update`` rewrites both files: it adds the unlisted unreached
+functions with reason ``TODO`` (and drops entries for functions that no
+longer exist), and writes the line counts as they are; the diff is then
+the review. ``--trace DIR`` keeps the trace in *DIR*, and joins the one
+already there instead of running the paths again (they take about 90 s
+on a 2-core host; the trace is joined by line number, so it is stale
+once ``src/`` is edited).
 """
 
 from __future__ import annotations
@@ -46,6 +64,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 ALLOWLIST = Path(__file__).with_name("reach_allowlist.json")
+LINES = Path(__file__).with_name("reach_lines.json")
 
 #: The closed set of reasons an unreached function may stay for.
 REASONS = {
@@ -66,21 +85,32 @@ PRODUCT_TESTS = [
 
 def install(out: str, src: str, site: str) -> None:
     """The tracer, run by the ``sitecustomize`` :func:`trace` writes in
-    *site*: it writes what the process called under *src* into *out*."""
-    seen = set()
-    record = seen.add
+    *site*: it writes what the process called, and the lines it ran,
+    under *src* into *out*."""
+    seen, ran = set(), set()
+    record, record_line = seen.add, ran.add
 
-    def profile(frame, event, arg):
-        if event == "call":
-            record(frame.f_code)
+    def lines(frame, event, arg):
+        if event == "line":
+            record_line((frame.f_code.co_filename, frame.f_lineno))
+        return lines
+
+    def calls(frame, event, arg):
+        code = frame.f_code
+        record(code)
+        if code.co_filename.startswith(src):
+            return lines
+        return None
 
     def dump() -> None:
-        lines = sorted({
+        name = f"{os.getpid()}-{time.monotonic_ns()}"
+        called = sorted({
             f"{code.co_filename}:{code.co_firstlineno}"
             for code in list(seen) if code.co_filename.startswith(src)
         })
-        name = f"{os.getpid()}-{time.monotonic_ns()}.txt"
-        Path(out, name).write_text("\n".join(lines) + "\n")
+        Path(out, name + ".txt").write_text("\n".join(called) + "\n")
+        executed = sorted(f"{filename}:{line}" for filename, line in list(ran))
+        Path(out, name + ".lines").write_text("\n".join(executed) + "\n")
 
     real_exit = os._exit
 
@@ -100,8 +130,8 @@ def install(out: str, src: str, site: str) -> None:
     atexit.register(dump)
     os._exit = exit_after_dump
     subprocess.Popen.__init__ = popen_keeping_tracer
-    threading.setprofile(profile)
-    sys.setprofile(profile)
+    threading.settrace(calls)
+    sys.settrace(calls)
 
 
 def trace(trace_dir: Path) -> None:
@@ -129,14 +159,24 @@ def trace(trace_dir: Path) -> None:
                        env=env, cwd=work, check=True)
 
 
-def reached(trace_dir: Path) -> set:
-    """``{(module, line)}`` over every dump in *trace_dir*."""
+def _keys(trace_dir: Path, suffix: str) -> set:
+    """``{(module, line)}`` over every *suffix* dump in *trace_dir*."""
     keys = set()
-    for dump in trace_dir.glob("*.txt"):
+    for dump in trace_dir.glob("*" + suffix):
         for line in dump.read_text().split():
             filename, _, lineno = line.rpartition(":")
             keys.add((Path(filename).relative_to(SRC).as_posix(), int(lineno)))
     return keys
+
+
+def reached(trace_dir: Path) -> set:
+    """``{(module, first line)}`` of every function the trace called."""
+    return _keys(trace_dir, ".txt")
+
+
+def executed(trace_dir: Path) -> set:
+    """``{(module, line)}`` of every line the trace ran."""
+    return _keys(trace_dir, ".lines")
 
 
 def functions(src: Path) -> dict:
@@ -196,6 +236,63 @@ def check(table: dict, keys: set, allowed: dict):
     return failures, notes, unlisted
 
 
+def _exempt(tree: ast.AST) -> set:
+    """The lines of every ``raise`` statement and ``except`` handler."""
+    exempt = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Raise, ast.ExceptHandler)):
+            exempt.update(range(node.lineno, node.end_lineno + 1))
+    return exempt
+
+
+def _codes(code):
+    """*code* and every code object nested in it."""
+    yield code
+    for const in code.co_consts:
+        if hasattr(const, "co_lines"):
+            yield from _codes(const)
+
+
+def unexecuted(src: Path, keys: set, ran: set) -> dict:
+    """``{module: [line, ...]}``: the lines of reached functions that
+    never ran and are not exempt (see :func:`_exempt`)."""
+    found = {}
+    for path in sorted(src.rglob("*.py")):
+        module = path.relative_to(src).as_posix()
+        text = path.read_text(encoding="utf-8")
+        exempt = _exempt(ast.parse(text))
+        missed = set()
+        for code in _codes(compile(text, str(path), "exec")):
+            first = code.co_firstlineno
+            if code.co_name.startswith("<") or (module, first) not in keys:
+                continue
+            missed.update(
+                line for _, _, line in code.co_lines()
+                if line is not None and line != first and line not in exempt
+                and (module, line) not in ran
+            )
+        if missed:
+            found[module] = sorted(missed)
+    return found
+
+
+def check_lines(found: dict, budget: dict):
+    """``(failures, notes)`` of the counts in *found* against *budget*."""
+    failures, notes = [], []
+    for module in sorted(set(found) | set(budget)):
+        lines, allowed = found.get(module, []), budget.get(module, 0)
+        if len(lines) > allowed:
+            failures.append(
+                f"{module}: {len(lines)} lines of reached functions ran on no "
+                f"product path, {allowed} on file; lines "
+                + ", ".join(map(str, lines))
+            )
+        elif len(lines) < allowed:
+            notes.append(f"{module}: {len(lines)} unexecuted lines < {allowed} "
+                         "on file; ratchet with --update")
+    return failures, notes
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     allowed = json.loads(ALLOWLIST.read_text()) if ALLOWLIST.exists() else {}
@@ -212,8 +309,14 @@ def main(argv=None) -> int:
                 print(f"error: product path failed: {exc}", file=sys.stderr)
                 return 2
         keys = reached(trace_dir)
+        ran = executed(trace_dir)
     table = functions(SRC)
     failures, notes, unlisted = check(table, keys, allowed)
+    lines = [(m, line) for m, names in table.items()
+             for defs in names.values() for line in defs]
+    found = unexecuted(SRC, {key for key in lines if key in keys}, ran)
+    budget = json.loads(LINES.read_text()) if LINES.exists() else {}
+    line_failures, line_notes = check_lines(found, budget)
 
     if "--update" in argv:
         merged = {
@@ -228,15 +331,18 @@ def main(argv=None) -> int:
             {m: names for m, names in merged.items() if names},
             indent=2) + "\n")
         print(f"allowlist rewritten: {ALLOWLIST}")
+        LINES.write_text(json.dumps(
+            {m: len(found[m]) for m in sorted(found)}, indent=2) + "\n")
+        print(f"line counts rewritten: {LINES}")
         return 0
 
-    for line in notes:
+    for line in notes + line_notes:
         print(f"note: {line}")
-    lines = [(m, line) for m, names in table.items()
-             for defs in names.values() for line in defs]
     total, hit = len(lines), sum(key in keys for key in lines)
     print(f"reach: {hit} of {total} functions in src/ reached by the "
           "product paths")
+    print(f"reach: {sum(map(len, found.values()))} lines of reached functions, "
+          "raise and except lines aside, run on no product path")
     if failures:
         print("unreached code is deleted, or listed with a reason from the "
               "closed set:", file=sys.stderr)
@@ -244,8 +350,12 @@ def main(argv=None) -> int:
             print(f"  {kind}: {meaning}", file=sys.stderr)
         for line in failures:
             print(f"  {line}", file=sys.stderr)
-        return 1
-    return 0
+    if line_failures:
+        print("lines that no product path runs are deleted, or reached; a "
+              "count may only fall (tools/reach_lines.json):", file=sys.stderr)
+        for line in line_failures:
+            print(f"  {line}", file=sys.stderr)
+    return 1 if failures or line_failures else 0
 
 
 if __name__ == "__main__":
