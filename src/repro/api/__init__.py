@@ -12,7 +12,8 @@ The façade over everything the toolkit can execute:
   and returns
 * :class:`~repro.api.report.Report` — one versioned result document
   with stable dotted metric names, identical non-namespaced key sets
-  on every substrate, and ``to_json()``/``from_json()`` round-tripping.
+  on every substrate, and ``to_json()``/``from_json()`` round-tripping;
+  ``from_json`` is the one reader, and checks what it reads.
 * :func:`~repro.api.runner.sweep` — a grid of such runs: one RunSpec
   per (transport × topology × loss [× placement] [× scheme]) cell, one
   Report back per cell, keyed ``"coap/figure2/0.05"``.
@@ -47,6 +48,7 @@ _EXPORTS = {
     "provenance": ".report",
     "report_from_experiment_result": ".report",
     "report_from_loadgen": ".report",
+    "sweep_from_json": ".report",
     "sweep_to_json": ".report",
     "ApiError": ".spec",
     "FleetOptions": ".spec",
@@ -54,12 +56,6 @@ _EXPORTS = {
     "RunSpec": ".spec",
     "run": ".runner",
     "sweep": ".runner",
-    # NOTE: the schema *validate* function is not re-exported here —
-    # the name belongs to the ``repro.api.validate`` CLI module; import
-    # the function from :mod:`repro.api.schema` directly.
-    "SchemaError": ".schema",
-    "ValidationError": ".schema",
-    "load_schema": ".schema",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -21,8 +21,9 @@ The converters (:func:`report_from_experiment_result`,
 :func:`report_from_loadgen`,
 :func:`repro.fleet.report.report_from_fleet`) say what each run
 measured; :func:`pool_metrics`, the one pooling pass, applies the
-rows' rules. ``python -m repro.api.validate`` checks Reports against
-the table (:func:`check_metrics`). The ``live.server.*``,
+rows' rules. :meth:`Report.from_json` reads a Report back and checks
+it against the table (:func:`check_metrics`), as
+``python -m repro.api.validate`` does for files. The ``live.server.*``,
 ``live.workers.serve.<i>.*`` and ``live.cache.resolver.*`` rows are
 generated from :data:`SERVER_STATS`, the table of a live server's
 stats block, which lives here so that the Report's table needs no
@@ -50,8 +51,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 REPORT_VERSION = 2
 
 #: Every substrate a RunSpec can execute on. Single-sourced: RunSpec
-#: validation, Report validation, :data:`REPORT_METRICS` and
-#: ``tests/report_schema.json`` (via the schema-sync test) all derive
+#: validation, Report validation and :data:`REPORT_METRICS` all derive
 #: from this tuple.
 SUBSTRATES = ("sim", "live", "fleet")
 
@@ -559,24 +559,72 @@ def pool_metrics(
     return metrics
 
 
+#: The keys every Report carries: the rows listing every substrate,
+#: without a placeholder.
+_ALWAYS = tuple(
+    row.key for row in REPORT_METRICS
+    if row.substrates == SUBSTRATES and "{" not in row.key
+)
+
+#: The units whose values are never negative.
+_NON_NEGATIVE = ("count", "ratio", "qps")
+
+
 def check_metrics(substrate: str, metrics: Dict[str, object]) -> None:
     """Raise :class:`ReportError` unless every key of *metrics* matches
-    exactly one row, one listing *substrate*, every value has its
-    row's unit's type, and the query counters add up."""
+    exactly one row, one listing *substrate*; every value has its row's
+    unit's type, and no count, ratio or rate is negative; no key of a
+    row listing every substrate is null but ``latency.*``; every key of
+    :data:`_ALWAYS` is there; and the query counters add up."""
+    missing = [key for key in _ALWAYS if key not in metrics]
+    if missing:
+        raise ReportError(f"metrics are missing {', '.join(missing)}")
     for key, value in metrics.items():
         rows = metric_rows(key)
         if len(rows) != 1 or substrate not in rows[0].substrates:
             raise ReportError(f"metric {key!r} is not one {substrate} row")
-        if value is not None and type(value) not in UNITS[rows[0].unit]:
-            raise ReportError(f"metric {key!r} is not a {rows[0].unit}")
-    queries = {
-        key.partition(".")[2]: value
-        for key, value in metrics.items() if key.startswith("queries.")
-    }
-    if queries["issued"] != queries["succeeded"] + queries["failed"]:
+        unit = rows[0].unit
+        if value is None:
+            if rows[0].substrates == SUBSTRATES and not key.startswith("latency."):
+                raise ReportError(f"metric {key!r} is null")
+        elif type(value) not in UNITS[unit]:
+            raise ReportError(f"metric {key!r} is not a {unit}")
+        elif unit in _NON_NEGATIVE and value < 0:
+            raise ReportError(f"metric {key!r} is negative")
+    issued, succeeded, failed, timeouts, rcode_failures = (
+        metrics[f"queries.{leaf}"]
+        for leaf in "issued succeeded failed timeouts rcode_failures".split()
+    )
+    if issued != succeeded + failed:
         raise ReportError("queries.issued != succeeded + failed")
-    if queries["timeouts"] + queries["rcode_failures"] > queries["failed"]:
+    if timeouts + rcode_failures > failed:
         raise ReportError("queries.timeouts + rcode_failures > failed")
+
+
+#: The keys of the :func:`provenance` stamp.
+_PROVENANCE = {"python", "platform", "git"}
+
+
+def _check_envelope(payload, keys, optional=()) -> None:
+    """Raise :class:`ReportError` unless *payload* is an object with
+    exactly *keys* and any of *optional*, a ``report_version`` of at
+    least 1 and a :func:`provenance` stamp: what every document the
+    toolkit writes, but a telemetry row, carries."""
+    if not isinstance(payload, dict):
+        raise ReportError(f"expected an object, got {type(payload).__name__}")
+    missing = sorted(keys - set(payload))
+    unknown = sorted(set(payload) - keys - set(optional))
+    if missing or unknown:
+        raise ReportError(f"missing keys {missing}, unknown keys {unknown}")
+    version = payload["report_version"]
+    if type(version) is not int or version < 1:
+        raise ReportError(f"bad report_version: {version!r}")
+    stamp = payload["provenance"]
+    if not (
+        isinstance(stamp, dict) and set(stamp) == _PROVENANCE
+        and all(isinstance(value, str) for value in stamp.values())
+    ):
+        raise ReportError(f"bad provenance: {stamp!r}")
 
 
 @dataclass
@@ -630,28 +678,37 @@ class Report:
 
     @classmethod
     def from_json(cls, payload: Dict[str, object]) -> "Report":
-        """Rebuild a Report from :meth:`to_json` output."""
-        if not isinstance(payload, dict):
-            raise ReportError(f"report must be an object, got {type(payload)}")
-        missing = [
-            key
-            for key in ("report_version", "substrate", "spec", "metrics")
-            if key not in payload
-        ]
-        if missing:
-            raise ReportError(f"report is missing keys: {', '.join(missing)}")
-        version = payload["report_version"]
-        if not isinstance(version, int) or version < 1:
-            raise ReportError(f"bad report_version: {version!r}")
-        telemetry = payload.get("telemetry")
-        return cls(
-            substrate=payload["substrate"],
-            spec=dict(payload["spec"]),
-            metrics=dict(payload["metrics"]),
-            report_version=version,
-            provenance=dict(payload.get("provenance", {})),
-            telemetry=list(telemetry) if telemetry is not None else None,
+        """Read a Report from :meth:`to_json` output, and check it: the
+        keys ``to_json`` writes and no others, a known substrate, a
+        ``spec`` object, every telemetry row
+        (:func:`~repro.obs.telemetry.validate_snapshot`) and the
+        metrics (:func:`check_metrics`). Raises :class:`ReportError`."""
+        _check_envelope(
+            payload,
+            {"report_version", "substrate", "spec", "provenance", "metrics"},
+            ("telemetry",),
         )
+        spec, metrics = payload["spec"], payload["metrics"]
+        telemetry = payload.get("telemetry", [])
+        if not (isinstance(spec, dict) and isinstance(metrics, dict)
+                and isinstance(telemetry, list)):
+            raise ReportError("spec and metrics must be objects, "
+                              "telemetry a list")
+        report = cls(
+            substrate=payload["substrate"],
+            spec=dict(spec),
+            metrics=dict(metrics),
+            report_version=payload["report_version"],
+            provenance=dict(payload["provenance"]),
+            telemetry=list(telemetry) if "telemetry" in payload else None,
+        )
+        check_metrics(report.substrate, report.metrics)
+        if telemetry:
+            from repro.obs.telemetry import validate_snapshot
+
+            for row in telemetry:
+                validate_snapshot(row)
+        return report
 
     # -- accessors ---------------------------------------------------------
 
@@ -675,6 +732,17 @@ def sweep_to_json(reports: Dict[str, Report]) -> Dict[str, object]:
         "provenance": provenance(),
         "cells": {key: report.to_json() for key, report in reports.items()},
     }
+
+
+def sweep_from_json(payload: Dict[str, object]) -> Dict[str, Report]:
+    """Read a :func:`sweep_to_json` document back into its Reports by
+    grid key, checking the envelope and every cell
+    (:meth:`Report.from_json`). Raises :class:`ReportError`."""
+    _check_envelope(payload, {"report_version", "kind", "provenance", "cells"})
+    cells = payload["cells"]
+    if payload["kind"] != "sweep" or not isinstance(cells, dict):
+        raise ReportError("a sweep has kind 'sweep' and an object of cells")
+    return {key: Report.from_json(cell) for key, cell in cells.items()}
 
 
 # -- substrate converters --------------------------------------------------

@@ -1,14 +1,13 @@
-"""``python -m repro.api.validate SCHEMA FILE [FILE...]`` — validate
-JSON artifacts against the checked-in report schema and every Report
-in them (a sweep's cells too) against
-:data:`~repro.api.report.REPORT_METRICS`
-(:func:`~repro.api.report.check_metrics`).
+"""``python -m repro.api.validate FILE [FILE...]`` — check JSON
+artifacts with the readers of the documents the toolkit writes: a
+sweep (:func:`~repro.api.report.sweep_from_json`), a Report
+(:meth:`~repro.api.report.Report.from_json`) or a telemetry row
+(:func:`~repro.obs.telemetry.validate_snapshot`).
 
-The CI workflow runs this over the live-smoke and perf-smoke artifacts
-so any drift between what the toolkit emits and what
-``tests/report_schema.json`` and the table promise fails the build.
-Exit status: 0 when every file validates, 1 if any fails, 2 on
-unreadable inputs or a malformed schema.
+CI runs this over every artifact ``tools/cli_smoke.py`` writes, so any
+drift between what the toolkit emits and what its readers accept fails
+the build. Exit status: 0 when every file passes, 1 if any fails, 2 on
+unreadable inputs or no file.
 """
 
 from __future__ import annotations
@@ -17,52 +16,42 @@ import json
 import sys
 from typing import List, Optional
 
-from .report import ReportError, check_metrics
-from .schema import SchemaError, ValidationError, load_schema, validate
+from repro.obs.telemetry import validate_snapshot
+
+from .report import Report, ReportError, sweep_from_json
 
 
-def _check_reports(instance) -> None:
-    """:func:`check_metrics` on a Report document, or on every cell of
-    a sweep document; other documents have no Report."""
-    if instance.get("kind") == "sweep":
-        for cell in instance["cells"].values():
-            _check_reports(cell)
-    elif "metrics" in instance:
-        check_metrics(instance["substrate"], instance["metrics"])
+def check_document(document) -> None:
+    """Raise :class:`ReportError` unless *document* is a sweep (it has
+    ``kind``), a Report (it has ``report_version``) or a telemetry row
+    that reads back."""
+    if isinstance(document, dict) and "kind" in document:
+        sweep_from_json(document)
+    elif isinstance(document, dict) and "report_version" in document:
+        Report.from_json(document)
+    else:
+        validate_snapshot(document)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    if len(args) < 2:
-        print(
-            "usage: python -m repro.api.validate SCHEMA FILE [FILE...]",
-            file=sys.stderr,
-        )
-        return 2
-    schema_path, *files = args
-    try:
-        schema = load_schema(schema_path)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot load schema {schema_path}: {exc}",
+    files = sys.argv[1:] if argv is None else argv
+    if not files:
+        print("usage: python -m repro.api.validate FILE [FILE...]",
               file=sys.stderr)
         return 2
     status = 0
     for path in files:
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                instance = json.load(handle)
+                document = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
             print(f"error: cannot load {path}: {exc}", file=sys.stderr)
             return 2
         try:
-            validate(instance, schema)
-            _check_reports(instance)
-        except (ValidationError, ReportError) as exc:
+            check_document(document)
+        except ReportError as exc:
             print(f"FAIL {path}: {exc}", file=sys.stderr)
             status = 1
-        except SchemaError as exc:
-            print(f"error: malformed schema: {exc}", file=sys.stderr)
-            return 2
         else:
             print(f"ok   {path}")
     return status

@@ -624,7 +624,6 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     """
     import json
 
-    from repro.api.schema import ValidationError
     from repro.obs.telemetry import format_snapshot, validate_snapshot
 
     rendered = 0
@@ -638,7 +637,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         try:
             record = json.loads(line)
             validate_snapshot(record)
-        except (ValueError, ValidationError):
+        except ValueError:
             skipped += 1
             print("watch: skipping non-snapshot line", file=sys.stderr)
             return

@@ -562,10 +562,13 @@ class CoapServer:
         the :class:`FastPath` before anything is decoded. A body it
         answers is answered in bytes, building no :class:`CoapMessage`:
         ACK for CON, NON for NON, the request's MID and token, then the
-        reply body. An empty CON, the CoAP ping (RFC 7252 §4.3), gets an
-        RST with its MID. Everything else is decoded: ACK and RST,
-        requests the fast path leaves to the message path, and
-        malformed datagrams, which are dropped without a reply.
+        reply body. A CON the fast path leaves that is no request gets
+        an RST with its MID (RFC 7252 §4.2, §5.3.2): an Empty message,
+        the CoAP ping (§4.3) or one with a token or bytes it must not
+        carry (§4.1), a response, or a reserved code class. Everything
+        else is decoded: ACK and RST, requests the fast path leaves to
+        the message path, and malformed datagrams, which are dropped
+        without a reply.
         """
         size = len(data)
         first = data[0] if size >= 4 else 0
@@ -578,11 +581,6 @@ class CoapServer:
                 MessageType.ACK, MessageType.RST
             ):
                 self._separate_pending.pop((src_addr, src_port, message.mid), None)
-            return
-        if first == 0x40 and size == 4 and data[1] == 0:
-            self.socket.sendto(
-                bytes((0x70, 0, data[2], data[3])), src_addr, src_port, {"kind": "rst"}
-            )
             return
 
         dedup_key = (src_addr, src_port, (data[2] << 8) | data[3], bytes(data[4:offset]))
@@ -605,8 +603,14 @@ class CoapServer:
                 )
                 return
 
+        if not 0 < data[1] < 32:
+            # Code 0.00 or a class other than 0: not a request. A CON
+            # gets an RST, a NON nothing.
+            if not first & 0x10:
+                self.socket.sendto(bytes((0x70, 0, data[2], data[3])), src_addr, src_port, {"kind": "rst"})
+            return
         message = _decode(data)
-        if message is None or not message.code.is_request:
+        if message is None:
             return
         path = message.uri_path
         handler = self._resources.get(path, self.default_handler)

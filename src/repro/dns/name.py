@@ -114,7 +114,8 @@ def decode_name(data, offset: int) -> Tuple[str, int]:
     read, never mutated. Returns the presentation-format name (without
     trailing dot, ``""`` for the root) and the offset just past the
     name's first encoding (i.e. past the pointer if the name was
-    compressed).
+    compressed). A label :func:`encode_name` could not write back, one
+    with an octet above 0x7F or a ``.``, raises :class:`NameError_`.
     """
     labels: List[str] = []
     label_append = labels.append
@@ -150,7 +151,13 @@ def decode_name(data, offset: int) -> Tuple[str, int]:
             raise NameError_("truncated label")
         # ``str(buffer, ...)`` decodes straight from the buffer, so the
         # label slice is the only intermediate and works for views too.
-        label_append(str(data[position:next_position], "ascii", "replace"))
+        try:
+            label = str(data[position:next_position], "ascii")
+        except UnicodeDecodeError:
+            raise NameError_("octet above 0x7F in a label") from None
+        if "." in label:
+            raise NameError_("'.' inside a label")
+        label_append(label)
         position = next_position
         decoded_length += length + 1
         if decoded_length > MAX_NAME_LENGTH:

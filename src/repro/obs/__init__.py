@@ -30,7 +30,6 @@ _EXPORTS = {
     "JsonLogger": ".log",
     "configure": ".log",
     "get_logger": ".log",
-    "SNAPSHOT_SCHEMA": ".telemetry",
     "TelemetrySampler": ".telemetry",
     "telemetry_row": ".telemetry",
     "run_sampler": ".telemetry",

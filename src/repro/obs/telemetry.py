@@ -30,8 +30,9 @@ from typing import (
     Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
 )
 
+from repro.api.report import ReportError
+
 __all__ = [
-    "SNAPSHOT_SCHEMA",
     "TelemetrySampler",
     "telemetry_row",
     "run_sampler",
@@ -44,37 +45,6 @@ __all__ = [
 #: Maximum timeline length carried inside a Report — long runs keep
 #: the first N intervals rather than ballooning the artifact.
 MAX_TIMELINE_SNAPSHOTS = 600
-
-#: JSON-Schema (the :mod:`repro.api.schema` subset) for one snapshot
-#: row. ``tests/report_schema.json`` embeds the same definition under
-#: ``$defs``; a test asserts the two stay in sync.
-SNAPSHOT_SCHEMA: Dict[str, Any] = {
-    "type": "object",
-    "required": [
-        "t", "interval_s", "queries", "succeeded", "failed",
-        "timeouts", "qps", "latency_ms",
-    ],
-    "additionalProperties": False,
-    "properties": {
-        "t": {"type": "number", "minimum": 0},
-        "interval_s": {"type": "number", "minimum": 0},
-        "queries": {"type": "integer", "minimum": 0},
-        "succeeded": {"type": "integer", "minimum": 0},
-        "failed": {"type": "integer", "minimum": 0},
-        "timeouts": {"type": "integer", "minimum": 0},
-        "qps": {"type": "number", "minimum": 0},
-        "latency_ms": {
-            "type": "object",
-            "required": ["p50", "p99", "mean"],
-            "additionalProperties": False,
-            "properties": {
-                "p50": {"type": ["number", "null"]},
-                "p99": {"type": ["number", "null"]},
-                "mean": {"type": ["number", "null"]},
-            },
-        },
-    },
-}
 
 #: The four counts of a row, in the order a sampler source states them.
 Counts = Tuple[int, int, int, int]
@@ -313,8 +283,29 @@ def format_snapshot(record: Dict[str, Any]) -> str:
     )
 
 
-def validate_snapshot(record: Dict[str, Any]) -> None:
-    """Raise :class:`repro.api.schema.ValidationError` on a bad record."""
-    from repro.api.schema import validate
+#: The keys of a row, and of its ``latency_ms`` object.
+_ROW_KEYS = {
+    "t", "interval_s", "queries", "succeeded", "failed", "timeouts", "qps",
+    "latency_ms",
+}
+_LATENCY_KEYS = {"p50", "p99", "mean"}
 
-    validate(record, SNAPSHOT_SCHEMA)
+
+def validate_snapshot(record: Dict[str, Any]) -> None:
+    """Raise :class:`~repro.api.report.ReportError` unless *record*
+    reads as a row :func:`telemetry_row` writes: exactly its keys, the
+    four counts integers, ``t``, ``interval_s`` and ``qps`` numbers,
+    none of them negative, and each latency a number or null."""
+    if not isinstance(record, dict) or set(record) != _ROW_KEYS:
+        raise ReportError(f"not a telemetry row: {record!r}")
+    latency = record["latency_ms"]
+    if not (
+        all(type(record[key]) is int and record[key] >= 0
+            for key in ("queries", "succeeded", "failed", "timeouts"))
+        and all(type(record[key]) in (int, float) and record[key] >= 0
+                for key in ("t", "interval_s", "qps"))
+        and isinstance(latency, dict) and set(latency) == _LATENCY_KEYS
+        and all(value is None or type(value) in (int, float)
+                for value in latency.values())
+    ):
+        raise ReportError(f"bad telemetry row: {record!r}")

@@ -1,18 +1,16 @@
-"""The unified ``repro.api`` façade: RunSpec, Report, schema, parity.
+"""The unified ``repro.api`` façade: RunSpec, Report, its reader, parity.
 
-Covers the acceptance criteria of the API-redesign PR: one RunSpec
-executes on every substrate with identical non-namespaced metric key
-sets, every emitted JSON document validates against the checked-in
-``tests/report_schema.json``, and the façade's raw result is the
-direct ScenarioRunner execution, bit for bit.
+One RunSpec executes on every substrate with identical non-namespaced
+metric key sets, every emitted JSON document reads back through
+:meth:`Report.from_json` (a sweep through ``sweep_from_json``), which
+checks it, and the façade's raw result is the direct ScenarioRunner
+execution, bit for bit.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import pathlib
-import re
 
 import pytest
 
@@ -26,17 +24,9 @@ from repro.api import (
     report_from_experiment_result,
     run,
     sweep,
+    sweep_from_json,
     sweep_to_json,
 )
-from repro.api.schema import (
-    SchemaError,
-    ValidationError,
-    load_schema,
-    validate,
-)
-
-SCHEMA_PATH = pathlib.Path(__file__).parent / "report_schema.json"
-SCHEMA = load_schema(str(SCHEMA_PATH))
 
 #: One small scenario shared by the sim/live parity tests: a transport
 #: both substrates can run, a client-side cache, no proxy.
@@ -157,7 +147,7 @@ class TestReport:
         assert metrics["latency.p50_ms"] <= metrics["latency.p95_ms"]
         assert metrics["sim.link.frames_1hop"] > 0
         assert "cache.client_dns.hit_ratio" in metrics
-        validate(report.to_json(), SCHEMA)
+        Report.from_json(report.to_json())
 
     def test_raw_keeps_native_result_and_skips_equality(self):
         from repro.scenarios import ExperimentResult
@@ -245,9 +235,9 @@ class TestSubstrateParity:
             == sorted(live_report.common_metrics())
             == sorted(fleet_report.common_metrics())
         )
-        validate(sim_report.to_json(), SCHEMA)
-        validate(live_report.to_json(), SCHEMA)
-        validate(fleet_report.to_json(), SCHEMA)
+        Report.from_json(sim_report.to_json())
+        Report.from_json(live_report.to_json())
+        Report.from_json(fleet_report.to_json())
         # All substrates resolved real queries against the same
         # deterministic name universe.
         assert live_report.metrics["queries.succeeded"] > 0
@@ -309,7 +299,7 @@ class TestSubstrateParity:
         )
         assert live_report.metrics["live.server.queries_handled"] >= 0
         assert "live.cache.resolver.hit_ratio" in live_report.metrics
-        validate(live_report.to_json(), SCHEMA)
+        Report.from_json(live_report.to_json())
 
 
 @pytest.mark.parametrize("spec", (
@@ -389,7 +379,7 @@ class TestSweepJson:
         assert payload["report_version"] == REPORT_VERSION
         assert payload["kind"] == "sweep"
         assert sorted(payload["cells"]) == ["coap/one-hop/0", "udp/one-hop/0"]
-        validate(payload, SCHEMA)
+        assert sweep_from_json(json.loads(json.dumps(payload))) == reports
 
     def test_cell_reports_are_unified(self, reports):
         report = reports["udp/one-hop/0"]
@@ -408,59 +398,69 @@ def test_loadgen_shares_the_report_version():
     assert loadgen_version == shared
 
 
-# -- the schema validator itself -------------------------------------------
+# -- the reader ---------------------------------------------------------------
 
 
 class TestSchemaValidator:
+    """What :meth:`Report.from_json` and ``python -m repro.api.validate``
+    check: the Report's schema, in code."""
+
     def test_rejects_wrong_type_with_path(self):
-        schema = {
-            "type": "object",
-            "properties": {"n": {"type": "integer"}},
-        }
-        with pytest.raises(ValidationError) as excinfo:
-            validate({"n": "three"}, schema)
-        assert "$['n']" in str(excinfo.value)
+        payload = run_sim("queries=4,loss=0.0").to_json()
+        payload["metrics"]["sim.link.frames_1hop"] = "three"
+        with pytest.raises(ReportError) as excinfo:
+            Report.from_json(payload)
+        assert "sim.link.frames_1hop" in str(excinfo.value)
 
     def test_bool_is_not_a_number(self):
-        with pytest.raises(ValidationError):
-            validate(True, {"type": "integer"})
+        payload = run_sim("queries=4,loss=0.0").to_json()
+        for key, value in (("report_version", True),
+                           ("metrics", {**payload["metrics"],
+                                        "sim.repeats": True})):
+            with pytest.raises(ReportError):
+                Report.from_json({**payload, key: value})
 
     def test_additional_properties_false(self):
-        schema = {"type": "object", "properties": {},
-                  "additionalProperties": False}
-        with pytest.raises(ValidationError):
-            validate({"surprise": 1}, schema)
+        payload = run_sim("queries=4,loss=0.0").to_json()
+        for where in (payload, payload["provenance"], payload["telemetry"][0],
+                      payload["telemetry"][0]["latency_ms"]):
+            where["surprise"] = 1
+            with pytest.raises(ReportError):
+                Report.from_json(payload)
+            del where["surprise"]
+        Report.from_json(payload)
 
     def test_pattern_properties_apply(self):
-        schema = {
-            "type": "object",
-            "patternProperties": {"^x\\.": {"type": "number"}},
-            "additionalProperties": False,
+        # A {placeholder} row matches each of its instances, and only
+        # with a value of its unit.
+        live = {
+            "live.workers.load.0.queries": 3,
+            "live.workers.load.17.queries": 4,
         }
-        validate({"x.a": 1.5}, schema)
-        with pytest.raises(ValidationError):
-            validate({"x.a": "nope"}, schema)
-        with pytest.raises(ValidationError):
-            validate({"y.a": 1.5}, schema)
-
-    def test_one_of_requires_exactly_one_match(self):
-        schema = {"oneOf": [{"type": "integer"}, {"type": "number"}]}
-        with pytest.raises(ValidationError):
-            validate(3, schema)  # matches both branches
-        validate(3.5, schema)
-
-    def test_local_ref_resolution(self):
-        schema = {
-            "$defs": {"positive": {"type": "number", "minimum": 0}},
-            "$ref": "#/$defs/positive",
+        payload = run_sim("queries=4,loss=0.0").to_json()
+        payload["substrate"] = "live"
+        payload["metrics"] = {
+            key: value for key, value in payload["metrics"].items()
+            if not key.startswith("sim.")
         }
-        validate(2.0, schema)
-        with pytest.raises(ValidationError):
-            validate(-1.0, schema)
+        Report.from_json({**payload, "metrics": {**payload["metrics"], **live}})
+        for key, value in (("live.workers.load.0.queries", 1.5),
+                           ("live.workers.load.x.queries", 3),
+                           ("live.workers.load.0.bogus", 3)):
+            with pytest.raises(ReportError):
+                Report.from_json(
+                    {**payload, "metrics": {**payload["metrics"], key: value}}
+                )
 
-    def test_unknown_keyword_is_loud(self):
-        with pytest.raises(SchemaError):
-            validate(1, {"type": "integer", "exclusiveMaximum": 3})
+    def test_one_of_requires_exactly_one_match(self, tmp_path):
+        # A document reads as one kind: a Report with a sweep's kind is
+        # read as a sweep, and fails.
+        from repro.api.validate import main
+
+        payload = run_sim("queries=4,loss=0.0").to_json()
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({**payload, "kind": "sweep"}))
+        assert main([str(path)]) == 1
 
     def test_validate_cli_on_real_artifacts(self, tmp_path, capsys):
         from repro.api.validate import main
@@ -472,28 +472,33 @@ class TestSchemaValidator:
         payload = report.to_json()
         payload["metrics"]["bogus key"] = 1
         bad.write_text(json.dumps(payload))
-        assert main([str(SCHEMA_PATH), str(good)]) == 0
-        assert main([str(SCHEMA_PATH), str(good), str(bad)]) == 1
+        assert main([str(good)]) == 0
+        assert main([str(good), str(bad)]) == 1
         err = capsys.readouterr().err
         assert "bogus key" in err
+        assert main([]) == 2
+        assert main([str(tmp_path / "absent.json")]) == 2
 
 
 def test_schema_substrates_stay_in_sync_with_the_enum():
-    # SUBSTRATES (repro.api.report) is the single source of truth; the
-    # checked-in schema must list exactly those names and carry one
-    # namespaced patternProperty per substrate so adding a substrate
-    # without updating the schema fails loudly here.
-    from repro.api import SUBSTRATES
+    # SUBSTRATES (repro.api.report) is the single source of truth: the
+    # reader takes exactly those names, and each one has rows of its
+    # own namespace in the table.
+    from repro.api.report import REPORT_METRICS, SUBSTRATES
 
-    report_schema = SCHEMA["$defs"]["report"]
-    assert report_schema["properties"]["substrate"]["enum"] == list(SUBSTRATES)
-    patterns = SCHEMA["$defs"]["metrics"]["patternProperties"]
+    payload = run_sim("queries=4,loss=0.0").to_json()
+    common = {
+        key: value for key, value in payload["metrics"].items()
+        if not key.startswith("sim.")
+    }
     for substrate in SUBSTRATES:
-        namespaced = [
-            pattern for pattern in patterns
-            if pattern.startswith(f"^{substrate}\\.")
-        ]
-        assert namespaced, f"no {substrate}.* patternProperty in the schema"
+        Report.from_json({**payload, "substrate": substrate,
+                          "metrics": common})
+        assert any(
+            row.key.startswith(f"{substrate}.") for row in REPORT_METRICS
+        ), substrate
+    with pytest.raises(ReportError):
+        Report.from_json({**payload, "substrate": "testbed"})
 
 
 def _example_key(row) -> str:
@@ -508,24 +513,32 @@ def _example_key(row) -> str:
 
 
 def test_schema_metrics_stay_in_sync_with_the_table():
-    # REPORT_METRICS is the one list of Report keys: the schema requires
+    # REPORT_METRICS is the one list of Report keys: the reader requires
     # exactly the keys every substrate always emits (the rows listing
-    # all three without a placeholder), and its metric patterns and the
-    # table's rows cover each other.
+    # all three without a placeholder), and only latency.* may be null.
     from repro.api.report import REPORT_METRICS, SUBSTRATES
 
-    metrics = SCHEMA["$defs"]["metrics"]
-    assert metrics["required"] == [
+    always = [
         row.key for row in REPORT_METRICS
         if row.substrates == SUBSTRATES and "{" not in row.key
     ]
-    examples = [_example_key(row) for row in REPORT_METRICS]
-    for pattern in metrics["patternProperties"]:
-        assert any(re.search(pattern, key) for key in examples), pattern
-    for key in examples:
-        assert any(
-            re.search(pattern, key) for pattern in metrics["patternProperties"]
-        ), key
+    assert len(always) == 12
+    payload = run_sim("queries=4,loss=0.0").to_json()
+    for key in payload["metrics"]:
+        metrics = dict(payload["metrics"])
+        del metrics[key]
+        if key in always:
+            with pytest.raises(ReportError, match=key):
+                Report.from_json({**payload, "metrics": metrics})
+        else:
+            Report.from_json({**payload, "metrics": metrics})
+    for key in always:
+        metrics = {**payload["metrics"], key: None}
+        if key.startswith("latency."):
+            Report.from_json({**payload, "metrics": metrics})
+        else:
+            with pytest.raises(ReportError, match=key):
+                Report.from_json({**payload, "metrics": metrics})
 
 
 def test_table_rows_are_well_formed():
@@ -581,7 +594,7 @@ def test_every_emitted_key_is_one_row_of_its_substrate():
     )
     for report in reports:
         check_metrics(report.substrate, report.metrics)
-        validate(report.to_json(), SCHEMA)
+        Report.from_json(report.to_json())
 
 
 class TestValidateAgainstTheTable:
@@ -590,11 +603,11 @@ class TestValidateAgainstTheTable:
 
         path = tmp_path / "report.json"
         path.write_text(json.dumps(payload))
-        return main([str(SCHEMA_PATH), str(path)])
+        return main([str(path)])
 
     def test_unknown_key_exits_1(self, tmp_path, capsys):
         payload = run_sim("queries=4,loss=0.0").to_json()
-        # The schema's sim.* pattern admits it; the table has no row.
+        # In the sim.* namespace, but the table has no row.
         payload["metrics"]["sim.link.frames_3hop"] = 1
         assert self._exit_code(tmp_path, payload) == 1
         assert "sim.link.frames_3hop" in capsys.readouterr().err
@@ -607,6 +620,18 @@ class TestValidateAgainstTheTable:
     def test_wrong_unit_type_exits_1(self, tmp_path):
         payload = run_sim("queries=4,loss=0.0").to_json()
         payload["metrics"]["sim.repeats"] = 1.0
+        assert self._exit_code(tmp_path, payload) == 1
+
+    @pytest.mark.parametrize("key, value", [
+        ("sim.link.frames_1hop", -1),           # a count
+        ("cache.client_dns.hit_ratio", -0.5),   # a ratio
+        ("throughput.qps", -1.0),               # a rate
+        ("cache.client_dns.hits", None),        # a common key, not latency
+    ])
+    def test_negative_or_null_value_exits_1(self, tmp_path, key, value):
+        payload = run_sim("queries=4,loss=0.0,cache=client-dns").to_json()
+        assert payload["metrics"][key] >= 0
+        payload["metrics"][key] = value
         assert self._exit_code(tmp_path, payload) == 1
 
     @pytest.mark.parametrize("key, value", [
@@ -628,14 +653,6 @@ class TestValidateAgainstTheTable:
             "provenance": provenance(), "cells": {"udp": cell},
         }
         assert self._exit_code(tmp_path, sweep) == 1
-
-
-def test_schema_is_valid_draft7_and_agrees_with_jsonschema():
-    jsonschema = pytest.importorskip("jsonschema")
-    jsonschema.Draft7Validator.check_schema(SCHEMA)
-    report = run_sim("queries=4,loss=0.0").to_json()
-    jsonschema.validate(report, SCHEMA)
-    validate(report, SCHEMA)
 
 
 # -- the live loadgen Report entry point -----------------------------------
@@ -662,4 +679,4 @@ def test_generate_report_returns_unified_report():
     assert report.substrate == "live"
     assert report.metrics["queries.issued"] > 0
     assert len(report.raw["latencies_s"]) == report.metrics["queries.succeeded"]
-    validate(report.to_json(), SCHEMA)
+    Report.from_json(report.to_json())

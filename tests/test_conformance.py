@@ -42,11 +42,14 @@ class Row(NamedTuple):
     plain_only: bool = False
 
 
-def _fetch(*options) -> bytes:
-    """A CON FETCH for ``/dns`` carrying an AAAA query and *options*."""
+def _fetch(*options, octet: Optional[int] = None) -> bytes:
+    """A CON FETCH for ``/dns`` carrying an AAAA query and *options*;
+    with *octet*, the query name's fourth ``example`` byte is that."""
+    query = bytearray(make_query("a.example.org", RecordType.AAAA, txid=0).encode())
+    if octet is not None:
+        query[query.index(b"example") + 3] = octet
     message = CoapMessage.request(
-        Code.FETCH, "dns", mid=0x1234, token=b"\x07",
-        payload=make_query("a.example.org", RecordType.AAAA, txid=0).encode(),
+        Code.FETCH, "dns", mid=0x1234, token=b"\x07", payload=bytes(query),
     ).with_uint_option(OptionNumber.CONTENT_FORMAT, int(ContentFormat.DNS_MESSAGE))
     for number, value in options:
         message = message.with_option(number, value)
@@ -57,6 +60,31 @@ ROWS = [
     Row("ping-rst", "RFC 7252", "§4.2, §4.3", "MUST",
         "an empty CON (the CoAP ping) is rejected with an RST carrying its MID",
         bytes.fromhex("40001234"), (MessageType.RST, Code.EMPTY)),
+    Row("empty-with-bytes-rst", "RFC 7252", "§4.1, §4.2", "MUST",
+        "an Empty message with bytes after the MID is a message format "
+        "error, and a CON with one is rejected with an RST",
+        bytes.fromhex("40001234ff"), (MessageType.RST, Code.EMPTY)),
+    Row("empty-with-token-rst", "RFC 7252", "§4.1, §4.2", "MUST",
+        "an Empty message with a token is a message format error, and a "
+        "CON with one is rejected with an RST",
+        bytes.fromhex("41001234aa"), (MessageType.RST, Code.EMPTY)),
+    Row("reserved-class-1-rst", "RFC 7252", "§4.2, §12.1", "MUST",
+        "a CON with a code of reserved class 1 (1.00) is rejected with an "
+        "RST", bytes.fromhex("40201234"), (MessageType.RST, Code.EMPTY)),
+    Row("reserved-class-7-rst", "RFC 7252", "§4.2, §12.1", "MUST",
+        "a CON with a code of reserved class 7 (7.00) is rejected with an "
+        "RST", bytes.fromhex("40e01234"), (MessageType.RST, Code.EMPTY)),
+    Row("con-response-rst", "RFC 7252", "§4.2, §5.3.2", "MUST",
+        "a CON response (2.05) the server has no request for is rejected "
+        "with an RST", bytes.fromhex("40451234"), (MessageType.RST, Code.EMPTY)),
+    Row("name-octet-above-7f", "RFC 2181", "§11", "choice",
+        "any octet may appear in a label; a query name the server cannot "
+        "write back (an octet above 0x7F) gets 4.00 Bad Request, not silence",
+        _fetch(octet=0xFA), (MessageType.ACK, Code.BAD_REQUEST)),
+    Row("name-dot-inside-label", "RFC 2181", "§11", "choice",
+        "any octet may appear in a label; a query name the server cannot "
+        "write back (a '.' inside a label) gets 4.00 Bad Request, not silence",
+        _fetch(octet=0x2E), (MessageType.ACK, Code.BAD_REQUEST)),
     Row("critical-option-2001", "RFC 7252", "§5.4.1", "MUST",
         "an unrecognised critical option in a CON request gets 4.02 Bad Option",
         _fetch((2001, b"")), (MessageType.ACK, Code.BAD_OPTION),
@@ -134,3 +162,70 @@ def test_server_answers_as_the_rfc_says(row, secured, capacity):
     )
     if mtype == MessageType.RST:
         assert reply == bytes((0x70, 0)) + row.request[2:4]
+
+
+# -- the Echo round on first contact --------------------------------------
+
+
+def _echo_exchange():
+    """A coap DoC server whose OSCORE context requires an Echo round,
+    and ``ask(echo)``: one protected FETCH for ``/dns``, with the Echo
+    option *echo* when given, fed to the server's socket; it returns the
+    reply as the client unprotects it."""
+    from repro.oscore import protect_request, unprotect_response
+
+    zone = Zone()
+    zone.add_address("a.example.org", "2001:db8::1", ttl=120)
+    socket = _Socket()
+    client_context, server_context = SecurityContext.pair(
+        b"conformance-secret", b"salt", server_requires_echo=True
+    )
+    get_profile("coap").server_builder(
+        _ScriptedClock(), socket, RecursiveResolver(zone),
+        scheme=CachingScheme.EOL_TTLS, oscore_context=server_context,
+    )
+
+    def ask(echo: Optional[bytes] = None) -> CoapMessage:
+        mid = 0x2000 + len(socket.sent)
+        request = CoapMessage.request(
+            Code.FETCH, "dns", mid=mid, token=mid.to_bytes(2, "big"),
+            payload=make_query("a.example.org", RecordType.AAAA, txid=0).encode(),
+        ).with_uint_option(OptionNumber.CONTENT_FORMAT, int(ContentFormat.DNS_MESSAGE))
+        if echo is not None:
+            request = request.with_option(OptionNumber.ECHO, echo)
+        outer, binding = protect_request(client_context, request)
+        socket.on_datagram(*PEER, outer.encode(), {})
+        (_, _, reply), = socket.sent[-1:]
+        outer_reply = CoapMessage.decode(reply)
+        assert (outer_reply.mtype, outer_reply.mid) == (MessageType.ACK, mid)
+        return unprotect_response(client_context, outer_reply, binding)
+
+    return ask
+
+
+def test_echo_round_on_first_contact():
+    # RFC 8613 Appendix B.1.2: a server that has lost (or never had) its
+    # replay window for a kid answers that kid's first request 4.01 with
+    # an Echo option; RFC 9175 §2: the retry carrying that value is
+    # fresh, and is served. The kid's later requests need no Echo.
+    ask = _echo_exchange()
+    challenge = ask()
+    echo = challenge.option(OptionNumber.ECHO)
+    assert challenge.code == Code.UNAUTHORIZED
+    assert echo is not None and len(echo) == 8
+    assert ask(echo).code == Code.CONTENT
+    assert ask().code == Code.CONTENT
+
+
+def test_wrong_echo_gets_a_fresh_challenge():
+    # RFC 9175 §2: a request whose Echo value the server did not issue
+    # is not fresh; it is answered with a new challenge, which is then
+    # the one that serves.
+    ask = _echo_exchange()
+    first = ask().option(OptionNumber.ECHO)
+    wrong = bytes(byte ^ 0xFF for byte in first)
+    again = ask(wrong)
+    fresh = again.option(OptionNumber.ECHO)
+    assert again.code == Code.UNAUTHORIZED
+    assert fresh is not None and len(fresh) == 8
+    assert ask(fresh).code == Code.CONTENT

@@ -98,6 +98,18 @@ class TestNames:
         with pytest.raises(NameError_):
             decode_name(b"\x05ab", 0)
 
+    @pytest.mark.parametrize("wire", [
+        b"\x07exa\xfaple\x03org\x00",  # an octet above 0x7F
+        b"\x07exa.ple\x03org\x00",      # a "." inside a label
+        b"\x03org\x00\x03a.b\xc0\x00",  # the same, before a pointer
+    ])
+    def test_label_the_encoder_cannot_write_is_refused(self, wire):
+        # RFC 2181 §11 allows any octet in a label, but a name here is an
+        # ASCII presentation-format string: a label encode_name could not
+        # write back is refused, not read as another name.
+        with pytest.raises(NameError_):
+            decode_name(wire, 5 if wire.startswith(b"\x03org") else 0)
+
     @given(
         st.lists(
             st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789-", min_size=1, max_size=20),

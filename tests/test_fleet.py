@@ -24,8 +24,7 @@ from hypothesis import given, settings, strategies as st
 import fleet_reference as reference
 import repro.fleet.cache
 import repro.fleet.engine
-from repro.api import ApiError, RunSpec, run
-from repro.api.schema import load_schema, validate
+from repro.api import ApiError, Report, RunSpec, run
 from repro.fleet import (
     FleetCacheModel,
     FleetOptions,
@@ -41,9 +40,6 @@ from repro.fleet.service import Calibration, ServiceModel, _van_der_corput
 from repro.scenarios import CachingSpec, scenario_from_spec
 from repro.scenarios.runner import QueryOutcome
 
-SCHEMA = load_schema(
-    str(pathlib.Path(__file__).parent / "report_schema.json")
-)
 TOLERANCES = json.loads(
     (pathlib.Path(__file__).parent / "fleet_tolerances.json").read_text()
 )
@@ -97,7 +93,7 @@ class TestGoldenCells:
                 f"rel={bound['rel']}"
             )
         assert fleet_report.metrics["fleet.tolerance.exact"] is True
-        validate(fleet_report.to_json(), SCHEMA)
+        Report.from_json(fleet_report.to_json())
 
 
 # -- the sampling plan ------------------------------------------------------
@@ -343,7 +339,7 @@ class TestFleetAtScale:
         assert sum(s["queries"] for s in report.telemetry) == pytest.approx(
             100000, rel=0.05
         )
-        validate(report.to_json(), SCHEMA)
+        Report.from_json(report.to_json())
 
     def test_scaled_rows_rate_what_succeeded(self):
         # Frame loss without link-layer retries: a tenth of the fleet is
@@ -360,7 +356,7 @@ class TestFleetAtScale:
         assert any(row["failed"] for row in rows)
         for row in rows:
             assert row["qps"] == round(row["succeeded"] / row["interval_s"], 3)
-        validate(report.to_json(), SCHEMA)
+        Report.from_json(report.to_json())
 
     def test_repeats_pool_and_fan_out(self):
         report = run(RunSpec.from_spec(
@@ -371,7 +367,7 @@ class TestFleetAtScale:
         assert report.metrics["queries.issued"] == 120
         assert report.telemetry is None
         assert isinstance(report.raw, list) and len(report.raw) == 3
-        validate(report.to_json(), SCHEMA)
+        Report.from_json(report.to_json())
 
     def test_duty_cycle_defers_and_flash_crowd_preserves_counts(self):
         base = "one-hop,transport=udp,clients=32,queries=64,rate=20,substrate=fleet"

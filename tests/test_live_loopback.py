@@ -274,7 +274,7 @@ async def _coap_loadgen_report(duration: float):
 
 
 def test_loadgen_report_schema():
-    from repro.api.report import report_from_loadgen
+    from repro.api.report import Report, report_from_loadgen
 
     report = run(_coap_loadgen_report(0.4))
     assert tuple(report.keys()) == REPORT_FIELDS
@@ -285,8 +285,11 @@ def test_loadgen_report_schema():
     latency = report_from_loadgen(report).metrics
     assert latency["latency.p50_ms"] <= latency["latency.p95_ms"] \
         <= latency["latency.p99_ms"] <= latency["latency.max_ms"]
-    # What ``loadtest --json`` emits is the Report, as-is.
-    json.dumps(report_from_loadgen(report).to_json())
+    # What ``loadtest --json`` emits is the Report, as-is, and it reads
+    # back.
+    Report.from_json(
+        json.loads(json.dumps(report_from_loadgen(report).to_json()))
+    )
 
 
 def _assert_rows_read_the_run_s_samples(report):

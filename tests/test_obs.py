@@ -4,8 +4,7 @@ Covers the exposition format (rendering, parse round-trips), the one
 telemetry row builder through both of its callers — the per-second
 sampler and ``timeline_from_outcomes``, each the other's oracle —
 timeline merging, the structured JSON logger, the /metrics + /healthz
-listener thread, and the schema contract between ``SNAPSHOT_SCHEMA``
-and ``tests/report_schema.json``.
+listener thread, and ``validate_snapshot``, the reader of a row.
 """
 
 from __future__ import annotations
@@ -13,19 +12,17 @@ from __future__ import annotations
 import asyncio
 import io
 import json
-import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api.schema import ValidationError, validate
+from repro.api.report import ReportError
 from repro.obs.http import ObsHttpThread
 from repro.obs.log import JsonLogger, configure, get_logger
 from repro.obs.metrics import parse_exposition, render_snapshot
 from repro.obs.telemetry import (
     MAX_TIMELINE_SNAPSHOTS,
-    SNAPSHOT_SCHEMA,
     TelemetrySampler,
     format_snapshot,
     merge_timelines,
@@ -33,9 +30,6 @@ from repro.obs.telemetry import (
     timeline_from_outcomes,
     validate_snapshot,
 )
-
-SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "report_schema.json")
-
 
 # -- exposition rendering --------------------------------------------------
 
@@ -296,17 +290,7 @@ def test_format_snapshot_is_compact():
     assert "p99=-" in no_latency
 
 
-# -- schema contract -------------------------------------------------------
-
-
-def test_snapshot_schema_matches_report_schema_defs():
-    """SNAPSHOT_SCHEMA and tests/report_schema.json must describe the
-    same shape; a drift here would let --stream lines diverge from what
-    CI validates Report telemetry against."""
-    with open(SCHEMA_PATH) as handle:
-        report_schema = json.load(handle)
-    embedded = report_schema["$defs"]["telemetry_snapshot"]
-    assert json.loads(json.dumps(SNAPSHOT_SCHEMA)) == embedded
+# -- the row's reader -------------------------------------------------------
 
 
 def test_validate_snapshot_rejects_bad_records():
@@ -316,25 +300,36 @@ def test_validate_snapshot_rejects_bad_records():
         "latency_ms": {"p50": 1.0, "p99": 1.0, "mean": 1.0},
     }
     validate_snapshot(good)
-    bad = dict(good, queries=-1)
-    with pytest.raises(ValidationError):
-        validate_snapshot(bad)
-    extra = dict(good, surprise=1)
-    with pytest.raises(ValidationError):
-        validate_snapshot(extra)
+    validate_snapshot(dict(good, latency_ms={"p50": None, "p99": None,
+                                             "mean": None}))
+    for bad in (
+        dict(good, queries=-1),
+        dict(good, queries=1.0),
+        dict(good, succeeded=True),
+        dict(good, qps=-0.5),
+        dict(good, t=None),
+        dict(good, surprise=1),
+        {key: value for key, value in good.items() if key != "failed"},
+        dict(good, latency_ms={"p50": 1.0, "p99": 1.0}),
+        dict(good, latency_ms={"p50": "1", "p99": 1.0, "mean": 1.0}),
+        [good],
+    ):
+        with pytest.raises(ReportError):
+            validate_snapshot(bad)
 
 
-def test_report_schema_accepts_snapshot_document():
-    with open(SCHEMA_PATH) as handle:
-        report_schema = json.load(handle)
-    validate(
-        {
-            "t": 1.0, "interval_s": 1.0, "queries": 5, "succeeded": 5,
-            "failed": 0, "timeouts": 0, "qps": 5.0,
-            "latency_ms": {"p50": 0.5, "p99": 0.9, "mean": 0.6},
-        },
-        report_schema,
-    )
+def test_report_schema_accepts_snapshot_document(tmp_path):
+    # ``python -m repro.api.validate`` reads a document without
+    # ``report_version`` as a telemetry row.
+    from repro.api.validate import main
+
+    path = tmp_path / "row.json"
+    path.write_text(json.dumps({
+        "t": 1.0, "interval_s": 1.0, "queries": 5, "succeeded": 5,
+        "failed": 0, "timeouts": 0, "qps": 5.0,
+        "latency_ms": {"p50": 0.5, "p99": 0.9, "mean": 0.6},
+    }))
+    assert main([str(path)]) == 0
 
 
 # -- structured logging ----------------------------------------------------

@@ -13,8 +13,9 @@ does, and asserts on what it prints and writes:
 * ``sweep``   -- the sweep envelope through ``sweep --json``;
 * ``fleet``   -- the million-client ``run`` with its peak-RSS tripwire.
 
-Every Report written is checked by ``python -m repro.api.validate``
-against ``tests/report_schema.json``. CI runs one section per step;
+Every Report, sweep and telemetry row written is checked by
+``python -m repro.api.validate``, which reads each one back with the
+toolkit's own reader. CI runs one section per step;
 ``tools/reach.py`` runs them all under its tracer, so the CLI paths
 that count as product reach are exactly the ones CI checks.
 
@@ -36,9 +37,6 @@ import time
 import urllib.request
 from pathlib import Path
 
-SCHEMA = Path(__file__).resolve().parent.parent / "tests" / "report_schema.json"
-
-
 def repro(*arguments: str, **kwargs) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "repro.cli", *arguments], check=True, **kwargs
@@ -47,7 +45,7 @@ def repro(*arguments: str, **kwargs) -> subprocess.CompletedProcess:
 
 def validate(*paths: str) -> None:
     subprocess.run(
-        [sys.executable, "-m", "repro.api.validate", str(SCHEMA), *paths],
+        [sys.executable, "-m", "repro.api.validate", *paths],
         check=True,
     )
 
