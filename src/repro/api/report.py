@@ -567,13 +567,13 @@ _ALWAYS = tuple(
 )
 
 #: The units whose values are never negative.
-_NON_NEGATIVE = ("count", "ratio", "qps")
+_NON_NEGATIVE = ("count", "ratio", "qps", "ms")
 
 
 def check_metrics(substrate: str, metrics: Dict[str, object]) -> None:
     """Raise :class:`ReportError` unless every key of *metrics* matches
     exactly one row, one listing *substrate*; every value has its row's
-    unit's type, and no count, ratio or rate is negative; no key of a
+    unit's type, and no count, ratio, rate or latency (ms) is negative; no key of a
     row listing every substrate is null but ``latency.*``; every key of
     :data:`_ALWAYS` is there; and the query counters add up."""
     missing = [key for key in _ALWAYS if key not in metrics]

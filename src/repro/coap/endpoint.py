@@ -119,11 +119,13 @@ class _Exchange:
         on_response: Callable[[Optional[CoapMessage], Optional[Exception]], object],
         metadata: dict,
         on_memo: Optional[Callable[[object], None]] = None,
+        open_body: Optional[Callable[[bytes], Optional[bytes]]] = None,
     ) -> None:
         self.token = token
         self.dst = dst
         self.on_response = on_response
         self.on_memo = on_memo
+        self.open_body = open_body
         self.metadata = metadata
 
     def carry(self, message: CoapMessage) -> None:
@@ -187,6 +189,7 @@ class CoapClient:
         on_response: Callable[[Optional[CoapMessage], Optional[Exception]], object],
         metadata: Optional[dict] = None,
         on_memo: Optional[Callable[[object], None]] = None,
+        open_body: Optional[Callable[[bytes], Optional[bytes]]] = None,
     ) -> bytes:
         """Issue *message*; ``on_response(response, error)`` fires once,
         or for a body request ``on_memo`` may fire in its place.
@@ -201,7 +204,10 @@ class CoapClient:
         reply with that body to a body request goes to
         ``on_memo(value)`` instead and is decoded no further. So the
         body requests of one client must all make the same value of
-        the same reply body. A message request ignores *on_memo*.
+        the same reply body. With *open_body*, the memo key is what
+        ``open_body(reply body)`` returns instead (an OSCORE request's
+        opened reply), and a reply it returns ``None`` for is decoded and
+        not kept. A message request ignores *on_memo* and *open_body*.
 
         Returns the token assigned to the exchange. Responses served
         from the local cache short-circuit the network entirely.
@@ -210,7 +216,7 @@ class CoapClient:
         token = self._claim_token()
         dst = (dst_addr, dst_port)
         if isinstance(message, bytes):
-            exchange = _Exchange(token, dst, on_response, metadata, on_memo)
+            exchange = _Exchange(token, dst, on_response, metadata, on_memo, open_body)
             mid = exchange.mid = self._claim_mid()
             # Version 1, CON, a 4-byte token; then the code.
             exchange.wire = (
@@ -358,7 +364,8 @@ class CoapClient:
 
         The 4-byte header and the token of a CON, NON or ACK name the
         exchange. When that is a body request and the rest, the reply
-        body, is one the memo holds (see :meth:`request`), the reply is
+        body (or what its ``open_body`` makes of it), is one the memo
+        holds (see :meth:`request`), the reply is
         handled as the decoded one would be, in bytes: a CON is ACKed,
         and the exchange ends in ``on_memo``. Everything else is
         decoded: empty ACKs and RSTs, replies to message requests,
@@ -374,6 +381,8 @@ class CoapClient:
             exchange = self._exchanges.get(bytes(data[4:offset]))
             if exchange is not None and exchange.on_memo is not None:
                 body = bytes((data[1],)) + data[offset:]  # code || the rest
+                if exchange.open_body is not None:
+                    body = exchange.open_body(body)
                 value = self._replies.get(body)
                 if value is not None:
                     if first & 0x30 == 0:  # a separate CON response

@@ -12,10 +12,14 @@ Supports the full design space the paper evaluates:
 * the OSCORE Echo round-trip on first contact with a guarded server;
 * optionally the compressed CBOR format of Section 7.
 
-The plain FETCH/POST query of a client without CoAP cache or block
-size takes the bytes path: it is written from a per-client prefix and
-the name's memoised wire form, and a reply body seen before completes
-it from the CoapClient's reply memo, building no CoAP or DNS message.
+The FETCH/POST query of a client without CoAP cache or block size
+takes the bytes path: it is written from a per-client prefix and the
+name's memoised wire form, and a reply body seen before completes it
+from the CoapClient's reply memo, building no CoAP or DNS message. With
+OSCORE (not cacheable, no Max-Age check) the same bytes are the
+plaintext: they are sealed into the body of the outer POST, and the
+reply is opened from its bytes and looked up in the memo by its
+plaintext.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from repro.coap.endpoint import CoapClient
 from repro.coap.message import CoapMessage, MessageType
 from repro.coap.options import (
     ContentFormat,
+    OptionError,
     OptionNumber,
     encode_options,
     encode_uint,
@@ -44,6 +49,7 @@ from repro.oscore import (
     unprotect_response,
 )
 from repro.oscore.cacheable import protect_cacheable_request
+from repro.oscore.protect import response_from_plaintext, seal_request
 from repro.sim.clock import Clock
 
 from . import cbor_format
@@ -121,16 +127,19 @@ class DocClient:
             (OptionNumber.CONTENT_FORMAT, encode_uint(int(content_format))),
             (OptionNumber.ACCEPT, encode_uint(int(content_format))),
         )
-        #: The bytes path: a plain FETCH/POST query in the DNS message
-        #: format, from a client with no CoAP cache and no block size,
-        #: is sent as a CoAP body built on this prefix (code, options,
-        #: 0xFF and the DNS header), and its replies are read through
-        #: the CoapClient's reply memo. ``None`` for every other client,
-        #: which builds a CoapMessage per query. (A CBOR reply is not
-        #: memoised: decoding it needs the question it elides.)
+        #: The bytes path: a FETCH/POST query in the DNS message format,
+        #: from a client with no CoAP cache and no block size, is a CoAP
+        #: body built on this prefix (code, options, 0xFF and the DNS
+        #: header): sent as it is, or with OSCORE sealed into an outer
+        #: POST. Its replies are read through the CoapClient's reply
+        #: memo. ``None`` for every other client, OSCORE with caching or
+        #: the Max-Age check among them, which builds a CoapMessage per
+        #: query. (A CBOR reply is not memoised: decoding it needs the
+        #: question it elides.)
         self._body_prefix: Optional[bytes] = None
         if (
-            method != Code.GET and oscore_context is None
+            method != Code.GET
+            and (oscore_context is None or not (cacheable_oscore or verify_max_age))
             and coap_cache is None and block_size is None
             and content_format == ContentFormat.DNS_MESSAGE
         ):
@@ -182,10 +191,11 @@ class DocClient:
         # DNS ID 0 for a deterministic cache key (Section 4.2).
         return Message(0, RD_QUERY_FLAGS, (question,)).encode()
 
-    def _build_request(self, question: Question):
+    def _build_request(self, question: Question, message: bool = False):
         """The request for *question*: its CoAP body as bytes on the
-        bytes path, else a :class:`CoapMessage`."""
-        if self._body_prefix is not None:
+        bytes path, unless *message* (the Echo retry, which adds an
+        option), else a :class:`CoapMessage`."""
+        if self._body_prefix is not None and not message:
             body = bytearray(self._body_prefix)
             question.encode_into(body, None)  # the name's memoised wire form
             return bytes(body)
@@ -223,12 +233,22 @@ class DocClient:
     ) -> None:
         """Send *request*, a :class:`CoapMessage` or a bytes-path body,
         and see its reply through to ``on_result``."""
-        binding = None
+        binding = open_body = None
+        opened = [None]  # the reply plaintext open_body opened last
         outgoing = request
-        if echo_value is not None:
+        if echo_value is not None:  # the Echo retry: a message on either path
+            outgoing = self._build_request(question, message=True)
             outgoing = outgoing.with_option(OptionNumber.ECHO, echo_value)
         if self.oscore_context is not None:
-            if self.cacheable_oscore:
+            if isinstance(outgoing, bytes):
+                outgoing, binding, open_reply = seal_request(
+                    self.oscore_context, outgoing
+                )
+
+                def open_body(body: bytes) -> Optional[bytes]:
+                    opened[0] = open_reply(body)
+                    return opened[0]
+            elif self.cacheable_oscore:
                 outgoing, binding = protect_cacheable_request(
                     self.oscore_context, outgoing
                 )
@@ -246,10 +266,14 @@ class DocClient:
             outer_max_age = coap_response.max_age
             if binding is not None:
                 try:
-                    coap_response = unprotect_response(
+                    # A reply the bytes path opened is not decrypted twice.
+                    coap_response = response_from_plaintext(
+                        coap_response, opened[0]
+                    ) if opened[0] is not None else unprotect_response(
                         self.oscore_context, coap_response, binding
                     )
-                except OscoreError as exc:
+                except (OscoreError, OptionError) as exc:
+                    # (OptionError: inner options that do not parse)
                     self.resolutions_failed += 1
                     on_result(None, exc)
                     return
@@ -296,7 +320,8 @@ class DocClient:
                             self.scheme, outer_max_age or inner_max_age,
                             inner_max_age, decoded,
                         )
-                except MaxAgeIntegrityError as exc:
+                except (MaxAgeIntegrityError, ValueError) as exc:
+                    # (a DNS payload that does not decode, as in _finish)
                     self.resolutions_failed += 1
                     on_result(None, exc)
                     return
@@ -306,12 +331,13 @@ class DocClient:
 
         def on_memo(response: Message) -> None:
             # A reply to the bytes path that the CoapClient remembers:
-            # on_response made *response* of the same reply body before.
+            # on_response made *response* of the same reply body (or
+            # OSCORE plaintext) before.
             self._complete(question, response, started, on_result)
 
         self.coap.request(
             outgoing, self.server[0], self.server[1], on_response,
-            metadata=_QUERY_METADATA, on_memo=on_memo,
+            metadata=_QUERY_METADATA, on_memo=on_memo, open_body=open_body,
         )
 
     def _finish(

@@ -11,19 +11,19 @@ Maps CoAP requests to DNS resolution:
 * a request bearing a still-valid ETag is answered with 2.03 Valid
   (cache revalidation), encoding the fresh TTL in Max-Age only.
 
-With an OSCORE context the server answers protected requests
+With OSCORE contexts the server answers protected requests
 end-to-end, including the Echo round that initialises replay windows
 (Figure 6 "session setup").
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 from repro.cache import EvictionPolicy, KeyedCache
 from repro.coap.codes import Code
 from repro.coap.endpoint import CoapServer
-from repro.coap.message import CoapMessage, MessageType
+from repro.coap.message import CoapMessage
 from repro.coap.options import (
     ContentFormat,
     OptionError,
@@ -35,13 +35,13 @@ from repro.coap.reliability import ReliabilityParams
 from repro.coap.uri import base64url_decode
 from repro.dns import Message, RecursiveResolver
 from repro.dns.resolver import RD_QUERY_FLAGS
-from repro.oscore import OscoreError, SecurityContext, protect_response
+from repro.oscore import OscoreError, OscoreOptionValue, SecurityContext
 from repro.oscore.cacheable import open_deterministic_request
+from repro.oscore.context import RecipientContexts
 from repro.oscore.protect import (
     _parse_plaintext,
     encode_plaintext,
-    open_request,
-    request_from_plaintext,
+    open_ciphertext,
     seal_response,
 )
 from repro.sim.clock import Clock
@@ -58,11 +58,14 @@ _URI_PATH = int(OptionNumber.URI_PATH)
 _ETAG = int(OptionNumber.ETAG)
 _CONTENT_FORMAT = int(OptionNumber.CONTENT_FORMAT)
 _URI_QUERY = int(OptionNumber.URI_QUERY)
+_OSCORE = int(OptionNumber.OSCORE)
+_ECHO = int(OptionNumber.ECHO)
 #: Options whose requests the plain route leaves to the message path:
-#: block-wise transfers, and the outer message of an OSCORE request.
-_MESSAGE_PATH_OPTIONS = frozenset(
-    (int(OptionNumber.BLOCK1), int(OptionNumber.BLOCK2), int(OptionNumber.OSCORE))
-)
+#: block-wise transfers.
+_MESSAGE_PATH_OPTIONS = frozenset((int(OptionNumber.BLOCK1), int(OptionNumber.BLOCK2)))
+#: The second byte of a body whose first option is OSCORE (9), as a
+#: one-byte slice.
+_OSCORE_FIRST = frozenset(bytes((0x90 | length,)) for length in range(16))
 _REQUEST_CODES = frozenset(code for code in Code if code.is_request)
 _DOC_METHODS = frozenset((Code.FETCH, Code.GET, Code.POST))
 
@@ -76,11 +79,20 @@ class DocServer:
     offers to :meth:`answer` before decoding anything; on the OSCORE
     route the decrypted plaintext (RFC 8613 §5.3 lays it out the same
     way). :meth:`answer` writes the reply body in bytes, so neither a
-    hit nor a miss decodes or encodes a CoAP message. The plain route
-    leaves only what is not a DoC request for the DoC resource to the
-    message path: another Uri-Path, a block-wise request (answered by
-    :meth:`_handle_plain` from its reassembled body), an OSCORE request's
-    outer message, and a body that does not parse.
+    hit nor a miss decodes or encodes a CoAP message. A body whose first
+    option is OSCORE goes to the OSCORE reader, :meth:`_open`, which
+    opens it, answers the plaintext and seals the reply, in bytes too.
+    The plain route leaves only what is not a DoC request for the DoC
+    resource to the message path: another Uri-Path, a block-wise request
+    (answered by :meth:`_handle_plain` from its reassembled body), an
+    OSCORE request whose outer message carries more than the OSCORE
+    option or is cacheable OSCORE's (:meth:`_handle_oscore`), and a body
+    that does not parse.
+
+    *oscore_context* is the server's :class:`SecurityContext`, or a table
+    of them by the kid of the requests each opens (anything with
+    ``get(kid)``, such as :class:`~repro.oscore.context.RecipientContexts`):
+    each client Sender ID has its own replay window.
 
     With ``fastpath_capacity`` > 0 a response cache, keyed on the
     request body, sits in front of the resolver. A hit replays the
@@ -100,7 +112,7 @@ class DocServer:
         resolver: RecursiveResolver,
         scheme: CachingScheme = CachingScheme.EOL_TTLS,
         resource: str = DOC_RESOURCE,
-        oscore_context: Optional[SecurityContext] = None,
+        oscore_context: Union[SecurityContext, RecipientContexts, None] = None,
         deterministic_context: Optional[SecurityContext] = None,
         params: ReliabilityParams = ReliabilityParams(),
         fastpath_capacity: int = 0,
@@ -108,8 +120,15 @@ class DocServer:
         self.sim = sim
         self.resolver = resolver
         self.scheme = scheme
-        self.oscore_context = oscore_context
+        #: Recipient contexts by kid.
+        self._contexts = (
+            {oscore_context.recipient_id: oscore_context}
+            if isinstance(oscore_context, SecurityContext)
+            else oscore_context
+        )
         self.deterministic_context = deterministic_context
+        #: Whether the server has an OSCORE context of either kind.
+        self._secured = oscore_context is not None or deterministic_context is not None
         #: Reply templates by request body: (code, the options before
         #: Max-Age, Max-Age's delta nibble, 0xFF payload or b"").
         self._fastpath: Optional[KeyedCache] = (
@@ -121,7 +140,7 @@ class DocServer:
         self.coap = CoapServer(sim, socket, params)
         self.coap.add_resource(resource, self._handle_plain)
         self.coap.fast_path = self
-        if oscore_context is not None or deterministic_context is not None:
+        if self._secured:
             self.coap.default_handler = self._handle_oscore
         #: kids that have completed the Echo exchange.
         self._echo_done: Dict[bytes, bool] = {}
@@ -139,11 +158,15 @@ class DocServer:
         """The reply to the request body *body*: ``(code, max_age,
         rest)``, the reply body being ``code || rest``, or ``None``.
 
-        A cache hit is replayed with Max-Age re-encoded from the entry's
-        remaining lifetime; anything else is read by :meth:`_read`.
-        *routed* says the caller has routed the request already (the
-        OSCORE route): see :meth:`_read`.
+        On the plain route of a server with an OSCORE context, a body
+        whose first option is OSCORE goes to :meth:`_open`. A cache hit
+        is replayed with Max-Age re-encoded from the entry's remaining
+        lifetime; anything else is read by :meth:`_read`. *routed* says
+        the caller has routed the request already (the OSCORE route):
+        see :meth:`_read`.
         """
+        if not routed and body[1:2] in _OSCORE_FIRST and self._secured:
+            return self._open(body)
         cache = self._fastpath
         if cache is not None:
             now = self.sim.now
@@ -167,7 +190,11 @@ class DocServer:
         """Resolve the request body *body* and write its reply, as
         :meth:`answer` returns it; ``None`` for a body that is no
         request, and, unless *routed*, for a request for another
-        Uri-Path or one carrying Block1, Block2 or the OSCORE option.
+        Uri-Path or one carrying Block1 or Block2. Unless *routed*, a
+        request for the DoC resource carrying the OSCORE option gets 4.02
+        at a server with no OSCORE context, the option being a critical
+        one the server does not know (RFC 7252 §5.4.1); at a server with
+        one, it is a request :meth:`_open` left to the message path.
 
         The options are walked once. FETCH and POST carry the query in
         the payload (DNS wire format, or CBOR per Content-Format), GET
@@ -186,6 +213,7 @@ class DocServer:
         if code not in _REQUEST_CODES:
             return None
         path, etags, queries, content_format = [], [], [], None
+        oscore = False
         for number, value in options:
             if number == _URI_PATH:
                 path.append(value)
@@ -196,6 +224,8 @@ class DocServer:
                     content_format = decode_uint(value)
             elif number == _URI_QUERY:
                 queries.append(value)
+            elif number == _OSCORE and not routed:
+                oscore = True
             elif number in _MESSAGE_PATH_OPTIONS and not routed:
                 return None
         # Decoding the joined segments decodes each (a "/" ends any
@@ -203,6 +233,8 @@ class DocServer:
         on_route = (b"/" + b"/".join(path)).decode("utf-8", "replace") == self._route
         if not (on_route or routed):
             return None
+        if oscore:
+            return None if self._secured else (Code.BAD_OPTION, None, b"")
         if self._fastpath is not None:
             self.fastpath_misses += 1
         if code not in _DOC_METHODS:
@@ -265,66 +297,106 @@ class DocServer:
         value = encode_uint(max_age)
         return code, max_age, head + bytes((delta | len(value),)) + value + tail
 
-    # -- plain CoAP -------------------------------------------------------------
+    # -- the message path --------------------------------------------------------
 
     def _handle_plain(self, request: CoapMessage, respond, metadata: dict) -> None:
         """Answer a block-wise request for the DoC resource, which
         :meth:`_read` leaves to the message path, from the body of the
         request as reassembled; it is neither stored nor replayed."""
-        code, _, rest = self._read(
+        self._respond(request, respond, metadata, self._read(
             encode_plaintext(request.code, request.options, request.payload),
             True, False,
-        )
+        ))
+
+    def _handle_oscore(self, outer: CoapMessage, respond, metadata: dict) -> None:
+        """Answer a request that reaches the OSCORE route only on the
+        message path: cacheable OSCORE's outer FETCH, and an outer
+        message the OSCORE reader left (a Block1 upload, reassembled, or
+        one carrying Class-U options or Block2). The reader gets its
+        body with the OSCORE option alone; without exactly one, 4.00."""
+        # Cacheable OSCORE (deterministic) requests arrive with an
+        # outer FETCH; regular OSCORE requests with an outer POST.
+        if outer.code == Code.FETCH and self.deterministic_context is not None:
+            self._handle_deterministic(outer, respond, metadata)
+            return
+        options = [option for option in outer.options if option[0] == _OSCORE]
+        self._respond(outer, respond, metadata, self._open(
+            encode_plaintext(outer.code, options, outer.payload)
+        ) or (Code.BAD_REQUEST, None, b""))
+
+    @staticmethod
+    def _respond(request: CoapMessage, respond, metadata: dict, reply) -> None:
+        """Respond to *request* with *reply*, as :meth:`answer` returns
+        one."""
+        code, _, rest = reply
         code, options, payload = _parse_plaintext(bytes((code,)) + rest)
         metadata["response_kind"] = "response"
         respond(request.make_response(code, payload=payload, options=options))
 
     # -- OSCORE -----------------------------------------------------------------
 
-    def _handle_oscore(self, outer: CoapMessage, respond, metadata: dict) -> None:
-        # Cacheable OSCORE (deterministic) requests arrive with an
-        # outer FETCH; regular OSCORE requests with an outer POST.
-        if outer.code == Code.FETCH and self.deterministic_context is not None:
-            self._handle_deterministic(outer, respond, metadata)
-            return
-        context = self.oscore_context
-        if context is None:
-            respond(outer.make_response(Code.BAD_REQUEST))
-            return
-        try:
-            plaintext, binding = open_request(context, outer)
-            inner = None
-            if context.echo_required and not self._echo_done.get(binding.kid):
-                inner = request_from_plaintext(outer, plaintext)
-        except OscoreError:
-            respond(outer.make_response(Code.BAD_REQUEST))
-            return
+    def _open(self, body: bytes) -> Optional[Tuple[int, Optional[int], bytes]]:
+        """The OSCORE reader: the reply to the request body *body*, which
+        carries the OSCORE option, as :meth:`answer` returns it.
 
-        if inner is not None:
-            echo_value = inner.option(OptionNumber.ECHO)
-            expected = self._echo_values.get(binding.kid)
-            if echo_value is not None and echo_value == expected:
-                self._echo_done[binding.kid] = True
-            else:
-                challenge = bytes(
-                    self.sim.rng.randrange(256) for _ in range(8)
-                )
-                self._echo_values[binding.kid] = challenge
-                reject = inner.make_response(Code.UNAUTHORIZED).with_option(
-                    OptionNumber.ECHO, challenge
-                )
-                respond(protect_response(context, reject, binding))
-                return
+        A body that is ``code || OSCORE option || 0xFF ciphertext`` is
+        opened with the recipient context its kid picks: the replay
+        window is checked, the ciphertext decrypted, and the Partial IV
+        accepted once the tag verifies. Its plaintext is answered by
+        :meth:`answer` and the reply, ``code || rest``, sealed under the
+        request's nonce and AAD into ``2.04, 0x90 || 0xFF ciphertext``.
+        While the kid has not completed the Echo exchange its context
+        asks for, a request without the Echo value last issued to it is
+        answered a protected 4.01 with a new one (RFC 9175).
 
+        A request that fails to open or is no request gets 4.00 in the
+        clear, and so does one at a server with only a cacheable-OSCORE
+        context. ``None`` leaves the rest to the message path: cacheable
+        OSCORE's outer FETCH, an outer message with more options, and a
+        body that does not parse.
+        """
+        contexts = self._contexts
         try:
-            _, reply = self._reply_plaintext(plaintext)
-        except OscoreError:
-            respond(outer.make_response(Code.BAD_REQUEST))
-            return
-        metadata["response_kind"] = "response"
-        respond(seal_response(
-            context, reply, binding, _piggybacked(outer), outer.mid, outer.token,
-        ))
+            code, options, ciphertext = _parse_plaintext(body)
+        except (OscoreError, OptionError):
+            return None
+        if len(options) != 1 or (
+            code == Code.FETCH and self.deterministic_context is not None
+        ):
+            return None
+        try:
+            value = OscoreOptionValue.decode(options[0][1])
+            kid = value.kid
+            context = None if contexts is None or kid is None else contexts.get(kid)
+            if context is None:
+                raise OscoreError(f"no context for kid {kid!r}")
+            plaintext, nonce, aad = open_ciphertext(
+                context, value.partial_iv, ciphertext
+            )
+            reply = None
+            if context.echo_required and not self._echo_done.get(kid):
+                # RFC 9175 §2: only the Echo value last issued to the kid
+                # completes its exchange; anything else gets a new one.
+                code, options, _ = _parse_plaintext(plaintext)
+                if not code.is_request:
+                    raise OscoreError("inner message is not a request")
+                echo = next((v for number, v in options if number == _ECHO), None)
+                if echo is not None and echo == self._echo_values.get(kid):
+                    self._echo_done[kid] = True
+                else:
+                    challenge = bytes(self.sim.rng.randrange(256) for _ in range(8))
+                    self._echo_values[kid] = challenge
+                    # 4.01 with the Echo option (252: delta 13 + 239, length 8).
+                    reply = Code.UNAUTHORIZED, None, b"\xd8\xef" + challenge
+            if reply is None:
+                reply = self.answer(plaintext, routed=True)
+            if reply is None:
+                raise OscoreError("inner message is not a request")
+        except (OscoreError, OptionError):
+            return Code.BAD_REQUEST, None, b""
+        code, _, rest = reply
+        ciphertext = context.sender_aead().encrypt(nonce, bytes((code,)) + rest, aad)
+        return Code.CHANGED, None, b"\x90\xff" + ciphertext
 
     def _handle_deterministic(
         self, outer: CoapMessage, respond, metadata: dict
@@ -335,31 +407,19 @@ class DocServer:
         assert context is not None
         try:
             _, plaintext, binding = open_deterministic_request(context, outer)
+            reply = self.answer(plaintext, routed=True)
+            if reply is None:
+                raise OscoreError("inner message is not a request")
         except OscoreError:
             respond(outer.make_response(Code.BAD_REQUEST))
             return
-        max_age, reply = self._reply_plaintext(plaintext)
+        code, max_age, rest = reply
         outer_options = () if max_age is None else (
             (OptionNumber.MAX_AGE, encode_uint(max_age)),
         )
         metadata["response_kind"] = "response"
-        respond(seal_response(
-            context, reply, binding, _piggybacked(outer), outer.mid, outer.token,
-            outer_code=Code.CONTENT, outer_options=outer_options,
+        respond(outer.make_response(
+            Code.CONTENT,
+            payload=seal_response(context, bytes((code,)) + rest, binding),
+            options=outer_options + ((OptionNumber.OSCORE, b""),),
         ))
-
-    def _reply_plaintext(self, plaintext: bytes) -> Tuple[Optional[int], bytes]:
-        """``(max_age, reply plaintext)`` for the request whose
-        plaintext is *plaintext*, whatever its Uri-Path; a plaintext
-        that parses as no request raises
-        :class:`~repro.oscore.OscoreError`."""
-        reply = self.answer(plaintext, routed=True)
-        if reply is None:
-            raise OscoreError("inner message is not a request")
-        code, max_age, rest = reply
-        return max_age, bytes((code,)) + rest
-
-
-def _piggybacked(request: CoapMessage) -> MessageType:
-    """The type of a reply piggybacked on *request*: ACK for CON."""
-    return MessageType.ACK if request.mtype == MessageType.CON else MessageType.NON

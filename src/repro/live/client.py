@@ -66,11 +66,13 @@ class LiveResolver:
     matching ``secret``/``psk`` values are what let the two halves
     establish OSCORE/DTLS security without a side channel.
 
-    OSCORE caveat: the security context's sender sequence lives in the
-    resolver, so one *secret* supports one concurrent resolver session
-    per server — a second session restarts the sequence at 0 and the
-    server's replay window rejects it (as RFC 8613 requires). Run
-    long-lived sessions, or distinct secrets per client.
+    OSCORE: the resolver is client *client_index* of *secret*, with a
+    Sender ID of its own, so the server keeps a replay window for it
+    alone (each load worker passes its index). Its sender sequence lives
+    in the resolver: a second session with the same index restarts the
+    sequence at 0, and the server's replay window rejects it (as RFC
+    8613 requires). Run long-lived sessions, or distinct indices or
+    secrets per session.
     """
 
     def __init__(
@@ -86,6 +88,7 @@ class LiveResolver:
         psk: bytes = DEFAULT_PSK,
         psk_identity: bytes = DEFAULT_PSK_IDENTITY,
         timeout: float = DEFAULT_QUERY_TIMEOUT,
+        client_index: int = 0,
     ) -> None:
         self.transport_name = check_live_transport(transport)
         self.server = server
@@ -95,6 +98,7 @@ class LiveResolver:
         self.seed = seed
         self.timeout = timeout
         self._secret = secret
+        self._client_index = client_index
         self._psk = psk
         self._psk_identity = psk_identity
         self._placement = self._parse_placement(cache_placement)
@@ -200,7 +204,7 @@ class LiveResolver:
             dns_cache=dns_cache, coap_cache=coap_cache,
             psk=self._psk, psk_identity=self._psk_identity,
             oscore_context=(
-                derive_oscore_pair(self._secret)[0]
+                derive_oscore_pair(self._secret, self._client_index)[0]
                 if profile.object_security else None
             ),
         )

@@ -8,8 +8,8 @@ derived deterministically here from CLI-visible inputs:
   simulated runner uses, or a :mod:`repro.datasets` profile sampled
   with a fixed seed (both sides regenerate the identical list);
 * the authoritative zone serving those names;
-* OSCORE security contexts — both sides derive the same pair from a
-  shared master secret;
+* OSCORE security contexts — both sides derive them from a shared
+  master secret, one Sender ID per load worker;
 * the DTLS PSK credentials.
 """
 
@@ -107,14 +107,19 @@ def build_zone(
     return build_workload_zone(spec, rng or random.Random(0), names=names)
 
 
-def derive_oscore_pair(secret: bytes = DEFAULT_SECRET):
-    """The (client, server) OSCORE contexts both processes derive.
+def derive_oscore_pair(secret: bytes = DEFAULT_SECRET, client_index: int = 0):
+    """The OSCORE security both processes derive from *secret*: the
+    context of load-side client *client_index* (each load worker is one,
+    with a Sender ID of its own) and the server's
+    :class:`~repro.oscore.context.RecipientContexts`, which derives the
+    matching context for each client's kid on its first request.
 
     Replay windows are pre-initialised (no Echo round), matching the
-    paper's measurement setup; pass the server context to
-    :class:`~repro.doc.DocServer` and the client one to
+    paper's measurement setup; pass the server table to
+    :class:`~repro.doc.DocServer` and the client context to
     :class:`~repro.doc.DocClient`.
     """
-    from repro.oscore import SecurityContext
+    from repro.oscore.context import RecipientContexts, client_context
 
-    return SecurityContext.pair(secret, b"repro-live-salt")
+    salt = b"repro-live-salt"
+    return client_context(secret, salt, client_index), RecipientContexts(secret, salt)

@@ -707,6 +707,7 @@ def _load_side(config: dict):
         seed=config["seed"] + 1,
         secret=config.get("secret", DEFAULT_SECRET),
         timeout=config["timeout"],
+        client_index=config.get("client_index", 0),
     )
     return names, resolver
 
@@ -785,6 +786,7 @@ def run_load(
     concurrency — and every worker draws from the same deterministic
     name universe under its own :func:`derive_worker_seed` seed, so the
     aggregate workload is replayable yet decorrelated across processes.
+    Worker *i* is OSCORE client *i*, with a Sender ID of its own.
     """
     from .loadgen import LoadGenError
 
@@ -801,6 +803,7 @@ def run_load(
             rate=config["rate"] if closed else config["rate"] / workers,
             concurrency=shares[index] if closed else config["concurrency"],
             seed=derive_worker_seed(config["seed"], index),
+            client_index=index,
         )
         for index in range(workers)
         # More workers than closed-loop slots leaves some without one.

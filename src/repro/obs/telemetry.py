@@ -295,7 +295,8 @@ def validate_snapshot(record: Dict[str, Any]) -> None:
     """Raise :class:`~repro.api.report.ReportError` unless *record*
     reads as a row :func:`telemetry_row` writes: exactly its keys, the
     four counts integers, ``t``, ``interval_s`` and ``qps`` numbers,
-    none of them negative, and each latency a number or null."""
+    none of them negative, and each latency a non-negative number or
+    null."""
     if not isinstance(record, dict) or set(record) != _ROW_KEYS:
         raise ReportError(f"not a telemetry row: {record!r}")
     latency = record["latency_ms"]
@@ -305,7 +306,7 @@ def validate_snapshot(record: Dict[str, Any]) -> None:
         and all(type(record[key]) in (int, float) and record[key] >= 0
                 for key in ("t", "interval_s", "qps"))
         and isinstance(latency, dict) and set(latency) == _LATENCY_KEYS
-        and all(value is None or type(value) in (int, float)
+        and all(value is None or (type(value) in (int, float) and value >= 0)
                 for value in latency.values())
     ):
         raise ReportError(f"bad telemetry row: {record!r}")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.cborlib import dumps
 from repro.crypto import AES_CCM_16_64_128, ReplayWindow, hkdf_sha256
@@ -13,6 +13,9 @@ AES_CCM_16_64_128_ALG = 10
 
 _KEY_LENGTH = 16
 _NONCE_LENGTH = 13
+
+#: The server's Sender ID, the kid of its responses' contexts.
+SERVER_ID = b"\x02"
 
 
 class OscoreError(Exception):
@@ -98,7 +101,7 @@ class SecurityContext:
         master_secret: bytes,
         master_salt: bytes = b"",
         client_id: bytes = b"\x01",
-        server_id: bytes = b"\x02",
+        server_id: bytes = SERVER_ID,
         replay_window_size: int = 32,
         server_requires_echo: bool = False,
     ) -> tuple:
@@ -139,6 +142,45 @@ class SecurityContext:
 
     def recipient_aead(self):
         return AES_CCM_16_64_128(self.recipient_key)
+
+
+def client_context(
+    master_secret: bytes, master_salt: bytes, index: int
+) -> SecurityContext:
+    """The context of client *index* of a master secret, whose server
+    holds a :class:`RecipientContexts` of the same secret.
+
+    RFC 8613 §3.3 wants a Sender ID per endpoint of one master secret:
+    clients sharing one would share a sequence counter and a replay
+    window at the server. Client *index* gets the one byte ``0x10 +
+    index``; past 240 clients the IDs repeat.
+    """
+    return SecurityContext.derive(
+        master_secret, master_salt, bytes((0x10 + index % 240,)), SERVER_ID
+    )
+
+
+class RecipientContexts:
+    """A server's security contexts, by the kid of the requests each
+    opens: one per client Sender ID, each with its own replay window.
+
+    The context of a one-byte kid other than the server's own is derived
+    from the master secret on that kid's first request, so the table
+    holds at most 255 contexts, whatever the requests carry. ``get``
+    returns ``None`` for any other kid.
+    """
+
+    def __init__(self, master_secret: bytes, master_salt: bytes = b"") -> None:
+        self._master = (master_secret, master_salt)
+        self._contexts: Dict[bytes, SecurityContext] = {}
+
+    def get(self, kid: bytes) -> Optional[SecurityContext]:
+        context = self._contexts.get(kid)
+        if context is None and len(kid) == 1 and kid != SERVER_ID:
+            context = self._contexts[kid] = SecurityContext.derive(
+                *self._master, SERVER_ID, kid
+            )
+        return context
 
 
 def encode_partial_iv(sequence: int) -> bytes:

@@ -18,17 +18,19 @@ is the size Figure 6 shows. A response that carries a Partial IV (RFC
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
-from repro.cborlib import dumps
 from repro.coap.codes import CODE_BY_VALUE, Code
 from repro.crypto import AEADError
-from repro.coap.message import CoapMessage, MessageType
-from repro.coap.options import OptionNumber, decode_options, encode_options
+from repro.coap.message import CoapMessage
+from repro.coap.options import (
+    OptionError,
+    OptionNumber,
+    decode_options,
+    encode_options,
+)
 
 from .context import (
-    AES_CCM_16_64_128_ALG,
     OscoreError,
     SecurityContext,
     decode_partial_iv,
@@ -46,6 +48,11 @@ _CLASS_U = frozenset(
         OptionNumber.PROXY_SCHEME,
     }
 )
+
+
+#: The options of a reply under the request's nonce: an empty OSCORE
+#: option, and nothing else.
+_EMPTY_OSCORE_OPTION = ((OptionNumber.OSCORE, b""),)
 
 
 @dataclass(frozen=True)
@@ -90,17 +97,20 @@ def _parse_plaintext(data: bytes) -> Tuple[Code, tuple, bytes]:
     return code, tuple(options), bytes(data[payload_offset:])
 
 
-@lru_cache(maxsize=4096)
 def _external_aad(request_kid: bytes, request_piv: bytes) -> bytes:
-    """RFC 8613 §5.4 external_aad (I options empty, single algorithm).
+    """The RFC 8613 §5.4 AAD: the CBOR ``["Encrypt0", h'', external]``,
+    *external* the bstr of ``[1, [10], kid, Partial IV, h'']`` (a single
+    algorithm, AES-CCM-16-64-128, and no I options).
 
-    A pure function of (kid, Partial IV), and every exchange needs it
-    twice (seal and open) — memoised to skip the repeated CBOR encode.
+    Written from a byte template. A kid and a Partial IV that fit a
+    nonce (at most 7 and 5 bytes) have one-byte bstr heads, and so does
+    the external_aad they make (at most 19 bytes).
     """
-    external = dumps(
-        [1, [AES_CCM_16_64_128_ALG], request_kid, request_piv, b""]
+    external = (
+        b"\x85\x01\x81\x0a" + bytes((0x40 | len(request_kid),)) + request_kid
+        + bytes((0x40 | len(request_piv),)) + request_piv + b"\x40"
     )
-    return dumps(["Encrypt0", b"", external])
+    return b"\x83\x68Encrypt0\x40" + bytes((0x40 | len(external),)) + external
 
 
 def protect_request(
@@ -115,29 +125,66 @@ def protect_request(
     """
     if not request.code.is_request:
         raise OscoreError("protect_request needs a request")
-    sequence = context.next_sequence()
-    partial_iv = encode_partial_iv(sequence)
     outer_options, inner_options = _split_options(request)
-
-    plaintext = encode_plaintext(request.code, inner_options, request.payload)
-    nonce = context.nonce(context.sender_id, partial_iv)
-    aad = _external_aad(context.sender_id, partial_iv)
-    ciphertext = context.sender_aead().encrypt(nonce, plaintext, aad)
-
-    option_value = OscoreOptionValue(
-        partial_iv=partial_iv, kid=context.sender_id,
-        kid_context=context.context_id,
+    option, ciphertext, binding, _, _ = _seal_request(
+        context, encode_plaintext(request.code, inner_options, request.payload)
     )
     outer = CoapMessage(
         mtype=request.mtype,
         code=outer_code,
         mid=request.mid,
         token=request.token,
-        options=tuple(outer_options)
-        + ((OptionNumber.OSCORE, option_value.encode()),),
+        options=tuple(outer_options) + ((OptionNumber.OSCORE, option),),
         payload=ciphertext,
     )
-    return outer, RequestBinding(context.sender_id, partial_iv)
+    return outer, binding
+
+
+def seal_request(
+    context: SecurityContext, plaintext: bytes
+) -> Tuple[bytes, RequestBinding, Callable[[bytes], Optional[bytes]]]:
+    """:func:`protect_request` in bytes, for a request whose options
+    are all Class E and laid out as *plaintext* (``code || options ||
+    0xFF payload``, which is also its CoAP body).
+
+    Returns the body of the outer POST, ``0x02 || OSCORE option || 0xFF
+    ciphertext``; the binding; and the reply opener. The opener takes
+    the body of a reply, ``code || options || 0xFF payload``, and
+    returns the plaintext :func:`unprotect_response` would decrypt from
+    it, under the request's nonce and AAD. It returns ``None`` for a
+    reply that is not ``code || 0x90 || 0xFF ciphertext`` (an empty
+    OSCORE option and nothing else) or does not verify:
+    :func:`unprotect_response` reads that one, or refuses it.
+    """
+    option, ciphertext, binding, nonce, aad = _seal_request(context, plaintext)
+    aead = context.recipient_aead()
+
+    def open_reply(body: bytes) -> Optional[bytes]:
+        try:
+            _, options, ciphertext = _parse_plaintext(body)
+            return (
+                aead.decrypt(nonce, ciphertext, aad)
+                if options == _EMPTY_OSCORE_OPTION else None
+            )
+        except (AEADError, OptionError, OscoreError):
+            return None
+
+    body = encode_plaintext(Code.POST, ((OptionNumber.OSCORE, option),), ciphertext)
+    return body, binding, open_reply
+
+
+def _seal_request(context: SecurityContext, plaintext: bytes):
+    """Encrypt a request's *plaintext* under the next sequence number:
+    ``(OSCORE option value, ciphertext, binding, nonce, AAD)``."""
+    partial_iv = encode_partial_iv(context.next_sequence())
+    kid = context.sender_id
+    nonce = context.nonce(kid, partial_iv)
+    aad = _external_aad(kid, partial_iv)
+    option = OscoreOptionValue(
+        partial_iv=partial_iv, kid=kid, kid_context=context.context_id,
+    ).encode()
+    ciphertext = context.sender_aead().encrypt(nonce, plaintext, aad)
+    return option, ciphertext, RequestBinding(kid, partial_iv), nonce, aad
 
 
 def open_request(
@@ -159,19 +206,33 @@ def open_request(
         raise OscoreError(
             f"unknown kid {value.kid!r} (expected {context.recipient_id!r})"
         )
-    sequence = decode_partial_iv(value.partial_iv)
+    plaintext, _, _ = open_ciphertext(
+        context, value.partial_iv, outer.payload, enforce_replay
+    )
+    return plaintext, RequestBinding(value.kid, value.partial_iv)
+
+
+def open_ciphertext(
+    context: SecurityContext, partial_iv: bytes, ciphertext: bytes,
+    enforce_replay: bool = True,
+) -> Tuple[bytes, bytes, bytes]:
+    """Open the *ciphertext* of a request that the peer of *context*
+    sent under *partial_iv*: check the replay window, decrypt and verify,
+    and only then accept the Partial IV. Returns the plaintext, and the
+    nonce and AAD that its response is sealed under."""
+    sequence = decode_partial_iv(partial_iv)
     if enforce_replay and not context.replay_window.check(sequence):
         raise OscoreError(f"replayed Partial IV {sequence}")
-
-    nonce = context.nonce(value.kid, value.partial_iv)
-    aad = _external_aad(value.kid, value.partial_iv)
+    kid = context.recipient_id
+    nonce = context.nonce(kid, partial_iv)
+    aad = _external_aad(kid, partial_iv)
     try:
-        plaintext = context.recipient_aead().decrypt(nonce, outer.payload, aad)
+        plaintext = context.recipient_aead().decrypt(nonce, ciphertext, aad)
     except AEADError as exc:
         raise OscoreError("request authentication failed") from exc
     if enforce_replay:
         context.replay_window.accept(sequence)
-    return plaintext, RequestBinding(value.kid, value.partial_iv)
+    return plaintext, nonce, aad
 
 
 def request_from_plaintext(outer: CoapMessage, plaintext: bytes) -> CoapMessage:
@@ -212,49 +273,32 @@ def protect_response(
     if not response.code.is_response:
         raise OscoreError("protect_response needs a response")
     outer_class_u, inner_options = _split_options(response)
-    return seal_response(
-        context,
-        encode_plaintext(response.code, inner_options, response.payload),
-        binding,
-        response.mtype,
-        response.mid,
-        response.token,
-        outer_code=outer_code,
-        outer_options=tuple(outer_class_u) + tuple(outer_options),
+    return CoapMessage(
+        mtype=response.mtype,
+        code=outer_code,
+        mid=response.mid,
+        token=response.token,
+        options=tuple(outer_class_u) + tuple(outer_options)
+        + ((OptionNumber.OSCORE, b""),),
+        payload=seal_response(
+            context,
+            encode_plaintext(response.code, inner_options, response.payload),
+            binding,
+        ),
     )
 
 
 def seal_response(
-    context: SecurityContext,
-    plaintext: bytes,
-    binding: RequestBinding,
-    mtype: MessageType,
-    mid: int,
-    token: bytes,
-    outer_code: Code = Code.CHANGED,
-    outer_options: Tuple[Tuple[int, bytes], ...] = (),
-) -> CoapMessage:
-    """The seal step of :func:`protect_response`: encrypt a response
-    already laid out as *plaintext* (``code || options || 0xFF
-    payload``) into the outer message.
-
-    The outer message has type *mtype*, *mid* and *token*, and carries
-    *outer_options* and the OSCORE option. A server that keeps the
-    plaintexts of its responses seals one here without building the
-    inner response.
-    """
-    aad = _external_aad(binding.kid, binding.partial_iv)
+    context: SecurityContext, plaintext: bytes, binding: RequestBinding
+) -> bytes:
+    """The seal step of :func:`protect_response`: the ciphertext of a
+    response laid out as *plaintext* (``code || options || 0xFF
+    payload``), under the nonce and AAD of the request *binding* names.
+    It is the payload of an outer message whose OSCORE option is empty
+    (no Partial IV on the wire)."""
     nonce = context.nonce(binding.kid, binding.partial_iv)
-    ciphertext = context.sender_aead().encrypt(nonce, plaintext, aad)
-    option_value = OscoreOptionValue().encode()
-    return CoapMessage(
-        mtype=mtype,
-        code=outer_code,
-        mid=mid,
-        token=token,
-        options=outer_options + ((OptionNumber.OSCORE, option_value),),
-        payload=ciphertext,
-    )
+    aad = _external_aad(binding.kid, binding.partial_iv)
+    return context.sender_aead().encrypt(nonce, plaintext, aad)
 
 
 def unprotect_response(
@@ -274,6 +318,11 @@ def unprotect_response(
         plaintext = context.recipient_aead().decrypt(nonce, outer.payload, aad)
     except AEADError as exc:
         raise OscoreError("response authentication failed") from exc
+    return response_from_plaintext(outer, plaintext)
+
+
+def response_from_plaintext(outer: CoapMessage, plaintext: bytes) -> CoapMessage:
+    """The inner response of *outer*, whose decrypted body is *plaintext*."""
     code, inner_options, payload = _parse_plaintext(plaintext)
     if not code.is_response:
         raise OscoreError("inner message is not a response")

@@ -87,11 +87,7 @@ def _dtls_client(
 
 def _provision_oscore(env: TransportEnv) -> None:
     # Pre-initialised replay windows (Section 5.1): no Echo round.
-    from repro.oscore import SecurityContext
-
-    env.oscore_pairs.append(
-        SecurityContext.pair(b"experiment-master-secret", b"salt")
-    )
+    env.oscore_master = (b"experiment-master-secret", b"salt")
 
 
 def _coap_server(

@@ -18,8 +18,10 @@ registered lazily on first lookup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
+
+from repro.oscore.context import RecipientContexts, client_context
 
 
 class UnknownTransportError(ValueError):
@@ -57,8 +59,10 @@ class TransportEnv:
     topology: object
     resolver: object
     scenario: object
-    #: (client context, server context) pairs filled by provisioners.
-    oscore_pairs: List[tuple] = field(default_factory=list)
+    #: The OSCORE (master secret, master salt), set by a provisioner:
+    #: the server holds a context per client kid, and each client has
+    #: its own Sender ID.
+    oscore_master: Optional[Tuple[bytes, bytes]] = None
     server: Optional[ServerHandle] = None
     #: Where clients send requests (the server, or a forward proxy).
     target: Optional[Tuple[str, int]] = None
@@ -148,9 +152,9 @@ class TransportProfile:
             host.bind(self.default_port),
             env.resolver,
             scheme=env.scenario.caching_spec.scheme,
-            # The server handles a single client context at a time;
-            # derive one shared pair and multiplex by kid if ever needed.
-            oscore_context=env.oscore_pairs[0][1] if env.oscore_pairs else None,
+            oscore_context=(
+                RecipientContexts(*env.oscore_master) if env.oscore_master else None
+            ),
         )
         adapter = None
         if self.has_handshake:
@@ -191,7 +195,9 @@ class TransportProfile:
             block_size=scenario.block_size,
             dns_cache=dns_cache,
             coap_cache=coap_cache,
-            oscore_context=env.oscore_pairs[0][0] if env.oscore_pairs else None,
+            oscore_context=(
+                client_context(*env.oscore_master, index) if env.oscore_master else None
+            ),
             # The paper's pre-initialised DTLS sessions: no handshake on
             # the air. The builder establishes the pair where it creates
             # its adapter, because the draws this takes from the run's

@@ -35,7 +35,13 @@ from repro.coap.uri import base64url_encode
 from repro.dns import Flags, Message, Question, RecordType, RecursiveResolver, Zone
 from repro.doc import DocClient, DocServer
 from repro.live import DocLiveServer, LiveResolver
-from repro.oscore import SecurityContext, protect_request
+from repro.oscore import (
+    SecurityContext,
+    protect_request,
+    protect_response,
+    unprotect_request,
+    unprotect_response,
+)
 from repro.sim import Simulator
 
 with open(
@@ -285,10 +291,10 @@ def test_wire_bytes_equal_the_copy_chain(
     client_end, server_end = _pipe(sim)
     zone = Zone()
     zone.add_address(name, "2001:db8::1", ttl=120)
-    client_context = server_context = oracle_context = None
+    client_context = server_context = oracle_context = oracle_server = None
     if secured:
         client_context, server_context = SecurityContext.pair(b"s" * 16, b"salt")
-        oracle_context, _ = SecurityContext.pair(b"s" * 16, b"salt")
+        oracle_context, oracle_server = SecurityContext.pair(b"s" * 16, b"salt")
     server = DocServer(
         sim, server_end, RecursiveResolver(zone), oscore_context=server_context
     )
@@ -308,22 +314,30 @@ def test_wire_bytes_equal_the_copy_chain(
         client, question, mid, token.to_bytes(4, "big"), oracle_context
     )
     assert client_end.sent[0] == _reference_encode(expected)
-    # A plain request in one piece is answered by the request reader,
-    # in bytes; its reply is the chain around the payload it carries:
-    # the ETag over it, the query's Content-Format and Max-Age.
-    assert (not replies) == (block_size is None and not secured)
+    # A request in one piece is answered by the request reader, in
+    # bytes; its reply is the chain around the payload it carries: the
+    # ETag over it, the query's Content-Format and Max-Age. A protected
+    # one is opened, and its reply sealed, by the message path's
+    # functions under contexts of the test's own.
+    assert (not replies) == (block_size is None)
     if not replies:
-        request = CoapMessage.decode(client_end.sent[0])
-        payload = CoapMessage.decode(server_end.sent[0]).payload
+        request = inner = CoapMessage.decode(client_end.sent[0])
+        reply = CoapMessage.decode(server_end.sent[0])
+        if secured:
+            inner, binding = unprotect_request(oracle_server, request)
+            reply = unprotect_response(oracle_context, reply, binding)
+        payload = reply.payload
         if method == Code.GET and content_format == ContentFormat.DNS_CBOR:
-            response = request.make_response(Code.BAD_REQUEST)
+            response = inner.make_response(Code.BAD_REQUEST)
         else:
             response = (
-                request.make_response(Code.CONTENT, payload=payload)
+                inner.make_response(Code.CONTENT, payload=payload)
                 .with_option(OptionNumber.ETAG, hashlib.sha256(payload).digest()[:8])
                 .with_uint_option(OptionNumber.CONTENT_FORMAT, content_format)
                 .with_uint_option(OptionNumber.MAX_AGE, 120)
             )
+        if secured:
+            response = protect_response(oracle_server, response, binding)
         replies.append((request, response))
     assert server_end.sent == [
         _reference_encode(_chain_reply(request, response))

@@ -93,7 +93,7 @@ ROWS = [
         "the OSCORE option at a server with no OSCORE context is an "
         "unrecognised critical option: 4.02 Bad Option",
         _fetch((OptionNumber.OSCORE, b"")), (MessageType.ACK, Code.BAD_OPTION),
-        unmet="the DoC route answers 2.05 in the clear", plain_only=True),
+        plain_only=True),
     Row("accept-text-plain", "RFC 7252", "§5.10.4", "MUST",
         "an Accept the server cannot produce (0, text/plain) gets 4.06 Not "
         "Acceptable",
@@ -162,6 +162,34 @@ def test_server_answers_as_the_rfc_says(row, secured, capacity):
     )
     if mtype == MessageType.RST:
         assert reply == bytes((0x70, 0)) + row.request[2:4]
+
+
+@pytest.mark.parametrize("capacity", [64, 0], ids=["cache64", "cache0"])
+def test_regular_oscore_at_a_cacheable_only_server_gets_4_00(capacity):
+    # RFC 8613 §8.2: a request whose security context is not found MAY
+    # be answered 4.01 Unauthorized. The choice recorded here: a server
+    # holding only the cacheable-OSCORE (deterministic) context answers a
+    # regular protected request 4.00 Bad Request, in the clear, as it
+    # answers any request it cannot open.
+    from repro.doc import DocServer
+    from repro.oscore import derive_deterministic_context, protect_request
+
+    zone = Zone()
+    zone.add_address("a.example.org", "2001:db8::1", ttl=120)
+    socket = _Socket()
+    DocServer(
+        _ScriptedClock(), socket, RecursiveResolver(zone),
+        deterministic_context=derive_deterministic_context(
+            b"conformance-secret", b"salt", role="server"
+        ),
+        fastpath_capacity=capacity,
+    )
+    client_context, _ = SecurityContext.pair(b"conformance-secret", b"salt")
+    outer, _ = protect_request(client_context, CoapMessage.decode(_fetch()))
+    socket.on_datagram(*PEER, outer.encode(), {})
+    assert socket.sent == [
+        (*PEER, CoapMessage(MessageType.ACK, Code.BAD_REQUEST, 0x1234, b"\x07").encode())
+    ]
 
 
 # -- the Echo round on first contact --------------------------------------

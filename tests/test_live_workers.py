@@ -621,13 +621,14 @@ needs_reuseport = pytest.mark.skipif(
 
 
 def _load_config(endpoint, **overrides):
-    """What ``run_load`` requires, for a short open-loop UDP pass."""
+    """What ``run_load`` requires, for a short open-loop pass (UDP unless
+    *overrides* names a transport)."""
     from repro.doc.caching import CachingScheme
 
-    return dict(
+    return dict(dict(
         endpoint=endpoint, transport="udp", scheme=CachingScheme.EOL_TTLS,
-        timeout=5.0, mode="open", concurrency=8, **overrides,
-    )
+        timeout=5.0, mode="open", concurrency=8,
+    ), **overrides)
 
 
 @needs_reuseport
@@ -657,6 +658,31 @@ def test_sharded_serve_and_distributed_load_counters_balance():
     ) == stats["queries_handled"]
     assert stats["runtime"]["reuseport"] is True
     assert pool.exit_code == 0
+
+
+@needs_reuseport
+def test_two_oscore_load_workers_lose_nothing_to_replay():
+    # Each load worker is its own OSCORE client (Sender ID 0x10 + its
+    # index), so the server keeps a replay window per worker: both start
+    # their sequences at 0, and every query of both is served. (With one
+    # shared Sender ID the second worker's requests were replays.)
+    pool = ServePool(workers=1, transport="oscore", port=0, num_names=8)
+    endpoint = pool.start()
+    try:
+        reports, failed = run_load(
+            _load_config(
+                endpoint, transport="oscore", rate=60.0, duration=0.5,
+                num_names=8, seed=4,
+            ),
+            2,
+        )
+        stats = pool.drain()
+    finally:
+        pool.terminate()
+    assert failed == 0
+    assert [report["failed"] for report in reports] == [0, 0]
+    assert all(report["succeeded"] > 0 for report in reports)
+    assert stats["queries_handled"] == sum(report["succeeded"] for report in reports)
 
 
 @needs_reuseport

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.coap import CoapMessage, Code, MessageType, cache_key_for
+from repro.coap import CoapMessage, Code, cache_key_for
 from repro.coap.options import OptionNumber, encode_uint
 from repro.oscore import OscoreError, SecurityContext, unprotect_response
 from repro.oscore.cacheable import (
@@ -32,10 +32,15 @@ def _sealed_reply(server, outer, payload, max_age):
     :class:`~repro.doc.server.DocServer` seals one: 2.05 Content with
     the lifetime in an outer Max-Age."""
     _, _, binding = open_deterministic_request(server, outer)
-    return seal_response(
-        server, encode_plaintext(Code.CONTENT, (), payload), binding,
-        MessageType.ACK, outer.mid, outer.token, outer_code=Code.CONTENT,
-        outer_options=((OptionNumber.MAX_AGE, encode_uint(max_age)),),
+    return outer.make_response(
+        Code.CONTENT,
+        payload=seal_response(
+            server, encode_plaintext(Code.CONTENT, (), payload), binding
+        ),
+        options=(
+            (OptionNumber.OSCORE, b""),
+            (OptionNumber.MAX_AGE, encode_uint(max_age)),
+        ),
     )
 
 

@@ -11,8 +11,8 @@ The contract leaves open: anything inside ``spec`` (a free object);
 deleting ``telemetry``, a sweep cell or a metric that not every run
 emits; a metric value of its row's unit type (or null), except that
 the always-emitted keys other than ``latency.*`` are never null nor
-negative; a ``provenance`` string for another string; and a telemetry
-row's latencies set to null or a negative number.
+negative, and no latency (a value in ms) is negative; a ``provenance``
+string for another string; and a telemetry row's latencies set to null.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ def _row_left_open(op, path, new) -> bool:
     """Whether a telemetry row mutation is one the contract allows."""
     return (
         op == "set" and len(path) == 2 and path[0] == "latency_ms"
-        and (new is None or new == -1)
+        and new is None
     )
 
 
@@ -131,6 +131,8 @@ def _metric_left_open(op, key, new) -> bool:
     if key in ALWAYS and not key.startswith("latency."):
         return False
     (row,) = metric_rows(key)
+    if row.unit == "ms" and new == -1:
+        return False
     return new is None or type(new) in UNITS[row.unit]
 
 
