@@ -3,7 +3,8 @@
 The sim path compiles the spec to a
 :class:`~repro.scenarios.ScenarioRunner` execution; the live path to a
 serve+load pairing (:func:`_live_once` — the only one), a loopback
-:class:`~repro.live.workers.ServePool` driven by a load side through
+:class:`~repro.live.workers.ServePool` (:func:`serve_pool`, which
+``repro serve`` builds its server with too) driven by a load side through
 :class:`~repro.live.client.LiveResolver`, or the load side alone
 against an externally provided endpoint; the fleet path to a
 :func:`~repro.fleet.run_fleet` aggregate pass. Repeats of the sim and
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from itertools import product
-from typing import Dict, Optional, Sequence, Union
+from typing import Callable, Dict, Optional, Sequence, Union
 
 from repro.obs.log import get_logger
 from repro.scenarios import (
@@ -35,9 +36,16 @@ from .spec import RunSpec
 _log = get_logger("repro.api.runner")
 
 
-def run(spec: Union[RunSpec, str]) -> Report:
+def run(
+    spec: Union[RunSpec, str], sinks: Sequence[Callable] = ()
+) -> Report:
     """Execute *spec* (a :class:`RunSpec` or a spec string) and return
-    its :class:`~repro.api.report.Report`."""
+    its :class:`~repro.api.report.Report`.
+
+    *sinks* are per-second telemetry callables for a live run: the load
+    worker in this process calls each with every snapshot row. The sim
+    and fleet substrates have no wall-clock seconds to report.
+    """
     if isinstance(spec, str):
         spec = RunSpec.from_spec(spec)
     log = _log.bind(
@@ -51,7 +59,7 @@ def run(spec: Union[RunSpec, str]) -> Report:
     elif spec.substrate == "fleet":
         report = _run_fleet(spec)
     else:
-        report = _run_live(spec)
+        report = _run_live(spec, sinks)
     log.info(
         "run finished",
         succeeded=report.metrics.get("queries.succeeded"),
@@ -157,7 +165,7 @@ def _run_one_fleet(job):
     return run_fleet(scenario, options)
 
 
-def _run_live(spec: RunSpec) -> Report:
+def _run_live(spec: RunSpec, sinks: Sequence[Callable]) -> Report:
     """One serve+load pairing per repeat, pooled into one Report.
 
     Self-serving runs restart the server side per repetition so each
@@ -169,7 +177,7 @@ def _run_live(spec: RunSpec) -> Report:
     repeats, server_blocks = [], []
     load_failed = 0
     for seed in spec.repeat_seeds():
-        (reports, failed), stats = _live_once(spec, seed)
+        (reports, failed), stats = _live_once(spec, seed, sinks)
         repeats.append(reports)
         load_failed += failed
         if stats is not None:
@@ -184,18 +192,15 @@ def _run_live(spec: RunSpec) -> Report:
     )
 
 
-def _live_once(spec: RunSpec, seed: int):
-    """Start the server side, run the load side, collect stats, stop.
-
-    The shape of each side follows from the spec. Server side: none
-    when the spec names an external ``live-host``, else a
+def serve_pool(spec: RunSpec, seed: int, host: str = "127.0.0.1"):
+    """The server side of a live *spec*: an unstarted
     :class:`~repro.live.workers.ServePool` of ``serve_workers``
-    processes (it forks, and therefore starts outside any event loop).
-    Load side: :func:`~repro.live.workers.run_load` over
-    ``load_workers`` generators. Returns what ``run_load`` returned
-    and the drained server stats.
+    processes bound to *host* and the spec's port, serving its name
+    universe under *seed*. It forks, and therefore starts outside any
+    event loop. ``repro serve`` and :func:`_live_once` both build their
+    pool here.
     """
-    from repro.live.workers import ServePool, run_load
+    from repro.live.workers import ServePool
 
     scenario = spec.to_scenario(seed)
     workload = scenario.workload
@@ -203,9 +208,10 @@ def _live_once(spec: RunSpec, seed: int):
     # The zone derives from the run's seed on every serve worker: any
     # worker must answer any query identically, so the per-worker
     # decorrelation lives in the load side only.
-    serve = dict(
+    return ServePool(
+        workers=options.serve_workers,
         transport=scenario.transport,
-        host="127.0.0.1",
+        host=host,
         port=options.port,
         num_names=workload.num_names,
         dataset=options.dataset,
@@ -213,12 +219,31 @@ def _live_once(spec: RunSpec, seed: int):
         ttl=workload.ttl,
         scheme=scenario.scheme,
         seed=seed,
+        secret=options.secret,
     )
+
+
+def _live_once(spec: RunSpec, seed: int, sinks: Sequence[Callable]):
+    """Start the server side, run the load side, collect stats, stop.
+
+    The shape of each side follows from the spec. Server side: none
+    when the spec names an external ``live-host``, else
+    :func:`serve_pool`. Load side: :func:`~repro.live.workers.run_load`
+    over ``load_workers`` generators, the one in this process calling
+    *sinks* once a second. Returns what ``run_load`` returned and the
+    drained server stats.
+    """
+    from repro.live.workers import run_load
+
+    scenario = spec.to_scenario(seed)
+    workload = scenario.workload
+    options = spec.live
     load = dict(
         transport=scenario.transport,
         scheme=scenario.scheme,
         cache_placement=spec.client_cache_placement(),
         block_size=scenario.block_size,
+        secret=options.secret,
         timeout=options.timeout,
         num_names=workload.num_names,
         dataset=options.dataset,
@@ -229,15 +254,18 @@ def _live_once(spec: RunSpec, seed: int):
         concurrency=options.concurrency,
         seed=seed,
         workload=workload,
+        snapshot_sinks=sinks,
     )
-
-    if options.host is not None:
-        load["endpoint"] = (options.host, options.port)
-        return run_load(load, options.load_workers), None
-    pool = ServePool(workers=options.serve_workers, **serve)
-    load["endpoint"] = pool.start()
+    pool = serve_pool(spec, seed) if options.host is None else None
+    load["endpoint"] = (
+        pool.start() if pool is not None else (options.host, options.port)
+    )
     try:
-        return run_load(load, options.load_workers), pool.drain()
+        return (
+            run_load(load, options.load_workers),
+            pool.drain() if pool is not None else None,
+        )
     finally:
-        # No-op after a drain; on any error nothing is left running.
-        pool.terminate()
+        if pool is not None:
+            # No-op after a drain; on any error nothing is left running.
+            pool.terminate()

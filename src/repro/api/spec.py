@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
 from repro.fleet.options import FleetOptions, FleetOptionsError
+from repro.live.wiring import DEFAULT_SECRET
 from repro.scenarios import Scenario, ScenarioError, scenario_from_spec
 
 from .report import SUBSTRATES
@@ -47,6 +48,10 @@ class LiveOptions:
     ``load_workers`` above 1 forks M distributed load generators
     (``live.workers.load.*``); one load worker runs in this process,
     where its progress and stream sinks are. Both default to 1.
+
+    ``secret`` is the OSCORE master secret both sides derive their
+    contexts from. It is key material: neither :meth:`to_dict` nor a
+    Report carries it.
     """
 
     host: Optional[str] = None
@@ -58,6 +63,7 @@ class LiveOptions:
     name_seed: int = 7
     serve_workers: int = 1
     load_workers: int = 1
+    secret: bytes = field(default=DEFAULT_SECRET, repr=False)
 
     def __post_init__(self) -> None:
         if self.mode not in ("open", "closed"):

@@ -12,8 +12,9 @@ Subcommands
     (any registry profile, including the modeled QUIC), or for every
     transport with ``--sweep``.
 ``resolve``
-    Run a demo resolution over a chosen transport/scenario and print
-    timings.
+    Run ``--names`` queries, one per name, as ``repro.api.run`` of a
+    scenario spec, and print one line per query: the name, the client,
+    and the time in ms or ``FAILED: <error>``.
 ``sweep``
     Run a (transport × topology × loss × cache-placement × scheme)
     grid of simulations over one base scenario spec and print a
@@ -26,13 +27,17 @@ Subcommands
 ``serve``
     Run the live DoC server on a real UDP socket (any live transport
     profile: udp, dtls, coap, coaps, oscore) as a pool of ``--workers``
-    processes; ``--metrics-port`` and ``--stream`` observe it while it
-    runs, SIGTERM and Ctrl-C drain it and print the shutdown report.
+    processes, built from the flags' RunSpec the way a self-served
+    ``run`` builds it; ``--metrics-port`` and ``--stream`` observe it
+    while it runs, SIGTERM and Ctrl-C drain it and print the shutdown
+    report.
 ``loadtest``
-    Drive open- or closed-loop load against a live server and report
-    qps, latency percentiles, timeouts, and cache ratios (``--json``
-    for machine-readable output). Prints a per-second progress line
-    to stderr (silenced by ``--json``); ``--stream`` mirrors the
+    Drive open- or closed-loop load against a live server: the flags
+    become a live RunSpec (``num_queries`` is the planned ``--rate`` ×
+    ``--duration``) that ``repro.api.run`` runs against ``--host`` and
+    ``--port``, and the Report reads as ``run``'s (``--json`` for
+    machine-readable output). Prints a per-second progress line to
+    stderr (silenced by ``--json``); ``--stream`` mirrors the
     per-second telemetry as NDJSON to stdout, a file, or a TCP peer.
 ``watch``
     Render a telemetry NDJSON stream (from ``--stream``) as live
@@ -71,32 +76,6 @@ from __future__ import annotations
 import argparse
 import sys
 from typing import List, Optional
-
-
-def _merged_scenario(args: argparse.Namespace, flags, defaults):
-    """Scenario from ``--scenario`` (or defaults) with flag overrides.
-
-    *flags* names the argparse attributes to consider (each is also
-    its scenario-spec key); explicit flag values always win, *defaults*
-    fill in only when no ``--scenario`` was given.
-    """
-    from repro.scenarios import Scenario, scenario_from_spec
-
-    if args.scenario:
-        scenario = scenario_from_spec(args.scenario)
-        defaults = {}
-    else:
-        scenario = Scenario()
-    overrides = []
-    for flag in flags:
-        value = getattr(args, flag)
-        if value is None:
-            value = defaults.get(flag)
-        if value is not None:
-            overrides.append(f"{flag}={value}")
-    if overrides:
-        scenario = scenario_from_spec(",".join(overrides), base=scenario)
-    return scenario
 
 
 def _emit_json(payload: dict, dest: str) -> None:
@@ -209,55 +188,23 @@ def _cmd_dissect(args: argparse.Namespace) -> int:
 
 
 def _cmd_resolve(args: argparse.Namespace) -> int:
-    from repro.dns import RecordType, RecursiveResolver, Zone
-    from repro.sim import Simulator
-    from repro.transports.registry import TransportEnv, registry
+    from repro.api import RunSpec, run
+    from repro.scenarios import scenario_from_spec
 
-    scenario = _merged_scenario(
-        args,
-        flags=("transport", "loss", "seed"),
-        defaults={"transport": "coap", "loss": 0.05, "seed": 1},
-    )
-
-    profile = registry.get(scenario.transport)
-    sim = Simulator(seed=scenario.seed)
-    topo = scenario.topology.build(sim)
-    zone = Zone()
-    for index in range(args.names):
-        zone.add_address(
-            f"name{index:02d}.example.org", f"2001:db8::{index + 1}", ttl=300
-        )
-    env = TransportEnv(
-        sim=sim,
-        topology=topo,
-        resolver=RecursiveResolver(zone),
-        scenario=scenario,
-    )
-    profile.provision(env)
-    env.server = profile.build_server(env)
-    env.target = env.server.endpoint
-    client = profile.build_client(env, topo.clients[0], 0)
-
-    def report_for(name: str, issued_at: float):
-        def report(result, error) -> None:
-            if error is not None:
-                print(f"  FAILED: {error}")
-            else:
-                elapsed = sim.now - issued_at
-                print(
-                    f"  {name:28s} -> "
-                    f"{', '.join(result.addresses):20s} "
-                    f"{elapsed * 1000:7.1f} ms"
-                )
-        return report
-
-    def issue(index: int) -> None:
-        name = f"name{index:02d}.example.org"
-        client.resolve(name, RecordType.AAAA, report_for(name, sim.now))
-
-    for index in range(args.names):
-        sim.schedule(index * 0.5, issue, index)
-    sim.run(until=60)
+    overrides = {
+        "names": args.names, "queries": args.names,
+        "transport": args.transport, "loss": args.loss, "seed": args.seed,
+    }
+    scenario = scenario_from_spec(",".join([args.scenario or ""] + [
+        f"{key}={value}" for key, value in overrides.items()
+        if value is not None
+    ]))
+    for outcome in run(RunSpec.from_scenario(scenario)).raw.outcomes:
+        if outcome.resolution_time is None:
+            result = f"FAILED: {outcome.error}"
+        else:
+            result = f"{outcome.resolution_time * 1000:7.1f} ms"
+        print(f"  {outcome.name:28s} {outcome.client:6s} {result}")
     return 0
 
 
@@ -394,6 +341,39 @@ def _progress_sink(record: dict) -> None:
     print(format_snapshot(record), file=sys.stderr, flush=True)
 
 
+def _live_spec(args: argparse.Namespace, workload, caching=None, **live):
+    """The live RunSpec that ``serve``'s and ``loadtest``'s shared
+    flags describe, with *workload* (its name count set from
+    ``--names``), the client *caching* and further
+    :class:`~repro.api.LiveOptions` fields *live*."""
+    from dataclasses import replace
+
+    from repro.api import ApiError, LiveOptions, RunSpec
+    from repro.doc import CachingScheme
+    from repro.scenarios import Scenario
+
+    if args.workers < 1:
+        raise ApiError("--workers must be >= 1")
+    return RunSpec(
+        scenario=Scenario(
+            name=args.command,
+            transport=args.transport,
+            workload=replace(workload, num_names=args.names),
+            scheme=CachingScheme(args.cache_scheme),
+            caching=caching,
+        ),
+        substrate="live",
+        seed=args.seed,
+        live=LiveOptions(
+            port=args.port,
+            dataset=args.dataset,
+            name_seed=args.name_seed,
+            secret=args.secret.encode(),
+            **live,
+        ),
+    )
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     """``serve``: ``--workers`` server processes sharing one port under
     this supervising parent, which owns Ctrl-C and SIGTERM, the
@@ -402,24 +382,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
     import time
 
-    from repro.doc import CachingScheme
-    from repro.live import ServePool
+    from repro.api.runner import serve_pool
+    from repro.scenarios import WorkloadSpec
 
-    if args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
-    pool = ServePool(
-        workers=args.workers,
-        transport=args.transport,
-        host=args.host,
-        port=args.port,
-        num_names=args.names,
-        dataset=args.dataset,
-        name_seed=args.name_seed,
-        scheme=CachingScheme(args.cache_scheme),
-        seed=args.seed,
-        secret=args.secret.encode(),
-    )
+    spec = _live_spec(args, WorkloadSpec(), serve_workers=args.workers)
+    pool = serve_pool(spec, spec.effective_seed, host=args.host)
     if pool.warning:
         print(f"warning: {pool.warning}", file=sys.stderr, flush=True)
     # Fork first: the scrape thread below must not exist in a child.
@@ -500,77 +467,33 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return pool.exit_code
 
 
-def _loadtest_spec(args: argparse.Namespace, workload, issued: int):
-    """The RunSpec description of one ``loadtest`` pass, reconstructed
-    from the CLI flags and the number of queries it issued."""
+def _cmd_loadtest(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
-    from repro.api import LiveOptions, RunSpec
-    from repro.doc import CachingScheme
-    from repro.scenarios import CachingSpec, Scenario
+    from repro.api import run
+    from repro.scenarios import CachingSpec, WorkloadSpec
 
-    return RunSpec(
-        scenario=Scenario(
-            name="loadtest",
-            transport=args.transport,
-            workload=replace(
-                workload,
-                num_queries=max(1, issued),
-                num_names=args.names,
-                query_rate=(
-                    args.rate if args.mode == "open" else workload.query_rate
-                ),
-            ),
-            scheme=CachingScheme(args.cache_scheme),
-            # `--client-cache all` means "every cache the live client
-            # has" — strip the proxy bit the placement vocabulary would
-            # otherwise imply (the resolver accepts it the same way).
-            caching=replace(
-                CachingSpec.from_placement(args.client_cache), proxy=False
-            ),
+    spec = _live_spec(
+        args,
+        WorkloadSpec(
+            # The planned load: `rate` per second for `duration`.
+            num_queries=max(1, round(args.rate * args.duration)),
+            query_rate=args.rate,
+            arrival=args.arrival,
+            burst_on=args.burst_on,
+            burst_off=args.burst_off,
+            zipf_alpha=args.zipf,
         ),
-        substrate="live",
-        seed=args.seed,
-        live=LiveOptions(
-            host=args.host, port=args.port, mode=args.mode,
-            concurrency=args.concurrency, timeout=args.timeout,
-            dataset=args.dataset, name_seed=args.name_seed,
-            load_workers=args.workers,
+        # `--client-cache all` means "every cache the live client has":
+        # strip the proxy bit the placement vocabulary would imply.
+        caching=replace(
+            CachingSpec.from_placement(args.client_cache), proxy=False
         ),
-    )
-
-
-def _cmd_loadtest(args: argparse.Namespace) -> int:
-    from repro.api.report import report_from_loadgen
-    from repro.doc import CachingScheme
-    from repro.live.workers import run_load
-    from repro.scenarios import WorkloadSpec
-
-    if args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
-    workload = WorkloadSpec(
-        arrival=args.arrival,
-        burst_on=args.burst_on,
-        burst_off=args.burst_off,
-        zipf_alpha=args.zipf,
-    )
-    load = dict(
-        endpoint=(args.host, args.port),
-        transport=args.transport,
-        scheme=CachingScheme(args.cache_scheme),
-        cache_placement=args.client_cache,
-        secret=args.secret.encode(),
-        timeout=args.timeout,
-        num_names=args.names,
-        dataset=args.dataset,
-        name_seed=args.name_seed,
-        rate=args.rate,
-        duration=args.duration,
+        host=args.host,
         mode=args.mode,
         concurrency=args.concurrency,
-        seed=args.seed,
-        workload=workload,
+        timeout=args.timeout,
+        load_workers=args.workers,
     )
     stream = args.stream
     if stream and args.workers > 1:
@@ -592,24 +515,16 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         stream_sink, stream_close = _open_stream_sink(stream)
         sinks.append(stream_sink)
     try:
-        reports, failed = run_load(
-            dict(load, snapshot_sinks=sinks), args.workers
-        )
+        report = run(spec, sinks=sinks)
     finally:
         if stream_close is not None:
             stream_close()
+    failed = report.metrics.get("live.workers.load.failed")
     if failed:
-        print(f"warning: {failed} of {failed + len(reports)} load workers "
-              "failed", file=sys.stderr, flush=True)
-    issued = sum(report["queries"] for report in reports)
-    return _emit_report(
-        report_from_loadgen(
-            [reports],
-            spec=_loadtest_spec(args, workload, issued).to_dict(),
-            load_failed=failed,
-        ),
-        args.json,
-    )
+        total = failed + report.metrics["live.workers.load.count"]
+        print(f"warning: {failed} of {total} load workers failed",
+              file=sys.stderr, flush=True)
+    return _emit_report(report, args.json)
 
 
 def _cmd_watch(args: argparse.Namespace) -> int:

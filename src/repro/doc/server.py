@@ -60,8 +60,15 @@ _CONTENT_FORMAT = int(OptionNumber.CONTENT_FORMAT)
 _URI_QUERY = int(OptionNumber.URI_QUERY)
 _OSCORE = int(OptionNumber.OSCORE)
 _ECHO = int(OptionNumber.ECHO)
+_ACCEPT = int(OptionNumber.ACCEPT)
+#: The critical (odd) options every server recognises: RFC 7252's core
+#: request options, Block2 and Block1; OSCORE (9) too at a server with
+#: an OSCORE context. Any other critical option in a request gets 4.02
+#: (RFC 7252 §5.4.1).
+_RECOGNISED_CRITICAL = frozenset((1, 3, 5, 7, 11, 15, 17, 23, 27, 35, 39))
 #: Options whose requests the plain route leaves to the message path:
-#: block-wise transfers.
+#: block-wise transfers, and OSCORE at a server with a context (an
+#: outer message the OSCORE reader left).
 _MESSAGE_PATH_OPTIONS = frozenset((int(OptionNumber.BLOCK1), int(OptionNumber.BLOCK2)))
 #: The second byte of a body whose first option is OSCORE (9), as a
 #: one-byte slice.
@@ -129,6 +136,9 @@ class DocServer:
         self.deterministic_context = deterministic_context
         #: Whether the server has an OSCORE context of either kind.
         self._secured = oscore_context is not None or deterministic_context is not None
+        oscore = frozenset((_OSCORE,) if self._secured else ())
+        self._recognised = _RECOGNISED_CRITICAL | oscore
+        self._message_path = _MESSAGE_PATH_OPTIONS | oscore
         #: Reply templates by request body: (code, the options before
         #: Max-Age, Max-Age's delta nibble, 0xFF payload or b"").
         self._fastpath: Optional[KeyedCache] = (
@@ -190,21 +200,24 @@ class DocServer:
         """Resolve the request body *body* and write its reply, as
         :meth:`answer` returns it; ``None`` for a body that is no
         request, and, unless *routed*, for a request for another
-        Uri-Path or one carrying Block1 or Block2. Unless *routed*, a
-        request for the DoC resource carrying the OSCORE option gets 4.02
-        at a server with no OSCORE context, the option being a critical
-        one the server does not know (RFC 7252 §5.4.1); at a server with
-        one, it is a request :meth:`_open` left to the message path.
+        Uri-Path or one carrying Block1, Block2 or, at a server with an
+        OSCORE context, the OSCORE option (a request :meth:`_open` left
+        to the message path). A request for the DoC resource carrying a
+        critical option the server does not recognise gets 4.02 (RFC
+        7252 §5.4.1): the OSCORE option is one at a server with no
+        OSCORE context.
 
         The options are walked once. FETCH and POST carry the query in
         the payload (DNS wire format, or CBOR per Content-Format), GET
         base64url-encoded in the ``dns`` Uri-Query variable; another
         method gets 4.05 and a query that does not parse 4.00, neither
-        with options. A resolved query gets ETag, Content-Format (the
-        query's) and Max-Age (the minimum record TTL), or 2.03 Valid
-        with ETag and Max-Age when the request presented that ETag. With
-        *store*, such a reply with a non-zero Max-Age to a request for
-        the DoC resource is kept in the cache under *body*.
+        with options. An Accept other than the query's Content-Format
+        gets 4.06 (RFC 7252 §5.10.4). A resolved query gets ETag,
+        Content-Format (the query's) and Max-Age (the minimum record
+        TTL), or 2.03 Valid with ETag and Max-Age when the request
+        presented that ETag. With *store*, such a reply with a non-zero
+        Max-Age to a request for the DoC resource is kept in the cache
+        under *body*.
         """
         try:
             code, options, payload = _parse_plaintext(body)
@@ -212,8 +225,9 @@ class DocServer:
             return None
         if code not in _REQUEST_CODES:
             return None
-        path, etags, queries, content_format = [], [], [], None
-        oscore = False
+        path, etags, queries, content_format, accept = [], [], [], None, None
+        critical = False
+        message_path, recognised = self._message_path, self._recognised
         for number, value in options:
             if number == _URI_PATH:
                 path.append(value)
@@ -224,17 +238,20 @@ class DocServer:
                     content_format = decode_uint(value)
             elif number == _URI_QUERY:
                 queries.append(value)
-            elif number == _OSCORE and not routed:
-                oscore = True
-            elif number in _MESSAGE_PATH_OPTIONS and not routed:
+            elif number in message_path and not routed:
                 return None
+            elif number == _ACCEPT:
+                if accept is None:
+                    accept = value
+            elif number & 1 and number not in recognised:
+                critical = True
         # Decoding the joined segments decodes each (a "/" ends any
         # malformed sequence), as CoapMessage.uri_path does.
         on_route = (b"/" + b"/".join(path)).decode("utf-8", "replace") == self._route
         if not (on_route or routed):
             return None
-        if oscore:
-            return None if self._secured else (Code.BAD_OPTION, None, b"")
+        if critical:
+            return Code.BAD_OPTION, None, b""
         if self._fastpath is not None:
             self.fastpath_misses += 1
         if code not in _DOC_METHODS:
@@ -257,6 +274,8 @@ class DocServer:
                 content_format = ContentFormat.DNS_MESSAGE
         except ValueError:
             return Code.BAD_REQUEST, None, b""
+        if accept is not None and decode_uint(accept) != content_format:
+            return Code.NOT_ACCEPTABLE, None, b""
 
         self.queries_handled += 1
         now = self.sim.now
@@ -302,7 +321,13 @@ class DocServer:
     def _handle_plain(self, request: CoapMessage, respond, metadata: dict) -> None:
         """Answer a block-wise request for the DoC resource, which
         :meth:`_read` leaves to the message path, from the body of the
-        request as reassembled; it is neither stored nor replayed."""
+        request as reassembled; it is neither stored nor replayed. At a
+        server with an OSCORE context, a request carrying the OSCORE
+        option is a protected one whose outer message also names the
+        resource: :meth:`_handle_oscore` answers it."""
+        if self._secured and request.option(OptionNumber.OSCORE) is not None:
+            self._handle_oscore(request, respond, metadata)
+            return
         self._respond(request, respond, metadata, self._read(
             encode_plaintext(request.code, request.options, request.payload),
             True, False,
@@ -312,8 +337,10 @@ class DocServer:
         """Answer a request that reaches the OSCORE route only on the
         message path: cacheable OSCORE's outer FETCH, and an outer
         message the OSCORE reader left (a Block1 upload, reassembled, or
-        one carrying Class-U options or Block2). The reader gets its
-        body with the OSCORE option alone; without exactly one, 4.00."""
+        one carrying Class-U options, Block2, or Class-E options such as
+        Uri-Path, which RFC 8613 §8.2 has the server discard). The reader
+        gets its body with the OSCORE option alone; without exactly one,
+        4.00."""
         # Cacheable OSCORE (deterministic) requests arrive with an
         # outer FETCH; regular OSCORE requests with an outer POST.
         if outer.code == Code.FETCH and self.deterministic_context is not None:

@@ -164,6 +164,24 @@ def test_resolve_scenario_flag(capsys):
     assert "FAILED" not in out
 
 
+def test_resolve_prints_one_line_per_query(capsys):
+    # The name, the client that asked, and the time or the failure.
+    assert main(["resolve", "--scenario", "one-hop,loss=0.95,retries=0",
+                 "--transport", "udp", "--names", "2", "--seed", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "  name0000.example-iot.org     c1     FAILED: DnsTimeoutError",
+        "  name0001.example-iot.org     c2     FAILED: DnsTimeoutError",
+    ]
+    assert main(["resolve", "--names", "3", "--seed", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines] == [
+        [f"name000{index}.example-iot.org", f"c{index % 2 + 1}"]
+        for index in range(3)
+    ]
+    assert all(re.fullmatch(r".* +\d+\.\d ms", line) for line in lines)
+
+
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["bogus"])
@@ -449,6 +467,39 @@ def test_loadtest_report_metric_keys(capsys, workers, expected):
     assert sorted(report["metrics"]) == expected
     assert report["metrics"]["queries.success_rate"] >= 0.95
     assert report["spec"]["live"]["load_workers"] == workers
+
+
+@pytest.mark.parametrize("mode", ["open", "closed"])
+def test_loadtest_is_the_run_of_its_spec(capsys, mode):
+    # `loadtest` is a live RunSpec handed to repro.api.run: the `run` of
+    # the same flags as spec keys, against the same server, reports the
+    # same metric keys and the same spec. The spec states the planned
+    # load, 32 queries at 80/s, whatever number the run issued (a closed
+    # loop issues as many as its workers complete in 0.4 s).
+    import json
+
+    with _inline_server() as port:
+        assert main([
+            "loadtest", "--transport", "coap", "--port", str(port),
+            "--names", "8", "--rate", "80", "--duration", "0.4",
+            "--mode", mode, "--concurrency", "2", "--timeout", "5", "--json",
+        ]) == 0
+        loadtest = json.loads(capsys.readouterr().out)
+        assert main([
+            "run",
+            "transport=coap,names=8,queries=32,rate=80,cache=none,seed=1,"
+            f"substrate=live,live-host=127.0.0.1,live-port={port},"
+            f"mode={mode},concurrency=2,timeout=5",
+            "--json",
+        ]) == 0
+        run = json.loads(capsys.readouterr().out)
+    assert sorted(loadtest["metrics"]) == sorted(run["metrics"])
+    assert loadtest["spec"]["workload"]["num_queries"] == 32
+    assert loadtest["spec"]["workload"]["query_rate"] == 80
+    assert loadtest["spec"].pop("name") == "loadtest"
+    run["spec"].pop("name")
+    assert loadtest["spec"] == run["spec"]
+    assert "secret" not in json.dumps(loadtest["spec"])
 
 
 def test_loadtest_prints_the_report_summary_run_prints(capsys):

@@ -6,9 +6,9 @@ reply is matched on its header: the message type, the code and the MID
 of the request. Every row runs against the CoAP-based DoC server (the
 ``coap`` profile's ``server_builder``, on a scripted socket and clock),
 without and with an OSCORE context (a protected server's plain route),
-and with its response cache on and off. A MUST the server does not meet
-yet is a strict xfail naming its section: the change that meets it
-removes the mark.
+unless the row needs one of the two, and with its response cache on
+and off. A MUST the server does not meet yet is a strict xfail naming
+its section: the change that meets it removes the mark.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import pytest
 from repro.coap import CoapMessage, Code, ContentFormat, MessageType, OptionNumber
 from repro.dns import RecordType, RecursiveResolver, Zone, make_query
 from repro.doc import CachingScheme
-from repro.oscore import SecurityContext
+from repro.oscore import SecurityContext, protect_request
 from repro.transports import get_profile
 
 PEER = ("fe80::1", 40001)
@@ -40,6 +40,8 @@ class Row(NamedTuple):
     unmet: Optional[str] = None
     #: The row needs a server without an OSCORE context.
     plain_only: bool = False
+    #: The row needs a server with one.
+    secured_only: bool = False
 
 
 def _fetch(*options, octet: Optional[int] = None) -> bytes:
@@ -54,6 +56,15 @@ def _fetch(*options, octet: Optional[int] = None) -> bytes:
     for number, value in options:
         message = message.with_option(number, value)
     return message.encode()
+
+
+def _protected_with_outer_uri_path() -> bytes:
+    """:func:`_fetch` protected for the server of
+    :func:`test_server_answers_as_the_rfc_says`, its outer message also
+    carrying Uri-Path ``dns``."""
+    client_context, _ = SecurityContext.pair(b"conformance-secret", b"salt")
+    outer, _ = protect_request(client_context, CoapMessage.decode(_fetch()))
+    return outer.with_option(OptionNumber.URI_PATH, b"dns").encode()
 
 
 ROWS = [
@@ -87,8 +98,7 @@ ROWS = [
         _fetch(octet=0x2E), (MessageType.ACK, Code.BAD_REQUEST)),
     Row("critical-option-2001", "RFC 7252", "§5.4.1", "MUST",
         "an unrecognised critical option in a CON request gets 4.02 Bad Option",
-        _fetch((2001, b"")), (MessageType.ACK, Code.BAD_OPTION),
-        unmet="the request reader skips an option it does not know"),
+        _fetch((2001, b"")), (MessageType.ACK, Code.BAD_OPTION)),
     Row("oscore-option-no-context", "RFC 7252", "§5.4.1", "MUST",
         "the OSCORE option at a server with no OSCORE context is an "
         "unrecognised critical option: 4.02 Bad Option",
@@ -97,15 +107,21 @@ ROWS = [
     Row("accept-text-plain", "RFC 7252", "§5.10.4", "MUST",
         "an Accept the server cannot produce (0, text/plain) gets 4.06 Not "
         "Acceptable",
-        _fetch((OptionNumber.ACCEPT, b"")), (MessageType.ACK, Code.NOT_ACCEPTABLE),
-        unmet="the reply is 2.05 application/dns-message whatever the Accept"),
+        _fetch((OptionNumber.ACCEPT, b"")), (MessageType.ACK, Code.NOT_ACCEPTABLE)),
+    Row("oscore-outer-uri-path", "RFC 8613", "§8.2", "MUST",
+        "a server receiving a request containing the OSCORE option SHALL "
+        "'Discard Code and all Class E options (marked in Figure 5 with "
+        "'x' in column E) present in the received message'; an outer "
+        "Uri-Path is one, so the protected request is served (2.04)",
+        _protected_with_outer_uri_path(), (MessageType.ACK, Code.CHANGED),
+        secured_only=True),
 ]
 
 
 def _cases():
     for row in ROWS:
         for secured in (False, True):
-            if secured and row.plain_only:
+            if (row.plain_only and secured) or (row.secured_only and not secured):
                 continue
             for capacity in (64, 0):
                 marks = ()
@@ -190,6 +206,34 @@ def test_regular_oscore_at_a_cacheable_only_server_gets_4_00(capacity):
     assert socket.sent == [
         (*PEER, CoapMessage(MessageType.ACK, Code.BAD_REQUEST, 0x1234, b"\x07").encode())
     ]
+
+
+@pytest.mark.parametrize("capacity", [64, 0], ids=["cache64", "cache0"])
+def test_critical_option_inside_oscore_gets_4_02(capacity):
+    # RFC 7252 §5.4.1 on the OSCORE route: the unrecognised critical
+    # option is an inner one, and the 4.02 comes back protected.
+    from repro.oscore import unprotect_response
+
+    zone = Zone()
+    zone.add_address("a.example.org", "2001:db8::1", ttl=120)
+    socket = _Socket()
+    client_context, server_context = SecurityContext.pair(
+        b"conformance-secret", b"salt"
+    )
+    get_profile("coap").server_builder(
+        _ScriptedClock(), socket, RecursiveResolver(zone),
+        scheme=CachingScheme.EOL_TTLS, oscore_context=server_context,
+        fastpath_capacity=capacity,
+    )
+    outer, binding = protect_request(
+        client_context, CoapMessage.decode(_fetch((2001, b"")))
+    )
+    socket.on_datagram(*PEER, outer.encode(), {})
+    (_, _, reply), = socket.sent
+    outer_reply = CoapMessage.decode(reply)
+    assert (outer_reply.mtype, outer_reply.code) == (MessageType.ACK, Code.CHANGED)
+    inner = unprotect_response(client_context, outer_reply, binding)
+    assert inner.code == Code.BAD_OPTION
 
 
 # -- the Echo round on first contact --------------------------------------

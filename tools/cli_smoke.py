@@ -6,7 +6,9 @@ Each section drives the public CLI as a subprocess, the way an operator
 does, and asserts on what it prints and writes:
 
 * ``serve``   -- one-worker ``serve --metrics-port``, ``loadtest`` with
-  and without ``--json``, a ``/metrics`` + ``/healthz`` scrape, SIGTERM;
+  and without ``--json``, the same load as ``run ...,substrate=live,
+  live-host=...,live-port=...``, a ``/metrics`` + ``/healthz`` scrape,
+  SIGTERM;
 * ``sharded`` -- ``serve --workers 2`` against ``loadtest --workers 2``;
 * ``stream``  -- ``serve --stream`` and ``loadtest --stream`` NDJSON,
   rendered by ``watch``;
@@ -110,6 +112,11 @@ def serve() -> None:
                      "--rate", "50", "--duration", "1",
                      capture_output=True, text=True).stdout
         assert re.search(r"^substrate: *live", text, re.M), text
+        # The other CLI entry point to the one live path: `run` of the
+        # spec `loadtest` builds from its flags.
+        repro("run", "transport=udp,names=50,queries=100,rate=50,cache=none,"
+              f"substrate=live,live-host=127.0.0.1,live-port={port}",
+              "--json", "live-run.json")
         # The default one-worker pool serves the same endpoints.
         server.scrape("metrics", "serve-metrics.txt")
         server.scrape("healthz", "serve-health.json")
@@ -128,7 +135,11 @@ def serve() -> None:
     assert metrics["queries.success_rate"] >= 0.95, metrics
     for key in ("p50_ms", "p95_ms", "p99_ms"):
         assert metrics[f"latency.{key}"] is not None, metrics
-    validate("live-loadtest.json")
+    validate("live-loadtest.json", "live-run.json")
+    run = json.loads(Path("live-run.json").read_text())
+    assert sorted(run["metrics"]) == sorted(metrics), (run, metrics)
+    assert {**run["spec"], "name": "loadtest"} == report["spec"], (
+        run["spec"], report["spec"])
     print("loadtest ok:", metrics["throughput.qps"], "qps, p99",
           metrics["latency.p99_ms"], "ms")
 
